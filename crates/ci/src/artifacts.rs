@@ -9,6 +9,7 @@ use crate::run::RunId;
 use bytes::Bytes;
 use hpcci_cas::{CasStore, Digest};
 use hpcci_sim::{FaultInjector, SimDuration, SimTime};
+use std::collections::BTreeMap;
 
 /// Default retention window.
 pub const RETENTION: SimDuration = SimDuration::from_hours(90 * 24);
@@ -36,7 +37,9 @@ impl Artifact {
 /// The artifact store for the CI service.
 #[derive(Default)]
 pub struct ArtifactStore {
-    artifacts: Vec<Artifact>,
+    /// Keyed by run, each list in upload order: a report reads one run's
+    /// artifacts without walking every upload the service ever took.
+    by_run: BTreeMap<RunId, Vec<Artifact>>,
     injector: Option<FaultInjector>,
     cas: Option<CasStore>,
 }
@@ -93,7 +96,7 @@ impl ArtifactStore {
             }
             None => (content, Digest::NONE),
         };
-        self.artifacts.push(Artifact {
+        self.by_run.entry(run).or_default().push(Artifact {
             run,
             name: name.to_string(),
             content,
@@ -106,9 +109,8 @@ impl ArtifactStore {
 
     /// Fetch a live artifact by run and name.
     pub fn fetch(&self, run: RunId, name: &str, now: SimTime) -> Result<&Artifact, CiError> {
-        self.artifacts
-            .iter()
-            .find(|a| a.run == run && a.name == name && now < a.expires_at)
+        self.live(run, now)
+            .find(|a| a.name == name)
             .ok_or_else(|| CiError::UnknownArtifact {
                 run,
                 name: name.to_string(),
@@ -117,35 +119,44 @@ impl ArtifactStore {
 
     /// All live artifacts of a run.
     pub fn of_run(&self, run: RunId, now: SimTime) -> Vec<&Artifact> {
-        self.artifacts
-            .iter()
-            .filter(|a| a.run == run && now < a.expires_at)
-            .collect()
+        self.live(run, now).collect()
+    }
+
+    fn live(&self, run: RunId, now: SimTime) -> impl Iterator<Item = &Artifact> {
+        self.by_run
+            .get(&run)
+            .into_iter()
+            .flatten()
+            .filter(move |a| now < a.expires_at)
     }
 
     /// Drop expired artifacts, releasing their CAS references; returns how
     /// many were purged.
     pub fn purge_expired(&mut self, now: SimTime) -> usize {
-        let before = self.artifacts.len();
+        let mut purged = 0;
         let cas = self.cas.clone();
-        self.artifacts.retain(|a| {
-            let live = now < a.expires_at;
-            if !live {
-                if let (Some(cas), false) = (&cas, a.digest.is_none()) {
-                    cas.release(a.digest);
+        self.by_run.retain(|_, artifacts| {
+            artifacts.retain(|a| {
+                let live = now < a.expires_at;
+                if !live {
+                    purged += 1;
+                    if let (Some(cas), false) = (&cas, a.digest.is_none()) {
+                        cas.release(a.digest);
+                    }
                 }
-            }
-            live
+                live
+            });
+            !artifacts.is_empty()
         });
-        before - self.artifacts.len()
+        purged
     }
 
     pub fn len(&self) -> usize {
-        self.artifacts.len()
+        self.by_run.values().map(Vec::len).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.artifacts.is_empty()
+        self.by_run.is_empty()
     }
 }
 
@@ -213,7 +224,14 @@ mod tests {
         store.upload(RunId(1), "a", "1", SimTime::ZERO);
         store.upload(RunId(1), "b", "2", SimTime::ZERO);
         store.upload(RunId(2), "c", "3", SimTime::ZERO);
-        assert_eq!(store.of_run(RunId(1), SimTime::from_secs(1)).len(), 2);
-        assert_eq!(store.of_run(RunId(2), SimTime::from_secs(1)).len(), 1);
+        store.upload(RunId(1), "d", "4", SimTime::ZERO);
+        let names = |run| -> Vec<&str> {
+            let listed = store.of_run(run, SimTime::from_secs(1));
+            listed.iter().map(|a| a.name.as_str()).collect()
+        };
+        assert_eq!(names(RunId(1)), ["a", "b", "d"], "upload order, interleaved runs or not");
+        assert_eq!(names(RunId(2)), ["c"]);
+        assert!(names(RunId(3)).is_empty());
+        assert_eq!(store.len(), 4);
     }
 }

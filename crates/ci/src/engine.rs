@@ -7,7 +7,7 @@ use crate::environment::Environment;
 use crate::error::CiError;
 use crate::run::{RunId, RunStatus, StepRun, WorkflowRun};
 use crate::runner::RunnerPool;
-use crate::secrets::{mask_secrets, SecretStore};
+use crate::secrets::SecretStore;
 use crate::workflow::{interpolate_cow, StepAction, StepDef, TriggerEvent, WorkflowDef};
 use hpcci_cas::Digest;
 use hpcci_obs::Obs;
@@ -517,7 +517,6 @@ impl CiEngine {
             .get(repo.as_str())
             .cloned()
             .unwrap_or_default();
-        let mask_values = self.secrets.all_values();
 
         let order = def.job_order().expect("validated at instantiation");
         let mut failed_jobs: Vec<&str> = Vec::new();
@@ -638,13 +637,26 @@ impl CiEngine {
                         artifact_refs.push((name, digest, len));
                     }
                 }
+                // Outputs are masked like the log: CORRECT copies the task's
+                // raw stdout/stderr into them, and they flow on into the step
+                // cache, provenance and transcripts.
+                let mut outputs = result.outputs;
+                for value in outputs.values_mut() {
+                    *value = self.secrets.mask(std::mem::take(value));
+                }
+                // The log stays in the run arena for good: give back the
+                // spare capacity the action's string building left behind.
+                let mut stdout = self.secrets.mask(result.stdout);
+                let mut stderr = self.secrets.mask(result.stderr);
+                stdout.shrink_to_fit();
+                stderr.shrink_to_fit();
                 let rec = StepRun {
                     job: job_sym.clone(),
                     step: step_sym,
                     success,
-                    stdout: mask_secrets(&result.stdout, &mask_values),
-                    stderr: mask_secrets(&result.stderr, &mask_values),
-                    outputs: result.outputs,
+                    stdout,
+                    stderr,
+                    outputs,
                     started,
                     ended,
                 };
@@ -999,6 +1011,85 @@ mod tests {
         let log = e.run(id).unwrap().full_log();
         assert!(!log.contains("hunter2-value"), "secret leaked: {log}");
         assert!(log.contains("***"));
+    }
+
+    /// Echoes its `token` input into stdout, stderr and two outputs, the way
+    /// CORRECT copies a task's raw streams into `outputs`.
+    struct Leaky;
+    impl Action for Leaky {
+        fn run(&self, ctx: &mut StepContext<'_>) -> crate::action::StepResult {
+            let token = ctx.input("token").unwrap_or("-").to_string();
+            let mut result = crate::action::StepResult::ok(format!("stdout saw {token}"))
+                .with_output("stdout", &format!("stdout saw {token}"))
+                .with_output("exit_code", "0");
+            result.stderr = format!("warning: {token} on stderr");
+            result
+        }
+    }
+
+    /// One run of a two-job workflow whose steps echo both visible secrets.
+    fn leaky_run(e: &mut CiEngine) -> WorkflowRun {
+        let step = |id: &str, secret: &str| {
+            let token = format!("${{{{ secrets.{secret} }}}}");
+            StepDef::uses(id, "acme/leaky@v1", &[("token", token.as_str())])
+        };
+        e.register_action("acme/leaky@v1", Arc::new(Leaky));
+        e.secrets.put(
+            SecretScope::Repository("globus-labs/app".into()),
+            Secret::new("REPO_TOKEN", "repo-visible-value"),
+        );
+        e.secrets.put(
+            SecretScope::Organization("globus-labs".into()),
+            Secret::new("ORG_TOKEN", "org-visible-value"),
+        );
+        e.add_workflow(
+            "globus-labs/app",
+            WorkflowDef::new("ci")
+                .on_event(TriggerEvent::push_any())
+                .with_job(JobDef::new("a").with_step(step("repo", "REPO_TOKEN")))
+                .with_job(
+                    JobDef::new("b")
+                        .with_step(step("org", "ORG_TOKEN"))
+                        .with_step(StepDef::run("plain", "make check")),
+                ),
+        );
+        let id = e.on_push("globus-labs/app", "main", "c", SimTime::ZERO).unwrap()[0];
+        e.execute_ready(&mut NullDriver::new());
+        e.run(id).unwrap().clone()
+    }
+
+    #[test]
+    fn secrets_echoed_into_step_outputs_are_masked() {
+        let run = leaky_run(&mut CiEngine::new());
+        assert_eq!(run.status, RunStatus::Success);
+        let step = run.step("repo").unwrap();
+        assert_eq!(step.stdout, "stdout saw ***");
+        assert_eq!(step.stderr, "warning: *** on stderr");
+        assert_eq!(step.outputs["stdout"], "stdout saw ***");
+        assert_eq!(step.outputs["exit_code"], "0");
+        assert!(!format!("{run:?}").contains("visible-value"));
+    }
+
+    #[test]
+    fn a_run_does_not_depend_on_how_many_other_secrets_are_stored() {
+        let alone = leaky_run(&mut CiEngine::new());
+        let mut crowded = CiEngine::new();
+        for i in 0..4096 {
+            crowded.secrets.put(
+                SecretScope::Environment {
+                    repo: format!("tenant-{}/repo", i % 512),
+                    environment: format!("site-{}", i / 512),
+                },
+                Secret::new("GLOBUS_SECRET", &format!("unrelated-{i:05}-{:08x}", i * 2_654_435_761u64)),
+            );
+        }
+        let crowded = leaky_run(&mut crowded);
+        assert_eq!(crowded.full_log(), alone.full_log());
+        assert_eq!(crowded.badge(), alone.badge());
+        assert_eq!(crowded.steps.len(), alone.steps.len());
+        for (c, a) in crowded.steps.iter().zip(&alone.steps) {
+            assert_eq!((&c.stdout, &c.stderr, &c.outputs), (&a.stdout, &a.stderr, &a.outputs));
+        }
     }
 
     #[test]

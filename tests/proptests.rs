@@ -267,16 +267,107 @@ fn allreduce_matches_sequential() {
     }
 }
 
+/// A store holding `values` as repository and environment secrets, spread
+/// over a few scopes so store order is not insertion order.
+fn secret_store(values: &[String]) -> hpcci::ci::SecretStore {
+    use hpcci::ci::{Secret, SecretScope, SecretStore};
+    let mut store = SecretStore::new();
+    for (i, v) in values.iter().enumerate() {
+        let scope = match i % 3 {
+            0 => SecretScope::Organization("org".into()),
+            1 => SecretScope::Repository(format!("org/repo-{}", i % 5)),
+            _ => SecretScope::Environment {
+                repo: "org/repo-0".into(),
+                environment: format!("site-{}", i % 4),
+            },
+        };
+        store.put(scope, Secret::new(&format!("S{i}"), v));
+    }
+    store
+}
+
+/// The masking contract: replace each stored value in turn, longest first.
+fn sequential_mask(text: &str, values: &[String]) -> String {
+    let mut out = text.to_string();
+    for v in values {
+        if !v.is_empty() && out.contains(v.as_str()) {
+            out = out.replace(v.as_str(), "***");
+        }
+    }
+    out
+}
+
 #[test]
 fn masking_is_idempotent_and_total() {
     // Non-generated companion: masking twice equals masking once.
-    use hpcci::ci::secrets::mask_secrets;
-    let values = vec!["gcs-deadbeef".to_string(), "tok-12345".to_string()];
+    let store = secret_store(&["gcs-deadbeef".to_string(), "tok-12345".to_string()]);
     let text = "auth gcs-deadbeef then tok-12345 then gcs-deadbeef";
-    let once = mask_secrets(text, &values);
-    let twice = mask_secrets(&once, &values);
+    let once = store.mask(text.to_string());
+    let twice = store.mask(once.clone());
     assert_eq!(once, twice);
     assert!(!once.contains("deadbeef"));
+}
+
+/// The indexed mask set is byte-for-byte the sequential longest-first
+/// `replace` loop, on stores built to make the two disagree if they could:
+/// values cut out of the text (so they overlap and nest), equal lengths,
+/// values containing `*` / `***`, values shorter than the index's 4-byte
+/// key, empty and repeated values, non-ASCII, matches at both text ends.
+#[test]
+fn mask_set_matches_sequential_replace() {
+    let check = |values: &[String], text: &str, case: &str| {
+        let store = secret_store(values);
+        assert_eq!(
+            store.mask(text.to_string()),
+            sequential_mask(text, &store.all_values()),
+            "case {case}: values {values:?} text {text:?}"
+        );
+    };
+    let hand_picked: &[(&[&str], &str)] = &[
+        // nested and overlapping: longest first, residue stays
+        (&["abcdef", "cdefgh", "cdef", "ab"], "xabcdefghx abcdefgh cdefgh ab"),
+        // a value made visible only by the stars an earlier turn inserted
+        (&["secret-token", "x***y", "**", "*"], "xsecret-tokeny * a**b"),
+        // the same starred value twice: the second turn masks the first's stars
+        (&["*", "*"], "a*b"),
+        // shorter than the index key, empty, equal lengths in store order
+        (&["abc", "ab", "", "bcd", "é", "日本語の秘密"], "abcd ab é 日本語の秘密 日本語"),
+        // the whole text, and a value longer than the text
+        (&["whole"], "whole"),
+        (&["longer-than-text"], "long"),
+    ];
+    for (i, (values, text)) in hand_picked.iter().enumerate() {
+        let values: Vec<String> = values.iter().map(|v| v.to_string()).collect();
+        check(&values, text, &format!("hand-picked {i}"));
+    }
+
+    const ALPHABET: &str = "ab*é-日";
+    for case in 0..CASES * 8 {
+        let mut rng = case_rng("mask_set", case);
+        let mut text = gen_string(&mut rng, ALPHABET, 0, 60);
+        let chars: Vec<char> = text.chars().collect();
+        let mut values: Vec<String> = Vec::new();
+        for _ in 0..rng.range_u64(0, 12) {
+            let v = match rng.range_u64(0, 6) {
+                // a slice of the text: start, end and interior all come up
+                0..=2 if !chars.is_empty() => {
+                    let from = rng.range_u64(0, chars.len() as u64) as usize;
+                    let len = rng.range_u64(1, 9) as usize;
+                    chars[from..(from + len).min(chars.len())].iter().collect()
+                }
+                3 => gen_string(&mut rng, "*", 1, 4),
+                4 => values.first().cloned().unwrap_or_default(),
+                _ => gen_string(&mut rng, ALPHABET, 0, 7),
+            };
+            values.push(v);
+        }
+        if let Some(v) = values.iter().find(|v| v.len() >= 4) {
+            if rng.chance(0.5) {
+                text = format!("{v}{text}{v}");
+            }
+        }
+        check(&values, &text, &case.to_string());
+    }
 }
 
 /// PDBQT round trip preserves geometry and charges for arbitrary
