@@ -1,5 +1,5 @@
-//! Real-compute bench: the docking kernel's parallel scaling (crossbeam
-//! scoped threads over pose scoring) and grid-size cost growth.
+//! Real-compute bench: the docking kernel's parallel scaling (scoped
+//! threads over pose scoring) and grid-size cost growth.
 
 use hpcci::parsldock::prep::{prepare_ligand, prepare_receptor};
 use hpcci::parsldock::{dock, DockParams, Ligand, Receptor};

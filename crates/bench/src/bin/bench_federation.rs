@@ -9,8 +9,7 @@
 //!
 //! Usage: `bench_federation [--smoke] [--label <name>] [--obs-gate <pct>]
 //! [--cache-gate <x>] [--throughput-gate <events/s>] [--speedup-gate <x>]
-//! [--des-gate <x>] [--peak-throughput-gate <events/s>] [--peak-par-gate <x>]
-//! [--mem-gate <MiB>] [--profile]`
+//! [--peak-throughput-gate <events/s>] [--mem-gate <MiB>] [--profile]`
 //!
 //! `--obs-gate <pct>` re-runs the event-loop bench with the observability
 //! layer enabled and exits non-zero when enabled-vs-disabled throughput
@@ -36,25 +35,10 @@
 //! sweep serially because the per-scenario event count was too small to pay
 //! for worker threads.
 //!
-//! `--des-gate <x>` is the same core-aware gate applied to the
-//! *in-federation* parallel DES pass: one federation advanced over 4
-//! lookahead domains must be at least `<x>` times faster than the same
-//! federation advanced serially — with the committed trace byte-identical
-//! at every width (asserted unconditionally, gate or no gate). The pass
-//! runs min-of-N reps per width (3 smoke / 5 full) so one noisy sample on
-//! a shared runner can no longer flap the speedup signal; byte-identity is
-//! asserted on every rep.
-//!
 //! `--peak-throughput-gate <events/s>` exits non-zero when the GitHub-scale
 //! peak-day pass (a Zipf tenant population driving a diurnal arrival process
 //! through `submit_shell_batch`) sustains less than `<events/s>` dispatched
-//! events per wall-second. The pass now runs at widths 1/2/4 with the
-//! rolling-trace digest asserted identical across widths; the serial row
-//! keeps the trajectory comparable and carries this gate.
-//!
-//! `--peak-par-gate <x>` exits non-zero when the 4-worker peak day is less
-//! than `<x>` times faster than the serial peak day — core-aware like
-//! `--des-gate`, degrading to the no-slowdown floor below 4 cores.
+//! events per wall-second.
 //!
 //! `--mem-gate <MiB>` exits non-zero when the peak-day pass's resident-set
 //! high-water exceeds `<MiB>` mebibytes — the guard that rolling traces,
@@ -413,66 +397,6 @@ fn fig4_events_estimate() -> u64 {
     s.fed.events_dispatched()
 }
 
-/// One in-federation parallel DES measurement: ONE federation's event loop
-/// advanced over `workers` lookahead domains (contrast with `fig4_sweep`,
-/// which parallelizes across independent federations).
-struct DesSample {
-    wall_secs: f64,
-    /// FNV-1a over the committed trace render — byte-identity surface.
-    digest: u64,
-    events: u64,
-    domains: usize,
-    barriers: u64,
-    stalls: u64,
-    /// Threads spawned by the pooled drive — `domains + 1` per drain that
-    /// ran a pooled window, never per window.
-    pool_spawns: u64,
-    /// EWMA of measured coordinator overhead per pooled window (wall ns).
-    window_overhead_ns: u64,
-    /// High-water of deferred trace-replay batches overlapping execution.
-    pipeline_depth_max: u64,
-    /// Trace handbacks that had to wait on the merge worker.
-    merge_stalls: u64,
-    /// Final value of the adaptive min-work gate.
-    min_wire: usize,
-}
-
-/// Build the microbench federation, submit `n_tasks` round-robin, and drain
-/// it to quiescence over `workers` lookahead domains. Timing covers the
-/// drain only; the trace digest and the domain counters come back for the
-/// byte-identity asserts and the step summary.
-fn parallel_des_run(n_endpoints: usize, n_tasks: usize, workers: usize) -> DesSample {
-    let (mut cloud, token, endpoint_ids) = build_bench_cloud(n_endpoints, Obs::disabled());
-    cloud.set_workers(workers);
-    for t in 0..n_tasks {
-        let ep = &endpoint_ids[t % n_endpoints];
-        cloud
-            .submit_shell(&token, ep, "work", SimTime::ZERO)
-            .expect("submit");
-    }
-    let start = Instant::now();
-    cloud.drain_to_quiescence();
-    let wall_secs = start.elapsed().as_secs_f64();
-    let mut digest = 0xcbf29ce484222325u64;
-    for b in cloud.trace.render().bytes() {
-        digest = (digest ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    let stats = cloud.domain_stats().clone();
-    DesSample {
-        wall_secs,
-        digest,
-        events: cloud.events_dispatched(),
-        domains: cloud.domain_count(),
-        barriers: stats.barriers,
-        stalls: stats.stalls,
-        pool_spawns: cloud.pool_spawns(),
-        window_overhead_ns: cloud.window_overhead_ns(),
-        pipeline_depth_max: cloud.pipeline_depth_max(),
-        merge_stalls: cloud.merge_stalls(),
-        min_wire: cloud.parallel_min_wire(),
-    }
-}
-
 /// Seed of the peak-day workload. Fixed so the pass is a pure function of
 /// its size parameters and the trajectory rows stay comparable across PRs.
 const PEAK_SEED: u64 = 0x6174_6c61_7370_6565;
@@ -522,15 +446,8 @@ fn rss_bytes() -> u64 {
 /// quiescence wave by wave. The trace runs in rolling mode so its memory is
 /// O(cap) rather than O(tasks); tenant attribution uses the ID-dense
 /// sharded counters, so per-entity cost is exactly one `u64`.
-///
-/// `workers` sets the parallel-DES width for the drain: 1 keeps the classic
-/// serial walk, wider counts run the submit-aware pooled windows. The
-/// rolling-trace digest is asserted identical across widths by the caller —
-/// the strongest determinism pin the bench carries, since the rolling tail
-/// only matches if *every* preceding committed byte matched too.
-fn peak_day_run(n_endpoints: usize, n_tasks: u64, repos: u32, users: u32, workers: usize) -> PeakSample {
+fn peak_day_run(n_endpoints: usize, n_tasks: u64, repos: u32, users: u32) -> PeakSample {
     let (mut cloud, token, endpoint_ids) = build_bench_cloud(n_endpoints, Obs::disabled());
-    cloud.set_workers(workers);
     cloud.trace.set_rolling(65_536);
     // Mean gap chosen so a million arrivals span one modelled day.
     let workload = Workload::new(ArrivalProcess::Diurnal {
@@ -650,16 +567,6 @@ fn main() {
         .position(|a| a == "--speedup-gate")
         .and_then(|i| args.get(i + 1))
         .map(|v| v.parse().expect("--speedup-gate takes a speedup factor"));
-    let des_gate: Option<f64> = args
-        .iter()
-        .position(|a| a == "--des-gate")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--des-gate takes a speedup factor"));
-    let peak_par_gate: Option<f64> = args
-        .iter()
-        .position(|a| a == "--peak-par-gate")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--peak-par-gate takes a speedup factor"));
     let peak_throughput_gate: Option<f64> = args
         .iter()
         .position(|a| a == "--peak-throughput-gate")
@@ -757,10 +664,6 @@ fn main() {
     // must never reorder (or change) a single result.
     let cores = sweep::default_threads();
     const WIDTHS: [usize; 4] = [1, 2, 4, 8];
-    /// Peak-day widths: the day is long, so three widths (not four) keep the
-    /// pass's wall bounded while still pinning serial vs pooled byte-identity
-    /// and yielding a 4-worker speedup figure.
-    const PEAK_WIDTHS: [usize; 3] = [1, 2, 4];
     let est_events = fig4_events_estimate();
     let sweep_gated_serial = est_events < sweep_min_events;
     hpcci_bench::section(&format!(
@@ -801,74 +704,6 @@ fn main() {
     println!("speedup at 4 workers      {:>12.2}x", speedup_4w);
     println!("digest                    {serial_digest:#018x}");
 
-    // In-federation conservative parallel DES: the passes above parallelize
-    // across independent federations; this one advances a SINGLE scaled
-    // federation over 1/2/4/8 lookahead domains and re-pins the committed
-    // trace at every width — the PR 7 byte-identity claim, measured.
-    let (des_endpoints, des_tasks) = if smoke { (16, 1024) } else { (64, 8192) };
-    // Min-of-N per width: the speedup signal flapped between trajectory rows
-    // (1.77x → 0.93x on the same host) because one noisy sample per width
-    // let runner interference masquerade as a regression. The minimum wall
-    // is the cleanest estimate of what the engine can do; byte-identity is
-    // asserted on EVERY rep, not just the kept one.
-    let des_reps = if smoke { 3 } else { 5 };
-    hpcci_bench::section(&format!(
-        "in-federation parallel DES ({des_endpoints} endpoints, {des_tasks} tasks) — \
-         lookahead domains across {WIDTHS:?} workers, min of {des_reps} reps ({cores} core(s))"
-    ));
-    let mut des_secs = Vec::new();
-    let mut des_serial: Option<(u64, u64)> = None;
-    let mut des_4w: Option<DesSample> = None;
-    for &w in WIDTHS.iter() {
-        let mut best: Option<DesSample> = None;
-        for _ in 0..des_reps {
-            let s = parallel_des_run(des_endpoints, des_tasks, w);
-            match des_serial {
-                None => des_serial = Some((s.digest, s.events)),
-                Some((digest, events)) => {
-                    assert_eq!(
-                        s.digest, digest,
-                        "{w}-worker in-federation trace must be byte-identical to serial"
-                    );
-                    assert_eq!(
-                        s.events, events,
-                        "{w}-worker run must dispatch exactly the serial event count"
-                    );
-                }
-            }
-            best = Some(match best {
-                Some(b) if b.wall_secs <= s.wall_secs => b,
-                _ => s,
-            });
-        }
-        let s = best.expect("at least one rep ran");
-        println!(
-            "{w} worker(s)                {:>12.3} s   {:>6.2}x   {} domain(s), {} barrier(s), \
-             {} stall(s), pool {} thread(s), pipe depth {}, merge stall(s) {}",
-            s.wall_secs,
-            des_secs.first().copied().unwrap_or(s.wall_secs) / s.wall_secs,
-            s.domains,
-            s.barriers,
-            s.stalls,
-            s.pool_spawns,
-            s.pipeline_depth_max,
-            s.merge_stalls,
-        );
-        des_secs.push(s.wall_secs);
-        if w == 4 {
-            des_4w = Some(s);
-        }
-    }
-    let des_4w = des_4w.expect("4-worker pass ran");
-    let (des_digest, des_events) = des_serial.expect("serial pass ran");
-    let des_speedup_4w = des_secs[0] / des_secs[2];
-    println!("speedup at 4 workers      {:>12.2}x", des_speedup_4w);
-    println!(
-        "window overhead (4w)      {:>12} ns   adaptive min-wire {:>4}",
-        des_4w.window_overhead_ns, des_4w.min_wire
-    );
-    println!("trace digest              {des_digest:#018x} (byte-identical at every width)");
-
     // GitHub-scale peak day: a Zipf tenant population driving a diurnal
     // arrival process into the cloud through batched wave injection, with the
     // trace rolling so memory stays flat. The smoke sizing (100k tasks over
@@ -882,34 +717,7 @@ fn main() {
     hpcci_bench::section(&format!(
         "peak day — {peak_tasks} tasks over {peak_repos} repos / {peak_users} users (diurnal, zipf 1.1)"
     ));
-    // Widths 1/2/4 over the identical workload. The width-1 sample carries
-    // the throughput/memory trajectory numbers (comparable to every prior
-    // row); the wider samples prove the pooled windows reproduce the serial
-    // day byte-for-byte under rolling-trace pressure and give the
-    // multi-threaded speedup signal.
-    let mut peak_samples: Vec<PeakSample> = Vec::new();
-    for &w in PEAK_WIDTHS.iter() {
-        let s = peak_day_run(endpoints, peak_tasks, peak_repos, peak_users, w);
-        if let Some(serial) = peak_samples.first() {
-            assert_eq!(
-                s.digest, serial.digest,
-                "{w}-worker peak day must render the same rolling-trace tail as serial"
-            );
-            assert_eq!(s.events, serial.events, "event counts must match at width {w}");
-            assert_eq!(s.sim_secs, serial.sim_secs, "virtual spans must match at width {w}");
-        }
-        println!(
-            "{w} worker(s)                {:>12.3} s   {:>6.2}x   {:>12.0} events/s",
-            s.wall_secs,
-            peak_samples.first().map_or(1.0, |p| p.wall_secs / s.wall_secs),
-            s.events_per_sec,
-        );
-        peak_samples.push(s);
-    }
-    let peak_workers_secs: Vec<f64> = peak_samples.iter().map(|s| s.wall_secs).collect();
-    let peak_speedup_4w = peak_workers_secs[0] / peak_workers_secs[2];
-    let peak = peak_samples.into_iter().next().expect("serial peak sample");
-    println!("speedup at 4 workers      {:>12.2}x", peak_speedup_4w);
+    let peak = peak_day_run(endpoints, peak_tasks, peak_repos, peak_users);
     println!("tasks driven              {:>12}", peak.tasks);
     println!("events dispatched         {:>12}", peak.events);
     println!("wall                      {:>12.3} s", peak.wall_secs);
@@ -937,15 +745,17 @@ fn main() {
     } else {
         println!("allocs per task           {:>12}   (build with --features count-allocs)", "n/a");
     }
-    // The width sweep above is the determinism guard: three runs of the
-    // identical workload — one serial, two through the pooled parallel
-    // windows — all landed on the same rolling-trace digest, event count,
-    // and virtual span. Strictly stronger than the old smoke-only
-    // back-to-back serial re-run, and it runs in full mode too.
-    println!(
-        "trace digest              {:#018x}   (byte-identical at widths {PEAK_WIDTHS:?})",
-        peak.digest
-    );
+    println!("trace digest              {:#018x}", peak.digest);
+    if smoke {
+        // Determinism guard (smoke sizing only — the full pass is too long to
+        // double): the peak day is a pure function of its parameters, so a
+        // second run must land on the same rolling-trace digest, event count
+        // and virtual span.
+        let again = peak_day_run(endpoints, peak_tasks, peak_repos, peak_users);
+        assert_eq!(again.digest, peak.digest, "back-to-back peak days must render identical traces");
+        assert_eq!(again.events, peak.events, "event counts must match");
+        assert_eq!(again.sim_secs, peak.sim_secs, "virtual spans must match");
+    }
 
     // Cold-vs-warm incremental CI: a Record pass populates a shared step
     // cache (executing everything), then a Replay pass over the same seeds
@@ -989,18 +799,6 @@ fn main() {
          \"cores\": {cores}, \"fig4_scaling_secs\": [{w1:.4}, {w2:.4}, {w4:.4}, {w8:.4}], \
          \"fig4_speedup_4w\": {speedup_4w:.2}, \
          \"fig4_est_events\": {est_events}, \"sweep_gated_serial\": {sweep_gated_serial}, \
-         \"des_endpoints\": {des_endpoints}, \"des_tasks\": {des_tasks}, \
-         \"des_scaling_secs\": [{d1:.4}, {d2:.4}, {d4:.4}, {d8:.4}], \
-         \"des_speedup_4w\": {des_speedup_4w:.2}, \"des_events\": {des_events}, \
-         \"des_domains\": {des_domains}, \"des_barriers_4w\": {des_barriers}, \
-         \"des_stalls_4w\": {des_stalls}, \"des_reps\": {des_reps}, \
-         \"des_window_overhead_ns\": {des_overhead}, \
-         \"des_pool_spawns_4w\": {des_pool_spawns}, \
-         \"des_pipeline_depth_max_4w\": {des_pipe_depth}, \
-         \"des_merge_stalls_4w\": {des_merge_stalls}, \
-         \"des_min_wire_4w\": {des_min_wire}, \
-         \"peak_workers_secs\": [{pk1:.4}, {pk2:.4}, {pk4:.4}], \
-         \"peak_speedup_4w\": {peak_speedup_4w:.2}, \
          \"peak_tasks\": {peak_tasks}, \"peak_repos\": {peak_repos}, \
          \"peak_users\": {peak_users}, \"peak_events\": {peak_events}, \
          \"peak_events_per_sec\": {peak_eps:.0}, \"peak_rss_bytes\": {peak_rss}, \
@@ -1017,21 +815,6 @@ fn main() {
         w2 = scaling_secs[1],
         w4 = scaling_secs[2],
         w8 = scaling_secs[3],
-        d1 = des_secs[0],
-        d2 = des_secs[1],
-        d4 = des_secs[2],
-        d8 = des_secs[3],
-        des_domains = des_4w.domains,
-        des_barriers = des_4w.barriers,
-        des_stalls = des_4w.stalls,
-        des_overhead = des_4w.window_overhead_ns,
-        des_pool_spawns = des_4w.pool_spawns,
-        des_pipe_depth = des_4w.pipeline_depth_max,
-        des_merge_stalls = des_4w.merge_stalls,
-        des_min_wire = des_4w.min_wire,
-        pk1 = peak_workers_secs[0],
-        pk2 = peak_workers_secs[1],
-        pk4 = peak_workers_secs[2],
         peak_tasks = peak.tasks,
         peak_repos = peak.repos,
         peak_users = peak.users,
@@ -1140,8 +923,8 @@ fn main() {
         println!("mem gate ok: {high_mib} MiB <= {gate} MiB");
     }
 
-    // A parallel speedup needs parallel hardware: below 4 cores both
-    // speedup gates degrade to a floor that still catches a run whose wider
+    // A parallel speedup needs parallel hardware: below 4 cores the
+    // speedup gate degrades to a floor that still catches a run whose wider
     // pool pathologically slows the work down.
     const SPEEDUP_FLOOR_FEW_CORES: f64 = 0.5;
 
@@ -1167,43 +950,5 @@ fn main() {
             std::process::exit(1);
         }
         println!("speedup gate ok: {speedup_4w:.2}x >= {floor:.2}x ({why})");
-    }
-
-    if let Some(gate) = des_gate {
-        let (floor, why) = if cores >= 4 {
-            (gate, "full gate")
-        } else {
-            (
-                SPEEDUP_FLOOR_FEW_CORES,
-                "no-slowdown floor — fewer than 4 cores, parallel speedup unobtainable",
-            )
-        };
-        if des_speedup_4w < floor {
-            eprintln!(
-                "des gate FAILED: 4-worker in-federation speedup {des_speedup_4w:.2}x is \
-                 below the {floor:.2}x floor ({why}, {cores} core(s))"
-            );
-            std::process::exit(1);
-        }
-        println!("des gate ok: {des_speedup_4w:.2}x >= {floor:.2}x ({why})");
-    }
-
-    if let Some(gate) = peak_par_gate {
-        let (floor, why) = if cores >= 4 {
-            (gate, "full gate")
-        } else {
-            (
-                SPEEDUP_FLOOR_FEW_CORES,
-                "no-slowdown floor — fewer than 4 cores, parallel speedup unobtainable",
-            )
-        };
-        if peak_speedup_4w < floor {
-            eprintln!(
-                "peak-par gate FAILED: 4-worker peak-day speedup {peak_speedup_4w:.2}x is \
-                 below the {floor:.2}x floor ({why}, {cores} core(s))"
-            );
-            std::process::exit(1);
-        }
-        println!("peak-par gate ok: {peak_speedup_4w:.2}x >= {floor:.2}x ({why})");
     }
 }

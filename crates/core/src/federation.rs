@@ -165,9 +165,7 @@ impl WorldDriver for World {
 }
 
 impl World {
-    /// Drain the world to quiescence. With a worker budget above one the
-    /// cloud advances lookahead domains on parallel windows; the committed
-    /// trace is byte-identical to the single-step loop either way.
+    /// Drain the world to quiescence.
     fn drain(&mut self) {
         self.cloud.lock().drain_to_quiescence();
     }
@@ -195,7 +193,6 @@ pub struct FederationBuilder {
     plan: Option<FaultPlan>,
     obs: ObsConfig,
     step_cache: Option<(StepCache, CacheMode)>,
-    workers: usize,
     workload: Option<Workload>,
 }
 
@@ -232,16 +229,6 @@ impl FederationBuilder {
         self
     }
 
-    /// Advance the federation's event loop with up to `n` worker threads
-    /// over conservative lookahead domains. The committed trace — and hence
-    /// [`Federation::trace_digest`] — is byte-identical at every width;
-    /// federations with fault plans or shared batch schedulers degrade to
-    /// the serial path automatically. `1` (the default) is fully serial.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.workers = n.max(1);
-        self
-    }
-
     /// Attach a traffic [`Workload`]: a typed arrival process plus a tenant
     /// mix, replacing per-driver gap/burstiness knobs. The federation only
     /// *stores* the workload — drivers pull a seeded [`ArrivalGen`] via
@@ -260,7 +247,6 @@ impl FederationBuilder {
             self.step_cache,
         );
         fed.workload = self.workload;
-        fed.cloud.lock().set_workers(self.workers);
         fed
     }
 }
@@ -295,7 +281,6 @@ impl Federation {
             plan: None,
             obs: ObsConfig::disabled(),
             step_cache: None,
-            workers: 1,
             workload: None,
         }
     }
@@ -361,8 +346,7 @@ impl Federation {
 
     /// A seeded arrival generator for the attached workload: forked from the
     /// world seed under the canonical traffic label, so the gap stream is
-    /// byte-identical to the legacy per-driver sampler with the same seed —
-    /// and identical across worker widths, which never touch RNG streams.
+    /// byte-identical to the legacy per-driver sampler with the same seed.
     /// `None` when the federation was built without a workload.
     pub fn arrival_gen(&self) -> Option<ArrivalGen> {
         self.workload.as_ref().map(|w| w.arrival_gen(self.world_seed))

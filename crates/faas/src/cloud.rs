@@ -12,15 +12,10 @@ use crate::mep::MultiUserEndpoint;
 use crate::task::{Task, TaskId, TaskOutput, TaskState};
 use hpcci_auth::{AuthService, Identity, Scope};
 use hpcci_obs::Obs;
-use hpcci_sim::{
-    Advance, DomainPlan, DomainStats, EventQueue, FaultInjector, Lookahead, NextEventCache,
-    SimDuration, SimTime, Sym, Trace, Window,
-};
+use hpcci_sim::{Advance, EventQueue, FaultInjector, NextEventCache, SimTime, Sym, Trace};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-mod parallel;
 
 /// Endpoint identifier (the "endpoint UUID" of the action inputs).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -109,29 +104,6 @@ impl EndpointRegistration {
             EndpointRegistration::Single(e) => e.drain_finished_into(out),
             EndpointRegistration::Multi(m) => m.drain_finished_into(out),
         }
-    }
-
-    /// Put back outputs that a parallel window drained but whose collection
-    /// instant lies beyond the window — the serial loop would have left them
-    /// sitting in the endpoint's buffer.
-    fn restore_finished(&mut self, items: &mut Vec<(TaskId, TaskOutput)>) {
-        match self {
-            EndpointRegistration::Single(e) => e.restore_finished(items),
-            EndpointRegistration::Multi(m) => m.restore_finished(items),
-        }
-    }
-
-    /// Affinity key for domain partitioning: endpoints sharing a site (one
-    /// filesystem, one command registry, one scheduler) must co-locate. The
-    /// key value is the shared site's address — only *equality* of keys is
-    /// ever used, so the layout stays deterministic (groups are numbered by
-    /// first appearance in slot order, see [`DomainPlan::partition`]).
-    fn site_key(&self) -> u64 {
-        let site = match self {
-            EndpointRegistration::Single(e) => e.site(),
-            EndpointRegistration::Multi(m) => m.site(),
-        };
-        Arc::as_ptr(site) as usize as u64
     }
 }
 
@@ -226,47 +198,9 @@ pub struct CloudService {
     tasks_submitted: u64,
     tasks_completed: u64,
     events_dispatched: u64,
-    /// Scheduled-but-not-yet-accepted [`InFlight::Submit`] events. A pending
-    /// submission mutates global state (task table, id counter) when it
-    /// fires, so parallel windows are deferred until the backlog drains.
+    /// Scheduled-but-not-yet-accepted [`InFlight::Submit`] events.
     pending_submits: u64,
-    /// Worker-thread budget for conservative parallel windows; 1 = serial.
-    workers: usize,
-    /// Cached lookahead-domain partition (invalidated on registration and on
-    /// `endpoint_mut` escapes, rebuilt lazily by [`Self::ensure_domain_plan`]).
-    domain_plan: Option<DomainPlan>,
-    /// Folded lookahead across every endpoint, cached beside the plan.
-    domain_lookahead: Lookahead,
-    /// Barrier/stall/fallback counters for the parallel drive.
-    domain_stats: DomainStats,
-    /// Adaptive min-work gate for parallel windows, re-derived per pooled
-    /// window from the measured coordinator overhead (starts at
-    /// [`PARALLEL_MIN_WIRE`]). Steers only the serial/parallel *choice*,
-    /// never the committed bytes.
-    min_wire: usize,
-    /// Adaptive pooled-window span (virtual µs), steered toward a target
-    /// committed-events-per-window batch size.
-    window_span_us: u64,
-    /// EWMA of per-window coordinator overhead (extraction + dispatch +
-    /// state-commit, excluding the barrier wait), wall nanoseconds.
-    window_overhead_ns: u64,
-    /// Threads spawned by pooled drains (domain workers + merge workers).
-    /// One pool per drain: this stays at `domains + 1` per drain no matter
-    /// how many windows run.
-    pool_spawns: u64,
-    /// High-water mark of trace-replay batches in flight on the merge
-    /// worker while the coordinator kept running.
-    pipeline_depth_max: u64,
-    /// Trace handbacks that had to wait on an unfinished replay batch.
-    merge_stalls: u64,
 }
-
-/// Initial value of the adaptive min-work gate: below this many pending
-/// wire events a window is advanced serially, until a measured per-window
-/// overhead refines the break-even point (clamped to [8, 256]). The
-/// persistent pool cut per-window cost enough to start at 16 where the
-/// spawn-per-window engine needed 64.
-const PARALLEL_MIN_WIRE: usize = 16;
 
 impl CloudService {
     pub fn new(auth: Arc<Mutex<AuthService>>) -> Self {
@@ -299,159 +233,20 @@ impl CloudService {
             tasks_submitted: 0,
             tasks_completed: 0,
             events_dispatched: 0,
-            workers: 1,
-            domain_plan: None,
-            domain_lookahead: Lookahead::zero(),
-            domain_stats: DomainStats::default(),
-            min_wire: PARALLEL_MIN_WIRE,
-            window_span_us: parallel::WINDOW_SPAN_INIT_US,
-            window_overhead_ns: 0,
-            pool_spawns: 0,
-            pipeline_depth_max: 0,
-            merge_stalls: 0,
         }
     }
 
-    /// Set the worker-thread budget for conservative parallel windows.
-    /// `1` (the default) keeps the fully serial loop. Any width produces a
-    /// committed trace byte-identical to the serial one; federations with
-    /// fault injectors or shared batch schedulers fall back to serial
-    /// automatically.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-        self.domain_plan = None;
-    }
-
-    /// The configured parallel worker budget.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Counters describing the parallel drive so far.
-    pub fn domain_stats(&self) -> &DomainStats {
-        &self.domain_stats
-    }
-
-    /// Threads spawned by pooled drains so far: `domains + 1` (the merge
-    /// worker) per drain that ran at least one pooled window — never per
-    /// window. Run-dependent only in *when* pools were warranted, not in
-    /// any committed byte.
-    pub fn pool_spawns(&self) -> u64 {
-        self.pool_spawns
-    }
-
-    /// High-water mark of deferred trace-replay batches in flight on the
-    /// merge worker while the coordinator kept extracting/committing.
-    /// `>= 1` means the pipeline actually overlapped. Wall-dependent.
-    pub fn pipeline_depth_max(&self) -> u64 {
-        self.pipeline_depth_max
-    }
-
-    /// Trace handbacks that found the merge worker still applying a batch
-    /// (the coordinator had to stall). Wall-dependent.
-    pub fn merge_stalls(&self) -> u64 {
-        self.merge_stalls
-    }
-
-    /// EWMA of measured per-window coordinator overhead in wall
-    /// nanoseconds (extraction + dispatch + state-commit, excluding the
-    /// barrier wait). Zero until a pooled window has run. Wall-dependent.
-    pub fn window_overhead_ns(&self) -> u64 {
-        self.window_overhead_ns
-    }
-
-    /// Current value of the adaptive min-work gate: windows with fewer
-    /// pending wire events than this advance serially. Starts at 16 and is
-    /// re-derived from [`Self::window_overhead_ns`] after every pooled
-    /// window. Wall-dependent, but digest-neutral: it only picks *which*
-    /// engine advances a window, and both commit identical bytes.
-    pub fn parallel_min_wire(&self) -> usize {
-        self.min_wire
-    }
-
-    /// Number of lookahead domains the current federation partitions into
-    /// under the configured worker budget. A zero-lookahead federation (any
-    /// endpoint coupled through a shared batch scheduler) degrades to one
-    /// domain regardless of the budget.
-    pub fn domain_count(&mut self) -> usize {
-        self.ensure_domain_plan();
-        self.domain_plan.as_ref().map_or(1, |p| p.len().max(1))
-    }
-
-    /// Build (or reuse) the lookahead-domain partition: group endpoint slots
-    /// by shared site, fold the per-endpoint lookahead, and collapse to one
-    /// domain when any link has no delay floor.
-    fn ensure_domain_plan(&mut self) {
-        if self.domain_plan.is_some() {
-            return;
-        }
-        let mut lookahead: Option<Lookahead> = None;
-        for ep in &self.endpoints {
-            let la = if ep.shares_scheduler() {
-                Lookahead::zero()
-            } else {
-                Lookahead::wire(ep.wan_latency())
-            };
-            lookahead = Some(lookahead.map_or(la, |acc| acc.fold(la)));
-        }
-        let lookahead = lookahead.unwrap_or_else(Lookahead::zero);
-        let plan = if lookahead.zero_coupled {
-            DomainPlan::partition(&self.ordered_slots, 1, |_| 0)
-        } else {
-            let endpoints = &self.endpoints;
-            DomainPlan::partition(&self.ordered_slots, self.workers, |slot| {
-                endpoints[slot].site_key()
-            })
-        };
-        self.domain_lookahead = lookahead;
-        self.domain_plan = Some(plan);
-    }
-
-    /// Static eligibility for parallel windows: a worker budget, no fault
-    /// injector anywhere (consult boundaries move under partitioning), and
-    /// at least two domains under positive lookahead.
-    fn parallel_static_ok(&mut self) -> bool {
-        if self.workers <= 1 || self.fault_aware {
-            return false;
-        }
-        self.ensure_domain_plan();
-        !self.domain_lookahead.zero_coupled
-            && self.domain_plan.as_ref().is_some_and(|p| p.len() >= 2)
-    }
-
-    /// Dynamic eligibility for one window `[now, t]`: enough committed wire
-    /// events to amortize the per-window overhead (an adaptive gate, see
-    /// `adapt_window`), and a horizon that actually admits parallel
-    /// progress. Pending scheduled submissions are fine *when the folded
-    /// lookahead is positive*: each submit's induced delivery then lands
-    /// strictly after its arrival instant, so the coordinator pre-routes the
-    /// wave at extraction and replays acceptance — ids dense in arrival
-    /// order — at the barrier. Under zero `min_inbound` the induced leg
-    /// could land at the submit's own instant, which the one-generation
-    /// instant walk cannot order, so those windows stay serial.
-    fn parallel_window_ok(&self, t: SimTime) -> bool {
-        (self.pending_submits == 0 || self.domain_lookahead.min_inbound > SimDuration::ZERO)
-            && self.wire.len() >= self.min_wire
-            && Window::new(self.now, t).admits_parallelism(self.domain_lookahead)
+    /// Always 1: the serial step loop is the only drain engine. Kept because
+    /// the frozen `benchmark/` crate reads it into `faas.domains`; the next
+    /// PR that may edit `benchmark/` should drop that metric and this method.
+    pub fn domain_count(&self) -> usize {
+        1
     }
 
     /// Run the event loop to quiescence — until neither the wire nor any
-    /// endpoint holds a pending event — using pooled, pipelined parallel
-    /// windows whenever the federation and remaining work admit them.
-    /// Leaves `now` at the last committed instant (like the serial step
-    /// loop it replaces), and produces a committed trace byte-identical to
-    /// that loop's at any worker width.
+    /// endpoint holds a pending event. Leaves `now` at the last committed
+    /// instant.
     pub fn drain_to_quiescence(&mut self) -> SimTime {
-        // Fault posture cannot change mid-drain (`endpoint_mut` escapes need
-        // `&mut self` back), so resolve it once up front.
-        if self.recheck_faults {
-            self.recheck_faults = false;
-            self.fault_aware =
-                self.injector.is_some() || self.endpoints.iter().any(|ep| ep.has_injector());
-        }
-        if self.parallel_static_ok() {
-            return self.drain_pooled();
-        }
         while self.step_next(SimTime::FAR_FUTURE).is_some() {}
         self.now
     }
@@ -496,12 +291,6 @@ impl CloudService {
         self.obs.set_counter("sim.cache_refresh_hot_hits", stats.hot_hits);
         self.obs.set_counter("sim.cache_probes", stats.probes);
         self.obs.set_counter("sim.cache_volatile_probes", stats.volatile_probes);
-        if self.workers > 1 {
-            self.obs.set_counter("sim.domain_barriers", self.domain_stats.barriers);
-            self.obs.set_counter("sim.domain_stalls", self.domain_stats.stalls);
-            self.obs
-                .set_counter("sim.domain_serial_fallbacks", self.domain_stats.serial_fallbacks);
-        }
     }
 
     /// Earliest instant a message can cross the WAN towards/from `endpoint`:
@@ -553,8 +342,6 @@ impl CloudService {
         } else {
             self.endpoints[slot] = registration;
         }
-        // A new/replaced endpoint changes the affinity layout.
-        self.domain_plan = None;
         eid
     }
 
@@ -569,7 +356,6 @@ impl CloudService {
         self.cache.mark_dirty(slot);
         self.touched.push(slot);
         self.recheck_faults = true;
-        self.domain_plan = None;
         Ok(&mut self.endpoints[slot])
     }
 
@@ -679,7 +465,7 @@ impl CloudService {
             return Err(FaasError::ShellNotAllowed);
         }
         self.check_payload(shell_cmd.len())?;
-        self.check_owner(ep, &identity)?;
+        self.check_owner(ep, &identity, now)?;
         Ok((identity, slot))
     }
 
@@ -727,7 +513,7 @@ impl CloudService {
             return Err(FaasError::FunctionNotAllowed(function));
         }
         self.check_payload(args.len())?;
-        self.check_owner(ep, &identity)?;
+        self.check_owner(ep, &identity, now)?;
         let command = self.trace.intern(&f.command_line(args));
         Ok(self.accept(&Arc::new(identity), slot, command, now))
     }
@@ -752,12 +538,19 @@ impl CloudService {
         Ok(())
     }
 
-    fn check_owner(&self, ep: &EndpointRegistration, identity: &Identity) -> Result<(), FaasError> {
+    /// Ownership and high-assurance policy, evaluated at the submission
+    /// instant `now` — the cloud's own clock may lag the submitter.
+    fn check_owner(
+        &self,
+        ep: &EndpointRegistration,
+        identity: &Identity,
+        now: SimTime,
+    ) -> Result<(), FaasError> {
         if let EndpointRegistration::Single(e) = ep {
             if e.config.owner != identity.id {
                 return Err(FaasError::NotEndpointOwner);
             }
-            e.config.ha_policy.check(identity, self.now)?;
+            e.config.ha_policy.check(identity, now)?;
         }
         Ok(())
     }
@@ -1101,17 +894,6 @@ impl Advance for CloudService {
             self.advance_all_to(t);
             return;
         }
-        if self.parallel_static_ok() {
-            if self.parallel_window_ok(t) {
-                self.advance_window_parallel(t);
-                self.now = t;
-                return;
-            }
-            // A worker budget is configured but this window is too small (or
-            // zero-width): count the serial fallback so the stats tell the
-            // whole story.
-            self.domain_stats.serial_fallbacks += 1;
-        }
         loop {
             self.refresh_cache();
             // Earliest wire event or endpoint event within the window.
@@ -1327,6 +1109,31 @@ mod tests {
         assert!(matches!(
             s.cloud.submit_shell(&foreign_token, &s.endpoint, "tox", SimTime::ZERO),
             Err(FaasError::NotEndpointOwner)
+        ));
+    }
+
+    #[test]
+    fn session_policy_is_checked_at_the_submission_instant() {
+        use hpcci_auth::{AuthError, HighAssurancePolicy};
+        use hpcci_sim::SimDuration;
+        // Identity authenticated at t=0, the cloud's clock never advanced.
+        let mut s = setup(None);
+        let EndpointRegistration::Single(e) = s.cloud.endpoint_mut(&s.endpoint).unwrap() else {
+            unreachable!("setup registers a single-user endpoint")
+        };
+        e.config.ha_policy =
+            HighAssurancePolicy::permissive().require_session_within(SimDuration::from_hours(1));
+        assert_eq!(s.cloud.now(), SimTime::ZERO);
+        let fresh = SimTime::from_secs(30 * 60);
+        let stale = SimTime::from_secs(2 * 3600);
+        assert!(s.cloud.submit_shell(&s.token, &s.endpoint, "tox", fresh).is_ok());
+        assert!(matches!(
+            s.cloud.submit_shell(&s.token, &s.endpoint, "tox", stale),
+            Err(FaasError::Auth(AuthError::PolicyViolation(_)))
+        ));
+        assert!(matches!(
+            s.cloud.submit_shell_batch(&s.token, &s.endpoint, "tox", stale, &[stale]),
+            Err(FaasError::Auth(AuthError::PolicyViolation(_)))
         ));
     }
 

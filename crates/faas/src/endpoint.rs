@@ -261,10 +261,6 @@ impl Endpoint {
         }
     }
 
-    pub fn site(&self) -> &SharedSite {
-        &self.site
-    }
-
     /// One-way latency between this endpoint's site and the cloud service.
     pub fn wan_latency(&self) -> SimDuration {
         let rtt = self.site.lock().site.perf.wan_rtt();
@@ -330,14 +326,6 @@ impl Endpoint {
     /// neither side reallocates on the next round.
     pub fn drain_finished_into(&mut self, out: &mut Vec<(TaskId, TaskOutput)>) {
         out.append(&mut self.finished);
-    }
-
-    /// Put back outputs a parallel window drained past their collection
-    /// instant. The buffer is empty when this is called (the window drained
-    /// everything), so appending restores the exact serial buffer state:
-    /// restored outputs first, later completions appended after them.
-    pub fn restore_finished(&mut self, items: &mut Vec<(TaskId, TaskOutput)>) {
-        self.finished.append(items);
     }
 
     /// Gracefully stop: release the worker block; queued tasks are rejected

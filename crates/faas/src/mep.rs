@@ -231,11 +231,6 @@ impl MultiUserEndpoint {
         rtt / 2
     }
 
-    /// The shared site this MEP (and all its UEPs) runs at.
-    pub fn site(&self) -> &SharedSite {
-        &self.site
-    }
-
     /// The administrator's audit view (§5.1: "administrators can audit logs
     /// of all tasks that have been executed").
     pub fn audit_log(&self) -> &[(TaskId, String, String)] {
@@ -395,15 +390,6 @@ impl MultiUserEndpoint {
             pair.login.drain_finished_into(out);
             pair.task.drain_finished_into(out);
         }
-    }
-
-    /// Put back outputs a parallel window drained past their collection
-    /// instant. They land at the head of the drain order (`pending_crashed`
-    /// drains first), which matches the serial buffer state whenever the
-    /// MEP's own buffers are otherwise empty — and they are: a window drains
-    /// every UEP before the merge decides anything was stranded.
-    pub fn restore_finished(&mut self, items: &mut Vec<(TaskId, TaskOutput)>) {
-        self.pending_crashed.append(items);
     }
 
     /// Stop every UEP.

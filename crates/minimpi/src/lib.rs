@@ -6,8 +6,8 @@
 //! and a KaMPIng:
 //!
 //! * [`comm`] — a rank-based message-passing runtime over OS threads and
-//!   crossbeam channels: point-to-point send/recv with tag matching and an
-//!   unexpected-message queue, plus the collectives the artifacts use
+//!   `std::sync::mpsc` channels: point-to-point send/recv with tag matching
+//!   and an unexpected-message queue, plus the collectives the artifacts use
 //!   (barrier, broadcast, reduce, allreduce, gather, allgather, alltoall).
 //!   This is *real* parallelism: ranks are threads, messages really move.
 //! * [`bindings`] — the KaMPIng analogue: an ergonomic, allocation-handling

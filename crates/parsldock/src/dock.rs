@@ -3,7 +3,7 @@
 //! Translates the ligand across a 3-D grid around the receptor pocket (plus
 //! a set of axis rotations) and scores each pose with a Lennard-Jones +
 //! Coulomb interaction energy. Pose scoring is embarrassingly parallel and
-//! is executed with crossbeam scoped threads; the result is identical to the
+//! is executed with `std::thread::scope` threads; the result is identical to the
 //! sequential evaluation because each pose's score is independent (data-race
 //! freedom by construction — each worker writes its own slice).
 
@@ -123,16 +123,15 @@ pub fn dock(receptor: &Receptor, ligand: &Ligand, params: &DockParams) -> Pose {
     let threads = params.threads.max(1).min(poses.len().max(1));
     let mut energies = vec![0.0f64; poses.len()];
     let chunk = poses.len().div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (pose_chunk, energy_chunk) in poses.chunks(chunk).zip(energies.chunks_mut(chunk)) {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (p, e) in pose_chunk.iter().zip(energy_chunk.iter_mut()) {
                     *e = score_pose(ligand, centroid, receptor, *p);
                 }
             });
         }
-    })
-    .expect("pose-scoring workers do not panic");
+    });
 
     let (best_ix, best_e) = energies
         .iter()

@@ -4,8 +4,8 @@
 //! tutorial application: *"a Parsl-based implementation of protein docking
 //! that uses machine learning to guide simulation"*. The chemistry is
 //! synthetic (derived from seeded generators), but the computation is real:
-//! the docking search really scores poses — in parallel, with crossbeam
-//! scoped threads — and the ML ranker really trains by SGD.
+//! the docking search really scores poses — in parallel, with scoped
+//! threads — and the ML ranker really trains by SGD.
 //!
 //! * [`molecule`] — synthetic receptors and ligands (atoms: position,
 //!   radius, charge) generated deterministically from names;

@@ -12,9 +12,7 @@
 //! `# === scenario <i>: <name> ===` marker lines, so a fleet pipes through
 //! plain text.
 
-use hpcci_scen::{
-    first_divergence, run_spec, verify_spec_workers, ScenarioGen, ScenarioSpec,
-};
+use hpcci_scen::{first_divergence, run_spec, verify_spec, ScenarioGen, ScenarioSpec};
 use hpcci_sim::sweep::{default_threads, sweep};
 use std::io::Read as _;
 use std::process::ExitCode;
@@ -23,12 +21,9 @@ const USAGE: &str = "\
 usage:
   hpcci-scen gen [--count N] [--seed S]
       emit N generated scenario documents (default 64, seed 42) to stdout
-  hpcci-scen verify [FILE] [--threads N] [--workers W] [--summary FILE]
+  hpcci-scen verify [FILE] [--threads N] [--summary FILE]
       read a scenario stream (FILE or stdin), run every oracle family on
-      every scenario in parallel; exit 1 if any scenario fails.
-      --threads sweeps scenarios concurrently; --workers additionally runs
-      each scenario's federation over W lookahead domains (verdicts are
-      byte-identical to the serial fleet at any width)
+      every scenario, N scenarios at a time; exit 1 if any scenario fails
   hpcci-scen replay FILE [--transcript]
       run the first scenario in FILE, print its digest and run verdicts
   hpcci-scen explain FILE_A [FILE_B]
@@ -181,10 +176,6 @@ fn cmd_verify(rest: &[String]) -> Result<ExitCode, String> {
         Some(v) => parse_u64(v, "--threads")? as usize,
         None => default_threads(),
     };
-    let workers = match flag_value(rest, "--workers")? {
-        Some(v) => (parse_u64(v, "--workers")? as usize).max(1),
-        None => 1,
-    };
     let summary_path = flag_value(rest, "--summary")?.map(|s| s.to_string());
     let pos = positional(rest);
     let specs = parse_stream(&read_input(pos.first().map(|s| s.as_str()))?)?;
@@ -192,7 +183,7 @@ fn cmd_verify(rest: &[String]) -> Result<ExitCode, String> {
     let started = std::time::Instant::now();
     let jobs: Vec<_> = specs
         .iter()
-        .map(|spec| move || verify_spec_workers(spec, workers))
+        .map(|spec| move || verify_spec(spec))
         .collect();
     let reports = sweep(jobs, threads);
     let wall = started.elapsed();
@@ -227,7 +218,7 @@ fn cmd_verify(rest: &[String]) -> Result<ExitCode, String> {
     let tail = format!(
         "{} scenarios, {failed} failed; {runs} workflow runs, {events} events \
          ({:.1} virtual hours) in {:.2}s wall — {throughput:.0} events/s over \
-         {threads} threads x {workers} workers",
+         {threads} threads",
         specs.len(),
         virtual_us as f64 / 3.6e9,
         wall.as_secs_f64(),
@@ -236,9 +227,9 @@ fn cmd_verify(rest: &[String]) -> Result<ExitCode, String> {
     if let Some(path) = summary_path {
         let md = format!(
             "### scen-fleet\n\n\
-             | scenarios | failed | runs | events | events/s | threads | workers |\n\
-             |---|---|---|---|---|---|---|\n\
-             | {} | {failed} | {runs} | {events} | {throughput:.0} | {threads} | {workers} |\n",
+             | scenarios | failed | runs | events | events/s | threads |\n\
+             |---|---|---|---|---|---|\n\
+             | {} | {failed} | {runs} | {events} | {throughput:.0} | {threads} |\n",
             specs.len(),
         );
         std::fs::write(&path, md).map_err(|e| format!("writing {path}: {e}"))?;

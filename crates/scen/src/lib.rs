@@ -32,11 +32,11 @@ pub mod toml;
 pub use compile::{BuiltScenario, KAMPING_IMAGE};
 pub use gen::{GenConfig, ScenarioGen};
 pub use oracle::{
-    first_divergence, instant_of, verify_spec, verify_spec_workers, Divergence, OracleReport,
+    first_divergence, instant_of, verify_spec, Divergence, OracleReport,
     Violation,
 };
 pub use run::{
-    run_spec, run_spec_with, run_spec_workers, CacheSetup, RunSummary, ScenarioOutcome,
+    run_spec, run_spec_with, CacheSetup, RunSummary, ScenarioOutcome,
     TaskIdentity,
 };
 pub use spec::{

@@ -19,7 +19,7 @@
 //!   appears under an active fault plan, and fault-free scenarios with no
 //!   declared failing tests stay green.
 
-use crate::run::{run_spec, run_spec_workers, CacheSetup, ScenarioOutcome};
+use crate::run::{run_spec, run_spec_with, CacheSetup, ScenarioOutcome};
 use crate::spec::{EndpointKindDecl, ScenarioSpec, SpecError};
 use correct_core::Federation;
 use hpcci_auth::{ClientId, ClientSecret, Scope};
@@ -62,24 +62,11 @@ impl OracleReport {
 /// be built at all (which the caller should also treat as a failure);
 /// violations mean it ran but broke an invariant.
 pub fn verify_spec(spec: &ScenarioSpec) -> Result<OracleReport, SpecError> {
-    verify_spec_workers(spec, 1)
-}
-
-/// [`verify_spec`] with every scenario run over a `workers`-wide
-/// lookahead-domain federation. Because the committed trace is
-/// byte-identical at every width, the verdicts this produces are the same
-/// as the serial fleet's — the worker budget only buys wall-clock inside
-/// each scenario (the `--threads` sweep parallelizes *across* scenarios;
-/// this parallelizes *within* one).
-pub fn verify_spec_workers(
-    spec: &ScenarioSpec,
-    workers: usize,
-) -> Result<OracleReport, SpecError> {
-    let base = run_spec_workers(spec, CacheSetup::FromSpec, workers)?;
+    let base = run_spec(spec)?;
     let mut violations = Vec::new();
     check_determinism(spec, &base, &mut violations)?;
     check_security(spec, &base, &mut violations)?;
-    check_step_cache(spec, workers, &mut violations)?;
+    check_step_cache(spec, &mut violations)?;
     check_attribution(spec, &base, &mut violations);
     Ok(OracleReport {
         name: spec.name.clone(),
@@ -97,8 +84,6 @@ fn check_determinism(
     base: &ScenarioOutcome,
     out: &mut Vec<Violation>,
 ) -> Result<(), SpecError> {
-    // The re-run is always serial. When the base ran wide this sharpens the
-    // oracle from "same bytes twice" to "parallel bytes == serial bytes".
     let again = run_spec(spec)?;
     if again.digest != base.digest {
         out.push(Violation {
@@ -230,15 +215,11 @@ fn check_security(
 }
 
 /// Oracle 3: step-cache soundness over an Off/Record/Replay triplet.
-fn check_step_cache(
-    spec: &ScenarioSpec,
-    workers: usize,
-    out: &mut Vec<Violation>,
-) -> Result<(), SpecError> {
-    let off = run_spec_workers(spec, CacheSetup::ForceOff, workers)?;
+fn check_step_cache(spec: &ScenarioSpec, out: &mut Vec<Violation>) -> Result<(), SpecError> {
+    let off = run_spec_with(spec, CacheSetup::ForceOff)?;
     let cache = StepCache::new();
-    let rec = run_spec_workers(spec, CacheSetup::Shared(cache.clone(), CacheMode::Record), workers)?;
-    let rep = run_spec_workers(spec, CacheSetup::Shared(cache, CacheMode::Replay), workers)?;
+    let rec = run_spec_with(spec, CacheSetup::Shared(cache.clone(), CacheMode::Record))?;
+    let rep = run_spec_with(spec, CacheSetup::Shared(cache, CacheMode::Replay))?;
     let rec_stats = rec.cache.expect("record run has a cache");
     let rep_stats = rep.cache.expect("replay run has a cache");
 
@@ -437,18 +418,6 @@ mod tests {
         assert!(report.passed(), "violations: {:?}", report.violations);
         assert!(report.events > 0);
         assert_eq!(report.runs, 1);
-    }
-
-    #[test]
-    fn wide_fleet_verdicts_match_serial() {
-        let mut spec = ScenarioSpec::minimal("oracle-wide", 43);
-        spec.traffic.pushes = 2;
-        let serial = verify_spec(&spec).expect("builds");
-        let wide = verify_spec_workers(&spec, 4).expect("builds");
-        assert_eq!(wide.passed(), serial.passed());
-        assert_eq!(wide.events, serial.events);
-        assert_eq!(wide.end_us, serial.end_us);
-        assert_eq!(wide.runs, serial.runs);
     }
 
     #[test]

@@ -92,21 +92,7 @@ pub fn run_spec_with(
     spec: &ScenarioSpec,
     cache: CacheSetup,
 ) -> Result<ScenarioOutcome, SpecError> {
-    run_spec_workers(spec, cache, 1)
-}
-
-/// Run a spec over a federation with `workers` lookahead-domain threads.
-/// The committed trace — and therefore the outcome digest — is
-/// byte-identical at every width, so fleet verdicts do not depend on the
-/// worker budget; only wall-clock does.
-pub fn run_spec_workers(
-    spec: &ScenarioSpec,
-    cache: CacheSetup,
-    workers: usize,
-) -> Result<ScenarioOutcome, SpecError> {
-    let mut builder = Federation::builder(spec.seed)
-        .workers(workers)
-        .workload(spec.traffic.workload());
+    let mut builder = Federation::builder(spec.seed).workload(spec.traffic.workload());
     let plan = spec.fault_plan();
     if !plan.is_empty() {
         builder = builder.faults(plan);
@@ -133,14 +119,14 @@ pub fn run_spec_workers(
 /// Advance virtual time and fire trigger rounds per the traffic spec.
 ///
 /// Gaps come from the federation's [`ArrivalGen`] — the workload attached by
-/// [`run_spec_workers`] — which forks the world seed under the same label
+/// [`run_spec_with`] — which forks the world seed under the same label
 /// the historical inline sampler used, so pre-workload digests are
 /// unchanged.
 fn drive_traffic(s: &mut BuiltScenario, spec: &ScenarioSpec) {
     let mut arrivals = s
         .fed
         .arrival_gen()
-        .expect("run_spec_workers always attaches the spec's workload");
+        .expect("run_spec_with always attaches the spec's workload");
     let reviewer = spec.user.login.clone();
     for round in 0..spec.traffic.pushes {
         if round > 0 {
@@ -313,21 +299,6 @@ mod tests {
         assert!(a.events > 0);
         assert!(!a.runs.is_empty());
         assert!(a.tasks.iter().any(|t| !t.ran_as.is_empty()));
-    }
-
-    #[test]
-    fn worker_width_never_changes_the_outcome() {
-        let mut spec = ScenarioSpec::minimal("run-workers", 35);
-        spec.traffic.pushes = 2;
-        let serial = run_spec(&spec).expect("runs");
-        for workers in [2usize, 4, 8] {
-            let wide = run_spec_workers(&spec, CacheSetup::FromSpec, workers)
-                .expect("runs");
-            assert_eq!(wide.digest, serial.digest, "workers={workers}");
-            assert_eq!(wide.transcript, serial.transcript, "workers={workers}");
-            assert_eq!(wide.events, serial.events, "workers={workers}");
-            assert_eq!(wide.end_us, serial.end_us, "workers={workers}");
-        }
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //!   delivered through a [`FaultInjector`] handle that components consult at
 //!   their event boundaries. An empty plan is a guaranteed no-op.
 //! * [`metrics`] — summary statistics helpers for the benchmark harness.
-//! * [`domains`] / [`horizon`] — conservative parallel DES support: a
-//!   deterministic partition of component slots into lookahead domains, and
-//!   the lookahead/horizon derivation that proves how far each domain may
-//!   advance before the next barrier.
+//! * [`NextEventCache`] — indexed next-event dispatch over component slots,
+//!   so a drive loop re-probes only the components it touched.
+//! * [`workload`] — seeded arrival processes and tenant mixes ([`Workload`],
+//!   [`ArrivalGen`], [`TenantModel`]).
 //! * [`sweep`] — the parallel scenario-sweep runner: a fleet of
 //!   self-contained single-threaded jobs over a fixed worker pool, with
 //!   results in submission order (a parallel sweep is bit-identical to a
@@ -30,9 +30,7 @@
 
 pub mod component;
 pub mod dispatch;
-pub mod domains;
 pub mod faults;
-pub mod horizon;
 pub mod metrics;
 pub mod queue;
 pub mod rng;
@@ -43,8 +41,6 @@ pub mod workload;
 
 pub use component::{drive, drive_until, Advance};
 pub use dispatch::{CacheStats, NextEventCache};
-pub use domains::{DomainPlan, DomainStats};
-pub use horizon::{Lookahead, Window};
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultSpec};
 pub use queue::EventQueue;
 pub use rng::DetRng;

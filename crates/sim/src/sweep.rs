@@ -14,7 +14,7 @@
 //!   of worker scheduling — a parallel sweep is bit-identical to a serial
 //!   one.
 
-use crossbeam::{channel, thread};
+use std::sync::{mpsc, Mutex};
 
 /// A sensible worker count for sweeps: the machine's available parallelism.
 pub fn default_threads() -> usize {
@@ -97,25 +97,23 @@ where
     }
     let n = jobs.len();
     let workers = threads.min(n);
-    let (job_tx, job_rx) = channel::unbounded();
-    let (result_tx, result_rx) = channel::unbounded();
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let (result_tx, result_rx) = mpsc::channel();
     let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    thread::scope(|scope| {
-        for indexed in jobs.into_iter().enumerate() {
-            if job_tx.send(indexed).is_err() {
-                unreachable!("job receiver outlives the send loop");
-            }
-        }
-        drop(job_tx);
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            let job_rx = job_rx.clone();
+            let queue = &queue;
             let result_tx = result_tx.clone();
-            scope.spawn(move |_| {
-                while let Ok((idx, job)) = job_rx.recv() {
-                    let out: R = job();
-                    if result_tx.send((idx, out)).is_err() {
-                        return;
-                    }
+            scope.spawn(move || loop {
+                // The guard is a temporary: it is released before the job runs.
+                let next = queue
+                    .lock()
+                    .expect("no job runs while the queue is locked")
+                    .next();
+                let Some((idx, job)) = next else { return };
+                let out: R = job();
+                if result_tx.send((idx, out)).is_err() {
+                    return;
                 }
             });
         }
@@ -126,8 +124,7 @@ where
                 .expect("a sweep worker died before finishing its jobs");
             results[idx] = Some(out);
         }
-    })
-    .expect("sweep scope");
+    });
     results
         .into_iter()
         .map(|r| r.expect("every index produced exactly one result"))

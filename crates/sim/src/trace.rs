@@ -347,7 +347,7 @@ impl Trace {
     ///
     /// Rolling traces are for leaf drivers (benchmarks, soak runs) that
     /// never [`Trace::merge`] the log into another trace; the golden-trace
-    /// and parallel-DES paths keep the default unbounded mode.
+    /// paths keep the default unbounded mode.
     pub fn set_rolling(&mut self, cap: usize) {
         self.cap = Some(cap.max(2));
         if self.fold_hash == 0 {

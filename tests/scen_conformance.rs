@@ -8,13 +8,11 @@
 //!  3. `first_divergence` pinpoints the first divergent virtual instant
 //!     when two executions legitimately disagree;
 //!  4. the hand-written `batched-submit` fixture — a multi-site world whose
-//!     bursty push rounds land submit waves on four endpoints — reaches the
-//!     same outcome bytes at every worker width, i.e. the submit-aware
-//!     pooled windows never perturb a scenario verdict.
+//!     bursty push rounds land submit waves on four endpoints — is canonical
+//!     TOML and passes every oracle.
 
 use hpcci::scen::{
-    first_divergence, run_spec, run_spec_workers, verify_spec, CacheSetup, OracleReport,
-    ScenarioGen, ScenarioSpec,
+    first_divergence, run_spec, verify_spec, OracleReport, ScenarioGen, ScenarioSpec,
 };
 use hpcci::sim::sweep::sweep;
 
@@ -115,11 +113,8 @@ fn fleet_of_64_passes_all_oracles_serial_and_parallel() {
     assert!(total_runs > FLEET_SIZE as usize, "fleet produced {total_runs} runs");
 }
 
-/// Hand-written (not generator-pinned) fixture: three distinct sites — so
-/// every inter-domain edge carries positive WAN lookahead — and four
-/// endpoints fed by four bursty push rounds, the shape that keeps
-/// `pending_submits > 0` while windows open. Exercises the submit-aware
-/// pooled parallel path end to end through the scenario layer.
+/// Hand-written (not generator-pinned) fixture: three distinct sites and
+/// four endpoints fed by four bursty push rounds.
 const BATCHED_SUBMIT: &str = include_str!("fixtures/batched-submit.toml");
 
 #[test]
@@ -133,30 +128,6 @@ fn batched_submit_fixture_is_canonical_and_passes_oracles() {
     );
     let report = verify_spec(&spec).expect("fixture runs");
     assert!(report.passed(), "{}: {:?}", report.name, report.violations);
-}
-
-#[test]
-fn batched_submit_outcome_is_width_invariant() {
-    let spec = ScenarioSpec::from_toml(BATCHED_SUBMIT).expect("fixture parses");
-    let serial = run_spec(&spec).expect("runs");
-    for workers in [2usize, 4, 8] {
-        let wide =
-            run_spec_workers(&spec, CacheSetup::FromSpec, workers).expect("runs");
-        assert_eq!(
-            wide.digest, serial.digest,
-            "outcome digest drifted at workers={workers}"
-        );
-        assert_eq!(
-            wide.trace, serial.trace,
-            "functional trace drifted at workers={workers}"
-        );
-        assert_eq!(
-            wide.transcript, serial.transcript,
-            "transcript drifted at workers={workers}"
-        );
-        assert_eq!(wide.events, serial.events, "workers={workers}");
-        assert_eq!(wide.end_us, serial.end_us, "workers={workers}");
-    }
 }
 
 #[test]

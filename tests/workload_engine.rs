@@ -3,9 +3,10 @@
 //! Three families, seeded by the same in-tree case generator the other
 //! property suites use:
 //!
-//! 1. **Width-independence** — the arrival stream, and every scenario
-//!    outcome derived from it, is byte-identical at worker widths 1/2/4/8
-//!    and under a parallel sweep, for every arrival process.
+//! 1. **Reproducibility** — the arrival stream is byte-identical whether
+//!    the generators run serially or across a parallel sweep of any width,
+//!    and every scenario outcome derived from it repeats run to run, for
+//!    every arrival process.
 //! 2. **Knob sensitivity** — changing any knob of a Poisson, diurnal, or
 //!    trace process perturbs the scenario digest (nothing silently ignores
 //!    its configuration).
@@ -13,9 +14,7 @@
 //!    aggregates and exact order statistics on runs that fit the reservoir.
 
 use hpcci::obs::Obs;
-use hpcci::scen::{
-    run_spec, run_spec_workers, CacheSetup, ScenarioSpec, TrafficProcess,
-};
+use hpcci::scen::{run_spec, ScenarioSpec, TrafficProcess};
 use hpcci::sim::sweep::sweep;
 use hpcci::sim::{ArrivalProcess, DetRng, TenantMix, TenantModel, Workload};
 
@@ -84,11 +83,10 @@ fn arrival_streams_are_identical_serial_and_swept() {
     }
 }
 
-/// Scenario outcomes under every arrival process are byte-identical at
-/// federation worker widths 1/2/4/8 — the workload API never lets the
-/// parallel drive near the arrival RNG.
+/// Scenario outcomes under every arrival process are a pure function of the
+/// spec: a second run lands on the same digest, transcript and end instant.
 #[test]
-fn scenario_outcomes_are_width_independent_for_every_process() {
+fn scenario_outcomes_are_reproducible_for_every_process() {
     let processes = [
         TrafficProcess::Bursty,
         TrafficProcess::Poisson,
@@ -103,20 +101,12 @@ fn scenario_outcomes_are_width_independent_for_every_process() {
         spec.traffic.gap_secs = 150;
         spec.traffic.burstiness_pct = 40;
         spec.traffic.process = process.clone();
-        let serial = run_spec(&spec).expect("runs");
-        assert_eq!(serial.runs.len(), 3);
-        for workers in [2usize, 4, 8] {
-            let wide =
-                run_spec_workers(&spec, CacheSetup::FromSpec, workers).expect("runs");
-            assert_eq!(
-                wide.digest,
-                serial.digest,
-                "{} at workers={workers}",
-                process.kind()
-            );
-            assert_eq!(wide.transcript, serial.transcript);
-            assert_eq!(wide.end_us, serial.end_us);
-        }
+        let first = run_spec(&spec).expect("runs");
+        assert_eq!(first.runs.len(), 3);
+        let again = run_spec(&spec).expect("runs");
+        assert_eq!(again.digest, first.digest, "{}", process.kind());
+        assert_eq!(again.transcript, first.transcript);
+        assert_eq!(again.end_us, first.end_us);
     }
 }
 
