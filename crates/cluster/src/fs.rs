@@ -8,12 +8,21 @@
 //! invariant is enforced — and testable — rather than assumed.
 //!
 //! The model is a classic Unix triad: owner / group / other, each with
-//! read / write / execute bits. Paths are normalized absolute strings.
+//! read / write / execute bits. Files and directories are inodes in an arena;
+//! a directory maps child names to inode numbers, and a path is resolved by
+//! walking its segments from `/`. Every operation that takes a [`Cred`] needs
+//! search (`x`) permission on each directory it steps through to reach an
+//! existing entry, so a readable file inside a private directory stays
+//! private; adding a name to a directory or removing one needs write
+//! permission on that directory. The stat calls (`exists`, `is_dir`,
+//! `size_of`, `owner_of`) take no credentials and check nothing.
 
 use crate::account::{Uid, UserAccount};
 use crate::error::ClusterError;
 use bytes::Bytes;
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Unix-style permission bits (0o777 space).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,18 +69,36 @@ impl Cred {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 enum NodeKind {
     File(Bytes),
-    Dir,
+    /// Child name → inode number.
+    Dir(BTreeMap<Box<str>, u32>),
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct FsNode {
     owner: Uid,
-    group: String,
+    group: Arc<str>,
     mode: FileMode,
     kind: NodeKind,
+}
+
+impl FsNode {
+    fn allows(&self, cred: &Cred, access: Access) -> bool {
+        let class = if cred.uid == self.owner {
+            0
+        } else if cred.groups.iter().any(|g| **g == *self.group) {
+            1
+        } else {
+            2
+        };
+        self.mode.class_bits(class) & access as u16 != 0
+    }
+
+    fn is_file(&self) -> bool {
+        matches!(self.kind, NodeKind::File(_))
+    }
 }
 
 /// Access kind for permission checks.
@@ -79,16 +106,33 @@ struct FsNode {
 enum Access {
     Read = 0o4,
     Write = 0o2,
+    /// `x` on a directory: look a name up in it.
+    Search = 0o1,
 }
 
+/// A walk met a directory the caller may not search.
+struct SearchDenied;
+
+/// Inode number of `/`.
+const ROOT: u32 = 0;
+
 /// The per-site filesystem.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct VirtualFs {
-    nodes: BTreeMap<String, FsNode>,
+    /// Inode arena; slot [`ROOT`] is `/`, slots listed in `free` are vacant.
+    nodes: Vec<FsNode>,
+    free: Vec<u32>,
+    /// Interned group names: every node of a group shares one allocation.
+    groups: BTreeSet<Arc<str>>,
+}
+
+impl Default for VirtualFs {
+    fn default() -> Self {
+        VirtualFs::new()
+    }
 }
 
 fn normalize(path: &str) -> String {
-    assert!(path.starts_with('/'), "paths must be absolute: {path}");
     let mut parts: Vec<&str> = Vec::new();
     for seg in path.split('/') {
         match seg {
@@ -106,96 +150,244 @@ fn normalize(path: &str) -> String {
     }
 }
 
-fn parent_of(path: &str) -> Option<String> {
-    if path == "/" {
-        return None;
+/// A relative path that is its own normal form: segments separated by single
+/// slashes, none of them empty, `.` or `..`.
+fn is_normal_rel(rel: &str) -> bool {
+    rel.split('/').all(|seg| !matches!(seg, "" | "." | ".."))
+}
+
+/// The normal form of an absolute path, borrowed when `path` already is it.
+fn normal(path: &str) -> Cow<'_, str> {
+    assert!(path.starts_with('/'), "paths must be absolute: {path}");
+    if path == "/" || is_normal_rel(&path[1..]) {
+        Cow::Borrowed(path)
+    } else {
+        Cow::Owned(normalize(path))
     }
-    match path.rfind('/') {
-        Some(0) => Some("/".to_string()),
-        Some(i) => Some(path[..i].to_string()),
-        None => None,
+}
+
+/// The absolute path of `rel` below `base`, where `base` is a normal path or
+/// `""` for the root. Only error branches call this.
+fn join(base: &str, rel: &str) -> String {
+    match (base, rel) {
+        ("", "") => "/".to_string(),
+        (_, "") => base.to_string(),
+        _ => format!("{base}/{rel}"),
+    }
+}
+
+/// Split a non-empty normal relative path into its directory part and leaf.
+fn split_leaf(rel: &str) -> (&str, &str) {
+    rel.rsplit_once('/').unwrap_or(("", rel))
+}
+
+fn denied(cred: &Cred, op: &'static str, path: String) -> ClusterError {
+    ClusterError::PermissionDenied {
+        uid: cred.uid,
+        op,
+        path,
     }
 }
 
 impl VirtualFs {
     /// An empty filesystem with a world-readable root owned by root.
     pub fn new() -> Self {
-        let mut fs = VirtualFs::default();
-        fs.nodes.insert(
-            "/".to_string(),
-            FsNode {
+        let group: Arc<str> = "root".into();
+        VirtualFs {
+            nodes: vec![FsNode {
                 owner: crate::account::ROOT,
-                group: "root".to_string(),
+                group: group.clone(),
                 mode: FileMode::DIR,
-                kind: NodeKind::Dir,
-            },
-        );
-        fs
+                kind: NodeKind::Dir(BTreeMap::new()),
+            }],
+            free: Vec::new(),
+            groups: BTreeSet::from([group]),
+        }
     }
 
-    fn check(&self, node: &FsNode, cred: &Cred, access: Access) -> bool {
-        let class = if cred.uid == node.owner {
-            0
-        } else if cred.groups.contains(&node.group) {
-            1
-        } else {
-            2
+    fn node(&self, id: u32) -> &FsNode {
+        &self.nodes[id as usize]
+    }
+
+    /// The group new nodes of `cred` belong to.
+    fn group_of(&mut self, cred: &Cred) -> Arc<str> {
+        let name = cred.groups.first().map_or("users", String::as_str);
+        if let Some(group) = self.groups.get(name) {
+            return group.clone();
+        }
+        let group: Arc<str> = name.into();
+        self.groups.insert(group.clone());
+        group
+    }
+
+    /// Walk the normal relative path `rel` down from `start` as far as the
+    /// tree goes. Returns the last node reached and how many bytes of `rel`
+    /// led to it — all of them when `rel` resolved. With a `cred`, stepping
+    /// from a directory into an entry needs search permission on the
+    /// directory. This is the only place that rule is written.
+    fn descend(&self, start: u32, rel: &str, cred: Option<&Cred>) -> Result<(u32, usize), SearchDenied> {
+        let mut cur = start;
+        let mut used = 0;
+        if rel.is_empty() {
+            return Ok((cur, used));
+        }
+        for seg in rel.split('/') {
+            let node = self.node(cur);
+            let NodeKind::Dir(children) = &node.kind else { break };
+            let Some(&child) = children.get(seg) else { break };
+            if cred.is_some_and(|cred| !node.allows(cred, Access::Search)) {
+                return Err(SearchDenied);
+            }
+            cur = child;
+            used += seg.len() + usize::from(used != 0);
+        }
+        Ok((cur, used))
+    }
+
+    /// [`descend`](Self::descend), for callers that need all of `rel` to
+    /// resolve: the node it names, if there is one.
+    fn lookup(&self, start: u32, rel: &str, cred: Option<&Cred>) -> Result<Option<u32>, SearchDenied> {
+        let (id, used) = self.descend(start, rel, cred)?;
+        Ok((used == rel.len()).then_some(id))
+    }
+
+    /// Resolve a normal absolute path on behalf of `cred`'s `op`.
+    fn resolve(&self, path: &str, cred: &Cred, op: &'static str) -> Result<u32, ClusterError> {
+        match self.lookup(ROOT, &path[1..], Some(cred)) {
+            Err(SearchDenied) => Err(denied(cred, op, path.to_string())),
+            Ok(Some(id)) => Ok(id),
+            Ok(None) => Err(ClusterError::NotFound(path.to_string())),
+        }
+    }
+
+    /// Resolve a path without credentials (the stat calls).
+    fn stat(&self, path: &str) -> Result<&FsNode, ClusterError> {
+        let path = normal(path);
+        match self.lookup(ROOT, &path[1..], None) {
+            Ok(Some(id)) => Ok(self.node(id)),
+            _ => Err(ClusterError::NotFound(path.into_owned())),
+        }
+    }
+
+    /// Store `node` in a vacant slot and enter it in directory `parent`.
+    fn link(&mut self, parent: u32, name: &str, node: FsNode) -> u32 {
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.nodes[id as usize] = node;
+                id
+            }
+            None => {
+                let id = u32::try_from(self.nodes.len()).expect("fewer than 2^32 inodes");
+                self.nodes.push(node);
+                id
+            }
         };
-        node.mode.class_bits(class) & access as u16 != 0
+        let NodeKind::Dir(children) = &mut self.nodes[parent as usize].kind else {
+            unreachable!("callers link into directories only");
+        };
+        children.insert(name.into(), id);
+        id
     }
 
-    fn get(&self, path: &str) -> Result<&FsNode, ClusterError> {
-        self.nodes
-            .get(path)
-            .ok_or_else(|| ClusterError::NotFound(path.to_string()))
+    /// Vacate `id` and everything below it.
+    fn release(&mut self, id: u32) {
+        let mut doomed = vec![id];
+        while let Some(id) = doomed.pop() {
+            let kind = std::mem::replace(&mut self.nodes[id as usize].kind, NodeKind::File(Bytes::new()));
+            if let NodeKind::Dir(children) = kind {
+                doomed.extend(children.into_values());
+            }
+            self.free.push(id);
+        }
+    }
+
+    /// `mkdir -p base/rel`, where the inode `start` is the directory `base`.
+    fn mkdir_from(
+        &mut self,
+        start: u32,
+        base: &str,
+        rel: &str,
+        cred: &Cred,
+        mode: FileMode,
+    ) -> Result<(), ClusterError> {
+        let (anchor, used) = self
+            .descend(start, rel, Some(cred))
+            .map_err(|SearchDenied| denied(cred, "mkdir", join(base, rel)))?;
+        let node = self.node(anchor);
+        if node.is_file() {
+            return Err(ClusterError::WrongKind(join(base, &rel[..used])));
+        }
+        if used == rel.len() {
+            return Ok(());
+        }
+        // `anchor` is the deepest existing ancestor: require write on it.
+        if !node.allows(cred, Access::Write) {
+            return Err(denied(cred, "mkdir", join(base, &rel[..used])));
+        }
+        let group = self.group_of(cred);
+        let mut cur = anchor;
+        for seg in rel[used..].trim_start_matches('/').split('/') {
+            let dir = FsNode {
+                owner: cred.uid,
+                group: group.clone(),
+                mode,
+                kind: NodeKind::Dir(BTreeMap::new()),
+            };
+            cur = self.link(cur, seg, dir);
+        }
+        Ok(())
+    }
+
+    /// Create or overwrite the file `base/rel`, where the inode `start` is
+    /// the directory `base` and `rel` is not empty.
+    fn write_from(
+        &mut self,
+        start: u32,
+        base: &str,
+        rel: &str,
+        cred: &Cred,
+        content: Bytes,
+        mode: FileMode,
+    ) -> Result<(), ClusterError> {
+        let (dir_rel, leaf) = split_leaf(rel);
+        let search_denied = |SearchDenied| denied(cred, "write", join(base, rel));
+        let Some(dir) = self.lookup(start, dir_rel, Some(cred)).map_err(search_denied)? else {
+            return Err(ClusterError::NotFound(join(base, dir_rel)));
+        };
+        let parent = self.node(dir);
+        if parent.is_file() {
+            return Err(ClusterError::WrongKind(join(base, dir_rel)));
+        }
+        if let Some(id) = self.lookup(dir, leaf, Some(cred)).map_err(search_denied)? {
+            let existing = self.node(id);
+            if !existing.is_file() {
+                return Err(ClusterError::WrongKind(join(base, rel)));
+            }
+            if !existing.allows(cred, Access::Write) {
+                return Err(denied(cred, "write", join(base, rel)));
+            }
+            self.nodes[id as usize].kind = NodeKind::File(content);
+        } else {
+            if !parent.allows(cred, Access::Write) {
+                return Err(denied(cred, "create", join(base, rel)));
+            }
+            let file = FsNode {
+                owner: cred.uid,
+                group: self.group_of(cred),
+                mode,
+                kind: NodeKind::File(content),
+            };
+            self.link(dir, leaf, file);
+        }
+        Ok(())
     }
 
     /// Create a directory and any missing ancestors, all owned by `cred.uid`.
     /// Existing directories are left untouched (like `mkdir -p`), but the
     /// caller must hold write permission on the deepest existing ancestor.
     pub fn mkdir_p(&mut self, path: &str, cred: &Cred, mode: FileMode) -> Result<(), ClusterError> {
-        let path = normalize(path);
-        if let Some(node) = self.nodes.get(&path) {
-            return match node.kind {
-                NodeKind::Dir => Ok(()),
-                NodeKind::File(_) => Err(ClusterError::WrongKind(path)),
-            };
-        }
-        // Find the deepest existing ancestor and require write on it.
-        let mut missing = vec![path.clone()];
-        let mut cursor = path.clone();
-        let anchor = loop {
-            let parent = parent_of(&cursor).ok_or_else(|| ClusterError::NoParent(cursor.clone()))?;
-            if let Some(node) = self.nodes.get(&parent) {
-                match node.kind {
-                    NodeKind::Dir => break parent,
-                    NodeKind::File(_) => return Err(ClusterError::WrongKind(parent)),
-                }
-            }
-            missing.push(parent.clone());
-            cursor = parent;
-        };
-        let anchor_node = self.get(&anchor)?;
-        if !self.check(anchor_node, cred, Access::Write) {
-            return Err(ClusterError::PermissionDenied {
-                uid: cred.uid,
-                op: "mkdir",
-                path: anchor,
-            });
-        }
-        let group = cred.groups.first().cloned().unwrap_or_else(|| "users".into());
-        for dir in missing.into_iter().rev() {
-            self.nodes.insert(
-                dir,
-                FsNode {
-                    owner: cred.uid,
-                    group: group.clone(),
-                    mode,
-                    kind: NodeKind::Dir,
-                },
-            );
-        }
-        Ok(())
+        let path = normal(path);
+        self.mkdir_from(ROOT, "", &path[1..], cred, mode)
     }
 
     /// Write (create or overwrite) a file. Creating requires write on the
@@ -207,64 +399,63 @@ impl VirtualFs {
         content: impl Into<Bytes>,
         mode: FileMode,
     ) -> Result<(), ClusterError> {
-        let path = normalize(path);
-        if let Some(existing) = self.nodes.get(&path) {
-            match existing.kind {
-                NodeKind::Dir => return Err(ClusterError::WrongKind(path)),
-                NodeKind::File(_) => {
-                    if !self.check(existing, cred, Access::Write) {
-                        return Err(ClusterError::PermissionDenied {
-                            uid: cred.uid,
-                            op: "write",
-                            path,
-                        });
+        let path = normal(path);
+        if *path == *"/" {
+            return Err(ClusterError::WrongKind(path.into_owned()));
+        }
+        self.write_from(ROOT, "", &path[1..], cred, content.into(), mode)
+    }
+
+    /// Write a tree of files below `dest`: for each `(relative path, content)`
+    /// in order, [`mkdir_p`](Self::mkdir_p) the file's directory with
+    /// `dir_mode`, then [`write`](Self::write) the file with `file_mode`,
+    /// stopping at the first error. That loop is the definition. When `dest`
+    /// is a directory `cred` can reach, it is resolved once and the same two
+    /// operations walk each relative path from its inode instead of from `/`;
+    /// nothing they do can change what lies between `/` and `dest`.
+    pub fn write_tree<'a>(
+        &mut self,
+        dest: &str,
+        cred: &Cred,
+        dir_mode: FileMode,
+        file_mode: FileMode,
+        files: impl IntoIterator<Item = (&'a str, Bytes)>,
+    ) -> Result<(), ClusterError> {
+        let dest = normal(dest);
+        let base = if *dest == *"/" { "" } else { &*dest };
+        let start = match self.lookup(ROOT, &dest[1..], Some(cred)) {
+            Ok(Some(id)) if !self.node(id).is_file() => Some(id),
+            _ => None,
+        };
+        for (rel, content) in files {
+            match start {
+                Some(start) if is_normal_rel(rel) => {
+                    if let Some((dir_rel, _)) = rel.rsplit_once('/') {
+                        self.mkdir_from(start, base, dir_rel, cred, dir_mode)?;
                     }
-                    let node = self.nodes.get_mut(&path).expect("checked above");
-                    node.kind = NodeKind::File(content.into());
-                    return Ok(());
+                    self.write_from(start, base, rel, cred, content, file_mode)?;
+                }
+                _ => {
+                    let target = format!("{base}/{rel}");
+                    let dir = &target[..target.rfind('/').expect("joined with a slash")];
+                    self.mkdir_p(if dir.is_empty() { "/" } else { dir }, cred, dir_mode)?;
+                    self.write(&target, cred, content, file_mode)?;
                 }
             }
         }
-        let parent = parent_of(&path).ok_or_else(|| ClusterError::NoParent(path.clone()))?;
-        let parent_node = self.get(&parent)?;
-        match parent_node.kind {
-            NodeKind::Dir => {}
-            NodeKind::File(_) => return Err(ClusterError::WrongKind(parent)),
-        }
-        if !self.check(parent_node, cred, Access::Write) {
-            return Err(ClusterError::PermissionDenied {
-                uid: cred.uid,
-                op: "create",
-                path,
-            });
-        }
-        let group = cred.groups.first().cloned().unwrap_or_else(|| "users".into());
-        self.nodes.insert(
-            path,
-            FsNode {
-                owner: cred.uid,
-                group,
-                mode,
-                kind: NodeKind::File(content.into()),
-            },
-        );
         Ok(())
     }
 
     /// Read a file's content.
     pub fn read(&self, path: &str, cred: &Cred) -> Result<Bytes, ClusterError> {
-        let path = normalize(path);
-        let node = self.get(&path)?;
-        if !self.check(node, cred, Access::Read) {
-            return Err(ClusterError::PermissionDenied {
-                uid: cred.uid,
-                op: "read",
-                path,
-            });
+        let path = normal(path);
+        let node = self.node(self.resolve(&path, cred, "read")?);
+        if !node.allows(cred, Access::Read) {
+            return Err(denied(cred, "read", path.into_owned()));
         }
         match &node.kind {
             NodeKind::File(b) => Ok(b.clone()),
-            NodeKind::Dir => Err(ClusterError::WrongKind(path)),
+            NodeKind::Dir(_) => Err(ClusterError::WrongKind(path.into_owned())),
         }
     }
 
@@ -275,101 +466,69 @@ impl VirtualFs {
 
     /// List immediate children of a directory (names only, sorted).
     pub fn list(&self, path: &str, cred: &Cred) -> Result<Vec<String>, ClusterError> {
-        let path = normalize(path);
-        let node = self.get(&path)?;
-        if !self.check(node, cred, Access::Read) {
-            return Err(ClusterError::PermissionDenied {
-                uid: cred.uid,
-                op: "list",
-                path,
-            });
+        let path = normal(path);
+        let node = self.node(self.resolve(&path, cred, "list")?);
+        if !node.allows(cred, Access::Read) {
+            return Err(denied(cred, "list", path.into_owned()));
         }
-        match node.kind {
-            NodeKind::Dir => {}
-            NodeKind::File(_) => return Err(ClusterError::WrongKind(path)),
+        match &node.kind {
+            NodeKind::Dir(children) => Ok(children.keys().map(|name| name.to_string()).collect()),
+            NodeKind::File(_) => Err(ClusterError::WrongKind(path.into_owned())),
         }
-        let prefix = if path == "/" { "/".to_string() } else { format!("{path}/") };
-        let mut out: Vec<String> = self
-            .nodes
-            .range(prefix.clone()..)
-            .take_while(|(p, _)| p.starts_with(&prefix))
-            .filter(|(p, _)| !p[prefix.len()..].contains('/'))
-            .map(|(p, _)| p[prefix.len()..].to_string())
-            .collect();
-        out.sort();
-        Ok(out)
     }
 
     /// Remove a file or (recursively) a directory. Requires write on parent.
     pub fn remove(&mut self, path: &str, cred: &Cred) -> Result<(), ClusterError> {
-        let path = normalize(path);
-        if path == "/" {
-            return Err(ClusterError::PermissionDenied {
-                uid: cred.uid,
-                op: "remove",
-                path,
-            });
+        let path = normal(path);
+        if *path == *"/" {
+            return Err(denied(cred, "remove", path.into_owned()));
         }
-        self.get(&path)?;
-        let parent = parent_of(&path).ok_or_else(|| ClusterError::NoParent(path.clone()))?;
-        let parent_node = self.get(&parent)?;
-        if !self.check(parent_node, cred, Access::Write) {
-            return Err(ClusterError::PermissionDenied {
-                uid: cred.uid,
-                op: "remove",
-                path,
-            });
+        let (dir_rel, leaf) = split_leaf(&path[1..]);
+        let search_denied = |SearchDenied| denied(cred, "remove", path.to_string());
+        let Some(dir) = self.lookup(ROOT, dir_rel, Some(cred)).map_err(search_denied)? else {
+            return Err(ClusterError::NotFound(path.into_owned()));
+        };
+        let Some(id) = self.lookup(dir, leaf, Some(cred)).map_err(search_denied)? else {
+            return Err(ClusterError::NotFound(path.into_owned()));
+        };
+        if !self.node(dir).allows(cred, Access::Write) {
+            return Err(denied(cred, "remove", path.into_owned()));
         }
-        let subtree_prefix = format!("{path}/");
-        let doomed: Vec<String> = self
-            .nodes
-            .keys()
-            .filter(|p| **p == path || p.starts_with(&subtree_prefix))
-            .cloned()
-            .collect();
-        for p in doomed {
-            self.nodes.remove(&p);
+        if let NodeKind::Dir(children) = &mut self.nodes[dir as usize].kind {
+            children.remove(leaf);
         }
+        self.release(id);
         Ok(())
     }
 
     pub fn exists(&self, path: &str) -> bool {
-        self.nodes.contains_key(&normalize(path))
+        self.stat(path).is_ok()
     }
 
     pub fn is_dir(&self, path: &str) -> bool {
-        matches!(
-            self.nodes.get(&normalize(path)),
-            Some(FsNode { kind: NodeKind::Dir, .. })
-        )
+        self.stat(path).is_ok_and(|node| !node.is_file())
     }
 
     /// Size in bytes of a file (0 for directories).
     pub fn size_of(&self, path: &str) -> Result<u64, ClusterError> {
-        match &self.get(&normalize(path))?.kind {
+        match &self.stat(path)?.kind {
             NodeKind::File(b) => Ok(b.len() as u64),
-            NodeKind::Dir => Ok(0),
+            NodeKind::Dir(_) => Ok(0),
         }
     }
 
     /// Owner of a path.
     pub fn owner_of(&self, path: &str) -> Result<Uid, ClusterError> {
-        Ok(self.get(&normalize(path))?.owner)
+        Ok(self.stat(path)?.owner)
     }
 
     /// Change mode; only the owner may do this.
     pub fn chmod(&mut self, path: &str, cred: &Cred, mode: FileMode) -> Result<(), ClusterError> {
-        let path = normalize(path);
-        let node = self
-            .nodes
-            .get_mut(&path)
-            .ok_or_else(|| ClusterError::NotFound(path.clone()))?;
+        let path = normal(path);
+        let id = self.resolve(&path, cred, "chmod")?;
+        let node = &mut self.nodes[id as usize];
         if node.owner != cred.uid {
-            return Err(ClusterError::PermissionDenied {
-                uid: cred.uid,
-                op: "chmod",
-                path,
-            });
+            return Err(denied(cred, "chmod", path.into_owned()));
         }
         node.mode = mode;
         Ok(())
@@ -377,7 +536,7 @@ impl VirtualFs {
 
     /// Total number of filesystem entries (including `/`).
     pub fn entry_count(&self) -> usize {
-        self.nodes.len()
+        self.nodes.len() - self.free.len()
     }
 }
 
@@ -436,17 +595,74 @@ mod tests {
     }
 
     #[test]
-    fn world_readable_file_in_private_dir_still_blocked_at_read_of_file_only() {
-        // Our model checks the file node itself (no path-walk x-bit check),
-        // so a REGULAR (world-readable) file is readable even in a private
-        // dir. Listing the private dir, however, is denied.
+    fn world_readable_file_in_private_dir_is_blocked_by_search_permission() {
+        // The file's own mode would let anyone read it, but reaching it means
+        // searching a 0700 directory. This is the shape of every CI clone.
         let mut fs = fs_with_home();
         let a = alice();
         fs.mkdir_p("/home/alice", &a, FileMode::PRIVATE_DIR).unwrap();
         fs.write("/home/alice/pub.txt", &a, "hi", FileMode::REGULAR)
             .unwrap();
-        assert_eq!(fs.read_text("/home/alice/pub.txt", &bob()).unwrap(), "hi");
+        assert_eq!(
+            fs.read_text("/home/alice/pub.txt", &bob()),
+            Err(ClusterError::PermissionDenied {
+                uid: Uid(1002),
+                op: "read",
+                path: "/home/alice/pub.txt".to_string(),
+            })
+        );
         assert!(fs.list("/home/alice", &bob()).is_err());
+        assert_eq!(fs.read_text("/home/alice/pub.txt", &a).unwrap(), "hi");
+        // The stat calls take no credentials and are not gated.
+        assert!(fs.exists("/home/alice/pub.txt"));
+        assert_eq!(fs.size_of("/home/alice/pub.txt").unwrap(), 2);
+    }
+
+    #[test]
+    fn every_cred_taking_operation_needs_search_on_the_way() {
+        let mut fs = fs_with_home();
+        let a = alice();
+        fs.mkdir_p("/scratch/alice/open", &a, FileMode(0o777)).unwrap();
+        fs.write("/scratch/alice/open/f", &a, "x", FileMode(0o666)).unwrap();
+        fs.chmod("/scratch/alice", &a, FileMode(0o766)).unwrap();
+        let b = bob();
+        let denied = |op: &'static str, path: &str| ClusterError::PermissionDenied {
+            uid: b.uid,
+            op,
+            path: path.to_string(),
+        };
+        assert_eq!(fs.read("/scratch/alice/open/f", &b).unwrap_err(), denied("read", "/scratch/alice/open/f"));
+        assert_eq!(fs.list("/scratch/alice/open", &b).unwrap_err(), denied("list", "/scratch/alice/open"));
+        assert_eq!(
+            fs.write("/scratch/alice/open/./f", &b, "y", FileMode::REGULAR).unwrap_err(),
+            denied("write", "/scratch/alice/open/f")
+        );
+        assert_eq!(
+            fs.mkdir_p("/scratch/alice/open/d/e", &b, FileMode::DIR).unwrap_err(),
+            denied("mkdir", "/scratch/alice/open/d/e")
+        );
+        assert_eq!(
+            fs.write_tree("/scratch/alice/open", &b, FileMode::DIR, FileMode::REGULAR, [("d/g", Bytes::new())])
+                .unwrap_err(),
+            denied("mkdir", "/scratch/alice/open/d")
+        );
+        assert_eq!(
+            fs.remove("/scratch/alice/open/f", &b).unwrap_err(),
+            denied("remove", "/scratch/alice/open/f")
+        );
+        assert_eq!(
+            fs.chmod("/scratch/alice/open/f", &b, FileMode::REGULAR).unwrap_err(),
+            denied("chmod", "/scratch/alice/open/f")
+        );
+        // The unsearchable directory itself: `r` lists it and `w` adds a name
+        // to it, but the new entry is then out of reach like the others.
+        assert_eq!(fs.list("/scratch/alice", &b).unwrap(), vec!["open"]);
+        fs.write("/scratch/alice/dropbox", &b, "from bob", FileMode::REGULAR).unwrap();
+        assert_eq!(
+            fs.read("/scratch/alice/dropbox", &b).unwrap_err(),
+            denied("read", "/scratch/alice/dropbox")
+        );
+        assert_eq!(fs.read_text("/scratch/alice/dropbox", &a).unwrap(), "from bob");
     }
 
     #[test]
@@ -543,9 +759,77 @@ mod tests {
         assert_eq!(normalize("/a//b/./c/../d"), "/a/b/d");
         assert_eq!(normalize("/"), "/");
         assert_eq!(normalize("/.."), "/");
-        assert_eq!(parent_of("/a/b"), Some("/a".to_string()));
-        assert_eq!(parent_of("/a"), Some("/".to_string()));
-        assert_eq!(parent_of("/"), None);
+        for already in ["/", "/a", "/a/b.txt"] {
+            assert!(matches!(normal(already), Cow::Borrowed(_)), "{already}");
+        }
+        for (raw, want) in [("/a/", "/a"), ("//a", "/a"), ("/a/./b", "/a/b"), ("/a/../b", "/b")] {
+            assert_eq!(normal(raw), want);
+        }
+    }
+
+    #[test]
+    fn write_tree_creates_directories_and_reports_the_loop_s_errors() {
+        let mut fs = fs_with_home();
+        let a = alice();
+        fs.mkdir_p("/scratch/alice/repo", &a, FileMode::PRIVATE_DIR).unwrap();
+        let files = [("README.md", "r"), ("src/lib/mod.rs", "m"), ("src/main.rs", "fn")];
+        let tree = || files.iter().map(|&(p, c)| (p, Bytes::from(c)));
+        fs.write_tree("/scratch/alice/repo", &a, FileMode::PRIVATE_DIR, FileMode::REGULAR, tree())
+            .unwrap();
+        assert_eq!(fs.list("/scratch/alice/repo", &a).unwrap(), vec!["README.md", "src"]);
+        assert_eq!(fs.read_text("/scratch/alice/repo/src/lib/mod.rs", &a).unwrap(), "m");
+        assert_eq!(fs.entry_count(), 10);
+        // A second clone over the first overwrites in place.
+        fs.write_tree("/scratch/alice/repo", &a, FileMode::PRIVATE_DIR, FileMode::REGULAR, tree())
+            .unwrap();
+        assert_eq!(fs.entry_count(), 10);
+        // A missing destination is created, as the loop's mkdir_p would.
+        fs.write_tree("/scratch/alice/new", &a, FileMode::DIR, FileMode::REGULAR, tree())
+            .unwrap();
+        assert!(fs.is_dir("/scratch/alice/new/src/lib"));
+        // A directory where the tree has a file, and the reverse.
+        fs.mkdir_p("/scratch/alice/clash/README.md", &a, FileMode::DIR).unwrap();
+        assert_eq!(
+            fs.write_tree("/scratch/alice/clash", &a, FileMode::DIR, FileMode::REGULAR, tree()),
+            Err(ClusterError::WrongKind("/scratch/alice/clash/README.md".to_string()))
+        );
+        fs.write("/scratch/alice/clash/src", &a, "file", FileMode::REGULAR).unwrap();
+        assert_eq!(
+            fs.write_tree("/scratch/alice/clash", &a, FileMode::DIR, FileMode::REGULAR, tree().skip(1)),
+            Err(ClusterError::WrongKind("/scratch/alice/clash/src".to_string()))
+        );
+    }
+
+    #[test]
+    fn clone_remove_cycles_leave_the_arena_where_it_started() {
+        let mut fs = fs_with_home();
+        let a = alice();
+        fs.mkdir_p("/scratch/alice/gc-action-temp", &a, FileMode::PRIVATE_DIR).unwrap();
+        let files = ["README.md", "docs/index.md", "src/a/b.rs", "src/a/c.rs", "src/main.rs", "tests/t.py"];
+        let clone = |fs: &mut VirtualFs| {
+            fs.mkdir_p("/scratch/alice/gc-action-temp/repo", &a, FileMode::PRIVATE_DIR)
+                .unwrap();
+            fs.write_tree(
+                "/scratch/alice/gc-action-temp/repo",
+                &a,
+                FileMode::PRIVATE_DIR,
+                FileMode::REGULAR,
+                files.iter().map(|&p| (p, Bytes::from(p))),
+            )
+            .unwrap();
+        };
+        let entries = fs.entry_count();
+        clone(&mut fs);
+        let (cloned_entries, arena) = (fs.entry_count(), fs.nodes.len());
+        assert_eq!(cloned_entries, entries + 1 + 4 + files.len());
+        for _ in 0..1000 {
+            fs.remove("/scratch/alice/gc-action-temp/repo", &a).unwrap();
+            assert_eq!(fs.entry_count(), entries);
+            clone(&mut fs);
+        }
+        assert_eq!(fs.entry_count(), cloned_entries);
+        assert_eq!(fs.nodes.len(), arena);
+        assert!(fs.free.is_empty());
     }
 
     #[test]

@@ -24,6 +24,7 @@ use hpcci_sim::{
 };
 use hpcci_vcs::{HostingService, RepoEvent};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -446,71 +447,62 @@ impl Federation {
                 );
             }
             // git clone [-b <branch>] <url> [dest]
-            let tokens: Vec<&str> = env.command.split_whitespace().collect();
-            if tokens.get(1) != Some(&"clone") {
+            let mut tokens = env.command.split_whitespace().skip(1);
+            if tokens.next() != Some("clone") {
                 return ExecOutcome::fail("git: only `clone` is supported in the federation", 0.05);
             }
-            let mut branch: Option<&str> = None;
-            let mut positional: Vec<&str> = Vec::new();
-            let mut i = 2;
-            while i < tokens.len() {
-                if tokens[i] == "-b" || tokens[i] == "--branch" {
-                    branch = tokens.get(i + 1).copied();
-                    i += 2;
-                } else {
-                    positional.push(tokens[i]);
-                    i += 1;
+            let (mut branch, mut url, mut dest_arg) = (None, None, None);
+            while let Some(token) = tokens.next() {
+                if token == "-b" || token == "--branch" {
+                    branch = tokens.next();
+                } else if url.is_none() {
+                    url = Some(token);
+                } else if dest_arg.is_none() {
+                    dest_arg = Some(token);
                 }
             }
-            let Some(url) = positional.first() else {
+            let Some(url) = url else {
                 return ExecOutcome::fail("git clone: missing repository url", 0.05);
             };
             // URL convention: https://github.sim/<owner>/<name>[.git]
             let full_name = url
                 .trim_start_matches("https://")
                 .trim_start_matches("github.sim/")
-                .trim_end_matches(".git")
-                .to_string();
-            let dest = positional
-                .get(1)
-                .map(|s| s.to_string())
-                .unwrap_or_else(|| {
+                .trim_end_matches(".git");
+            let dest = match dest_arg {
+                Some(dest) => dest.to_string(),
+                None => {
                     let repo_dir = full_name.split('/').next_back().unwrap_or("repo");
                     format!("{}/{}", env.clone_root(), repo_dir)
-                });
-            let hosting = hosting.lock();
-            let repo = match hosting.repo(&full_name) {
-                Ok(r) => r,
-                Err(e) => return ExecOutcome::fail(format!("fatal: {e}"), 0.1),
+                }
             };
-            let branch_name = branch.unwrap_or(&repo.default_branch).to_string();
-            let tree = match repo.checkout_branch(&branch_name) {
-                Ok(t) => t.clone(),
-                Err(e) => return ExecOutcome::fail(format!("fatal: {e}"), 0.1),
+            // Under the hosting lock take only what outlives it: the tree is
+            // shared, not copied, and the branch name is copied only when the
+            // command line did not give one.
+            let (tree, head, branch_name) = {
+                let hosting = hosting.lock();
+                let repo = match hosting.repo(full_name) {
+                    Ok(r) => r,
+                    Err(e) => return ExecOutcome::fail(format!("fatal: {e}"), 0.1),
+                };
+                let branch_name = branch.map_or_else(|| Cow::Owned(repo.default_branch.clone()), Cow::Borrowed);
+                let tree = match repo.checkout_branch(&branch_name) {
+                    Ok(t) => t.clone(),
+                    Err(e) => return ExecOutcome::fail(format!("fatal: {e}"), 0.1),
+                };
+                let head = repo.head(&branch_name).expect("branch checked out");
+                (tree, head, branch_name)
             };
-            let head = repo.head(&branch_name).expect("branch checked out");
-            drop(hosting);
-            if let Err(e) = env.site.fs.mkdir_p(&dest, env.cred, FileMode::PRIVATE_DIR) {
+            let fs = &mut env.site.fs;
+            if let Err(e) = fs.mkdir_p(&dest, env.cred, FileMode::PRIVATE_DIR) {
                 return ExecOutcome::fail(format!("fatal: could not create {dest}: {e}"), 0.1);
             }
-            let bytes = tree.total_bytes();
-            for (path, content) in tree.iter() {
-                let target = format!("{dest}/{path}");
-                if let Some(dir) = target.rsplit_once('/').map(|(d, _)| d) {
-                    if let Err(e) = env.site.fs.mkdir_p(dir, env.cred, FileMode::PRIVATE_DIR) {
-                        return ExecOutcome::fail(format!("fatal: {e}"), 0.1);
-                    }
-                }
-                if let Err(e) = env
-                    .site
-                    .fs
-                    .write(&target, env.cred, content.clone(), FileMode::REGULAR)
-                {
-                    return ExecOutcome::fail(format!("fatal: {e}"), 0.1);
-                }
+            let files = tree.iter().map(|(path, content)| (path, content.clone()));
+            if let Err(e) = fs.write_tree(&dest, env.cred, FileMode::PRIVATE_DIR, FileMode::REGULAR, files) {
+                return ExecOutcome::fail(format!("fatal: {e}"), 0.1);
             }
             // Clone cost: network + unpack, dominated by I/O.
-            let io_secs = bytes as f64 / env.site.perf.io_bytes_per_sec;
+            let io_secs = tree.total_bytes() as f64 / env.site.perf.io_bytes_per_sec;
             ExecOutcome::ok(
                 format!(
                     "Cloning into '{dest}'...\nHEAD is now at {} ({branch_name})",
@@ -518,7 +510,7 @@ impl Federation {
                 ),
                 0.5 + io_secs,
             )
-            .with_payload(dest.clone())
+            .with_payload(dest)
         });
 
         runtime.commands.register("gc-capture-env", |env| {
@@ -863,6 +855,101 @@ mod tests {
         let cham = fed.site(cham);
         assert!(cham.shared.lock().commands.resolve("git clone x").is_some());
         assert!(cham.shared.lock().commands.resolve("gc-capture-env").is_some());
+    }
+
+    /// The `git` handler's output lands in run logs and transcripts, so its
+    /// text is pinned byte for byte: these are the strings the handler
+    /// printed when it looped over `mkdir_p` + `write` on the flat path map.
+    #[test]
+    fn clone_failures_keep_their_text() {
+        use hpcci_cluster::{Cred, NodeRole};
+        use hpcci_sim::DetRng;
+        use hpcci_vcs::WorkTree;
+
+        let mut fed = Federation::builder(5).build();
+        let site = fed.add_site(Site::tamu_faster(), 64);
+        let now = fed.now();
+        fed.hosting.lock().create_repo("lab", "app", now);
+        let tree = WorkTree::new()
+            .with_file("README.md", "# app\n")
+            .with_file("conf/site.toml", "cores = 64\n")
+            .with_file("src/main.py", "print('hi')\n");
+        fed.hosting.lock().push("lab/app", "main", tree, "alice", "import", now).unwrap();
+
+        let mut rt = fed.site(site).shared.lock();
+        let alice = rt.site.add_account("x-alice", "projA");
+        let bob = rt.site.add_account("x-bob", "projB");
+        let clone = |rt: &mut SiteRuntime, who: &hpcci_cluster::UserAccount, args: &str| {
+            let command = format!("git clone https://github.sim/lab/app.git{args}");
+            let mut rng = DetRng::seed_from_u64(1);
+            rt.execute(&command, who, &Cred::of(who), NodeRole::Login, "login", now, &mut rng, None)
+        };
+        let a = Cred::of(&alice);
+
+        // The destination is a file.
+        rt.site.fs.mkdir_p("/scratch/x-alice/gc-action-temp", &a, FileMode::PRIVATE_DIR).unwrap();
+        rt.site.fs.write("/scratch/x-alice/gc-action-temp/app", &a, "in the way", FileMode::REGULAR).unwrap();
+        assert_eq!(
+            clone(&mut rt, &alice, "").stderr,
+            "fatal: could not create /scratch/x-alice/gc-action-temp/app: \
+             wrong node kind at: /scratch/x-alice/gc-action-temp/app"
+        );
+        // A file of the tree collides with a directory, and a directory of
+        // the tree with a file.
+        rt.site.fs.mkdir_p("/scratch/x-alice/w1/README.md", &a, FileMode::PRIVATE_DIR).unwrap();
+        assert_eq!(
+            clone(&mut rt, &alice, " /scratch/x-alice/w1").stderr,
+            "fatal: wrong node kind at: /scratch/x-alice/w1/README.md"
+        );
+        rt.site.fs.mkdir_p("/scratch/x-alice/w2", &a, FileMode::PRIVATE_DIR).unwrap();
+        rt.site.fs.write("/scratch/x-alice/w2/conf", &a, "in the way", FileMode::REGULAR).unwrap();
+        assert_eq!(
+            clone(&mut rt, &alice, " /scratch/x-alice/w2").stderr,
+            "fatal: wrong node kind at: /scratch/x-alice/w2/conf"
+        );
+        // Another user's scratch: as the destination, and as its parent.
+        assert_eq!(
+            clone(&mut rt, &bob, " /scratch/x-alice").stderr,
+            "fatal: permission denied: uid 1001 cannot create /scratch/x-alice/README.md"
+        );
+        assert_eq!(
+            clone(&mut rt, &bob, " /scratch/x-alice/stolen").stderr,
+            "fatal: could not create /scratch/x-alice/stolen: \
+             permission denied: uid 1001 cannot mkdir /scratch/x-alice"
+        );
+        rt.site.fs.chmod("/scratch/x-alice/w1", &a, FileMode::DIR).unwrap();
+        rt.site.fs.chmod("/scratch/x-alice", &a, FileMode::DIR).unwrap();
+        rt.site.fs.remove("/scratch/x-alice/w1/README.md", &a).unwrap();
+        rt.site.fs.write("/scratch/x-alice/w1/README.md", &a, "alice's", FileMode::GROUP_SHARED).unwrap();
+        assert_eq!(
+            clone(&mut rt, &bob, " /scratch/x-alice/w1").stderr,
+            "fatal: permission denied: uid 1001 cannot write /scratch/x-alice/w1/README.md"
+        );
+        rt.site.fs.remove("/scratch/x-alice/w1/README.md", &a).unwrap();
+        rt.site.fs.chmod("/scratch/x-alice/w1", &a, FileMode(0o777)).unwrap();
+        rt.site.fs.mkdir_p("/scratch/x-alice/w1/conf", &a, FileMode::DIR).unwrap();
+        assert_eq!(
+            clone(&mut rt, &bob, " /scratch/x-alice/w1").stderr,
+            "fatal: permission denied: uid 1001 cannot create /scratch/x-alice/w1/conf/site.toml"
+        );
+        rt.site.fs.remove("/scratch/x-alice/w1/conf", &a).unwrap();
+        rt.site.fs.chmod("/scratch/x-alice/w1", &a, FileMode::DIR).unwrap();
+        assert_eq!(
+            clone(&mut rt, &bob, " /scratch/x-alice/w1").stderr,
+            "fatal: permission denied: uid 1001 cannot mkdir /scratch/x-alice/w1"
+        );
+        // And the success text, with the payload naming the clone.
+        let ok = clone(&mut rt, &bob, "");
+        let head = fed.hosting.lock().repo("lab/app").unwrap().head("main").unwrap().short();
+        assert_eq!(
+            ok.stdout,
+            format!("Cloning into '/scratch/x-bob/gc-action-temp/app'...\nHEAD is now at {head} (main)")
+        );
+        assert_eq!(&ok.result.unwrap()[..], b"/scratch/x-bob/gc-action-temp/app");
+        assert_eq!(
+            rt.site.fs.list("/scratch/x-bob/gc-action-temp/app", &Cred::of(&bob)).unwrap(),
+            vec!["README.md", "conf", "src"]
+        );
     }
 
     #[test]

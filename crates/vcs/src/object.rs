@@ -4,12 +4,16 @@ use crate::hash::ObjectId;
 use bytes::Bytes;
 use hpcci_sim::SimTime;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A snapshot of repository contents: repo-relative path → file bytes.
 /// `BTreeMap` keeps iteration (and therefore hashing) order canonical.
+/// The map is shared copy-on-write: a clone (a remote `git clone` takes one
+/// per CI step, a merge one per pull request) copies no path or content, and
+/// the first edit of a shared tree copies the map.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkTree {
-    files: BTreeMap<String, Bytes>,
+    files: Arc<BTreeMap<String, Bytes>>,
 }
 
 impl WorkTree {
@@ -26,11 +30,11 @@ impl WorkTree {
     /// Add or replace a file.
     pub fn put(&mut self, path: &str, content: impl Into<Bytes>) {
         assert!(!path.starts_with('/'), "work tree paths are repo-relative");
-        self.files.insert(path.to_string(), content.into());
+        Arc::make_mut(&mut self.files).insert(path.to_string(), content.into());
     }
 
     pub fn remove(&mut self, path: &str) -> bool {
-        self.files.remove(path).is_some()
+        self.files.contains_key(path) && Arc::make_mut(&mut self.files).remove(path).is_some()
     }
 
     pub fn get(&self, path: &str) -> Option<&Bytes> {
@@ -69,7 +73,7 @@ impl WorkTree {
     /// Canonical content hash of the whole tree.
     pub fn hash(&self) -> ObjectId {
         let mut acc = String::new();
-        for (path, content) in &self.files {
+        for (path, content) in self.files.iter() {
             acc.push_str(path);
             acc.push('\0');
             acc.push_str(&ObjectId::of_bytes(content).to_string());
@@ -81,7 +85,7 @@ impl WorkTree {
     /// Paths added/changed/removed going from `self` to `other`.
     pub fn diff(&self, other: &WorkTree) -> Vec<String> {
         let mut changed = Vec::new();
-        for (path, content) in &other.files {
+        for (path, content) in other.files.iter() {
             match self.files.get(path) {
                 Some(old) if old == content => {}
                 _ => changed.push(path.clone()),

@@ -163,6 +163,597 @@ fn private_files_stay_private() {
     }
 }
 
+/// The site filesystem as it was before the inode tree: one flat map from
+/// normalised path to node, every operation a full-path lookup. Kept here,
+/// and only here, as the oracle the tree is checked against. The one rule it
+/// gained is the tree's search permission: stepping from a directory into an
+/// existing entry needs `x` on the directory.
+mod flat_fs {
+    use hpcci::cluster::{ClusterError, Cred, FileMode, Uid};
+    use std::collections::BTreeMap;
+
+    /// File contents are plain bytes here (`Bytes` in the real thing).
+    type Content = Vec<u8>;
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum NodeKind {
+        File(Content),
+        Dir,
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct FsNode {
+        owner: Uid,
+        group: String,
+        mode: FileMode,
+        kind: NodeKind,
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Access {
+        Read = 0o4,
+        Write = 0o2,
+        Search = 0o1,
+    }
+
+    #[derive(Debug, Clone)]
+    pub struct FlatFs {
+        nodes: BTreeMap<String, FsNode>,
+    }
+
+    fn normalize(path: &str) -> String {
+        assert!(path.starts_with('/'), "paths must be absolute: {path}");
+        let mut parts: Vec<&str> = Vec::new();
+        for seg in path.split('/') {
+            match seg {
+                "" | "." => {}
+                ".." => {
+                    parts.pop();
+                }
+                s => parts.push(s),
+            }
+        }
+        if parts.is_empty() {
+            "/".to_string()
+        } else {
+            format!("/{}", parts.join("/"))
+        }
+    }
+
+    fn parent_of(path: &str) -> Option<String> {
+        if path == "/" {
+            return None;
+        }
+        match path.rfind('/') {
+            Some(0) => Some("/".to_string()),
+            Some(i) => Some(path[..i].to_string()),
+            None => None,
+        }
+    }
+
+    fn check(node: &FsNode, cred: &Cred, access: Access) -> bool {
+        let class = if cred.uid == node.owner {
+            0
+        } else if cred.groups.contains(&node.group) {
+            1
+        } else {
+            2
+        };
+        (node.mode.0 >> (6 - 3 * class)) & access as u16 != 0
+    }
+
+    impl FlatFs {
+        pub fn new() -> Self {
+            let root = FsNode {
+                owner: Uid(0),
+                group: "root".to_string(),
+                mode: FileMode::DIR,
+                kind: NodeKind::Dir,
+            };
+            FlatFs {
+                nodes: BTreeMap::from([("/".to_string(), root)]),
+            }
+        }
+
+        fn get(&self, path: &str) -> Result<&FsNode, ClusterError> {
+            self.nodes
+                .get(path)
+                .ok_or_else(|| ClusterError::NotFound(path.to_string()))
+        }
+
+        /// The search rule, for a normalised `path`: every ancestor directory
+        /// whose next component towards `path` exists must grant `x`.
+        fn searchable(&self, path: &str, cred: &Cred, op: &'static str) -> Result<(), ClusterError> {
+            let mut ancestors = Vec::new();
+            let mut cursor = path.to_string();
+            while let Some(parent) = parent_of(&cursor) {
+                ancestors.push((parent.clone(), cursor));
+                cursor = parent;
+            }
+            for (dir, entry) in ancestors.into_iter().rev() {
+                match self.nodes.get(&dir) {
+                    Some(node) if node.kind == NodeKind::Dir => {
+                        if self.nodes.contains_key(&entry) && !check(node, cred, Access::Search) {
+                            return Err(ClusterError::PermissionDenied {
+                                uid: cred.uid,
+                                op,
+                                path: path.to_string(),
+                            });
+                        }
+                    }
+                    _ => break,
+                }
+            }
+            Ok(())
+        }
+
+        pub fn mkdir_p(&mut self, path: &str, cred: &Cred, mode: FileMode) -> Result<(), ClusterError> {
+            let path = normalize(path);
+            self.searchable(&path, cred, "mkdir")?;
+            if let Some(node) = self.nodes.get(&path) {
+                return match node.kind {
+                    NodeKind::Dir => Ok(()),
+                    NodeKind::File(_) => Err(ClusterError::WrongKind(path)),
+                };
+            }
+            let mut missing = vec![path.clone()];
+            let mut cursor = path.clone();
+            let anchor = loop {
+                let parent = parent_of(&cursor).ok_or_else(|| ClusterError::NoParent(cursor.clone()))?;
+                if let Some(node) = self.nodes.get(&parent) {
+                    match node.kind {
+                        NodeKind::Dir => break parent,
+                        NodeKind::File(_) => return Err(ClusterError::WrongKind(parent)),
+                    }
+                }
+                missing.push(parent.clone());
+                cursor = parent;
+            };
+            if !check(self.get(&anchor)?, cred, Access::Write) {
+                return Err(ClusterError::PermissionDenied {
+                    uid: cred.uid,
+                    op: "mkdir",
+                    path: anchor,
+                });
+            }
+            let group = cred.groups.first().cloned().unwrap_or_else(|| "users".into());
+            for dir in missing.into_iter().rev() {
+                self.nodes.insert(
+                    dir,
+                    FsNode {
+                        owner: cred.uid,
+                        group: group.clone(),
+                        mode,
+                        kind: NodeKind::Dir,
+                    },
+                );
+            }
+            Ok(())
+        }
+
+        pub fn write(&mut self, path: &str, cred: &Cred, content: Content, mode: FileMode) -> Result<(), ClusterError> {
+            let path = normalize(path);
+            self.searchable(&path, cred, "write")?;
+            if let Some(existing) = self.nodes.get(&path) {
+                match existing.kind {
+                    NodeKind::Dir => return Err(ClusterError::WrongKind(path)),
+                    NodeKind::File(_) => {
+                        if !check(existing, cred, Access::Write) {
+                            return Err(ClusterError::PermissionDenied {
+                                uid: cred.uid,
+                                op: "write",
+                                path,
+                            });
+                        }
+                        let node = self.nodes.get_mut(&path).expect("checked above");
+                        node.kind = NodeKind::File(content);
+                        return Ok(());
+                    }
+                }
+            }
+            let parent = parent_of(&path).ok_or_else(|| ClusterError::NoParent(path.clone()))?;
+            let parent_node = self.get(&parent)?;
+            match parent_node.kind {
+                NodeKind::Dir => {}
+                NodeKind::File(_) => return Err(ClusterError::WrongKind(parent)),
+            }
+            if !check(parent_node, cred, Access::Write) {
+                return Err(ClusterError::PermissionDenied {
+                    uid: cred.uid,
+                    op: "create",
+                    path,
+                });
+            }
+            let group = cred.groups.first().cloned().unwrap_or_else(|| "users".into());
+            self.nodes.insert(
+                path,
+                FsNode {
+                    owner: cred.uid,
+                    group,
+                    mode,
+                    kind: NodeKind::File(content),
+                },
+            );
+            Ok(())
+        }
+
+        /// `write_tree` by its definition: per file, `mkdir_p` then `write`.
+        pub fn write_tree(
+            &mut self,
+            dest: &str,
+            cred: &Cred,
+            dir_mode: FileMode,
+            file_mode: FileMode,
+            files: &[(String, Content)],
+        ) -> Result<(), ClusterError> {
+            for (rel, content) in files {
+                let target = format!("{dest}/{rel}");
+                if let Some((dir, _)) = target.rsplit_once('/') {
+                    self.mkdir_p(dir, cred, dir_mode)?;
+                }
+                self.write(&target, cred, content.clone(), file_mode)?;
+            }
+            Ok(())
+        }
+
+        pub fn read(&self, path: &str, cred: &Cred) -> Result<Content, ClusterError> {
+            let path = normalize(path);
+            self.searchable(&path, cred, "read")?;
+            let node = self.get(&path)?;
+            if !check(node, cred, Access::Read) {
+                return Err(ClusterError::PermissionDenied {
+                    uid: cred.uid,
+                    op: "read",
+                    path,
+                });
+            }
+            match &node.kind {
+                NodeKind::File(b) => Ok(b.clone()),
+                NodeKind::Dir => Err(ClusterError::WrongKind(path)),
+            }
+        }
+
+        pub fn read_text(&self, path: &str, cred: &Cred) -> Result<String, ClusterError> {
+            Ok(String::from_utf8_lossy(&self.read(path, cred)?).into_owned())
+        }
+
+        pub fn list(&self, path: &str, cred: &Cred) -> Result<Vec<String>, ClusterError> {
+            let path = normalize(path);
+            self.searchable(&path, cred, "list")?;
+            let node = self.get(&path)?;
+            if !check(node, cred, Access::Read) {
+                return Err(ClusterError::PermissionDenied {
+                    uid: cred.uid,
+                    op: "list",
+                    path,
+                });
+            }
+            match node.kind {
+                NodeKind::Dir => {}
+                NodeKind::File(_) => return Err(ClusterError::WrongKind(path)),
+            }
+            let prefix = if path == "/" { "/".to_string() } else { format!("{path}/") };
+            let mut out: Vec<String> = self
+                .nodes
+                .range(prefix.clone()..)
+                .take_while(|(p, _)| p.starts_with(&prefix))
+                // The one fix to the oracle: the flat map listed `/` as a
+                // child of itself with an empty name.
+                .filter(|(p, _)| p.len() > prefix.len())
+                .filter(|(p, _)| !p[prefix.len()..].contains('/'))
+                .map(|(p, _)| p[prefix.len()..].to_string())
+                .collect();
+            out.sort();
+            Ok(out)
+        }
+
+        pub fn remove(&mut self, path: &str, cred: &Cred) -> Result<(), ClusterError> {
+            let path = normalize(path);
+            if path == "/" {
+                return Err(ClusterError::PermissionDenied {
+                    uid: cred.uid,
+                    op: "remove",
+                    path,
+                });
+            }
+            self.searchable(&path, cred, "remove")?;
+            self.get(&path)?;
+            let parent = parent_of(&path).ok_or_else(|| ClusterError::NoParent(path.clone()))?;
+            let parent_node = self.get(&parent)?;
+            if !check(parent_node, cred, Access::Write) {
+                return Err(ClusterError::PermissionDenied {
+                    uid: cred.uid,
+                    op: "remove",
+                    path,
+                });
+            }
+            let subtree_prefix = format!("{path}/");
+            let doomed: Vec<String> = self
+                .nodes
+                .keys()
+                .filter(|p| **p == path || p.starts_with(&subtree_prefix))
+                .cloned()
+                .collect();
+            for p in doomed {
+                self.nodes.remove(&p);
+            }
+            Ok(())
+        }
+
+        pub fn exists(&self, path: &str) -> bool {
+            self.nodes.contains_key(&normalize(path))
+        }
+
+        pub fn is_dir(&self, path: &str) -> bool {
+            matches!(
+                self.nodes.get(&normalize(path)),
+                Some(FsNode { kind: NodeKind::Dir, .. })
+            )
+        }
+
+        pub fn size_of(&self, path: &str) -> Result<u64, ClusterError> {
+            match &self.get(&normalize(path))?.kind {
+                NodeKind::File(b) => Ok(b.len() as u64),
+                NodeKind::Dir => Ok(0),
+            }
+        }
+
+        pub fn owner_of(&self, path: &str) -> Result<Uid, ClusterError> {
+            Ok(self.get(&normalize(path))?.owner)
+        }
+
+        pub fn chmod(&mut self, path: &str, cred: &Cred, mode: FileMode) -> Result<(), ClusterError> {
+            let path = normalize(path);
+            self.searchable(&path, cred, "chmod")?;
+            let node = self
+                .nodes
+                .get_mut(&path)
+                .ok_or_else(|| ClusterError::NotFound(path.clone()))?;
+            if node.owner != cred.uid {
+                return Err(ClusterError::PermissionDenied {
+                    uid: cred.uid,
+                    op: "chmod",
+                    path,
+                });
+            }
+            node.mode = mode;
+            Ok(())
+        }
+
+        pub fn entry_count(&self) -> usize {
+            self.nodes.len()
+        }
+    }
+}
+
+/// What a filesystem lets its users see: every stat call on every path of
+/// the generator's universe, and every `read` and `list` under every
+/// credential. Two filesystems with equal views are the same to any caller.
+macro_rules! fs_view {
+    ($fs:expr, $creds:expr) => {{
+        let fs = &$fs;
+        let mut view = vec![format!("entries={}", fs.entry_count())];
+        for path in fs_universe() {
+            view.push(format!(
+                "{path} exists={} dir={} size={:?} owner={:?}",
+                fs.exists(&path),
+                fs.is_dir(&path),
+                fs.size_of(&path),
+                fs.owner_of(&path),
+            ));
+            for cred in $creds.iter() {
+                view.push(format!(
+                    "{path} uid={} read={:?} list={:?}",
+                    cred.uid.0,
+                    fs.read(&path, cred).map(|content| content.to_vec()),
+                    fs.list(&path, cred),
+                ));
+            }
+        }
+        view
+    }};
+}
+
+const FS_SEGMENTS: [&str; 3] = ["a", "b", "c"];
+/// Deepest path an operation names, a tree's destination included; a tree
+/// goes up to `FS_TREE_DEPTH` below its destination.
+const FS_DEPTH: usize = 3;
+const FS_TREE_DEPTH: usize = 2;
+const FS_MODES: [u16; 12] = [
+    0o777, 0o755, 0o700, 0o770, 0o711, 0o722, 0o766, 0o666, 0o644, 0o600, 0o444, 0o000,
+];
+
+/// `/` and every path the generators can name.
+fn fs_universe() -> Vec<String> {
+    let mut level = vec![String::new()];
+    let mut all = vec!["/".to_string()];
+    for _ in 0..FS_DEPTH + FS_TREE_DEPTH {
+        level = level
+            .iter()
+            .flat_map(|dir| FS_SEGMENTS.iter().map(move |seg| format!("{dir}/{seg}")))
+            .collect();
+        all.extend(level.iter().cloned());
+    }
+    all
+}
+
+fn pick<T: Copy>(rng: &mut DetRng, items: &[T]) -> T {
+    items[rng.range_u64(0, items.len() as u64) as usize]
+}
+
+/// A relative path of `min..=max` segments. One time in four it is written
+/// in a form that is not normal: a doubled slash, a `.`, a detour through
+/// `..`, a `..` that eats the segment before it, or a trailing slash.
+fn gen_fs_rel(rng: &mut DetRng, min: usize, max: usize) -> String {
+    let depth = rng.range_u64(min as u64, max as u64 + 1) as usize;
+    let mut out = String::new();
+    for i in 0..depth {
+        if i > 0 {
+            out.push('/');
+        }
+        if rng.chance(0.25) {
+            out.push_str(pick(rng, &["/", "./", "c/../", "../"]));
+        }
+        out.push_str(pick(rng, &FS_SEGMENTS));
+    }
+    if depth > 0 && rng.chance(0.1) {
+        out.push('/');
+    }
+    out
+}
+
+/// An absolute path of up to `FS_DEPTH` segments: half the time one an
+/// earlier step named, so operations meet the nodes earlier ones made.
+fn gen_fs_path(rng: &mut DetRng, seen: &mut Vec<String>) -> String {
+    if !seen.is_empty() && rng.chance(0.5) {
+        return seen[rng.range_u64(0, seen.len() as u64) as usize].clone();
+    }
+    let path = format!("/{}", gen_fs_rel(rng, 0, FS_DEPTH));
+    seen.push(path.clone());
+    path
+}
+
+fn gen_fs_tree(rng: &mut DetRng) -> Vec<(String, Vec<u8>)> {
+    let n = rng.range_u64(0, 5);
+    (0..n)
+        .map(|i| (gen_fs_rel(rng, 1, FS_TREE_DEPTH), format!("tree-{i}").into_bytes()))
+        .collect()
+}
+
+/// Owner, a member of the owner's group, and a user with no group at all
+/// (whose files land in the default group).
+fn fs_creds() -> [Cred; 3] {
+    [
+        Cred::new(Uid(1001), &["proj"]),
+        Cred::new(Uid(1002), &["proj"]),
+        Cred::new(Uid(1003), &[]),
+    ]
+}
+
+/// Both filesystems after site provisioning: `/a` and `/b` open to all,
+/// `/c` impossible to create (`/` is root's, 0755).
+fn provisioned_pair() -> (VirtualFs, flat_fs::FlatFs) {
+    let root = Cred::new(Uid(0), &["root"]);
+    let (mut tree, mut flat) = (VirtualFs::new(), flat_fs::FlatFs::new());
+    for dir in ["/a", "/b"] {
+        tree.mkdir_p(dir, &root, FileMode(0o777)).unwrap();
+        flat.mkdir_p(dir, &root, FileMode(0o777)).unwrap();
+    }
+    (tree, flat)
+}
+
+/// Filesystem: the inode tree and the flat path map it replaced agree on
+/// every result — the error and the path inside it included — of every
+/// public operation, under three credentials, over normal and non-normal
+/// paths, with files in the way of directories and the reverse; and on
+/// everything a caller can see afterwards.
+#[test]
+fn inode_tree_matches_the_flat_map_model() {
+    let creds = fs_creds();
+    for case in 0..CASES {
+        let mut rng = case_rng("fs_model", case);
+        let (mut tree, mut flat) = provisioned_pair();
+        let mut seen = Vec::new();
+        let n_ops = rng.range_u64(20, 80);
+        for step in 0..n_ops {
+            let cred = pick(&mut rng, &[&creds[0], &creds[1], &creds[2]]);
+            let path = gen_fs_path(&mut rng, &mut seen);
+            let mode = FileMode(pick(&mut rng, &FS_MODES));
+            let at = format!("case {case} step {step} uid {} {path}", cred.uid.0);
+            match rng.range_u64(0, 10) {
+                0 | 1 => assert_eq!(tree.mkdir_p(&path, cred, mode), flat.mkdir_p(&path, cred, mode), "mkdir_p {at}"),
+                2 | 3 => {
+                    let content = format!("w{step}").into_bytes();
+                    assert_eq!(
+                        tree.write(&path, cred, content.clone(), mode),
+                        flat.write(&path, cred, content, mode),
+                        "write {at}"
+                    );
+                }
+                4 => {
+                    let dest = path;
+                    let files = gen_fs_tree(&mut rng);
+                    let file_mode = FileMode(pick(&mut rng, &FS_MODES));
+                    let borrowed = files.iter().map(|(rel, content)| (rel.as_str(), content.clone().into()));
+                    assert_eq!(
+                        tree.write_tree(&dest, cred, mode, file_mode, borrowed),
+                        flat.write_tree(&dest, cred, mode, file_mode, &files),
+                        "write_tree {at} files {files:?}"
+                    );
+                }
+                5 => assert_eq!(tree.remove(&path, cred), flat.remove(&path, cred), "remove {at}"),
+                6 => assert_eq!(tree.chmod(&path, cred, mode), flat.chmod(&path, cred, mode), "chmod {at}"),
+                7 => assert_eq!(
+                    tree.read(&path, cred).map(|content| content.to_vec()),
+                    flat.read(&path, cred),
+                    "read {at}"
+                ),
+                8 => {
+                    assert_eq!(tree.read_text(&path, cred), flat.read_text(&path, cred), "read_text {at}");
+                    assert_eq!(tree.list(&path, cred), flat.list(&path, cred), "list {at}");
+                }
+                _ => {
+                    assert_eq!(tree.exists(&path), flat.exists(&path), "exists {at}");
+                    assert_eq!(tree.is_dir(&path), flat.is_dir(&path), "is_dir {at}");
+                    assert_eq!(tree.size_of(&path), flat.size_of(&path), "size_of {at}");
+                    assert_eq!(tree.owner_of(&path), flat.owner_of(&path), "owner_of {at}");
+                }
+            }
+            assert_eq!(tree.entry_count(), flat.entry_count(), "entry_count after {at}");
+        }
+        assert_eq!(fs_view!(tree, creds), fs_view!(flat, creds), "case {case}: views differ");
+    }
+}
+
+/// Filesystem: `write_tree` is the per-file `mkdir_p` + `write` loop — the
+/// loop the `git` handler ran before it — with the same first error and the
+/// same filesystem afterwards, whatever state it starts from.
+#[test]
+fn write_tree_is_the_mkdir_p_write_loop() {
+    let creds = fs_creds();
+    for case in 0..CASES {
+        let mut rng = case_rng("fs_write_tree", case);
+        let (mut fs, _) = provisioned_pair();
+        let mut seen = Vec::new();
+        // A random prior state, so trees land on files, directories,
+        // other users' nodes and unsearchable directories.
+        for step in 0..rng.range_u64(0, 30) {
+            let cred = pick(&mut rng, &[&creds[0], &creds[1], &creds[2]]);
+            let path = gen_fs_path(&mut rng, &mut seen);
+            let mode = FileMode(pick(&mut rng, &FS_MODES));
+            let _ = match rng.range_u64(0, 4) {
+                0 | 1 => fs.mkdir_p(&path, cred, mode),
+                2 => fs.write(&path, cred, format!("p{step}"), mode),
+                _ => fs.chmod(&path, cred, mode),
+            };
+        }
+        for round in 0..4 {
+            let cred = pick(&mut rng, &[&creds[0], &creds[1], &creds[2]]);
+            let dest = gen_fs_path(&mut rng, &mut seen);
+            let files = gen_fs_tree(&mut rng);
+            let dir_mode = FileMode(pick(&mut rng, &FS_MODES));
+            let file_mode = FileMode(pick(&mut rng, &FS_MODES));
+            let mut looped = fs.clone();
+            let by_loop = files.iter().try_for_each(|(rel, content)| {
+                let target = format!("{dest}/{rel}");
+                let dir = target.rsplit_once('/').map(|(dir, _)| dir).expect("joined with a slash");
+                looped.mkdir_p(dir, cred, dir_mode)?;
+                looped.write(&target, cred, content.clone(), file_mode)
+            });
+            let by_tree = fs.write_tree(
+                &dest,
+                cred,
+                dir_mode,
+                file_mode,
+                files.iter().map(|(rel, content)| (rel.as_str(), content.clone().into())),
+            );
+            let at = format!("case {case} round {round} uid {} dest {dest} files {files:?}", cred.uid.0);
+            assert_eq!(by_tree, by_loop, "first error: {at}");
+            assert_eq!(fs_view!(fs, creds), fs_view!(looped, creds), "end state: {at}");
+        }
+    }
+}
+
 /// Scheduler: whatever mix of jobs is submitted, core accounting never
 /// goes negative or exceeds capacity, and every job reaches a terminal
 /// state by the time the machine drains.

@@ -225,3 +225,66 @@ fn ha_policy_restricts_identity_providers_at_the_endpoint() {
         TaskState::Rejected { .. }
     ));
 }
+
+/// §5.2 for the clone itself: a CI clone is `0644` files under `0700`
+/// directories, and the MEP maps many identities onto one site. Another
+/// mapped user's task must not reach the files through their own mode bits.
+#[test]
+fn invariant_ii_another_mapped_user_cannot_read_or_list_a_ci_clone() {
+    let mut fed = Federation::builder(7).build();
+    let alice = fed.onboard_user("alice@uchicago.edu", "uchicago.edu");
+    let bob = fed.onboard_user("bob@uchicago.edu", "uchicago.edu");
+    let site = fed.add_site(Site::tamu_faster(), 64);
+    {
+        let mut rt = fed.site(site).shared.lock();
+        rt.site.add_account("x-alice", "projA");
+        rt.site.add_account("x-bob", "projB");
+        rt.commands.register("cat", |env| match env.site.fs.read_text(env.args(), env.cred) {
+            Ok(contents) => hpcci::faas::ExecOutcome::ok(contents, 0.1),
+            Err(e) => hpcci::faas::ExecOutcome::fail(e.to_string(), 0.1),
+        });
+        rt.commands.register("ls", |env| match env.site.fs.list(env.args(), env.cred) {
+            Ok(names) => hpcci::faas::ExecOutcome::ok(names.join("\n"), 0.1),
+            Err(e) => hpcci::faas::ExecOutcome::fail(e.to_string(), 0.1),
+        });
+    }
+    let mut mapping = IdentityMapping::new("tamu-faster");
+    mapping.add_explicit("alice@uchicago.edu", "x-alice");
+    mapping.add_explicit("bob@uchicago.edu", "x-bob");
+    fed.register(EndpointSpec::multi_user("mep-faster", site, mapping, MepTemplate::login_only()));
+    let now = fed.now();
+    fed.hosting.lock().create_repo("lab", "app", now);
+    let tree = hpcci::vcs::WorkTree::new()
+        .with_file("README.md", "# app\n")
+        .with_file("conf/deploy.env", "ALLOCATION=projA\n");
+    fed.hosting.lock().push("lab/app", "main", tree, "alice", "import", now).unwrap();
+
+    let ep = EndpointId("mep-faster".to_string());
+    let mut run_as = |user: &hpcci::correct::federation::OnboardedUser, command: &str| {
+        let token = token_for(&fed, user);
+        let task = {
+            let mut cloud = fed.cloud.lock();
+            let now = cloud.now();
+            cloud.submit_shell(&token, &ep, command, now).unwrap()
+        };
+        while fed.world().step() {}
+        fed.cloud.lock().task_result(task).unwrap().clone()
+    };
+    let clone = "/scratch/x-alice/gc-action-temp/app";
+    let cloned = run_as(&alice, "git clone https://github.sim/lab/app.git");
+    assert!(cloned.success(), "{}", cloned.stderr);
+    let own = run_as(&alice, &format!("cat {clone}/conf/deploy.env"));
+    assert_eq!(own.stdout, "ALLOCATION=projA\n");
+
+    for command in [
+        format!("cat {clone}/README.md"),
+        format!("cat {clone}/conf/deploy.env"),
+        format!("ls {clone}"),
+        format!("ls {clone}/conf"),
+    ] {
+        let out = run_as(&bob, &command);
+        assert_eq!(out.ran_as, "x-bob");
+        assert!(!out.success(), "`{command}` as x-bob must fail, printed: {}", out.stdout);
+        assert!(out.stderr.contains("permission denied"), "{command}: {}", out.stderr);
+    }
+}
