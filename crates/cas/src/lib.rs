@@ -15,7 +15,9 @@
 //!   fixed-size chunks, each unique chunk stored exactly once, and duplicate
 //!   `put`s cost no new bytes. The store tracks *logical* bytes (what callers
 //!   uploaded) against *stored* bytes (unique chunk payload), the dedup ratio
-//!   the CI artifact layer reports.
+//!   the CI artifact layer reports. A holder that knows an address takes its
+//!   reference with `retain` (no re-hash), and a [`CasPin`] keeps an object
+//!   alive without counting as an upload.
 //!
 //! Handles ([`CasStore`] clones) share one underlying store, so the CI
 //! engine's step cache and artifact store can dedup against each other.
@@ -24,4 +26,4 @@ mod digest;
 mod store;
 
 pub use digest::{Digest, DigestBuilder};
-pub use store::{CasStats, CasStore, DEFAULT_CHUNK_SIZE};
+pub use store::{CasPin, CasStats, CasStore, Stored, DEFAULT_CHUNK_SIZE};

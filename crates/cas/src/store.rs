@@ -53,6 +53,17 @@ pub struct CasStats {
     pub dedup_hits: u64,
 }
 
+/// What [`CasStore::store`] hands back: the address, the store's own view of
+/// the content, and how much the store grew.
+#[derive(Debug, Clone)]
+pub struct Stored {
+    pub digest: Digest,
+    /// Shares storage with the store and every other holder of the object.
+    pub content: Bytes,
+    /// Unique chunk bytes this call added (zero for a duplicate).
+    pub added_bytes: u64,
+}
+
 /// A cloneable handle to a shared content-addressed store.
 ///
 /// All clones address the same storage, so independent layers (the artifact
@@ -60,6 +71,112 @@ pub struct CasStats {
 #[derive(Clone)]
 pub struct CasStore {
     inner: Arc<Mutex<Inner>>,
+}
+
+/// Keeps one object alive for as long as it is held, without counting as an
+/// upload: a pin is a reference, not logical bytes, so [`CasStats`] reads the
+/// same with or without it. Dropping the pin drops the reference.
+pub struct CasPin {
+    store: CasStore,
+    digest: Digest,
+}
+
+impl std::fmt::Debug for CasPin {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "CasPin({})", self.digest.short())
+    }
+}
+
+impl Drop for CasPin {
+    fn drop(&mut self) {
+        self.store.inner.lock().drop_ref(self.digest);
+    }
+}
+
+impl Inner {
+    /// Store `data` (or count one more reference to it); returns the digest
+    /// and the unique chunk bytes added.
+    fn insert(&mut self, data: &[u8]) -> (Digest, u64) {
+        let digest = Digest::of_bytes(data);
+        self.logical_bytes += data.len() as u64;
+        if let Some(obj) = self.objects.get_mut(&digest) {
+            obj.refs += 1;
+            self.dedup_hits += 1;
+            return (digest, 0);
+        }
+        let before = self.stored_bytes;
+        let mut chunk_ids = Vec::with_capacity(data.len() / self.chunk_size + 1);
+        // An empty object has no chunks; its view is the canonical empty Bytes.
+        for part in data.chunks(self.chunk_size) {
+            let cid = Digest::of_bytes(part);
+            match self.chunks.get_mut(&cid) {
+                Some(chunk) => chunk.refs += 1,
+                None => {
+                    self.stored_bytes += part.len() as u64;
+                    self.chunks.insert(
+                        cid,
+                        Chunk {
+                            data: Bytes::from(part.to_vec()),
+                            refs: 1,
+                        },
+                    );
+                }
+            }
+            chunk_ids.push(cid);
+        }
+        let assembled = match chunk_ids.as_slice() {
+            [] => Some(Bytes::new()),
+            [only] => Some(self.chunks[only].data.clone()),
+            _ => None,
+        };
+        self.objects.insert(
+            digest,
+            Object {
+                chunks: chunk_ids,
+                len: data.len() as u64,
+                refs: 1,
+                assembled,
+            },
+        );
+        (digest, self.stored_bytes - before)
+    }
+
+    /// The shared view of an object, assembling it on first use.
+    fn view(&mut self, digest: Digest) -> Option<Bytes> {
+        let obj = self.objects.get(&digest)?;
+        if let Some(b) = &obj.assembled {
+            return Some(b.clone());
+        }
+        let mut buf = Vec::with_capacity(obj.len as usize);
+        for cid in &obj.chunks {
+            buf.extend_from_slice(&self.chunks[cid].data);
+        }
+        let assembled = Bytes::from(buf);
+        self.objects.get_mut(&digest).unwrap().assembled = Some(assembled.clone());
+        Some(assembled)
+    }
+
+    /// Drop one reference; the last one reclaims the object and any chunks
+    /// it solely owned. Returns the object's length if it was present.
+    fn drop_ref(&mut self, digest: Digest) -> Option<u64> {
+        let obj = self.objects.get_mut(&digest)?;
+        obj.refs -= 1;
+        let len = obj.len;
+        if obj.refs > 0 {
+            return Some(len);
+        }
+        let obj = self.objects.remove(&digest).unwrap();
+        for cid in obj.chunks {
+            let chunk = self.chunks.get_mut(&cid).unwrap();
+            chunk.refs -= 1;
+            if chunk.refs == 0 {
+                let freed = chunk.data.len() as u64;
+                self.chunks.remove(&cid);
+                self.stored_bytes -= freed;
+            }
+        }
+        Some(len)
+    }
 }
 
 impl Default for CasStore {
@@ -92,69 +209,47 @@ impl CasStore {
     /// Store `data`, returning its digest. Re-putting existing content bumps
     /// the object refcount and costs no new stored bytes.
     pub fn put(&self, data: &[u8]) -> Digest {
-        let digest = Digest::of_bytes(data);
+        self.inner.lock().insert(data).0
+    }
+
+    /// [`put`](Self::put) that also hands back the shared view and the bytes
+    /// the store grew by, under one lock.
+    pub fn store(&self, data: &[u8]) -> Stored {
         let mut inner = self.inner.lock();
-        inner.logical_bytes += data.len() as u64;
-        if let Some(obj) = inner.objects.get_mut(&digest) {
-            obj.refs += 1;
-            inner.dedup_hits += 1;
-            return digest;
-        }
-        let chunk_size = inner.chunk_size;
-        let mut chunk_ids = Vec::with_capacity(data.len() / chunk_size + 1);
-        if data.is_empty() {
-            // Zero-chunk object; assembled view is the canonical empty Bytes.
-        } else {
-            for part in data.chunks(chunk_size) {
-                let cid = Digest::of_bytes(part);
-                match inner.chunks.get_mut(&cid) {
-                    Some(chunk) => chunk.refs += 1,
-                    None => {
-                        inner.stored_bytes += part.len() as u64;
-                        inner.chunks.insert(
-                            cid,
-                            Chunk {
-                                data: Bytes::from(part.to_vec()),
-                                refs: 1,
-                            },
-                        );
-                    }
-                }
-                chunk_ids.push(cid);
-            }
-        }
-        let assembled = match chunk_ids.as_slice() {
-            [] => Some(Bytes::new()),
-            [only] => Some(inner.chunks[only].data.clone()),
-            _ => None,
-        };
-        inner.objects.insert(
+        let (digest, added_bytes) = inner.insert(data);
+        let content = inner.view(digest).expect("just stored");
+        Stored {
             digest,
-            Object {
-                chunks: chunk_ids,
-                len: data.len() as u64,
-                refs: 1,
-                assembled,
-            },
-        );
-        digest
+            content,
+            added_bytes,
+        }
     }
 
     /// Fetch an object. The returned `Bytes` shares storage with the store
     /// (and with every other fetch of the same object).
     pub fn get(&self, digest: Digest) -> Option<Bytes> {
+        self.inner.lock().view(digest)
+    }
+
+    /// Take one more reference to an object the store already holds, by its
+    /// address: the accounting of a duplicate [`put`](Self::put) without
+    /// re-hashing the content. `None` when the object is not here.
+    pub fn retain(&self, digest: Digest) -> Option<Bytes> {
         let mut inner = self.inner.lock();
-        let obj = inner.objects.get(&digest)?;
-        if let Some(b) = &obj.assembled {
-            return Some(b.clone());
-        }
-        let mut buf = Vec::with_capacity(obj.len as usize);
-        for cid in &obj.chunks {
-            buf.extend_from_slice(&inner.chunks[cid].data);
-        }
-        let assembled = Bytes::from(buf);
-        inner.objects.get_mut(&digest).unwrap().assembled = Some(assembled.clone());
-        Some(assembled)
+        let content = inner.view(digest)?;
+        inner.objects.get_mut(&digest).unwrap().refs += 1;
+        inner.logical_bytes += content.len() as u64;
+        inner.dedup_hits += 1;
+        Some(content)
+    }
+
+    /// Pin an object the store already holds; `None` when it is not here.
+    pub fn pin(&self, digest: Digest) -> Option<CasPin> {
+        self.inner.lock().objects.get_mut(&digest)?.refs += 1;
+        Some(CasPin {
+            store: self.clone(),
+            digest,
+        })
     }
 
     pub fn contains(&self, digest: Digest) -> bool {
@@ -166,33 +261,18 @@ impl CasStore {
         self.inner.lock().objects.get(&digest).map(|o| o.len)
     }
 
-    /// Drop one reference to an object; when the last reference goes, the
-    /// object and any chunks it solely owned are reclaimed. Returns whether
-    /// the digest was present.
+    /// Drop one reference taken by `put`/`store`/`retain`; when the last
+    /// reference goes, the object and any chunks it solely owned are
+    /// reclaimed. Returns whether the digest was present.
     pub fn release(&self, digest: Digest) -> bool {
         let mut inner = self.inner.lock();
-        let (len, last_ref) = match inner.objects.get_mut(&digest) {
-            None => return false,
-            Some(obj) => {
-                obj.refs -= 1;
-                (obj.len, obj.refs == 0)
+        match inner.drop_ref(digest) {
+            Some(len) => {
+                inner.logical_bytes = inner.logical_bytes.saturating_sub(len);
+                true
             }
-        };
-        inner.logical_bytes = inner.logical_bytes.saturating_sub(len);
-        if !last_ref {
-            return true;
+            None => false,
         }
-        let obj = inner.objects.remove(&digest).unwrap();
-        for cid in obj.chunks {
-            let chunk = inner.chunks.get_mut(&cid).unwrap();
-            chunk.refs -= 1;
-            if chunk.refs == 0 {
-                let freed = chunk.data.len() as u64;
-                inner.chunks.remove(&cid);
-                inner.stored_bytes -= freed;
-            }
-        }
-        true
     }
 
     pub fn stats(&self) -> CasStats {
@@ -291,6 +371,53 @@ mod tests {
         assert!(cas.contains(d), "one reference must remain");
         assert!(cas.release(d));
         assert!(!cas.contains(d));
+    }
+
+    #[test]
+    fn store_reports_the_view_and_the_growth() {
+        let cas = CasStore::with_chunk_size(4);
+        let first = cas.store(b"aaaabbbbcc");
+        assert_eq!(first.content.as_ref(), b"aaaabbbbcc");
+        assert_eq!(first.added_bytes, 10);
+        // Shares two leading chunks with the first object.
+        assert_eq!(cas.store(b"aaaabbbbdd").added_bytes, 2);
+        let again = cas.store(b"aaaabbbbcc");
+        assert_eq!((again.digest, again.added_bytes), (first.digest, 0));
+        assert_eq!(cas.stats().stored_bytes, 12);
+    }
+
+    #[test]
+    fn retain_accounts_like_a_duplicate_put() {
+        let by_put = CasStore::new();
+        let by_retain = CasStore::new();
+        let d = by_put.put(b"payload");
+        by_put.put(b"payload");
+        by_retain.put(b"payload");
+        assert_eq!(by_retain.retain(d).unwrap().as_ref(), b"payload");
+        assert_eq!(by_put.stats(), by_retain.stats());
+        assert!(by_retain.release(d) && by_retain.release(d));
+        assert!(!by_retain.contains(d));
+        assert!(
+            by_retain.retain(d).is_none(),
+            "nothing to retain once reclaimed"
+        );
+    }
+
+    #[test]
+    fn a_pin_holds_the_object_and_no_bytes() {
+        let cas = CasStore::new();
+        let d = cas.put(b"kept");
+        let unpinned = cas.stats();
+        let pin = cas.pin(d).expect("present");
+        assert_eq!(cas.stats(), unpinned, "a pin is not an upload");
+        assert!(cas.release(d));
+        assert!(cas.contains(d), "the pin outlives the last upload");
+        assert_eq!(cas.stats().logical_bytes, 0);
+        assert_eq!(cas.stats().stored_bytes, 4);
+        drop(pin);
+        assert!(!cas.contains(d));
+        assert_eq!(cas.stats().stored_bytes, 0);
+        assert!(cas.pin(d).is_none());
     }
 
     #[test]

@@ -73,7 +73,62 @@ impl ArtifactStore {
         content: impl Into<Bytes>,
         now: SimTime,
     ) -> Digest {
+        self.upload_accounted(run, name, content, now).0
+    }
+
+    /// [`upload`](Self::upload) that also reports the bytes storage grew by:
+    /// zero for content the CAS already holds, the content's length when no
+    /// CAS is attached.
+    pub(crate) fn upload_accounted(
+        &mut self,
+        run: RunId,
+        name: &str,
+        content: impl Into<Bytes>,
+        now: SimTime,
+    ) -> (Digest, u64) {
         let content = content.into();
+        let (digest, content, stored) = match &self.cas {
+            // The store's view of the content is the CAS object itself:
+            // duplicate uploads share one allocation.
+            Some(cas) => {
+                let s = cas.store(&content);
+                (s.digest, s.content, s.added_bytes)
+            }
+            None => {
+                let len = content.len() as u64;
+                (Digest::NONE, content, len)
+            }
+        };
+        self.attach(run, name, digest, content, now);
+        (digest, stored)
+    }
+
+    /// Take one CAS reference per artifact a cached step names, by digest —
+    /// the accounting of uploading the same bytes again, without hashing
+    /// them. All or nothing: `false` (and no reference kept) when any of
+    /// them is not in this store's CAS. On `true`, `out` holds the contents
+    /// in order, ready for [`attach`](Self::attach).
+    pub(crate) fn retain_cached(&self, refs: &[(String, Digest, u64)], out: &mut Vec<Bytes>) -> bool {
+        out.clear();
+        let Some(cas) = &self.cas else {
+            return refs.is_empty();
+        };
+        for (_, digest, _) in refs {
+            let Some(content) = cas.retain(*digest) else {
+                for (_, held, _) in &refs[..out.len()] {
+                    cas.release(*held);
+                }
+                out.clear();
+                return false;
+            };
+            out.push(content);
+        }
+        true
+    }
+
+    /// List `content` — already stored under `digest`, its reference already
+    /// taken — as an artifact of `run`.
+    pub(crate) fn attach(&mut self, run: RunId, name: &str, digest: Digest, content: Bytes, now: SimTime) {
         if let Some(inj) = &self.injector {
             if inj.corruption_due(name, now) {
                 // The first write lands corrupted; the store's checksum
@@ -87,15 +142,6 @@ impl ArtifactStore {
                 );
             }
         }
-        let (content, digest) = match &self.cas {
-            Some(cas) => {
-                let digest = cas.put(&content);
-                // The store's view of the content is the CAS object itself:
-                // duplicate uploads share one allocation.
-                (cas.get(digest).expect("just stored"), digest)
-            }
-            None => (content, Digest::NONE),
-        };
         self.by_run.entry(run).or_default().push(Artifact {
             run,
             name: name.to_string(),
@@ -104,7 +150,6 @@ impl ArtifactStore {
             uploaded_at: now,
             expires_at: now + RETENTION,
         });
-        digest
     }
 
     /// Fetch a live artifact by run and name.
@@ -200,6 +245,54 @@ mod tests {
         assert_eq!(
             store.fetch(RunId(2), "out", SimTime::from_secs(1)).unwrap().text(),
             "same payload"
+        );
+    }
+
+    #[test]
+    fn upload_accounted_reports_what_storage_grew_by() {
+        let mut bare = ArtifactStore::new();
+        assert_eq!(
+            bare.upload_accounted(RunId(1), "a", "12345", SimTime::ZERO),
+            (Digest::NONE, 5)
+        );
+        let mut store = ArtifactStore::new();
+        store.attach_cas(CasStore::new());
+        let (d, first) = store.upload_accounted(RunId(1), "a", "12345", SimTime::ZERO);
+        assert_eq!(first, 5);
+        assert_eq!(
+            store.upload_accounted(RunId(2), "a", "12345", SimTime::ZERO),
+            (d, 0)
+        );
+    }
+
+    #[test]
+    fn retain_cached_is_all_or_nothing() {
+        let mut store = ArtifactStore::new();
+        let cas = CasStore::new();
+        store.attach_cas(cas.clone());
+        let here = store.upload(RunId(1), "log", "kept", SimTime::ZERO);
+        let refs = |digests: &[Digest]| -> Vec<(String, Digest, u64)> {
+            digests.iter().map(|d| ("log".to_string(), *d, 4)).collect()
+        };
+        let before = cas.stats();
+        let mut out = Vec::new();
+        assert!(!store.retain_cached(&refs(&[here, Digest::of_str("elsewhere")]), &mut out));
+        assert!(out.is_empty());
+        assert_eq!(
+            cas.stats().logical_bytes,
+            before.logical_bytes,
+            "the partial hold was released"
+        );
+
+        assert!(store.retain_cached(&refs(&[here]), &mut out));
+        assert_eq!(out[0].as_ref(), b"kept");
+        store.attach(RunId(2), "log", here, out.pop().unwrap(), SimTime::ZERO);
+        // Same books as uploading the bytes a second time.
+        assert_eq!(cas.stats().logical_bytes, 8);
+        assert_eq!(cas.stats().stored_bytes, 4);
+        assert_eq!(
+            store.fetch(RunId(2), "log", SimTime::ZERO).unwrap().text(),
+            "kept"
         );
     }
 

@@ -10,23 +10,33 @@
 //!
 //! * the repository tree (commit id) the run checked out,
 //! * the step's fully interpolated action (command / `uses:` inputs),
-//! * a fingerprint of every secret resolved for the job (rotated credentials
-//!   invalidate),
+//! * every secret resolved for the job (rotated credentials invalidate),
 //! * the target site's software-stack digest (a package upgrade invalidates),
-//! * the runner label the job landed on,
+//! * the runner the job landed on,
 //! * a chained digest of every prior step result in the run (dataflow:
 //!   `upload-artifact` reads earlier stdout, so earlier changes propagate).
+//!
+//! A hit costs a hash probe and a few dozen hashed bytes, whatever the size
+//! of the log it replays: the job-invariant key fields are absorbed once per
+//! job ([`JobKeyPrefix`]), the recorded outcome is shared with the run that
+//! produced it rather than copied ([`StepEntry`]), its digest is stored
+//! beside it ([`result_digest`] runs once, at execution), and artifacts are
+//! re-attached by the CAS address the entry already names. The entry holds
+//! its own CAS reference to each artifact, so the 90-day retention purge of
+//! the producing run cannot strand it.
 //!
 //! Infrastructure-flavored results are **never** cached ([`infra_tainted`]):
 //! a verdict shaped by an endpoint outage, a retry, a failover, or a token
 //! refresh reflects the infrastructure of that moment, not the code under
 //! test — replaying it would launder a transient fault into a permanent one.
 
-use crate::run::StepRun;
-use crate::workflow::{interpolate_cow, StepAction, StepDef};
-use hpcci_cas::{CasStore, Digest, DigestBuilder};
+use crate::run::StepOutcome;
+use crate::runner::Runner;
+use crate::workflow::ResolvedAction;
+use hpcci_cas::{CasPin, CasStore, Digest, DigestBuilder};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// How the engine uses the step cache.
@@ -42,47 +52,62 @@ pub enum CacheMode {
     Replay,
 }
 
+/// The part of a step key every step of one job shares — tree, job, the
+/// job's resolved secrets, the runner it landed on — absorbed once per job.
+/// Each step continues from a copy of this 16-byte hash state.
+#[derive(Debug, Clone)]
+pub struct JobKeyPrefix(DigestBuilder);
+
+impl JobKeyPrefix {
+    pub fn new(
+        tree: &str,
+        job: &str,
+        secrets: &BTreeMap<String, String>,
+        runner: &Runner,
+    ) -> JobKeyPrefix {
+        let [class, name, arch] = runner.cache_identity();
+        let mut b = DigestBuilder::new()
+            .str_field("tree", tree)
+            .str_field("job", job)
+            .str_field("runner", class)
+            .str_field("name", name)
+            .str_field("arch", arch);
+        for (k, v) in secrets {
+            b = b.str_field("secret", k).str_field("is", v);
+        }
+        JobKeyPrefix(b)
+    }
+}
+
 /// Canonical identity of one step execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StepKey(pub Digest);
 
 impl StepKey {
-    /// Derive the cache key for a step about to execute.
-    #[allow(clippy::too_many_arguments)]
+    /// Derive the cache key for a step about to execute. `action` is the
+    /// step's action in its fully interpolated form: what would actually run.
     pub fn derive(
-        tree: &str,
-        job: &str,
-        step: &StepDef,
-        secrets: &BTreeMap<String, String>,
-        env_vars: &BTreeMap<String, String>,
+        prefix: &JobKeyPrefix,
+        step_id: &str,
+        action: &ResolvedAction<'_>,
         stack: Digest,
-        runner_label: &str,
         prior_chain: Digest,
     ) -> StepKey {
-        let mut b = DigestBuilder::new()
-            .str_field("tree", tree)
-            .str_field("job", job)
-            .str_field("step", &step.id)
-            .digest_field("secrets", fingerprint_map("secret", secrets))
+        let mut b = prefix
+            .0
+            .clone()
+            .str_field("step", step_id)
             .digest_field("stack", stack)
-            .str_field("runner", runner_label)
             .digest_field("prior", prior_chain);
-        // The action in its fully interpolated form: what would actually run.
-        match &step.action {
-            StepAction::Run { command } => {
-                // `interpolate_cow` digests placeholder-free commands (the
-                // common case) straight from the definition — no temporary.
-                b = b.str_field("run", &interpolate_cow(command, secrets, env_vars));
-            }
-            StepAction::Uses { action, with } => {
+        match action {
+            ResolvedAction::Run { command } => b = b.str_field("run", command),
+            ResolvedAction::Uses { action, with } => {
                 b = b.str_field("uses", action);
                 for (k, v) in with {
-                    b = b
-                        .str_field("with-key", k)
-                        .str_field("with-val", &interpolate_cow(v, secrets, env_vars));
+                    b = b.str_field("with", k).str_field("is", v);
                 }
             }
-            StepAction::UploadArtifact { name, from_step } => {
+            ResolvedAction::UploadArtifact { name, from_step } => {
                 b = b.str_field("upload", name).str_field("from", from_step);
             }
         }
@@ -90,11 +115,16 @@ impl StepKey {
     }
 }
 
-/// Canonical digest of a string map (secrets, env vars).
-pub fn fingerprint_map(label: &str, map: &BTreeMap<String, String>) -> Digest {
-    let mut b = DigestBuilder::new().str_field("map", label);
-    for (k, v) in map {
-        b = b.str_field("key", k).str_field("val", v);
+/// Digest of everything a later step can read from a finished one. Computed
+/// once, when the step executes; a cache entry stores it so a replay never
+/// hashes the log again.
+pub fn result_digest(outcome: &StepOutcome) -> Digest {
+    let mut b = DigestBuilder::new()
+        .u64_field("success", outcome.success as u64)
+        .str_field("stdout", &outcome.stdout)
+        .str_field("stderr", &outcome.stderr);
+    for (k, v) in &outcome.outputs {
+        b = b.str_field("output", k).str_field("is", v);
     }
     b.finish()
 }
@@ -102,19 +132,16 @@ pub fn fingerprint_map(label: &str, map: &BTreeMap<String, String>) -> Digest {
 /// Fold one completed step into the running prior-result chain digest.
 ///
 /// Later steps may consume earlier stdout/stderr/outputs (`upload-artifact`
-/// does), so the chain makes any upstream change invalidate downstream keys.
-pub fn chain_digest(prior: Digest, step: &StepRun) -> Digest {
-    let mut b = DigestBuilder::new()
-        .digest_field("prior", prior)
-        .str_field("job", &step.job)
-        .str_field("step", &step.step)
-        .u64_field("success", step.success as u64)
-        .str_field("stdout", &step.stdout)
-        .str_field("stderr", &step.stderr);
-    for (k, v) in &step.outputs {
-        b = b.str_field("out-key", k).str_field("out-val", v);
-    }
-    b.finish()
+/// does, by step id), so the chain makes any upstream change invalidate
+/// downstream keys. `came_from` is the finished step's key — which already
+/// covers the chain before it, the step's identity and its inputs — or the
+/// chain so far for a record that never had a key; `result` is its
+/// [`result_digest`]. Executed and replayed steps fold the same two values.
+pub fn chain_digest(came_from: Digest, result: Digest) -> Digest {
+    DigestBuilder::new()
+        .digest_field("from", came_from)
+        .digest_field("result", result)
+        .finish()
 }
 
 /// Log lines the CORRECT action and the fault injector leave behind when a
@@ -137,8 +164,8 @@ pub fn infra_tainted(stdout: &str, stderr: &str, outputs: &BTreeMap<String, Stri
         .any(|m| stdout.contains(m) || stderr.contains(m))
 }
 
-/// A memoized step result: everything needed to replay the step without
-/// executing it, bit-for-bit.
+/// A step result as a caller hands it to [`StepCache::record`]: everything
+/// needed to replay the step without executing it, bit-for-bit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CachedStep {
     pub success: bool,
@@ -155,6 +182,23 @@ pub struct CachedStep {
     pub duration_us: u64,
 }
 
+/// A memoized step result as the cache holds it and [`StepCache::lookup`]
+/// shares it: a hit copies no log, hashes no log and re-hashes no artifact.
+#[derive(Debug)]
+pub struct StepEntry {
+    /// The same allocation the producing run's `StepRun` holds.
+    pub outcome: Arc<StepOutcome>,
+    /// [`result_digest`] of `outcome`.
+    pub result: Digest,
+    /// `(name, CAS digest, logical length)`, as in [`CachedStep`].
+    pub artifacts: Vec<(String, Digest, u64)>,
+    pub duration_us: u64,
+    /// One CAS reference per artifact found in the cache's store when the
+    /// entry was recorded: retention purging a run's uploads cannot take an
+    /// artifact away from the entry that replays it.
+    _pins: Vec<CasPin>,
+}
+
 /// Point-in-time cache accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
@@ -165,11 +209,12 @@ pub struct CacheStats {
     pub uncacheable: u64,
 }
 
-struct CacheInner {
-    entries: HashMap<Digest, CachedStep>,
-    hits: u64,
-    misses: u64,
-    uncacheable: u64,
+#[derive(Default)]
+struct Shared {
+    entries: Mutex<HashMap<Digest, Arc<StepEntry>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    uncacheable: AtomicU64,
 }
 
 /// A cloneable, shareable step-result cache backed by a [`CasStore`].
@@ -179,7 +224,7 @@ struct CacheInner {
 /// cold-vs-warm comparison and any real cross-run reuse work this way.
 #[derive(Clone)]
 pub struct StepCache {
-    inner: Arc<Mutex<CacheInner>>,
+    shared: Arc<Shared>,
     cas: CasStore,
 }
 
@@ -198,12 +243,7 @@ impl StepCache {
     /// against content other layers already hold.
     pub fn with_cas(cas: CasStore) -> StepCache {
         StepCache {
-            inner: Arc::new(Mutex::new(CacheInner {
-                entries: HashMap::new(),
-                hits: 0,
-                misses: 0,
-                uncacheable: 0,
-            })),
+            shared: Arc::default(),
             cas,
         }
     }
@@ -213,65 +253,97 @@ impl StepCache {
         &self.cas
     }
 
-    /// Look a key up without touching hit/miss accounting (the engine calls
-    /// [`note_hit`](Self::note_hit)/[`note_miss`](Self::note_miss) once it
-    /// knows how the lookup was used).
-    pub fn lookup(&self, key: &StepKey) -> Option<CachedStep> {
-        self.inner.lock().entries.get(&key.0).cloned()
+    /// Look a key up — a probe and a refcount bump — without touching
+    /// hit/miss accounting (the engine calls [`note_hit`](Self::note_hit)/
+    /// [`note_miss`](Self::note_miss) once it knows how the lookup was used).
+    pub fn lookup(&self, key: &StepKey) -> Option<Arc<StepEntry>> {
+        self.shared.entries.lock().get(&key.0).cloned()
     }
 
     pub fn record(&self, key: &StepKey, entry: CachedStep) {
-        self.inner.lock().entries.insert(key.0, entry);
+        let outcome = Arc::new(StepOutcome {
+            success: entry.success,
+            stdout: entry.stdout,
+            stderr: entry.stderr,
+            outputs: entry.outputs,
+        });
+        let result = result_digest(&outcome);
+        self.record_outcome(key, outcome, result, entry.artifacts, entry.duration_us);
+    }
+
+    /// [`record`](Self::record) for a caller that already shares the outcome
+    /// and has its digest: stores the handle, hashes nothing.
+    pub(crate) fn record_outcome(
+        &self,
+        key: &StepKey,
+        outcome: Arc<StepOutcome>,
+        result: Digest,
+        artifacts: Vec<(String, Digest, u64)>,
+        duration_us: u64,
+    ) {
+        let pins = artifacts
+            .iter()
+            .filter_map(|(_, digest, _)| self.cas.pin(*digest))
+            .collect();
+        let entry = Arc::new(StepEntry {
+            outcome,
+            result,
+            artifacts,
+            duration_us,
+            _pins: pins,
+        });
+        self.shared.entries.lock().insert(key.0, entry);
     }
 
     pub fn note_hit(&self) {
-        self.inner.lock().hits += 1;
+        self.shared.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn note_miss(&self) {
-        self.inner.lock().misses += 1;
+        self.shared.misses.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn note_uncacheable(&self) {
-        self.inner.lock().uncacheable += 1;
+        self.shared.uncacheable.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock();
         CacheStats {
-            entries: inner.entries.len() as u64,
-            hits: inner.hits,
-            misses: inner.misses,
-            uncacheable: inner.uncacheable,
+            entries: self.len() as u64,
+            hits: self.shared.hits.load(Ordering::Relaxed),
+            misses: self.shared.misses.load(Ordering::Relaxed),
+            uncacheable: self.shared.uncacheable.load(Ordering::Relaxed),
         }
     }
 
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        self.shared.entries.lock().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().entries.is_empty()
+        self.shared.entries.lock().is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcci_sim::SimTime;
+    use crate::workflow::StepDef;
 
-    fn base_key(command: &str, tree: &str, stack: Digest) -> StepKey {
+    fn key_on(runner: &Runner, command: &str, tree: &str, stack: Digest) -> StepKey {
+        let none = BTreeMap::new();
         let step = StepDef::run("build", command);
         StepKey::derive(
-            tree,
-            "job",
-            &step,
-            &BTreeMap::new(),
-            &BTreeMap::new(),
+            &JobKeyPrefix::new(tree, "job", &none, runner),
+            &step.id,
+            &step.action.resolve(&none, &none),
             stack,
-            "ubuntu-latest",
             Digest::NONE,
         )
+    }
+
+    fn base_key(command: &str, tree: &str, stack: Digest) -> StepKey {
+        key_on(&Runner::hosted(0, "ubuntu-latest"), command, tree, stack)
     }
 
     #[test]
@@ -291,6 +363,14 @@ mod tests {
             base_key("make", "t1", Digest::of_str("gcc-13")),
             "stack"
         );
+        // A self-hosted runner at a site named like a hosted label is still
+        // a different substrate.
+        let selfh = Runner::self_hosted(0, "ubuntu-latest");
+        assert_ne!(
+            base,
+            key_on(&selfh, "make", "t1", Digest::NONE),
+            "runner class"
+        );
     }
 
     #[test]
@@ -300,13 +380,10 @@ mod tests {
             let mut secrets = BTreeMap::new();
             secrets.insert("T".to_string(), secret.to_string());
             StepKey::derive(
-                "t",
-                "j",
-                &step,
-                &secrets,
-                &BTreeMap::new(),
+                &JobKeyPrefix::new("t", "j", &secrets, &Runner::hosted(0, "r")),
+                &step.id,
+                &step.action.resolve(&secrets, &BTreeMap::new()),
                 Digest::NONE,
-                "r",
                 Digest::NONE,
             )
         };
@@ -315,19 +392,60 @@ mod tests {
 
     #[test]
     fn chain_propagates_prior_changes() {
-        let mk = |stdout: &str| StepRun {
-            job: "j".into(),
-            step: "s".into(),
-            success: true,
-            stdout: stdout.into(),
-            stderr: String::new(),
-            outputs: BTreeMap::new(),
-            started: SimTime::ZERO,
-            ended: SimTime::ZERO,
+        let result = |stdout: &str| {
+            result_digest(&StepOutcome {
+                success: true,
+                stdout: stdout.into(),
+                ..StepOutcome::default()
+            })
         };
-        let a = chain_digest(Digest::NONE, &mk("4 passed"));
-        let b = chain_digest(Digest::NONE, &mk("3 passed, 1 failed"));
-        assert_ne!(a, b);
+        let from = Digest::of_str("the step's key");
+        let a = chain_digest(from, result("4 passed"));
+        assert_eq!(a, chain_digest(from, result("4 passed")));
+        assert_ne!(a, chain_digest(from, result("3 passed, 1 failed")));
+        assert_ne!(
+            a,
+            chain_digest(Digest::of_str("another step"), result("4 passed"))
+        );
+    }
+
+    #[test]
+    fn result_digest_covers_every_field_a_later_step_can_read() {
+        let base = StepOutcome {
+            success: true,
+            stdout: "out".into(),
+            stderr: "err".into(),
+            outputs: [("k".to_string(), "v".to_string())].into(),
+        };
+        let variants = [
+            StepOutcome {
+                success: false,
+                ..base.clone()
+            },
+            StepOutcome {
+                stdout: "out!".into(),
+                ..base.clone()
+            },
+            StepOutcome {
+                stderr: "err!".into(),
+                ..base.clone()
+            },
+            StepOutcome {
+                outputs: [("k".to_string(), "v!".to_string())].into(),
+                ..base.clone()
+            },
+            StepOutcome {
+                outputs: [("k!".to_string(), "v".to_string())].into(),
+                ..base.clone()
+            },
+            StepOutcome {
+                outputs: BTreeMap::new(),
+                ..base.clone()
+            },
+        ];
+        for v in &variants {
+            assert_ne!(result_digest(&base), result_digest(v), "{v:?}");
+        }
     }
 
     #[test]
@@ -362,7 +480,21 @@ mod tests {
         };
         cache.record(&key, entry.clone());
         cache.note_miss();
-        assert_eq!(cache.lookup(&key), Some(entry));
+        let found = cache.lookup(&key).expect("recorded");
+        assert_eq!(
+            (
+                found.outcome.success,
+                &found.outcome.stdout,
+                &found.outcome.stderr
+            ),
+            (entry.success, &entry.stdout, &entry.stderr)
+        );
+        assert_eq!(found.outcome.outputs, entry.outputs);
+        assert_eq!(found.artifacts, entry.artifacts);
+        assert_eq!(found.duration_us, entry.duration_us);
+        assert_eq!(found.result, result_digest(&found.outcome));
+        // A second lookup shares the entry instead of copying it.
+        assert!(Arc::ptr_eq(&found, &cache.lookup(&key).unwrap()));
         cache.note_hit();
         cache.note_uncacheable();
         let stats = cache.stats();
@@ -372,5 +504,32 @@ mod tests {
         assert_eq!(stats.uncacheable, 1);
         // Clones share state.
         assert_eq!(cache.clone().stats(), stats);
+    }
+
+    #[test]
+    fn an_entry_keeps_its_artifacts_alive_until_it_goes() {
+        let cache = StepCache::new();
+        let cas = cache.cas().clone();
+        let digest = cas.put(b"artifact bytes");
+        let booked = cas.stats();
+        let key = base_key("make", "t", Digest::NONE);
+        let entry = |artifacts| CachedStep {
+            success: true,
+            stdout: String::new(),
+            stderr: String::new(),
+            outputs: BTreeMap::new(),
+            artifacts,
+            duration_us: 1,
+        };
+        cache.record(&key, entry(vec![("log".into(), digest, 14)]));
+        assert_eq!(cas.stats(), booked, "a pin is a reference, not an upload");
+        assert!(cas.release(digest));
+        assert!(
+            cas.contains(digest),
+            "the entry's reference outlives the upload's"
+        );
+        // Replacing the entry drops its pins with it.
+        cache.record(&key, entry(Vec::new()));
+        assert!(!cas.contains(digest));
     }
 }

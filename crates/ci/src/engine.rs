@@ -2,13 +2,15 @@
 
 use crate::action::{Action, StepContext, WorldDriver};
 use crate::artifacts::ArtifactStore;
-use crate::cache::{chain_digest, infra_tainted, CacheMode, CachedStep, StepCache, StepKey};
+use crate::cache::{
+    chain_digest, infra_tainted, result_digest, CacheMode, JobKeyPrefix, StepCache, StepKey,
+};
 use crate::environment::Environment;
 use crate::error::CiError;
-use crate::run::{RunId, RunStatus, StepRun, WorkflowRun};
+use crate::run::{RunId, RunStatus, StepOutcome, StepRun, WorkflowRun};
 use crate::runner::RunnerPool;
 use crate::secrets::SecretStore;
-use crate::workflow::{interpolate_cow, StepAction, StepDef, TriggerEvent, WorkflowDef};
+use crate::workflow::{ResolvedAction, TriggerEvent, WorkflowDef};
 use hpcci_cas::Digest;
 use hpcci_obs::Obs;
 use hpcci_sim::{Interner, SimDuration, SimTime, Sym};
@@ -521,7 +523,8 @@ impl CiEngine {
         let order = def.job_order().expect("validated at instantiation");
         let mut failed_jobs: Vec<&str> = Vec::new();
         let mut run_failed = false;
-        let mut steps_acc: Vec<StepRun> = Vec::new();
+        let mut steps_acc: Vec<StepRun> =
+            Vec::with_capacity(order.iter().map(|job| job.steps.len()).sum());
         let cache = match self.cache_mode {
             CacheMode::Off => None,
             _ => self.step_cache.clone(),
@@ -529,6 +532,9 @@ impl CiEngine {
         // Running digest over every prior step result in the run: later step
         // keys depend on it, so an upstream change invalidates downstream.
         let mut chain = self.cache_salt;
+        // Contents of a hit's artifacts between taking their CAS references
+        // and listing them; reused across the run's steps.
+        let mut replayed_artifacts: Vec<bytes::Bytes> = Vec::new();
 
         for job in order {
             if job.needs.iter().any(|n| failed_jobs.contains(&n.as_str())) {
@@ -537,155 +543,168 @@ impl CiEngine {
             }
             let job_sym = self.interner.intern(&job.id);
             let runner = match self.runners.select(&job.runs_on) {
-                Ok(r) => r.clone(),
+                Ok(r) => r,
                 Err(e) => {
                     run_failed = true;
                     failed_jobs.push(&job.id);
-                    let rec = StepRun {
-                        job: job_sym,
-                        step: Sym::Static("<runner>"),
+                    let outcome = StepOutcome {
                         success: false,
-                        stdout: String::new(),
                         stderr: e.to_string(),
-                        outputs: BTreeMap::new(),
-                        started: driver.now(),
-                        ended: driver.now(),
+                        ..StepOutcome::default()
                     };
                     if cache.is_some() {
-                        chain = chain_digest(chain, &rec);
+                        chain = chain_digest(chain, result_digest(&outcome));
                     }
-                    steps_acc.push(rec);
+                    steps_acc.push(StepRun {
+                        job: job_sym,
+                        step: Sym::Static("<runner>"),
+                        outcome: Arc::new(outcome),
+                        started: driver.now(),
+                        ended: driver.now(),
+                    });
                     continue;
                 }
             };
             driver.sleep(runner.startup);
             let secrets = self.secrets.resolve(org, &repo, job.environment.as_deref());
             // Everything keying-related is gated on a live cache: with
-            // `CacheMode::Off` no label, key, digest, or chain work runs.
-            let runner_label = cache.as_ref().map(|_| runner.cache_label());
+            // `CacheMode::Off` no prefix, key, digest, or chain work runs.
+            let keying = cache
+                .as_ref()
+                .map(|cache| (cache, JobKeyPrefix::new(&commit, &job.id, &secrets, runner)));
             let mut job_failed = false;
             for step in &job.steps {
                 let step_sym = self.interner.intern(&step.id);
-                let key = runner_label.as_ref().map(|label| {
-                    StepKey::derive(
-                        &commit,
-                        &job.id,
-                        step,
-                        &secrets,
-                        &repo_env_vars,
-                        self.stack_digest_for(step, &secrets, &repo_env_vars),
-                        label,
-                        chain,
+                // Interpolated once: the stack lookup, the key and (on a
+                // miss) the action all read this value.
+                let action = step.action.resolve(&secrets, &repo_env_vars);
+                let keyed = keying.as_ref().map(|(cache, prefix)| {
+                    let stack = self.stack_digest_for(&action);
+                    (
+                        *cache,
+                        StepKey::derive(prefix, &step.id, &action, stack, chain),
                     )
                 });
 
                 // Replay: a hit skips execution entirely — the recorded
-                // verdict/outputs/artifacts are materialized and virtual
-                // time advances by the recorded duration, so the replayed
-                // timeline matches the recorded one exactly.
-                if self.cache_mode == CacheMode::Replay {
-                    if let (Some(cache), Some(key)) = (&cache, &key) {
-                        if let Some(hit) = cache.lookup(key) {
-                            cache.note_hit();
-                            self.counters.step_cache_hits += 1;
-                            self.obs.observe("ci.step_replay_us", hit.duration_us);
-                            let started = driver.now();
-                            driver.sleep(SimDuration::from_micros(hit.duration_us));
-                            let ended = driver.now();
-                            for (name, digest, _len) in &hit.artifacts {
-                                let content =
-                                    cache.cas().get(*digest).expect("cached artifact in CAS");
-                                self.upload_accounted(id, name, content, ended);
-                            }
-                            let success = hit.success;
-                            let rec = StepRun {
-                                job: job_sym.clone(),
-                                step: step_sym.clone(),
-                                success,
-                                stdout: hit.stdout,
-                                stderr: hit.stderr,
-                                outputs: hit.outputs,
-                                started,
-                                ended,
-                            };
-                            chain = chain_digest(chain, &rec);
-                            steps_acc.push(rec);
-                            if !success {
-                                run_failed = true;
-                                if !step.continue_on_error {
-                                    job_failed = true;
-                                    break;
-                                }
-                            }
-                            continue;
+                // outcome is shared (not copied), its artifacts re-attached
+                // by address, and virtual time advances by the recorded
+                // duration, so the replayed timeline matches the recorded one
+                // exactly. An entry whose artifacts this store no longer
+                // holds cannot be replayed: it is a miss.
+                let hit = match &keyed {
+                    Some((cache, key)) if self.cache_mode == CacheMode::Replay => cache
+                        .lookup(key)
+                        .filter(|e| {
+                            self.artifacts
+                                .retain_cached(&e.artifacts, &mut replayed_artifacts)
+                        })
+                        .map(|entry| (*cache, entry)),
+                    _ => None,
+                };
+                let (rec, result) = if let Some((cache, entry)) = hit {
+                    cache.note_hit();
+                    self.counters.step_cache_hits += 1;
+                    self.obs.observe("ci.step_replay_us", entry.duration_us);
+                    let started = driver.now();
+                    driver.sleep(SimDuration::from_micros(entry.duration_us));
+                    let ended = driver.now();
+                    for ((name, digest, _), content) in
+                        entry.artifacts.iter().zip(replayed_artifacts.drain(..))
+                    {
+                        self.counters.artifact_logical_bytes += content.len() as u64;
+                        self.artifacts.attach(id, name, *digest, content, ended);
+                    }
+                    let rec = StepRun {
+                        job: job_sym.clone(),
+                        step: step_sym,
+                        outcome: entry.outcome.clone(),
+                        started,
+                        ended,
+                    };
+                    (rec, entry.result)
+                } else {
+                    let started = driver.now();
+                    let result = self.execute_step(
+                        action,
+                        &repo,
+                        &branch,
+                        &commit,
+                        &repo_env_vars,
+                        &steps_acc,
+                        driver,
+                    );
+                    let ended = driver.now();
+                    // Only a live cache consumes the refs; `Vec::new` itself
+                    // never allocates, so cache-off pays nothing here.
+                    let mut artifact_refs: Vec<(String, Digest, u64)> = Vec::new();
+                    for (name, content) in result.artifacts {
+                        // Logical is what the step produced, stored is what
+                        // the CAS grew by (zero for a duplicate; without a
+                        // CAS the two are equal).
+                        let len = content.len() as u64;
+                        let (digest, stored) =
+                            self.artifacts.upload_accounted(id, &name, content, ended);
+                        self.counters.artifact_logical_bytes += len;
+                        self.counters.artifact_stored_bytes += stored;
+                        if keyed.is_some() {
+                            artifact_refs.push((name, digest, len));
                         }
                     }
-                }
-
-                let started = driver.now();
-                let result = self.execute_step(
-                    step, &repo, &branch, &commit, &secrets, &repo_env_vars, &steps_acc, driver,
-                );
-                let ended = driver.now();
-                let success = result.success;
-                // Only a live cache consumes the refs; `Vec::new` itself
-                // never allocates, so cache-off pays nothing here.
-                let mut artifact_refs: Vec<(String, Digest, u64)> = Vec::new();
-                for (name, content) in result.artifacts {
-                    let (digest, len) = self.upload_accounted(id, &name, content, ended);
-                    if cache.is_some() {
-                        artifact_refs.push((name, digest, len));
+                    // Outputs are masked like the log: CORRECT copies the
+                    // task's raw stdout/stderr into them, and they flow on
+                    // into the step cache, provenance and transcripts.
+                    let mut outputs = result.outputs;
+                    for value in outputs.values_mut() {
+                        *value = self.secrets.mask(std::mem::take(value));
                     }
-                }
-                // Outputs are masked like the log: CORRECT copies the task's
-                // raw stdout/stderr into them, and they flow on into the step
-                // cache, provenance and transcripts.
-                let mut outputs = result.outputs;
-                for value in outputs.values_mut() {
-                    *value = self.secrets.mask(std::mem::take(value));
-                }
-                // The log stays in the run arena for good: give back the
-                // spare capacity the action's string building left behind.
-                let mut stdout = self.secrets.mask(result.stdout);
-                let mut stderr = self.secrets.mask(result.stderr);
-                stdout.shrink_to_fit();
-                stderr.shrink_to_fit();
-                let rec = StepRun {
-                    job: job_sym.clone(),
-                    step: step_sym,
-                    success,
-                    stdout,
-                    stderr,
-                    outputs,
-                    started,
-                    ended,
+                    // The log stays in the run arena for good: give back the
+                    // spare capacity the action's string building left behind.
+                    let mut stdout = self.secrets.mask(result.stdout);
+                    let mut stderr = self.secrets.mask(result.stderr);
+                    stdout.shrink_to_fit();
+                    stderr.shrink_to_fit();
+                    let outcome = Arc::new(StepOutcome {
+                        success: result.success,
+                        stdout,
+                        stderr,
+                        outputs,
+                    });
+                    let mut digest = Digest::NONE;
+                    if let Some((cache, key)) = &keyed {
+                        // Hashed here and nowhere else: the entry carries it.
+                        digest = result_digest(&outcome);
+                        if infra_tainted(&outcome.stdout, &outcome.stderr, &outcome.outputs) {
+                            // A verdict shaped by an endpoint outage, retry,
+                            // or token refresh reflects that moment's
+                            // infrastructure, not the code — never cache it.
+                            cache.note_uncacheable();
+                            self.counters.step_cache_uncacheable += 1;
+                        } else {
+                            cache.note_miss();
+                            self.counters.step_cache_misses += 1;
+                            cache.record_outcome(
+                                key,
+                                outcome.clone(),
+                                digest,
+                                artifact_refs,
+                                ended.since(started).as_micros(),
+                            );
+                        }
+                    }
+                    let rec = StepRun {
+                        job: job_sym.clone(),
+                        step: step_sym,
+                        outcome,
+                        started,
+                        ended,
+                    };
+                    (rec, digest)
                 };
-                if let (Some(cache), Some(key)) = (&cache, &key) {
-                    if infra_tainted(&rec.stdout, &rec.stderr, &rec.outputs) {
-                        // A verdict shaped by an endpoint outage, retry, or
-                        // token refresh reflects that moment's infrastructure,
-                        // not the code — never cache it.
-                        cache.note_uncacheable();
-                        self.counters.step_cache_uncacheable += 1;
-                    } else {
-                        cache.note_miss();
-                        self.counters.step_cache_misses += 1;
-                        cache.record(
-                            key,
-                            CachedStep {
-                                success,
-                                stdout: rec.stdout.clone(),
-                                stderr: rec.stderr.clone(),
-                                outputs: rec.outputs.clone(),
-                                artifacts: artifact_refs,
-                                duration_us: ended.since(started).as_micros(),
-                            },
-                        );
-                    }
+                if let Some((_, key)) = &keyed {
+                    chain = chain_digest(key.0, result);
                 }
-                if cache.is_some() {
-                    chain = chain_digest(chain, &rec);
-                }
+                let success = rec.success;
                 steps_acc.push(rec);
                 if !success {
                     // Soft failure (`continue-on-error`): later steps still
@@ -715,61 +734,29 @@ impl CiEngine {
     /// Software-stack fingerprint a step's key should carry: the named
     /// endpoint's stack when the step targets one (the `endpoint_uuid`
     /// input CORRECT steps pass), else the `"*"` fallback.
-    fn stack_digest_for(
-        &self,
-        step: &StepDef,
-        secrets: &BTreeMap<String, String>,
-        env_vars: &BTreeMap<String, String>,
-    ) -> Digest {
-        if let StepAction::Uses { with, .. } = &step.action {
-            if let Some(raw) = with.get("endpoint_uuid") {
-                let endpoint = interpolate_cow(raw, secrets, env_vars);
-                if let Some(d) = self.stack_fingerprints.get(endpoint.as_ref()) {
-                    return *d;
-                }
-            }
-        }
-        self.stack_fingerprints.get("*").copied().unwrap_or(Digest::NONE)
-    }
-
-    /// Upload one artifact with logical-vs-stored byte accounting: logical
-    /// is what the step produced, stored is what the CAS actually grew by
-    /// (zero for a duplicate). Without a CAS the two are equal.
-    fn upload_accounted(
-        &mut self,
-        id: RunId,
-        name: &str,
-        content: bytes::Bytes,
-        now: SimTime,
-    ) -> (Digest, u64) {
-        let len = content.len() as u64;
-        let before = self.artifacts.cas().map(|c| c.stats().stored_bytes);
-        let digest = self.artifacts.upload(id, name, content, now);
-        let stored = match (before, self.artifacts.cas()) {
-            (Some(b), Some(c)) => c.stats().stored_bytes - b,
-            _ => len,
-        };
-        self.counters.artifact_logical_bytes += len;
-        self.counters.artifact_stored_bytes += stored;
-        (digest, len)
+    fn stack_digest_for(&self, action: &ResolvedAction<'_>) -> Digest {
+        action
+            .input("endpoint_uuid")
+            .and_then(|endpoint| self.stack_fingerprints.get(endpoint))
+            .or_else(|| self.stack_fingerprints.get("*"))
+            .copied()
+            .unwrap_or(Digest::NONE)
     }
 
     #[allow(clippy::too_many_arguments)]
     fn execute_step(
         &mut self,
-        step: &StepDef,
+        action: ResolvedAction<'_>,
         repo: &Sym,
         branch: &Sym,
         commit: &Sym,
-        secrets: &BTreeMap<String, String>,
         env_vars: &Arc<BTreeMap<String, String>>,
         prior_steps: &[StepRun],
         driver: &mut dyn WorldDriver,
     ) -> crate::action::StepResult {
         use crate::action::StepResult;
-        match &step.action {
-            StepAction::Run { command } => {
-                let cmd = interpolate_cow(command, secrets, env_vars);
+        match action {
+            ResolvedAction::Run { command: cmd } => {
                 // The runner-side shell: commands cost a base latency and
                 // fail only when explicitly told to (tests exercise the
                 // control flow, not a shell implementation).
@@ -780,26 +767,25 @@ impl CiEngine {
                     StepResult::ok(format!("$ {cmd}\nok"))
                 }
             }
-            StepAction::Uses { action, with } => {
+            ResolvedAction::Uses { action, with } => {
                 let Some(implementation) = self.actions.get(action).cloned() else {
                     return StepResult::fail(format!("unknown action: {action}"));
                 };
-                let inputs: BTreeMap<String, String> = with
-                    .iter()
-                    .map(|(k, v)| (k.clone(), interpolate_cow(v, secrets, env_vars).into_owned()))
-                    .collect();
                 let mut ctx = StepContext {
                     repo: repo.clone(),
                     branch: branch.clone(),
                     commit: commit.clone(),
-                    inputs,
+                    inputs: with
+                        .into_iter()
+                        .map(|(k, v)| (k.to_string(), v.into_owned()))
+                        .collect(),
                     env: env_vars.clone(),
                     driver,
                 };
                 implementation.run(&mut ctx)
             }
-            StepAction::UploadArtifact { name, from_step } => {
-                let Some(source) = prior_steps.iter().find(|s| s.step == from_step.as_str()) else {
+            ResolvedAction::UploadArtifact { name, from_step } => {
+                let Some(source) = prior_steps.iter().find(|s| s.step == from_step) else {
                     return StepResult::fail(format!("upload-artifact: no prior step `{from_step}`"));
                 };
                 let mut content = source.stdout.clone();
@@ -818,6 +804,7 @@ impl CiEngine {
 mod tests {
     use super::*;
     use crate::action::NullDriver;
+    use crate::cache::StepCache;
     use crate::environment::Environment;
     use crate::secrets::{Secret, SecretScope};
     use crate::workflow::{JobDef, StepDef, WorkflowDef};
@@ -1090,6 +1077,104 @@ mod tests {
         for (c, a) in crowded.steps.iter().zip(&alone.steps) {
             assert_eq!((&c.stdout, &c.stderr, &c.outputs), (&a.stdout, &a.stderr, &a.outputs));
         }
+    }
+
+    fn artifact_workflow() -> WorkflowDef {
+        WorkflowDef::new("ci")
+            .on_event(TriggerEvent::push_any())
+            .with_job(
+                JobDef::new("test")
+                    .with_step(StepDef::run("pytest", "pytest -v"))
+                    .with_step(StepDef::upload_artifact("save", "pytest-output", "pytest")),
+            )
+    }
+
+    /// Push one commit and execute it at `at`; returns the run and the
+    /// cache's `(hits, misses)` the run added.
+    fn push_at(e: &mut CiEngine, at: SimTime) -> (RunId, (u64, u64)) {
+        let cache = e.step_cache().expect("cache installed").clone();
+        let before = cache.stats();
+        let id = e.on_push("globus-labs/app", "main", "abc123", at).unwrap()[0];
+        let mut driver = NullDriver::new();
+        driver.now = at;
+        e.execute_ready(&mut driver);
+        let after = cache.stats();
+        (id, (after.hits - before.hits, after.misses - before.misses))
+    }
+
+    /// §7.4's 90-day retention releases the producing run's CAS reference;
+    /// the cache entry that names the artifact must still be able to replay
+    /// it (it used to panic on `expect("cached artifact in CAS")`).
+    #[test]
+    fn a_replay_hit_survives_the_retention_purge_of_its_producer() {
+        let mut e = engine_with_workflow(artifact_workflow());
+        let cache = StepCache::new();
+        e.set_step_cache(cache.clone(), CacheMode::Replay);
+        let (first, cold) = push_at(&mut e, SimTime::ZERO);
+        assert_eq!(cold, (0, 2));
+        let recorded = e
+            .artifacts
+            .fetch(first, "pytest-output", SimTime::ZERO)
+            .unwrap()
+            .clone();
+
+        let day91 = SimTime::from_secs(91 * 24 * 3600);
+        assert_eq!(e.artifacts.purge_expired(day91), 1);
+        assert!(e.artifacts.is_empty());
+        assert!(
+            cache.cas().contains(recorded.digest),
+            "the entry holds its own reference"
+        );
+        assert_eq!(
+            cache.cas().stats().logical_bytes,
+            0,
+            "a pin is not logical bytes"
+        );
+
+        let (second, warm) = push_at(&mut e, day91);
+        assert_eq!(warm, (2, 0), "both steps replay");
+        assert_eq!(e.run(second).unwrap().status, RunStatus::Success);
+        let replayed = e.artifacts.fetch(second, "pytest-output", day91).unwrap();
+        assert_eq!(replayed.content, recorded.content);
+        assert_eq!(replayed.digest, recorded.digest);
+        assert_eq!(
+            cache.cas().stats().logical_bytes,
+            recorded.content.len() as u64
+        );
+    }
+
+    /// An entry whose artifact the artifact store's CAS does not hold — a
+    /// foreign store here, an entry injected through `StepCache::record`
+    /// elsewhere — is a miss: the step executes and is recorded again.
+    #[test]
+    fn a_hit_whose_artifact_is_missing_executes_as_a_miss() {
+        let mut e = engine_with_workflow(artifact_workflow());
+        let cache = StepCache::new();
+        e.set_step_cache(cache.clone(), CacheMode::Replay);
+        let (first, _) = push_at(&mut e, SimTime::ZERO);
+        let recorded = e.run(first).unwrap().clone();
+
+        e.artifacts.attach_cas(hpcci_cas::CasStore::new());
+        let (second, stats) = push_at(&mut e, SimTime::from_secs(60));
+        assert_eq!(
+            stats,
+            (1, 1),
+            "`pytest` replays, `save` cannot and re-executes"
+        );
+        let rerun = e.run(second).unwrap();
+        assert_eq!(rerun.status, RunStatus::Success);
+        for (a, b) in recorded.steps.iter().zip(&rerun.steps) {
+            assert_eq!((&a.step, &a.outcome), (&b.step, &b.outcome));
+        }
+        let artifacts = e.artifacts.of_run(second, SimTime::from_secs(60));
+        assert_eq!(
+            artifacts.len(),
+            1,
+            "executed once, not attached and then uploaded again"
+        );
+        assert_eq!(artifacts[0].text(), "$ pytest -v\nok");
+        // The foreign store now holds it, so the next run replays both.
+        assert_eq!(push_at(&mut e, SimTime::from_secs(120)).1, (2, 0));
     }
 
     #[test]

@@ -43,11 +43,11 @@ pub mod workflow;
 
 pub use action::{Action, StepContext, StepResult, WorldDriver};
 pub use artifacts::{Artifact, ArtifactStore};
-pub use cache::{CacheMode, CacheStats, CachedStep, StepCache, StepKey};
+pub use cache::{CacheMode, CacheStats, CachedStep, JobKeyPrefix, StepCache, StepEntry, StepKey};
 pub use engine::CiEngine;
 pub use environment::Environment;
 pub use error::CiError;
-pub use run::{RunId, RunStatus, StepRun, WorkflowRun};
+pub use run::{RunId, RunStatus, StepOutcome, StepRun, WorkflowRun};
 pub use runner::{Runner, RunnerKind, RunnerPool};
 pub use secrets::{Secret, SecretScope, SecretStore};
-pub use workflow::{JobDef, StepAction, StepDef, TriggerEvent, WorkflowDef};
+pub use workflow::{JobDef, ResolvedAction, StepAction, StepDef, TriggerEvent, WorkflowDef};

@@ -4,6 +4,8 @@ use hpcci_sim::{SimTime, Sym};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Run identifier, unique per CI service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -35,23 +37,41 @@ impl RunStatus {
     }
 }
 
-/// Result of one executed step.
-///
-/// Job and step ids are interned [`Sym`]s: a workflow's ids repeat across
-/// every run it triggers, so each `StepRun` holds a shared handle instead of
-/// its own `String` pair.
-#[derive(Debug, Clone)]
-pub struct StepRun {
-    pub job: Sym,
-    pub step: Sym,
+/// What a step produced — the part of a [`StepRun`] a cache replay
+/// reproduces verbatim. Immutable once built and held behind an `Arc`: the
+/// run arena and the step cache share one copy of every log.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct StepOutcome {
     pub success: bool,
     /// Secret-masked stdout.
     pub stdout: String,
     /// Secret-masked stderr.
     pub stderr: String,
+    /// Secret-masked named outputs.
     pub outputs: BTreeMap<String, String>,
+}
+
+/// Result of one executed step.
+///
+/// Job and step ids are interned [`Sym`]s: a workflow's ids repeat across
+/// every run it triggers, so each `StepRun` holds a shared handle instead of
+/// its own `String` pair. The outcome derefs through, so readers write
+/// `step.stdout` / `step.outputs` as if the fields were inline.
+#[derive(Debug, Clone)]
+pub struct StepRun {
+    pub job: Sym,
+    pub step: Sym,
+    pub outcome: Arc<StepOutcome>,
     pub started: SimTime,
     pub ended: SimTime,
+}
+
+impl Deref for StepRun {
+    type Target = StepOutcome;
+
+    fn deref(&self) -> &StepOutcome {
+        &self.outcome
+    }
 }
 
 /// One instantiated workflow run.
@@ -143,20 +163,22 @@ mod tests {
                 StepRun {
                     job: "test".into(),
                     step: "tox".into(),
-                    success: true,
-                    stdout: "4 passed".into(),
-                    stderr: String::new(),
-                    outputs: BTreeMap::new(),
+                    outcome: Arc::new(StepOutcome {
+                        success: true,
+                        stdout: "4 passed".into(),
+                        ..StepOutcome::default()
+                    }),
                     started: SimTime::from_secs(1),
                     ended: SimTime::from_secs(4),
                 },
                 StepRun {
                     job: "test".into(),
                     step: "lint".into(),
-                    success: false,
-                    stdout: String::new(),
-                    stderr: "E501 line too long".into(),
-                    outputs: BTreeMap::new(),
+                    outcome: Arc::new(StepOutcome {
+                        success: false,
+                        stderr: "E501 line too long".into(),
+                        ..StepOutcome::default()
+                    }),
                     started: SimTime::from_secs(4),
                     ended: SimTime::from_secs(5),
                 },

@@ -51,10 +51,12 @@ impl Runner {
 
     /// Stable identity of the execution substrate, used in step-cache keys:
     /// a result computed on one runner class must not replay on another.
-    pub fn cache_label(&self) -> String {
+    /// Borrowed parts (class, label or site, architecture) — the key hashes
+    /// them as separate fields, so nothing is formatted per job.
+    pub fn cache_identity(&self) -> [&str; 3] {
         match &self.kind {
-            RunnerKind::Hosted { label, arch } => format!("hosted/{label}/{arch}"),
-            RunnerKind::SelfHosted { site } => format!("self-hosted/{site}"),
+            RunnerKind::Hosted { label, arch } => ["hosted", label, arch],
+            RunnerKind::SelfHosted { site } => ["self-hosted", site, ""],
         }
     }
 
@@ -140,6 +142,14 @@ mod tests {
             pool.select(&RunsOn::SelfHosted { site: "tamu-faster".into() }),
             Err(CiError::NoRunnerAvailable(_))
         ));
+    }
+
+    #[test]
+    fn cache_identity_separates_runner_classes() {
+        let hosted = Runner::hosted(0, "anvil");
+        let selfh = Runner::self_hosted(1, "anvil");
+        assert_eq!(hosted.cache_identity(), ["hosted", "anvil", "x64"]);
+        assert_eq!(selfh.cache_identity(), ["self-hosted", "anvil", ""]);
     }
 
     #[test]

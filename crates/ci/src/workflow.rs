@@ -1,5 +1,6 @@
 //! Workflow definitions: the in-memory equivalent of the YAML files of §4.1.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Events that can trigger a workflow.
@@ -51,6 +52,63 @@ pub enum StepAction {
     /// `actions/upload-artifact` modelled first-class: store a prior step's
     /// stdout (or a named output) as a persistent artifact.
     UploadArtifact { name: String, from_step: String },
+}
+
+/// A [`StepAction`] with every placeholder substituted: what would actually
+/// run. Built once per step; the step key, the stack-fingerprint lookup and
+/// (when the step executes) the action all read this one value. Text with no
+/// placeholder stays a borrow of the definition.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ResolvedAction<'a> {
+    Run {
+        command: Cow<'a, str>,
+    },
+    /// `with` keeps the definition's key order.
+    Uses {
+        action: &'a str,
+        with: Vec<(&'a str, Cow<'a, str>)>,
+    },
+    UploadArtifact {
+        name: &'a str,
+        from_step: &'a str,
+    },
+}
+
+impl StepAction {
+    pub fn resolve<'a>(
+        &'a self,
+        secrets: &BTreeMap<String, String>,
+        env: &BTreeMap<String, String>,
+    ) -> ResolvedAction<'a> {
+        match self {
+            StepAction::Run { command } => ResolvedAction::Run {
+                command: interpolate_cow(command, secrets, env),
+            },
+            StepAction::Uses { action, with } => ResolvedAction::Uses {
+                action,
+                with: with
+                    .iter()
+                    .map(|(k, v)| (k.as_str(), interpolate_cow(v, secrets, env)))
+                    .collect(),
+            },
+            StepAction::UploadArtifact { name, from_step } => {
+                ResolvedAction::UploadArtifact { name, from_step }
+            }
+        }
+    }
+}
+
+impl ResolvedAction<'_> {
+    /// A resolved `with:` input of a `uses:` step.
+    pub fn input(&self, key: &str) -> Option<&str> {
+        match self {
+            ResolvedAction::Uses { with, .. } => with
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.as_ref()),
+            _ => None,
+        }
+    }
 }
 
 /// One step in a job.
@@ -249,9 +307,9 @@ pub fn interpolate_cow<'a>(
     template: &'a str,
     secrets: &BTreeMap<String, String>,
     env: &BTreeMap<String, String>,
-) -> std::borrow::Cow<'a, str> {
+) -> Cow<'a, str> {
     if !template.contains("${{") {
-        return std::borrow::Cow::Borrowed(template);
+        return Cow::Borrowed(template);
     }
     let mut out = String::with_capacity(template.len());
     let mut rest = template;
@@ -260,7 +318,7 @@ pub fn interpolate_cow<'a>(
         let after = &rest[start + 3..];
         let Some(end) = after.find("}}") else {
             out.push_str(&rest[start..]);
-            return std::borrow::Cow::Owned(out);
+            return Cow::Owned(out);
         };
         let expr = after[..end].trim();
         if let Some(name) = expr.strip_prefix("secrets.") {
@@ -275,7 +333,7 @@ pub fn interpolate_cow<'a>(
         rest = &after[end + 2..];
     }
     out.push_str(rest);
-    std::borrow::Cow::Owned(out)
+    Cow::Owned(out)
 }
 
 #[cfg(test)]
@@ -332,6 +390,45 @@ mod tests {
         assert_eq!(interpolate("no placeholders", &secrets, &env), "no placeholders");
         // Unterminated placeholder passes through untouched.
         assert_eq!(interpolate("${{ secrets.X", &secrets, &env), "${{ secrets.X");
+    }
+
+    #[test]
+    fn resolve_substitutes_once_and_borrows_the_rest() {
+        let secrets: BTreeMap<String, String> =
+            [("GLOBUS_ID".to_string(), "client-000001".to_string())].into();
+        let env = BTreeMap::new();
+        let step = StepDef::uses(
+            "tox",
+            "globus-labs/correct@v1",
+            &[
+                ("shell_cmd", "tox"),
+                ("client_id", "${{ secrets.GLOBUS_ID }}"),
+            ],
+        );
+        let resolved = step.action.resolve(&secrets, &env);
+        assert_eq!(resolved.input("client_id"), Some("client-000001"));
+        assert_eq!(resolved.input("missing"), None);
+        match &resolved {
+            ResolvedAction::Uses { action, with } => {
+                assert_eq!(*action, "globus-labs/correct@v1");
+                let keys: Vec<&str> = with.iter().map(|(k, _)| *k).collect();
+                assert_eq!(
+                    keys,
+                    ["client_id", "shell_cmd"],
+                    "the definition's key order"
+                );
+                assert!(matches!(with[1].1, Cow::Borrowed("tox")));
+            }
+            other => panic!("wrong action kind: {other:?}"),
+        }
+        let run = StepDef::run("s", "echo ${{ secrets.GLOBUS_ID }}");
+        assert_eq!(
+            run.action.resolve(&secrets, &env),
+            ResolvedAction::Run {
+                command: "echo client-000001".into()
+            }
+        );
+        assert_eq!(run.action.resolve(&secrets, &env).input("anything"), None);
     }
 
     #[test]

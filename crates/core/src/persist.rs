@@ -132,8 +132,9 @@ pub fn archive_from_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcci_ci::{RunStatus, StepRun};
+    use hpcci_ci::{RunStatus, StepOutcome, StepRun};
     use std::collections::BTreeMap;
+    use std::sync::Arc;
 
     fn sample_run() -> WorkflowRun {
         let mut outputs = BTreeMap::new();
@@ -153,10 +154,12 @@ mod tests {
             steps: vec![StepRun {
                 job: "remote-test".into(),
                 step: "run".into(),
-                success: true,
-                stdout: "6 passed".into(),
-                stderr: String::new(),
-                outputs,
+                outcome: Arc::new(StepOutcome {
+                    success: true,
+                    stdout: "6 passed".into(),
+                    stderr: String::new(),
+                    outputs,
+                }),
                 started: SimTime::from_secs(1),
                 ended: SimTime::from_secs(59),
             }],

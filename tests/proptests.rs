@@ -1151,73 +1151,561 @@ fn step_cache_replay_is_byte_identical_to_record() {
     }
 }
 
+/// The action the replay-equivalence property drives: echoes its `token`
+/// input (a secret) into stdout, stderr and an output the way CORRECT
+/// copies a task's raw streams, takes as long as its `millis` input says,
+/// fails when told to, and leaves `artifacts` artifacts behind.
+struct Emit;
+impl hpcci::ci::Action for Emit {
+    fn run(&self, ctx: &mut hpcci::ci::StepContext<'_>) -> hpcci::ci::StepResult {
+        let inputs = ctx.inputs.clone();
+        let input = |key: &str| inputs.get(key).cloned().unwrap_or_default();
+        let (token, text) = (input("token"), input("text"));
+        ctx.driver
+            .sleep(SimDuration::from_millis(input("millis").parse().unwrap()));
+        let stdout = format!("{text}\nauthenticated with {token}");
+        let mut result = hpcci::ci::StepResult::ok(stdout.clone())
+            .with_output("stdout", &stdout)
+            .with_output("exit_code", &input("fail"));
+        result.success = input("fail") != "1";
+        result.stderr = format!("warning: {token} seen by {text}");
+        for k in 0..input("artifacts").parse().unwrap() {
+            // The first two of a step share their bytes: several artifacts
+            // under one CAS address.
+            result =
+                result.with_artifact(&format!("{text}-{k}"), format!("{text} part {}", k.max(1)));
+        }
+        result
+    }
+}
+
+/// A generated workflow over every step kind: `run` (some exiting 1),
+/// `uses` (some failing, several artifacts, the secret echoed), and
+/// `upload-artifact` (some naming a step that does not exist), with
+/// `continue-on-error` sprinkled over all of them and `needs` edges between
+/// jobs so a failed job skips its dependants.
+fn gen_workflow(rng: &mut DetRng) -> hpcci::ci::WorkflowDef {
+    use hpcci::ci::{JobDef, StepDef, TriggerEvent, WorkflowDef};
+    let mut wf = WorkflowDef::new("generated").on_event(TriggerEvent::push_any());
+    let jobs = rng.range_u64(1, 4);
+    let mut serial = 0;
+    for j in 0..jobs {
+        let mut job = JobDef::new(&format!("job-{j}"));
+        if j > 0 && rng.chance(0.5) {
+            job = job.with_needs(&[&format!("job-{}", rng.range_u64(0, j))]);
+        }
+        let mut ids: Vec<String> = Vec::new();
+        for _ in 0..rng.range_u64(1, 6) {
+            serial += 1;
+            let id = format!("step-{serial}");
+            let fail = rng.chance(0.2);
+            let mut step = match rng.range_u64(0, 3) {
+                0 => StepDef::run(
+                    &id,
+                    if fail {
+                        "bash -c 'exit 1'"
+                    } else {
+                        "make check"
+                    },
+                ),
+                1 => StepDef::uses(
+                    &id,
+                    "acme/emit@v1",
+                    &[
+                        ("token", "${{ secrets.TOKEN }}"),
+                        ("text", &format!("{id} {}", gen_string(rng, LOWER, 0, 40))),
+                        ("millis", &rng.range_u64(0, 5_000).to_string()),
+                        ("fail", if fail { "1" } else { "0" }),
+                        ("artifacts", &rng.range_u64(0, 4).to_string()),
+                    ],
+                ),
+                _ => {
+                    let from = match ids.as_slice() {
+                        [] => "no-such-step".to_string(),
+                        _ if fail => "no-such-step".to_string(),
+                        ids => ids[rng.range_u64(0, ids.len() as u64) as usize].clone(),
+                    };
+                    StepDef::upload_artifact(&id, &format!("{id}-log"), &from)
+                }
+            };
+            if rng.chance(0.6) {
+                step = step.allow_failure();
+            }
+            ids.push(id);
+            job = job.with_step(step);
+        }
+        wf = wf.with_job(job);
+    }
+    wf
+}
+
+/// Replay equals Record, structurally: over generated workflows the run a
+/// Replay-mode engine serves from the cache equals the run the Record-mode
+/// engine executed, field by field — statuses, masked logs, outputs,
+/// artifact names, digests and bytes, and every virtual timestamp.
+#[test]
+fn replayed_run_equals_recorded_run_field_by_field() {
+    use hpcci::ci::action::NullDriver;
+    use hpcci::ci::{CacheMode, CiEngine, Secret, SecretScope, StepCache};
+    use std::sync::Arc;
+    const REPO: &str = "org/app";
+    let (mut hits, mut failures, mut artifacts) = (0, 0, 0);
+    for case in 0..CASES {
+        let mut rng = case_rng("replay_equals_record", case);
+        let workflow = gen_workflow(&mut rng);
+        let token = format!("tok-{}", gen_string(&mut rng, LOWER, 8, 16));
+        let cache = StepCache::new();
+        let engine = |mode: CacheMode| {
+            let mut e = CiEngine::new();
+            e.set_step_cache(cache.clone(), mode);
+            e.register_action("acme/emit@v1", Arc::new(Emit));
+            e.secrets.put(
+                SecretScope::Repository(REPO.into()),
+                Secret::new("TOKEN", &token),
+            );
+            e.add_workflow(REPO, workflow.clone());
+            e
+        };
+        let run_once = |e: &mut CiEngine| {
+            let id = e
+                .on_push(REPO, "main", "commit-1", SimTime::from_secs(5))
+                .unwrap()[0];
+            let mut driver = NullDriver::new();
+            driver.now = SimTime::from_secs(7);
+            e.execute_ready(&mut driver);
+            id
+        };
+
+        let mut cold = engine(CacheMode::Record);
+        let recorded = run_once(&mut cold);
+        let after_record = cache.stats();
+        assert_eq!(after_record.hits, 0, "case {case}: Record never serves");
+        let mut warm = engine(CacheMode::Replay);
+        let replayed = run_once(&mut warm);
+        let after_replay = cache.stats();
+
+        let (a, b) = (cold.run(recorded).unwrap(), warm.run(replayed).unwrap());
+        let keyed = a.steps.iter().filter(|s| s.step != "<runner>").count() as u64;
+        assert_eq!(
+            after_record.misses, keyed,
+            "case {case}: every executed step recorded"
+        );
+        assert_eq!(
+            (after_replay.hits, after_replay.misses),
+            (keyed, keyed),
+            "case {case}: every step replays"
+        );
+        assert_eq!(
+            (a.id, &a.repo, &a.workflow, &a.branch, &a.commit, a.status),
+            (b.id, &b.repo, &b.workflow, &b.branch, &b.commit, b.status),
+            "case {case}"
+        );
+        assert_eq!(
+            (a.triggered_at, a.started_at, a.ended_at, &a.approved_by),
+            (b.triggered_at, b.started_at, b.ended_at, &b.approved_by),
+            "case {case}"
+        );
+        assert_eq!(a.steps.len(), b.steps.len(), "case {case}");
+        for (x, y) in a.steps.iter().zip(&b.steps) {
+            let at = format!("case {case}: {}/{}", x.job, x.step);
+            assert_eq!((&x.job, &x.step), (&y.job, &y.step), "{at}");
+            assert_eq!(x.success, y.success, "{at}");
+            assert_eq!(x.stdout, y.stdout, "{at}");
+            assert_eq!(x.stderr, y.stderr, "{at}");
+            assert_eq!(x.outputs, y.outputs, "{at}");
+            assert_eq!((x.started, x.ended), (y.started, y.ended), "{at}");
+            assert!(
+                Arc::ptr_eq(&x.outcome, &y.outcome),
+                "{at}: the replay copied the outcome"
+            );
+            assert!(!format!("{x:?}").contains(&token), "{at}: secret leaked");
+        }
+        assert_eq!(a.full_log(), b.full_log(), "case {case}");
+        let end = a.ended_at.unwrap();
+        let (xs, ys) = (
+            cold.artifacts.of_run(recorded, end),
+            warm.artifacts.of_run(replayed, end),
+        );
+        assert_eq!(xs.len(), ys.len(), "case {case}");
+        for (x, y) in xs.iter().zip(&ys) {
+            assert_eq!((&x.name, x.digest), (&y.name, y.digest), "case {case}");
+            assert_eq!(x.content, y.content, "case {case}: {}", x.name);
+            assert_eq!(
+                (x.uploaded_at, x.expires_at),
+                (y.uploaded_at, y.expires_at),
+                "case {case}: {}",
+                x.name
+            );
+            assert!(!x.digest.is_none(), "case {case}");
+        }
+        hits += keyed;
+        failures += a.steps.iter().filter(|s| !s.success).count();
+        artifacts += xs.len();
+    }
+    // The generator reaches what the property is about.
+    assert!(
+        hits > 100 && failures > 20 && artifacts > 40,
+        "{hits} {failures} {artifacts}"
+    );
+}
+
+/// A hit copies nothing: the replayed `StepRun`, the run that recorded it
+/// and the cache entry hold one allocation of a 1 MiB log. The entry is
+/// found with the public key API, so this also pins that `JobKeyPrefix` /
+/// `StepKey::derive` compute what the engine computes.
+#[test]
+fn a_hit_shares_the_recorded_outcome_with_the_cache_entry() {
+    use hpcci::cas::Digest;
+    use hpcci::ci::action::NullDriver;
+    use hpcci::ci::{
+        Action, CacheMode, CiEngine, JobDef, JobKeyPrefix, Runner, StepCache, StepContext, StepDef,
+        StepKey, StepResult, TriggerEvent, WorkflowDef,
+    };
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+    struct Chatty;
+    impl Action for Chatty {
+        fn run(&self, _: &mut StepContext<'_>) -> StepResult {
+            StepResult::ok("0123456789abcdef".repeat(1 << 16))
+        }
+    }
+    let step = StepDef::uses("build", "acme/chatty@v1", &[("level", "debug")]);
+    let cache = StepCache::new();
+    let mut e = CiEngine::new();
+    e.set_step_cache(cache.clone(), CacheMode::Replay);
+    e.register_action("acme/chatty@v1", Arc::new(Chatty));
+    e.add_workflow(
+        "org/app",
+        WorkflowDef::new("ci")
+            .on_event(TriggerEvent::push_any())
+            .with_job(JobDef::new("test").with_step(step.clone())),
+    );
+    let mut run_once = || {
+        let id = e
+            .on_push("org/app", "main", "commit-1", SimTime::ZERO)
+            .unwrap()[0];
+        e.execute_ready(&mut NullDriver::new());
+        e.run(id).unwrap().steps[0].outcome.clone()
+    };
+    let recorded = run_once();
+    let replayed = run_once();
+    assert_eq!(cache.stats().hits, 1);
+    assert_eq!(recorded.stdout.len(), 1 << 20);
+
+    let none = BTreeMap::new();
+    let key = StepKey::derive(
+        &JobKeyPrefix::new(
+            "commit-1",
+            "test",
+            &none,
+            &Runner::hosted(0, "ubuntu-latest"),
+        ),
+        &step.id,
+        &step.action.resolve(&none, &none),
+        Digest::NONE,
+        Digest::NONE,
+    );
+    let entry = cache
+        .lookup(&key)
+        .expect("the public key API derives the engine's key");
+    assert!(
+        Arc::ptr_eq(&entry.outcome, &recorded),
+        "Record copied the log into the cache"
+    );
+    assert!(
+        Arc::ptr_eq(&entry.outcome, &replayed),
+        "the hit copied the log out of it"
+    );
+    drop((recorded, replayed));
+    // Two runs in the arena and the entry — `entry` here holds the entry,
+    // not the outcome.
+    assert_eq!(Arc::strong_count(&entry.outcome), 3);
+}
+
 /// Step-key sensitivity: identical inputs derive identical keys, and
 /// perturbing any single field — command, env vars, secrets, software
-/// stack, repo tree, job, runner, or the prior-result chain — forces a
-/// different key (a guaranteed cache miss).
+/// stack, repo tree, job, runner, the prior-result chain, a `uses:` step's
+/// action name or any `with` key or value, an upload's name or source
+/// step — forces a different key (a guaranteed cache miss). The
+/// job-invariant fields reach the key through the per-job prefix, so the
+/// prefix is rebuilt for every variant here exactly as the engine rebuilds
+/// it for every job.
 #[test]
 fn step_key_perturbations_force_misses() {
     use hpcci::cas::Digest;
-    use hpcci::ci::{StepDef, StepKey};
+    use hpcci::ci::{JobKeyPrefix, Runner, StepDef, StepKey};
     use std::collections::BTreeMap;
+
+    /// Everything a key is derived from, by value so one field can be swapped.
+    #[derive(Clone)]
+    struct Inputs {
+        tree: String,
+        job: String,
+        step: StepDef,
+        secrets: BTreeMap<String, String>,
+        env_vars: BTreeMap<String, String>,
+        stack: Digest,
+        runner: Runner,
+        prior: Digest,
+    }
+    impl Inputs {
+        fn key(&self) -> StepKey {
+            let prefix = JobKeyPrefix::new(&self.tree, &self.job, &self.secrets, &self.runner);
+            StepKey::derive(
+                &prefix,
+                &self.step.id,
+                &self.step.action.resolve(&self.secrets, &self.env_vars),
+                self.stack,
+                self.prior,
+            )
+        }
+        fn with(&self, change: impl FnOnce(&mut Inputs)) -> StepKey {
+            let mut changed = self.clone();
+            change(&mut changed);
+            changed.key()
+        }
+    }
+
     for case in 0..CASES {
         let mut rng = case_rng("step_key", case);
-        let tree = gen_string(&mut rng, LOWER, 6, 12);
-        let job = gen_string(&mut rng, LOWER, 1, 8);
         // References both a secret and an env var so rotating either changes
         // the fully interpolated command (how env reaches the key).
         let command = format!(
             "{} ${{{{ secrets.TOKEN }}}} ${{{{ env.CI }}}}",
             gen_string(&mut rng, PRINTABLE, 1, 24)
         );
-        let step = StepDef::run("run", &command);
         let mut secrets = BTreeMap::new();
         secrets.insert("TOKEN".to_string(), gen_string(&mut rng, LOWER, 4, 10));
+        // Reaches the `uses:` step only through a `with` value.
+        secrets.insert("CLIENT".to_string(), gen_string(&mut rng, LOWER, 4, 10));
         let mut env_vars = BTreeMap::new();
         env_vars.insert("CI".to_string(), gen_string(&mut rng, LOWER, 1, 6));
-        let stack = Digest::of_str(&gen_string(&mut rng, LOWER, 4, 10));
-        let runner = gen_string(&mut rng, LOWER, 3, 10);
-        let prior = Digest::of_str(&gen_string(&mut rng, LOWER, 4, 10));
-
-        let derive = |tree: &str,
-                      job: &str,
-                      step: &StepDef,
-                      secrets: &BTreeMap<String, String>,
-                      env_vars: &BTreeMap<String, String>,
-                      stack: Digest,
-                      runner: &str,
-                      prior: Digest| {
-            StepKey::derive(tree, job, step, secrets, env_vars, stack, runner, prior)
+        let base = Inputs {
+            tree: gen_string(&mut rng, LOWER, 6, 12),
+            job: gen_string(&mut rng, LOWER, 1, 8),
+            step: StepDef::run("run", &command),
+            secrets,
+            env_vars,
+            stack: Digest::of_str(&gen_string(&mut rng, LOWER, 4, 10)),
+            runner: Runner::hosted(0, &gen_string(&mut rng, LOWER, 3, 10)),
+            prior: Digest::of_str(&gen_string(&mut rng, LOWER, 4, 10)),
         };
-        let base = derive(&tree, &job, &step, &secrets, &env_vars, stack, &runner, prior);
-        // Determinism: same inputs, same key.
-        assert_eq!(
-            base,
-            derive(&tree, &job, &step, &secrets, &env_vars, stack, &runner, prior),
-            "case {case}: derivation not deterministic"
-        );
+        let action = gen_string(&mut rng, LOWER, 3, 12);
+        let with_key = gen_string(&mut rng, LOWER, 2, 8);
+        let with_val = gen_string(&mut rng, PRINTABLE, 1, 16);
+        let uses = |action: &str, key: &str, val: &str| {
+            StepDef::uses(
+                "run",
+                action,
+                &[("client_id", "${{ secrets.CLIENT }}"), (key, val)],
+            )
+        };
+        let artifact = gen_string(&mut rng, LOWER, 2, 10);
+        let from_step = gen_string(&mut rng, LOWER, 2, 10);
 
-        let perturbed_step = StepDef::run("run", &format!("{command}!"));
-        let mut rotated = secrets.clone();
-        rotated.insert("TOKEN".to_string(), format!("{}x", secrets["TOKEN"]));
-        let mut env2 = env_vars.clone();
-        env2.insert("CI".to_string(), format!("{}x", env_vars["CI"]));
-        let variants = [
-            ("tree", derive(&format!("{tree}x"), &job, &step, &secrets, &env_vars, stack, &runner, prior)),
-            ("job", derive(&tree, &format!("{job}x"), &step, &secrets, &env_vars, stack, &runner, prior)),
-            ("command", derive(&tree, &job, &perturbed_step, &secrets, &env_vars, stack, &runner, prior)),
-            ("secrets", derive(&tree, &job, &step, &rotated, &env_vars, stack, &runner, prior)),
-            ("env", derive(&tree, &job, &step, &secrets, &env2, stack, &runner, prior)),
-            ("stack", derive(&tree, &job, &step, &secrets, &env_vars, Digest::of_str("upgraded"), &runner, prior)),
-            ("runner", derive(&tree, &job, &step, &secrets, &env_vars, stack, &format!("{runner}x"), prior)),
-            ("prior", derive(&tree, &job, &step, &secrets, &env_vars, stack, &runner, Digest::of_str("other-chain"))),
+        // Shared by every step kind: the fields the per-job prefix and the
+        // per-step tail absorb whatever the action is.
+        let steps = [
+            ("run", base.step.clone()),
+            ("uses", uses(&action, &with_key, &with_val)),
+            (
+                "upload",
+                StepDef::upload_artifact("run", &artifact, &from_step),
+            ),
         ];
-        for (field, key) in variants {
-            assert_ne!(
-                base, key,
-                "case {case}: perturbing {field} must change the step key"
+        for (kind, step) in steps {
+            let base = Inputs {
+                step,
+                ..base.clone()
+            };
+            let key = base.key();
+            assert_eq!(
+                key,
+                base.key(),
+                "case {case} ({kind}): derivation not deterministic"
+            );
+            let mut variants = vec![
+                ("tree", base.with(|i| i.tree.push('x'))),
+                ("job", base.with(|i| i.job.push('x'))),
+                ("step id", base.with(|i| i.step.id.push('x'))),
+                // Every step kind, whether or not it references the secret.
+                (
+                    "secrets",
+                    base.with(|i| i.secrets.get_mut("TOKEN").unwrap().push('x')),
+                ),
+                (
+                    "new secret",
+                    base.with(|i| {
+                        i.secrets.insert("EXTRA".into(), "v".into());
+                    }),
+                ),
+                ("stack", base.with(|i| i.stack = Digest::of_str("upgraded"))),
+                (
+                    "runner label",
+                    base.with(|i| {
+                        i.runner = Runner::hosted(0, &format!("{}x", i.runner.cache_identity()[1]))
+                    }),
+                ),
+                (
+                    "runner class",
+                    base.with(|i| i.runner = Runner::self_hosted(0, i.runner.cache_identity()[1])),
+                ),
+                (
+                    "prior",
+                    base.with(|i| i.prior = Digest::of_str("other-chain")),
+                ),
+            ];
+            match kind {
+                "run" => variants.extend([
+                    (
+                        "command",
+                        base.with(|i| i.step = StepDef::run("run", &format!("{command}!"))),
+                    ),
+                    (
+                        "env",
+                        base.with(|i| i.env_vars.get_mut("CI").unwrap().push('x')),
+                    ),
+                ]),
+                "uses" => variants.extend([
+                    (
+                        "action",
+                        base.with(|i| i.step = uses(&format!("{action}x"), &with_key, &with_val)),
+                    ),
+                    (
+                        "with key",
+                        base.with(|i| i.step = uses(&action, &format!("{with_key}x"), &with_val)),
+                    ),
+                    (
+                        "with value",
+                        base.with(|i| i.step = uses(&action, &with_key, &format!("{with_val}x"))),
+                    ),
+                    (
+                        "secret behind with",
+                        base.with(|i| i.secrets.get_mut("CLIENT").unwrap().push('x')),
+                    ),
+                    // Moving text across the key/value boundary is not a no-op.
+                    (
+                        "with boundary",
+                        base.with(|i| {
+                            let (head, last) = with_key.split_at(with_key.len() - 1);
+                            i.step = uses(&action, head, &format!("{last}{with_val}"))
+                        }),
+                    ),
+                ]),
+                _ => variants.extend([
+                    (
+                        "artifact name",
+                        base.with(|i| {
+                            i.step =
+                                StepDef::upload_artifact("run", &format!("{artifact}x"), &from_step)
+                        }),
+                    ),
+                    (
+                        "from_step",
+                        base.with(|i| {
+                            i.step =
+                                StepDef::upload_artifact("run", &artifact, &format!("{from_step}x"))
+                        }),
+                    ),
+                ]),
+            }
+            for (field, perturbed) in variants {
+                assert_ne!(
+                    key, perturbed,
+                    "case {case} ({kind}): perturbing {field} must change the step key"
+                );
+            }
+        }
+    }
+}
+
+/// What hoisting the job-invariant key fields out of the step loop could
+/// break. Two jobs that differ in nothing but their environment's secrets
+/// must miss on every step — also the steps that never mention a secret —
+/// and a secret rotated between two runs must reach the next run's keys:
+/// the prefix is per job per run, never carried over.
+#[test]
+fn job_secrets_reach_every_step_key_and_rotation_rebuilds_the_prefix() {
+    use hpcci::ci::action::NullDriver;
+    use hpcci::ci::{
+        CacheMode, CiEngine, Environment, JobDef, Secret, SecretScope, StepCache, StepDef,
+        TriggerEvent, WorkflowDef,
+    };
+    const REPO: &str = "org/app";
+    for case in 0..CASES {
+        let mut rng = case_rng("job_prefix", case);
+        // Same job id, same steps, same runner; only the environment — and
+        // through it the resolved secrets — differs between the repo's two
+        // workflows, which share one cache.
+        let steps = rng.range_u64(1, 5);
+        let job = |env: &str| {
+            let mut job = JobDef::new("test").with_environment(env);
+            for k in 0..steps {
+                job = job.with_step(StepDef::run(&format!("s{k}"), &format!("make target-{k}")));
+            }
+            job.with_step(StepDef::upload_artifact("save", "log", "s0"))
+        };
+        let cache = StepCache::new();
+        let mut e = CiEngine::new();
+        e.set_step_cache(cache.clone(), CacheMode::Replay);
+        for env in ["site-a", "site-b"] {
+            e.add_environment(REPO, Environment::new(env));
+            e.secrets.put(
+                SecretScope::Environment {
+                    repo: REPO.into(),
+                    environment: env.into(),
+                },
+                Secret::new(
+                    "GLOBUS_SECRET",
+                    &format!("{env}-{}", gen_string(&mut rng, LOWER, 6, 12)),
+                ),
+            );
+            e.add_workflow(
+                REPO,
+                WorkflowDef::new(env)
+                    .on_event(TriggerEvent::WorkflowDispatch)
+                    .with_job(job(env)),
             );
         }
+        let per_run = steps + 1;
+        let push = |e: &mut CiEngine, workflow: &str| {
+            let before = cache.stats();
+            e.dispatch(REPO, workflow, "main", "commit-1", SimTime::ZERO)
+                .unwrap();
+            e.execute_ready(&mut NullDriver::new());
+            let after = cache.stats();
+            (after.hits - before.hits, after.misses - before.misses)
+        };
+        assert_eq!(push(&mut e, "site-a"), (0, per_run), "case {case}: cold");
+        assert_eq!(
+            push(&mut e, "site-b"),
+            (0, per_run),
+            "case {case}: a job under other secrets replayed site-a's steps"
+        );
+        assert_eq!(push(&mut e, "site-a"), (per_run, 0), "case {case}: warm");
+
+        e.secrets.put(
+            SecretScope::Environment {
+                repo: REPO.into(),
+                environment: "site-a".into(),
+            },
+            Secret::new("GLOBUS_SECRET", &gen_string(&mut rng, LOWER, 13, 16)),
+        );
+        assert_eq!(
+            push(&mut e, "site-a"),
+            (0, per_run),
+            "case {case}: the rotated secret did not reach the next run's keys"
+        );
+        assert_eq!(
+            push(&mut e, "site-a"),
+            (per_run, 0),
+            "case {case}: warm again"
+        );
+        assert_eq!(
+            push(&mut e, "site-b"),
+            (per_run, 0),
+            "case {case}: site-b untouched"
+        );
     }
 }
 
