@@ -92,14 +92,7 @@ impl EndpointRegistration {
         }
     }
 
-    fn take_finished(&mut self) -> Vec<(TaskId, TaskOutput)> {
-        match self {
-            EndpointRegistration::Single(e) => e.take_finished(),
-            EndpointRegistration::Multi(m) => m.take_finished(),
-        }
-    }
-
-    fn drain_finished_into(&mut self, out: &mut Vec<(TaskId, TaskOutput)>) {
+    fn drain_finished_into(&mut self, out: &mut Vec<(TaskId, Box<TaskOutput>)>) {
         match self {
             EndpointRegistration::Single(e) => e.drain_finished_into(out),
             EndpointRegistration::Multi(m) => m.drain_finished_into(out),
@@ -126,9 +119,10 @@ enum InFlight {
         identity: Arc<Identity>,
         slot: usize,
     },
+    /// The output rides the wire by handle, on its way to `TaskState::Done`.
     Return {
         task: TaskId,
-        output: TaskOutput,
+        output: Box<TaskOutput>,
     },
 }
 
@@ -161,8 +155,6 @@ pub struct CloudService {
     cache: NextEventCache,
     /// Endpoint id → cache slot.
     slots: BTreeMap<EndpointId, usize>,
-    /// Cache slot → endpoint id.
-    slot_ids: Vec<EndpointId>,
     /// Cache slot → interned `faas.ep.{id}` trace component.
     slot_syms: Vec<Sym>,
     /// Cache slot → interned plain endpoint name (shared by every task
@@ -183,7 +175,7 @@ pub struct CloudService {
     wire_scratch: Vec<(SimTime, InFlight)>,
     /// Scratch: finished outputs drained from one endpoint, reused across
     /// steps so collection allocates nothing in steady state.
-    finished_scratch: Vec<(TaskId, TaskOutput)>,
+    finished_scratch: Vec<(TaskId, Box<TaskOutput>)>,
     /// Any fault injector present (cloud's own or an endpoint's)? If so the
     /// exhaustive advance path is used so fault consult boundaries — which
     /// fire at the first consult at/after their scheduled time — never move.
@@ -217,7 +209,6 @@ impl CloudService {
             injector: None,
             cache: NextEventCache::new(),
             slots: BTreeMap::new(),
-            slot_ids: Vec::new(),
             slot_syms: Vec::new(),
             slot_name_syms: Vec::new(),
             ordered_slots: Vec::new(),
@@ -321,14 +312,13 @@ impl CloudService {
             Some(&slot) => slot,
             None => {
                 let slot = self.cache.register();
-                self.slot_ids.push(eid.clone());
                 self.slot_syms.push(self.trace.intern(&format!("faas.ep.{id}")));
                 self.slot_name_syms.push(self.trace.intern(id));
                 self.slots.insert(eid.clone(), slot);
                 // A new name shifts ranks: rebuild the name-order walk list
                 // (registration is rare; the hot loop only reads these).
                 self.ordered_slots = self.slots.values().copied().collect();
-                self.slot_rank = vec![0; self.slot_ids.len()];
+                self.slot_rank = vec![0; self.slot_syms.len()];
                 for (rank, &s) in self.ordered_slots.iter().enumerate() {
                     self.slot_rank[s] = rank;
                 }
@@ -641,32 +631,25 @@ impl CloudService {
         self.now
     }
 
-    /// Collect finished outputs from every endpoint onto the return wire
-    /// (exhaustive path, used when fault injection is active).
-    fn collect_returns(&mut self, now: SimTime) {
-        let mut returns: Vec<(TaskId, TaskOutput, String, hpcci_sim::SimDuration)> = Vec::new();
-        for &slot in &self.ordered_slots {
-            let ep = &mut self.endpoints[slot];
-            let latency = ep.wan_latency();
-            for (task, output) in ep.take_finished() {
-                returns.push((task, output, self.slot_ids[slot].0.clone(), latency));
+    /// Move `slot`'s finished outputs onto the return wire: one
+    /// `task.returning` record and one wire push per task, FIFO within the
+    /// endpoint, through the reused scratch vector and the detail pool — no
+    /// per-step allocation on either advance path.
+    fn return_finished(&mut self, slot: usize, now: SimTime) {
+        let mut finished = std::mem::take(&mut self.finished_scratch);
+        self.endpoints[slot].drain_finished_into(&mut finished);
+        if !finished.is_empty() {
+            let latency = self.endpoints[slot].wan_latency();
+            for (task, output) in finished.drain(..) {
+                let mut d = self.trace.detail_buf();
+                task.write_label(&mut d);
+                d.push_str(" from endpoint");
+                self.trace.record(now, "faas.cloud", "task.returning", d);
+                let arrive = self.wire_clear_at(&self.slot_name_syms[slot], now) + latency;
+                self.wire.push(arrive, InFlight::Return { task, output });
             }
         }
-        for (task, output, endpoint, latency) in returns {
-            self.trace.record(
-                now,
-                "faas.cloud",
-                "task.returning",
-                {
-                    let mut d = String::with_capacity(35);
-                    task.write_label(&mut d);
-                    d.push_str(" from endpoint");
-                    d
-                },
-            );
-            let clear = self.wire_clear_at(&endpoint, now);
-            self.wire.push(clear + latency, InFlight::Return { task, output });
-        }
+        self.finished_scratch = finished;
     }
 
     /// Collect finished outputs from endpoints touched since the last
@@ -683,28 +666,10 @@ impl CloudService {
             self.touched.sort_unstable_by_key(|&s| rank[s]);
         }
         self.touched.dedup();
-        // Per-endpoint drain through a reused scratch vector: same record and
-        // wire-push order as the exhaustive scan (endpoint-name order, FIFO
-        // within an endpoint), but no per-step vector allocations.
-        let mut finished = std::mem::take(&mut self.finished_scratch);
         for i in 0..self.touched.len() {
-            let ep = &mut self.endpoints[self.touched[i]];
-            ep.drain_finished_into(&mut finished);
-            if finished.is_empty() {
-                continue;
-            }
-            let latency = ep.wan_latency();
-            for (task, output) in finished.drain(..) {
-                let mut d = self.trace.detail_buf();
-                task.write_label(&mut d);
-                d.push_str(" from endpoint");
-                self.trace.record(now, "faas.cloud", "task.returning", d);
-                // No injector on this path: the wire is never partitioned.
-                self.wire.push(now + latency, InFlight::Return { task, output });
-            }
+            self.return_finished(self.touched[i], now);
         }
         self.touched.clear();
-        self.finished_scratch = finished;
     }
 
     /// Handle one due wire event (shared by both advance paths).
@@ -807,7 +772,9 @@ impl CloudService {
             for &slot in &self.ordered_slots {
                 self.endpoints[slot].advance_to(step);
             }
-            self.collect_returns(step);
+            for i in 0..self.ordered_slots.len() {
+                self.return_finished(self.ordered_slots[i], step);
+            }
             while let Some((at, event)) = self.wire.pop_due(step) {
                 self.events_dispatched += 1;
                 self.handle_wire_event(at, event);
@@ -1044,6 +1011,14 @@ mod tests {
             b.cloud.trace.rolling_digest(),
             "scheduled arrivals replay the interactive trace byte-for-byte"
         );
+    }
+
+    #[test]
+    fn wire_entries_stay_handle_sized() {
+        // `InFlight::Return` carries its output by handle; a by-value payload
+        // would triple every wheel entry the wire moves.
+        assert!(std::mem::size_of::<InFlight>() <= 56);
+        assert!(std::mem::size_of::<Task>() <= 112);
     }
 
     #[test]

@@ -126,9 +126,11 @@ struct QueuedTask {
     command: Sym,
 }
 
+/// A wheel entry: the output rides by handle (boxed once in `pump`), so
+/// placements, cascades and ready-batch promotions move 16 bytes, not 144.
 struct Completion {
     id: TaskId,
-    output: TaskOutput,
+    output: Box<TaskOutput>,
 }
 
 /// A single-user Globus-Compute-style endpoint.
@@ -139,7 +141,7 @@ pub struct Endpoint {
     block: Option<BlockId>,
     queue: VecDeque<QueuedTask>,
     completions: EventQueue<Completion>,
-    finished: Vec<(TaskId, TaskOutput)>,
+    finished: Vec<(TaskId, Box<TaskOutput>)>,
     busy_workers: u32,
     stopped: bool,
     now: SimTime,
@@ -229,14 +231,16 @@ impl Endpoint {
         let component = format!("faas.ep.{}", self.config.name);
         let mut lost = 0usize;
         let ran_as = Sym::from(self.config.local_user.as_str());
-        let crashed = |started: SimTime| TaskOutput {
-            stdout: String::new(),
-            stderr: "infrastructure: endpoint worker crashed".to_string(),
-            result: Err("infrastructure: endpoint worker crashed".to_string()),
-            ran_as: ran_as.clone(),
-            node: Sym::Static("-"),
-            started,
-            ended: now,
+        let crashed = |started: SimTime| {
+            Box::new(TaskOutput {
+                stdout: String::new(),
+                stderr: "infrastructure: endpoint worker crashed".to_string(),
+                result: Err("infrastructure: endpoint worker crashed".to_string()),
+                ran_as: ran_as.clone(),
+                node: Sym::Static("-"),
+                started,
+                ended: now,
+            })
         };
         while let Some((_, c)) = self.completions.pop_due(SimTime::FAR_FUTURE) {
             self.finished.push((c.id, crashed(c.output.started)));
@@ -315,16 +319,11 @@ impl Endpoint {
         Ok(())
     }
 
-    /// Drain finished task outputs (cloud service collects these).
-    pub fn take_finished(&mut self) -> Vec<(TaskId, TaskOutput)> {
-        std::mem::take(&mut self.finished)
-    }
-
     /// Move finished outputs into `out`, keeping this endpoint's `finished`
-    /// buffer allocated. The cloud's per-step collection drains every touched
-    /// endpoint through a reused scratch vector; unlike [`Self::take_finished`]
-    /// neither side reallocates on the next round.
-    pub fn drain_finished_into(&mut self, out: &mut Vec<(TaskId, TaskOutput)>) {
+    /// buffer allocated: the cloud's per-step collection drains every touched
+    /// endpoint through a reused scratch vector, so neither side reallocates
+    /// on the next round.
+    pub fn drain_finished_into(&mut self, out: &mut Vec<(TaskId, Box<TaskOutput>)>) {
         out.append(&mut self.finished);
     }
 
@@ -453,7 +452,7 @@ impl Endpoint {
                 Err(e) => {
                     // Misconfigured endpoint: every task fails.
                     drop(runtime);
-                    let output = TaskOutput {
+                    let output = Box::new(TaskOutput {
                         stdout: String::new(),
                         stderr: e.to_string(),
                         result: Err(e.to_string()),
@@ -461,7 +460,7 @@ impl Endpoint {
                         node: Sym::Static("unknown"),
                         started,
                         ended: started,
-                    };
+                    });
                     self.finished.push((task.id, output));
                     continue;
                 }
@@ -483,7 +482,7 @@ impl Endpoint {
                 .compute_time(outcome.work, node_speed, &mut self.rng);
             drop(runtime);
             let ended = started + duration;
-            let output = TaskOutput {
+            let output = Box::new(TaskOutput {
                 stdout: outcome.stdout,
                 stderr: outcome.stderr,
                 result: outcome.result,
@@ -491,7 +490,7 @@ impl Endpoint {
                 node: node_hostname.clone(),
                 started,
                 ended,
-            };
+            });
             self.busy_workers += 1;
             self.completions.push(ended, Completion { id: task.id, output });
         }
@@ -559,7 +558,8 @@ mod tests {
         let mut ep = login_endpoint(4);
         ep.enqueue(TaskId(1), "sleepy", SimTime::ZERO).unwrap();
         drive(&mut [&mut ep]);
-        let finished = ep.take_finished();
+        let mut finished = Vec::new();
+        ep.drain_finished_into(&mut finished);
         assert_eq!(finished.len(), 1);
         let (id, out) = &finished[0];
         assert_eq!(*id, TaskId(1));
@@ -576,7 +576,8 @@ mod tests {
         let mut ep = login_endpoint(1);
         ep.enqueue(TaskId(7), "boom now", SimTime::ZERO).unwrap();
         drive(&mut [&mut ep]);
-        let finished = ep.take_finished();
+        let mut finished = Vec::new();
+        ep.drain_finished_into(&mut finished);
         assert_eq!(finished.len(), 1);
         assert!(!finished[0].1.success());
         assert_eq!(finished[0].1.stderr, "kaboom");
@@ -588,7 +589,8 @@ mod tests {
         ep.enqueue(TaskId(1), "sleepy", SimTime::ZERO).unwrap();
         ep.enqueue(TaskId(2), "sleepy", SimTime::ZERO).unwrap();
         drive(&mut [&mut ep]);
-        let finished = ep.take_finished();
+        let mut finished = Vec::new();
+        ep.drain_finished_into(&mut finished);
         assert_eq!(finished.len(), 2);
         let (a, b) = (&finished[0].1, &finished[1].1);
         assert!(b.started >= a.ended, "1 worker: second task waits");
@@ -598,8 +600,52 @@ mod tests {
         ep2.enqueue(TaskId(1), "sleepy", SimTime::ZERO).unwrap();
         ep2.enqueue(TaskId(2), "sleepy", SimTime::ZERO).unwrap();
         drive(&mut [&mut ep2]);
-        let f2 = ep2.take_finished();
+        let mut f2 = Vec::new();
+        ep2.drain_finished_into(&mut f2);
         assert!(f2[1].1.started < f2[0].1.ended, "2 workers: tasks overlap");
+    }
+
+    #[test]
+    fn crash_fails_running_and_queued_tasks_as_infrastructure() {
+        // One worker: task 1 is an in-flight (boxed) completion, task 2 waits.
+        let mut ep = login_endpoint(1);
+        ep.enqueue(TaskId(1), "sleepy", SimTime::ZERO).unwrap();
+        ep.enqueue(TaskId(2), "sleepy", SimTime::ZERO).unwrap();
+        // The worker block is up by t=1s: this advance starts task 1 there.
+        let start = SimTime::from_secs(1);
+        ep.advance_to(start);
+        assert_eq!((ep.busy_workers, ep.queued_len()), (1, 1));
+        let crash = SimTime::from_secs(2);
+        ep.force_crash(crash);
+        assert!(ep.is_stopped());
+        assert_eq!(ep.next_event(), None, "nothing left in flight");
+        let mut finished = Vec::new();
+        ep.drain_finished_into(&mut finished);
+        assert_eq!(
+            finished.iter().map(|(id, _)| id.0).collect::<Vec<_>>(),
+            [1, 2]
+        );
+        for (_, out) in &finished {
+            assert_eq!(
+                out.result,
+                Err("infrastructure: endpoint worker crashed".to_string())
+            );
+            assert_eq!(
+                (out.ran_as.as_str(), out.node.as_str(), out.ended),
+                ("cc", "-", crash)
+            );
+        }
+        // The running task keeps the instant it actually started; the queued
+        // one never started before the crash.
+        assert_eq!(finished[0].1.started, start);
+        assert_eq!(finished[1].1.started, crash);
+    }
+
+    #[test]
+    fn completion_entries_stay_handle_sized() {
+        // A by-value `TaskOutput` (136 B) here is copied on every wheel
+        // placement, cascade and ready-batch promotion.
+        assert!(std::mem::size_of::<Completion>() <= 56);
     }
 
     #[test]
@@ -656,7 +702,8 @@ mod tests {
         );
         ep.enqueue(TaskId(1), "job", SimTime::ZERO).unwrap();
         drive(&mut [&mut ep]);
-        let finished = ep.take_finished();
+        let mut finished = Vec::new();
+        ep.drain_finished_into(&mut finished);
         assert_eq!(finished.len(), 1);
         assert!(finished[0].1.stdout.contains("Compute"));
         assert!(finished[0].1.node.contains("tamu-faster"));

@@ -113,8 +113,8 @@ pub struct MultiUserEndpoint {
     /// Observability handle, propagated into every forked UEP.
     obs: Obs,
     /// Outputs of tasks that were in flight when the MEP crashed; drained by
-    /// [`Self::take_finished`] alongside live UEP outputs.
-    pending_crashed: Vec<(TaskId, TaskOutput)>,
+    /// [`Self::drain_finished_into`] alongside live UEP outputs.
+    pending_crashed: Vec<(TaskId, Box<TaskOutput>)>,
     /// Indexed event dispatch over UEP pairs: only pairs with a due event
     /// are advanced (fault-free runs; with an injector the MEP falls back to
     /// the exhaustive path so fault consult boundaries never move).
@@ -192,8 +192,8 @@ impl MultiUserEndpoint {
         for pair in pairs.values_mut() {
             pair.login.force_crash(now);
             pair.task.force_crash(now);
-            self.pending_crashed.extend(pair.login.take_finished());
-            self.pending_crashed.extend(pair.task.take_finished());
+            pair.login.drain_finished_into(&mut self.pending_crashed);
+            pair.task.drain_finished_into(&mut self.pending_crashed);
         }
         if let Some(inj) = &self.injector {
             inj.record(
@@ -372,19 +372,9 @@ impl MultiUserEndpoint {
         }
     }
 
-    /// Drain finished outputs across all UEPs.
-    pub fn take_finished(&mut self) -> Vec<(TaskId, TaskOutput)> {
-        let mut out = std::mem::take(&mut self.pending_crashed);
-        for pair in self.ueps.values_mut() {
-            pair.login.drain_finished_into(&mut out);
-            pair.task.drain_finished_into(&mut out);
-        }
-        out
-    }
-
-    /// Allocation-free variant of [`Self::take_finished`]: appends into `out`
-    /// and leaves every internal buffer's capacity in place.
-    pub fn drain_finished_into(&mut self, out: &mut Vec<(TaskId, TaskOutput)>) {
+    /// Drain finished outputs across all UEPs: appends into `out` and leaves
+    /// every internal buffer's capacity in place.
+    pub fn drain_finished_into(&mut self, out: &mut Vec<(TaskId, Box<TaskOutput>)>) {
         out.append(&mut self.pending_crashed);
         for pair in self.ueps.values_mut() {
             pair.login.drain_finished_into(out);
@@ -504,7 +494,8 @@ mod tests {
         let id = identity("vhayot@uchicago.edu", "uchicago.edu");
         mep.enqueue(TaskId(1), &id, "pytest -v", SimTime::ZERO).unwrap();
         drive(&mut [&mut mep]);
-        let finished = mep.take_finished();
+        let mut finished = Vec::new();
+        mep.drain_finished_into(&mut finished);
         assert_eq!(finished.len(), 1);
         assert_eq!(finished[0].1.ran_as, "x-vhayot");
         assert_eq!(mep.audit_log().len(), 1);
@@ -534,7 +525,8 @@ mod tests {
             .unwrap();
         mep.enqueue(TaskId(2), &id, "pytest tests/", SimTime::ZERO).unwrap();
         drive(&mut [&mut mep]);
-        let mut finished = mep.take_finished();
+        let mut finished = Vec::new();
+        mep.drain_finished_into(&mut finished);
         finished.sort_by_key(|(id, _)| *id);
         let clone_out = &finished[0].1;
         let test_out = &finished[1].1;
@@ -555,7 +547,8 @@ mod tests {
         mep.enqueue(TaskId(1), &id, "git clone https://github.com/x/y", SimTime::ZERO)
             .unwrap();
         drive(&mut [&mut mep]);
-        let finished = mep.take_finished();
+        let mut finished = Vec::new();
+        mep.drain_finished_into(&mut finished);
         assert!(!finished[0].1.success());
         assert!(finished[0].1.stderr.contains("no route to host"));
     }

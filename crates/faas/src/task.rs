@@ -77,8 +77,9 @@ pub enum TaskState {
     QueuedAtEndpoint { at: SimTime },
     /// Executing on a worker.
     Running { started: SimTime },
-    /// Finished; output available.
-    Done(TaskOutput),
+    /// Finished; output available — the box the endpoint's pump built,
+    /// carried here by handle and never opened (a `Task` is half the size).
+    Done(Box<TaskOutput>),
     /// Failed before execution (delivery, mapping, policy).
     Rejected { at: SimTime, reason: String },
 }
@@ -207,8 +208,8 @@ mod tests {
         }
     }
 
-    fn done_output() -> TaskOutput {
-        TaskOutput {
+    fn done_output() -> Box<TaskOutput> {
+        Box::new(TaskOutput {
             stdout: String::new(),
             stderr: String::new(),
             result: Ok(Bytes::new()),
@@ -216,7 +217,7 @@ mod tests {
             node: "n".into(),
             started: SimTime::ZERO,
             ended: SimTime::from_secs(1),
-        }
+        })
     }
 
     #[test]

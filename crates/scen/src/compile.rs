@@ -399,21 +399,16 @@ fn install_workload_commands(
             let tests = workload.tests;
             let failing = workload.failing;
             let work = workload.task_ms as f64 / 1000.0;
-            rt.commands.register(&workload.command, move |_env| {
-                let passed = tests - failing;
-                if failing == 0 {
-                    ExecOutcome::ok(
-                        format!("===== {passed} passed in {work:.1}s ====="),
-                        work,
-                    )
-                } else {
-                    ExecOutcome::fail(
-                        format!("FAILED ({failing} of {tests} tests)"),
-                        work,
-                    )
+            let passed = tests - failing;
+            // Every task prints the same text: rendered once here, cloned per task.
+            let outcome = if failing == 0 {
+                ExecOutcome::ok(format!("===== {passed} passed in {work:.1}s ====="), work)
+            } else {
+                ExecOutcome::fail(format!("FAILED ({failing} of {tests} tests)"), work)
                     .with_stdout(format!("===== {passed} passed, {failing} failed ====="))
-                }
-            });
+            };
+            rt.commands
+                .register(&workload.command, move |_env| outcome.clone());
         }
     }
     Ok(())

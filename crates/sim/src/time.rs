@@ -186,9 +186,41 @@ impl Div<u64> for SimDuration {
     }
 }
 
+impl SimTime {
+    /// Write `t+{seconds}.{micros:06}s` to `out`: integer division and one
+    /// `write_str`, no float formatting. Prints the digits `{:.6}` of
+    /// `as_secs_f64()` prints for every instant below 4.5e15 µs (142 virtual
+    /// years): the quotient is off by at most `v·2⁻⁵³` there, under the
+    /// half-microsecond that would round to a different sixth decimal.
+    pub(crate) fn write_to<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
+        // Filled from the right: "t+", the ≤ 20 digits of a u64, "." and "s".
+        let mut buf = [0u8; 24];
+        let mut i = buf.len();
+        let mut put = |b: u8| {
+            i -= 1;
+            buf[i] = b;
+        };
+        put(b's');
+        let mut v = self.0;
+        for digit in 0.. {
+            if digit == 6 {
+                put(b'.');
+            }
+            put(b'0' + (v % 10) as u8);
+            v /= 10;
+            if v == 0 && digit >= 6 {
+                break;
+            }
+        }
+        put(b'+');
+        put(b't');
+        out.write_str(std::str::from_utf8(&buf[i..]).expect("ascii digits"))
+    }
+}
+
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t+{:.6}s", self.as_secs_f64())
+        self.write_to(f)
     }
 }
 
@@ -264,5 +296,36 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_micros(2_500)), "2.500ms");
         assert_eq!(format!("{}", SimDuration::from_secs(3)), "3.000s");
         assert_eq!(format!("{}", SimTime::from_millis(1500)), "t+1.500000s");
+    }
+
+    /// The integer writer prints what the float formatter it replaced printed,
+    /// across the whole range the equivalence argument covers.
+    #[test]
+    fn integer_time_writer_matches_float_formatting() {
+        let float_form = |us: u64| format!("t+{:.6}s", us as f64 / 1e6);
+        let mut edges = vec![0, 1, 999_999, 1_000_000, 4_500_000_000_000_000 - 1];
+        for k in 1..=15 {
+            let p = 10u64.pow(k);
+            edges.extend([p - 1, p + 1]);
+        }
+        for us in edges {
+            assert_eq!(
+                SimTime::from_micros(us).to_string(),
+                float_form(us),
+                "edge {us}"
+            );
+        }
+        let mut rng = crate::DetRng::seed_from_u64(0x71de);
+        for case in 0..4096 {
+            // Uniform in magnitude, not in value: short stamps are the common case.
+            let us = rng.range_u64(0, 1 << 52) >> rng.range_u64(0, 52);
+            assert_eq!(
+                SimTime::from_micros(us).to_string(),
+                float_form(us),
+                "case {case}: {us}"
+            );
+        }
+        // Beyond the float's reach the integer form stays exact.
+        assert_eq!(SimTime::FAR_FUTURE.to_string(), "t+18446744073709.551615s");
     }
 }

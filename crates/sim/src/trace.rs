@@ -221,18 +221,35 @@ impl TraceEvent {
     pub fn at(&self) -> SimTime {
         SimTime::from_micros(self.at_us)
     }
+
+    /// The one definition of a trace line's bytes (no trailing newline):
+    /// `[t+S.UUUUUUs] ` · component left-aligned to 24 chars · space · kind
+    /// left-aligned to 20 · space · detail. The golden trace hashes pin these
+    /// bytes, so every consumer is a sink of this writer: `Display`,
+    /// [`Trace::render`] (a `String`) and the rolling digest (FNV-1a, which
+    /// hashes the pieces in place — no line is ever materialised to be hashed).
+    fn write_line<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        out.write_str("[")?;
+        self.at().write_to(out)?;
+        out.write_str("] ")?;
+        write_padded(out, &self.component, 24)?;
+        write_padded(out, &self.kind, 20)?;
+        out.write_str(&self.detail)
+    }
+}
+
+/// `s`, space-padded on the right to `width` *chars* (never truncated), then
+/// the column-separating space — what `"{:<width} "` writes.
+fn write_padded<W: fmt::Write>(out: &mut W, s: &str, width: usize) -> fmt::Result {
+    const SPACES: &str = "                         ";
+    out.write_str(s)?;
+    let pad = width.saturating_sub(s.chars().count());
+    out.write_str(&SPACES[..pad + 1])
 }
 
 impl fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{}] {:<24} {:<20} {}",
-            self.at(),
-            self.component,
-            self.kind,
-            self.detail
-        )
+        self.write_line(f)
     }
 }
 
@@ -280,9 +297,6 @@ pub struct Trace {
     folded: u64,
     /// Running FNV-1a digest over the rendered lines of folded events.
     fold_hash: u64,
-    /// Scratch line buffer for folding — rendering a folded event reuses
-    /// this allocation instead of `to_string()`-ing per event.
-    fold_scratch: String,
     /// Detail buffers recycled from folded events (rolling mode only): hot
     /// recorders take one via [`Trace::detail_buf`], build the detail in
     /// place, and hand it back through [`Trace::record`], so steady-state
@@ -369,24 +383,18 @@ impl Trace {
     /// every live event — a deterministic fingerprint of the whole log that
     /// is insensitive to where the fold boundaries happened to land.
     pub fn rolling_digest(&self) -> u64 {
-        let mut h = if self.fold_hash == 0 { FNV_OFFSET } else { self.fold_hash };
-        let mut line = String::new();
-        for e in &self.events {
-            h = fold_line(h, e, &mut line);
-        }
-        h
+        let h = if self.fold_hash == 0 { FNV_OFFSET } else { self.fold_hash };
+        self.events.iter().fold(h, fold_line)
     }
 
     fn fold_oldest(&mut self, n: usize) {
         let n = n.min(self.events.len());
-        let mut line = std::mem::take(&mut self.fold_scratch);
         for mut e in self.events.drain(..n) {
-            self.fold_hash = fold_line(self.fold_hash, &e, &mut line);
+            self.fold_hash = fold_line(self.fold_hash, &e);
             // Recycle the detail allocation for a future `detail_buf` call.
             e.detail.clear();
             self.detail_pool.push(e.detail);
         }
-        self.fold_scratch = line;
         self.folded += n as u64;
     }
 
@@ -478,27 +486,35 @@ impl Trace {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
-            out.push_str(&e.to_string());
+            e.write_line(&mut out).expect("String sink cannot fail");
             out.push('\n');
         }
         out
     }
 }
 
-/// Fold one event's rendered line (with trailing newline) into an FNV-1a
-/// accumulator — the same bytes [`Trace::render`] would have contributed.
-/// Renders through the caller's scratch buffer so folding a million events
-/// performs no per-event allocation.
-fn fold_line(mut h: u64, e: &TraceEvent, line: &mut String) -> u64 {
-    use std::fmt::Write;
-    line.clear();
-    write!(line, "{e}").expect("write! to String cannot fail");
-    for b in line.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+/// FNV-1a accumulator as a [`TraceEvent::write_line`] sink.
+struct Fnv(u64);
+
+impl fmt::Write for Fnv {
+    #[inline]
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(FNV_PRIME);
+        }
+        Ok(())
     }
-    h ^= b'\n' as u64;
-    h.wrapping_mul(FNV_PRIME)
+}
+
+/// Fold one event's line (with trailing newline) into an FNV-1a accumulator
+/// — the same bytes [`Trace::render`] would have contributed.
+fn fold_line(h: u64, e: &TraceEvent) -> u64 {
+    use fmt::Write;
+    let mut sink = Fnv(h);
+    e.write_line(&mut sink)
+        .and_then(|()| sink.write_str("\n"))
+        .expect("the hash sink never fails");
+    sink.0
 }
 
 #[cfg(test)]
@@ -651,6 +667,98 @@ mod tests {
         let mut other = fill(Some(64));
         other.record(SimTime::from_secs(9), "faas.cloud", "task.submit", "tid=x");
         assert_ne!(other.rolling_digest(), bounded.rolling_digest());
+    }
+
+    /// The format string the byte-level writer replaced, kept here as the
+    /// reference the golden bytes were recorded with.
+    fn reference_line(e: &TraceEvent) -> String {
+        format!(
+            "[t+{:.6}s] {:<24} {:<20} {}",
+            e.at_us as f64 / 1e6,
+            e.component.as_str(),
+            e.kind.as_str(),
+            e.detail
+        )
+    }
+
+    #[test]
+    fn line_writer_matches_the_reference_format() {
+        let exactly_24 = "faas.ep.anvil-login-0001";
+        let exactly_20 = "task.transition-blkd";
+        assert_eq!((exactly_24.len(), exactly_20.len()), (24, 20));
+        let names: [(&str, &str); 6] = [
+            ("faas.cloud", "task.submit"),
+            ("", ""),
+            (exactly_24, exactly_20),
+            (
+                "faas.mep.a-site-name-wider-than-the-column",
+                "task.transition-blocked",
+            ),
+            // Padding counts chars, not bytes: 9 and 4 chars, 13 and 8 bytes.
+            ("faas.µ-épé", "tâche"),
+            (
+                "日本語のコンポーネント名は二十四文字より長いこともある",
+                "種類",
+            ),
+        ];
+        for (i, (component, kind)) in names.into_iter().enumerate() {
+            let e = TraceEvent {
+                at_us: 1_234_567 * i as u64,
+                component: component.into(),
+                kind: kind.into(),
+                detail: format!("tid={i} détail"),
+            };
+            assert_eq!(e.to_string(), reference_line(&e), "{component:?} {kind:?}");
+        }
+    }
+
+    /// One renderer, three sinks: the digest is FNV-1a over exactly the bytes
+    /// `render()` returns, wherever the fold boundaries land.
+    #[test]
+    fn rolling_digest_is_fnv_over_rendered_bytes() {
+        let fnv = |bytes: &[u8]| {
+            bytes
+                .iter()
+                .fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+        };
+        for case in 0..24u64 {
+            let mut rng = crate::DetRng::seed_from_u64(0xf01d ^ case);
+            let n = rng.range_u64(0, 300);
+            let mut at = 0;
+            let events: Vec<(u64, String, String, String)> = (0..n)
+                .map(|i| {
+                    at += rng.range_u64(0, 3_000_000);
+                    let component = "faas.ep.sité-".repeat(rng.range_u64(0, 4) as usize);
+                    let kind = "task.k".repeat(rng.range_u64(0, 5) as usize);
+                    (at, component, kind, format!("tid={i}"))
+                })
+                .collect();
+            let fill = |cap: Option<usize>| {
+                let mut t = Trace::new();
+                if let Some(cap) = cap {
+                    t.set_rolling(cap);
+                }
+                for (at, component, kind, detail) in &events {
+                    t.record(SimTime::from_micros(*at), component, kind, detail.as_str());
+                }
+                t
+            };
+            let unbounded = fill(None);
+            let rendered = unbounded.render();
+            let reference: String = unbounded
+                .events()
+                .iter()
+                .map(|e| reference_line(e) + "\n")
+                .collect();
+            assert_eq!(rendered, reference, "case {case}");
+            for cap in [None, Some(2), Some(16), Some(64)] {
+                assert_eq!(
+                    fill(cap).rolling_digest(),
+                    fnv(rendered.as_bytes()),
+                    "case {case} cap {cap:?}"
+                );
+            }
+        }
     }
 
     #[test]

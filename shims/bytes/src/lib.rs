@@ -7,19 +7,28 @@
 
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An immutable, reference-counted byte buffer.
-#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Bytes {
     data: Arc<[u8]>,
 }
 
+impl Default for Bytes {
+    fn default() -> Bytes {
+        Bytes::new()
+    }
+}
+
 impl Bytes {
-    /// An empty buffer (no allocation is shared, but the empty slice is cheap).
+    /// An empty buffer: a clone of one process-wide empty allocation (even a
+    /// zero-length `Arc<[u8]>` heap-allocates its counts), so this costs a
+    /// reference-count bump, not an allocation, per call.
     pub fn new() -> Bytes {
+        static EMPTY: OnceLock<Arc<[u8]>> = OnceLock::new();
         Bytes {
-            data: Arc::from(&[][..]),
+            data: EMPTY.get_or_init(|| Arc::from(&[][..])).clone(),
         }
     }
 
@@ -126,6 +135,10 @@ mod tests {
     #[test]
     fn construction_paths() {
         assert!(Bytes::new().is_empty());
+        assert!(
+            Arc::ptr_eq(&Bytes::new().data, &Bytes::default().data),
+            "empty buffers share one allocation"
+        );
         assert_eq!(Bytes::from_static(b"42").len(), 2);
         assert_eq!(Bytes::from("abc"), Bytes::from("abc".to_string()));
         assert_eq!(Bytes::from(vec![1, 2, 3]).to_vec(), vec![1, 2, 3]);
