@@ -7,6 +7,7 @@
 
 use crate::error::AuthError;
 use crate::identity::Identity;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Mapping rules for one site, evaluated in order:
@@ -44,14 +45,15 @@ impl IdentityMapping {
         self
     }
 
-    /// Resolve the local username for `identity`, or fail closed.
-    pub fn resolve(&self, identity: &Identity) -> Result<String, AuthError> {
+    /// Resolve the local username for `identity`, or fail closed. An
+    /// explicit entry is lent, a provider rule's name is built.
+    pub fn resolve(&self, identity: &Identity) -> Result<Cow<'_, str>, AuthError> {
         if let Some(local) = self.explicit.get(&identity.username) {
-            return Ok(local.clone());
+            return Ok(Cow::Borrowed(local));
         }
         for (domain, prefix) in &self.provider_rules {
             if identity.provider.0 == *domain {
-                return Ok(format!("{prefix}{}", identity.local_part()));
+                return Ok(Cow::Owned(format!("{prefix}{}", identity.local_part())));
             }
         }
         Err(AuthError::NoMapping {

@@ -2,32 +2,35 @@
 
 use crate::identity::IdentityId;
 use hpcci_sim::SimTime;
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
-/// An OAuth scope string, e.g. `"compute.api"`.
+/// An OAuth scope string, e.g. `"compute.api"`. The well-known scopes are
+/// constants: naming one allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Scope(pub String);
+pub struct Scope(pub Cow<'static, str>);
 
 impl Scope {
     /// Scope required to submit tasks to the FaaS service.
-    pub fn compute_api() -> Scope {
-        Scope("compute.api".to_string())
+    pub const fn compute_api() -> Scope {
+        Scope(Cow::Borrowed("compute.api"))
     }
 
     /// Scope required to manage (register/configure) endpoints.
-    pub fn endpoint_manage() -> Scope {
-        Scope("endpoint.manage".to_string())
+    pub const fn endpoint_manage() -> Scope {
+        Scope(Cow::Borrowed("endpoint.manage"))
     }
 }
 
-/// A bearer token value. Like [`crate::client::ClientSecret`], never printed.
+/// A bearer token: the issue serial that indexes the service's token table,
+/// and the value the service compares on presentation — a guessed serial
+/// without its `mac` is worthless. Opaque outside this crate and, like
+/// [`crate::client::ClientSecret`], never printed.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct AccessToken(pub(crate) String);
-
-impl AccessToken {
-    pub(crate) fn new(raw: String) -> Self {
-        AccessToken(raw)
-    }
+pub struct AccessToken {
+    pub(crate) serial: u64,
+    pub(crate) mac: u64,
 }
 
 impl fmt::Debug for AccessToken {
@@ -40,7 +43,8 @@ impl fmt::Debug for AccessToken {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TokenInfo {
     pub identity: IdentityId,
-    pub scopes: Vec<Scope>,
+    /// Shared with the service's table: introspection clones a handle.
+    pub scopes: Arc<[Scope]>,
     pub issued_at: SimTime,
     pub expires_at: SimTime,
 }
@@ -56,9 +60,17 @@ mod tests {
     use super::*;
 
     #[test]
+    fn token_is_two_words() {
+        assert_eq!(std::mem::size_of::<AccessToken>(), 16);
+    }
+
+    #[test]
     fn token_debug_is_redacted() {
-        let t = AccessToken::new("tok-abc123".to_string());
-        assert!(!format!("{t:?}").contains("abc123"));
+        let t = AccessToken {
+            serial: 0xabc123,
+            mac: 0xdef456,
+        };
+        assert_eq!(format!("{t:?}"), "AccessToken(***redacted***)");
     }
 
     #[test]
@@ -66,7 +78,7 @@ mod tests {
         assert_eq!(Scope::compute_api().0, "compute.api");
         let info = TokenInfo {
             identity: IdentityId(1),
-            scopes: vec![Scope::compute_api()],
+            scopes: [Scope::compute_api()].into(),
             issued_at: SimTime::ZERO,
             expires_at: SimTime::from_secs(3600),
         };

@@ -119,8 +119,8 @@ impl StepResult {
         }
     }
 
-    pub fn with_output(mut self, key: &str, value: &str) -> StepResult {
-        self.outputs.insert(key.to_string(), value.to_string());
+    pub fn with_output(mut self, key: &str, value: impl Into<String>) -> StepResult {
+        self.outputs.insert(key.to_string(), value.into());
         self
     }
 

@@ -1007,7 +1007,7 @@ mod tests {
         fn run(&self, ctx: &mut StepContext<'_>) -> crate::action::StepResult {
             let token = ctx.input("token").unwrap_or("-").to_string();
             let mut result = crate::action::StepResult::ok(format!("stdout saw {token}"))
-                .with_output("stdout", &format!("stdout saw {token}"))
+                .with_output("stdout", format!("stdout saw {token}"))
                 .with_output("exit_code", "0");
             result.stderr = format!("warning: {token} on stderr");
             result

@@ -53,6 +53,11 @@ impl UserAccount {
     pub fn scratch(&self) -> String {
         format!("/scratch/{}", self.username)
     }
+
+    /// `<scratch>/<sub>`, sized exactly and built in one allocation.
+    pub fn scratch_sub(&self, sub: &str) -> String {
+        ["/scratch/", &self.username, "/", sub].concat()
+    }
 }
 
 #[cfg(test)]
@@ -64,6 +69,7 @@ mod tests {
         let a = UserAccount::new(1001, "x-vhayot", "CIS230030");
         assert_eq!(a.home, "/home/x-vhayot");
         assert_eq!(a.scratch(), "/scratch/x-vhayot");
+        assert_eq!(a.scratch_sub("tmp"), format!("{}/tmp", a.scratch()));
         assert!(a.in_group("CIS230030"));
         assert!(!a.in_group("other"));
     }

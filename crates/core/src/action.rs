@@ -22,6 +22,7 @@ use hpcci_faas::{CloudService, EndpointId, FaasError, FunctionId, TaskId, TaskOu
 use hpcci_obs::Obs;
 use hpcci_sim::{DetRng, SimDuration, SimTime};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// The marketplace name the action registers under.
@@ -271,8 +272,8 @@ impl Action for CorrectAction {
         // 2. Authenticate with the client credentials. (Read the clock
         // before taking the cloud lock: the driver reads it through the
         // same mutex.)
-        let client_id = ClientId(inputs.client_id.clone());
-        let client_secret = ClientSecret::new(&inputs.client_secret);
+        let client_id = ClientId(inputs.client_id.to_string());
+        let client_secret = ClientSecret::new(inputs.client_secret);
         let now = ctx.driver.now();
         let mut token = {
             let cloud = self.cloud.lock();
@@ -288,12 +289,12 @@ impl Action for CorrectAction {
 
         // The primary endpoint plus any configured fallbacks for crash
         // failover, in priority order.
-        let endpoints: Vec<EndpointId> = std::iter::once(inputs.endpoint_uuid.clone())
-            .chain(inputs.fallback_endpoints.iter().cloned())
-            .map(EndpointId)
+        let endpoints: Vec<EndpointId> = std::iter::once(inputs.endpoint_uuid)
+            .chain(inputs.fallback_endpoints.iter().copied())
+            .map(|e| EndpointId(e.to_string()))
             .collect();
         let backoff = SimDuration::from_secs(inputs.retry_backoff_secs.max(1));
-        let jitter_seed = fnv_pair(&ctx.commit, &inputs.endpoint_uuid);
+        let jitter_seed = fnv_pair(&ctx.commit, inputs.endpoint_uuid);
 
         // 3. Clone the repository at the remote site.
         if !inputs.skip_clone {
@@ -340,16 +341,16 @@ impl Action for CorrectAction {
             &mut log,
             "task submission",
             |cloud, token, endpoint, now| {
-                if let Some(cmd) = &inputs.shell_cmd {
+                if let Some(cmd) = inputs.shell_cmd {
                     let full = if inputs.args.is_empty() {
-                        cmd.clone()
+                        Cow::Borrowed(cmd)
                     } else {
-                        format!("{cmd} {}", inputs.args)
+                        Cow::Owned(format!("{cmd} {}", inputs.args))
                     };
                     cloud.submit_shell(token, endpoint, &full, now)
                 } else {
                     let fid = FunctionId(inputs.function_uuid.expect("schema validated"));
-                    cloud.submit_function(token, endpoint, fid, &inputs.args, now)
+                    cloud.submit_function(token, endpoint, fid, inputs.args, now)
                 }
             },
         ) {
@@ -358,22 +359,24 @@ impl Action for CorrectAction {
             Attempted::Infra(detail) => return infra_step_result(&log, &detail),
         };
 
-        // 5. Propagate outputs; step fails when the function failed.
+        // 5. Propagate outputs; step fails when the function failed. The
+        // task's output is ours: the log becomes the step's stdout and the
+        // task's strings move into the outputs map (one copy, for `stderr`).
+        log.push_str(&output.stdout);
         let mut result = StepResult {
             success: output.success(),
-            stdout: format!("{log}{}", output.stdout),
+            stdout: log,
             stderr: output.stderr.clone(),
             ..StepResult::default()
-        };
-        result = result
-            .with_output("stdout", &output.stdout)
-            .with_output("stderr", &output.stderr)
-            .with_output("ran_as", &output.ran_as)
-            .with_output("node", &output.node)
-            .with_output(
-                "runtime_secs",
-                &format!("{:.6}", output.runtime().as_secs_f64()),
-            );
+        }
+        .with_output(
+            "runtime_secs",
+            format!("{:.6}", output.runtime().as_secs_f64()),
+        )
+        .with_output("ran_as", output.ran_as.as_str())
+        .with_output("node", output.node.as_str())
+        .with_output("stdout", output.stdout)
+        .with_output("stderr", output.stderr);
 
         // 6. Optional provenance capture (never flips the step's outcome).
         if inputs.capture_environment {

@@ -13,18 +13,18 @@
 
 use std::collections::BTreeMap;
 
-/// Parsed, validated action inputs.
+/// Parsed, validated action inputs, borrowed from the step's `with:` map.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CorrectInputs {
-    pub client_id: String,
-    pub client_secret: String,
-    pub endpoint_uuid: String,
+pub struct CorrectInputs<'a> {
+    pub client_id: &'a str,
+    pub client_secret: &'a str,
+    pub endpoint_uuid: &'a str,
     /// Exactly one of `shell_cmd` / `function_uuid` is set.
-    pub shell_cmd: Option<String>,
+    pub shell_cmd: Option<&'a str>,
     pub function_uuid: Option<u64>,
     /// Args passed to the function (`function_uuid` form) or appended to the
     /// shell command.
-    pub args: String,
+    pub args: &'a str,
     /// When true, CORRECT runs a secondary capture task and attaches the
     /// site's software-environment description as an artifact (§7.4).
     pub capture_environment: bool,
@@ -38,23 +38,26 @@ pub struct CorrectInputs {
     pub retry_backoff_secs: u64,
     /// Sibling endpoints to fail over to when the primary endpoint crashes
     /// (comma-separated in the `with:` map).
-    pub fallback_endpoints: Vec<String>,
+    pub fallback_endpoints: Vec<&'a str>,
 }
 
-impl CorrectInputs {
+impl<'a> CorrectInputs<'a> {
     /// Parse from a step's `with:` map. Returns a user-facing error message
     /// on schema violations.
-    pub fn parse(with: &BTreeMap<String, String>) -> Result<CorrectInputs, String> {
-        let req = |key: &str| -> Result<String, String> {
+    pub fn parse(with: &'a BTreeMap<String, String>) -> Result<CorrectInputs<'a>, String> {
+        let req = |key: &str| -> Result<&'a str, String> {
             match with.get(key) {
-                Some(v) if !v.is_empty() => Ok(v.clone()),
+                Some(v) if !v.is_empty() => Ok(v.as_str()),
                 _ => Err(format!("correct-action: missing required input `{key}`")),
             }
         };
         let client_id = req("client_id")?;
         let client_secret = req("client_secret")?;
         let endpoint_uuid = req("endpoint_uuid")?;
-        let shell_cmd = with.get("shell_cmd").filter(|v| !v.is_empty()).cloned();
+        let shell_cmd = with
+            .get("shell_cmd")
+            .filter(|v| !v.is_empty())
+            .map(String::as_str);
         let function_uuid = match with.get("function_uuid").filter(|v| !v.is_empty()) {
             Some(raw) => Some(
                 raw.trim_start_matches("fn-")
@@ -92,7 +95,7 @@ impl CorrectInputs {
             .get("fallback_endpoints")
             .map(|v| {
                 v.split(',')
-                    .map(|s| s.trim().to_string())
+                    .map(str::trim)
                     .filter(|s| !s.is_empty())
                     .collect()
             })
@@ -103,7 +106,7 @@ impl CorrectInputs {
             endpoint_uuid,
             shell_cmd,
             function_uuid,
-            args: with.get("args").cloned().unwrap_or_default(),
+            args: with.get("args").map_or("", String::as_str),
             capture_environment: truthy("capture_environment"),
             skip_clone: truthy("skip_clone"),
             max_retries,
@@ -131,8 +134,9 @@ mod tests {
 
     #[test]
     fn parses_fig3_form() {
-        let inputs = CorrectInputs::parse(&base()).unwrap();
-        assert_eq!(inputs.shell_cmd.as_deref(), Some("tox"));
+        let with = base();
+        let inputs = CorrectInputs::parse(&with).unwrap();
+        assert_eq!(inputs.shell_cmd, Some("tox"));
         assert_eq!(inputs.endpoint_uuid, "ep-anvil");
         assert!(!inputs.capture_environment);
         assert!(inputs.function_uuid.is_none());
@@ -184,7 +188,8 @@ mod tests {
 
     #[test]
     fn resilience_inputs_default_and_parse() {
-        let inputs = CorrectInputs::parse(&base()).unwrap();
+        let with = base();
+        let inputs = CorrectInputs::parse(&with).unwrap();
         assert_eq!(inputs.max_retries, 2);
         assert_eq!(inputs.retry_backoff_secs, 5);
         assert!(inputs.fallback_endpoints.is_empty());

@@ -391,7 +391,7 @@ impl CloudService {
     ) -> Result<TaskId, FaasError> {
         let (identity, slot) = self.validate_shell(token, endpoint, shell_cmd, now)?;
         let command = self.trace.intern(shell_cmd);
-        Ok(self.accept(&Arc::new(identity), slot, command, now))
+        Ok(self.accept(&identity, slot, command, now))
     }
 
     /// Schedule a shell submission for a future arrival instant. Validation
@@ -410,7 +410,7 @@ impl CloudService {
     ) -> Result<(), FaasError> {
         let (identity, slot) = self.validate_shell(token, endpoint, shell_cmd, now)?;
         let command = self.trace.intern(shell_cmd);
-        self.push_submit(Arc::new(identity), slot, command, now, submit_at);
+        self.push_submit(identity, slot, command, now, submit_at);
         Ok(())
     }
 
@@ -428,7 +428,6 @@ impl CloudService {
         arrivals: &[SimTime],
     ) -> Result<u64, FaasError> {
         let (identity, slot) = self.validate_shell(token, endpoint, shell_cmd, now)?;
-        let identity = Arc::new(identity);
         let command = self.trace.intern(shell_cmd);
         for &at in arrivals {
             self.push_submit(identity.clone(), slot, command.clone(), now, at);
@@ -444,7 +443,7 @@ impl CloudService {
         endpoint: &EndpointId,
         shell_cmd: &str,
         now: SimTime,
-    ) -> Result<(Identity, usize), FaasError> {
+    ) -> Result<(Arc<Identity>, usize), FaasError> {
         let identity = self.authenticate(token, now)?;
         let slot = *self
             .slots
@@ -505,14 +504,16 @@ impl CloudService {
         self.check_payload(args.len())?;
         self.check_owner(ep, &identity, now)?;
         let command = self.trace.intern(&f.command_line(args));
-        Ok(self.accept(&Arc::new(identity), slot, command, now))
+        Ok(self.accept(&identity, slot, command, now))
     }
 
+    /// The identity behind a valid compute token, by handle: the submission
+    /// carries the service's own `Arc`, as the identity stands right now.
     fn authenticate(
         &mut self,
         token: &hpcci_auth::AccessToken,
         now: SimTime,
-    ) -> Result<Identity, FaasError> {
+    ) -> Result<Arc<Identity>, FaasError> {
         let auth = self.auth.lock();
         let info = auth.require_scope(token, &Scope::compute_api(), now)?;
         Ok(auth.identity(info.identity)?.clone())

@@ -106,7 +106,7 @@ impl TaskEnv<'_> {
     /// user's scratch space (the paper's logs show
     /// `/anvil/scratch/x-vhayot/gc-action-temp/...`).
     pub fn clone_root(&self) -> String {
-        format!("{}/gc-action-temp", self.account.scratch())
+        self.account.scratch_sub("gc-action-temp")
     }
 }
 

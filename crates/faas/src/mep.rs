@@ -22,6 +22,7 @@ use hpcci_obs::Obs;
 use hpcci_scheduler::{LocalProvider, SlurmProvider};
 use hpcci_sim::{Advance, FaultInjector, NextEventCache, SimDuration, SimTime, Sym};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// How the template provisions task workers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,9 +106,12 @@ pub struct MultiUserEndpoint {
     pub ha_policy: HighAssurancePolicy,
     pub restrict_functions: Option<BTreeSet<FunctionId>>,
     template: MepTemplate,
-    ueps: BTreeMap<String, UepPair>,
-    /// Administrator-auditable log: (task, identity username, local user).
-    audit_log: Vec<(TaskId, String, String)>,
+    /// Forked UEP pairs by local user; the key is the one interned copy of
+    /// that name (`slot_users` and the audit log hold handles to it).
+    ueps: BTreeMap<Arc<str>, UepPair>,
+    /// Administrator-auditable log: (task, submitting identity, local user),
+    /// by handle — the identity is the one the task was submitted with.
+    audit_log: Vec<(TaskId, Arc<Identity>, Arc<str>)>,
     seed: u64,
     injector: Option<FaultInjector>,
     /// Observability handle, propagated into every forked UEP.
@@ -120,7 +124,7 @@ pub struct MultiUserEndpoint {
     /// the exhaustive path so fault consult boundaries never move).
     cache: NextEventCache,
     /// Slot → local user of the pair occupying it.
-    slot_users: Vec<String>,
+    slot_users: Vec<Arc<str>>,
     /// Scratch buffer of due slots, reused across advances.
     due_scratch: Vec<usize>,
 }
@@ -233,7 +237,7 @@ impl MultiUserEndpoint {
 
     /// The administrator's audit view (§5.1: "administrators can audit logs
     /// of all tasks that have been executed").
-    pub fn audit_log(&self) -> &[(TaskId, String, String)] {
+    pub fn audit_log(&self) -> &[(TaskId, Arc<Identity>, Arc<str>)] {
         &self.audit_log
     }
 
@@ -242,7 +246,7 @@ impl MultiUserEndpoint {
         self.ueps.len()
     }
 
-    fn fork_uep(&mut self, local_user: &str) -> Result<(), FaasError> {
+    fn fork_uep(&mut self, local_user: &Arc<str>) -> Result<(), FaasError> {
         if self.ueps.contains_key(local_user) {
             return Ok(());
         }
@@ -318,12 +322,12 @@ impl MultiUserEndpoint {
             task_ep.set_obs(self.obs.clone());
         }
         let slot = self.cache.register();
-        self.slot_users.push(local_user.to_string());
+        self.slot_users.push(local_user.clone());
         if task_ep.shares_scheduler() {
             self.cache.set_volatile(slot, true);
         }
         self.ueps.insert(
-            local_user.to_string(),
+            local_user.clone(),
             UepPair {
                 login: login_ep,
                 task: task_ep,
@@ -338,7 +342,7 @@ impl MultiUserEndpoint {
     pub fn enqueue(
         &mut self,
         id: TaskId,
-        identity: &Identity,
+        identity: &Arc<Identity>,
         command: impl Into<Sym>,
         now: SimTime,
     ) -> Result<(), FaasError> {
@@ -361,8 +365,13 @@ impl MultiUserEndpoint {
                 )));
             }
         }
+        let local_user = match self.ueps.get_key_value(&*local_user) {
+            Some((interned, _)) => interned.clone(),
+            None => Arc::from(&*local_user),
+        };
         self.fork_uep(&local_user)?;
-        self.audit_log.push((id, identity.username.clone(), local_user.clone()));
+        self.audit_log
+            .push((id, identity.clone(), local_user.clone()));
         let pair = self.ueps.get_mut(&local_user).expect("forked above");
         self.cache.mark_dirty(pair.slot);
         if self.template.routes_to_login(&command) {
@@ -460,13 +469,13 @@ mod tests {
     use hpcci_cluster::Site;
     use hpcci_sim::drive;
 
-    fn identity(username: &str, provider: &str) -> Identity {
-        Identity {
+    fn identity(username: &str, provider: &str) -> Arc<Identity> {
+        Arc::new(Identity {
             id: IdentityId(1),
             username: username.to_string(),
             provider: IdentityProvider::new(provider),
             last_authentication_us: 0,
-        }
+        })
     }
 
     fn faster_mep() -> MultiUserEndpoint {
@@ -498,9 +507,15 @@ mod tests {
         mep.drain_finished_into(&mut finished);
         assert_eq!(finished.len(), 1);
         assert_eq!(finished[0].1.ran_as, "x-vhayot");
-        assert_eq!(mep.audit_log().len(), 1);
-        assert_eq!(mep.audit_log()[0].1, "vhayot@uchicago.edu");
-        assert_eq!(mep.audit_log()[0].2, "x-vhayot");
+        let [(task, audited, local)] = mep.audit_log() else {
+            panic!("one task, one audit record");
+        };
+        assert_eq!(*task, TaskId(1));
+        assert!(
+            Arc::ptr_eq(audited, &id),
+            "the submitting identity, by handle"
+        );
+        assert_eq!(&**local, "x-vhayot");
     }
 
     #[test]

@@ -16,6 +16,7 @@
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Trace;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -146,8 +147,8 @@ struct InjectorState {
     pending: Vec<FaultSpec>,
     /// Active WAN partitions: (endpoint, healed_at).
     partitions: Vec<(String, SimTime)>,
-    /// Token strings force-expired by a TokenExpiry fault.
-    expired_tokens: Vec<String>,
+    /// Tokens (by their integer value) force-expired by a TokenExpiry fault.
+    expired_tokens: BTreeSet<u64>,
     /// A token expiry fired and no fresh token has been seen yet.
     awaiting_token_refresh: bool,
     trace: Trace,
@@ -167,7 +168,7 @@ impl FaultInjector {
             inner: Arc::new(Mutex::new(InjectorState {
                 pending: plan.faults,
                 partitions: Vec::new(),
-                expired_tokens: Vec::new(),
+                expired_tokens: BTreeSet::new(),
                 awaiting_token_refresh: false,
                 trace: Trace::new(),
             })),
@@ -293,18 +294,18 @@ impl FaultInjector {
     /// at or after a due `TokenExpiry` consumes the fault and expires the
     /// token it sees; a later introspection of a *different* token counts
     /// as the refresh recovery.
-    pub fn token_expired(&self, token: &str, now: SimTime) -> bool {
+    pub fn token_expired(&self, token: u64, now: SimTime) -> bool {
         if self
             .take_due(now, || "auth".to_string(), |k| matches!(k, FaultKind::TokenExpiry))
             .is_some()
         {
             let mut st = self.lock();
-            st.expired_tokens.push(token.to_string());
+            st.expired_tokens.insert(token);
             st.awaiting_token_refresh = true;
             return true;
         }
         let mut st = self.lock();
-        if st.expired_tokens.iter().any(|t| t == token) {
+        if st.expired_tokens.contains(&token) {
             return true;
         }
         if st.awaiting_token_refresh {
@@ -345,7 +346,7 @@ mod tests {
         assert!(!inj.fork_failure_due("ep", "u", SimTime::from_secs(100)));
         assert!(!inj.drain_due("s", SimTime::from_secs(100)));
         assert!(inj.partition_until("ep", SimTime::from_secs(100)).is_none());
-        assert!(!inj.token_expired("tok", SimTime::from_secs(100)));
+        assert!(!inj.token_expired(7, SimTime::from_secs(100)));
         assert!(!inj.corruption_due("a", SimTime::from_secs(100)));
         assert!(inj.trace().is_empty(), "no consult may log on the empty plan");
     }
@@ -386,10 +387,13 @@ mod tests {
     fn token_expiry_hits_one_token_and_recovers_on_refresh() {
         let plan = FaultPlan::none().with_fault(SimTime::from_secs(5), FaultKind::TokenExpiry);
         let inj = FaultInjector::new(plan);
-        assert!(!inj.token_expired("tok-1", SimTime::from_secs(1)));
-        assert!(inj.token_expired("tok-1", SimTime::from_secs(6)), "fault fires");
-        assert!(inj.token_expired("tok-1", SimTime::from_secs(7)), "stays expired");
-        assert!(!inj.token_expired("tok-2", SimTime::from_secs(8)), "fresh token fine");
+        assert!(!inj.token_expired(1, SimTime::from_secs(1)));
+        assert!(inj.token_expired(1, SimTime::from_secs(6)), "fault fires");
+        assert!(inj.token_expired(1, SimTime::from_secs(7)), "stays expired");
+        assert!(
+            !inj.token_expired(2, SimTime::from_secs(8)),
+            "fresh token fine"
+        );
         assert_eq!(inj.trace().of_kind("fault.recover").count(), 1);
     }
 

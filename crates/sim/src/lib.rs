@@ -45,7 +45,7 @@ pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultSpec};
 pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Interner, IntoSym, Sym, Trace, TraceAllocStats, TraceEvent};
+pub use trace::{Fnv, Interner, IntoSym, Sym, Trace, TraceAllocStats, TraceEvent};
 pub use workload::{
     ArrivalGen, ArrivalProcess, ShardedCounts, TenantMix, TenantModel, Workload,
 };

@@ -493,8 +493,15 @@ impl Trace {
     }
 }
 
-/// FNV-1a accumulator as a [`TraceEvent::write_line`] sink.
-struct Fnv(u64);
+/// FNV-1a accumulator as a `fmt::Write` sink: what is written into it is
+/// hashed in place, never stored. `default()` starts at the offset basis.
+pub struct Fnv(pub u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv(FNV_OFFSET)
+    }
+}
 
 impl fmt::Write for Fnv {
     #[inline]

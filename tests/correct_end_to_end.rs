@@ -110,10 +110,170 @@ fn identity_mapping_audited_at_the_mep() {
     if let hpcci::faas::EndpointRegistration::Multi(mep) = ep {
         assert!(!mep.audit_log().is_empty());
         for (_, identity, local) in mep.audit_log() {
-            assert_eq!(identity, "vhayot@uchicago.edu");
-            assert_eq!(local, "x-vhayot");
+            assert_eq!(identity.username, "vhayot@uchicago.edu");
+            assert_eq!(&**local, "x-vhayot");
         }
     } else {
         panic!("ep-anvil is a MEP");
     }
+}
+
+/// One CORRECT step on a lab workstation, with `before` run against the site
+/// just ahead of the push. Returns the step's recorded outcome and the short
+/// id of the commit it cloned.
+fn correct_step_outcome(
+    shell_cmd: &str,
+    args: &str,
+    before: impl FnOnce(&mut hpcci::faas::SiteRuntime),
+) -> (hpcci::ci::StepOutcome, String) {
+    use hpcci::ci::workflow::{JobDef, StepDef, TriggerEvent, WorkflowDef};
+    use hpcci::correct::{EndpointSpec, Federation, CORRECT_ACTION_NAME};
+    use hpcci::faas::{ExecOutcome, MepTemplate};
+
+    let mut fed = Federation::builder(17).build();
+    let user = fed.onboard_user("vhayot@uchicago.edu", "uchicago.edu");
+    let site = fed.add_site(hpcci::cluster::Site::workstation("lab-server"), 16);
+    {
+        let mut rt = fed.site(site).shared.lock();
+        rt.site.add_account("vhayot", "lab");
+        rt.commands.register("tox", |env| {
+            ExecOutcome::ok(
+                format!("{}: commands succeeded\ncongratulations :)", env.args()),
+                12.0,
+            )
+        });
+        rt.commands.register("pytest", |_| {
+            ExecOutcome::fail("E   assert 1 == 2\n1 failed, 5 passed", 3.0)
+                .with_stdout("collected 6 items")
+        });
+        before(&mut rt);
+    }
+    let mut mapping = hpcci::auth::IdentityMapping::new("lab-server");
+    mapping.add_explicit("vhayot@uchicago.edu", "vhayot");
+    fed.register(EndpointSpec::multi_user(
+        "ep-lab",
+        site,
+        mapping,
+        MepTemplate::login_only(),
+    ));
+
+    let repo = "globus-labs/demo";
+    let now = fed.now();
+    fed.hosting.lock().create_repo("globus-labs", "demo", now);
+    fed.provision_environment(repo, "lab", "vhayot", &user);
+    fed.engine.add_workflow(
+        repo,
+        WorkflowDef::new("ci")
+            .on_event(TriggerEvent::push_any())
+            .with_job(
+                JobDef::new("test")
+                    .with_environment("lab")
+                    .with_step(StepDef::uses(
+                        "run",
+                        CORRECT_ACTION_NAME,
+                        &[
+                            ("client_id", "${{ secrets.GLOBUS_ID }}"),
+                            ("client_secret", "${{ secrets.GLOBUS_SECRET }}"),
+                            ("endpoint_uuid", "ep-lab"),
+                            ("shell_cmd", shell_cmd),
+                            ("args", args),
+                        ],
+                    )),
+            ),
+    );
+    let tree = hpcci::vcs::WorkTree::new().with_file("tox.ini", "[tox]\nenvlist = py312\n");
+    fed.hosting
+        .lock()
+        .push(repo, "main", tree, "vhayot", "import", now)
+        .unwrap();
+    let runs = fed.pump_events();
+    fed.approve_and_run(runs[0], "vhayot").unwrap();
+    let head = fed
+        .hosting
+        .lock()
+        .repo(repo)
+        .unwrap()
+        .head("main")
+        .unwrap()
+        .short();
+    let run = fed.engine.run(runs[0]).unwrap();
+    (
+        (**run.step("run").expect("correct step recorded")).clone(),
+        head.to_string(),
+    )
+}
+
+/// The step's whole recorded outcome — stdout, stderr and the five outputs —
+/// byte for byte, for a passing task, a failing task and a failed clone.
+#[test]
+fn correct_step_outcome_is_pinned_byte_for_byte() {
+    const PREAMBLE: &str = "Checking for globus-compute-sdk on runner... not found\n\
+                            pip install globus-compute-sdk ... done\n\
+                            Authenticated with Globus Auth (scope compute.api)\n";
+    let outputs = |pairs: &[(&str, &str)]| -> std::collections::BTreeMap<String, String> {
+        pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    };
+
+    let (pass, head) = correct_step_outcome("tox", "-e py312", |_| {});
+    let cloned = format!(
+        "Cloning into '/scratch/vhayot/gc-action-temp/demo'...\nHEAD is now at {head} (main)\n"
+    );
+    assert!(pass.success);
+    assert_eq!(
+        pass.stdout,
+        format!("{PREAMBLE}{cloned}-e py312: commands succeeded\ncongratulations :)")
+    );
+    assert_eq!(pass.stderr, "");
+    assert_eq!(
+        pass.outputs,
+        outputs(&[
+            ("stdout", "-e py312: commands succeeded\ncongratulations :)"),
+            ("stderr", ""),
+            ("ran_as", "vhayot"),
+            ("node", "lab-server-host"),
+            ("runtime_secs", "12.498391"),
+        ])
+    );
+
+    let (fail, _) = correct_step_outcome("pytest", "", |_| {});
+    assert!(!fail.success);
+    assert_eq!(fail.stdout, format!("{PREAMBLE}{cloned}collected 6 items"));
+    assert_eq!(fail.stderr, "E   assert 1 == 2\n1 failed, 5 passed");
+    assert_eq!(
+        fail.outputs,
+        outputs(&[
+            ("stdout", "collected 6 items"),
+            ("stderr", "E   assert 1 == 2\n1 failed, 5 passed"),
+            ("ran_as", "vhayot"),
+            ("node", "lab-server-host"),
+            ("runtime_secs", "3.132098"),
+        ])
+    );
+
+    // A file where the clone directory belongs: the clone fails, so does the step.
+    let (no_clone, _) = correct_step_outcome("tox", "", |rt| {
+        let account = rt.site.account("vhayot").unwrap().clone();
+        let cred = hpcci::cluster::Cred::of(&account);
+        rt.site
+            .fs
+            .write(
+                "/scratch/vhayot/gc-action-temp",
+                &cred,
+                "in the way",
+                hpcci::cluster::FileMode::REGULAR,
+            )
+            .unwrap();
+    });
+    assert!(!no_clone.success);
+    assert_eq!(no_clone.stdout, PREAMBLE);
+    assert_eq!(
+        no_clone.stderr,
+        "Error: repository clone failed\n\
+         fatal: could not create /scratch/vhayot/gc-action-temp/demo: \
+         wrong node kind at: /scratch/vhayot/gc-action-temp"
+    );
+    assert_eq!(no_clone.outputs, outputs(&[]));
 }

@@ -1166,7 +1166,7 @@ impl hpcci::ci::Action for Emit {
         let stdout = format!("{text}\nauthenticated with {token}");
         let mut result = hpcci::ci::StepResult::ok(stdout.clone())
             .with_output("stdout", &stdout)
-            .with_output("exit_code", &input("fail"));
+            .with_output("exit_code", input("fail"));
         result.success = input("fail") != "1";
         result.stderr = format!("warning: {token} seen by {text}");
         for k in 0..input("artifacts").parse().unwrap() {

@@ -288,3 +288,75 @@ fn invariant_ii_another_mapped_user_cannot_read_or_list_a_ci_clone() {
         assert!(out.stderr.contains("permission denied"), "{command}: {}", out.stderr);
     }
 }
+
+/// A task is checked — and audited — as the identity it was submitted with:
+/// a session refresh that lands while the task is still on the wire does not
+/// reach it, while the next submission sees the fresh session.
+#[test]
+fn a_session_refresh_after_submission_does_not_reach_the_in_flight_task() {
+    use hpcci::sim::SimDuration;
+    let (mut fed, alice, _) = two_user_world();
+    let handle = fed.site_by_name("tamu-faster").unwrap().clone();
+    let mut mapping = IdentityMapping::new("tamu-faster");
+    mapping.add_explicit("alice@uchicago.edu", "x-alice");
+    let mep = hpcci::faas::MultiUserEndpoint::new(
+        "mep-session",
+        handle.shared.clone(),
+        mapping,
+        MepTemplate::login_only(),
+    )
+    .with_ha_policy(
+        hpcci::auth::HighAssurancePolicy::permissive()
+            .require_session_within(SimDuration::from_hours(1)),
+    );
+    fed.cloud.lock().register_endpoint(
+        "mep-session",
+        hpcci::faas::EndpointRegistration::Multi(Box::new(mep)),
+    );
+    let ep = EndpointId("mep-session".into());
+    let token = token_for(&fed, &alice);
+
+    // Alice last logged in at 0; two hours on her session is stale. A MEP
+    // enforces its policy at delivery, so the cloud accepts the submission.
+    let later = SimTime::from_secs(2 * 3600);
+    let stale = fed
+        .cloud
+        .lock()
+        .submit_shell(&token, &ep, "whoami", later)
+        .unwrap();
+    fed.auth
+        .lock()
+        .refresh_session(alice.identity.id, later)
+        .unwrap();
+    let fresh = fed
+        .cloud
+        .lock()
+        .submit_shell(&token, &ep, "whoami", later)
+        .unwrap();
+    while fed.world().step() {}
+
+    let mut cloud = fed.cloud.lock();
+    match cloud.task_state(stale).unwrap() {
+        TaskState::Rejected { reason, .. } => {
+            assert!(reason.contains("session too old"), "{reason}")
+        }
+        other => panic!("the in-flight task kept its submission-time session, got {other:?}"),
+    }
+    assert_eq!(cloud.task_result(fresh).unwrap().ran_as, "x-alice");
+    let hpcci::faas::EndpointRegistration::Multi(mep) = cloud.endpoint_mut(&ep).unwrap() else {
+        panic!("mep-session is a MEP");
+    };
+    let audited: Vec<(hpcci::faas::TaskId, String, String)> = mep
+        .audit_log()
+        .iter()
+        .map(|(task, identity, local)| (*task, identity.username.clone(), local.to_string()))
+        .collect();
+    assert_eq!(
+        audited,
+        [(
+            fresh,
+            "alice@uchicago.edu".to_string(),
+            "x-alice".to_string()
+        )]
+    );
+}
