@@ -3,13 +3,12 @@
 //! seeded repetitions.
 //!
 //! The repetitions are independent seeded federations, so they run as a
-//! parallel sweep (`hpcci_bench::sweep`): one single-threaded federation per
+//! parallel sweep (`hpcci::sim::sweep`): one single-threaded federation per
 //! worker, results merged in submission order, output bit-identical to the
 //! serial sweep. Pass `--serial` to force the reference serial path.
 
 use hpcci::scenarios::{parse_durations, parsldock_scenario};
-use hpcci::sim::metrics::Summary;
-use hpcci_bench::sweep;
+use hpcci::sim::sweep;
 use std::collections::BTreeMap;
 
 const REPS: u64 = 5;
@@ -42,7 +41,7 @@ fn main() {
     let reps = sweep::sweep(jobs, threads);
 
     // site -> test -> samples, merged in submission (seed) order.
-    let mut samples: BTreeMap<String, BTreeMap<String, Summary>> = BTreeMap::new();
+    let mut samples: BTreeMap<String, BTreeMap<String, Vec<f64>>> = BTreeMap::new();
     let mut sites_in_order: Vec<String> = Vec::new();
     let mut tests_in_order: Vec<String> = Vec::new();
     for (rep, sites) in reps.iter().enumerate() {
@@ -64,6 +63,11 @@ fn main() {
         }
     }
 
+    let mean = |site: &String, test: &String| {
+        let v = &samples[site][test];
+        v.iter().sum::<f64>() / v.len() as f64
+    };
+
     hpcci_bench::section(&format!(
         "Fig. 4 — ParslDock per-test runtime (virtual seconds, mean of {REPS} runs, {threads} sweep thread(s))"
     ));
@@ -75,7 +79,7 @@ fn main() {
     for test in &tests_in_order {
         print!("{test:<28}");
         for site in &sites_in_order {
-            print!("{:>18.3}", samples[site][test].mean());
+            print!("{:>18.3}", mean(site, test));
         }
         println!();
     }
@@ -84,10 +88,8 @@ fn main() {
     let wins = tests_in_order
         .iter()
         .filter(|t| {
-            let cham = samples[&sites_in_order[0]][*t].mean();
-            sites_in_order[1..]
-                .iter()
-                .all(|s| cham <= samples[s][*t].mean())
+            let cham = mean(&sites_in_order[0], t);
+            sites_in_order[1..].iter().all(|s| cham <= mean(s, t))
         })
         .count();
     println!(

@@ -20,120 +20,9 @@
 //! They use the in-tree [`timing`] harness rather than an external
 //! benchmarking crate so the workspace builds fully offline.
 
-// The sweep runner now lives in the simulation kernel (`hpcci_sim::sweep`)
-// so non-bench consumers — notably the `hpcci-scen` oracle fleet — can use
-// it; this re-export keeps the historical `hpcci_bench::sweep` path working.
-pub use hpcci_sim::sweep;
-
 /// Shared output helper: consistent section headers across binaries.
 pub fn section(title: &str) {
     println!("\n=== {title} ===\n");
-}
-
-pub mod alloc_count {
-    //! Optional allocation accounting for the federation bench.
-    //!
-    //! With the `count-allocs` feature the crate installs a global allocator
-    //! that forwards to the system one and counts calls/bytes, so
-    //! `bench_federation` can report `allocs_per_task` in the peak-day row
-    //! and CI can gate allocation regressions like throughput ones. Without
-    //! the feature [`snapshot`] reports unavailable and the row records 0.
-
-    /// Point-in-time allocation counters: `(calls, bytes)` since process
-    /// start. Reallocations count as one call with the new size.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct AllocSnapshot {
-        pub calls: u64,
-        pub bytes: u64,
-    }
-
-    impl AllocSnapshot {
-        /// Counter deltas since an earlier snapshot.
-        pub fn since(&self, earlier: &AllocSnapshot) -> AllocSnapshot {
-            AllocSnapshot {
-                calls: self.calls.wrapping_sub(earlier.calls),
-                bytes: self.bytes.wrapping_sub(earlier.bytes),
-            }
-        }
-    }
-
-    /// Current counters, or `None` when built without `count-allocs`.
-    pub fn snapshot() -> Option<AllocSnapshot> {
-        #[cfg(feature = "count-allocs")]
-        {
-            use std::sync::atomic::Ordering::Relaxed;
-            Some(AllocSnapshot {
-                calls: counting::CALLS.load(Relaxed),
-                bytes: counting::BYTES.load(Relaxed),
-            })
-        }
-        #[cfg(not(feature = "count-allocs"))]
-        None
-    }
-
-    /// Is the counting allocator compiled in?
-    pub fn enabled() -> bool {
-        cfg!(feature = "count-allocs")
-    }
-
-    #[cfg(feature = "count-allocs")]
-    mod counting {
-        use std::alloc::{GlobalAlloc, Layout, System};
-        use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-        pub static CALLS: AtomicU64 = AtomicU64::new(0);
-        pub static BYTES: AtomicU64 = AtomicU64::new(0);
-
-        struct CountingAlloc;
-
-        // SAFETY: pure pass-through to `System`; the counters never affect
-        // the returned pointers or layouts.
-        unsafe impl GlobalAlloc for CountingAlloc {
-            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-                CALLS.fetch_add(1, Relaxed);
-                BYTES.fetch_add(layout.size() as u64, Relaxed);
-                unsafe { System.alloc(layout) }
-            }
-
-            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-                CALLS.fetch_add(1, Relaxed);
-                BYTES.fetch_add(layout.size() as u64, Relaxed);
-                unsafe { System.alloc_zeroed(layout) }
-            }
-
-            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-                CALLS.fetch_add(1, Relaxed);
-                BYTES.fetch_add(new_size as u64, Relaxed);
-                unsafe { System.realloc(ptr, layout, new_size) }
-            }
-
-            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-                unsafe { System.dealloc(ptr, layout) }
-            }
-        }
-
-        #[global_allocator]
-        static GLOBAL: CountingAlloc = CountingAlloc;
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn snapshot_matches_feature() {
-            assert_eq!(snapshot().is_some(), enabled());
-            if let (Some(a), Some(b)) = (snapshot(), {
-                let v: Vec<u64> = Vec::with_capacity(64);
-                std::hint::black_box(&v);
-                snapshot()
-            }) {
-                let d = b.since(&a);
-                assert!(d.calls >= 1, "the Vec allocation was counted");
-                assert!(d.bytes >= 512);
-            }
-        }
-    }
 }
 
 pub mod timing {

@@ -2,10 +2,10 @@
 //! *work*, never *results*. Running the same seeded federations under 1
 //! worker and under many workers must return bit-identical outputs in
 //! submission order — this is what lets `fig4_parsldock` and
-//! `bench_federation` use the parallel path by default.
+//! `hpcci-scen verify --threads` use the parallel path by default.
 
 use hpcci::scenarios::parsldock_scenario;
-use hpcci_bench::sweep;
+use hpcci::sim::sweep;
 
 /// One self-contained federation run: the §6.1 ParslDock scenario, rendered
 /// to the concatenated per-site pytest outputs.

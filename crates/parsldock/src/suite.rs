@@ -174,7 +174,7 @@ pub fn install_pytest(commands: &mut CommandRegistry, repo_dir: &str) {
 mod tests {
     use super::*;
     use hpcci_cluster::{Cred, FileMode, NodeRole, Site};
-    use hpcci_faas::{SiteRuntime, TaskEnv};
+    use hpcci_faas::SiteRuntime;
     use hpcci_sim::{DetRng, SimTime};
 
     #[test]
@@ -251,9 +251,4 @@ mod tests {
         assert!(out.result.is_err());
         assert!(out.stderr.contains("not found"));
     }
-
-    /// Silence the unused-import lint for TaskEnv which documents the
-    /// handler contract.
-    #[allow(dead_code)]
-    fn _contract(_: &TaskEnv<'_>) {}
 }

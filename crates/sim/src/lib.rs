@@ -18,7 +18,6 @@
 //! * [`faults`] — deterministic fault injection: a seedable [`FaultPlan`]
 //!   delivered through a [`FaultInjector`] handle that components consult at
 //!   their event boundaries. An empty plan is a guaranteed no-op.
-//! * [`metrics`] — summary statistics helpers for the benchmark harness.
 //! * [`NextEventCache`] — indexed next-event dispatch over component slots,
 //!   so a drive loop re-probes only the components it touched.
 //! * [`workload`] — seeded arrival processes and tenant mixes ([`Workload`],
@@ -31,7 +30,6 @@
 pub mod component;
 pub mod dispatch;
 pub mod faults;
-pub mod metrics;
 pub mod queue;
 pub mod rng;
 pub mod sweep;
@@ -45,7 +43,7 @@ pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultSpec};
 pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Fnv, Interner, IntoSym, Sym, Trace, TraceAllocStats, TraceEvent};
+pub use trace::{Fnv, Interner, IntoSym, Sym, Trace, TraceEvent};
 pub use workload::{
     ArrivalGen, ArrivalProcess, ShardedCounts, TenantMix, TenantModel, Workload,
 };

@@ -16,7 +16,7 @@
 //!   wheel cursor, so level 0 holds the cursor's current 64 µs window with
 //!   one exact timestamp per slot, and each higher level covers 64× the span
 //!   of the one below (level 5 spans ~19 virtual hours). Pushes are O(1)
-//!   appends; an entry cascades down at most [`LEVELS`] times over its life.
+//!   appends; an entry cascades down at most six times over its life.
 //! * **Sorted overflow.** Events further than the wheel span from the cursor
 //!   (long walltimes, `FAR_FUTURE` sentinels) sit in a `BTreeMap` keyed by
 //!   timestamp and are promoted wholesale when the cursor reaches them.

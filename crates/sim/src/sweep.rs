@@ -23,64 +23,6 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Minimum estimated simulation events per job for a parallel sweep to pay
-/// for itself. Below this, worker spawn + channel traffic costs more than
-/// the work it distributes (small scenarios showed
-/// `fig4_parallel_secs > fig4_serial_secs`), so [`sweep_estimated`] runs
-/// the reference serial path instead.
-pub const SWEEP_MIN_EVENTS_PER_JOB: u64 = 2_048;
-
-/// [`sweep`] with a min-work gate: callers pass an estimate of the
-/// simulation events one job will dispatch (any rough per-scenario figure —
-/// tasks x steps, or a measured count from a previous run), and jobs whose
-/// estimate falls below [`SWEEP_MIN_EVENTS_PER_JOB`] run inline regardless
-/// of `threads`. Results are identical either way; only wall-clock differs.
-pub fn sweep_estimated<F, R>(jobs: Vec<F>, threads: usize, est_events_per_job: u64) -> Vec<R>
-where
-    F: FnOnce() -> R + Send,
-    R: Send,
-{
-    sweep_estimated_with(jobs, threads, est_events_per_job, SWEEP_MIN_EVENTS_PER_JOB).results
-}
-
-/// A sweep's results plus whether the min-work gate forced the serial path —
-/// so callers can log the degradation instead of silently losing their
-/// parallelism.
-pub struct SweepOutcome<R> {
-    /// Job results, in submission order.
-    pub results: Vec<R>,
-    /// The per-job estimate fell below the gate and a requested parallel
-    /// sweep ran serially instead.
-    pub gated_serial: bool,
-}
-
-/// [`sweep_estimated`] with the min-work gate as a parameter
-/// ([`SWEEP_MIN_EVENTS_PER_JOB`] is the default): heavyweight callers such
-/// as the peak-day bench can lower (or zero) the gate when they know the
-/// per-job cost model doesn't apply. Returns a [`SweepOutcome`] so the
-/// caller can log when the gate forces serial execution.
-pub fn sweep_estimated_with<F, R>(
-    jobs: Vec<F>,
-    threads: usize,
-    est_events_per_job: u64,
-    min_events_per_job: u64,
-) -> SweepOutcome<R>
-where
-    F: FnOnce() -> R + Send,
-    R: Send,
-{
-    let gated_serial = est_events_per_job < min_events_per_job && threads > 1 && jobs.len() > 1;
-    let effective = if est_events_per_job < min_events_per_job {
-        1
-    } else {
-        threads
-    };
-    SweepOutcome {
-        results: sweep(jobs, effective),
-        gated_serial,
-    }
-}
-
 /// Run every job and return their results in submission order.
 ///
 /// With `threads <= 1` (or fewer than two jobs) the jobs run inline on the
@@ -176,39 +118,5 @@ mod tests {
     #[test]
     fn default_threads_positive() {
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn tiny_jobs_sweep_serially_and_identically() {
-        let small = sweep_estimated(
-            (0..8u64).map(|s| move || busy(s)).collect::<Vec<_>>(),
-            8,
-            SWEEP_MIN_EVENTS_PER_JOB - 1,
-        );
-        let big = sweep_estimated(
-            (0..8u64).map(|s| move || busy(s)).collect::<Vec<_>>(),
-            8,
-            SWEEP_MIN_EVENTS_PER_JOB,
-        );
-        let reference = sweep((0..8u64).map(|s| move || busy(s)).collect::<Vec<_>>(), 1);
-        assert_eq!(small, reference);
-        assert_eq!(big, reference);
-    }
-
-    #[test]
-    fn tunable_gate_reports_forced_serial_and_respects_overrides() {
-        let jobs = || (0..8u64).map(|s| move || busy(s)).collect::<Vec<_>>();
-        let reference = sweep(jobs(), 1);
-        // Below the gate: serial, and the outcome says so.
-        let gated = sweep_estimated_with(jobs(), 8, 100, 2_048);
-        assert!(gated.gated_serial);
-        assert_eq!(gated.results, reference);
-        // Caller lowers the gate: the same estimate now sweeps in parallel.
-        let open = sweep_estimated_with(jobs(), 8, 100, 10);
-        assert!(!open.gated_serial);
-        assert_eq!(open.results, reference);
-        // Serial requests and single jobs never count as gated.
-        assert!(!sweep_estimated_with(jobs(), 1, 100, 2_048).gated_serial);
-        assert!(!sweep_estimated_with(vec![|| 1u8], 8, 100, 2_048).gated_serial);
     }
 }

@@ -129,8 +129,6 @@ impl From<&Sym> for Sym {
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
     strings: BTreeSet<Arc<str>>,
-    hits: u64,
-    misses: u64,
 }
 
 impl Interner {
@@ -142,10 +140,8 @@ impl Interner {
     /// text (allocating it on first sight).
     pub fn intern(&mut self, s: &str) -> Sym {
         if let Some(existing) = self.strings.get(s) {
-            self.hits += 1;
             return Sym::Shared(existing.clone());
         }
-        self.misses += 1;
         let arc: Arc<str> = Arc::from(s);
         self.strings.insert(arc.clone());
         Sym::Shared(arc)
@@ -156,14 +152,7 @@ impl Interner {
         self.strings.len()
     }
 
-    /// Interns that reused an existing allocation.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
     fn absorb(&mut self, other: Interner) {
-        self.hits += other.hits;
-        self.misses += other.misses;
         self.strings.extend(other.strings);
     }
 }
@@ -253,34 +242,6 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// Allocation accounting for the benchmark harness: how many name strings a
-/// trace actually allocated versus how many a naïve `String`-per-field trace
-/// would have.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceAllocStats {
-    /// Events recorded.
-    pub events: u64,
-    /// Distinct interned names (each cost exactly one allocation).
-    pub unique_interned: usize,
-    /// Interns satisfied by an existing allocation.
-    pub interner_hits: u64,
-    /// Names that took the `&'static str` fast path (no allocation at all).
-    pub static_syms: u64,
-}
-
-impl TraceAllocStats {
-    /// Name allocations a pre-interning trace would have performed
-    /// (component + kind per event).
-    pub fn naive_allocs(&self) -> u64 {
-        2 * self.events
-    }
-
-    /// Allocations avoided by interning and the static fast path.
-    pub fn saved_allocs(&self) -> u64 {
-        self.naive_allocs().saturating_sub(self.unique_interned as u64)
-    }
-}
-
 /// An append-only event log. Cheap to clone handles are not provided here on
 /// purpose: owners thread `&mut Trace` (or wrap it in a lock at the
 /// federation layer) so ownership of the log is always explicit.
@@ -288,7 +249,6 @@ impl TraceAllocStats {
 pub struct Trace {
     events: Vec<TraceEvent>,
     interner: Interner,
-    static_syms: u64,
     /// Opt-in rolling cap: when set, the oldest half of the log is folded
     /// into `fold_hash` and dropped whenever the live window reaches the
     /// cap, so a million-task run holds O(cap) events instead of O(run).
@@ -338,8 +298,6 @@ impl Trace {
     ) {
         let component = component.into_sym(&mut self.interner);
         let kind = kind.into_sym(&mut self.interner);
-        self.static_syms += matches!(component, Sym::Static(_)) as u64
-            + matches!(kind, Sym::Static(_)) as u64;
         self.events.push(TraceEvent {
             at_us: at.as_micros(),
             component,
@@ -410,16 +368,6 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Allocation accounting for the benchmark harness.
-    pub fn alloc_stats(&self) -> TraceAllocStats {
-        TraceAllocStats {
-            events: self.events.len() as u64,
-            unique_interned: self.interner.unique(),
-            interner_hits: self.interner.hits(),
-            static_syms: self.static_syms,
-        }
-    }
-
     /// Events whose kind matches `kind` exactly.
     pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a TraceEvent> {
         self.events.iter().filter(move |e| e.kind.as_str() == kind)
@@ -442,7 +390,6 @@ impl Trace {
     /// result is identical either way.
     pub fn merge(&mut self, other: Trace) {
         let sorted = |events: &[TraceEvent]| events.windows(2).all(|w| w[0].at_us <= w[1].at_us);
-        self.static_syms += other.static_syms;
         self.interner.absorb(other.interner);
         if !sorted(&self.events) || !sorted(&other.events) {
             // Degenerate input: preserve the historical extend-then-stable-
@@ -632,12 +579,16 @@ mod tests {
                 format!("tid={i}"),
             );
         }
-        let stats = t.alloc_stats();
-        assert_eq!(stats.events, 100);
-        assert_eq!(stats.unique_interned, 4, "four endpoint names interned once each");
-        assert_eq!(stats.static_syms, 100, "kind literal takes the static path");
-        assert_eq!(stats.interner_hits, 96);
-        assert!(stats.saved_allocs() >= 196);
+        assert_eq!(t.len(), 100);
+        assert_eq!(
+            t.interner.unique(),
+            4,
+            "four endpoint names interned once each"
+        );
+        assert!(
+            t.events().iter().all(|e| matches!(e.kind, Sym::Static(_))),
+            "kind literal takes the static path"
+        );
         // Events sharing a name share the allocation.
         let a = &t.events()[0].component;
         let b = &t.events()[4].component;
@@ -777,10 +728,12 @@ mod tests {
         assert_eq!(a, *"faas.cloud");
         assert_eq!(format!("{a:>12}"), format!("{:>12}", "faas.cloud"));
         assert!(a.starts_with("faas"));
-        assert_eq!(interner.hits(), 0);
-        let _again = interner.intern("faas.cloud");
-        assert_eq!(interner.hits(), 1);
+        let again = interner.intern("faas.cloud");
         assert_eq!(interner.unique(), 1);
+        match (&a, &again) {
+            (Sym::Shared(x), Sym::Shared(y)) => assert!(Arc::ptr_eq(x, y)),
+            other => panic!("expected shared syms, got {other:?}"),
+        }
     }
 
     #[test]
@@ -789,8 +742,7 @@ mod tests {
         let component = t.intern("faas.ep.hot");
         t.record(SimTime::ZERO, &component, "task.deliver", "tid=1");
         t.record(SimTime::from_secs(1), component, "task.deliver", "tid=2");
-        let stats = t.alloc_stats();
-        assert_eq!(stats.unique_interned, 1);
+        assert_eq!(t.interner.unique(), 1);
         assert_eq!(t.of_component("faas.ep.hot").count(), 2);
     }
 }

@@ -10,8 +10,7 @@
 
 use hpcci::obs::ObsConfig;
 use hpcci::scenarios::{parsldock_scenario_on, psij_scenario_on, Scenario};
-use hpcci::sim::{FaultPlan, SimDuration};
-use hpcci_bench::sweep;
+use hpcci::sim::{sweep, FaultPlan, SimDuration};
 
 /// FNV-1a, matching `tests/golden_traces.rs`.
 fn fnv1a(text: &str) -> u64 {

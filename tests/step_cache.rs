@@ -177,6 +177,67 @@ fn infrastructure_failures_are_never_cached() {
     assert!(!infra_step.success);
 }
 
+/// The §6.1 ParslDock scenario's per-site pytest artifacts, concatenated in
+/// environment order.
+fn parsldock_site_outputs(fed: Federation) -> String {
+    let mut s = parsldock_scenario_on(fed);
+    let runs = s.push_approve_run("vhayot");
+    let now = s.fed.now();
+    let mut out = String::new();
+    for env in &s.environments {
+        let artifact = s
+            .fed
+            .engine
+            .artifacts
+            .fetch(runs[0], &format!("{env}-output"), now);
+        out.push_str(&artifact.expect("site artifact").text());
+    }
+    out
+}
+
+#[test]
+fn parsldock_record_and_replay_match_the_uncached_run() {
+    for seed in [1000, 1001, 1002] {
+        let uncached = parsldock_site_outputs(Federation::builder(seed).build());
+        assert!(
+            uncached.contains("passed"),
+            "seed {seed}: the sites ran pytest"
+        );
+
+        let cache = StepCache::new();
+        let on = |mode| {
+            Federation::builder(seed)
+                .step_cache_shared(cache.clone(), mode)
+                .build()
+        };
+        let cold = parsldock_site_outputs(on(CacheMode::Record));
+        let after_cold = cache.stats();
+        assert!(
+            after_cold.entries > 0,
+            "seed {seed}: record pass populates the cache"
+        );
+        assert_eq!(
+            cold, uncached,
+            "seed {seed}: recording must not perturb the run"
+        );
+
+        let warm = parsldock_site_outputs(on(CacheMode::Replay));
+        let after_warm = cache.stats();
+        assert_eq!(
+            warm, cold,
+            "seed {seed}: replay reproduces the recorded artifacts"
+        );
+        assert_eq!(
+            after_warm.misses, after_cold.misses,
+            "seed {seed}: warm pass never misses"
+        );
+        assert_eq!(
+            after_warm.hits, after_cold.entries,
+            "seed {seed}: every step replayed"
+        );
+    }
+}
+
 #[test]
 fn artifact_storage_dedups_across_repetitions() {
     let cache = StepCache::new();
