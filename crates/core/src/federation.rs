@@ -152,9 +152,8 @@ impl WorldDriver for World {
     }
 
     fn step(&mut self) -> bool {
-        // `step_next` over `next_event`+`advance_to`: the cloud refreshes its
-        // dispatch cache once per step instead of answering the read-only
-        // probe with an exhaustive endpoint scan.
+        // `step_next` over `next_event`+`advance_to`: the cloud asks its
+        // endpoints once for both the step instant and the due set.
         self.cloud.lock().step_next(SimTime::FAR_FUTURE).is_some()
     }
 

@@ -12,7 +12,7 @@ use crate::mep::MultiUserEndpoint;
 use crate::task::{Task, TaskId, TaskOutput, TaskState};
 use hpcci_auth::{AuthService, Identity, Scope};
 use hpcci_obs::Obs;
-use hpcci_sim::{Advance, EventQueue, FaultInjector, NextEventCache, SimTime, Sym, Trace};
+use hpcci_sim::{Advance, EventQueue, FaultInjector, SimTime, Sym, Trace};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -64,17 +64,10 @@ impl EndpointRegistration {
         }
     }
 
-    fn has_injector(&self) -> bool {
+    fn fault_injector(&self) -> Option<&FaultInjector> {
         match self {
-            EndpointRegistration::Single(e) => e.has_injector(),
-            EndpointRegistration::Multi(m) => m.has_injector(),
-        }
-    }
-
-    fn shares_scheduler(&self) -> bool {
-        match self {
-            EndpointRegistration::Single(e) => e.shares_scheduler(),
-            EndpointRegistration::Multi(m) => m.shares_scheduler(),
+            EndpointRegistration::Single(e) => e.fault_injector(),
+            EndpointRegistration::Multi(m) => m.fault_injector(),
         }
     }
 
@@ -134,10 +127,10 @@ pub const PAYLOAD_LIMIT: usize = 10 * 1024 * 1024;
 pub struct CloudService {
     auth: Arc<Mutex<AuthService>>,
     functions: BTreeMap<FunctionId, Function>,
-    /// Registered endpoints, indexed by cache slot. Name lookups go through
-    /// `slots`; ordered walks go through `ordered_slots`. Slot-indexed so
-    /// the hot loop reaches an endpoint with one bounds check instead of a
-    /// string-keyed tree descent.
+    /// Registered endpoints, indexed by slot (registration order). Name
+    /// lookups go through `slots`; ordered walks go through `ordered_slots`.
+    /// Slot-indexed so the hot loop reaches an endpoint with one bounds check
+    /// instead of a string-keyed tree descent.
     endpoints: Vec<EndpointRegistration>,
     /// All tasks ever accepted, indexed by `TaskId` (ids are assigned
     /// sequentially from 1 and never removed, so `tasks[id - 1]` replaces a
@@ -149,40 +142,31 @@ pub struct CloudService {
     next_task: u64,
     next_function: u64,
     injector: Option<FaultInjector>,
-    /// Indexed event dispatch over registered endpoints: each step only
-    /// re-probes endpoints the cloud touched (plus volatile pilot-job ones)
-    /// and only advances endpoints with a due event.
-    cache: NextEventCache,
-    /// Endpoint id → cache slot.
+    /// Endpoint id → slot.
     slots: BTreeMap<EndpointId, usize>,
-    /// Cache slot → interned `faas.ep.{id}` trace component.
+    /// Slot → interned `faas.ep.{id}` trace component.
     slot_syms: Vec<Sym>,
-    /// Cache slot → interned plain endpoint name (shared by every task
-    /// record targeting the endpoint).
+    /// Slot → interned plain endpoint name (shared by every task record
+    /// targeting the endpoint).
     slot_name_syms: Vec<Sym>,
-    /// Slots in endpoint-name order — the order the pre-index exhaustive
-    /// scan advanced and collected endpoints in. Rebuilt on registration.
+    /// Slots in endpoint-name order — the order endpoints are advanced and
+    /// collected in. Rebuilt on registration.
     ordered_slots: Vec<usize>,
-    /// Slot → position in `ordered_slots`: lets the hot loop order due/
-    /// touched slot lists by comparing integers instead of endpoint names.
-    slot_rank: Vec<usize>,
-    /// Scratch: due slots of the current step, reused across steps.
-    due_scratch: Vec<usize>,
-    /// Slots touched (advanced or enqueued-into) since their finished
-    /// outputs were last collected.
-    touched: Vec<usize>,
+    /// Scratch: every slot's next event as probed at the top of the current
+    /// step, reused across steps.
+    next_scratch: Vec<Option<SimTime>>,
+    /// Slot → touched (advanced, enqueued-into or lent out) since its
+    /// finished outputs were last collected.
+    touched: Vec<bool>,
     /// Scratch: due wire events of the current step, reused across steps.
     wire_scratch: Vec<(SimTime, InFlight)>,
     /// Scratch: finished outputs drained from one endpoint, reused across
     /// steps so collection allocates nothing in steady state.
     finished_scratch: Vec<(TaskId, Box<TaskOutput>)>,
-    /// Any fault injector present (cloud's own or an endpoint's)? If so the
-    /// exhaustive advance path is used so fault consult boundaries — which
-    /// fire at the first consult at/after their scheduled time — never move.
-    fault_aware: bool,
-    /// An `endpoint_mut` borrow escaped; re-evaluate `fault_aware` before
-    /// the next advance.
-    recheck_faults: bool,
+    /// May some injector be attached (the cloud's own or an endpoint's)? The
+    /// one branch a fault-free federation pays in front of [`Self::armed`],
+    /// which re-evaluates it.
+    injected: bool,
     /// Observability handle, propagated to endpoints at registration.
     obs: Obs,
     /// Hot-loop counters kept as plain fields (no lock, no branch beyond the
@@ -207,18 +191,15 @@ impl CloudService {
             next_task: 0,
             next_function: 0,
             injector: None,
-            cache: NextEventCache::new(),
             slots: BTreeMap::new(),
             slot_syms: Vec::new(),
             slot_name_syms: Vec::new(),
             ordered_slots: Vec::new(),
-            slot_rank: Vec::new(),
-            due_scratch: Vec::new(),
+            next_scratch: Vec::new(),
             touched: Vec::new(),
             wire_scratch: Vec::new(),
             finished_scratch: Vec::new(),
-            fault_aware: false,
-            recheck_faults: false,
+            injected: false,
             obs: Obs::disabled(),
             pending_submits: 0,
             tasks_submitted: 0,
@@ -246,7 +227,7 @@ impl CloudService {
     /// both wire legs; an empty plan leaves every delivery time untouched.
     pub fn set_fault_injector(&mut self, injector: FaultInjector) {
         self.injector = Some(injector);
-        self.fault_aware = true;
+        self.injected = true;
     }
 
     /// Attach an observability handle. Propagates to every endpoint already
@@ -269,7 +250,7 @@ impl CloudService {
     }
 
     /// Harvest hot-loop counters (kept as plain fields while the event loop
-    /// runs) plus dispatch-cache effectiveness into the obs registry.
+    /// runs) into the obs registry.
     pub fn harvest_metrics(&self) {
         if !self.obs.is_enabled() {
             return;
@@ -277,11 +258,6 @@ impl CloudService {
         self.obs.set_counter("faas.tasks_submitted", self.tasks_submitted);
         self.obs.set_counter("faas.tasks_completed", self.tasks_completed);
         self.obs.set_counter("sim.events_dispatched", self.events_dispatched);
-        let stats = self.cache.stats();
-        self.obs.set_counter("sim.cache_refreshes", stats.refreshes);
-        self.obs.set_counter("sim.cache_refresh_hot_hits", stats.hot_hits);
-        self.obs.set_counter("sim.cache_probes", stats.probes);
-        self.obs.set_counter("sim.cache_volatile_probes", stats.volatile_probes);
     }
 
     /// Earliest instant a message can cross the WAN towards/from `endpoint`:
@@ -306,27 +282,21 @@ impl CloudService {
                 EndpointRegistration::Multi(m) => m.set_obs(self.obs.clone()),
             }
         }
-        self.fault_aware |= registration.has_injector();
-        let volatile = registration.shares_scheduler();
+        self.injected |= registration.fault_injector().is_some();
         let slot = match self.slots.get(&eid) {
             Some(&slot) => slot,
             None => {
-                let slot = self.cache.register();
+                let slot = self.endpoints.len();
                 self.slot_syms.push(self.trace.intern(&format!("faas.ep.{id}")));
                 self.slot_name_syms.push(self.trace.intern(id));
+                self.touched.push(false);
                 self.slots.insert(eid.clone(), slot);
-                // A new name shifts ranks: rebuild the name-order walk list
-                // (registration is rare; the hot loop only reads these).
+                // Rebuild the name-order walk list (registration is rare;
+                // the hot loop only reads it).
                 self.ordered_slots = self.slots.values().copied().collect();
-                self.slot_rank = vec![0; self.slot_syms.len()];
-                for (rank, &s) in self.ordered_slots.iter().enumerate() {
-                    self.slot_rank[s] = rank;
-                }
                 slot
             }
         };
-        self.cache.set_volatile(slot, volatile);
-        self.cache.mark_dirty(slot);
         if slot == self.endpoints.len() {
             self.endpoints.push(registration);
         } else {
@@ -340,12 +310,10 @@ impl CloudService {
             return Err(FaasError::UnknownEndpoint(id.0.clone()));
         };
         // The borrow may change anything about the endpoint — including
-        // attaching a fault injector — so invalidate its cached time,
-        // queue it for output collection, and recheck fault-awareness
-        // before the next advance.
-        self.cache.mark_dirty(slot);
-        self.touched.push(slot);
-        self.recheck_faults = true;
+        // attaching a fault injector — so queue it for output collection
+        // and let the next step look for injectors again.
+        self.touched[slot] = true;
+        self.injected = true;
         Ok(&mut self.endpoints[slot])
     }
 
@@ -635,7 +603,7 @@ impl CloudService {
     /// Move `slot`'s finished outputs onto the return wire: one
     /// `task.returning` record and one wire push per task, FIFO within the
     /// endpoint, through the reused scratch vector and the detail pool — no
-    /// per-step allocation on either advance path.
+    /// per-step allocation.
     fn return_finished(&mut self, slot: usize, now: SimTime) {
         let mut finished = std::mem::take(&mut self.finished_scratch);
         self.endpoints[slot].drain_finished_into(&mut finished);
@@ -654,26 +622,19 @@ impl CloudService {
     }
 
     /// Collect finished outputs from endpoints touched since the last
-    /// collection. Injector-free, an endpoint's `finished` buffer can only be
-    /// non-empty if the cloud advanced it or enqueued into it, so skipping
-    /// untouched endpoints observes exactly what the exhaustive scan would.
+    /// collection. An endpoint's `finished` buffer can only be non-empty if
+    /// the cloud advanced it, enqueued into it or lent it out, so skipping
+    /// untouched endpoints observes exactly what asking every one would.
     fn collect_touched_returns(&mut self, now: SimTime) {
-        if self.touched.is_empty() {
-            return;
+        for i in 0..self.ordered_slots.len() {
+            let slot = self.ordered_slots[i];
+            if std::mem::take(&mut self.touched[slot]) {
+                self.return_finished(slot, now);
+            }
         }
-        // Endpoint-name order: the order the exhaustive scan collected in.
-        {
-            let rank = &self.slot_rank;
-            self.touched.sort_unstable_by_key(|&s| rank[s]);
-        }
-        self.touched.dedup();
-        for i in 0..self.touched.len() {
-            self.return_finished(self.touched[i], now);
-        }
-        self.touched.clear();
     }
 
-    /// Handle one due wire event (shared by both advance paths).
+    /// Handle one due wire event.
     fn handle_wire_event(&mut self, at: SimTime, event: InFlight) {
         match event {
             InFlight::Submit { identity, slot, command } => {
@@ -698,10 +659,7 @@ impl CloudService {
                     EndpointRegistration::Single(e) => e.enqueue(task, &command, at),
                     EndpointRegistration::Multi(m) => m.enqueue(task, &identity, &command, at),
                 };
-                self.cache.mark_dirty(slot);
-                if !self.fault_aware {
-                    self.touched.push(slot);
-                }
+                self.touched[slot] = true;
                 let record = &mut self.tasks[task.0 as usize - 1];
                 let transition = match result {
                     Ok(()) => record.transition(TaskState::QueuedAtEndpoint { at }),
@@ -750,159 +708,91 @@ impl CloudService {
         }
     }
 
-    /// Exhaustive advance: probe and advance every endpoint at every step.
-    /// Used whenever a fault injector is in play, because injected faults
-    /// fire at the first consult at/after their scheduled time — skipping a
-    /// "quiescent" endpoint would move its consult boundary and change which
-    /// instant a fault lands on.
-    fn advance_all_to(&mut self, t: SimTime) {
-        loop {
-            let wire_next = self.wire.next_time();
-            let ep_next = self.endpoints.iter().filter_map(|ep| ep.next_event()).min();
-            let step = match (wire_next, ep_next) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => break,
-            };
-            if step > t {
-                break;
-            }
-            self.now = step;
-            self.events_dispatched += self.endpoints.len() as u64;
-            for &slot in &self.ordered_slots {
-                self.endpoints[slot].advance_to(step);
-            }
-            for i in 0..self.ordered_slots.len() {
-                self.return_finished(self.ordered_slots[i], step);
-            }
-            while let Some((at, event)) = self.wire.pop_due(step) {
-                self.events_dispatched += 1;
-                self.handle_wire_event(at, event);
-            }
+    /// Is a fault armed at `step` in any attached injector (see
+    /// [`FaultInjector::armed`])? Fault-free federations answer from the
+    /// `injected` bit alone; otherwise the walk also re-evaluates that bit.
+    fn armed(&mut self, step: SimTime) -> bool {
+        if !self.injected {
+            return false;
         }
-        self.now = t;
+        let mut injectors = self
+            .injector
+            .iter()
+            .chain(self.endpoints.iter().filter_map(|ep| ep.fault_injector()))
+            .peekable();
+        self.injected = injectors.peek().is_some();
+        injectors.any(|inj| inj.armed(step))
     }
 
-    /// Re-probe dirty (and volatile) endpoint slots.
-    fn refresh_cache(&mut self) {
-        let endpoints = &self.endpoints;
-        self.cache.refresh(|slot| endpoints[slot].next_event());
+    /// The one step of the event loop: ask every endpoint for its next event,
+    /// take the earliest instant at or before `limit` (wire included), advance
+    /// the endpoints due there in name order, put their finished outputs on
+    /// the return wire, handle the due wire events. `None` when nothing is
+    /// pending at or before `limit`.
+    ///
+    /// Who is due is settled before anyone moves: endpoints at one site share
+    /// a batch scheduler, so advancing one can consume the very event that
+    /// made the next one due. While a fault is armed every endpoint advances,
+    /// so the fault lands on the first event boundary at or after its time;
+    /// an unarmed consult is a no-op, so skipping idle endpoints outside that
+    /// window commits the same bytes.
+    fn step_once(&mut self, limit: SimTime) -> Option<SimTime> {
+        self.next_scratch.clear();
+        self.next_scratch
+            .extend(self.endpoints.iter().map(|ep| ep.next_event()));
+        let step = self
+            .next_scratch
+            .iter()
+            .flatten()
+            .copied()
+            .chain(self.wire.next_time())
+            .min()
+            .filter(|&step| step <= limit)?;
+        self.now = step;
+        let armed = self.armed(step);
+        for i in 0..self.ordered_slots.len() {
+            let slot = self.ordered_slots[i];
+            if armed || self.next_scratch[slot].is_some_and(|at| at <= step) {
+                self.endpoints[slot].advance_to(step);
+                self.touched[slot] = true;
+                self.events_dispatched += 1;
+            }
+        }
+        self.collect_touched_returns(step);
+        // Handlers never push before `step`. What they push at `step` itself
+        // (a zero-latency leg) waits for the next pass, which first advances
+        // whatever this pass's deliveries made due.
+        let mut wire_scratch = std::mem::take(&mut self.wire_scratch);
+        self.wire.drain_due_into(step, &mut wire_scratch);
+        self.events_dispatched += wire_scratch.len() as u64;
+        for (at, event) in wire_scratch.drain(..) {
+            self.handle_wire_event(at, event);
+        }
+        self.wire_scratch = wire_scratch;
+        Some(step)
     }
 }
 
 impl Advance for CloudService {
     fn next_event(&self) -> Option<SimTime> {
-        if self.fault_aware || self.recheck_faults || self.cache.any_dirty() {
-            // Exhaustive probe: fault injection active, or the cache has
-            // pending invalidations only an `&mut` advance may flush.
-            let mut next = self.wire.next_time();
-            for ep in self.endpoints.iter() {
-                if let Some(t) = ep.next_event() {
-                    next = Some(next.map_or(t, |x| x.min(t)));
-                }
-            }
-            return next;
-        }
-        // Indexed probe: O(endpoints) scan of cached times plus fresh probes
-        // of the (few) volatile pilot-job endpoints — no deep walks into
-        // quiescent endpoints' queues, sites, or providers.
-        let mut next = self.wire.next_time();
-        if let Some(t) = self.cache.min_stable() {
-            next = Some(next.map_or(t, |x| x.min(t)));
-        }
-        for &slot in self.cache.volatile_slots() {
-            if let Some(t) = self.endpoints[slot].next_event() {
-                next = Some(next.map_or(t, |x| x.min(t)));
-            }
-        }
-        next
+        self.endpoints
+            .iter()
+            .filter_map(|ep| ep.next_event())
+            .chain(self.wire.next_time())
+            .min()
     }
 
-    /// One step of the drive loop through a `&mut` entry point: refresh the
-    /// dispatch cache once and reuse it for both the probe and the advance.
-    ///
-    /// The read-only [`Advance::next_event`] cannot flush pending dirty bits,
-    /// so after any advance it must fall back to the exhaustive deep scan of
-    /// every endpoint. Driving via `step_next` instead makes the steady-state
-    /// cost per step `O(due endpoints)` probes, not `O(all endpoints)` walks.
+    /// One probe finds the step instant and its due set; the passes after it
+    /// finish same-instant follow-ups (a zero-latency delivery), so a caller
+    /// that submits at `now` between steps never interleaves with them.
     fn step_next(&mut self, deadline: SimTime) -> Option<SimTime> {
-        if self.fault_aware || self.recheck_faults {
-            // Fault injection in play (or undecided): keep the exhaustive
-            // probe — faults fire at consult boundaries, so every endpoint
-            // must be consulted at every step.
-            let next = self.next_event()?;
-            if next > deadline {
-                return None;
-            }
-            self.advance_to(next);
-            return Some(next);
-        }
-        self.refresh_cache();
-        let step = match (self.wire.next_time(), self.cache.min()) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => return None,
-        };
-        if step > deadline {
-            return None;
-        }
+        let step = self.step_once(deadline)?;
         self.advance_to(step);
         Some(step)
     }
 
     fn advance_to(&mut self, t: SimTime) {
-        if self.recheck_faults {
-            self.recheck_faults = false;
-            self.fault_aware =
-                self.injector.is_some() || self.endpoints.iter().any(|ep| ep.has_injector());
-        }
-        if self.fault_aware {
-            self.advance_all_to(t);
-            return;
-        }
-        loop {
-            self.refresh_cache();
-            // Earliest wire event or endpoint event within the window.
-            let step = match (self.wire.next_time(), self.cache.min()) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => break,
-            };
-            if step > t {
-                break;
-            }
-            self.now = step;
-            // Advance only endpoints with a due event, in endpoint-name
-            // order — the same order the exhaustive scan advanced them in.
-            self.due_scratch.clear();
-            self.due_scratch.extend(self.cache.due(step));
-            {
-                let rank = &self.slot_rank;
-                self.due_scratch.sort_unstable_by_key(|&s| rank[s]);
-            }
-            self.events_dispatched += self.due_scratch.len() as u64;
-            for i in 0..self.due_scratch.len() {
-                let slot = self.due_scratch[i];
-                self.endpoints[slot].advance_to(step);
-                self.cache.mark_dirty(slot);
-                self.touched.push(slot);
-            }
-            self.collect_touched_returns(step);
-            // Handle due wire events. Handlers never push at-or-before
-            // `step`, so a bulk drain sees the same events the incremental
-            // pop loop would.
-            let mut wire_scratch = std::mem::take(&mut self.wire_scratch);
-            wire_scratch.clear();
-            self.wire.drain_due_into(step, &mut wire_scratch);
-            self.events_dispatched += wire_scratch.len() as u64;
-            for (at, event) in wire_scratch.drain(..) {
-                self.handle_wire_event(at, event);
-            }
-            self.wire_scratch = wire_scratch;
-        }
+        while self.step_once(t).is_some() {}
         self.now = t;
     }
 }
@@ -915,7 +805,7 @@ mod tests {
     use hpcci_auth::{ClientSecret, IdentityId};
     use hpcci_cluster::Site;
     use hpcci_scheduler::LocalProvider;
-    use hpcci_sim::drive;
+    use hpcci_sim::{drive, DetRng, FaultPlan};
 
     struct Setup {
         cloud: CloudService,
@@ -1199,5 +1089,367 @@ mod tests {
         // after the endpoint-side end.
         assert!(out.started.as_micros() > 0);
         assert!(end > out.ended, "return leg adds latency");
+    }
+
+    // ------------------------------------------------------------------
+    // The loop the step loop replaced, kept as its oracle.
+    // ------------------------------------------------------------------
+
+    impl CloudService {
+        /// Reference loop: at every step advance *every* endpoint in name
+        /// order whether or not it has anything due, collect from every
+        /// endpoint, pop the wire one event at a time. Under a fault plan
+        /// this is what defines the instant each fault lands on; without
+        /// one it must commit what the step loop commits.
+        fn advance_all_to(&mut self, t: SimTime) {
+            while let Some(step) = self.next_event().filter(|&step| step <= t) {
+                self.now = step;
+                for &slot in &self.ordered_slots {
+                    self.endpoints[slot].advance_to(step);
+                }
+                for i in 0..self.ordered_slots.len() {
+                    self.return_finished(self.ordered_slots[i], step);
+                }
+                while let Some((at, event)) = self.wire.pop_due(step) {
+                    self.handle_wire_event(at, event);
+                }
+            }
+            self.now = t;
+        }
+    }
+
+    /// Endpoints of the chaos federation, in name order. `ep-pilot` and every
+    /// UEP pair of `mep-split` queue pilots on the one compute node of site
+    /// `tiny`; the other two run on the login node of site `lab`.
+    const CHAOS_ENDPOINTS: [&str; 4] = ["ep-local", "ep-pilot", "mep-login", "mep-split"];
+
+    struct Chaos {
+        cloud: CloudService,
+        /// Client, secret and current token of alice (who owns the
+        /// single-user endpoints) and bob.
+        users: Vec<(hpcci_auth::ClientId, ClientSecret, hpcci_auth::AccessToken)>,
+        injector: Option<FaultInjector>,
+    }
+
+    /// What a finished run committed.
+    #[derive(Debug, PartialEq)]
+    struct Committed {
+        trace: String,
+        chaos: String,
+        states: Vec<TaskState>,
+        end: SimTime,
+    }
+
+    impl Chaos {
+        /// `walltime_secs` is every pilot's walltime; keeping it below the
+        /// queued work makes pilots expire under load, so the scheduler's
+        /// job-end events re-time sibling endpoints.
+        fn new(plan: Option<FaultPlan>, case: u64, work_secs: f64, walltime_secs: u64) -> Chaos {
+            use crate::mep::MepTemplate;
+            use hpcci_auth::IdentityMapping;
+            use hpcci_cluster::{NetworkPolicy, NodeRole, PerfModel, SiteKind};
+            use hpcci_scheduler::SlurmProvider;
+            use hpcci_sim::SimDuration;
+
+            let injector = plan.map(FaultInjector::new);
+            let auth = Arc::new(Mutex::new(AuthService::new()));
+            let mut users = Vec::new();
+            let mut owner = IdentityId(0);
+            {
+                let mut a = auth.lock();
+                for name in ["alice", "bob"] {
+                    let identity =
+                        a.register_identity(&format!("{name}@uni.edu"), "uni.edu", SimTime::ZERO);
+                    let (cid, secret) = a.create_client(identity.id, name).unwrap();
+                    let token = a
+                        .authenticate(&cid, &secret, vec![Scope::compute_api()], SimTime::ZERO)
+                        .unwrap();
+                    if name == "alice" {
+                        owner = identity.id;
+                    }
+                    users.push((cid, secret, token));
+                }
+                if let Some(inj) = &injector {
+                    a.set_fault_injector(inj.clone());
+                }
+            }
+
+            let mut lab = Site::workstation("lab");
+            if case.is_multiple_of(3) {
+                // Zero WAN latency: both wire legs land on the instant that
+                // pushed them, so steps have same-instant follow-ups.
+                lab.perf = lab.perf.with_wan_latency(SimDuration::ZERO);
+            }
+            let mut tiny = Site::new(
+                "tiny",
+                SiteKind::Hpc,
+                PerfModel::new(1.0).with_wan_latency(SimDuration::from_millis(15)),
+                NetworkPolicy::login_only(),
+            );
+            tiny.add_node(NodeRole::Login, "tiny-login", 8, 32);
+            tiny.add_compute_nodes(1, 8, 32);
+            let mut sites = Vec::new();
+            for site in [lab, tiny] {
+                let mut rt = SiteRuntime::new(site).with_scheduler(8);
+                for account in ["alice", "x-alice", "x-bob"] {
+                    rt.site.add_account(account, "proj");
+                }
+                rt.commands
+                    .register("work", move |_| ExecOutcome::ok("done", work_secs));
+                rt.commands.register("git", |_| ExecOutcome::ok("cloned", 2.0));
+                if let (Some(inj), Some(scheduler)) = (&injector, &rt.scheduler) {
+                    scheduler
+                        .lock()
+                        .set_fault_injector(inj.clone(), &rt.site.id.0);
+                }
+                sites.push(shared(rt));
+            }
+            let (lab, tiny) = (sites[0].clone(), sites[1].clone());
+
+            let mut cloud = CloudService::new(auth);
+            if let Some(inj) = &injector {
+                cloud.set_fault_injector(inj.clone());
+            }
+            let walltime = SimDuration::from_secs(walltime_secs);
+            for (name, site, seed) in [("ep-local", &lab, 11), ("ep-pilot", &tiny, 12)] {
+                let provider = {
+                    let rt = site.lock();
+                    match &rt.scheduler {
+                        Some(scheduler) => {
+                            let account = rt.site.account("alice").unwrap();
+                            WorkerProvider::Slurm(SlurmProvider::new(
+                                scheduler.clone(),
+                                account.uid,
+                                &account.allocation,
+                                8,
+                                walltime,
+                            ))
+                        }
+                        None => WorkerProvider::Local(LocalProvider::new(
+                            rt.site.login_node().unwrap().id,
+                            8,
+                        )),
+                    }
+                };
+                let mut ep = Endpoint::new(
+                    EndpointConfig::new(name, owner, "alice").with_workers(2),
+                    site.clone(),
+                    provider,
+                    seed,
+                );
+                if let Some(inj) = &injector {
+                    ep.set_fault_injector(inj.clone());
+                }
+                cloud.register_endpoint(name, EndpointRegistration::Single(Box::new(ep)));
+            }
+            for (name, site, template) in [
+                ("mep-login", &lab, MepTemplate::login_only()),
+                ("mep-split", &tiny, MepTemplate::hpc_split(8, walltime_secs)),
+            ] {
+                let mut mapping = IdentityMapping::new(name);
+                mapping.add_explicit("alice@uni.edu", "x-alice");
+                mapping.add_explicit("bob@uni.edu", "x-bob");
+                let mut mep = MultiUserEndpoint::new(name, site.clone(), mapping, template);
+                if let Some(inj) = &injector {
+                    mep.set_fault_injector(inj.clone());
+                }
+                cloud.register_endpoint(name, EndpointRegistration::Multi(Box::new(mep)));
+            }
+            Chaos {
+                cloud,
+                users,
+                injector,
+            }
+        }
+
+        /// Call the cloud as `user` at its `now`; each token the plan
+        /// force-expires is replaced by a fresh one.
+        fn submit<T>(
+            &mut self,
+            user: usize,
+            mut call: impl FnMut(
+                &mut CloudService,
+                &hpcci_auth::AccessToken,
+                SimTime,
+            ) -> Result<T, FaasError>,
+        ) -> T {
+            let now = self.cloud.now();
+            let (cid, secret, token) = &mut self.users[user];
+            loop {
+                match call(&mut self.cloud, token, now) {
+                    Ok(done) => return done,
+                    Err(FaasError::Auth(_)) => {
+                        *token = self
+                            .cloud
+                            .auth()
+                            .lock()
+                            .authenticate(cid, secret, vec![Scope::compute_api()], now)
+                            .unwrap();
+                    }
+                    Err(e) => panic!("submission failed: {e}"),
+                }
+            }
+        }
+
+        fn committed(self) -> Committed {
+            Committed {
+                trace: self.cloud.trace.render(),
+                chaos: self
+                    .injector
+                    .map(|inj| inj.trace().render())
+                    .unwrap_or_default(),
+                states: self.cloud.tasks.iter().map(|t| t.state.clone()).collect(),
+                end: self.cloud.now(),
+            }
+        }
+    }
+
+    /// The fault plan of one generated case: the first four are the fixed
+    /// shapes (no injector, the empty plan, faults that never arm, a
+    /// site-named plan whose endpoint faults arm and can never be consumed),
+    /// the rest draw one to five faults from all six kinds.
+    fn chaos_plan(case: u64, rng: &mut DetRng) -> Option<FaultPlan> {
+        use hpcci_sim::{FaultKind, SimDuration};
+        let horizon = SimDuration::from_secs(240);
+        match case {
+            0 => return None,
+            1 => return Some(FaultPlan::none()),
+            3 => return Some(FaultPlan::randomized(case, horizon, 6, &["lab", "tiny"])),
+            _ => {}
+        }
+        let mut plan = FaultPlan::none();
+        for _ in 0..rng.range_u64(1, 6) {
+            let endpoint = CHAOS_ENDPOINTS[rng.range_u64(0, 4) as usize].to_string();
+            let kind = match rng.range_u64(0, 7) {
+                0 => FaultKind::EndpointCrash { endpoint },
+                1 => FaultKind::EndpointCrash {
+                    endpoint: "mep-split/x-bob/task".into(),
+                },
+                2 => FaultKind::MepForkFailure {
+                    endpoint: "mep-split".into(),
+                    user: "any".into(),
+                },
+                3 => FaultKind::NodeDrain {
+                    scheduler: "tiny".into(),
+                },
+                4 => FaultKind::WanPartition {
+                    endpoint,
+                    heal_after: SimDuration::from_secs(rng.range_u64(5, 60)),
+                },
+                5 => FaultKind::TokenExpiry,
+                _ => FaultKind::ArtifactCorruption { name: "log".into() },
+            };
+            let mut at = SimTime::from_micros(rng.range_u64(0, horizon.as_micros()));
+            if case == 2 {
+                at += SimDuration::from_hours(24 * 365);
+            }
+            plan = plan.with_fault(at, kind);
+        }
+        Some(plan)
+    }
+
+    /// Drive one generated case: several interactive waves, each drained by
+    /// `drain`, then one wave scheduled ahead on the shared-scheduler MEP.
+    fn run_chaos(case: u64, drain: fn(&mut CloudService)) -> Committed {
+        let mut rng = DetRng::seed_from_u64(0x57e9_100b ^ case).fork("step-vs-reference");
+        let plan = chaos_plan(case, &mut rng);
+        let work_secs = rng.range_f64(4.0, 20.0);
+        let walltime_secs = rng.range_u64(10, 45);
+        let mut fed = Chaos::new(plan, case, work_secs, walltime_secs);
+        for _ in 0..rng.range_u64(2, 5) {
+            for _ in 0..rng.range_u64(8, 40) {
+                // Half the traffic goes to the MEP whose pairs share a node.
+                let endpoint = CHAOS_ENDPOINTS[rng.range_u64(0, 6).min(3) as usize];
+                let user = if endpoint.starts_with("mep") {
+                    rng.range_u64(0, 2) as usize
+                } else {
+                    0
+                };
+                let command = if rng.chance(0.2) { "git clone x" } else { "work" };
+                let endpoint = EndpointId(endpoint.to_string());
+                fed.submit(user, |cloud, token, now| {
+                    cloud.submit_shell(token, &endpoint, command, now)
+                });
+            }
+            drain(&mut fed.cloud);
+        }
+        let ahead: Vec<u64> = (0..24).map(|_| rng.range_u64(0, 90)).collect();
+        let split = EndpointId("mep-split".into());
+        fed.submit(rng.range_u64(0, 2) as usize, |cloud, token, now| {
+            let ahead: Vec<SimTime> = ahead
+                .iter()
+                .map(|&secs| now + hpcci_sim::SimDuration::from_secs(secs))
+                .collect();
+            cloud.submit_shell_batch(token, &split, "work", now, &ahead)
+        });
+        drain(&mut fed.cloud);
+        fed.committed()
+    }
+
+    /// The step loop against the loop it replaced, over generated federations
+    /// and fault plans: same rendered trace, same chaos log, same state for
+    /// every task, same end instant.
+    ///
+    /// Mutation-checked when written: deciding due-ness lazily inside the
+    /// advance loop, arming on `EndpointCrash` faults only, and closing the
+    /// armed window at the injection instead of one poll after it, each fail
+    /// cases here.
+    #[test]
+    fn step_loop_commits_what_the_exhaustive_reference_commits() {
+        let mut consumed = 0;
+        for case in 0..32 {
+            let reference = run_chaos(case, |cloud| {
+                while let Some(next) = cloud.next_event() {
+                    cloud.advance_all_to(next);
+                }
+            });
+            let stepped = run_chaos(case, |cloud| {
+                cloud.drain_to_quiescence();
+            });
+            assert!(
+                reference.states.iter().all(TaskState::is_terminal),
+                "case {case}: the reference left a task in flight"
+            );
+            if let Some(line) = reference
+                .trace
+                .lines()
+                .zip(stepped.trace.lines())
+                .position(|(a, b)| a != b)
+            {
+                panic!(
+                    "case {case}: traces diverge at line {line}:\n  reference: {}\n  stepped:   {}",
+                    reference.trace.lines().nth(line).unwrap(),
+                    stepped.trace.lines().nth(line).unwrap()
+                );
+            }
+            assert_eq!(reference, stepped, "case {case}");
+            consumed += usize::from(reference.chaos.contains("fault.inject"));
+        }
+        assert!(consumed >= 8, "only {consumed} cases ever injected a fault");
+    }
+
+    /// The reference above advances MEPs through `MultiUserEndpoint::
+    /// advance_to`, so it cannot see a MEP that skips pairs. This pins the
+    /// case that makes skipping unsound: `ep-pilot`'s pilot holds the one
+    /// node, bob's waits behind it; when the first expires, `ep-pilot` (still
+    /// holding a queued task, earlier in name order) pumps the scheduler and
+    /// thereby starts bob's pilot — after which bob's pair no longer *looks*
+    /// due. It must be polled in that same step all the same.
+    #[test]
+    fn a_pilot_started_by_a_sibling_endpoints_pump_is_seen_in_the_same_step() {
+        let (work_secs, walltime_secs) = (20.0, 10);
+        let mut fed = Chaos::new(None, 1, work_secs, walltime_secs);
+        let pilot = EndpointId("ep-pilot".into());
+        let split = EndpointId("mep-split".into());
+        for _ in 0..3 {
+            // Two workers: the third task stays queued past the walltime.
+            fed.submit(0, |cloud, token, now| cloud.submit_shell(token, &pilot, "work", now));
+        }
+        let bobs = fed.submit(1, |cloud, token, now| cloud.submit_shell(token, &split, "work", now));
+        fed.cloud.drain_to_quiescence();
+        // Delivered (and both pilots requested) one 15 ms WAN leg after t=0.
+        let first_pilot_expires =
+            SimTime::from_micros(15_000) + hpcci_sim::SimDuration::from_secs(walltime_secs);
+        assert_eq!(fed.cloud.task_result(bobs).unwrap().started, first_pilot_expires);
     }
 }

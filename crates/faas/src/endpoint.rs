@@ -199,18 +199,16 @@ impl Endpoint {
         self.injector = Some(injector);
     }
 
-    /// Does this endpoint consult a fault injector? Containers fall back to
-    /// the exhaustive advance path for fault-aware children so fault consult
-    /// boundaries never move.
-    pub fn has_injector(&self) -> bool {
-        self.injector.is_some()
+    /// The injector this endpoint consults, if any: its container asks it
+    /// whether a fault is armed before choosing whom to advance.
+    pub(crate) fn fault_injector(&self) -> Option<&FaultInjector> {
+        self.injector.as_ref()
     }
 
     /// Can this endpoint's next event move without the endpoint itself being
     /// touched? True for pilot-job providers: the batch scheduler is shared
     /// with every other tenant at the site, so another endpoint's job end can
-    /// re-time this one. Containers must treat such children as volatile in
-    /// their [`hpcci_sim::NextEventCache`].
+    /// re-time this one.
     pub fn shares_scheduler(&self) -> bool {
         matches!(self.provider, WorkerProvider::Slurm(_))
     }

@@ -20,7 +20,7 @@ use crate::task::{TaskId, TaskOutput};
 use hpcci_auth::{HighAssurancePolicy, Identity, IdentityMapping};
 use hpcci_obs::Obs;
 use hpcci_scheduler::{LocalProvider, SlurmProvider};
-use hpcci_sim::{Advance, FaultInjector, NextEventCache, SimDuration, SimTime, Sym};
+use hpcci_sim::{Advance, FaultInjector, SimDuration, SimTime, Sym};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -85,8 +85,6 @@ impl MepTemplate {
 struct UepPair {
     login: Endpoint,
     task: Endpoint,
-    /// This pair's slot in the MEP's [`NextEventCache`].
-    slot: usize,
 }
 
 impl UepPair {
@@ -107,7 +105,7 @@ pub struct MultiUserEndpoint {
     pub restrict_functions: Option<BTreeSet<FunctionId>>,
     template: MepTemplate,
     /// Forked UEP pairs by local user; the key is the one interned copy of
-    /// that name (`slot_users` and the audit log hold handles to it).
+    /// that name (the audit log holds handles to it).
     ueps: BTreeMap<Arc<str>, UepPair>,
     /// Administrator-auditable log: (task, submitting identity, local user),
     /// by handle — the identity is the one the task was submitted with.
@@ -119,14 +117,6 @@ pub struct MultiUserEndpoint {
     /// Outputs of tasks that were in flight when the MEP crashed; drained by
     /// [`Self::drain_finished_into`] alongside live UEP outputs.
     pending_crashed: Vec<(TaskId, Box<TaskOutput>)>,
-    /// Indexed event dispatch over UEP pairs: only pairs with a due event
-    /// are advanced (fault-free runs; with an injector the MEP falls back to
-    /// the exhaustive path so fault consult boundaries never move).
-    cache: NextEventCache,
-    /// Slot → local user of the pair occupying it.
-    slot_users: Vec<Arc<str>>,
-    /// Scratch buffer of due slots, reused across advances.
-    due_scratch: Vec<usize>,
 }
 
 impl MultiUserEndpoint {
@@ -144,9 +134,6 @@ impl MultiUserEndpoint {
             injector: None,
             obs: Obs::disabled(),
             pending_crashed: Vec::new(),
-            cache: NextEventCache::new(),
-            slot_users: Vec::new(),
-            due_scratch: Vec::new(),
         }
     }
 
@@ -165,24 +152,9 @@ impl MultiUserEndpoint {
         }
     }
 
-    /// Does this MEP (and hence every UEP it forks) consult a fault injector?
-    pub fn has_injector(&self) -> bool {
-        self.injector.is_some()
-    }
-
-    /// Can a UEP's next event move without the MEP being touched? True when
-    /// the template provisions task workers through the site's shared batch
-    /// scheduler (see [`Endpoint::shares_scheduler`]).
-    pub fn shares_scheduler(&self) -> bool {
-        matches!(self.template.task_provider, TaskProvider::Slurm { .. })
-    }
-
-    /// Re-probe dirty (and volatile) pair slots.
-    fn refresh_cache(&mut self) {
-        let ueps = &self.ueps;
-        let users = &self.slot_users;
-        self.cache
-            .refresh(|slot| ueps[&users[slot]].next_event());
+    /// The injector this MEP (and hence every UEP it forks) consults, if any.
+    pub(crate) fn fault_injector(&self) -> Option<&FaultInjector> {
+        self.injector.as_ref()
     }
 
     /// A MEP-level crash tears down every forked UEP. In-flight tasks fail
@@ -191,8 +163,6 @@ impl MultiUserEndpoint {
     fn crash_all(&mut self, now: SimTime) {
         let mut pairs = std::mem::take(&mut self.ueps);
         let n = pairs.len();
-        self.cache = NextEventCache::new();
-        self.slot_users.clear();
         for pair in pairs.values_mut() {
             pair.login.force_crash(now);
             pair.task.force_crash(now);
@@ -321,17 +291,11 @@ impl MultiUserEndpoint {
             login_ep.set_obs(self.obs.clone());
             task_ep.set_obs(self.obs.clone());
         }
-        let slot = self.cache.register();
-        self.slot_users.push(local_user.clone());
-        if task_ep.shares_scheduler() {
-            self.cache.set_volatile(slot, true);
-        }
         self.ueps.insert(
             local_user.clone(),
             UepPair {
                 login: login_ep,
                 task: task_ep,
-                slot,
             },
         );
         Ok(())
@@ -373,7 +337,6 @@ impl MultiUserEndpoint {
         self.audit_log
             .push((id, identity.clone(), local_user.clone()));
         let pair = self.ueps.get_mut(&local_user).expect("forked above");
-        self.cache.mark_dirty(pair.slot);
         if self.template.routes_to_login(&command) {
             pair.login.enqueue(id, command, now)
         } else {
@@ -393,7 +356,6 @@ impl MultiUserEndpoint {
 
     /// Stop every UEP.
     pub fn stop(&mut self, now: SimTime) {
-        self.cache.mark_all_dirty();
         for pair in self.ueps.values_mut() {
             pair.login.stop(now);
             pair.task.stop(now);
@@ -403,61 +365,26 @@ impl MultiUserEndpoint {
 
 impl Advance for MultiUserEndpoint {
     fn next_event(&self) -> Option<SimTime> {
-        if self.injector.is_some() || self.cache.any_dirty() {
-            return self
-                .ueps
-                .values()
-                .flat_map(|p| [p.login.next_event(), p.task.next_event()])
-                .flatten()
-                .min();
-        }
-        let mut next = self.cache.min_stable();
-        for &slot in self.cache.volatile_slots() {
-            if let Some(t) = self.ueps[&self.slot_users[slot]].next_event() {
-                next = Some(next.map_or(t, |n| n.min(t)));
-            }
-        }
-        next
+        self.ueps.values().filter_map(UepPair::next_event).min()
     }
 
     fn advance_to(&mut self, t: SimTime) {
-        if self.injector.is_some() {
-            // Fault-aware path: advance every pair so each UEP consults the
-            // injector at exactly the boundaries the exhaustive scan used.
-            if self
-                .injector
-                .as_ref()
-                .is_some_and(|inj| inj.crash_due(&self.name, t))
-            {
-                self.crash_all(t);
-            }
-            for pair in self.ueps.values_mut() {
-                pair.login.advance_to(t);
-                pair.task.advance_to(t);
-            }
-            return;
-        }
-        self.refresh_cache();
-        self.due_scratch.clear();
-        self.due_scratch.extend(self.cache.due(t));
-        // Process due pairs in local-user (map key) order — the same order
-        // the exhaustive scan advanced them in.
+        if self
+            .injector
+            .as_ref()
+            .is_some_and(|inj| inj.crash_due(&self.name, t))
         {
-            let users = &self.slot_users;
-            self.due_scratch
-                .sort_unstable_by(|&a, &b| users[a].cmp(&users[b]));
+            self.crash_all(t);
         }
-        for i in 0..self.due_scratch.len() {
-            let slot = self.due_scratch[i];
-            let pair = self
-                .ueps
-                .get_mut(&self.slot_users[slot])
-                .expect("slot maps to a live uep");
+        // Every pair moves, due or not. Pairs wait on the site's shared batch
+        // scheduler, and a sibling advanced earlier in this step — another
+        // pair, or another endpoint of the cloud's — may already have
+        // consumed the job-end event that starts this pair's pilot; a pair
+        // with nothing to do is a few branches.
+        for pair in self.ueps.values_mut() {
             pair.login.advance_to(t);
             pair.task.advance_to(t);
-            self.cache.mark_dirty(slot);
         }
-        self.refresh_cache();
     }
 }
 

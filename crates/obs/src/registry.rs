@@ -40,10 +40,6 @@ pub const CORE_COUNTERS: &[&str] = &[
     "faas.tasks_completed",
     "faas.tasks_submitted",
     "faults.injected",
-    "sim.cache_probes",
-    "sim.cache_refresh_hot_hits",
-    "sim.cache_refreshes",
-    "sim.cache_volatile_probes",
     "sim.events_dispatched",
 ];
 

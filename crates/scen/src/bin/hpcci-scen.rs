@@ -12,6 +12,7 @@
 //! `# === scenario <i>: <name> ===` marker lines, so a fleet pipes through
 //! plain text.
 
+use hpcci_cas::DigestBuilder;
 use hpcci_scen::{first_divergence, run_spec, verify_spec, ScenarioGen, ScenarioSpec};
 use hpcci_sim::sweep::{default_threads, sweep};
 use std::io::Read as _;
@@ -23,7 +24,9 @@ usage:
       emit N generated scenario documents (default 64, seed 42) to stdout
   hpcci-scen verify [FILE] [--threads N] [--summary FILE]
       read a scenario stream (FILE or stdin), run every oracle family on
-      every scenario, N scenarios at a time; exit 1 if any scenario fails
+      every scenario, N scenarios at a time; exit 1 if any scenario fails.
+      The tail line ends in the fleet digest: every scenario's name and
+      outcome digest folded in stream order
   hpcci-scen replay FILE [--transcript]
       run the first scenario in FILE, print its digest and run verdicts
   hpcci-scen explain FILE_A [FILE_B]
@@ -192,9 +195,13 @@ fn cmd_verify(rest: &[String]) -> Result<ExitCode, String> {
     let mut events = 0u64;
     let mut virtual_us = 0u64;
     let mut runs = 0usize;
+    let mut fleet = DigestBuilder::new();
     for (spec, report) in specs.iter().zip(&reports) {
         match report {
             Ok(r) => {
+                fleet = fleet
+                    .str_field("scenario", &r.name)
+                    .digest_field("outcome", r.digest);
                 events += r.events;
                 virtual_us += r.end_us;
                 runs += r.runs;
@@ -215,10 +222,11 @@ fn cmd_verify(rest: &[String]) -> Result<ExitCode, String> {
         }
     }
     let throughput = events as f64 / wall.as_secs_f64().max(1e-9);
+    let fleet = fleet.finish();
     let tail = format!(
         "{} scenarios, {failed} failed; {runs} workflow runs, {events} events \
          ({:.1} virtual hours) in {:.2}s wall — {throughput:.0} events/s over \
-         {threads} threads",
+         {threads} threads; fleet digest {fleet}",
         specs.len(),
         virtual_us as f64 / 3.6e9,
         wall.as_secs_f64(),
@@ -227,9 +235,9 @@ fn cmd_verify(rest: &[String]) -> Result<ExitCode, String> {
     if let Some(path) = summary_path {
         let md = format!(
             "### scen-fleet\n\n\
-             | scenarios | failed | runs | events | events/s | threads |\n\
-             |---|---|---|---|---|---|\n\
-             | {} | {failed} | {runs} | {events} | {throughput:.0} | {threads} |\n",
+             | scenarios | failed | runs | events | events/s | threads | fleet digest |\n\
+             |---|---|---|---|---|---|---|\n\
+             | {} | {failed} | {runs} | {events} | {throughput:.0} | {threads} | `{fleet}` |\n",
             specs.len(),
         );
         std::fs::write(&path, md).map_err(|e| format!("writing {path}: {e}"))?;

@@ -23,6 +23,7 @@ use crate::run::{run_spec, run_spec_with, CacheSetup, ScenarioOutcome};
 use crate::spec::{EndpointKindDecl, ScenarioSpec, SpecError};
 use correct_core::Federation;
 use hpcci_auth::{ClientId, ClientSecret, Scope};
+use hpcci_cas::Digest;
 use hpcci_ci::{CacheMode, RunStatus, StepCache};
 use hpcci_faas::{EndpointId, TaskState};
 
@@ -44,6 +45,9 @@ impl std::fmt::Display for Violation {
 pub struct OracleReport {
     pub name: String,
     pub violations: Vec<Violation>,
+    /// Outcome digest of the base run (world trace, chaos log, transcript):
+    /// what `hpcci-scen verify` folds into its fleet digest.
+    pub digest: Digest,
     /// Events the base run dispatched (throughput accounting).
     pub events: u64,
     /// Virtual end of the base run, microseconds.
@@ -70,6 +74,7 @@ pub fn verify_spec(spec: &ScenarioSpec) -> Result<OracleReport, SpecError> {
     check_attribution(spec, &base, &mut violations);
     Ok(OracleReport {
         name: spec.name.clone(),
+        digest: base.digest,
         events: base.events,
         end_us: base.end_us,
         runs: base.runs.len(),

@@ -29,11 +29,9 @@ pub trait Advance {
     /// component is quiescent or its next event lies beyond the deadline.
     ///
     /// Semantically this is exactly `next_event()` + `advance_to(t)`, and the
-    /// provided implementation is that pair. Components with an internal
-    /// next-event index should override it: a `&mut` entry point lets them
-    /// refresh the index once and reuse it for both the probe and the
-    /// advance, instead of answering the read-only probe with an exhaustive
-    /// scan (see `CloudService` in `hpcci-faas`).
+    /// provided implementation is that pair. A container may override it to
+    /// ask its children once and use the answers for both the probe and the
+    /// advance (see `CloudService` in `hpcci-faas`).
     fn step_next(&mut self, deadline: SimTime) -> Option<SimTime> {
         let next = self.next_event()?;
         if next > deadline {
@@ -53,9 +51,8 @@ pub trait Advance {
 /// finishing a job wakes the FaaS endpoint polling it).
 pub fn drive_until(components: &mut [&mut dyn Advance], deadline: SimTime) -> SimTime {
     if let [component] = components {
-        // Single-component fast path: `step_next` lets the component refresh
-        // its own next-event index once per step instead of answering a
-        // read-only `next_event` probe with an exhaustive scan.
+        // Single component: `step_next` lets it probe its children once per
+        // step for both the step instant and the due set.
         let mut now = SimTime::ZERO;
         while let Some(step) = component.step_next(deadline) {
             debug_assert!(step >= now, "time went backwards: {step} < {now}");

@@ -151,6 +151,11 @@ struct InjectorState {
     expired_tokens: BTreeSet<u64>,
     /// A token expiry fired and no fresh token has been seen yet.
     awaiting_token_refresh: bool,
+    /// Instant of the latest injection, until [`FaultInjector::armed`] is
+    /// asked about a later one.
+    fired_at: Option<SimTime>,
+    /// The first instant asked about after `fired_at`.
+    settle_at: Option<SimTime>,
     trace: Trace,
 }
 
@@ -170,14 +175,33 @@ impl FaultInjector {
                 partitions: Vec::new(),
                 expired_tokens: BTreeSet::new(),
                 awaiting_token_refresh: false,
+                fired_at: None,
+                settle_at: None,
                 trace: Trace::new(),
             })),
         }
     }
 
-    /// Faults not yet fired.
-    pub fn pending_len(&self) -> usize {
-        self.lock().pending.len()
+    /// Must a container advance every child at `step`, due or not?
+    ///
+    /// Yes while any pending fault — of any kind, for any target — is
+    /// scheduled at or before `step`: the fault lands on the first event
+    /// boundary at or after its time, wherever that boundary is. And yes
+    /// through the first instant asked about after an injection: a crash or
+    /// a drain frees a node on the spot, and the pilot that starts on it may
+    /// belong to a child with nothing due, which only sees it when polled.
+    /// Outside that window every `*_due` consult is a guaranteed miss and no
+    /// child holds work its own `next_event` does not show, so a container
+    /// may skip the children that have nothing due.
+    pub fn armed(&self, step: SimTime) -> bool {
+        let mut st = self.lock();
+        if st.fired_at.is_some_and(|fired| fired < step) {
+            st.fired_at = None;
+            st.settle_at = Some(step);
+        }
+        st.fired_at.is_some()
+            || st.settle_at == Some(step)
+            || st.pending.iter().any(|f| f.at <= step)
     }
 
     /// Snapshot of the chaos log (injections and recoveries).
@@ -217,6 +241,7 @@ impl FaultInjector {
             .iter()
             .position(|f| f.at <= now && pick(&f.kind))?;
         let fault = st.pending.remove(idx);
+        st.fired_at = st.fired_at.max(Some(now));
         st.trace.record(
             now,
             component(),
@@ -359,9 +384,15 @@ mod tests {
         );
         let inj = FaultInjector::new(plan);
         assert!(!inj.crash_due("ep-a", SimTime::from_secs(49)), "not due yet");
+        assert!(!inj.armed(SimTime::from_secs(49)));
         assert!(!inj.crash_due("ep-b", SimTime::from_secs(60)), "wrong target");
+        assert!(inj.armed(SimTime::from_secs(50)), "armed for any target");
         assert!(inj.crash_due("ep-a", SimTime::from_secs(60)));
         assert!(!inj.crash_due("ep-a", SimTime::from_secs(70)), "consumed");
+        assert!(inj.armed(SimTime::from_secs(60)), "same-instant follow-ups");
+        assert!(inj.armed(SimTime::from_secs(61)), "one poll after it lands");
+        assert!(inj.armed(SimTime::from_secs(61)), "for every child asking");
+        assert!(!inj.armed(SimTime::from_secs(62)), "then the window closes");
         assert_eq!(inj.trace().of_kind("fault.inject").count(), 1);
     }
 

@@ -18,8 +18,6 @@
 //! * [`faults`] — deterministic fault injection: a seedable [`FaultPlan`]
 //!   delivered through a [`FaultInjector`] handle that components consult at
 //!   their event boundaries. An empty plan is a guaranteed no-op.
-//! * [`NextEventCache`] — indexed next-event dispatch over component slots,
-//!   so a drive loop re-probes only the components it touched.
 //! * [`workload`] — seeded arrival processes and tenant mixes ([`Workload`],
 //!   [`ArrivalGen`], [`TenantModel`]).
 //! * [`sweep`] — the parallel scenario-sweep runner: a fleet of
@@ -28,7 +26,6 @@
 //!   serial one).
 
 pub mod component;
-pub mod dispatch;
 pub mod faults;
 pub mod queue;
 pub mod rng;
@@ -38,7 +35,6 @@ pub mod trace;
 pub mod workload;
 
 pub use component::{drive, drive_until, Advance};
-pub use dispatch::{CacheStats, NextEventCache};
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultSpec};
 pub use queue::EventQueue;
 pub use rng::DetRng;

@@ -7,7 +7,9 @@
 //! * arrivals scheduled up front through `submit_shell_batch` replay the
 //!   trace of advancing to each instant and submitting there;
 //! * at quiescence every accepted task is in exactly one terminal state and
-//!   no scheduled submission is left pending — with and without a fault plan.
+//!   no scheduled submission is left pending — with and without a fault plan;
+//! * a fault plan costs events only while a fault is armed: never, if every
+//!   fault lies beyond the run; not for long, if they all land early.
 //!
 //! The cases are generated with the in-tree [`DetRng`] harness (the
 //! workspace builds offline — no proptest crate): a failure message always
@@ -143,6 +145,19 @@ fn run_waves(
     }
 }
 
+/// Hand one injector over `plan` to the cloud and to every endpoint.
+fn attach_injector(cloud: &mut CloudService, ids: &[EndpointId], plan: FaultPlan) -> FaultInjector {
+    let injector = FaultInjector::new(plan);
+    cloud.set_fault_injector(injector.clone());
+    for id in ids {
+        match cloud.endpoint_mut(id).unwrap() {
+            EndpointRegistration::Single(e) => e.set_fault_injector(injector.clone()),
+            EndpointRegistration::Multi(m) => m.set_fault_injector(injector.clone()),
+        }
+    }
+    injector
+}
+
 /// What a finished run committed: the rendered trace, the dispatched-event
 /// count and the instant the cloud stopped at.
 fn committed(cloud: &CloudService) -> (String, u64, SimTime) {
@@ -259,14 +274,7 @@ fn every_accepted_task_is_terminal_exactly_once_at_quiescence() {
                             heal_after: SimDuration::from_secs(rng.range_u64(5, 60)),
                         },
                     );
-                let injector = FaultInjector::new(plan);
-                cloud.set_fault_injector(injector.clone());
-                for id in &ids {
-                    match cloud.endpoint_mut(id).unwrap() {
-                        EndpointRegistration::Single(e) => e.set_fault_injector(injector.clone()),
-                        EndpointRegistration::Multi(m) => m.set_fault_injector(injector.clone()),
-                    }
-                }
+                attach_injector(&mut cloud, &ids, plan);
             }
             // Interactive waves first, then one wave scheduled ahead.
             run_waves(&shape, &mut cloud, &token, &ids, |c| {
@@ -318,4 +326,58 @@ fn every_accepted_task_is_terminal_exactly_once_at_quiescence() {
         infrastructure_failures > 0,
         "no fault plan ever failed a task — the faulted half tested nothing"
     );
+}
+
+/// A fault plan is paid for only while one of its faults is armed. With every
+/// fault beyond the run the loop commits what it commits with no injector at
+/// all — dispatched-event count included; with every fault landing early the
+/// window closes behind them, and the run ends well under the one event per
+/// endpoint per step that advancing everybody throughout would cost.
+#[test]
+fn a_fault_plan_costs_events_only_while_a_fault_is_armed() {
+    for case in 0..CASES {
+        let mut rng = case_rng("armed_window", case);
+        let shape = gen_shape(&mut rng);
+        let run = |plan: Option<FaultPlan>| {
+            let (mut cloud, token, ids) = build_cloud(&shape);
+            let injector = plan.map(|plan| attach_injector(&mut cloud, &ids, plan));
+            let mut steps = 0u64;
+            run_waves(&shape, &mut cloud, &token, &ids, |c| {
+                while c.step_next(SimTime::FAR_FUTURE).is_some() {
+                    steps += 1;
+                }
+            });
+            (committed(&cloud), steps * ids.len() as u64, injector)
+        };
+
+        let (plain, _, _) = run(None);
+        let never = SimTime::ZERO + SimDuration::from_hours(24 * 365);
+        let (unarmed, _, _) = run(Some(
+            FaultPlan::none()
+                .with_fault(never, FaultKind::EndpointCrash { endpoint: "ep-0".into() })
+                .with_fault(never, FaultKind::TokenExpiry),
+        ));
+        assert_eq!(plain, unarmed, "case {case}: a plan that never arms is not free");
+
+        let early = SimTime::from_secs(1);
+        let (faulted, everybody_every_step, injector) = run(Some(
+            FaultPlan::none()
+                .with_fault(early, FaultKind::EndpointCrash { endpoint: "ep-0".into() })
+                .with_fault(
+                    early,
+                    FaultKind::WanPartition {
+                        endpoint: "ep-1".into(),
+                        heal_after: SimDuration::from_secs(5),
+                    },
+                ),
+        ));
+        let injected = injector.expect("attached").trace().of_kind("fault.inject").count();
+        assert_eq!(injected, 2, "case {case}: both faults land");
+        assert!(
+            faulted.1 < everybody_every_step,
+            "case {case}: {} events dispatched, {everybody_every_step} would advance \
+             every endpoint at every step — the armed window never closed",
+            faulted.1
+        );
+    }
 }
