@@ -385,7 +385,7 @@ impl CloudService {
     /// Batched arrival injection: validate once, then schedule one submission
     /// of `shell_cmd` per instant in `arrivals`. This is the workload
     /// engine's path into the cloud — a wave of tens of thousands of arrivals
-    /// costs one auth check and one wheel push per arrival, not a full
+    /// costs one auth check and one queue push per arrival, not a full
     /// validation stack each. Returns the number of submissions scheduled.
     pub fn submit_shell_batch(
         &mut self,
@@ -859,7 +859,7 @@ mod tests {
             .submit_shell(&s.token, &s.endpoint, "tox", SimTime::ZERO)
             .unwrap();
         assert!(!s.cloud.task_finished(task).unwrap());
-        drive(&mut [&mut s.cloud]);
+        drive(&mut s.cloud);
         assert!(s.cloud.task_finished(task).unwrap());
         let out = s.cloud.task_result(task).unwrap();
         assert!(out.success());
@@ -907,7 +907,7 @@ mod tests {
     #[test]
     fn wire_entries_stay_handle_sized() {
         // `InFlight::Return` carries its output by handle; a by-value payload
-        // would triple every wheel entry the wire moves.
+        // would triple every queue entry the wire moves.
         assert!(std::mem::size_of::<InFlight>() <= 56);
         assert!(std::mem::size_of::<Task>() <= 112);
     }
@@ -937,7 +937,7 @@ mod tests {
             .cloud
             .submit_shell(&s.token, &s.endpoint, "fail", SimTime::ZERO)
             .unwrap();
-        drive(&mut [&mut s.cloud]);
+        drive(&mut s.cloud);
         let out = s.cloud.task_result(task).unwrap();
         assert!(!out.success());
         assert_eq!(out.stderr, "tests failed");
@@ -1020,7 +1020,7 @@ mod tests {
             .cloud
             .submit_function(&s.token, &s.endpoint, f, "-e py312", SimTime::ZERO)
             .unwrap();
-        drive(&mut [&mut s.cloud]);
+        drive(&mut s.cloud);
         assert!(s.cloud.task_result(task).unwrap().success());
         assert!(s.cloud.task(task).unwrap().command.contains("-e py312"));
     }
@@ -1083,7 +1083,7 @@ mod tests {
             .cloud
             .submit_shell(&s.token, &s.endpoint, "tox", SimTime::ZERO)
             .unwrap();
-        let end = drive(&mut [&mut s.cloud]);
+        let end = drive(&mut s.cloud);
         let out = s.cloud.task_result(task).unwrap();
         // Task observed start >= one-way latency; completion at cloud is
         // after the endpoint-side end.

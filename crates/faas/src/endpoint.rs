@@ -126,8 +126,8 @@ struct QueuedTask {
     command: Sym,
 }
 
-/// A wheel entry: the output rides by handle (boxed once in `pump`), so
-/// placements, cascades and ready-batch promotions move 16 bytes, not 144.
+/// A completion-queue entry: the output rides by handle (boxed once in
+/// `pump`), so the heap's sift moves 16 bytes, not 144.
 struct Completion {
     id: TaskId,
     output: Box<TaskOutput>,
@@ -555,7 +555,7 @@ mod tests {
     fn task_executes_and_finishes() {
         let mut ep = login_endpoint(4);
         ep.enqueue(TaskId(1), "sleepy", SimTime::ZERO).unwrap();
-        drive(&mut [&mut ep]);
+        drive(&mut ep);
         let mut finished = Vec::new();
         ep.drain_finished_into(&mut finished);
         assert_eq!(finished.len(), 1);
@@ -573,7 +573,7 @@ mod tests {
     fn failure_propagates_stderr() {
         let mut ep = login_endpoint(1);
         ep.enqueue(TaskId(7), "boom now", SimTime::ZERO).unwrap();
-        drive(&mut [&mut ep]);
+        drive(&mut ep);
         let mut finished = Vec::new();
         ep.drain_finished_into(&mut finished);
         assert_eq!(finished.len(), 1);
@@ -586,7 +586,7 @@ mod tests {
         let mut ep = login_endpoint(1);
         ep.enqueue(TaskId(1), "sleepy", SimTime::ZERO).unwrap();
         ep.enqueue(TaskId(2), "sleepy", SimTime::ZERO).unwrap();
-        drive(&mut [&mut ep]);
+        drive(&mut ep);
         let mut finished = Vec::new();
         ep.drain_finished_into(&mut finished);
         assert_eq!(finished.len(), 2);
@@ -597,7 +597,7 @@ mod tests {
         let mut ep2 = login_endpoint(2);
         ep2.enqueue(TaskId(1), "sleepy", SimTime::ZERO).unwrap();
         ep2.enqueue(TaskId(2), "sleepy", SimTime::ZERO).unwrap();
-        drive(&mut [&mut ep2]);
+        drive(&mut ep2);
         let mut f2 = Vec::new();
         ep2.drain_finished_into(&mut f2);
         assert!(f2[1].1.started < f2[0].1.ended, "2 workers: tasks overlap");
@@ -641,8 +641,8 @@ mod tests {
 
     #[test]
     fn completion_entries_stay_handle_sized() {
-        // A by-value `TaskOutput` (136 B) here is copied on every wheel
-        // placement, cascade and ready-batch promotion.
+        // A by-value `TaskOutput` (136 B) here is copied on every sift of
+        // the completion queue's heap.
         assert!(std::mem::size_of::<Completion>() <= 56);
     }
 
@@ -699,7 +699,7 @@ mod tests {
             3,
         );
         ep.enqueue(TaskId(1), "job", SimTime::ZERO).unwrap();
-        drive(&mut [&mut ep]);
+        drive(&mut ep);
         let mut finished = Vec::new();
         ep.drain_finished_into(&mut finished);
         assert_eq!(finished.len(), 1);

@@ -429,7 +429,7 @@ mod tests {
         let mut mep = faster_mep();
         let id = identity("vhayot@uchicago.edu", "uchicago.edu");
         mep.enqueue(TaskId(1), &id, "pytest -v", SimTime::ZERO).unwrap();
-        drive(&mut [&mut mep]);
+        drive(&mut mep);
         let mut finished = Vec::new();
         mep.drain_finished_into(&mut finished);
         assert_eq!(finished.len(), 1);
@@ -466,7 +466,7 @@ mod tests {
         mep.enqueue(TaskId(1), &id, "git clone https://github.com/Parsl/parsl-docking-tutorial", SimTime::ZERO)
             .unwrap();
         mep.enqueue(TaskId(2), &id, "pytest tests/", SimTime::ZERO).unwrap();
-        drive(&mut [&mut mep]);
+        drive(&mut mep);
         let mut finished = Vec::new();
         mep.drain_finished_into(&mut finished);
         finished.sort_by_key(|(id, _)| *id);
@@ -488,7 +488,7 @@ mod tests {
         let id = identity("vhayot@uchicago.edu", "uchicago.edu");
         mep.enqueue(TaskId(1), &id, "git clone https://github.com/x/y", SimTime::ZERO)
             .unwrap();
-        drive(&mut [&mut mep]);
+        drive(&mut mep);
         let mut finished = Vec::new();
         mep.drain_finished_into(&mut finished);
         assert!(!finished[0].1.success());

@@ -27,14 +27,12 @@
 mod histogram;
 mod registry;
 mod report;
-mod reservoir;
 mod snapshot;
 
 pub use histogram::{bucket_upper, Histogram, HISTOGRAM_BUCKETS};
 pub use registry::{Registry, SpanId, SpanRec, CORE_COUNTERS, CORE_HISTOGRAMS};
 pub use report::RunReport;
-pub use reservoir::{Reservoir, RESERVOIR_CAPACITY};
-pub use snapshot::{GaugeSnapshot, HistogramSnapshot, MetricsSnapshot, ReservoirSnapshot};
+pub use snapshot::{GaugeSnapshot, HistogramSnapshot, MetricsSnapshot};
 
 use hpcci_sim::{IntoSym, SimDuration, SimTime, Sym, Trace};
 use parking_lot::Mutex;
@@ -135,13 +133,6 @@ impl Obs {
     /// Record a duration observation in µs.
     pub fn observe_duration(&self, name: impl IntoSym, d: SimDuration) {
         self.observe(name, d.as_micros());
-    }
-
-    /// Record into a bounded reservoir sample: exact quantiles on small runs,
-    /// O(1) memory per series on million-task runs.
-    pub fn sample(&self, name: impl IntoSym, value: u64) {
-        let Some(inner) = &self.inner else { return };
-        inner.lock().sample(name, value);
     }
 
     /// Open a span at `at`. Disabled handles return [`SpanId::NONE`].

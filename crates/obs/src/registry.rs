@@ -6,8 +6,7 @@
 //! allocates. `&'static str` names bypass the interner entirely.
 
 use crate::histogram::Histogram;
-use crate::reservoir::Reservoir;
-use crate::snapshot::{GaugeSnapshot, HistogramSnapshot, MetricsSnapshot, ReservoirSnapshot};
+use crate::snapshot::{GaugeSnapshot, HistogramSnapshot, MetricsSnapshot};
 use hpcci_sim::{Interner, IntoSym, SimTime, Sym, Trace};
 use std::collections::BTreeMap;
 
@@ -75,7 +74,6 @@ pub struct Registry {
     counters: BTreeMap<Sym, u64>,
     gauges: BTreeMap<Sym, Gauge>,
     histograms: BTreeMap<Sym, Histogram>,
-    reservoirs: BTreeMap<Sym, Reservoir>,
     spans: Vec<SpanRec>,
     trace: Trace,
 }
@@ -118,13 +116,6 @@ impl Registry {
     pub fn observe(&mut self, name: impl IntoSym, value: u64) {
         let sym = name.into_sym(&mut self.interner);
         self.histograms.entry(sym).or_default().observe(value);
-    }
-
-    /// Record into a bounded reservoir sample (see [`Reservoir`]): exact
-    /// order-statistic quantiles while small, O(1) memory at any scale.
-    pub fn sample(&mut self, name: impl IntoSym, value: u64) {
-        let sym = name.into_sym(&mut self.interner);
-        self.reservoirs.entry(sym).or_default().observe(value);
     }
 
     pub fn span_start(&mut self, name: impl IntoSym, detail: impl Into<String>, at: SimTime) -> SpanId {
@@ -184,11 +175,6 @@ impl Registry {
                 .histograms
                 .iter()
                 .map(|(k, h)| (k.to_string(), HistogramSnapshot::of(h)))
-                .collect(),
-            reservoirs: self
-                .reservoirs
-                .iter()
-                .map(|(k, r)| (k.to_string(), ReservoirSnapshot::of(r)))
                 .collect(),
             spans: self.spans.len() as u64,
         }

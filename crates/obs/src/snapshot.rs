@@ -7,7 +7,6 @@
 //! sweeps.
 
 use crate::histogram::{bucket_upper, Histogram, HISTOGRAM_BUCKETS};
-use crate::reservoir::Reservoir;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -55,50 +54,12 @@ impl HistogramSnapshot {
     }
 }
 
-/// Frozen reservoir sample: exact aggregates over everything observed, plus
-/// quantiles over the retained (bounded) sample. `exact` says whether the
-/// quantiles are true order statistics (the reservoir never overflowed).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReservoirSnapshot {
-    pub seen: u64,
-    pub kept: u64,
-    pub exact: bool,
-    pub sum: u64,
-    pub min: u64,
-    pub max: u64,
-    pub p50: u64,
-    pub p90: u64,
-    pub p99: u64,
-}
-
-impl ReservoirSnapshot {
-    pub fn of(r: &Reservoir) -> Self {
-        ReservoirSnapshot {
-            seen: r.seen(),
-            kept: r.kept() as u64,
-            exact: r.exact(),
-            sum: r.sum(),
-            min: r.min(),
-            max: r.max(),
-            p50: r.quantile(50),
-            p90: r.quantile(90),
-            p99: r.quantile(99),
-        }
-    }
-
-    /// Mean over everything ever observed, rounded down (0 when empty).
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.seen).unwrap_or(0)
-    }
-}
-
 /// A complete, ordered snapshot of every registered metric.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, GaugeSnapshot>,
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    pub reservoirs: BTreeMap<String, ReservoirSnapshot>,
     /// Spans recorded (open + closed).
     pub spans: u64,
 }
@@ -149,10 +110,6 @@ impl MetricsSnapshot {
         self.histograms.get(name)
     }
 
-    pub fn reservoir(&self, name: &str) -> Option<ReservoirSnapshot> {
-        self.reservoirs.get(name).copied()
-    }
-
     /// Prometheus-style text exposition. Deterministic: names are sorted and
     /// every sample is an integer.
     pub fn to_prometheus(&self) -> String {
@@ -179,15 +136,6 @@ impl MetricsSnapshot {
             let _ = writeln!(out, "{p}_bucket{{le=\"+Inf\"}} {}", h.count);
             let _ = writeln!(out, "{p}_sum {}", h.sum);
             let _ = writeln!(out, "{p}_count {}", h.count);
-        }
-        for (name, r) in &self.reservoirs {
-            let p = prom_name(name);
-            let _ = writeln!(out, "# TYPE {p} summary");
-            let _ = writeln!(out, "{p}{{quantile=\"0.5\"}} {}", r.p50);
-            let _ = writeln!(out, "{p}{{quantile=\"0.9\"}} {}", r.p90);
-            let _ = writeln!(out, "{p}{{quantile=\"0.99\"}} {}", r.p99);
-            let _ = writeln!(out, "{p}_sum {}", r.sum);
-            let _ = writeln!(out, "{p}_count {}", r.seen);
         }
         out
     }
@@ -236,27 +184,6 @@ impl MetricsSnapshot {
                 let _ = write!(out, "{sep}[{upper}, {count}]");
             }
             out.push_str("]}");
-            first = false;
-        }
-        out.push_str("\n  },\n  \"reservoirs\": {");
-        first = true;
-        for (name, r) in &self.reservoirs {
-            let sep = if first { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    \"{}\": {{\"seen\": {}, \"kept\": {}, \"exact\": {}, \"sum\": {}, \
-                 \"min\": {}, \"max\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-                json_escape(name),
-                r.seen,
-                r.kept,
-                r.exact,
-                r.sum,
-                r.min,
-                r.max,
-                r.p50,
-                r.p90,
-                r.p99
-            );
             first = false;
         }
         let _ = write!(out, "\n  }},\n  \"spans\": {}\n}}\n", self.spans);

@@ -42,52 +42,15 @@ pub trait Advance {
     }
 }
 
-/// Advance a set of components until every one of them is quiescent, or until
-/// `deadline` is reached, whichever comes first. Returns the virtual time at
-/// which the drive stopped.
-///
-/// The loop advances *all* components to each step time, because processing
-/// an event in one component routinely enqueues work in another (a scheduler
-/// finishing a job wakes the FaaS endpoint polling it).
-pub fn drive_until(components: &mut [&mut dyn Advance], deadline: SimTime) -> SimTime {
-    if let [component] = components {
-        // Single component: `step_next` lets it probe its children once per
-        // step for both the step instant and the due set.
-        let mut now = SimTime::ZERO;
-        while let Some(step) = component.step_next(deadline) {
-            debug_assert!(step >= now, "time went backwards: {step} < {now}");
-            now = step;
-        }
-        if component.next_event().is_some() {
-            // Pending work beyond the deadline: land exactly on it.
-            component.advance_to(deadline);
-            return deadline;
-        }
-        return now;
-    }
+/// Step `component` until it is quiescent; returns the instant of its last
+/// event ([`SimTime::ZERO`] if it never had one).
+pub fn drive(component: &mut dyn Advance) -> SimTime {
     let mut now = SimTime::ZERO;
-    loop {
-        let next = components.iter().filter_map(|c| c.next_event()).min();
-        let Some(step) = next else {
-            return now;
-        };
-        if step > deadline {
-            for c in components.iter_mut() {
-                c.advance_to(deadline);
-            }
-            return deadline;
-        }
+    while let Some(step) = component.step_next(SimTime::FAR_FUTURE) {
         debug_assert!(step >= now, "time went backwards: {step} < {now}");
         now = step;
-        for c in components.iter_mut() {
-            c.advance_to(now);
-        }
     }
-}
-
-/// [`drive_until`] with no deadline.
-pub fn drive(components: &mut [&mut dyn Advance]) -> SimTime {
-    drive_until(components, SimTime::FAR_FUTURE)
+    now
 }
 
 #[cfg(test)]
@@ -141,11 +104,8 @@ mod tests {
     #[test]
     fn drives_to_quiescence() {
         let mut a = Ticker::new(SimTime::from_secs(1), SimDuration::from_secs(2), 3);
-        let mut b = Ticker::new(SimTime::from_secs(2), SimDuration::from_secs(3), 2);
-        let end = drive(&mut [&mut a, &mut b]);
-        assert_eq!(a.fired.len(), 3);
-        assert_eq!(b.fired.len(), 2);
-        // Last events: a at 1,3,5; b at 2,5 -> quiescent at 5.
+        let end = drive(&mut a);
+        // Events at 1, 3, 5 -> quiescent at 5.
         assert_eq!(end, SimTime::from_secs(5));
         assert_eq!(
             a.fired,
@@ -155,20 +115,26 @@ mod tests {
                 SimTime::from_secs(5)
             ]
         );
+        assert_eq!(a.next_event(), None);
     }
 
     #[test]
     fn respects_deadline() {
         let mut a = Ticker::new(SimTime::from_secs(1), SimDuration::from_secs(1), 100);
-        let end = drive_until(&mut [&mut a], SimTime::from_secs(4));
-        assert_eq!(end, SimTime::from_secs(4));
+        let deadline = SimTime::from_secs(4);
+        let mut end = SimTime::ZERO;
+        while let Some(step) = a.step_next(deadline) {
+            end = step;
+        }
+        assert_eq!(end, deadline);
         assert_eq!(a.fired.len(), 4); // t = 1, 2, 3, 4
-        assert!(a.next_event().unwrap() > SimTime::from_secs(4));
+        assert!(a.next_event().unwrap() > deadline);
     }
 
     #[test]
     fn empty_component_set_is_quiescent_at_zero() {
-        let end = drive(&mut []);
-        assert_eq!(end, SimTime::ZERO);
+        let mut idle = Ticker::new(SimTime::from_secs(1), SimDuration::from_secs(1), 0);
+        assert_eq!(drive(&mut idle), SimTime::ZERO);
+        assert!(idle.fired.is_empty());
     }
 }

@@ -12,7 +12,7 @@
 //!   site performance models need (uniform, normal, lognormal via Box–Muller).
 //! * [`Advance`] — the cooperative component protocol: components expose the
 //!   time of their next internal event and are advanced to a given instant by
-//!   a driver ([`drive`], [`drive_until`]).
+//!   a driver ([`drive`]).
 //! * [`Trace`] — a structured event trace used for provenance records and for
 //!   regenerating the paper's system-overview figure.
 //! * [`faults`] — deterministic fault injection: a seedable [`FaultPlan`]
@@ -34,7 +34,7 @@ pub mod time;
 pub mod trace;
 pub mod workload;
 
-pub use component::{drive, drive_until, Advance};
+pub use component::{drive, Advance};
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultSpec};
 pub use queue::EventQueue;
 pub use rng::DetRng;

@@ -151,10 +151,6 @@ impl Interner {
     pub fn unique(&self) -> usize {
         self.strings.len()
     }
-
-    fn absorb(&mut self, other: Interner) {
-        self.strings.extend(other.strings);
-    }
 }
 
 /// Conversion into an interned [`Sym`]. `&'static str` takes the zero-cost
@@ -317,9 +313,8 @@ impl Trace {
     /// memory for million-task runs. Folding is a pure function of the
     /// recorded lines, so two identical runs fold to identical digests.
     ///
-    /// Rolling traces are for leaf drivers (benchmarks, soak runs) that
-    /// never [`Trace::merge`] the log into another trace; the golden-trace
-    /// paths keep the default unbounded mode.
+    /// Rolling traces are for leaf drivers (benchmarks, soak runs); the
+    /// golden-trace paths keep the default unbounded mode.
     pub fn set_rolling(&mut self, cap: usize) {
         self.cap = Some(cap.max(2));
         if self.fold_hash == 0 {
@@ -378,55 +373,6 @@ impl Trace {
         self.events
             .iter()
             .filter(move |e| e.component.starts_with(prefix))
-    }
-
-    /// Merge another trace into this one, keeping global timestamp order.
-    /// Stable: within equal timestamps, `self`'s events precede `other`'s.
-    ///
-    /// Both traces are appended in time order in practice, so this is a
-    /// linear two-run merge — with an O(1) fast path when the runs don't
-    /// overlap at all. Should either log ever be out of order (a caller
-    /// recorded into the past), it falls back to a stable sort so the
-    /// result is identical either way.
-    pub fn merge(&mut self, other: Trace) {
-        let sorted = |events: &[TraceEvent]| events.windows(2).all(|w| w[0].at_us <= w[1].at_us);
-        self.interner.absorb(other.interner);
-        if !sorted(&self.events) || !sorted(&other.events) {
-            // Degenerate input: preserve the historical extend-then-stable-
-            // sort semantics exactly (even when `other` is empty, an
-            // out-of-order self must come out sorted).
-            self.events.extend(other.events);
-            self.events.sort_by_key(|e| e.at_us);
-            return;
-        }
-        if other.events.is_empty() {
-            return;
-        }
-        match self.events.last() {
-            // Fast path: `other` begins at or after our last event.
-            Some(last) if last.at_us <= other.events[0].at_us => {
-                self.events.extend(other.events);
-            }
-            None => self.events = other.events,
-            Some(_) => {
-                let ours = std::mem::take(&mut self.events);
-                self.events = Vec::with_capacity(ours.len() + other.events.len());
-                let mut a = ours.into_iter().peekable();
-                let mut b = other.events.into_iter().peekable();
-                while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
-                    // `<=` keeps self's events first within equal stamps.
-                    if x.at_us <= y.at_us {
-                        let e = a.next().expect("peeked");
-                        self.events.push(e);
-                    } else {
-                        let e = b.next().expect("peeked");
-                        self.events.push(e);
-                    }
-                }
-                self.events.extend(a);
-                self.events.extend(b);
-            }
-        }
     }
 
     /// Render the whole trace as text, one event per line.
@@ -490,63 +436,6 @@ mod tests {
         assert_eq!(t.of_kind("task.submit").count(), 1);
         assert_eq!(t.of_component("faas").count(), 2);
         assert_eq!(t.of_component("ci.runner").count(), 1);
-    }
-
-    #[test]
-    fn merge_keeps_time_order() {
-        let mut a = sample();
-        let mut b = Trace::new();
-        b.record(SimTime::from_millis(1500), "sched", "job.start", "jid=9");
-        a.merge(b);
-        let times: Vec<u64> = a.events().iter().map(|e| e.at_us).collect();
-        let mut sorted = times.clone();
-        sorted.sort_unstable();
-        assert_eq!(times, sorted);
-        assert_eq!(a.len(), 4);
-    }
-
-    #[test]
-    fn merge_is_stable_within_equal_timestamps() {
-        let mut a = Trace::new();
-        a.record(SimTime::from_secs(1), "a", "k", "a1");
-        a.record(SimTime::from_secs(2), "a", "k", "a2");
-        let mut b = Trace::new();
-        b.record(SimTime::from_secs(1), "b", "k", "b1");
-        b.record(SimTime::from_secs(2), "b", "k", "b2");
-        a.merge(b);
-        let details: Vec<&str> = a.events().iter().map(|e| e.detail.as_str()).collect();
-        assert_eq!(details, vec!["a1", "b1", "a2", "b2"]);
-    }
-
-    #[test]
-    fn merge_handles_empty_and_disjoint_runs() {
-        let mut a = sample();
-        a.merge(Trace::new());
-        assert_eq!(a.len(), 3);
-        let mut empty = Trace::new();
-        empty.merge(sample());
-        assert_eq!(empty.len(), 3);
-        // Disjoint: all of b after all of a (exercise the fast path).
-        let mut b = Trace::new();
-        b.record(SimTime::from_secs(10), "late", "k", "x");
-        a.merge(b);
-        assert_eq!(a.events().last().unwrap().detail, "x");
-    }
-
-    #[test]
-    fn merge_unsorted_falls_back_to_stable_sort() {
-        let mut a = Trace::new();
-        a.record(SimTime::from_secs(5), "a", "k", "late");
-        a.record(SimTime::from_secs(1), "a", "k", "early");
-        let mut b = Trace::new();
-        b.record(SimTime::from_secs(3), "b", "k", "mid");
-        a.merge(b);
-        let times: Vec<u64> = a.events().iter().map(|e| e.at_us).collect();
-        assert_eq!(
-            times,
-            vec![1_000_000, 3_000_000, 5_000_000],
-            "unsorted input still merges into time order"
-        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`ArrivalGen`] — the stateful, deterministic gap stream: one seeded
 //!   [`DetRng`] in, one `u64` microsecond gap out per arrival;
 //! * [`TenantMix`] / [`TenantModel`] — tens of thousands of users and repos
-//!   with Zipf-distributed activity, held in ID-dense `Vec`-backed sharded
+//!   with Zipf-distributed activity, held in ID-dense `Vec`-backed
 //!   storage (the `Vec<Task>` template from the faas hot path);
 //! * [`Workload`] — the builder tying a process, an arrival budget, and a
 //!   tenant mix together; this is what `FederationBuilder::workload(..)`
@@ -273,50 +273,42 @@ impl TenantMix {
     }
 }
 
-/// Number of shards tenant counters are spread over. A power of two so the
-/// shard of an id is a mask, not a division.
-pub const TENANT_SHARDS: usize = 64;
-
-/// ID-dense sharded counters: entity `id`'s count lives in shard
-/// `id % TENANT_SHARDS` at index `id / TENANT_SHARDS`. All storage is plain
+/// ID-dense counters: entity `id`'s count lives at index `id` of one plain
 /// `Vec<u64>` (the dense `Vec<Task>` template from the faas hot path): O(1)
 /// reads and writes, no per-entity allocation, and a fixed memory budget of
 /// exactly one `u64` per declared entity regardless of run length.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardedCounts {
-    shards: Vec<Vec<u64>>,
-    len: u32,
+    counts: Vec<u64>,
     total: u64,
 }
 
 impl ShardedCounts {
     pub fn new(len: u32) -> Self {
-        let per = (len as usize).div_ceil(TENANT_SHARDS);
         ShardedCounts {
-            shards: (0..TENANT_SHARDS).map(|_| vec![0u64; per]).collect(),
-            len,
+            counts: vec![0; len as usize],
             total: 0,
         }
     }
 
     /// Declared entity count.
     pub fn len(&self) -> u32 {
-        self.len
+        self.counts.len() as u32
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.counts.is_empty()
     }
 
     #[inline]
     pub fn increment(&mut self, id: u32) {
-        self.shards[id as usize % TENANT_SHARDS][id as usize / TENANT_SHARDS] += 1;
+        self.counts[id as usize] += 1;
         self.total += 1;
     }
 
     #[inline]
     pub fn count(&self, id: u32) -> u64 {
-        self.shards[id as usize % TENANT_SHARDS][id as usize / TENANT_SHARDS]
+        self.counts[id as usize]
     }
 
     /// Sum over all entities.
@@ -326,19 +318,15 @@ impl ShardedCounts {
 
     /// Entities with at least one count.
     pub fn active(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.iter().filter(|&&c| c > 0).count() as u64)
-            .sum()
+        self.counts.iter().filter(|&&c| c > 0).count() as u64
     }
 
     /// `(id, count)` of the busiest entity (lowest id wins ties).
     pub fn hottest(&self) -> (u32, u64) {
         let mut best = (0u32, 0u64);
-        for id in 0..self.len {
-            let c = self.count(id);
+        for (id, &c) in self.counts.iter().enumerate() {
             if c > best.1 {
-                best = (id, c);
+                best = (id as u32, c);
             }
         }
         best
@@ -346,7 +334,7 @@ impl ShardedCounts {
 }
 
 /// The materialized tenant population: integer Zipf CDF tables for repo and
-/// user activity, plus sharded per-repo / per-user arrival counters.
+/// user activity, plus per-repo / per-user arrival counters.
 #[derive(Clone, Debug)]
 pub struct TenantModel {
     mix: TenantMix,
@@ -354,9 +342,9 @@ pub struct TenantModel {
     repo_cdf: Vec<u64>,
     /// Cumulative integer Zipf weights over users (ranked by id).
     user_cdf: Vec<u64>,
-    /// Arrivals per repo, sharded.
+    /// Arrivals per repo.
     pub repo_arrivals: ShardedCounts,
-    /// Arrivals per user, sharded.
+    /// Arrivals per user.
     pub user_arrivals: ShardedCounts,
 }
 
@@ -396,7 +384,7 @@ impl TenantModel {
     }
 
     /// Sample the `(user, repo)` of the next arrival and record it in the
-    /// sharded counters. Two draws from `rng` per call, always in
+    /// counters. Two draws from `rng` per call, always in
     /// user-then-repo order, so tenant streams are byte-reproducible.
     pub fn sample(&mut self, rng: &mut DetRng) -> (u32, u32) {
         let user = Self::pick(&self.user_cdf, rng);

@@ -181,7 +181,7 @@ fn drain_matches_step_loop_and_drive() {
         });
         let stepped = run(|c| while c.step_next(SimTime::FAR_FUTURE).is_some() {});
         let driven = run(|c| {
-            drive(&mut [c]);
+            drive(c);
         });
         assert_eq!(drained, stepped, "case {case}: step_next loop diverged");
         assert_eq!(drained, driven, "case {case}: drive diverged");

@@ -8,9 +8,9 @@
 //! `tests/golden_traces.rs` must hold with obs enabled just as they do with
 //! it disabled.
 
-use hpcci::obs::ObsConfig;
+use hpcci::obs::{Obs, ObsConfig};
 use hpcci::scenarios::{parsldock_scenario_on, psij_scenario_on, Scenario};
-use hpcci::sim::{sweep, FaultPlan, SimDuration};
+use hpcci::sim::{sweep, DetRng, FaultPlan, SimDuration};
 
 /// FNV-1a, matching `tests/golden_traces.rs`.
 fn fnv1a(text: &str) -> u64 {
@@ -124,4 +124,24 @@ fn disabled_obs_snapshot_is_empty() {
     assert!(snap.counters.is_empty());
     assert!(snap.histograms.is_empty());
     assert_eq!(snap.spans, 0);
+}
+
+/// A histogram's quantiles are bucket estimates; its count, sum, min and max
+/// are exact over everything observed.
+#[test]
+fn histogram_aggregates_are_exact() {
+    for case in 0..12u64 {
+        let mut rng = DetRng::seed_from_u64(0xdeed_5eed ^ case).fork("histogram_exact");
+        let n = rng.range_u64(1, 1024);
+        let values: Vec<u64> = (0..n).map(|_| rng.range_u64(0, 1 << 40)).collect();
+        let obs = Obs::enabled();
+        for &v in &values {
+            obs.observe("wk.gap_us", v);
+        }
+        let snap = obs.snapshot();
+        let h = snap.histogram("wk.gap_us").expect("histogram present");
+        assert_eq!((h.count, h.sum), (n, values.iter().sum()), "case {case}");
+        assert_eq!(Some(&h.min), values.iter().min(), "case {case}");
+        assert_eq!(Some(&h.max), values.iter().max(), "case {case}");
+    }
 }

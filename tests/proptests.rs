@@ -1059,60 +1059,6 @@ fn fault_schedules_are_seed_deterministic() {
     }
 }
 
-/// Trace::merge equals the reference extend-then-stable-sort for arbitrary
-/// inputs: sorted logs (the linear merge paths) and out-of-order logs (the
-/// fallback) must produce byte-identical renderings, with self's events
-/// ahead of other's within equal timestamps.
-#[test]
-fn trace_merge_matches_stable_sort() {
-    use hpcci::sim::Trace;
-    for case in 0..CASES {
-        let mut rng = case_rng("trace_merge", case);
-        let mut serial = 0u64;
-        let mut gen_trace = |rng: &mut DetRng, sorted: bool| {
-            let n = rng.range_u64(0, 24);
-            let mut stamps: Vec<u64> = (0..n).map(|_| rng.range_u64(0, 8)).collect();
-            if sorted {
-                stamps.sort_unstable();
-            }
-            let mut t = Trace::new();
-            for at in stamps {
-                // A unique detail per event makes any reordering visible.
-                serial += 1;
-                let comp = ["faas.ep.a", "faas.ep.b", "ci.runner"]
-                    [rng.range_u64(0, 3) as usize];
-                t.record(SimTime::from_micros(at), comp, "task.step", format!("e{serial}"));
-            }
-            t
-        };
-        // Mix sorted and unsorted inputs so both merge paths are exercised.
-        let ours_sorted = rng.chance(0.75);
-        let other_sorted = rng.chance(0.75);
-        let ours = gen_trace(&mut rng, ours_sorted);
-        let other = gen_trace(&mut rng, other_sorted);
-
-        let mut reference: Vec<(u64, String)> = ours
-            .events()
-            .iter()
-            .chain(other.events())
-            .map(|e| (e.at_us, e.to_string()))
-            .collect();
-        reference.sort_by_key(|(at, _)| *at);
-        let expected: String = reference
-            .into_iter()
-            .map(|(_, line)| line + "\n")
-            .collect();
-
-        let mut merged = ours;
-        merged.merge(other);
-        assert_eq!(merged.render(), expected, "case {case}: merge diverged from stable sort");
-        assert!(
-            merged.events().windows(2).all(|w| w[0].at_us <= w[1].at_us),
-            "case {case}: merged trace not sorted"
-        );
-    }
-}
-
 /// Incremental CI, end to end: for arbitrary seeds, a Replay-mode run over
 /// the same world as its Record-mode producer serves every step from the
 /// cache and is byte-identical — statuses, step records, artifact bytes.
@@ -1709,13 +1655,14 @@ fn job_secrets_reach_every_step_key_and_rotation_rebuilds_the_prefix() {
     }
 }
 
-/// The timing-wheel event queue equals a reference priority-queue model
-/// under arbitrary interleavings of pushes and deadline-bounded pops:
-/// same-timestamp bursts, behind-cursor pushes, and far-future events
-/// beyond the wheel horizon all pop in exact (time, insertion) order.
+/// The event queue equals a reference priority-queue model under arbitrary
+/// interleavings of pushes and deadline-bounded pops: same-timestamp bursts,
+/// pushes behind the deadline or behind the last popped instant (which a
+/// pop phase that stops early leaves partly drained), and events days of
+/// virtual time ahead all pop in exact (time, insertion) order.
 #[test]
 fn wheel_matches_reference_model_under_interleaving() {
-    const WHEEL_SPAN_US: u64 = 1 << 36;
+    const FAR_US: u64 = 1 << 36;
     for case in 0..CASES {
         let mut rng = case_rng("wheel_model", case);
         let mut q = EventQueue::new();
@@ -1724,11 +1671,15 @@ fn wheel_matches_reference_model_under_interleaving() {
         let mut model: Vec<(u64, u64, u64)> = Vec::new();
         let mut seq = 0u64;
         let mut deadline = 0u64;
+        let mut last_popped = 0u64;
         for _ in 0..rng.range_u64(10, 120) {
             if rng.chance(0.6) {
                 let at = match rng.range_u64(0, 10) {
-                    0 => deadline.saturating_sub(rng.range_u64(0, 50)),
-                    1 | 2 => deadline + WHEEL_SPAN_US * rng.range_u64(1, 4) + rng.range_u64(0, 1000),
+                    0 => {
+                        let behind = if rng.chance(0.5) { deadline } else { last_popped };
+                        behind.saturating_sub(rng.range_u64(0, 50))
+                    }
+                    1 | 2 => deadline + FAR_US * rng.range_u64(1, 4) + rng.range_u64(0, 1000),
                     _ => deadline + rng.range_u64(0, 5_000),
                 };
                 for _ in 0..rng.range_u64(1, 5) {
@@ -1738,7 +1689,10 @@ fn wheel_matches_reference_model_under_interleaving() {
                 }
             } else {
                 deadline += rng.range_u64(0, 3_000);
-                loop {
+                // Half the pop phases drain everything due; the others stop
+                // after a few pops, mid-instant if that is where they land.
+                let pops = if rng.chance(0.5) { u64::MAX } else { rng.range_u64(0, 6) };
+                for _ in 0..pops {
                     let got = q.pop_due(SimTime::from_micros(deadline));
                     let want_ix = model
                         .iter()
@@ -1755,6 +1709,7 @@ fn wheel_matches_reference_model_under_interleaving() {
                                 (wat, wid),
                                 "case {case}: wrong event at deadline {deadline}"
                             );
+                            last_popped = wat;
                         }
                         (got, want) => panic!(
                             "case {case}: queue popped {got:?} but model expected index {want:?}"
@@ -1814,12 +1769,12 @@ fn wheel_same_timestamp_bursts_stay_fifo() {
     }
 }
 
-/// Events beyond the wheel horizon park in overflow and promote back into
-/// the wheel in exact (time, insertion) order when the cursor reaches them,
-/// even across several horizon-widths at once.
+/// Events days of virtual time ahead (multiples of 2^36 µs) come back in
+/// exact (time, insertion) order, mixed with near ones and drained in two
+/// stages.
 #[test]
 fn wheel_far_future_overflow_promotes_in_order() {
-    const WHEEL_SPAN_US: u64 = 1 << 36;
+    const FAR_US: u64 = 1 << 36;
     for case in 0..CASES {
         let mut rng = case_rng("wheel_overflow", case);
         let mut q = EventQueue::new();
@@ -1829,7 +1784,7 @@ fn wheel_far_future_overflow_promotes_in_order() {
             let at = if rng.chance(0.5) {
                 rng.range_u64(0, 10_000)
             } else {
-                WHEEL_SPAN_US * rng.range_u64(1, 5) + rng.range_u64(0, 10_000)
+                FAR_US * rng.range_u64(1, 5) + rng.range_u64(0, 10_000)
             };
             // Bursts at one far timestamp must also come back FIFO.
             for _ in 0..rng.range_u64(1, 3) {
@@ -1839,16 +1794,15 @@ fn wheel_far_future_overflow_promotes_in_order() {
             }
         }
         model.sort_unstable();
-        // Drain in stages: first everything before the horizon, then the rest
-        // (forcing the overflow-promotion cursor jump), comparing throughout.
-        let mut drained = q.drain_due(SimTime::from_micros(WHEEL_SPAN_US - 1));
+        // Drain in stages: first everything near, then the rest.
+        let mut drained = q.drain_due(SimTime::from_micros(FAR_US - 1));
         drained.extend(q.drain_due(SimTime::FAR_FUTURE));
         assert_eq!(drained.len(), model.len(), "case {case}: events lost");
         for ((at, v), (wat, wseq)) in drained.into_iter().zip(model) {
             assert_eq!(
                 (at.as_micros(), v),
                 (wat, wseq),
-                "case {case}: promotion broke (time, insertion) order"
+                "case {case}: broke (time, insertion) order"
             );
         }
         assert!(q.is_empty(), "case {case}");

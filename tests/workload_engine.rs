@@ -1,6 +1,6 @@
 //! Property tests for the arrival-process workload engine (PR 8).
 //!
-//! Three families, seeded by the same in-tree case generator the other
+//! Two families, seeded by the same in-tree case generator the other
 //! property suites use:
 //!
 //! 1. **Reproducibility** — the arrival stream is byte-identical whether
@@ -10,10 +10,7 @@
 //! 2. **Knob sensitivity** — changing any knob of a Poisson, diurnal, or
 //!    trace process perturbs the scenario digest (nothing silently ignores
 //!    its configuration).
-//! 3. **Streaming exactness** — reservoir snapshots agree with exact
-//!    aggregates and exact order statistics on runs that fit the reservoir.
 
-use hpcci::obs::Obs;
 use hpcci::scen::{run_spec, ScenarioSpec, TrafficProcess};
 use hpcci::sim::sweep::sweep;
 use hpcci::sim::{ArrivalProcess, DetRng, TenantMix, TenantModel, Workload};
@@ -166,49 +163,6 @@ fn process_knobs_perturb_scenario_digests() {
         }),
         "trace gaps inert"
     );
-}
-
-/// On runs small enough to fit the reservoir, a streaming snapshot is
-/// *identical* to exact statistics over the full value list: same count,
-/// sum, min, max, and true order-statistic quantiles.
-#[test]
-fn reservoir_snapshots_are_exact_on_small_runs() {
-    for case in 0..CASES {
-        let mut rng = case_rng("reservoir_exact", case);
-        let n = rng.range_u64(1, 1024) as usize;
-        let values: Vec<u64> = (0..n).map(|_| rng.range_u64(0, 1 << 40)).collect();
-
-        let obs = Obs::enabled();
-        let mut hist_exact = Vec::new();
-        for &v in &values {
-            obs.sample("wk.gap_us", v);
-            obs.observe("wk.gap_us", v);
-            hist_exact.push(v);
-        }
-        let snap = obs.snapshot();
-        let r = snap.reservoir("wk.gap_us").expect("sampled series present");
-        assert!(r.exact, "case {case}: {n} values must fit the reservoir");
-        assert_eq!(r.seen, n as u64);
-        assert_eq!(r.kept, n as u64);
-
-        hist_exact.sort_unstable();
-        let exact_q = |q: u64| {
-            let rank = ((n as u64) * q).div_ceil(100).clamp(1, n as u64);
-            hist_exact[(rank - 1) as usize]
-        };
-        assert_eq!(r.min, hist_exact[0], "case {case}");
-        assert_eq!(r.max, hist_exact[n - 1], "case {case}");
-        assert_eq!(r.sum, values.iter().sum::<u64>(), "case {case}");
-        assert_eq!(r.p50, exact_q(50), "case {case}: p50 not exact");
-        assert_eq!(r.p90, exact_q(90), "case {case}: p90 not exact");
-        assert_eq!(r.p99, exact_q(99), "case {case}: p99 not exact");
-
-        // The exact aggregates agree with the (bucketed) histogram's exact
-        // aggregates; the histogram's quantiles are estimates, which is why
-        // the reservoir exists.
-        let h = snap.histogram("wk.gap_us").expect("histogram present");
-        assert_eq!((h.count, h.sum, h.min, h.max), (r.seen, r.sum, r.min, r.max));
-    }
 }
 
 /// The tenant model is deterministic and Zipf-shaped: the same seed yields
