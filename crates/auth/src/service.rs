@@ -216,10 +216,6 @@ impl AuthService {
         self.tokens[slot].revoked = true;
         Ok(())
     }
-
-    pub fn identity_count(&self) -> usize {
-        self.identities.len()
-    }
 }
 
 /// FNV-1a of the formatted text, hashed as it is written: no `String`.

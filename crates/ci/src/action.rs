@@ -6,6 +6,7 @@
 //! shared virtual world through [`WorldDriver`] instead of sleeping, which
 //! keeps every run deterministic.
 
+use crate::run::Infra;
 use bytes::Bytes;
 use hpcci_sim::{SimDuration, SimTime, Sym};
 use std::collections::BTreeMap;
@@ -100,6 +101,8 @@ pub struct StepResult {
     pub outputs: BTreeMap<String, String>,
     /// Artifacts to persist (name, bytes).
     pub artifacts: Vec<(String, Bytes)>,
+    /// Whether infrastructure bore on this result (see [`Infra`]).
+    pub infra: Infra,
 }
 
 impl StepResult {

@@ -25,12 +25,13 @@
 //! its own CAS reference to each artifact, so the 90-day retention purge of
 //! the producing run cannot strand it.
 //!
-//! Infrastructure-flavored results are **never** cached ([`infra_tainted`]):
+//! Infrastructure-flavored results are **never** cached (any
+//! [`Infra`] but `Untouched`, as the action reported it):
 //! a verdict shaped by an endpoint outage, a retry, a failover, or a token
 //! refresh reflects the infrastructure of that moment, not the code under
 //! test — replaying it would launder a transient fault into a permanent one.
 
-use crate::run::StepOutcome;
+use crate::run::{Infra, StepOutcome};
 use crate::runner::Runner;
 use crate::workflow::ResolvedAction;
 use hpcci_cas::{CasPin, CasStore, Digest, DigestBuilder};
@@ -144,26 +145,6 @@ pub fn chain_digest(came_from: Digest, result: Digest) -> Digest {
         .finish()
 }
 
-/// Log lines the CORRECT action and the fault injector leave behind when a
-/// result was shaped by infrastructure rather than by the code under test.
-const INFRA_MARKERS: &[&str] = &[
-    "infrastructure:",
-    "Infrastructure failure",
-    "Failing over to sibling",
-    "re-authenticating",
-    "is stopped",
-];
-
-/// Is this step result uncacheable because infrastructure shaped it?
-pub fn infra_tainted(stdout: &str, stderr: &str, outputs: &BTreeMap<String, String>) -> bool {
-    if outputs.get("failure_kind").map(String::as_str) == Some("infrastructure") {
-        return true;
-    }
-    INFRA_MARKERS
-        .iter()
-        .any(|m| stdout.contains(m) || stderr.contains(m))
-}
-
 /// A step result as a caller hands it to [`StepCache::record`]: everything
 /// needed to replay the step without executing it, bit-for-bit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -205,7 +186,7 @@ pub struct CacheStats {
     pub entries: u64,
     pub hits: u64,
     pub misses: u64,
-    /// Results skipped because [`infra_tainted`] flagged them.
+    /// Results skipped because infrastructure bore on them.
     pub uncacheable: u64,
 }
 
@@ -266,6 +247,7 @@ impl StepCache {
             stdout: entry.stdout,
             stderr: entry.stderr,
             outputs: entry.outputs,
+            infra: Infra::Untouched,
         });
         let result = result_digest(&outcome);
         self.record_outcome(key, outcome, result, entry.artifacts, entry.duration_us);
@@ -416,6 +398,7 @@ mod tests {
             stdout: "out".into(),
             stderr: "err".into(),
             outputs: [("k".to_string(), "v".to_string())].into(),
+            infra: Infra::Untouched,
         };
         let variants = [
             StepOutcome {
@@ -446,23 +429,6 @@ mod tests {
         for v in &variants {
             assert_ne!(result_digest(&base), result_digest(v), "{v:?}");
         }
-    }
-
-    #[test]
-    fn infra_taint_detection() {
-        let clean: BTreeMap<String, String> = BTreeMap::new();
-        assert!(!infra_tainted("$ tox\nok", "", &clean));
-        assert!(infra_tainted(
-            "Infrastructure failure (endpoint x is stopped); retry 1/3...",
-            "",
-            &clean
-        ));
-        assert!(infra_tainted("", "infrastructure: endpoint unreachable", &clean));
-        let mut outputs = BTreeMap::new();
-        outputs.insert("failure_kind".to_string(), "infrastructure".to_string());
-        assert!(infra_tainted("looks fine", "", &outputs));
-        outputs.insert("failure_kind".to_string(), "test".to_string());
-        assert!(!infra_tainted("looks fine", "", &outputs));
     }
 
     #[test]

@@ -3,11 +3,11 @@
 use crate::action::{Action, StepContext, WorldDriver};
 use crate::artifacts::ArtifactStore;
 use crate::cache::{
-    chain_digest, infra_tainted, result_digest, CacheMode, JobKeyPrefix, StepCache, StepKey,
+    chain_digest, result_digest, CacheMode, JobKeyPrefix, StepCache, StepKey,
 };
 use crate::environment::Environment;
 use crate::error::CiError;
-use crate::run::{RunId, RunStatus, StepOutcome, StepRun, WorkflowRun};
+use crate::run::{Infra, RunId, RunStatus, StepOutcome, StepRun, WorkflowRun};
 use crate::runner::RunnerPool;
 use crate::secrets::SecretStore;
 use crate::workflow::{ResolvedAction, TriggerEvent, WorkflowDef};
@@ -669,15 +669,13 @@ impl CiEngine {
                         stdout,
                         stderr,
                         outputs,
+                        infra: result.infra,
                     });
                     let mut digest = Digest::NONE;
                     if let Some((cache, key)) = &keyed {
                         // Hashed here and nowhere else: the entry carries it.
                         digest = result_digest(&outcome);
-                        if infra_tainted(&outcome.stdout, &outcome.stderr, &outcome.outputs) {
-                            // A verdict shaped by an endpoint outage, retry,
-                            // or token refresh reflects that moment's
-                            // infrastructure, not the code — never cache it.
+                        if outcome.infra != Infra::Untouched {
                             cache.note_uncacheable();
                             self.counters.step_cache_uncacheable += 1;
                         } else {

@@ -37,6 +37,38 @@ impl RunStatus {
     }
 }
 
+/// How far infrastructure, not the code under test, bore on a step's result
+/// — as the action saw it happen (CORRECT), never inferred from a log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Infra {
+    /// Not at all: the result is the code's own, and cacheable.
+    #[default]
+    Untouched,
+    /// A retry, failover or token refresh on the way: the verdict is still
+    /// the code's, but of that moment's platform — never cached.
+    Shaped,
+    /// The step failed *because* the platform did (retries exhausted, site
+    /// skipped): it says nothing about the code.
+    Failed,
+}
+
+/// Why a run failed: the attribution §2.1 asks CI never to confuse.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FailureKind {
+    Test,
+    Infrastructure,
+}
+
+impl FailureKind {
+    /// As rendered: the `failure_kind` step output and report column.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            FailureKind::Test => "test",
+            FailureKind::Infrastructure => "infrastructure",
+        }
+    }
+}
+
 /// What a step produced — the part of a [`StepRun`] a cache replay
 /// reproduces verbatim. Immutable once built and held behind an `Arc`: the
 /// run arena and the step cache share one copy of every log.
@@ -49,6 +81,7 @@ pub struct StepOutcome {
     pub stderr: String,
     /// Secret-masked named outputs.
     pub outputs: BTreeMap<String, String>,
+    pub infra: Infra,
 }
 
 /// Result of one executed step.
@@ -99,6 +132,16 @@ impl WorkflowRun {
     /// Find a completed step's record.
     pub fn step(&self, step_id: &str) -> Option<&StepRun> {
         self.steps.iter().find(|s| s.step == step_id)
+    }
+
+    /// Attribution of a failed run — the kind of its first failed step;
+    /// `None` unless the run failed.
+    pub fn failure_kind(&self) -> Option<FailureKind> {
+        let first_failed = self.steps.iter().find(|s| !s.success);
+        (self.status == RunStatus::Failure).then(|| match first_failed {
+            Some(s) if s.infra == Infra::Failed => FailureKind::Infrastructure,
+            _ => FailureKind::Test,
+        })
     }
 
     /// The status badge string a README would embed — the visible outcome of

@@ -215,13 +215,6 @@ impl JobDef {
         self.steps.push(step);
         self
     }
-
-    pub fn on_self_hosted(mut self, site: &str) -> JobDef {
-        self.runs_on = RunsOn::SelfHosted {
-            site: site.to_string(),
-        };
-        self
-    }
 }
 
 /// A complete workflow.

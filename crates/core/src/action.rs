@@ -17,8 +17,10 @@
 
 use crate::inputs::CorrectInputs;
 use hpcci_auth::{AccessToken, AuthError, ClientId, ClientSecret, Scope};
-use hpcci_ci::{Action, StepContext, StepResult, WorldDriver};
-use hpcci_faas::{CloudService, EndpointId, FaasError, FunctionId, TaskId, TaskOutput};
+use hpcci_ci::{Action, FailureKind, Infra, StepContext, StepResult, WorldDriver};
+use hpcci_faas::{
+    CloudService, EndpointId, FaasError, FunctionId, TaskFailure, TaskId, TaskOutput,
+};
 use hpcci_obs::Obs;
 use hpcci_sim::{DetRng, SimDuration, SimTime};
 use parking_lot::Mutex;
@@ -27,14 +29,6 @@ use std::sync::Arc;
 
 /// The marketplace name the action registers under.
 pub const CORRECT_ACTION_NAME: &str = "globus-labs/correct@v1";
-
-/// Is an error message an *infrastructure* failure (retryable) rather than a
-/// test failure or configuration error? Infrastructure-originated errors
-/// carry the `infrastructure:` marker end to end; a stopped endpoint is the
-/// lingering symptom of a crash.
-fn is_infra(msg: &str) -> bool {
-    msg.contains("infrastructure:") || msg.contains("is stopped")
-}
 
 /// FNV-1a over `"{a}:{b}"` without materializing the joined string. Byte
 /// order matches the historical `fnv(&format!("{a}:{b}"))`, so jitter
@@ -73,19 +67,20 @@ fn note_failover(log: &mut String, endpoints: &[EndpointId], ep_idx: &mut usize,
 
 /// Graceful degradation: the site is skipped and the step reports an
 /// infrastructure failure, distinguishable from a test failure by the
-/// `failure_kind` output (§2.1: CI must not confuse platform flakiness with
-/// code regressions).
-fn infra_step_result(log: &str, detail: &str) -> StepResult {
+/// [`Infra::Failed`] mark, shown to the user as the `failure_kind` output
+/// (§2.1: CI must not confuse platform flakiness with code regressions).
+fn infra_step_result(log: String, detail: &str) -> StepResult {
     StepResult {
         success: false,
-        stdout: log.to_string(),
+        stdout: log,
         stderr: format!(
             "infrastructure failure (site skipped): {detail}\n\
              This failure reflects CI infrastructure, not the tests under evaluation."
         ),
+        infra: Infra::Failed,
         ..StepResult::default()
     }
-    .with_output("failure_kind", "infrastructure")
+    .with_output("failure_kind", FailureKind::Infrastructure.as_str())
 }
 
 /// The action. Holds a handle to the FaaS cloud (the runner talks to the
@@ -108,31 +103,21 @@ impl CorrectAction {
         self.obs = obs;
     }
 
-    /// Block until `task` finishes, advancing the virtual world. Errors if
-    /// the world quiesces first (nothing will ever complete the task).
+    /// Block until `task` finishes, advancing the virtual world. A rejected
+    /// task is the error it was rejected with; `NotFinished` means the world
+    /// quiesced first (nothing will ever complete the task).
     fn wait_for(
         &self,
         driver: &mut dyn WorldDriver,
         task: TaskId,
-    ) -> Result<TaskOutput, String> {
+    ) -> Result<TaskOutput, FaasError> {
         loop {
-            {
-                let cloud = self.cloud.lock();
-                match cloud.task_finished(task) {
-                    Ok(true) => {
-                        return cloud
-                            .task_result(task)
-                            .cloned()
-                            .map_err(|e| format!("Error: {e}"));
-                    }
-                    Ok(false) => {}
-                    Err(e) => return Err(format!("Error: {e}")),
-                }
+            match self.cloud.lock().task_result(task) {
+                Err(FaasError::NotFinished(_)) => {}
+                finished => return finished.cloned(),
             }
             if !driver.step() {
-                return Err(format!(
-                    "Error: federation made no progress while waiting for {task}"
-                ));
+                return Err(FaasError::NotFinished(task));
             }
         }
     }
@@ -142,7 +127,9 @@ impl CorrectAction {
     /// on crashes, and refreshing the bearer token when it expires mid-run.
     /// With no faults active this takes exactly the same path as a plain
     /// submit-and-wait: no sleeps, no log lines, no RNG draws that could
-    /// perturb the simulation.
+    /// perturb the simulation. What is infrastructure is decided by type —
+    /// [`FaasError::is_infrastructure`], [`TaskFailure::WorkerCrashed`] —
+    /// and every attempt past the first marks `infra` as shaped by it.
     #[allow(clippy::too_many_arguments)]
     fn run_resilient<F>(
         &self,
@@ -154,6 +141,7 @@ impl CorrectAction {
         backoff: SimDuration,
         jitter_seed: u64,
         log: &mut String,
+        infra: &mut Infra,
         label: &str,
         submit: F,
     ) -> Attempted
@@ -171,6 +159,7 @@ impl CorrectAction {
                     return Attempted::Infra(last_infra);
                 }
                 self.obs.inc("action.retries");
+                *infra = Infra::Shaped;
                 // Deterministic exponential backoff: base * 2^(attempt-1),
                 // jittered from a stream seeded by commit+endpoint.
                 let factor = (1u64 << (attempt - 1).min(16)) as f64 * rng.range_f64(0.8, 1.2);
@@ -214,44 +203,28 @@ impl CorrectAction {
                         }
                     }
                 }
-                Err(e) => {
-                    let msg = e.to_string();
-                    if is_infra(&msg) {
-                        last_infra = msg;
-                        note_failover(log, endpoints, &mut ep_idx, &self.obs);
-                        attempt += 1;
-                        continue;
-                    }
-                    return Attempted::Fatal(format!("Error: {label}: {e}"));
+                Err(e) if e.is_infrastructure() => {
+                    last_infra = e.to_string();
+                    note_failover(log, endpoints, &mut ep_idx, &self.obs);
+                    attempt += 1;
+                    continue;
                 }
+                Err(e) => return Attempted::Fatal(format!("Error: {label}: {e}")),
             };
-            match self.wait_for(driver, task) {
-                Ok(out) if out.success() => return Attempted::Done(out),
-                Ok(out) => {
-                    let err_text = out.result.as_ref().err().cloned().unwrap_or_default();
-                    if is_infra(&out.stderr) || is_infra(&err_text) {
-                        last_infra = if out.stderr.is_empty() {
-                            err_text
-                        } else {
-                            out.stderr.clone()
-                        };
-                        note_failover(log, endpoints, &mut ep_idx, &self.obs);
-                        attempt += 1;
-                        continue;
-                    }
-                    // A genuine test failure: report it, never retry it.
-                    return Attempted::Done(out);
+            last_infra = match self.wait_for(driver, task) {
+                Ok(out) if out.result == Err(TaskFailure::WorkerCrashed) => out.stderr,
+                // Success, or a genuine test failure: report it, never retry it.
+                Ok(out) => return Attempted::Done(out),
+                Err(e) if e.is_infrastructure() => format!("Error: {e}"),
+                Err(FaasError::NotFinished(task)) => {
+                    return Attempted::Fatal(format!(
+                        "Error: federation made no progress while waiting for {task}"
+                    ))
                 }
-                Err(e) => {
-                    if is_infra(&e) {
-                        last_infra = e;
-                        note_failover(log, endpoints, &mut ep_idx, &self.obs);
-                        attempt += 1;
-                        continue;
-                    }
-                    return Attempted::Fatal(e);
-                }
-            }
+                Err(e) => return Attempted::Fatal(format!("Error: {e}")),
+            };
+            note_failover(log, endpoints, &mut ep_idx, &self.obs);
+            attempt += 1;
         }
     }
 }
@@ -263,6 +236,7 @@ impl Action for CorrectAction {
             Err(e) => return StepResult::fail(e),
         };
         let mut log = String::new();
+        let mut infra = Infra::Untouched;
 
         // 1. Runner bootstrap: the SDK is not on the hosted VM image.
         log.push_str("Checking for globus-compute-sdk on runner... not found\n");
@@ -308,6 +282,7 @@ impl Action for CorrectAction {
                 backoff,
                 jitter_seed,
                 &mut log,
+                &mut infra,
                 "clone submission",
                 |cloud, token, endpoint, now| cloud.submit_shell(token, endpoint, &clone_cmd, now),
             ) {
@@ -321,11 +296,12 @@ impl Action for CorrectAction {
                         success: false,
                         stdout: log + &out.stdout,
                         stderr: format!("Error: repository clone failed\n{}", out.stderr),
+                        infra,
                         ..StepResult::default()
                     };
                 }
-                Attempted::Fatal(e) => return StepResult::fail(e),
-                Attempted::Infra(detail) => return infra_step_result(&log, &detail),
+                Attempted::Fatal(e) => return StepResult { infra, ..StepResult::fail(e) },
+                Attempted::Infra(detail) => return infra_step_result(log, &detail),
             }
         }
 
@@ -339,6 +315,7 @@ impl Action for CorrectAction {
             backoff,
             jitter_seed.wrapping_add(1),
             &mut log,
+            &mut infra,
             "task submission",
             |cloud, token, endpoint, now| {
                 if let Some(cmd) = inputs.shell_cmd {
@@ -355,8 +332,8 @@ impl Action for CorrectAction {
             },
         ) {
             Attempted::Done(o) => o,
-            Attempted::Fatal(e) => return StepResult::fail(e),
-            Attempted::Infra(detail) => return infra_step_result(&log, &detail),
+            Attempted::Fatal(e) => return StepResult { infra, ..StepResult::fail(e) },
+            Attempted::Infra(detail) => return infra_step_result(log, &detail),
         };
 
         // 5. Propagate outputs; step fails when the function failed. The
@@ -367,6 +344,7 @@ impl Action for CorrectAction {
             success: output.success(),
             stdout: log,
             stderr: output.stderr.clone(),
+            infra,
             ..StepResult::default()
         }
         .with_output(
@@ -453,28 +431,5 @@ mod tests {
         let r = action.run(&mut ctx);
         assert!(!r.success);
         assert!(r.stderr.contains("authentication failed"), "{}", r.stderr);
-    }
-
-    /// Every resilience log line this action can emit must be recognized by
-    /// the step cache's taint check — otherwise a verdict shaped by an
-    /// outage could be memoized and replayed as if it were reproducible.
-    #[test]
-    fn resilience_log_lines_are_never_cacheable() {
-        use hpcci_ci::cache::infra_tainted;
-        let empty: BTreeMap<String, String> = BTreeMap::new();
-        for line in [
-            "infrastructure: worker pool lost",
-            "Infrastructure failure (endpoint ep-1 is stopped); retry 1/3 in 2.0s",
-            "Failing over to sibling endpoint ep-2",
-            "Access token rejected mid-run; re-authenticating",
-            "endpoint ep-1 is stopped",
-        ] {
-            assert!(infra_tainted(line, "", &empty), "stdout marker missed: {line}");
-            assert!(infra_tainted("", line, &empty), "stderr marker missed: {line}");
-        }
-        let mut outputs = BTreeMap::new();
-        outputs.insert("failure_kind".to_string(), "infrastructure".to_string());
-        assert!(infra_tainted("6 passed", "", &outputs), "failure_kind output missed");
-        assert!(!infra_tainted("6 passed", "1 warning", &empty), "clean result wrongly tainted");
     }
 }

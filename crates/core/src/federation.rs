@@ -809,15 +809,6 @@ impl Federation {
             .iter()
             .map(|a| a.content.len() as u64)
             .sum();
-        // Infrastructure failures are flagged by the action's `failure_kind`
-        // step output (§2.1); anything else that failed is a test failure.
-        let failure_kind = record
-            .steps
-            .iter()
-            .find_map(|s| s.outputs.get("failure_kind").cloned())
-            .or_else(|| {
-                (record.status == RunStatus::Failure).then(|| "test".to_string())
-            });
         RunReport {
             run: record.id.0,
             repo: record.repo.to_string(),
@@ -831,7 +822,7 @@ impl Federation {
             steps: record.steps.len() as u32,
             failed_steps: record.steps.iter().filter(|s| !s.success).count() as u32,
             artifact_bytes,
-            failure_kind,
+            failure_kind: record.failure_kind().map(|k| k.as_str().to_string()),
         }
     }
 }

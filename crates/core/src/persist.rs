@@ -157,8 +157,8 @@ mod tests {
                 outcome: Arc::new(StepOutcome {
                     success: true,
                     stdout: "6 passed".into(),
-                    stderr: String::new(),
                     outputs,
+                    ..StepOutcome::default()
                 }),
                 started: SimTime::from_secs(1),
                 ended: SimTime::from_secs(59),

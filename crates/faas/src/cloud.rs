@@ -560,7 +560,7 @@ impl CloudService {
     }
 
     /// The task record for `id`, if it was ever accepted.
-    fn task(&self, id: TaskId) -> Option<&Task> {
+    pub fn task(&self, id: TaskId) -> Option<&Task> {
         // Ids are dense from 1; `TaskId(0)` wraps to an out-of-range index.
         self.tasks.get((id.0 as usize).wrapping_sub(1))
     }
@@ -574,16 +574,9 @@ impl CloudService {
     pub fn task_result(&self, id: TaskId) -> Result<&TaskOutput, FaasError> {
         match self.task_state(id)? {
             TaskState::Done(out) => Ok(out),
-            TaskState::Rejected { reason, .. } => Err(FaasError::Auth(
-                hpcci_auth::AuthError::PolicyViolation(reason.clone()),
-            )),
+            TaskState::Rejected { reason, .. } => Err(reason.as_ref().clone()),
             _ => Err(FaasError::NotFinished(id)),
         }
-    }
-
-    /// Is the task terminal?
-    pub fn task_finished(&self, id: TaskId) -> Result<bool, FaasError> {
-        Ok(self.task_state(id)?.is_terminal())
     }
 
     pub fn task_count(&self) -> usize {
@@ -668,7 +661,7 @@ impl CloudService {
                             .record(at, component, "task.reject", format!("{task}: {e}"));
                         record.transition(TaskState::Rejected {
                             at,
-                            reason: e.to_string(),
+                            reason: Box::new(e),
                         })
                     }
                 };
@@ -858,9 +851,8 @@ mod tests {
             .cloud
             .submit_shell(&s.token, &s.endpoint, "tox", SimTime::ZERO)
             .unwrap();
-        assert!(!s.cloud.task_finished(task).unwrap());
+        assert_eq!(s.cloud.task_result(task), Err(FaasError::NotFinished(task)));
         drive(&mut s.cloud);
-        assert!(s.cloud.task_finished(task).unwrap());
         let out = s.cloud.task_result(task).unwrap();
         assert!(out.success());
         assert!(out.stdout.contains("commands succeeded"));
@@ -895,7 +887,7 @@ mod tests {
         assert_eq!(b.cloud.pending_submits(), 0);
         assert_eq!(b.cloud.task_count(), arrivals.len());
         for id in 1..=arrivals.len() as u64 {
-            assert!(b.cloud.task_finished(TaskId(id)).unwrap());
+            assert!(b.cloud.task_state(TaskId(id)).unwrap().is_terminal());
         }
         assert_eq!(
             a.cloud.trace.rolling_digest(),
@@ -910,6 +902,8 @@ mod tests {
         // would triple every queue entry the wire moves.
         assert!(std::mem::size_of::<InFlight>() <= 56);
         assert!(std::mem::size_of::<Task>() <= 112);
+        // The failure origin lives in `result`'s niche, not in a new field.
+        assert!(std::mem::size_of::<TaskOutput>() <= 136);
     }
 
     #[test]

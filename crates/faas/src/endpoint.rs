@@ -10,7 +10,7 @@
 use crate::error::FaasError;
 use crate::exec::SharedSite;
 use crate::function::FunctionId;
-use crate::task::{TaskId, TaskOutput};
+use crate::task::{TaskFailure, TaskId, TaskOutput};
 use hpcci_auth::{HighAssurancePolicy, IdentityId};
 use hpcci_cluster::{Cred, NodeRole, UserAccount};
 use hpcci_obs::Obs;
@@ -233,7 +233,7 @@ impl Endpoint {
             Box::new(TaskOutput {
                 stdout: String::new(),
                 stderr: "infrastructure: endpoint worker crashed".to_string(),
-                result: Err("infrastructure: endpoint worker crashed".to_string()),
+                result: Err(TaskFailure::WorkerCrashed),
                 ran_as: ran_as.clone(),
                 node: Sym::Static("-"),
                 started,
@@ -453,7 +453,7 @@ impl Endpoint {
                     let output = Box::new(TaskOutput {
                         stdout: String::new(),
                         stderr: e.to_string(),
-                        result: Err(e.to_string()),
+                        result: Err(TaskFailure::Command(e.to_string())),
                         ran_as: Sym::from(self.config.local_user.as_str()),
                         node: Sym::Static("unknown"),
                         started,
@@ -483,7 +483,7 @@ impl Endpoint {
             let output = Box::new(TaskOutput {
                 stdout: outcome.stdout,
                 stderr: outcome.stderr,
-                result: outcome.result,
+                result: outcome.result.map_err(TaskFailure::Command),
                 ran_as: ran_as.clone(),
                 node: node_hostname.clone(),
                 started,
@@ -624,10 +624,8 @@ mod tests {
             [1, 2]
         );
         for (_, out) in &finished {
-            assert_eq!(
-                out.result,
-                Err("infrastructure: endpoint worker crashed".to_string())
-            );
+            assert_eq!(out.result, Err(TaskFailure::WorkerCrashed));
+            assert_eq!(out.stderr, "infrastructure: endpoint worker crashed");
             assert_eq!(
                 (out.ran_as.as_str(), out.node.as_str(), out.ended),
                 ("cc", "-", crash)

@@ -72,6 +72,15 @@ impl fmt::Display for FaasError {
 
 impl std::error::Error for FaasError {}
 
+impl FaasError {
+    /// Did the platform fail, rather than the task or its configuration? The
+    /// one definition: CORRECT retries exactly these, and a run they exhaust
+    /// is attributed `infrastructure`. (A stopped endpoint is a crashed one.)
+    pub fn is_infrastructure(&self) -> bool {
+        matches!(self, FaasError::Infrastructure(_) | FaasError::EndpointStopped(_))
+    }
+}
+
 impl From<AuthError> for FaasError {
     fn from(e: AuthError) -> Self {
         FaasError::Auth(e)

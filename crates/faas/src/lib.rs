@@ -36,4 +36,4 @@ pub use error::FaasError;
 pub use exec::{CommandRegistry, ExecOutcome, SiteRuntime, TaskEnv};
 pub use function::{Function, FunctionBody, FunctionId};
 pub use mep::{MepTemplate, MultiUserEndpoint};
-pub use task::{Task, TaskId, TaskOutput, TaskState};
+pub use task::{Task, TaskFailure, TaskId, TaskOutput, TaskState};

@@ -1,5 +1,6 @@
 //! Tasks: the unit of remote execution.
 
+use crate::error::FaasError;
 use bytes::Bytes;
 use hpcci_auth::IdentityId;
 use hpcci_sim::{SimDuration, SimTime, Sym};
@@ -40,6 +41,18 @@ impl TaskId {
     }
 }
 
+/// Why a task that reached an endpoint came back failed: the origin is in
+/// the type, so nobody downstream guesses it from the message.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TaskFailure {
+    /// The command itself failed (exit code, exception, missing account),
+    /// with the message it left. Never retried.
+    Command(String),
+    /// The endpoint's worker process died under the task: infrastructure.
+    /// Payload-free, so it sits in the niche `Result<Bytes, String>` had.
+    WorkerCrashed,
+}
+
 /// The completed result of a task.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskOutput {
@@ -47,7 +60,7 @@ pub struct TaskOutput {
     pub stderr: String,
     /// The function's return payload (empty for shell functions, which can
     /// only return stdout/stderr — a limitation §7.4 discusses).
-    pub result: Result<Bytes, String>,
+    pub result: Result<Bytes, TaskFailure>,
     /// Local account the task actually ran as — the auditable identity link.
     /// Interned: a run's tasks share a handful of account names, so each
     /// output holds a shared `Sym` instead of its own `String`.
@@ -80,8 +93,9 @@ pub enum TaskState {
     /// Finished; output available — the box the endpoint's pump built,
     /// carried here by handle and never opened (a `Task` is half the size).
     Done(Box<TaskOutput>),
-    /// Failed before execution (delivery, mapping, policy).
-    Rejected { at: SimTime, reason: String },
+    /// Failed before execution (delivery, mapping, policy), with the error
+    /// as raised — boxed, it is wider than every other state.
+    Rejected { at: SimTime, reason: Box<FaasError> },
 }
 
 impl TaskState {
@@ -124,9 +138,9 @@ impl Task {
     /// Move the task to `next`, rejecting any transition out of a terminal
     /// state. Done/Rejected tasks never come back to life: re-running a task
     /// requires explicit resubmission, which mints a fresh [`TaskId`].
-    pub fn transition(&mut self, next: TaskState) -> Result<(), crate::error::FaasError> {
+    pub fn transition(&mut self, next: TaskState) -> Result<(), FaasError> {
         if self.state.is_terminal() {
-            return Err(crate::error::FaasError::InvalidTransition {
+            return Err(FaasError::InvalidTransition {
                 task: self.id,
                 from: self.state.name().to_string(),
                 to: next.name().to_string(),
@@ -181,7 +195,7 @@ mod tests {
         let out = TaskOutput {
             stdout: String::new(),
             stderr: "Traceback".into(),
-            result: Err("pytest failed".into()),
+            result: Err(TaskFailure::Command("pytest failed".into())),
             ran_as: "u".into(),
             node: "n".into(),
             started: SimTime::ZERO,
@@ -192,7 +206,11 @@ mod tests {
 
     #[test]
     fn terminal_states() {
-        assert!(TaskState::Rejected { at: SimTime::ZERO, reason: "x".into() }.is_terminal());
+        assert!(TaskState::Rejected {
+            at: SimTime::ZERO,
+            reason: Box::new(FaasError::ShellNotAllowed)
+        }
+        .is_terminal());
         assert!(!TaskState::Submitted { at: SimTime::ZERO }.is_terminal());
         assert!(!TaskState::Running { started: SimTime::ZERO }.is_terminal());
     }
@@ -246,12 +264,15 @@ mod tests {
     fn rejected_task_cannot_be_resubmitted_in_place() {
         let mut t = sample_task(TaskState::Rejected {
             at: SimTime::ZERO,
-            reason: "mapping failed".into(),
+            reason: Box::new(FaasError::IdentityMappingFailed("mallory".into())),
         });
         assert!(t
             .transition(TaskState::Submitted { at: SimTime::from_secs(1) })
             .is_err());
         assert!(t.transition(TaskState::Done(done_output())).is_err());
-        assert!(matches!(t.state, TaskState::Rejected { .. }));
+        let TaskState::Rejected { reason, .. } = t.state else {
+            panic!("left the terminal state");
+        };
+        assert!(matches!(*reason, FaasError::IdentityMappingFailed(_)));
     }
 }

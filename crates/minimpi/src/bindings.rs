@@ -31,14 +31,6 @@ impl<'a> Kamping<'a> {
         self.rank.allreduce_f64(data, ReduceOp::Sum)
     }
 
-    pub fn allreduce_min(&mut self, data: &[i64]) -> Vec<i64> {
-        self.rank.allreduce_i64(data, ReduceOp::Min)
-    }
-
-    pub fn allreduce_max(&mut self, data: &[i64]) -> Vec<i64> {
-        self.rank.allreduce_i64(data, ReduceOp::Max)
-    }
-
     /// Variable-length gather (`gatherv`): raw MPI requires a separate size
     /// exchange + displacement arithmetic; the binding owns all of it.
     /// Root receives `(flat data, per-rank counts)`; others get empties.

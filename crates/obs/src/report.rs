@@ -29,8 +29,8 @@ pub struct RunReport {
     pub failed_steps: u32,
     /// Total artifact bytes uploaded by the run.
     pub artifact_bytes: u64,
-    /// `failure_kind` output of the first step that declared one
-    /// (`"infrastructure"` for PR-1 graceful degradation).
+    /// `infrastructure` / `test`, rendered from the run's typed attribution
+    /// (its first failed step); `None` unless the run failed.
     pub failure_kind: Option<String>,
 }
 

@@ -274,8 +274,7 @@ fn cmd_replay(rest: &[String]) -> Result<ExitCode, String> {
             r.workflow,
             r.status,
             r.failure_kind
-                .as_deref()
-                .map(|k| format!(" ({k})"))
+                .map(|k| format!(" ({})", k.as_str()))
                 .unwrap_or_default()
         );
     }

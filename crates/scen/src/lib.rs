@@ -14,9 +14,10 @@
 //!    the document's `[generator]` provenance table.
 //! 3. **Verify** ([`compile`], [`run`], [`oracle`]): specs compile onto
 //!    [`correct_core::Federation`] through one canonical construction path,
-//!    run under virtual time, and are checked against four oracle families —
+//!    run under virtual time, and are checked against five oracle families —
 //!    same-seed determinism, §5.2/§7.2 security invariants, step-cache
-//!    soundness (Off/Record/Replay), and infra-vs-test failure attribution.
+//!    soundness (Off/Record/Replay), infra-vs-test failure attribution, and
+//!    task conservation at quiescence.
 //!
 //! The `hpcci-scen` binary exposes the layers as `gen`, `verify`, `replay`,
 //! and `explain` subcommands for CI fleets.

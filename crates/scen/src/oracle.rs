@@ -1,6 +1,6 @@
 //! Cross-run invariants every scenario must satisfy — the oracle pass.
 //!
-//! Four oracle families, matching the paper's reproducibility and security
+//! Five oracle families, matching the paper's reproducibility and security
 //! claims:
 //!
 //! * **determinism** — running the same spec twice yields byte-identical
@@ -14,18 +14,26 @@
 //!   reproduces the recording byte-for-byte including virtual timestamps
 //!   (fault-free specs), replay serves every recorded entry without new
 //!   misses, and infrastructure-tainted steps are never cached;
-//! * **attribution** — failed runs carry a `failure_kind` of
-//!   `infrastructure` or `test`, infrastructure attribution only ever
-//!   appears under an active fault plan, and fault-free scenarios with no
-//!   declared failing tests stay green.
+//! * **attribution** — a failed run is `infrastructure` or `test`, and the
+//!   types agree: an `infrastructure` run has a task lost to a crash or
+//!   rejected with an error that [`FaasError::is_infrastructure`] (or a
+//!   forced token expiry) inside its window and only ever appears under an
+//!   active fault plan, a `test` run has a task whose command failed, and
+//!   fault-free scenarios with no declared failing tests stay green;
+//! * **conservation** — at quiescence every task the cloud accepted is
+//!   `Done` or `Rejected`, through exactly one terminal record, with nothing
+//!   left scheduled and no blocked transition ([`check_conservation`]).
 
-use crate::run::{run_spec, run_spec_with, CacheSetup, ScenarioOutcome};
+use crate::run::{collect, drive_spec, run_spec, run_spec_with, CacheSetup, ScenarioOutcome};
 use crate::spec::{EndpointKindDecl, ScenarioSpec, SpecError};
+use correct_core::federation::OnboardedUser;
 use correct_core::Federation;
-use hpcci_auth::{ClientId, ClientSecret, Scope};
+use hpcci_auth::{AccessToken, AuthError, ClientId, ClientSecret, Scope};
 use hpcci_cas::Digest;
-use hpcci_ci::{CacheMode, RunStatus, StepCache};
-use hpcci_faas::{EndpointId, TaskState};
+use hpcci_ci::{CacheMode, FailureKind, StepCache};
+use hpcci_faas::{CloudService, EndpointId, FaasError, TaskFailure, TaskId, TaskState};
+use hpcci_sim::Advance;
+use std::collections::BTreeSet;
 
 /// One oracle violation: which family tripped, and a human-readable detail.
 #[derive(Clone, Debug)]
@@ -66,12 +74,16 @@ impl OracleReport {
 /// be built at all (which the caller should also treat as a failure);
 /// violations mean it ran but broke an invariant.
 pub fn verify_spec(spec: &ScenarioSpec) -> Result<OracleReport, SpecError> {
-    let base = run_spec(spec)?;
+    let (mut scenario, stats) = drive_spec(spec, CacheSetup::FromSpec)?;
+    let base = collect(spec, &scenario, stats);
     let mut violations = Vec::new();
     check_determinism(spec, &base, &mut violations)?;
     check_security(spec, &base, &mut violations)?;
     check_step_cache(spec, &mut violations)?;
-    check_attribution(spec, &base, &mut violations);
+    check_attribution(spec, &scenario.fed, &mut violations);
+    // `base` is collected: draining the tail to quiescence moves no digest.
+    while scenario.fed.world().step() {}
+    check_conservation(&scenario.fed.cloud.lock(), &mut violations);
     Ok(OracleReport {
         name: spec.name.clone(),
         digest: base.digest,
@@ -123,6 +135,16 @@ fn check_determinism(
     Ok(())
 }
 
+/// A compute-scoped bearer token for an onboarded user, minted now.
+fn compute_token(fed: &Federation, user: &OnboardedUser) -> Result<AccessToken, AuthError> {
+    fed.auth.lock().authenticate(
+        &ClientId(user.client_id.clone()),
+        &ClientSecret::new(&user.client_secret),
+        vec![Scope::compute_api()],
+        fed.now(),
+    )
+}
+
 /// Oracle 2: identity mapping, privilege containment, secret hygiene.
 fn check_security(
     spec: &ScenarioSpec,
@@ -169,15 +191,7 @@ fn check_security(
     }
     let mut fed = spec.build_on(Federation::builder(spec.seed).build())?.fed;
     let mallory = fed.onboard_user("mallory@evil.example", "evil.example");
-    let token = fed
-        .auth
-        .lock()
-        .authenticate(
-            &ClientId(mallory.client_id.clone()),
-            &ClientSecret::new(&mallory.client_secret),
-            vec![Scope::compute_api()],
-            fed.now(),
-        )
+    let token = compute_token(&fed, &mallory)
         .map_err(|e| SpecError(format!("probe authenticate failed: {e:?}")))?;
     let mut ids = Vec::new();
     {
@@ -195,7 +209,7 @@ fn check_security(
     for (id, ep) in ids {
         match cloud.task_state(id) {
             Ok(TaskState::Rejected { reason, .. }) => {
-                if !reason.contains("identity mapping failed") {
+                if !matches!(**reason, FaasError::IdentityMappingFailed(_)) {
                     out.push(Violation {
                         oracle: "security",
                         detail: format!(
@@ -282,15 +296,15 @@ fn check_step_cache(spec: &ScenarioSpec, out: &mut Vec<Violation>) -> Result<(),
             oracle: "step-cache",
             detail: format!(
                 "replay changed run verdicts under faults: {:?} vs {:?}",
-                rec.runs.iter().map(|r| (r.id, r.status, r.failure_kind.clone())).collect::<Vec<_>>(),
-                rep.runs.iter().map(|r| (r.id, r.status, r.failure_kind.clone())).collect::<Vec<_>>(),
+                rec.runs.iter().map(|r| (r.id, r.status, r.failure_kind)).collect::<Vec<_>>(),
+                rep.runs.iter().map(|r| (r.id, r.status, r.failure_kind)).collect::<Vec<_>>(),
             ),
         });
     }
 
     let infra_failures = rec
         .failed_runs()
-        .filter(|r| r.failure_kind.as_deref() == Some("infrastructure"))
+        .filter(|r| r.failure_kind == Some(FailureKind::Infrastructure))
         .count();
     if infra_failures > 0 && rec_stats.uncacheable == 0 {
         out.push(Violation {
@@ -303,49 +317,105 @@ fn check_step_cache(spec: &ScenarioSpec, out: &mut Vec<Violation>) -> Result<(),
     Ok(())
 }
 
-/// Oracle 4: infra-vs-test failure attribution.
-fn check_attribution(spec: &ScenarioSpec, base: &ScenarioOutcome, out: &mut Vec<Violation>) {
+/// Oracle 4: infra-vs-test failure attribution, checked against the typed
+/// fate of the tasks submitted inside each failed run's window (runs execute
+/// one at a time, so the windows are disjoint).
+fn check_attribution(spec: &ScenarioSpec, fed: &Federation, out: &mut Vec<Violation>) {
     let has_faults = !spec.fault_plan().is_empty();
-    for r in &base.runs {
-        if matches!(
-            r.status,
-            RunStatus::AwaitingApproval | RunStatus::Queued | RunStatus::Running
-        ) {
-            out.push(Violation {
-                oracle: "attribution",
-                detail: format!("run {} never reached a terminal state ({:?})", r.id, r.status),
-            });
+    let mut fail = |detail: String| out.push(Violation { oracle: "attribution", detail });
+    let cloud = fed.cloud.lock();
+    let chaos = fed.fault_trace();
+    for r in fed.engine.runs() {
+        if !r.status.is_terminal() {
+            fail(format!("run {} never reached a terminal state ({:?})", r.id, r.status));
+        }
+        let Some(kind) = r.failure_kind() else { continue };
+        let window = r.started_at..=r.ended_at;
+        let mut tasks = (1..=cloud.task_count() as u64)
+            .filter_map(|id| cloud.task(TaskId(id)))
+            .filter(|t| window.contains(&Some(t.submitted_at)));
+        match kind {
+            FailureKind::Infrastructure => {
+                if !has_faults {
+                    fail(format!("run {} attributed to infrastructure with no fault plan", r.id));
+                }
+                let lost = tasks.any(|t| match &t.state {
+                    TaskState::Rejected { reason, .. } => reason.is_infrastructure(),
+                    TaskState::Done(o) => o.result == Err(TaskFailure::WorkerCrashed),
+                    _ => false,
+                });
+                let token_expired = chaos
+                    .of_kind("fault.inject")
+                    .any(|e| e.component.as_str() == "auth" && window.contains(&Some(e.at())));
+                if !lost && !token_expired {
+                    fail(format!(
+                        "run {} attributed to infrastructure, but none of its tasks was lost to \
+                         a crash or rejected with an infrastructure error, and no token expired",
+                        r.id
+                    ));
+                }
+            }
+            FailureKind::Test => {
+                if !has_faults && spec.workload.failing == 0 {
+                    fail(format!(
+                        "run {} failed as `test` but the workload declares no failing tests",
+                        r.id
+                    ));
+                }
+                let failed = tasks.any(|t| {
+                    matches!(&t.state, TaskState::Done(o)
+                        if matches!(o.result, Err(TaskFailure::Command(_))))
+                });
+                if !failed {
+                    fail(format!("run {} attributed to its tests, but no task of it failed", r.id));
+                }
+            }
         }
     }
-    for r in base.failed_runs() {
-        match r.failure_kind.as_deref() {
-            Some("infrastructure") => {
-                if !has_faults {
-                    out.push(Violation {
-                        oracle: "attribution",
-                        detail: format!(
-                            "run {} attributed to infrastructure with no fault plan",
-                            r.id
-                        ),
-                    });
-                }
-            }
-            Some("test") => {
-                if !has_faults && spec.workload.failing == 0 {
-                    out.push(Violation {
-                        oracle: "attribution",
-                        detail: format!(
-                            "run {} failed as `test` but the workload declares no failing tests",
-                            r.id
-                        ),
-                    });
-                }
-            }
-            other => out.push(Violation {
-                oracle: "attribution",
-                detail: format!("run {} failed with unknown failure_kind {other:?}", r.id),
-            }),
+}
+
+/// Oracle 5: task conservation. `cloud` must be quiescent and its trace must
+/// hold every record (no rolling window): every task it accepted is `Done`
+/// or `Rejected`, got there through exactly one `task.done` / `task.reject`
+/// record, and nothing is left scheduled or was blocked on the way.
+pub fn check_conservation(cloud: &CloudService, out: &mut Vec<Violation>) {
+    let mut fail = |detail: String| out.push(Violation { oracle: "conservation", detail });
+    if cloud.pending_submits() != 0 || cloud.next_event().is_some() {
+        fail(format!(
+            "not quiescent: {} submission(s) still scheduled, next event {:?}",
+            cloud.pending_submits(),
+            cloud.next_event()
+        ));
+    }
+    let accepted = cloud.task_count();
+    let (mut done, mut rejected) = (0usize, 0usize);
+    for id in (1..=accepted as u64).map(TaskId) {
+        match cloud.task_state(id) {
+            Ok(TaskState::Done(_)) => done += 1,
+            Ok(TaskState::Rejected { .. }) => rejected += 1,
+            Ok(other) => fail(format!("{id} stuck in {}", other.name())),
+            Err(e) => fail(format!("accepted task vanished: {e}")),
         }
+    }
+    for (kind, want) in [
+        ("task.submit", accepted),
+        ("task.done", done),
+        ("task.reject", rejected),
+        ("task.transition-blocked", 0),
+    ] {
+        let found = cloud.trace.of_kind(kind).count();
+        if found != want {
+            fail(format!("{found} `{kind}` record(s) where {want} belong"));
+        }
+    }
+    let terminal_ids: BTreeSet<&str> = cloud
+        .trace
+        .of_kind("task.done")
+        .chain(cloud.trace.of_kind("task.reject"))
+        .filter_map(|e| e.detail.get(..13)) // `task-xxxxxxxx`
+        .collect();
+    if terminal_ids.len() != done + rejected {
+        fail(format!("only {} distinct task(s) in the terminal records", terminal_ids.len()));
     }
 }
 
@@ -431,6 +501,20 @@ mod tests {
         spec.workload.failing = 3;
         let report = verify_spec(&spec).expect("builds");
         assert!(report.passed(), "violations: {:?}", report.violations);
+    }
+
+    #[test]
+    fn conservation_flags_a_task_left_in_flight() {
+        let spec = ScenarioSpec::minimal("oracle-in-flight", 43);
+        let (s, _) = drive_spec(&spec, CacheSetup::ForceOff).expect("builds");
+        let token = compute_token(&s.fed, &s.user).expect("onboarded user");
+        let mut cloud = s.fed.cloud.lock();
+        let (now, ep) = (cloud.now(), EndpointId(s.endpoints[0].clone()));
+        let task = cloud.submit_shell(&token, &ep, "true", now).expect("accepted");
+        let mut violations = Vec::new();
+        check_conservation(&cloud, &mut violations);
+        let stuck = format!("{task} stuck in Submitted");
+        assert!(violations.iter().any(|v| v.detail == stuck), "{violations:?}");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::compile::BuiltScenario;
 use crate::spec::{CacheModeDecl, ScenarioSpec, SpecError};
 use correct_core::Federation;
 use hpcci_cas::{Digest, DigestBuilder};
-use hpcci_ci::{CacheMode, CacheStats, RunStatus, StepCache};
+use hpcci_ci::{CacheMode, CacheStats, FailureKind, RunStatus, StepCache};
 use hpcci_faas::{TaskId, TaskState};
 use hpcci_sim::SimDuration;
 use std::fmt::Write as _;
@@ -32,9 +32,8 @@ pub struct RunSummary {
     pub id: u64,
     pub workflow: String,
     pub status: RunStatus,
-    /// `infrastructure` / `test` attribution for failed runs, from the first
-    /// failed step's `failure_kind` output (absent kind defaults to `test`).
-    pub failure_kind: Option<String>,
+    /// `infrastructure` / `test` attribution; `None` unless the run failed.
+    pub failure_kind: Option<FailureKind>,
 }
 
 /// Terminal identity of one cloud task.
@@ -43,8 +42,6 @@ pub struct TaskIdentity {
     pub task: u64,
     /// Local account a finished task ran as (empty when rejected/pending).
     pub ran_as: String,
-    pub rejected: bool,
-    pub detail: String,
 }
 
 /// Everything one scenario execution produced, in comparable form.
@@ -92,6 +89,17 @@ pub fn run_spec_with(
     spec: &ScenarioSpec,
     cache: CacheSetup,
 ) -> Result<ScenarioOutcome, SpecError> {
+    let (scenario, stats) = drive_spec(spec, cache)?;
+    Ok(collect(spec, &scenario, stats))
+}
+
+/// Build the spec's federation and drive its traffic, leaving the world as
+/// the last push left it: [`collect`] snapshots it, and the oracles that
+/// read live state (attribution by type, conservation) keep going from it.
+pub(crate) fn drive_spec(
+    spec: &ScenarioSpec,
+    cache: CacheSetup,
+) -> Result<(BuiltScenario, Option<StepCache>), SpecError> {
     let mut builder = Federation::builder(spec.seed).workload(spec.traffic.workload());
     let plan = spec.fault_plan();
     if !plan.is_empty() {
@@ -113,7 +121,7 @@ pub fn run_spec_with(
     let fed = builder.build();
     let mut scenario = spec.build_on(fed)?;
     drive_traffic(&mut scenario, spec);
-    Ok(collect(spec, scenario, stats_handle))
+    Ok((scenario, stats_handle))
 }
 
 /// Advance virtual time and fire trigger rounds per the traffic spec.
@@ -148,9 +156,9 @@ fn status_str(status: RunStatus) -> &'static str {
     }
 }
 
-fn collect(
+pub(crate) fn collect(
     spec: &ScenarioSpec,
-    s: BuiltScenario,
+    s: &BuiltScenario,
     cache: Option<StepCache>,
 ) -> ScenarioOutcome {
     let fed = &s.fed;
@@ -178,7 +186,6 @@ fn collect(
             run.ended_at.map(|t| t.as_micros()).unwrap_or(0),
         );
         let _ = writeln!(functional, "{head}");
-        let mut failure_kind = None;
         for step in &run.steps {
             let line = format!(
                 "  {}/{} [{}]",
@@ -209,25 +216,12 @@ fn collect(
                 let _ = writeln!(transcript, "    ! {l}");
                 let _ = writeln!(functional, "    ! {l}");
             }
-            if !step.success && failure_kind.is_none() {
-                failure_kind = Some(
-                    step.outputs
-                        .get("failure_kind")
-                        .cloned()
-                        .unwrap_or_else(|| "test".to_string()),
-                );
-            }
-        }
-        if run.status != RunStatus::Failure {
-            failure_kind = None;
-        } else if failure_kind.is_none() {
-            failure_kind = Some("test".to_string());
         }
         summaries.push(RunSummary {
             id: run.id.0,
             workflow: run.workflow.to_string(),
             status: run.status,
-            failure_kind,
+            failure_kind: run.failure_kind(),
         });
     }
 
@@ -239,27 +233,11 @@ fn collect(
     {
         let cloud = fed.cloud.lock();
         for id in 1..=task_count {
-            match cloud.task_state(TaskId(id)) {
-                Ok(TaskState::Done(out)) => tasks.push(TaskIdentity {
-                    task: id,
-                    ran_as: out.ran_as.to_string(),
-                    rejected: false,
-                    detail: String::new(),
-                }),
-                Ok(TaskState::Rejected { reason, .. }) => tasks.push(TaskIdentity {
-                    task: id,
-                    ran_as: String::new(),
-                    rejected: true,
-                    detail: reason.clone(),
-                }),
-                Ok(other) => tasks.push(TaskIdentity {
-                    task: id,
-                    ran_as: String::new(),
-                    rejected: false,
-                    detail: format!("non-terminal: {other:?}"),
-                }),
-                Err(_) => {}
-            }
+            let ran_as = match cloud.task_state(TaskId(id)) {
+                Ok(TaskState::Done(out)) => out.ran_as.to_string(),
+                _ => String::new(),
+            };
+            tasks.push(TaskIdentity { task: id, ran_as });
         }
     }
     let chaos = fed.fault_trace().render();

@@ -177,7 +177,6 @@ pub struct SlurmProvider {
     cores_per_node: u32,
     walltime: SimDuration,
     blocks: BTreeMap<BlockId, JobId>,
-    released: BTreeMap<BlockId, SimTime>,
     next_id: u64,
 }
 
@@ -198,15 +197,8 @@ impl SlurmProvider {
             cores_per_node,
             walltime,
             blocks: BTreeMap::new(),
-            released: BTreeMap::new(),
             next_id: 1,
         }
-    }
-
-    pub fn with_nodes_per_block(mut self, n: u32) -> Self {
-        assert!(n > 0);
-        self.nodes_per_block = n;
-        self
     }
 
     pub fn with_partition(mut self, p: &str) -> Self {
@@ -274,7 +266,6 @@ impl ExecutionProvider for SlurmProvider {
             JobState::Pending { .. } => sched.cancel(job, now)?,
             _ => {}
         }
-        self.released.insert(id, now);
         Ok(())
     }
 

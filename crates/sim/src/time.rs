@@ -116,10 +116,6 @@ impl SimDuration {
         SimDuration((self.0 as f64 * factor).round().max(0.0) as u64)
     }
 
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
     }

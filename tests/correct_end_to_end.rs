@@ -119,13 +119,13 @@ fn identity_mapping_audited_at_the_mep() {
 }
 
 /// One CORRECT step on a lab workstation, with `before` run against the site
-/// just ahead of the push. Returns the step's recorded outcome and the short
-/// id of the commit it cloned.
+/// just ahead of the push. Returns the step's recorded outcome, the short id
+/// of the commit it cloned and the run report's failure kind.
 fn correct_step_outcome(
     shell_cmd: &str,
     args: &str,
     before: impl FnOnce(&mut hpcci::faas::SiteRuntime),
-) -> (hpcci::ci::StepOutcome, String) {
+) -> (hpcci::ci::StepOutcome, String, Option<String>) {
     use hpcci::ci::workflow::{JobDef, StepDef, TriggerEvent, WorkflowDef};
     use hpcci::correct::{EndpointSpec, Federation, CORRECT_ACTION_NAME};
     use hpcci::faas::{ExecOutcome, MepTemplate};
@@ -200,7 +200,30 @@ fn correct_step_outcome(
     (
         (**run.step("run").expect("correct step recorded")).clone(),
         head.to_string(),
+        fed.run_report(runs[0]).unwrap().failure_kind,
     )
+}
+
+/// Attribution follows the type of the failure, never its wording: a test
+/// whose own stderr happens to say what a crashed endpoint would say is
+/// still a failed test — not retried, not excused as infrastructure.
+#[test]
+fn a_test_that_talks_like_an_outage_is_still_a_test_failure() {
+    for stderr in [
+        "E   AssertionError: service is stopped",
+        "infrastructure: disk quota exceeded",
+    ] {
+        let (step, _, kind) = correct_step_outcome("check", "", |rt| {
+            rt.commands
+                .register("check", move |_| hpcci::faas::ExecOutcome::fail(stderr, 3.0));
+        });
+        assert!(!step.success);
+        assert_eq!(step.stderr, stderr);
+        assert!(!step.stdout.contains("retry 1/"), "retried: {}", step.stdout);
+        assert!(!step.outputs.contains_key("failure_kind"), "{:?}", step.outputs);
+        assert_eq!(step.infra, hpcci::ci::Infra::Untouched);
+        assert_eq!(kind.as_deref(), Some("test"));
+    }
 }
 
 /// The step's whole recorded outcome — stdout, stderr and the five outputs —
@@ -217,7 +240,7 @@ fn correct_step_outcome_is_pinned_byte_for_byte() {
             .collect()
     };
 
-    let (pass, head) = correct_step_outcome("tox", "-e py312", |_| {});
+    let (pass, head, _) = correct_step_outcome("tox", "-e py312", |_| {});
     let cloned = format!(
         "Cloning into '/scratch/vhayot/gc-action-temp/demo'...\nHEAD is now at {head} (main)\n"
     );
@@ -238,7 +261,7 @@ fn correct_step_outcome_is_pinned_byte_for_byte() {
         ])
     );
 
-    let (fail, _) = correct_step_outcome("pytest", "", |_| {});
+    let (fail, _, _) = correct_step_outcome("pytest", "", |_| {});
     assert!(!fail.success);
     assert_eq!(fail.stdout, format!("{PREAMBLE}{cloned}collected 6 items"));
     assert_eq!(fail.stderr, "E   assert 1 == 2\n1 failed, 5 passed");
@@ -254,7 +277,7 @@ fn correct_step_outcome_is_pinned_byte_for_byte() {
     );
 
     // A file where the clone directory belongs: the clone fails, so does the step.
-    let (no_clone, _) = correct_step_outcome("tox", "", |rt| {
+    let (no_clone, _, _) = correct_step_outcome("tox", "", |rt| {
         let account = rt.site.account("vhayot").unwrap().clone();
         let cred = hpcci::cluster::Cred::of(&account);
         rt.site

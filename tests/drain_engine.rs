@@ -21,14 +21,14 @@ use hpcci::cluster::Site;
 use hpcci::faas::exec::{shared, ExecOutcome, SiteRuntime};
 use hpcci::faas::{
     CloudService, Endpoint, EndpointConfig, EndpointId, EndpointRegistration, MepTemplate,
-    MultiUserEndpoint, TaskId, TaskState, WorkerProvider,
+    MultiUserEndpoint, TaskFailure, TaskId, TaskState, WorkerProvider,
 };
+use hpcci::scen::oracle::check_conservation;
 use hpcci::scheduler::LocalProvider;
 use hpcci::sim::{
     drive, Advance, DetRng, FaultInjector, FaultKind, FaultPlan, SimDuration, SimTime,
 };
 use parking_lot::Mutex;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Number of generated cases per property (the federation builds here are
@@ -244,10 +244,11 @@ fn batched_submit_matches_interactive_on_random_shapes() {
     }
 }
 
-/// Conservation at quiescence: every task the cloud accepted is in a
-/// terminal state, reached it through exactly one `task.done` or
-/// `task.reject` record, and nothing is left scheduled. Checked on plain
-/// federations and under a crash plus a WAN partition.
+/// Conservation at quiescence — the scen fleet's fifth oracle family
+/// (`hpcci::scen::oracle::check_conservation`: every accepted task terminal
+/// through exactly one `task.done` or `task.reject` record, nothing left
+/// scheduled), driven here on bare clouds, plain and under a crash plus a
+/// WAN partition.
 #[test]
 fn every_accepted_task_is_terminal_exactly_once_at_quiescence() {
     let mut infrastructure_failures = 0usize;
@@ -290,36 +291,21 @@ fn every_accepted_task_is_terminal_exactly_once_at_quiescence() {
             cloud.drain_to_quiescence();
 
             let tag = format!("case {case} faults={with_faults}");
-            assert_eq!(cloud.pending_submits(), 0, "{tag}");
-            assert!(cloud.next_event().is_none(), "{tag}: quiescent");
             let accepted = cloud.task_count();
             assert_eq!(
                 accepted,
                 shape.waves.iter().sum::<usize>() + ahead.len(),
                 "{tag}: every submission was accepted"
             );
-            assert_eq!(cloud.trace.of_kind("task.submit").count(), accepted, "{tag}");
-            let (mut done, mut rejected) = (0usize, 0usize);
-            for id in 1..=accepted as u64 {
-                match cloud.task_state(TaskId(id)).expect("ids are dense") {
-                    TaskState::Done(out) => {
-                        done += 1;
-                        infrastructure_failures += usize::from(!out.success());
-                    }
-                    TaskState::Rejected { .. } => rejected += 1,
-                    other => panic!("{tag}: {} stuck in {}", TaskId(id), other.name()),
-                }
-            }
-            assert_eq!(cloud.trace.of_kind("task.done").count(), done, "{tag}");
-            assert_eq!(cloud.trace.of_kind("task.reject").count(), rejected, "{tag}");
-            assert_eq!(cloud.trace.of_kind("task.transition-blocked").count(), 0, "{tag}");
-            let terminal_ids: BTreeSet<&str> = cloud
-                .trace
-                .of_kind("task.done")
-                .chain(cloud.trace.of_kind("task.reject"))
-                .map(|e| &e.detail[..13]) // `task-xxxxxxxx`
-                .collect();
-            assert_eq!(terminal_ids.len(), accepted, "{tag}: one terminal record per task");
+            let mut violations = Vec::new();
+            check_conservation(&cloud, &mut violations);
+            assert!(violations.is_empty(), "{tag}: {violations:?}");
+            infrastructure_failures += (1..=accepted as u64)
+                .filter(|&id| {
+                    matches!(cloud.task_state(TaskId(id)), Ok(TaskState::Done(out))
+                        if out.result == Err(TaskFailure::WorkerCrashed))
+                })
+                .count();
         }
     }
     assert!(

@@ -130,7 +130,7 @@ fn fleet_of_64_passes_all_oracles_serial_and_parallel() {
         .finish();
     assert_eq!(
         fleet_digest.to_string(),
-        "72c55431b56107f49c1478e2343f9aba",
+        "50e848ff504a69dc38997a9c81290086",
         "the 64-fleet's outcome digests moved; find the scenario with \
          `hpcci-scen replay --transcript` against a parent build"
     );

@@ -6,10 +6,10 @@
 //!      permission;
 //! plus function allowlists, approval gating, and secret hygiene.
 
-use hpcci::auth::{IdentityMapping, Scope};
+use hpcci::auth::{AuthError, IdentityMapping, Scope};
 use hpcci::cluster::{Cred, FileMode, Site};
 use hpcci::correct::{EndpointSpec, Federation};
-use hpcci::faas::{EndpointId, FunctionBody, MepTemplate, TaskState};
+use hpcci::faas::{EndpointId, FaasError, FunctionBody, MepTemplate, TaskState};
 use hpcci::sim::SimTime;
 
 /// Build a small federation with one HPC site, two local users, and a MEP.
@@ -94,7 +94,7 @@ fn invariant_i_unmapped_identity_is_rejected() {
     let cloud = fed.cloud.lock();
     match cloud.task_state(task).unwrap() {
         TaskState::Rejected { reason, .. } => {
-            assert!(reason.contains("identity mapping failed"), "{reason}")
+            assert!(matches!(**reason, FaasError::IdentityMappingFailed(_)), "{reason}")
         }
         other => panic!("expected rejection, got {other:?}"),
     }
@@ -337,9 +337,11 @@ fn a_session_refresh_after_submission_does_not_reach_the_in_flight_task() {
 
     let mut cloud = fed.cloud.lock();
     match cloud.task_state(stale).unwrap() {
-        TaskState::Rejected { reason, .. } => {
-            assert!(reason.contains("session too old"), "{reason}")
-        }
+        TaskState::Rejected { reason, .. } => assert!(
+            matches!(&**reason, FaasError::Auth(AuthError::PolicyViolation(why))
+                if why.contains("session too old")),
+            "{reason}"
+        ),
         other => panic!("the in-flight task kept its submission-time session, got {other:?}"),
     }
     assert_eq!(cloud.task_result(fresh).unwrap().ran_as, "x-alice");

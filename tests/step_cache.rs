@@ -177,6 +177,49 @@ fn infrastructure_failures_are_never_cached() {
     assert!(!infra_step.success);
 }
 
+/// Cacheability follows what the action saw happen, not what the log says.
+/// A passing suite that merely *prints* a resilience phrase is recorded and
+/// replays as a hit; a step CORRECT really retried is never recorded, even
+/// though it passed.
+#[test]
+fn only_a_step_infrastructure_really_shaped_is_uncacheable() {
+    let run = |fed: Federation, stdout: &'static str| {
+        let mut s = psij_scenario_on(fed, false);
+        let site = s.fed.site_by_name("purdue-anvil").expect("the §6.2 site");
+        site.shared
+            .lock()
+            .commands
+            .register("pytest", move |_| hpcci::faas::ExecOutcome::ok(stdout, 2.0));
+        let runs = s.push_approve_run("vhayot");
+        let run = s.fed.engine.run(runs[0]).unwrap();
+        assert_eq!(run.status, RunStatus::Success, "log:\n{}", run.full_log());
+        run.full_log()
+    };
+
+    let chatty = "Access token rejected mid-run; re-authenticating\n6 passed";
+    let cache = StepCache::new();
+    let on = |mode| Federation::builder(5).step_cache_shared(cache.clone(), mode);
+    run(on(CacheMode::Record).build(), chatty);
+    let cold = cache.stats();
+    assert_eq!(cold.uncacheable, 0, "a test's own words do not taint its result");
+    run(on(CacheMode::Replay).build(), chatty);
+    let warm = cache.stats();
+    assert_eq!((warm.hits, warm.misses), (cold.entries, cold.misses));
+
+    let fork_fails_once = FaultPlan::none().with_fault(
+        SimTime::ZERO,
+        FaultKind::MepForkFailure {
+            endpoint: "ep-anvil".into(),
+            user: "any".into(),
+        },
+    );
+    let cache = StepCache::new();
+    let on = |mode| Federation::builder(5).step_cache_shared(cache.clone(), mode);
+    let log = run(on(CacheMode::Record).faults(fork_fails_once).build(), "6 passed");
+    assert!(log.contains("retry 1/"), "the step was retried:\n{log}");
+    assert_eq!(cache.stats().uncacheable, 1, "and passed, and is still not recorded");
+}
+
 /// The §6.1 ParslDock scenario's per-site pytest artifacts, concatenated in
 /// environment order.
 fn parsldock_site_outputs(fed: Federation) -> String {
