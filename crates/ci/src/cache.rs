@@ -17,8 +17,11 @@
 //!   `upload-artifact` reads earlier stdout, so earlier changes propagate).
 //!
 //! A hit costs a hash probe and a few dozen hashed bytes, whatever the size
-//! of the log it replays: the job-invariant key fields are absorbed once per
-//! job ([`JobKeyPrefix`]), the recorded outcome is shared with the run that
+//! of the log it replays: the key is absorbed run-invariant fields first
+//! (job, runner, secrets, step, stack, action), and the engine keeps that
+//! hash state per step between runs for as long as its inputs are the same
+//! objects, so a hit absorbs only the tree id and the prior chain; the
+//! recorded outcome is shared with the run that
 //! produced it rather than copied ([`StepEntry`]), its digest is stored
 //! beside it ([`result_digest`] runs once, at execution), and artifacts are
 //! re-attached by the CAS address the entry already names. The entry holds
@@ -53,11 +56,14 @@ pub enum CacheMode {
     Replay,
 }
 
-/// The part of a step key every step of one job shares — tree, job, the
-/// job's resolved secrets, the runner it landed on — absorbed once per job.
-/// Each step continues from a copy of this 16-byte hash state.
+/// The part of a step key every step of one job shares and no push changes
+/// — job, the runner it landed on, every secret resolved for it — together
+/// with the tree the job's keys will finish with.
 #[derive(Debug, Clone)]
-pub struct JobKeyPrefix(DigestBuilder);
+pub struct JobKeyPrefix {
+    tree: String,
+    job: DigestBuilder,
+}
 
 impl JobKeyPrefix {
     pub fn new(
@@ -66,40 +72,49 @@ impl JobKeyPrefix {
         secrets: &BTreeMap<String, String>,
         runner: &Runner,
     ) -> JobKeyPrefix {
-        let [class, name, arch] = runner.cache_identity();
-        let mut b = DigestBuilder::new()
-            .str_field("tree", tree)
-            .str_field("job", job)
-            .str_field("runner", class)
-            .str_field("name", name)
-            .str_field("arch", arch);
-        for (k, v) in secrets {
-            b = b.str_field("secret", k).str_field("is", v);
+        JobKeyPrefix {
+            tree: tree.to_string(),
+            job: job_block(job, secrets, runner),
         }
-        JobKeyPrefix(b)
     }
 }
 
-/// Canonical identity of one step execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StepKey(pub Digest);
+/// Hash state after a job's run-invariant fields; every step of the job
+/// continues from a copy of these 16 bytes.
+pub(crate) fn job_block(
+    job: &str,
+    secrets: &BTreeMap<String, String>,
+    runner: &Runner,
+) -> DigestBuilder {
+    let [class, name, arch] = runner.cache_identity();
+    let mut b = DigestBuilder::new()
+        .str_field("job", job)
+        .str_field("runner", class)
+        .str_field("name", name)
+        .str_field("arch", arch);
+    for (k, v) in secrets {
+        b = b.str_field("secret", k).str_field("is", v);
+    }
+    b
+}
 
-impl StepKey {
-    /// Derive the cache key for a step about to execute. `action` is the
-    /// step's action in its fully interpolated form: what would actually run.
-    pub fn derive(
-        prefix: &JobKeyPrefix,
+/// Hash state after everything in a step key that no push changes: the
+/// [`job_block`], then step id, stack fingerprint and the fully interpolated
+/// action. [`finish`](Self::finish) absorbs the rest.
+#[derive(Debug, Clone)]
+pub(crate) struct StepKeyStem(DigestBuilder);
+
+impl StepKeyStem {
+    pub(crate) fn new(
+        job: &DigestBuilder,
         step_id: &str,
         action: &ResolvedAction<'_>,
         stack: Digest,
-        prior_chain: Digest,
-    ) -> StepKey {
-        let mut b = prefix
-            .0
+    ) -> StepKeyStem {
+        let mut b = job
             .clone()
             .str_field("step", step_id)
-            .digest_field("stack", stack)
-            .digest_field("prior", prior_chain);
+            .digest_field("stack", stack);
         match action {
             ResolvedAction::Run { command } => b = b.str_field("run", command),
             ResolvedAction::Uses { action, with } => {
@@ -112,7 +127,40 @@ impl StepKey {
                 b = b.str_field("upload", name).str_field("from", from_step);
             }
         }
-        StepKey(b.finish())
+        StepKeyStem(b)
+    }
+
+    /// The key of this step in one run: the tree the run checked out and
+    /// the chain of every result before it.
+    pub(crate) fn finish(&self, tree: &str, prior_chain: Digest) -> StepKey {
+        StepKey(
+            self.0
+                .clone()
+                .str_field("tree", tree)
+                .digest_field("prior", prior_chain)
+                .finish(),
+        )
+    }
+}
+
+/// Canonical identity of one step execution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StepKey(pub Digest);
+
+impl StepKey {
+    /// Derive the cache key for a step about to execute. `action` is the
+    /// step's action in its fully interpolated form: what would actually run.
+    ///
+    /// This is the from-scratch definition; the engine runs the same two
+    /// halves, keeping the first between runs (see `JobPlan`).
+    pub fn derive(
+        prefix: &JobKeyPrefix,
+        step_id: &str,
+        action: &ResolvedAction<'_>,
+        stack: Digest,
+        prior_chain: Digest,
+    ) -> StepKey {
+        StepKeyStem::new(&prefix.job, step_id, action, stack).finish(&prefix.tree, prior_chain)
     }
 }
 

@@ -2,15 +2,13 @@
 
 use crate::action::{Action, StepContext, WorldDriver};
 use crate::artifacts::ArtifactStore;
-use crate::cache::{
-    chain_digest, result_digest, CacheMode, JobKeyPrefix, StepCache, StepKey,
-};
+use crate::cache::{chain_digest, job_block, result_digest, CacheMode, StepCache, StepKeyStem};
 use crate::environment::Environment;
 use crate::error::CiError;
 use crate::run::{Infra, RunId, RunStatus, StepOutcome, StepRun, WorkflowRun};
-use crate::runner::RunnerPool;
+use crate::runner::{Runner, RunnerKind, RunnerPool};
 use crate::secrets::SecretStore;
-use crate::workflow::{ResolvedAction, TriggerEvent, WorkflowDef};
+use crate::workflow::{JobDef, ResolvedAction, StepDef, TriggerEvent, WorkflowDef};
 use hpcci_cas::Digest;
 use hpcci_obs::Obs;
 use hpcci_sim::{Interner, SimDuration, SimTime, Sym};
@@ -26,6 +24,107 @@ struct Schedule {
     next_fire: SimTime,
 }
 
+/// A workflow as installed: what the definition fixes once, and what the
+/// engine keeps for it between runs. Both die with the workflow.
+struct Installed {
+    shape: Arc<Shape>,
+    /// One slot per `def.jobs` entry once a keyed run has been through;
+    /// empty while the cache is off.
+    plans: Vec<Option<JobPlan>>,
+}
+
+/// The part of an installed workflow a run shares by `Arc`.
+struct Shape {
+    def: WorkflowDef,
+    /// [`WorkflowDef::job_order`] as indices into `def.jobs`; a bad `needs`
+    /// is reported by every trigger that would instantiate the workflow.
+    order: Result<Vec<usize>, (String, String)>,
+}
+
+/// The run-invariant half of every step key of one job, kept between runs
+/// beside each step's interned id: a hit finishes `steps[i]` with the run's
+/// tree and chain, and neither interpolates nor probes the interner.
+///
+/// A plan is used only while every input it absorbed is *the same object*:
+/// the job's resolved-secrets map ([`SecretStore::put`] drops them all) and
+/// the repo's `env:` map ([`CiEngine::set_env_var`] copies a shared one), by
+/// address — the plan holds both `Arc`s, so neither address can be reused
+/// while it lives — the runner the job selects, by value, and the stack
+/// fingerprints, by the epoch a changed digest bumps. Anything else rebuilds
+/// it from [`StepAction::resolve`](crate::workflow::StepAction::resolve).
+struct JobPlan {
+    secrets: Arc<BTreeMap<String, String>>,
+    env: Arc<BTreeMap<String, String>>,
+    runner: RunnerKind,
+    stack_epoch: u64,
+    steps: Vec<(StepKeyStem, Sym)>,
+}
+
+impl JobPlan {
+    /// Absorb everything about `job`'s step keys that no push changes. The
+    /// one place besides execution that interpolates an action.
+    fn build(
+        job: &JobDef,
+        secrets: &Arc<BTreeMap<String, String>>,
+        env: &Arc<BTreeMap<String, String>>,
+        runner: &Runner,
+        stacks: &StackFingerprints,
+        interner: &mut Interner,
+    ) -> JobPlan {
+        let block = job_block(&job.id, secrets, runner);
+        let step = |step: &StepDef| {
+            let action = step.action.resolve(secrets, env);
+            let stem = StepKeyStem::new(&block, &step.id, &action, stacks.digest_for(&action));
+            (stem, interner.intern(&step.id))
+        };
+        JobPlan {
+            secrets: secrets.clone(),
+            env: env.clone(),
+            runner: runner.kind.clone(),
+            stack_epoch: stacks.epoch,
+            steps: job.steps.iter().map(step).collect(),
+        }
+    }
+
+    fn absorbed(
+        &self,
+        secrets: &Arc<BTreeMap<String, String>>,
+        env: &Arc<BTreeMap<String, String>>,
+        runner: &Runner,
+        stacks: &StackFingerprints,
+    ) -> bool {
+        Arc::ptr_eq(&self.secrets, secrets)
+            && Arc::ptr_eq(&self.env, env)
+            && self.runner == runner.kind
+            && self.stack_epoch == stacks.epoch
+    }
+}
+
+/// Software-stack fingerprints keyed by endpoint name (`"*"` is the fallback
+/// for steps that name no endpoint). Part of every step key: a package
+/// upgrade at a site must invalidate that site's entries.
+#[derive(Default)]
+struct StackFingerprints {
+    by_endpoint: BTreeMap<Sym, Digest>,
+    /// Bumped whenever a fingerprint really changes (re-setting the same
+    /// digest, as every `run_all` does, leaves it alone).
+    epoch: u64,
+}
+
+impl StackFingerprints {
+    /// The fingerprint a step's key should carry: the named endpoint's
+    /// stack when the step targets one (the `endpoint_uuid` input CORRECT
+    /// steps pass), else the `"*"` fallback.
+    fn digest_for(&self, action: &ResolvedAction<'_>) -> Digest {
+        action
+            .input("endpoint_uuid")
+            .and_then(|endpoint| self.by_endpoint.get(endpoint))
+            .or_else(|| self.by_endpoint.get("*"))
+            .copied()
+            .unwrap_or(Digest::NONE)
+    }
+}
+
 /// The CI service.
 ///
 /// ## Allocation discipline
@@ -38,13 +137,16 @@ struct Schedule {
 /// indexed by [`RunId`] rather than a `BTreeMap`; and workflow definitions
 /// are `Arc`-shared so instantiating a run never deep-clones a definition.
 pub struct CiEngine {
-    workflows: BTreeMap<Sym, Vec<Arc<WorkflowDef>>>,
+    workflows: BTreeMap<Sym, Vec<Installed>>,
     /// Environments nested by repo then name, so the per-job approval check
     /// probes two small maps with borrowed keys instead of allocating a
     /// `(String, String)` tuple per lookup.
     environments: BTreeMap<Sym, BTreeMap<Sym, Environment>>,
     /// Repo-level env blocks, `Arc`-shared with every run they configure.
     env_vars: BTreeMap<Sym, Arc<BTreeMap<String, String>>>,
+    /// The `env:` block of every repo without one: one shared object, so a
+    /// [`JobPlan`] for such a repo stays valid from run to run.
+    no_env_vars: Arc<BTreeMap<String, String>>,
     pub secrets: SecretStore,
     pub runners: RunnerPool,
     pub artifacts: ArtifactStore,
@@ -63,10 +165,7 @@ pub struct CiEngine {
     /// Extra digest folded into every step key's prior-result chain; see
     /// [`CiEngine::set_cache_salt`].
     cache_salt: Digest,
-    /// Software-stack fingerprints keyed by endpoint name (`"*"` is the
-    /// fallback for steps that name no endpoint). Part of every step key:
-    /// a package upgrade at a site must invalidate that site's entries.
-    stack_fingerprints: BTreeMap<Sym, Digest>,
+    stacks: StackFingerprints,
     /// Deduplicates every hot identifier the engine stores.
     interner: Interner,
     /// Engine-local metric counters, flushed in one batch by
@@ -98,6 +197,7 @@ impl CiEngine {
             workflows: BTreeMap::new(),
             environments: BTreeMap::new(),
             env_vars: BTreeMap::new(),
+            no_env_vars: Arc::default(),
             secrets: SecretStore::new(),
             runners: RunnerPool::with_hosted_defaults(),
             artifacts: ArtifactStore::new(),
@@ -110,7 +210,7 @@ impl CiEngine {
             step_cache: None,
             cache_mode: CacheMode::Off,
             cache_salt: Digest::NONE,
-            stack_fingerprints: BTreeMap::new(),
+            stacks: StackFingerprints::default(),
             interner: Interner::new(),
             counters: CiCounters::default(),
         }
@@ -175,12 +275,14 @@ impl CiEngine {
     /// name, `"*"` for the global fallback.
     pub fn set_stack_fingerprint(&mut self, endpoint: &str, digest: Digest) {
         let key = self.interner.intern(endpoint);
-        self.stack_fingerprints.insert(key, digest);
+        if self.stacks.by_endpoint.insert(key, digest) != Some(digest) {
+            self.stacks.epoch += 1;
+        }
     }
 
     /// The currently registered stack fingerprint for an endpoint name.
     pub fn stack_fingerprint(&self, endpoint: &str) -> Option<Digest> {
-        self.stack_fingerprints.get(endpoint).copied()
+        self.stacks.by_endpoint.get(endpoint).copied()
     }
 
     /// Register a marketplace/custom action under its `uses:` name.
@@ -201,7 +303,18 @@ impl CiEngine {
                 });
             }
         }
-        self.workflows.entry(repo).or_default().push(Arc::new(workflow));
+        let order = workflow.job_order().map(|order| {
+            // Ids are unique in a workflow `job_order` accepts.
+            let position = |job: &JobDef| workflow.jobs.iter().position(|j| j.id == job.id);
+            order.into_iter().filter_map(position).collect()
+        });
+        self.workflows.entry(repo).or_default().push(Installed {
+            shape: Arc::new(Shape {
+                def: workflow,
+                order,
+            }),
+            plans: Vec::new(),
+        });
     }
 
     /// Define a deployment environment for a repository.
@@ -262,15 +375,15 @@ impl CiEngine {
         commit: &str,
         now: SimTime,
     ) -> Result<Vec<RunId>, CiError> {
-        // Matching defs are collected as Arc clones (not name re-lookups):
-        // no per-push allocation, and instantiation skips a second search.
-        let matching: Vec<Arc<WorkflowDef>> = self
+        // Matching workflows are collected as Arc clones (not name
+        // re-lookups): instantiation skips a second search.
+        let matching: Vec<Arc<Shape>> = self
             .workflows
             .get(repo)
             .map(|list| {
                 list.iter()
-                    .filter(|w| w.on.iter().any(|t| t.matches_push(branch)))
-                    .cloned()
+                    .filter(|w| w.shape.def.on.iter().any(|t| t.matches_push(branch)))
+                    .map(|w| w.shape.clone())
                     .collect()
             })
             .unwrap_or_default();
@@ -288,13 +401,16 @@ impl CiEngine {
         commit: &str,
         now: SimTime,
     ) -> Result<Vec<RunId>, CiError> {
-        let matching: Vec<Arc<WorkflowDef>> = self
+        let matching: Vec<Arc<Shape>> = self
             .workflows
             .get(repo)
             .map(|list| {
                 list.iter()
-                    .filter(|w| w.on.iter().any(|t| matches!(t, TriggerEvent::PullRequest)))
-                    .cloned()
+                    .filter(|w| {
+                        let on = &w.shape.def.on;
+                        on.iter().any(|t| matches!(t, TriggerEvent::PullRequest))
+                    })
+                    .map(|w| w.shape.clone())
                     .collect()
             })
             .unwrap_or_default();
@@ -313,16 +429,8 @@ impl CiEngine {
         commit: &str,
         now: SimTime,
     ) -> Result<RunId, CiError> {
-        let def = self
-            .workflows
-            .get(repo)
-            .and_then(|list| list.iter().find(|w| w.name == workflow))
-            .cloned()
-            .ok_or_else(|| CiError::UnknownWorkflow {
-                repo: repo.to_string(),
-                workflow: workflow.to_string(),
-            })?;
-        self.instantiate_def(repo, &def, branch, commit, now)
+        let shape = self.installed(repo, workflow)?.shape.clone();
+        self.instantiate_def(repo, &shape, branch, commit, now)
     }
 
     /// Fire due schedules; returns `(repo, workflow)` pairs the caller should
@@ -340,26 +448,37 @@ impl CiEngine {
         fired
     }
 
-    fn workflow_def(&self, repo: &str, name: &str) -> Result<&Arc<WorkflowDef>, CiError> {
+    fn installed(&self, repo: &str, name: &str) -> Result<&Installed, CiError> {
         self.workflows
             .get(repo)
-            .and_then(|list| list.iter().find(|w| w.name == name))
+            .and_then(|list| list.iter().find(|w| w.shape.def.name == name))
             .ok_or_else(|| CiError::UnknownWorkflow {
                 repo: repo.to_string(),
                 workflow: name.to_string(),
             })
     }
 
+    fn installed_mut(&mut self, repo: &str, name: &str) -> Option<&mut Installed> {
+        let list = self.workflows.get_mut(repo)?;
+        list.iter_mut().find(|w| w.shape.def.name == name)
+    }
+
     fn instantiate_def(
         &mut self,
         repo: &str,
-        def: &Arc<WorkflowDef>,
+        shape: &Shape,
         branch: &str,
         commit: &str,
         now: SimTime,
     ) -> Result<RunId, CiError> {
+        let def = &shape.def;
         // Validate job graph and environment references up front.
-        def.job_order().map_err(|(job, needs)| CiError::BadJobDependency { job, needs })?;
+        if let Err((job, needs)) = &shape.order {
+            return Err(CiError::BadJobDependency {
+                job: job.clone(),
+                needs: needs.clone(),
+            });
+        }
         let mut needs_approval = false;
         let repo_envs = self.environments.get(repo);
         for job in &def.jobs {
@@ -420,7 +539,7 @@ impl CiEngine {
             return Err(CiError::NotAwaitingApproval(id));
         }
         let repo = run.repo.clone();
-        let def = self.workflow_def(&repo, &run.workflow)?;
+        let def = &self.installed(&repo, &run.workflow)?.shape.def;
         let repo_envs = self.environments.get(repo.as_str());
         let mut max_wait = SimDuration::ZERO;
         for job in &def.jobs {
@@ -452,7 +571,7 @@ impl CiEngine {
             return Err(CiError::NotAwaitingApproval(id));
         }
         let repo = run.repo.clone();
-        let def = self.workflow_def(&repo, &run.workflow)?;
+        let def = &self.installed(&repo, &run.workflow)?.shape.def;
         let repo_envs = self.environments.get(repo.as_str());
         for job in &def.jobs {
             if let Some(env_name) = &job.environment {
@@ -503,11 +622,22 @@ impl CiEngine {
                 run.commit.clone(),
             )
         };
-        // `Arc` clone — instantiating the run never deep-copies the def.
-        let def = self
-            .workflow_def(&repo, &workflow)
-            .expect("validated at instantiation")
-            .clone();
+        let cache = match self.cache_mode {
+            CacheMode::Off => None,
+            _ => self.step_cache.clone(),
+        };
+        // `Arc` clone — instantiating the run never deep-copies the def. A
+        // keyed run borrows the workflow's job plans for its duration and
+        // hands them back at the end: steps execute under `&mut self`.
+        let installed = self
+            .installed_mut(&repo, &workflow)
+            .expect("validated at instantiation");
+        let shape = installed.shape.clone();
+        let mut plans = Vec::new();
+        if cache.is_some() {
+            plans = std::mem::take(&mut installed.plans);
+            plans.resize_with(shape.def.jobs.len(), || None);
+        }
         let span = self.obs.span_start_with(
             "ci.run",
             || format!("{repo}/{workflow} {id}"),
@@ -517,18 +647,15 @@ impl CiEngine {
         let repo_env_vars = self
             .env_vars
             .get(repo.as_str())
-            .cloned()
-            .unwrap_or_default();
+            .unwrap_or(&self.no_env_vars)
+            .clone();
 
-        let order = def.job_order().expect("validated at instantiation");
+        let jobs = &shape.def.jobs;
+        let order = shape.order.as_deref().unwrap_or_default();
         let mut failed_jobs: Vec<&str> = Vec::new();
         let mut run_failed = false;
         let mut steps_acc: Vec<StepRun> =
-            Vec::with_capacity(order.iter().map(|job| job.steps.len()).sum());
-        let cache = match self.cache_mode {
-            CacheMode::Off => None,
-            _ => self.step_cache.clone(),
-        };
+            Vec::with_capacity(jobs.iter().map(|job| job.steps.len()).sum());
         // Running digest over every prior step result in the run: later step
         // keys depend on it, so an upstream change invalidates downstream.
         let mut chain = self.cache_salt;
@@ -536,7 +663,8 @@ impl CiEngine {
         // and listing them; reused across the run's steps.
         let mut replayed_artifacts: Vec<bytes::Bytes> = Vec::new();
 
-        for job in order {
+        for &job_ix in order {
+            let job = &jobs[job_ix];
             if job.needs.iter().any(|n| failed_jobs.contains(&n.as_str())) {
                 failed_jobs.push(&job.id);
                 continue;
@@ -568,23 +696,27 @@ impl CiEngine {
             driver.sleep(runner.startup);
             let secrets = self.secrets.resolve(org, &repo, job.environment.as_deref());
             // Everything keying-related is gated on a live cache: with
-            // `CacheMode::Off` no prefix, key, digest, or chain work runs.
-            let keying = cache
-                .as_ref()
-                .map(|cache| (cache, JobKeyPrefix::new(&commit, &job.id, &secrets, runner)));
-            let mut job_failed = false;
-            for step in &job.steps {
-                let step_sym = self.interner.intern(&step.id);
-                // Interpolated once: the stack lookup, the key and (on a
-                // miss) the action all read this value.
-                let action = step.action.resolve(&secrets, &repo_env_vars);
-                let keyed = keying.as_ref().map(|(cache, prefix)| {
-                    let stack = self.stack_digest_for(&action);
-                    (
-                        *cache,
-                        StepKey::derive(prefix, &step.id, &action, stack, chain),
-                    )
+            // `CacheMode::Off` no plan, key, digest, or chain work runs.
+            let keying = cache.as_ref().map(|cache| {
+                let slot = &mut plans[job_ix];
+                let (stacks, env) = (&self.stacks, &repo_env_vars);
+                let kept = slot
+                    .take()
+                    .filter(|plan| plan.absorbed(&secrets, env, runner, stacks));
+                let plan = kept.unwrap_or_else(|| {
+                    JobPlan::build(job, &secrets, env, runner, stacks, &mut self.interner)
                 });
+                (cache, &*slot.insert(plan))
+            });
+            let mut job_failed = false;
+            for (step_ix, step) in job.steps.iter().enumerate() {
+                let (step_sym, keyed) = match keying {
+                    Some((cache, plan)) => {
+                        let (stem, sym) = &plan.steps[step_ix];
+                        (sym.clone(), Some((cache, stem.finish(&commit, chain))))
+                    }
+                    None => (self.interner.intern(&step.id), None),
+                };
 
                 // Replay: a hit skips execution entirely — the recorded
                 // outcome is shared (not copied), its artifacts re-attached
@@ -626,7 +758,7 @@ impl CiEngine {
                 } else {
                     let started = driver.now();
                     let result = self.execute_step(
-                        action,
+                        step.action.resolve(&secrets, &repo_env_vars),
                         &repo,
                         &branch,
                         &commit,
@@ -722,23 +854,16 @@ impl CiEngine {
             }
         }
 
+        if cache.is_some() {
+            if let Some(installed) = self.installed_mut(&repo, &workflow) {
+                installed.plans = plans;
+            }
+        }
         self.obs.span_end(span, driver.now());
         let run = self.run_mut(id).expect("still exists");
         run.steps = steps_acc;
         run.ended_at = Some(driver.now());
         run.status = if run_failed { RunStatus::Failure } else { RunStatus::Success };
-    }
-
-    /// Software-stack fingerprint a step's key should carry: the named
-    /// endpoint's stack when the step targets one (the `endpoint_uuid`
-    /// input CORRECT steps pass), else the `"*"` fallback.
-    fn stack_digest_for(&self, action: &ResolvedAction<'_>) -> Digest {
-        action
-            .input("endpoint_uuid")
-            .and_then(|endpoint| self.stack_fingerprints.get(endpoint))
-            .or_else(|| self.stack_fingerprints.get("*"))
-            .copied()
-            .unwrap_or(Digest::NONE)
     }
 
     #[allow(clippy::too_many_arguments)]

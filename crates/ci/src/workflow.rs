@@ -55,9 +55,10 @@ pub enum StepAction {
 }
 
 /// A [`StepAction`] with every placeholder substituted: what would actually
-/// run. Built once per step; the step key, the stack-fingerprint lookup and
-/// (when the step executes) the action all read this one value. Text with no
-/// placeholder stays a borrow of the definition.
+/// run. Built where the engine absorbs a job's step keys (which also reads
+/// the stack-fingerprint lookup off it) and where a step executes — a cache
+/// hit builds none. Text with no placeholder stays a borrow of the
+/// definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResolvedAction<'a> {
     Run {

@@ -13,7 +13,8 @@
 //!   recording is passive (Off and Record byte-identical), replay
 //!   reproduces the recording byte-for-byte including virtual timestamps
 //!   (fault-free specs), replay serves every recorded entry without new
-//!   misses, and infrastructure-tainted steps are never cached;
+//!   misses, infrastructure-tainted steps are never cached, and after the
+//!   retention purge and teardown the shared CAS holds nothing;
 //! * **attribution** — a failed run is `infrastructure` or `test`, and the
 //!   types agree: an `infrastructure` run has a task lost to a crash or
 //!   rejected with an error that [`FaasError::is_infrastructure`] (or a
@@ -32,7 +33,7 @@ use hpcci_auth::{AccessToken, AuthError, ClientId, ClientSecret, Scope};
 use hpcci_cas::Digest;
 use hpcci_ci::{CacheMode, FailureKind, StepCache};
 use hpcci_faas::{CloudService, EndpointId, FaasError, TaskFailure, TaskId, TaskState};
-use hpcci_sim::Advance;
+use hpcci_sim::{Advance, SimDuration};
 use std::collections::BTreeSet;
 
 /// One oracle violation: which family tripped, and a human-readable detail.
@@ -237,8 +238,14 @@ fn check_security(
 fn check_step_cache(spec: &ScenarioSpec, out: &mut Vec<Violation>) -> Result<(), SpecError> {
     let off = run_spec_with(spec, CacheSetup::ForceOff)?;
     let cache = StepCache::new();
-    let rec = run_spec_with(spec, CacheSetup::Shared(cache.clone(), CacheMode::Record))?;
-    let rep = run_spec_with(spec, CacheSetup::Shared(cache, CacheMode::Replay))?;
+    let cas = cache.cas().clone();
+    // `run_spec_with` in its two halves: both worlds stay for the teardown
+    // clause at the end.
+    let (mut rec_world, stats) =
+        drive_spec(spec, CacheSetup::Shared(cache.clone(), CacheMode::Record))?;
+    let rec = collect(spec, &rec_world, stats);
+    let (mut rep_world, stats) = drive_spec(spec, CacheSetup::Shared(cache, CacheMode::Replay))?;
+    let rep = collect(spec, &rep_world, stats);
     let rec_stats = rec.cache.expect("record run has a cache");
     let rep_stats = rep.cache.expect("replay run has a cache");
 
@@ -311,6 +318,25 @@ fn check_step_cache(spec: &ScenarioSpec, out: &mut Vec<Violation>) -> Result<(),
             oracle: "step-cache",
             detail: format!(
                 "{infra_failures} infrastructure-failed run(s) but zero uncacheable steps — tainted results were cached"
+            ),
+        });
+    }
+
+    // Teardown: once retention has purged both worlds' artifacts and the
+    // worlds — with them every handle on the cache, its entries and their
+    // pins — are gone, the shared store holds nothing.
+    for world in [&mut rec_world, &mut rep_world] {
+        let expired = world.fed.now() + SimDuration::from_secs(91 * 24 * 3600);
+        world.fed.engine.artifacts.purge_expired(expired);
+    }
+    drop((rec_world, rep_world));
+    let left = cas.stats();
+    if (left.objects, left.chunks, left.logical_bytes, left.stored_bytes) != (0, 0, 0, 0) {
+        out.push(Violation {
+            oracle: "step-cache",
+            detail: format!(
+                "CAS references leaked past teardown: {} objects, {} chunks, {} logical / {} stored bytes",
+                left.objects, left.chunks, left.logical_bytes, left.stored_bytes
             ),
         });
     }

@@ -4,6 +4,7 @@ use crate::hash::ObjectId;
 use bytes::Bytes;
 use hpcci_sim::SimTime;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// A snapshot of repository contents: repo-relative path → file bytes.
@@ -11,9 +12,20 @@ use std::sync::Arc;
 /// The map is shared copy-on-write: a clone (a remote `git clone` takes one
 /// per CI step, a merge one per pull request) copies no path or content, and
 /// the first edit of a shared tree copies the map.
+///
+/// Every blob keeps its [`ObjectId`] beside its bytes, computed by
+/// [`put`](Self::put) — the only writer — so [`hash`](Self::hash) reads no
+/// file content: a push that edits one file hashes one blob.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkTree {
-    files: Arc<BTreeMap<String, Bytes>>,
+    files: Arc<BTreeMap<String, Blob>>,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Blob {
+    /// `ObjectId::of_bytes(&bytes)`.
+    id: ObjectId,
+    bytes: Bytes,
 }
 
 impl WorkTree {
@@ -30,7 +42,9 @@ impl WorkTree {
     /// Add or replace a file.
     pub fn put(&mut self, path: &str, content: impl Into<Bytes>) {
         assert!(!path.starts_with('/'), "work tree paths are repo-relative");
-        Arc::make_mut(&mut self.files).insert(path.to_string(), content.into());
+        let bytes = content.into();
+        let id = ObjectId::of_bytes(&bytes);
+        Arc::make_mut(&mut self.files).insert(path.to_string(), Blob { id, bytes });
     }
 
     pub fn remove(&mut self, path: &str) -> bool {
@@ -38,7 +52,7 @@ impl WorkTree {
     }
 
     pub fn get(&self, path: &str) -> Option<&Bytes> {
-        self.files.get(path)
+        self.files.get(path).map(|blob| &blob.bytes)
     }
 
     pub fn get_text(&self, path: &str) -> Option<String> {
@@ -54,7 +68,7 @@ impl WorkTree {
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Bytes)> {
-        self.files.iter().map(|(p, b)| (p.as_str(), b))
+        self.files.iter().map(|(p, b)| (p.as_str(), &b.bytes))
     }
 
     pub fn len(&self) -> usize {
@@ -67,16 +81,18 @@ impl WorkTree {
 
     /// Total bytes across all files (drives simulated clone I/O time).
     pub fn total_bytes(&self) -> u64 {
-        self.files.values().map(|b| b.len() as u64).sum()
+        self.files.values().map(|b| b.bytes.len() as u64).sum()
     }
 
-    /// Canonical content hash of the whole tree.
+    /// Canonical content hash of the whole tree: `path \0 hex(blob id) \n`
+    /// per file, in path order.
     pub fn hash(&self) -> ObjectId {
-        let mut acc = String::new();
-        for (path, content) in self.files.iter() {
+        // Exact: path, NUL, 32 hex digits, newline.
+        let mut acc = String::with_capacity(self.files.keys().map(|p| p.len() + 34).sum());
+        for (path, blob) in self.files.iter() {
             acc.push_str(path);
             acc.push('\0');
-            acc.push_str(&ObjectId::of_bytes(content).to_string());
+            let _ = write!(acc, "{}", blob.id);
             acc.push('\n');
         }
         ObjectId::of_str(&acc)
@@ -153,6 +169,46 @@ mod tests {
             base.hash(),
             WorkTree::new().with_file("b.txt", "1").hash()
         );
+    }
+
+    /// The stored blob ids are a memo, not a second definition: after any
+    /// sequence of `put` / `remove` / clone-then-edit the tree id is the fold
+    /// over `ObjectId::of_bytes` of every blob, computed from the bytes.
+    #[test]
+    fn tree_hash_equals_the_from_scratch_fold_after_random_edits() {
+        fn from_scratch(tree: &WorkTree) -> ObjectId {
+            let mut acc = String::new();
+            for (path, content) in tree.iter() {
+                acc.push_str(path);
+                acc.push('\0');
+                acc.push_str(&ObjectId::of_bytes(content).to_string());
+                acc.push('\n');
+            }
+            ObjectId::of_str(&acc)
+        }
+        let mut rng = hpcci_sim::DetRng::seed_from_u64(23);
+        let mut trees = vec![WorkTree::new()];
+        for _ in 0..2_000 {
+            let ix = rng.range_u64(0, trees.len() as u64) as usize;
+            let path = format!("dir{}/f{}", rng.range_u64(0, 3), rng.range_u64(0, 6));
+            match rng.range_u64(0, 4) {
+                0 => {
+                    trees[ix].remove(&path);
+                }
+                1 if trees.len() < 8 => {
+                    let copy = trees[ix].clone();
+                    trees.push(copy);
+                }
+                _ => {
+                    let content = vec![rng.range_u64(0, 4) as u8; rng.range_u64(0, 40) as usize];
+                    trees[ix].put(&path, content);
+                }
+            }
+            for tree in &trees {
+                assert_eq!(tree.hash(), from_scratch(tree));
+            }
+        }
+        assert!(trees.iter().any(|t| t.len() > 6), "the edits built real trees");
     }
 
     #[test]

@@ -1565,11 +1565,190 @@ fn step_key_perturbations_force_misses() {
     }
 }
 
+/// Plan path ≡ definition. The engine keeps the run-invariant half of every
+/// step key between runs; whatever is done to it between two pushes —
+/// secrets stored in the job's own scopes or for an unrelated tenant, `env:`
+/// vars set, stack fingerprints moved or re-set, another self-hosted runner
+/// registered for a site a job selects, another workflow installed — every
+/// step it then records or replays is found under the key computed from
+/// scratch with the public API from the state at that moment, and the entry
+/// found is the very outcome the run holds.
+#[test]
+fn kept_job_plans_derive_the_keys_the_definition_derives() {
+    use hpcci::cas::Digest;
+    use hpcci::ci::action::NullDriver;
+    use hpcci::ci::cache::chain_digest;
+    use hpcci::ci::workflow::RunsOn;
+    use hpcci::ci::{
+        Action, CacheMode, CiEngine, Environment, JobDef, JobKeyPrefix, Secret, SecretScope,
+        StepCache, StepContext, StepDef, StepKey, StepResult, TriggerEvent, WorkflowDef,
+    };
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+    const REPO: &str = "org/app";
+    const SITES: [&str; 2] = ["anvil", "faster"];
+    struct Echo;
+    impl Action for Echo {
+        fn run(&self, ctx: &mut StepContext<'_>) -> StepResult {
+            StepResult::ok(format!("ran with {:?}", ctx.inputs))
+        }
+    }
+    let gen_workflow = |rng: &mut DetRng, name: &str| {
+        let mut wf = WorkflowDef::new(name).on_event(TriggerEvent::push_any());
+        for j in 0..rng.range_u64(1, 4) {
+            let site = pick(rng, &SITES);
+            let mut job = JobDef::new(&format!("job-{j}"));
+            if rng.chance(0.6) {
+                job = job.with_environment(&format!("env-{site}"));
+            }
+            if rng.chance(0.4) {
+                job.runs_on = RunsOn::SelfHosted {
+                    site: site.to_string(),
+                };
+            }
+            for k in 0..rng.range_u64(1, 4) {
+                let id = format!("s{j}{k}");
+                // Every step succeeds, so a run records every step in order.
+                job = job.with_step(match rng.range_u64(0, 4) {
+                    0 => StepDef::run(&id, "make ${{ secrets.TOKEN }} MODE=${{ env.MODE }}"),
+                    3 if k > 0 => {
+                        StepDef::upload_artifact(&id, &format!("{id}-log"), &format!("s{j}0"))
+                    }
+                    1 | 3 => StepDef::run(&id, &format!("make target-{k}")),
+                    _ => StepDef::uses(
+                        &id,
+                        "acme/echo@v1",
+                        &[
+                            ("endpoint_uuid", &format!("ep-{}", pick(rng, &SITES))),
+                            ("client_secret", "${{ secrets.GLOBUS_SECRET }}"),
+                            ("mode", "${{ env.MODE }}"),
+                        ],
+                    ),
+                });
+            }
+            wf = wf.with_job(job);
+        }
+        wf
+    };
+
+    let (mut hits, mut misses, mut pushes) = (0, 0, 0);
+    for case in 0..CASES {
+        let mut rng = case_rng("job_plans", case);
+        let cache = StepCache::new();
+        let mut e = CiEngine::new();
+        e.set_step_cache(cache.clone(), CacheMode::Replay);
+        e.set_cache_salt(Digest::of_str(&gen_string(&mut rng, LOWER, 0, 8)));
+        e.register_action("acme/echo@v1", Arc::new(Echo));
+        for site in SITES {
+            e.add_environment(REPO, Environment::new(&format!("env-{site}")));
+            e.runners.add_self_hosted(site);
+        }
+        let mut workflows = vec![gen_workflow(&mut rng, "wf-0")];
+        e.add_workflow(REPO, workflows[0].clone());
+        // The test's own copy of the repo's `env:` block: the engine has no
+        // getter, and the definition needs it to interpolate.
+        let mut env_vars: BTreeMap<String, String> = BTreeMap::new();
+
+        for _ in 0..rng.range_u64(12, 30) {
+            let value = gen_string(&mut rng, LOWER, 1, 3);
+            match rng.range_u64(0, 16) {
+                0 => {
+                    let scope = match rng.range_u64(0, 3) {
+                        0 => SecretScope::Organization("org".into()),
+                        1 => SecretScope::Repository(REPO.into()),
+                        _ => SecretScope::Environment {
+                            repo: REPO.into(),
+                            environment: format!("env-{}", pick(&mut rng, &SITES)),
+                        },
+                    };
+                    let name = pick(&mut rng, &["TOKEN", "GLOBUS_SECRET", "UNUSED"]);
+                    e.secrets.put(scope, Secret::new(name, &value));
+                }
+                1 => e.secrets.put(
+                    SecretScope::Repository("tenant/other".into()),
+                    Secret::new("TOKEN", &value),
+                ),
+                2 => {
+                    let name = pick(&mut rng, &["MODE", "UNREAD"]);
+                    e.set_env_var(REPO, name, &value);
+                    env_vars.insert(name.to_string(), value);
+                }
+                3 => e.set_env_var("tenant/other", "MODE", &value),
+                4 => {
+                    let endpoint = pick(&mut rng, &["ep-anvil", "ep-faster", "*", "ep-elsewhere"]);
+                    e.set_stack_fingerprint(endpoint, Digest::of_str(&value));
+                }
+                5 => {
+                    e.runners.add_self_hosted(pick(&mut rng, &SITES));
+                }
+                6 if workflows.len() < 3 => {
+                    let wf = gen_workflow(&mut rng, &format!("wf-{}", workflows.len()));
+                    e.add_workflow(REPO, wf.clone());
+                    workflows.push(wf);
+                }
+                _ => {
+                    // Few distinct commits, so most pushes meet a warm cache.
+                    let commit = format!("commit-{}", rng.range_u64(0, 3));
+                    let before = cache.stats();
+                    let runs = e.on_push(REPO, "main", &commit, SimTime::ZERO).unwrap();
+                    e.execute_ready(&mut NullDriver::new());
+                    let after = cache.stats();
+                    hits += after.hits - before.hits;
+                    misses += after.misses - before.misses;
+                    pushes += 1;
+                    assert_eq!(runs.len(), workflows.len());
+                    for (id, wf) in runs.iter().zip(&workflows) {
+                        let mut recorded = e.run(*id).unwrap().steps.iter();
+                        let mut chain = e.cache_salt();
+                        for job in wf.job_order().unwrap() {
+                            let secrets = e.secrets.resolve("org", REPO, job.environment.as_deref());
+                            let runner = e.runners.select(&job.runs_on).unwrap();
+                            let prefix = JobKeyPrefix::new(&commit, &job.id, &secrets, runner);
+                            for step in &job.steps {
+                                let action = step.action.resolve(&secrets, &env_vars);
+                                let stack = action
+                                    .input("endpoint_uuid")
+                                    .and_then(|ep| e.stack_fingerprint(ep))
+                                    .or(e.stack_fingerprint("*"))
+                                    .unwrap_or(Digest::NONE);
+                                let key = StepKey::derive(&prefix, &step.id, &action, stack, chain);
+                                let rec = recorded.next().expect("every step ran");
+                                assert_eq!((&*rec.job, &*rec.step), (&*job.id, &*step.id));
+                                let entry = cache.lookup(&key).unwrap_or_else(|| {
+                                    panic!(
+                                        "case {case}: {}/{} of {id} is not under its from-scratch key",
+                                        job.id, step.id
+                                    )
+                                });
+                                assert!(
+                                    Arc::ptr_eq(&entry.outcome, &rec.outcome),
+                                    "case {case}: {}/{} of {id} holds another key's outcome",
+                                    job.id,
+                                    step.id
+                                );
+                                chain = chain_digest(key.0, entry.result);
+                            }
+                        }
+                        assert!(recorded.next().is_none());
+                    }
+                }
+            }
+        }
+    }
+    // The generator reaches both sides: plans reused across pushes (hits)
+    // and plans that had to be rebuilt (misses after the first push).
+    assert!(
+        pushes > 200 && hits > 1_000 && misses > 1_000,
+        "{pushes} {hits} {misses}"
+    );
+}
+
 /// What hoisting the job-invariant key fields out of the step loop could
 /// break. Two jobs that differ in nothing but their environment's secrets
 /// must miss on every step — also the steps that never mention a secret —
 /// and a secret rotated between two runs must reach the next run's keys:
-/// the prefix is per job per run, never carried over.
+/// a job's absorbed fields are carried from run to run only while its
+/// resolved-secrets `Arc` is the same object, and a `put` drops them all.
 #[test]
 fn job_secrets_reach_every_step_key_and_rotation_rebuilds_the_prefix() {
     use hpcci::ci::action::NullDriver;

@@ -7,7 +7,10 @@
 //! Anything the infrastructure broke is never cached, and deduplicated
 //! artifact storage keeps stored bytes well under logical bytes.
 
-use hpcci::ci::{CacheMode, RunStatus, StepCache};
+use hpcci::ci::{
+    CacheMode, JobDef, RunStatus, Secret, SecretScope, StepCache, StepDef, TriggerEvent,
+    WorkflowDef,
+};
 use hpcci::correct::Federation;
 use hpcci::obs::ObsConfig;
 use hpcci::scen::ScenarioSpec;
@@ -344,4 +347,185 @@ fn cache_off_builds_have_no_cache_side_effects() {
     assert_eq!(s.fed.engine.run(runs[0]).unwrap().status, RunStatus::Success);
     assert!(s.fed.step_cache().is_none());
     assert!(s.fed.engine.artifacts.cas().is_none());
+}
+
+// ----------------------------------------------------------------------
+// Invalidation, end to end: what happens to a warm cache — and to the job
+// plans the engine keeps between runs — when the world changes between two
+// pushes.
+// ----------------------------------------------------------------------
+
+/// The §6.1 three-site world (jobs `chameleon`, `faster-vhayot`,
+/// `expanse-vhayot`, a CORRECT step and an upload each) plus what the cases
+/// below need: an environment secret of the middle job that can be rotated
+/// without breaking its FaaS login (a failed login is uncacheable, not a
+/// miss), and a second workflow, `env-probe`, whose middle step interpolates
+/// `${{ env.PYTEST_FLAGS }}`.
+fn multi_site_world(cache: &StepCache, mode: CacheMode) -> Scenario {
+    let fed = Federation::builder(1000)
+        .step_cache_shared(cache.clone(), mode)
+        .build();
+    let mut s = parsldock_scenario_on(fed);
+    s.fed.engine.secrets.put(
+        SecretScope::Environment {
+            repo: s.repo.clone(),
+            environment: s.environments[1].clone(),
+        },
+        Secret::new("DEPLOY_NOTE", "first"),
+    );
+    s.fed.engine.add_workflow(
+        &s.repo,
+        WorkflowDef::new("env-probe")
+            .on_event(TriggerEvent::push_any())
+            .with_job(
+                JobDef::new("probe")
+                    .with_environment(&s.environments[0])
+                    .with_step(StepDef::run("before", "echo before"))
+                    .with_step(StepDef::run("flags", "pytest ${{ env.PYTEST_FLAGS }}"))
+                    .with_step(StepDef::run("after", "echo after")),
+            ),
+    );
+    s
+}
+
+/// Every step of one push, in run and step order.
+fn steps_of_push(s: &mut Scenario) -> Vec<hpcci::ci::StepRun> {
+    let runs = s.push_approve_run("vhayot");
+    assert_eq!(runs.len(), 2, "parsldock-ci and env-probe");
+    let steps = runs.iter().flat_map(|id| {
+        let run = s.fed.engine.run(*id).unwrap();
+        assert_eq!(run.status, RunStatus::Success);
+        run.steps.iter().cloned()
+    });
+    steps.collect()
+}
+
+/// Record two pushes; on a fresh same-seed federation replay the first,
+/// apply `change`, replay the second. Returns which steps of the second
+/// push were served from the cache — a hit shares the recorded outcome — as
+/// `H`/`M`, the two runs separated by a space.
+fn second_push_after(change: impl FnOnce(&mut Scenario)) -> String {
+    let cache = StepCache::new();
+    let mut cold = multi_site_world(&cache, CacheMode::Record);
+    let recorded = [steps_of_push(&mut cold), steps_of_push(&mut cold)];
+    assert_eq!(cache.stats().entries, 18);
+
+    let mut warm = multi_site_world(&cache, CacheMode::Replay);
+    let served = |recorded: &[hpcci::ci::StepRun], replayed: &[hpcci::ci::StepRun]| {
+        let mut pattern = String::new();
+        for (ix, (r, w)) in recorded.iter().zip(replayed).enumerate() {
+            assert_eq!((&r.job, &r.step), (&w.job, &w.step));
+            if ix == 6 {
+                pattern.push(' ');
+            }
+            let hit = std::sync::Arc::ptr_eq(&r.outcome, &w.outcome);
+            pattern.push(if hit { 'H' } else { 'M' });
+        }
+        pattern
+    };
+    // The first replay builds every job plan; `change` must reach through them.
+    let first = steps_of_push(&mut warm);
+    assert_eq!(served(&recorded[0], &first), "HHHHHH HHH");
+    change(&mut warm);
+    let second = steps_of_push(&mut warm);
+    let pattern = served(&recorded[1], &second);
+    let stats = cache.stats();
+    let hits = pattern.matches('H').count() as u64;
+    assert_eq!((stats.hits, stats.misses), (9 + hits, 18 + 9 - hits));
+    pattern
+}
+
+#[test]
+fn an_untouched_world_replays_both_pushes() {
+    assert_eq!(second_push_after(|_| {}), "HHHHHH HHH");
+}
+
+/// The first case of the environment-churn oracle: a package installed at
+/// one site invalidates that site's job and — the chain is run-wide —
+/// every job after it in the run, and nothing before it or in another run.
+#[test]
+fn a_package_install_misses_from_that_sites_job_on() {
+    let pattern = second_push_after(|s| {
+        let site = s.fed.site_by_name("tamu-faster").expect("the middle job's site");
+        let mut rt = site.shared.lock();
+        rt.site.envs.create("docking").install("pytest-xdist", "3.5.0");
+    });
+    assert_eq!(pattern, "HHMMMM HHH");
+}
+
+#[test]
+fn an_env_var_invalidates_only_from_the_step_that_reads_it() {
+    let unread = second_push_after(|s| {
+        let repo = s.repo.clone();
+        s.fed.engine.set_env_var(&repo, "NOBODY_READS_THIS", "1");
+    });
+    assert_eq!(unread, "HHHHHH HHH", "plans rebuilt to the same keys");
+    let read = second_push_after(|s| {
+        let repo = s.repo.clone();
+        s.fed.engine.set_env_var(&repo, "PYTEST_FLAGS", "-x");
+    });
+    assert_eq!(read, "HHHHHH HMM");
+}
+
+/// `SecretStore::put` drops every resolved map, whoever's secret it stored:
+/// all plans rebuild, to the same keys.
+#[test]
+fn another_tenants_secret_rebuilds_every_plan_and_still_hits() {
+    let pattern = second_push_after(|s| {
+        s.fed.engine.secrets.put(
+            SecretScope::Repository("someone/else".into()),
+            Secret::new("GLOBUS_SECRET", "not-yours"),
+        );
+    });
+    assert_eq!(pattern, "HHHHHH HHH");
+}
+
+#[test]
+fn rotating_a_jobs_environment_secret_misses_from_that_job_on() {
+    let pattern = second_push_after(|s| {
+        s.fed.engine.secrets.put(
+            SecretScope::Environment {
+                repo: s.repo.clone(),
+                environment: s.environments[1].clone(),
+            },
+            Secret::new("DEPLOY_NOTE", "rotated"),
+        );
+    });
+    assert_eq!(pattern, "HHMMMM HHH");
+}
+
+/// ROADMAP 1(b), the CAS clause: references balance at teardown. A Record
+/// and a Replay federation share one cache; once each has purged its
+/// artifacts past the 90-day window and federations and cache are dropped —
+/// with them every entry and every pin — a retained store handle reads
+/// empty. (`hpcci-scen verify` checks the same per scenario.)
+#[test]
+fn cas_references_return_to_zero_at_teardown() {
+    let cache = StepCache::new();
+    let cas = cache.cas().clone();
+    let mut worlds = Vec::new();
+    for mode in [CacheMode::Record, CacheMode::Replay] {
+        let fed = Federation::builder(17)
+            .step_cache_shared(cache.clone(), mode)
+            .build();
+        worlds.push(run_psij(fed).0);
+    }
+    let live = cas.stats();
+    assert_eq!((live.objects, live.chunks), (1, 1), "one artifact, stored once");
+    assert_eq!(live.logical_bytes, 2 * live.stored_bytes, "uploaded once, attached once");
+
+    for s in &mut worlds {
+        let expired = s.fed.now() + hpcci::sim::SimDuration::from_secs(91 * 24 * 3600);
+        assert_eq!(s.fed.engine.artifacts.purge_expired(expired), 1);
+    }
+    let purged = cas.stats();
+    assert_eq!(purged.logical_bytes, 0, "both uploads released");
+    assert_eq!(purged.objects, 1, "the cache entry's pin keeps the object");
+
+    drop((worlds, cache));
+    let gone = cas.stats();
+    assert_eq!(
+        (gone.objects, gone.chunks, gone.logical_bytes, gone.stored_bytes),
+        (0, 0, 0, 0)
+    );
 }
