@@ -6,7 +6,7 @@
 //! shared virtual world through [`WorldDriver`] instead of sleeping, which
 //! keeps every run deterministic.
 
-use crate::run::Infra;
+use crate::run::{Infra, Outputs};
 use bytes::Bytes;
 use hpcci_sim::{SimDuration, SimTime, Sym};
 use std::collections::BTreeMap;
@@ -59,9 +59,9 @@ impl WorldDriver for NullDriver {
 
 /// Everything a step sees when it executes.
 ///
-/// Identifier fields are interned [`Sym`]s and the env block is `Arc`-shared
-/// with the engine: building a context per step costs handle clones, not a
-/// copy of every string the run carries.
+/// Identifier fields are interned [`Sym`]s, and the inputs and the env block
+/// are `Arc`-shared with the engine: building a context per step costs handle
+/// clones, not a copy of every string the run carries.
 pub struct StepContext<'a> {
     /// Repository the run belongs to, `"owner/name"`.
     pub repo: Sym,
@@ -69,8 +69,9 @@ pub struct StepContext<'a> {
     pub branch: Sym,
     /// Commit hash string of the run's snapshot.
     pub commit: Sym,
-    /// Resolved `with:` inputs (secrets/env already interpolated).
-    pub inputs: BTreeMap<String, String>,
+    /// Resolved `with:` inputs (secrets/env already interpolated), shared
+    /// with the engine's plan for the job.
+    pub inputs: Arc<BTreeMap<String, String>>,
     /// Repository-level env vars visible to the run.
     pub env: Arc<BTreeMap<String, String>>,
     /// The virtual-world driver for blocking operations.
@@ -98,7 +99,7 @@ pub struct StepResult {
     pub stdout: String,
     pub stderr: String,
     /// Named outputs consumable by later steps.
-    pub outputs: BTreeMap<String, String>,
+    pub outputs: Outputs,
     /// Artifacts to persist (name, bytes).
     pub artifacts: Vec<(String, Bytes)>,
     /// Whether infrastructure bore on this result (see [`Infra`]).
@@ -122,8 +123,8 @@ impl StepResult {
         }
     }
 
-    pub fn with_output(mut self, key: &str, value: impl Into<String>) -> StepResult {
-        self.outputs.insert(key.to_string(), value.into());
+    pub fn with_output(mut self, key: &'static str, value: impl Into<String>) -> StepResult {
+        self.outputs.insert(key, value.into());
         self
     }
 
@@ -159,7 +160,7 @@ mod tests {
             repo: "o/r".into(),
             branch: "main".into(),
             commit: "abc".into(),
-            inputs: inputs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
+            inputs: Arc::new(inputs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()),
             env: Default::default(),
             driver,
         }

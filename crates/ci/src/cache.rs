@@ -172,7 +172,7 @@ pub fn result_digest(outcome: &StepOutcome) -> Digest {
         .u64_field("success", outcome.success as u64)
         .str_field("stdout", &outcome.stdout)
         .str_field("stderr", &outcome.stderr);
-    for (k, v) in &outcome.outputs {
+    for (k, v) in outcome.outputs.iter() {
         b = b.str_field("output", k).str_field("is", v);
     }
     b.finish()
@@ -294,7 +294,7 @@ impl StepCache {
             success: entry.success,
             stdout: entry.stdout,
             stderr: entry.stderr,
-            outputs: entry.outputs,
+            outputs: entry.outputs.into(),
             infra: Infra::Untouched,
         });
         let result = result_digest(&outcome);
@@ -445,7 +445,7 @@ mod tests {
             success: true,
             stdout: "out".into(),
             stderr: "err".into(),
-            outputs: [("k".to_string(), "v".to_string())].into(),
+            outputs: BTreeMap::from([("k".to_string(), "v".to_string())]).into(),
             infra: Infra::Untouched,
         };
         let variants = [
@@ -462,15 +462,15 @@ mod tests {
                 ..base.clone()
             },
             StepOutcome {
-                outputs: [("k".to_string(), "v!".to_string())].into(),
+                outputs: BTreeMap::from([("k".to_string(), "v!".to_string())]).into(),
                 ..base.clone()
             },
             StepOutcome {
-                outputs: [("k!".to_string(), "v".to_string())].into(),
+                outputs: BTreeMap::from([("k!".to_string(), "v".to_string())]).into(),
                 ..base.clone()
             },
             StepOutcome {
-                outputs: BTreeMap::new(),
+                outputs: Default::default(),
                 ..base.clone()
             },
         ];

@@ -8,7 +8,9 @@ use crate::error::CiError;
 use crate::run::{Infra, RunId, RunStatus, StepOutcome, StepRun, WorkflowRun};
 use crate::runner::{Runner, RunnerKind, RunnerPool};
 use crate::secrets::SecretStore;
-use crate::workflow::{JobDef, ResolvedAction, StepDef, TriggerEvent, WorkflowDef};
+use crate::workflow::{
+    interpolate_cow, JobDef, ResolvedAction, StepAction, StepDef, TriggerEvent, WorkflowDef,
+};
 use hpcci_cas::Digest;
 use hpcci_obs::Obs;
 use hpcci_sim::{Interner, SimDuration, SimTime, Sym};
@@ -28,8 +30,8 @@ struct Schedule {
 /// engine keeps for it between runs. Both die with the workflow.
 struct Installed {
     shape: Arc<Shape>,
-    /// One slot per `def.jobs` entry once a keyed run has been through;
-    /// empty while the cache is off.
+    /// One slot per `def.jobs` entry, filled by the first run of the job —
+    /// a workflow nobody pushes to keeps none.
     plans: Vec<Option<JobPlan>>,
 }
 
@@ -41,9 +43,12 @@ struct Shape {
     order: Result<Vec<usize>, (String, String)>,
 }
 
-/// The run-invariant half of every step key of one job, kept between runs
-/// beside each step's interned id: a hit finishes `steps[i]` with the run's
-/// tree and chain, and neither interpolates nor probes the interner.
+/// What no push changes about one job's steps, kept between runs in every
+/// cache mode. Built when: each step's interned id always; the
+/// run-invariant half of its step key only with a cache attached (`Off`
+/// hashes nothing); its interpolated `with:` inputs by its first execution
+/// under the plan. A replay hit finishes `steps[i].stem` with the run's tree
+/// and chain and reads no input, so a run of hits interpolates nothing.
 ///
 /// A plan is used only while every input it absorbed is *the same object*:
 /// the job's resolved-secrets map ([`SecretStore::put`] drops them all) and
@@ -51,37 +56,49 @@ struct Shape {
 /// address — the plan holds both `Arc`s, so neither address can be reused
 /// while it lives — the runner the job selects, by value, and the stack
 /// fingerprints, by the epoch a changed digest bumps. Anything else rebuilds
-/// it from [`StepAction::resolve`](crate::workflow::StepAction::resolve).
+/// it. It is the one caller of [`StepAction::resolve`].
 struct JobPlan {
     secrets: Arc<BTreeMap<String, String>>,
     env: Arc<BTreeMap<String, String>>,
     runner: RunnerKind,
-    stack_epoch: u64,
-    steps: Vec<(StepKeyStem, Sym)>,
+    /// The fingerprint epoch the stems absorbed; `None` for a plan built
+    /// with the cache off, which holds no stem.
+    stack_epoch: Option<u64>,
+    steps: Vec<PlannedStep>,
+}
+
+struct PlannedStep {
+    id: Sym,
+    stem: Option<StepKeyStem>,
+    /// See [`JobPlan::inputs`].
+    inputs: Option<Arc<BTreeMap<String, String>>>,
 }
 
 impl JobPlan {
-    /// Absorb everything about `job`'s step keys that no push changes. The
-    /// one place besides execution that interpolates an action.
+    /// Intern `job`'s step ids and, given the `stacks` of a live cache,
+    /// absorb everything about its step keys that no push changes.
     fn build(
         job: &JobDef,
         secrets: &Arc<BTreeMap<String, String>>,
         env: &Arc<BTreeMap<String, String>>,
         runner: &Runner,
-        stacks: &StackFingerprints,
+        stacks: Option<&StackFingerprints>,
         interner: &mut Interner,
     ) -> JobPlan {
-        let block = job_block(&job.id, secrets, runner);
-        let step = |step: &StepDef| {
-            let action = step.action.resolve(secrets, env);
-            let stem = StepKeyStem::new(&block, &step.id, &action, stacks.digest_for(&action));
-            (stem, interner.intern(&step.id))
+        let keyed = stacks.map(|stacks| (stacks, job_block(&job.id, secrets, runner)));
+        let step = |step: &StepDef| PlannedStep {
+            id: interner.intern(&step.id),
+            stem: keyed.as_ref().map(|(stacks, block)| {
+                let action = step.action.resolve(secrets, env);
+                StepKeyStem::new(block, &step.id, &action, stacks.digest_for(&action))
+            }),
+            inputs: None,
         };
         JobPlan {
             secrets: secrets.clone(),
             env: env.clone(),
             runner: runner.kind.clone(),
-            stack_epoch: stacks.epoch,
+            stack_epoch: stacks.map(|stacks| stacks.epoch),
             steps: job.steps.iter().map(step).collect(),
         }
     }
@@ -91,12 +108,35 @@ impl JobPlan {
         secrets: &Arc<BTreeMap<String, String>>,
         env: &Arc<BTreeMap<String, String>>,
         runner: &Runner,
-        stacks: &StackFingerprints,
+        stacks: Option<&StackFingerprints>,
     ) -> bool {
         Arc::ptr_eq(&self.secrets, secrets)
             && Arc::ptr_eq(&self.env, env)
             && self.runner == runner.kind
-            && self.stack_epoch == stacks.epoch
+            && self.stack_epoch == stacks.map(|stacks| stacks.epoch)
+    }
+
+    /// The `with:` inputs of `uses:` step `ix` as they interpolate under
+    /// this plan's secrets and env: resolved by the step's first execution,
+    /// lent by handle to every later one, and shared between the steps of
+    /// the job whose maps are equal.
+    fn inputs(&mut self, ix: usize, action: &StepAction) -> Arc<BTreeMap<String, String>> {
+        if let Some(inputs) = &self.steps[ix].inputs {
+            return inputs.clone();
+        }
+        let resolved: BTreeMap<String, String> = match action.resolve(&self.secrets, &self.env) {
+            ResolvedAction::Uses { with, .. } => with
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v.into_owned()))
+                .collect(),
+            _ => BTreeMap::new(),
+        };
+        let mut siblings = self.steps.iter().filter_map(|step| step.inputs.as_ref());
+        let inputs = match siblings.find(|inputs| ***inputs == resolved) {
+            Some(equal) => equal.clone(),
+            None => Arc::new(resolved),
+        };
+        self.steps[ix].inputs.insert(inputs).clone()
     }
 }
 
@@ -626,18 +666,15 @@ impl CiEngine {
             CacheMode::Off => None,
             _ => self.step_cache.clone(),
         };
-        // `Arc` clone — instantiating the run never deep-copies the def. A
-        // keyed run borrows the workflow's job plans for its duration and
-        // hands them back at the end: steps execute under `&mut self`.
+        // `Arc` clone — instantiating the run never deep-copies the def. The
+        // run borrows the workflow's job plans for its duration and hands
+        // them back at the end: steps execute under `&mut self`.
         let installed = self
             .installed_mut(&repo, &workflow)
             .expect("validated at instantiation");
         let shape = installed.shape.clone();
-        let mut plans = Vec::new();
-        if cache.is_some() {
-            plans = std::mem::take(&mut installed.plans);
-            plans.resize_with(shape.def.jobs.len(), || None);
-        }
+        let mut plans = std::mem::take(&mut installed.plans);
+        plans.resize_with(shape.def.jobs.len(), || None);
         let span = self.obs.span_start_with(
             "ci.run",
             || format!("{repo}/{workflow} {id}"),
@@ -696,27 +733,24 @@ impl CiEngine {
             driver.sleep(runner.startup);
             let secrets = self.secrets.resolve(org, &repo, job.environment.as_deref());
             // Everything keying-related is gated on a live cache: with
-            // `CacheMode::Off` no plan, key, digest, or chain work runs.
-            let keying = cache.as_ref().map(|cache| {
-                let slot = &mut plans[job_ix];
-                let (stacks, env) = (&self.stacks, &repo_env_vars);
-                let kept = slot
-                    .take()
-                    .filter(|plan| plan.absorbed(&secrets, env, runner, stacks));
-                let plan = kept.unwrap_or_else(|| {
-                    JobPlan::build(job, &secrets, env, runner, stacks, &mut self.interner)
-                });
-                (cache, &*slot.insert(plan))
-            });
+            // `CacheMode::Off` no stem, key, digest, or chain work runs.
+            let stacks = cache.as_ref().map(|_| &self.stacks);
+            let slot = &mut plans[job_ix];
+            let kept = slot
+                .take()
+                .filter(|plan| plan.absorbed(&secrets, &repo_env_vars, runner, stacks));
+            let plan = slot.insert(kept.unwrap_or_else(|| {
+                let env = &repo_env_vars;
+                JobPlan::build(job, &secrets, env, runner, stacks, &mut self.interner)
+            }));
             let mut job_failed = false;
             for (step_ix, step) in job.steps.iter().enumerate() {
-                let (step_sym, keyed) = match keying {
-                    Some((cache, plan)) => {
-                        let (stem, sym) = &plan.steps[step_ix];
-                        (sym.clone(), Some((cache, stem.finish(&commit, chain))))
-                    }
-                    None => (self.interner.intern(&step.id), None),
-                };
+                let planned = &plan.steps[step_ix];
+                let step_sym = planned.id.clone();
+                let keyed = cache
+                    .as_ref()
+                    .zip(planned.stem.as_ref())
+                    .map(|(cache, stem)| (cache, stem.finish(&commit, chain)));
 
                 // Replay: a hit skips execution entirely — the recorded
                 // outcome is shared (not copied), its artifacts re-attached
@@ -758,11 +792,12 @@ impl CiEngine {
                 } else {
                     let started = driver.now();
                     let result = self.execute_step(
-                        step.action.resolve(&secrets, &repo_env_vars),
+                        &step.action,
+                        plan,
+                        step_ix,
                         &repo,
                         &branch,
                         &commit,
-                        &repo_env_vars,
                         &steps_acc,
                         driver,
                     );
@@ -854,10 +889,8 @@ impl CiEngine {
             }
         }
 
-        if cache.is_some() {
-            if let Some(installed) = self.installed_mut(&repo, &workflow) {
-                installed.plans = plans;
-            }
+        if let Some(installed) = self.installed_mut(&repo, &workflow) {
+            installed.plans = plans;
         }
         self.obs.span_end(span, driver.now());
         let run = self.run_mut(id).expect("still exists");
@@ -866,23 +899,27 @@ impl CiEngine {
         run.status = if run_failed { RunStatus::Failure } else { RunStatus::Success };
     }
 
+    /// Execute step `step_ix` of `plan`'s job: the plan's secrets and env
+    /// are the ones the step interpolates under.
     #[allow(clippy::too_many_arguments)]
     fn execute_step(
         &mut self,
-        action: ResolvedAction<'_>,
+        action: &StepAction,
+        plan: &mut JobPlan,
+        step_ix: usize,
         repo: &Sym,
         branch: &Sym,
         commit: &Sym,
-        env_vars: &Arc<BTreeMap<String, String>>,
         prior_steps: &[StepRun],
         driver: &mut dyn WorldDriver,
     ) -> crate::action::StepResult {
         use crate::action::StepResult;
         match action {
-            ResolvedAction::Run { command: cmd } => {
+            StepAction::Run { command } => {
                 // The runner-side shell: commands cost a base latency and
                 // fail only when explicitly told to (tests exercise the
                 // control flow, not a shell implementation).
+                let cmd = interpolate_cow(command, &plan.secrets, &plan.env);
                 driver.sleep(SimDuration::from_millis(800));
                 if cmd.contains("exit 1") {
                     StepResult::fail(format!("$ {cmd}\ncommand failed with exit code 1"))
@@ -890,25 +927,22 @@ impl CiEngine {
                     StepResult::ok(format!("$ {cmd}\nok"))
                 }
             }
-            ResolvedAction::Uses { action, with } => {
-                let Some(implementation) = self.actions.get(action).cloned() else {
-                    return StepResult::fail(format!("unknown action: {action}"));
+            StepAction::Uses { action: name, .. } => {
+                let Some(implementation) = self.actions.get(name).cloned() else {
+                    return StepResult::fail(format!("unknown action: {name}"));
                 };
                 let mut ctx = StepContext {
                     repo: repo.clone(),
                     branch: branch.clone(),
                     commit: commit.clone(),
-                    inputs: with
-                        .into_iter()
-                        .map(|(k, v)| (k.to_string(), v.into_owned()))
-                        .collect(),
-                    env: env_vars.clone(),
+                    inputs: plan.inputs(step_ix, action),
+                    env: plan.env.clone(),
                     driver,
                 };
                 implementation.run(&mut ctx)
             }
-            ResolvedAction::UploadArtifact { name, from_step } => {
-                let Some(source) = prior_steps.iter().find(|s| s.step == from_step) else {
+            StepAction::UploadArtifact { name, from_step } => {
+                let Some(source) = prior_steps.iter().find(|s| s.step == from_step.as_str()) else {
                     return StepResult::fail(format!("upload-artifact: no prior step `{from_step}`"));
                 };
                 let mut content = source.stdout.clone();

@@ -47,7 +47,9 @@ pub use cache::{CacheMode, CacheStats, CachedStep, JobKeyPrefix, StepCache, Step
 pub use engine::CiEngine;
 pub use environment::Environment;
 pub use error::CiError;
-pub use run::{FailureKind, Infra, RunId, RunStatus, StepOutcome, StepRun, WorkflowRun};
+pub use run::{
+    FailureKind, Infra, Outputs, RunId, RunStatus, StepOutcome, StepRun, WorkflowRun,
+};
 pub use runner::{Runner, RunnerKind, RunnerPool};
 pub use secrets::{Secret, SecretScope, SecretStore};
 pub use workflow::{JobDef, ResolvedAction, StepAction, StepDef, TriggerEvent, WorkflowDef};

@@ -1,10 +1,11 @@
 //! Workflow runs: instantiated workflows with per-step results and logs.
 
 use hpcci_sim::{SimTime, Sym};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::ops::Deref;
+use std::ops::{Deref, Index};
 use std::sync::Arc;
 
 /// Run identifier, unique per CI service.
@@ -69,6 +70,77 @@ impl FailureKind {
     }
 }
 
+/// A step's named outputs: a flat list kept sorted by name, so it iterates
+/// in the order of the `BTreeMap<String, String>` it stands in for —
+/// [`result_digest`](crate::cache::result_digest), transcripts and
+/// provenance records read the same bytes. An action names its outputs with
+/// literals, which are borrowed, not copied; a handful of entries is one
+/// allocation where a map is a 544-byte leaf plus a `String` per name.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Outputs(Vec<(Cow<'static, str>, String)>);
+
+impl Outputs {
+    /// Room for `n` outputs in one allocation.
+    pub fn with_capacity(n: usize) -> Outputs {
+        Outputs(Vec::with_capacity(n))
+    }
+
+    fn position(&self, key: &str) -> Result<usize, usize> {
+        self.0.binary_search_by(|(k, _)| (**k).cmp(key))
+    }
+
+    /// Set `key`, returning the value it had.
+    pub fn insert(&mut self, key: impl Into<Cow<'static, str>>, value: String) -> Option<String> {
+        let key = key.into();
+        match self.position(&key) {
+            Ok(at) => Some(std::mem::replace(&mut self.0[at].1, value)),
+            Err(at) => {
+                self.0.insert(at, (key, value));
+                None
+            }
+        }
+    }
+
+    pub fn get(&self, key: &str) -> Option<&String> {
+        self.position(key).ok().map(|at| &self.0[at].1)
+    }
+
+    pub fn contains_key(&self, key: &str) -> bool {
+        self.position(key).is_ok()
+    }
+
+    /// `(name, value)` in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &String)> {
+        self.0.iter().map(|(k, v)| (&**k, v))
+    }
+
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut String> {
+        self.0.iter_mut().map(|(_, v)| v)
+    }
+}
+
+impl From<BTreeMap<String, String>> for Outputs {
+    fn from(map: BTreeMap<String, String>) -> Outputs {
+        Outputs(map.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+}
+
+impl PartialEq<BTreeMap<String, String>> for Outputs {
+    fn eq(&self, map: &BTreeMap<String, String>) -> bool {
+        self.iter().eq(map.iter().map(|(k, v)| (k.as_str(), v)))
+    }
+}
+
+impl Index<&str> for Outputs {
+    type Output = String;
+
+    /// # Panics
+    /// If there is no output `key`, as a map's index does.
+    fn index(&self, key: &str) -> &String {
+        self.get(key).expect("no such output")
+    }
+}
+
 /// What a step produced — the part of a [`StepRun`] a cache replay
 /// reproduces verbatim. Immutable once built and held behind an `Arc`: the
 /// run arena and the step cache share one copy of every log.
@@ -80,7 +152,7 @@ pub struct StepOutcome {
     /// Secret-masked stderr.
     pub stderr: String,
     /// Secret-masked named outputs.
-    pub outputs: BTreeMap<String, String>,
+    pub outputs: Outputs,
     pub infra: Infra,
 }
 

@@ -54,9 +54,18 @@ impl UserAccount {
         format!("/scratch/{}", self.username)
     }
 
-    /// `<scratch>/<sub>`, sized exactly and built in one allocation.
-    pub fn scratch_sub(&self, sub: &str) -> String {
-        ["/scratch/", &self.username, "/", sub].concat()
+    /// `<scratch>/<parts joined by '/'>`, sized exactly and built in one
+    /// allocation.
+    pub fn scratch_sub(&self, parts: &[&str]) -> String {
+        let len = "/scratch/".len() + self.username.len();
+        let mut path = String::with_capacity(len + parts.iter().map(|p| 1 + p.len()).sum::<usize>());
+        path.push_str("/scratch/");
+        path.push_str(&self.username);
+        for part in parts {
+            path.push('/');
+            path.push_str(part);
+        }
+        path
     }
 }
 
@@ -69,7 +78,8 @@ mod tests {
         let a = UserAccount::new(1001, "x-vhayot", "CIS230030");
         assert_eq!(a.home, "/home/x-vhayot");
         assert_eq!(a.scratch(), "/scratch/x-vhayot");
-        assert_eq!(a.scratch_sub("tmp"), format!("{}/tmp", a.scratch()));
+        assert_eq!(a.scratch_sub(&["tmp"]), format!("{}/tmp", a.scratch()));
+        assert_eq!(a.scratch_sub(&["tmp", "repo"]), format!("{}/tmp/repo", a.scratch()));
         assert!(a.in_group("CIS230030"));
         assert!(!a.in_group("other"));
     }

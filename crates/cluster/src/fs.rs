@@ -338,26 +338,31 @@ impl VirtualFs {
         Ok(())
     }
 
-    /// Create or overwrite the file `base/rel`, where the inode `start` is
-    /// the directory `base` and `rel` is not empty.
-    fn write_from(
+    /// The directory the file `base/rel` belongs in, where the inode `start`
+    /// is the directory `base` and `rel` is not empty.
+    fn dir_of(&self, start: u32, base: &str, rel: &str, cred: &Cred) -> Result<u32, ClusterError> {
+        let (dir_rel, _) = split_leaf(rel);
+        match self.lookup(start, dir_rel, Some(cred)) {
+            Err(SearchDenied) => Err(denied(cred, "write", join(base, rel))),
+            Ok(None) => Err(ClusterError::NotFound(join(base, dir_rel))),
+            Ok(Some(dir)) if self.node(dir).is_file() => Err(ClusterError::WrongKind(join(base, dir_rel))),
+            Ok(Some(dir)) => Ok(dir),
+        }
+    }
+
+    /// Create or overwrite the file `base/rel` in `dir`, the directory
+    /// [`dir_of`](Self::dir_of) found for it.
+    fn write_in(
         &mut self,
-        start: u32,
+        dir: u32,
         base: &str,
         rel: &str,
         cred: &Cred,
         content: Bytes,
         mode: FileMode,
     ) -> Result<(), ClusterError> {
-        let (dir_rel, leaf) = split_leaf(rel);
+        let (_, leaf) = split_leaf(rel);
         let search_denied = |SearchDenied| denied(cred, "write", join(base, rel));
-        let Some(dir) = self.lookup(start, dir_rel, Some(cred)).map_err(search_denied)? else {
-            return Err(ClusterError::NotFound(join(base, dir_rel)));
-        };
-        let parent = self.node(dir);
-        if parent.is_file() {
-            return Err(ClusterError::WrongKind(join(base, dir_rel)));
-        }
         if let Some(id) = self.lookup(dir, leaf, Some(cred)).map_err(search_denied)? {
             let existing = self.node(id);
             if !existing.is_file() {
@@ -368,7 +373,7 @@ impl VirtualFs {
             }
             self.nodes[id as usize].kind = NodeKind::File(content);
         } else {
-            if !parent.allows(cred, Access::Write) {
+            if !self.node(dir).allows(cred, Access::Write) {
                 return Err(denied(cred, "create", join(base, rel)));
             }
             let file = FsNode {
@@ -403,7 +408,8 @@ impl VirtualFs {
         if *path == *"/" {
             return Err(ClusterError::WrongKind(path.into_owned()));
         }
-        self.write_from(ROOT, "", &path[1..], cred, content.into(), mode)
+        let dir = self.dir_of(ROOT, "", &path[1..], cred)?;
+        self.write_in(dir, "", &path[1..], cred, content.into(), mode)
     }
 
     /// Write a tree of files below `dest`: for each `(relative path, content)`
@@ -412,7 +418,13 @@ impl VirtualFs {
     /// stopping at the first error. That loop is the definition. When `dest`
     /// is a directory `cred` can reach, it is resolved once and the same two
     /// operations walk each relative path from its inode instead of from `/`;
-    /// nothing they do can change what lies between `/` and `dest`.
+    /// and the directory one file went into is kept for the next (a tree's
+    /// files arrive sorted, so a directory's files are consecutive), which
+    /// then costs one probe of that directory and the same write checks.
+    /// Both rest on one argument: `write_tree` adds entries and replaces
+    /// file contents, so between two of its files no mode, owner or kind
+    /// changes on the way from `/` to `dest` or from `dest` to that
+    /// directory — every check that passed for the first would pass again.
     pub fn write_tree<'a>(
         &mut self,
         dest: &str,
@@ -427,13 +439,23 @@ impl VirtualFs {
             Ok(Some(id)) if !self.node(id).is_file() => Some(id),
             _ => None,
         };
+        // The directory part of the last fast-path file, and its inode.
+        let mut kept: Option<(&str, u32)> = None;
         for (rel, content) in files {
             match start {
                 Some(start) if is_normal_rel(rel) => {
-                    if let Some((dir_rel, _)) = rel.rsplit_once('/') {
-                        self.mkdir_from(start, base, dir_rel, cred, dir_mode)?;
-                    }
-                    self.write_from(start, base, rel, cred, content, file_mode)?;
+                    let (dir_rel, _) = split_leaf(rel);
+                    let dir = match kept {
+                        Some((kept_rel, dir)) if kept_rel == dir_rel => dir,
+                        _ => {
+                            if !dir_rel.is_empty() {
+                                self.mkdir_from(start, base, dir_rel, cred, dir_mode)?;
+                            }
+                            self.dir_of(start, base, rel, cred)?
+                        }
+                    };
+                    self.write_in(dir, base, rel, cred, content, file_mode)?;
+                    kept = Some((dir_rel, dir));
                 }
                 _ => {
                     let target = format!("{base}/{rel}");
@@ -537,6 +559,26 @@ impl VirtualFs {
     /// Total number of filesystem entries (including `/`).
     pub fn entry_count(&self) -> usize {
         self.nodes.len() - self.free.len()
+    }
+
+    /// Arena slots on the wrong side of the books: entries no path from `/`
+    /// reaches, plus vacant slots one does. 0 on a sound arena.
+    pub fn orphans(&self) -> usize {
+        let mut reachable = vec![false; self.nodes.len()];
+        let mut frontier = vec![ROOT];
+        while let Some(id) = frontier.pop() {
+            if std::mem::replace(&mut reachable[id as usize], true) {
+                continue;
+            }
+            if let NodeKind::Dir(children) = &self.node(id).kind {
+                frontier.extend(children.values());
+            }
+        }
+        let mut vacant = vec![false; self.nodes.len()];
+        for &id in &self.free {
+            vacant[id as usize] = true;
+        }
+        (0..self.nodes.len()).filter(|&id| reachable[id] == vacant[id]).count()
     }
 }
 
@@ -826,6 +868,7 @@ mod tests {
             fs.remove("/scratch/alice/gc-action-temp/repo", &a).unwrap();
             assert_eq!(fs.entry_count(), entries);
             clone(&mut fs);
+            assert_eq!(fs.orphans(), 0);
         }
         assert_eq!(fs.entry_count(), cloned_entries);
         assert_eq!(fs.nodes.len(), arena);

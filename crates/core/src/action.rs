@@ -17,7 +17,7 @@
 
 use crate::inputs::CorrectInputs;
 use hpcci_auth::{AccessToken, AuthError, ClientId, ClientSecret, Scope};
-use hpcci_ci::{Action, FailureKind, Infra, StepContext, StepResult, WorldDriver};
+use hpcci_ci::{Action, FailureKind, Infra, Outputs, StepContext, StepResult, WorldDriver};
 use hpcci_faas::{
     CloudService, EndpointId, FaasError, FunctionId, TaskFailure, TaskId, TaskOutput,
 };
@@ -235,7 +235,9 @@ impl Action for CorrectAction {
             Ok(i) => i,
             Err(e) => return StepResult::fail(e),
         };
-        let mut log = String::new();
+        // Preamble, clone report and a test summary fit without regrowing;
+        // the engine trims what is left over when it stores the log.
+        let mut log = String::with_capacity(512);
         let mut infra = Infra::Untouched;
 
         // 1. Runner bootstrap: the SDK is not on the hosted VM image.
@@ -344,6 +346,7 @@ impl Action for CorrectAction {
             success: output.success(),
             stdout: log,
             stderr: output.stderr.clone(),
+            outputs: Outputs::with_capacity(5),
             infra,
             ..StepResult::default()
         }
@@ -398,7 +401,7 @@ mod tests {
             repo: "o/r".into(),
             branch: "main".into(),
             commit: "c".into(),
-            inputs: BTreeMap::new(),
+            inputs: Default::default(),
             env: Default::default(),
             driver: &mut driver,
         };
@@ -424,7 +427,7 @@ mod tests {
             repo: "o/r".into(),
             branch: "main".into(),
             commit: "c".into(),
-            inputs,
+            inputs: Arc::new(inputs),
             env: Default::default(),
             driver: &mut driver,
         };

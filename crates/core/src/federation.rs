@@ -26,7 +26,7 @@ use hpcci_vcs::{HostingService, RepoEvent};
 use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// Typed identifier of a registered site, minted by [`Federation::add_site`].
@@ -470,10 +470,7 @@ impl Federation {
                 .trim_end_matches(".git");
             let dest = match dest_arg {
                 Some(dest) => dest.to_string(),
-                None => {
-                    let repo_dir = full_name.split('/').next_back().unwrap_or("repo");
-                    format!("{}/{}", env.clone_root(), repo_dir)
-                }
+                None => env.clone_dir(full_name.split('/').next_back().unwrap_or("repo")),
             };
             // Under the hosting lock take only what outlives it: the tree is
             // shared, not copied, and the branch name is copied only when the
@@ -485,12 +482,11 @@ impl Federation {
                     Err(e) => return ExecOutcome::fail(format!("fatal: {e}"), 0.1),
                 };
                 let branch_name = branch.map_or_else(|| Cow::Owned(repo.default_branch.clone()), Cow::Borrowed);
-                let tree = match repo.checkout_branch(&branch_name) {
-                    Ok(t) => t.clone(),
+                let head = repo.head(&branch_name);
+                match head.and_then(|head| Ok((repo.checkout(head)?.clone(), head))) {
+                    Ok((tree, head)) => (tree, head, branch_name),
                     Err(e) => return ExecOutcome::fail(format!("fatal: {e}"), 0.1),
-                };
-                let head = repo.head(&branch_name).expect("branch checked out");
-                (tree, head, branch_name)
+                }
             };
             let fs = &mut env.site.fs;
             if let Err(e) = fs.mkdir_p(&dest, env.cred, FileMode::PRIVATE_DIR) {
@@ -502,14 +498,14 @@ impl Federation {
             }
             // Clone cost: network + unpack, dominated by I/O.
             let io_secs = tree.total_bytes() as f64 / env.site.perf.io_bytes_per_sec;
-            ExecOutcome::ok(
-                format!(
-                    "Cloning into '{dest}'...\nHEAD is now at {} ({branch_name})",
-                    head.short()
-                ),
-                0.5 + io_secs,
-            )
-            .with_payload(dest)
+            const FIXED: usize = "Cloning into ''...\nHEAD is now at 0123456789ab ()".len();
+            let mut report = String::with_capacity(FIXED + dest.len() + branch_name.len());
+            let _ = write!(
+                report,
+                "Cloning into '{dest}'...\nHEAD is now at {} ({branch_name})",
+                head.abbrev()
+            );
+            ExecOutcome::ok(report, 0.5 + io_secs).with_payload(dest)
         });
 
         runtime.commands.register("gc-capture-env", |env| {

@@ -157,7 +157,7 @@ mod tests {
                 outcome: Arc::new(StepOutcome {
                     success: true,
                     stdout: "6 passed".into(),
-                    outputs,
+                    outputs: outputs.into(),
                     ..StepOutcome::default()
                 }),
                 started: SimTime::from_secs(1),

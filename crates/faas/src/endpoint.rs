@@ -358,20 +358,20 @@ impl Endpoint {
             return;
         };
         let mut reprovisioned = false;
-        let (nodes, role) = loop {
+        let (node, role) = loop {
             let state = match self.provider.block_state(block, self.now) {
                 Ok(s) => s,
                 Err(_) => return,
             };
             match state {
-                BlockState::Active { nodes, role, .. } => {
+                BlockState::Active { node, role, .. } => {
                     if let Some(requested) = self.provision_pending.take() {
                         self.obs.observe_duration(
                             "faas.pilot_provision_us",
                             self.now.since(requested),
                         );
                     }
-                    break (nodes, role);
+                    break (node, role);
                 }
                 BlockState::Requested { .. } => return,
                 BlockState::Terminated { .. } => {
@@ -420,9 +420,7 @@ impl Endpoint {
                         runtime.site.login_node().map(|n| n.cpu_speed).unwrap_or(1.0),
                     ),
                     NodeRole::Compute => (
-                        nodes
-                            .first()
-                            .and_then(|id| runtime.site.node(*id).ok().map(|n| n.hostname.clone()))
+                        node.and_then(|id| runtime.site.node(id).ok().map(|n| n.hostname.clone()))
                             .unwrap_or_else(|| format!("{}-compute", runtime.site.id)),
                         1.0,
                     ),

@@ -106,7 +106,12 @@ impl TaskEnv<'_> {
     /// user's scratch space (the paper's logs show
     /// `/anvil/scratch/x-vhayot/gc-action-temp/...`).
     pub fn clone_root(&self) -> String {
-        self.account.scratch_sub("gc-action-temp")
+        self.account.scratch_sub(&["gc-action-temp"])
+    }
+
+    /// `<clone_root>/<repo_dir>`: where a clone of `repo_dir` lands.
+    pub fn clone_dir(&self, repo_dir: &str) -> String {
+        self.account.scratch_sub(&["gc-action-temp", repo_dir])
     }
 }
 
@@ -326,6 +331,7 @@ mod tests {
             container: None,
         };
         assert_eq!(env.clone_root(), "/scratch/x-vhayot/gc-action-temp");
+        assert_eq!(env.clone_dir("demo"), "/scratch/x-vhayot/gc-action-temp/demo");
         let _ = &mut env;
     }
 }

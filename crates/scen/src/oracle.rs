@@ -23,7 +23,8 @@
 //!   fault-free scenarios with no declared failing tests stay green;
 //! * **conservation** — at quiescence every task the cloud accepted is
 //!   `Done` or `Rejected`, through exactly one terminal record, with nothing
-//!   left scheduled and no blocked transition ([`check_conservation`]).
+//!   left scheduled and no blocked transition ([`check_conservation`]), and
+//!   every site's inode arena has its books straight (`check_site_fs`).
 
 use crate::run::{collect, drive_spec, run_spec, run_spec_with, CacheSetup, ScenarioOutcome};
 use crate::spec::{EndpointKindDecl, ScenarioSpec, SpecError};
@@ -85,6 +86,7 @@ pub fn verify_spec(spec: &ScenarioSpec) -> Result<OracleReport, SpecError> {
     // `base` is collected: draining the tail to quiescence moves no digest.
     while scenario.fed.world().step() {}
     check_conservation(&scenario.fed.cloud.lock(), &mut violations);
+    check_site_fs(&scenario.fed, &mut violations);
     Ok(OracleReport {
         name: spec.name.clone(),
         digest: base.digest,
@@ -442,6 +444,20 @@ pub fn check_conservation(cloud: &CloudService, out: &mut Vec<Violation>) {
         .collect();
     if terminal_ids.len() != done + rejected {
         fail(format!("only {} distinct task(s) in the terminal records", terminal_ids.len()));
+    }
+}
+
+/// Oracle 5, the filesystem clause: after all the clones a scenario wrote,
+/// no site's arena holds an entry `/` does not reach or a vacant slot it does.
+fn check_site_fs(fed: &Federation, out: &mut Vec<Violation>) {
+    for site in fed.sites() {
+        let orphans = site.shared.lock().site.fs.orphans();
+        if orphans != 0 {
+            out.push(Violation {
+                oracle: "conservation",
+                detail: format!("site {}: {orphans} inode slot(s) on the wrong side of the free list", site.name),
+            });
+        }
     }
 }
 

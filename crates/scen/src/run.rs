@@ -200,7 +200,7 @@ pub(crate) fn collect(
                 step.ended.as_micros()
             );
             let _ = writeln!(functional, "{line}");
-            for (k, v) in &step.outputs {
+            for (k, v) in step.outputs.iter() {
                 let _ = writeln!(transcript, "    output {k}={v}");
                 // `runtime_secs` is a timing (execution jitter), so it lives
                 // with the timestamps, not in the timing-free surface.

@@ -28,13 +28,14 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(pub u64);
 
-/// Lifecycle of a worker block.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Lifecycle of a worker block. Plain data: polling one copies no list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockState {
     /// Requested but not yet active (queued pilot / starting process).
     Requested { since: SimTime },
-    /// Workers are live on these nodes.
-    Active { since: SimTime, nodes: Vec<NodeId>, role: NodeRole },
+    /// Workers are live; `node` is the block's first node where the provider
+    /// knows its placement (a pilot's allocation is the scheduler's secret).
+    Active { since: SimTime, node: Option<NodeId>, role: NodeRole },
     /// Block has ended (released, pilot finished, or walltime expired).
     Terminated { at: SimTime },
 }
@@ -115,7 +116,7 @@ impl LocalProvider {
                 b,
                 BlockState::Active {
                     since,
-                    nodes: vec![self.login_node],
+                    node: Some(self.login_node),
                     role: NodeRole::Login,
                 },
             );
@@ -136,7 +137,7 @@ impl ExecutionProvider for LocalProvider {
         self.settle(now);
         self.blocks
             .get(&id)
-            .cloned()
+            .copied()
             .ok_or(SchedulerError::UnknownBlock(id.0))
     }
 
@@ -241,13 +242,11 @@ impl ExecutionProvider for SlurmProvider {
         Ok(match state {
             JobState::Pending { submitted } => BlockState::Requested { since: submitted },
             JobState::Running { started, .. } => {
-                // Recover the allocated nodes from the start event history is
-                // overkill; the scheduler doesn't expose allocations, so we
-                // report the role (Compute) and synthesize node ids from the
-                // job id for placement-sensitive callers.
+                // The scheduler doesn't expose allocations: report the role
+                // (Compute) and leave the node to placement-sensitive callers.
                 BlockState::Active {
                     since: started,
-                    nodes: Vec::new(),
+                    node: None,
                     role: NodeRole::Compute,
                 }
             }
@@ -296,8 +295,8 @@ mod tests {
         ));
         let st = p.block_state(b, SimTime::from_secs(2)).unwrap();
         assert!(st.is_active());
-        if let BlockState::Active { nodes, role, .. } = st {
-            assert_eq!(nodes, vec![NodeId(0)]);
+        if let BlockState::Active { node, role, .. } = st {
+            assert_eq!(node, Some(NodeId(0)));
             assert_eq!(role, NodeRole::Login);
         }
         p.release_block(b, SimTime::from_secs(3)).unwrap();

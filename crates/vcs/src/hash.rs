@@ -23,7 +23,22 @@ impl ObjectId {
 
     /// Git-style short form (12 hex chars).
     pub fn short(&self) -> String {
-        format!("{:012x}", self.0 >> 80)
+        self.abbrev().to_string()
+    }
+
+    /// [`short`](Self::short) as a `Display`, for writing into a buffer.
+    pub fn abbrev(&self) -> Abbrev {
+        Abbrev((self.0 >> 80) as u64)
+    }
+}
+
+/// See [`ObjectId::abbrev`].
+#[derive(Debug, Clone, Copy)]
+pub struct Abbrev(u64);
+
+impl fmt::Display for Abbrev {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:012x}", self.0)
     }
 }
 

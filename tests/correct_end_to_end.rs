@@ -300,3 +300,129 @@ fn correct_step_outcome_is_pinned_byte_for_byte() {
     );
     assert_eq!(no_clone.outputs, outputs(&[]));
 }
+
+/// One repo, one CORRECT step, two lab workstations — and no step cache:
+/// what a kept job plan must not outlive. The step takes its credentials
+/// from the job's secrets and its endpoint from the repo's `env:` block.
+struct TwoLabs {
+    fed: hpcci::correct::Federation,
+    user: hpcci::correct::OnboardedUser,
+    pushes: u32,
+}
+
+const LABS_REPO: &str = "globus-labs/demo";
+
+impl TwoLabs {
+    fn new() -> TwoLabs {
+        use hpcci::ci::workflow::{JobDef, StepDef, TriggerEvent, WorkflowDef};
+        use hpcci::correct::{EndpointSpec, Federation, CORRECT_ACTION_NAME};
+        use hpcci::faas::{ExecOutcome, MepTemplate};
+
+        let mut fed = Federation::builder(17).build();
+        assert_eq!(fed.engine.cache_mode(), hpcci::ci::CacheMode::Off);
+        let user = fed.onboard_user("vhayot@uchicago.edu", "uchicago.edu");
+        for lab in ["lab-a", "lab-b"] {
+            let site = fed.add_site(hpcci::cluster::Site::workstation(lab), 16);
+            {
+                let mut rt = fed.site(site).shared.lock();
+                rt.site.add_account("vhayot", "lab");
+                rt.commands
+                    .register("tox", |_| ExecOutcome::ok("congratulations :)", 12.0));
+            }
+            let mut mapping = hpcci::auth::IdentityMapping::new(lab);
+            mapping.add_explicit("vhayot@uchicago.edu", "vhayot");
+            let endpoint = format!("ep-{lab}");
+            fed.register(EndpointSpec::multi_user(&endpoint, site, mapping, MepTemplate::login_only()));
+        }
+        let now = fed.now();
+        fed.hosting.lock().create_repo("globus-labs", "demo", now);
+        fed.provision_environment(LABS_REPO, "lab", "vhayot", &user);
+        fed.engine.set_env_var(LABS_REPO, "ENDPOINT_UUID", "ep-lab-a");
+        fed.engine.add_workflow(
+            LABS_REPO,
+            WorkflowDef::new("ci")
+                .on_event(TriggerEvent::push_any())
+                .with_job(JobDef::new("test").with_environment("lab").with_step(StepDef::uses(
+                    "run",
+                    CORRECT_ACTION_NAME,
+                    &[
+                        ("client_id", "${{ secrets.GLOBUS_ID }}"),
+                        ("client_secret", "${{ secrets.GLOBUS_SECRET }}"),
+                        ("endpoint_uuid", "${{ env.ENDPOINT_UUID }}"),
+                        ("shell_cmd", "tox"),
+                    ],
+                ))),
+        );
+        TwoLabs { fed, user, pushes: 0 }
+    }
+
+    /// Push a new commit, approve and run it; the CORRECT step's outcome.
+    fn push(&mut self) -> hpcci::ci::StepOutcome {
+        self.pushes += 1;
+        let tree = hpcci::vcs::WorkTree::new().with_file("VERSION", format!("{}", self.pushes));
+        let now = self.fed.now();
+        self.fed
+            .hosting
+            .lock()
+            .push(LABS_REPO, "main", tree, "vhayot", "bump", now)
+            .unwrap();
+        let runs = self.fed.pump_events();
+        self.fed.approve_and_run(runs[0], "vhayot").unwrap();
+        let run = self.fed.engine.run(runs[0]).unwrap();
+        (**run.step("run").expect("correct step recorded")).clone()
+    }
+
+    fn set_globus_secret(&mut self, value: &str) {
+        use hpcci::ci::{Secret, SecretScope};
+        let scope = SecretScope::Environment {
+            repo: LABS_REPO.into(),
+            environment: "lab".into(),
+        };
+        self.fed.engine.secrets.put(scope, Secret::new("GLOBUS_SECRET", value));
+    }
+}
+
+/// Cache off, (a): a rotated job secret reaches the very next run's inputs —
+/// a plan kept past the rotation would go on logging in with the old one.
+#[test]
+fn cache_off_a_rotated_job_secret_reaches_the_next_run() {
+    let mut labs = TwoLabs::new();
+    assert!(labs.push().success);
+    labs.set_globus_secret("not-the-secret");
+    let denied = labs.push();
+    assert!(!denied.success);
+    assert!(
+        denied.stderr.starts_with("Error: Globus authentication failed"),
+        "{}",
+        denied.stderr
+    );
+    let secret = labs.user.client_secret.clone();
+    labs.set_globus_secret(&secret);
+    assert!(labs.push().success, "rotated back");
+}
+
+/// Cache off, (b): an `env:` variable a step interpolates moves the next run.
+#[test]
+fn cache_off_an_env_var_a_step_reads_reaches_the_next_run() {
+    let mut labs = TwoLabs::new();
+    assert_eq!(labs.push().outputs["node"], "lab-a-host");
+    labs.fed.engine.set_env_var(LABS_REPO, "ENDPOINT_UUID", "ep-lab-b");
+    assert_eq!(labs.push().outputs["node"], "lab-b-host");
+}
+
+/// Cache off, (c): storing another tenant's secret drops every resolved map,
+/// so every plan rebuilds — to the same inputs: the next run is, byte for
+/// byte, the run of a world where nothing was stored.
+#[test]
+fn cache_off_another_tenants_secret_moves_nothing() {
+    use hpcci::ci::{Secret, SecretScope};
+    let (mut quiet, mut stirred) = (TwoLabs::new(), TwoLabs::new());
+    assert_eq!(quiet.push(), stirred.push());
+    stirred.fed.engine.secrets.put(
+        SecretScope::Repository("someone/else".into()),
+        Secret::new("GLOBUS_SECRET", "not-yours"),
+    );
+    let (expected, got) = (quiet.push(), stirred.push());
+    assert!(got.success);
+    assert_eq!(got, expected);
+}

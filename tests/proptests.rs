@@ -613,11 +613,27 @@ fn gen_fs_path(rng: &mut DetRng, seen: &mut Vec<String>) -> String {
     path
 }
 
+/// Trees that walk `write_tree`'s kept directory through its branches: three
+/// files of one directory (two served by the kept one); directories — the
+/// destination among them — revisited after a sibling subtree; a file that
+/// is the next path's directory, and the reverse.
+const FS_TREE_SHAPES: [&[&str]; 4] = [
+    &["b/a", "b/b", "b/c"],
+    &["a", "b/a", "c/a", "b/b", "c"],
+    &["a", "a/b"],
+    &["a/b", "a"],
+];
+
+/// Up to four random files, or — three times in ten — one of the
+/// [`FS_TREE_SHAPES`].
 fn gen_fs_tree(rng: &mut DetRng) -> Vec<(String, Vec<u8>)> {
-    let n = rng.range_u64(0, 5);
-    (0..n)
-        .map(|i| (gen_fs_rel(rng, 1, FS_TREE_DEPTH), format!("tree-{i}").into_bytes()))
-        .collect()
+    let content = |i: usize| format!("tree-{i}").into_bytes();
+    if rng.chance(0.3) {
+        let shape = pick(rng, &FS_TREE_SHAPES);
+        return shape.iter().enumerate().map(|(i, rel)| (rel.to_string(), content(i))).collect();
+    }
+    let n = rng.range_u64(0, 5) as usize;
+    (0..n).map(|i| (gen_fs_rel(rng, 1, FS_TREE_DEPTH), content(i))).collect()
 }
 
 /// Owner, a member of the owner's group, and a user with no group at all
@@ -714,6 +730,12 @@ fn write_tree_is_the_mkdir_p_write_loop() {
     for case in 0..CASES {
         let mut rng = case_rng("fs_write_tree", case);
         let (mut fs, _) = provisioned_pair();
+        // A destination every user may search and none may write: what is
+        // there can be overwritten or descended into, nothing can be added.
+        let root = Cred::new(Uid(0), &["root"]);
+        fs.mkdir_p("/c/b", &root, FileMode(0o777)).unwrap();
+        fs.write("/c/a", &root, "root's", FileMode(0o666)).unwrap();
+        fs.chmod("/c", &root, FileMode::DIR).unwrap();
         let mut seen = Vec::new();
         // A random prior state, so trees land on files, directories,
         // other users' nodes and unsearchable directories.
@@ -729,7 +751,7 @@ fn write_tree_is_the_mkdir_p_write_loop() {
         }
         for round in 0..4 {
             let cred = pick(&mut rng, &[&creds[0], &creds[1], &creds[2]]);
-            let dest = gen_fs_path(&mut rng, &mut seen);
+            let dest = if rng.chance(0.25) { "/c".to_string() } else { gen_fs_path(&mut rng, &mut seen) };
             let files = gen_fs_tree(&mut rng);
             let dir_mode = FileMode(pick(&mut rng, &FS_MODES));
             let file_mode = FileMode(pick(&mut rng, &FS_MODES));
@@ -749,6 +771,8 @@ fn write_tree_is_the_mkdir_p_write_loop() {
             );
             let at = format!("case {case} round {round} uid {} dest {dest} files {files:?}", cred.uid.0);
             assert_eq!(by_tree, by_loop, "first error: {at}");
+            assert_eq!(fs.entry_count(), looped.entry_count(), "entries: {at}");
+            assert_eq!(fs.orphans(), 0, "arena: {at}");
             assert_eq!(fs_view!(fs, creds), fs_view!(looped, creds), "end state: {at}");
         }
     }
@@ -1580,17 +1604,23 @@ fn kept_job_plans_derive_the_keys_the_definition_derives() {
     use hpcci::ci::cache::chain_digest;
     use hpcci::ci::workflow::RunsOn;
     use hpcci::ci::{
-        Action, CacheMode, CiEngine, Environment, JobDef, JobKeyPrefix, Secret, SecretScope,
-        StepCache, StepContext, StepDef, StepKey, StepResult, TriggerEvent, WorkflowDef,
+        Action, CacheMode, CiEngine, Environment, JobDef, JobKeyPrefix, ResolvedAction, Secret,
+        SecretScope, StepCache, StepContext, StepDef, StepKey, StepResult, TriggerEvent,
+        WorkflowDef,
     };
     use std::collections::BTreeMap;
     use std::sync::Arc;
     const REPO: &str = "org/app";
     const SITES: [&str; 2] = ["anvil", "faster"];
+    /// The inputs in digits and punctuation only: no secret (lowercase
+    /// letters here) occurs in it, so masking leaves it as written.
+    fn spelled(inputs: &BTreeMap<String, String>) -> String {
+        format!("{:?}", format!("{inputs:?}").as_bytes())
+    }
     struct Echo;
     impl Action for Echo {
         fn run(&self, ctx: &mut StepContext<'_>) -> StepResult {
-            StepResult::ok(format!("ran with {:?}", ctx.inputs))
+            StepResult::ok(spelled(&ctx.inputs))
         }
     }
     let gen_workflow = |rng: &mut DetRng, name: &str| {
@@ -1714,6 +1744,18 @@ fn kept_job_plans_derive_the_keys_the_definition_derives() {
                                 let key = StepKey::derive(&prefix, &step.id, &action, stack, chain);
                                 let rec = recorded.next().expect("every step ran");
                                 assert_eq!((&*rec.job, &*rec.step), (&*job.id, &*step.id));
+                                // `Echo` spelled out the `ctx.inputs` the plan lent it.
+                                if let ResolvedAction::Uses { with, .. } = &action {
+                                    let inputs: BTreeMap<String, String> =
+                                        with.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
+                                    assert_eq!(
+                                        rec.stdout,
+                                        spelled(&inputs),
+                                        "case {case}: {}/{} of {id} ran with other inputs",
+                                        job.id,
+                                        step.id
+                                    );
+                                }
                                 let entry = cache.lookup(&key).unwrap_or_else(|| {
                                     panic!(
                                         "case {case}: {}/{} of {id} is not under its from-scratch key",
@@ -1741,6 +1783,40 @@ fn kept_job_plans_derive_the_keys_the_definition_derives() {
         pushes > 200 && hits > 1_000 && misses > 1_000,
         "{pushes} {hits} {misses}"
     );
+}
+
+/// Step outputs: the flat sorted list is the `BTreeMap<String, String>` it
+/// replaced — same answers to `insert`, `get` and `contains_key` under
+/// repeated keys, same iteration order, and so the same `result_digest` as an
+/// outcome built from the map.
+#[test]
+fn outputs_match_the_btreemap_model() {
+    use hpcci::ci::cache::result_digest;
+    use hpcci::ci::{Outputs, StepOutcome};
+    use std::collections::BTreeMap;
+    let outcome = |outputs: Outputs| StepOutcome {
+        success: true,
+        outputs,
+        ..StepOutcome::default()
+    };
+    for case in 0..CASES {
+        let mut rng = case_rng("outputs", case);
+        let (mut flat, mut model) = (Outputs::default(), BTreeMap::new());
+        for _ in 0..rng.range_u64(0, 24) {
+            // Few distinct names, the empty one included, so they repeat.
+            let key = gen_string(&mut rng, "abc", 0, 2);
+            let value = gen_string(&mut rng, LOWER, 0, 6);
+            assert_eq!(flat.insert(key.clone(), value.clone()), model.insert(key, value));
+            let probe = gen_string(&mut rng, "abc", 0, 2);
+            assert_eq!(flat.get(&probe), model.get(&probe), "case {case}");
+            assert_eq!(flat.contains_key(&probe), model.contains_key(&probe), "case {case}");
+            assert!(flat == model, "case {case}: {flat:?} {model:?}");
+            assert!(flat.iter().eq(model.iter().map(|(k, v)| (k.as_str(), v))), "case {case}");
+        }
+        let from_map = Outputs::from(model);
+        assert_eq!(flat, from_map);
+        assert_eq!(result_digest(&outcome(flat)), result_digest(&outcome(from_map)));
+    }
 }
 
 /// What hoisting the job-invariant key fields out of the step loop could
