@@ -93,15 +93,17 @@ impl EndpointRegistration {
     }
 }
 
+#[derive(Clone)]
 enum InFlight {
-    /// A scheduled future submission (see [`CloudService::submit_shell_at`]):
-    /// validated up front, accepted — task id, `task.submit` trace record,
-    /// delivery leg — when its arrival instant is reached, so ids stay dense
-    /// in arrival order no matter how far ahead callers schedule.
+    /// A scheduled future submission (see
+    /// [`CloudService::submit_shell_batch`]): validated up front, accepted —
+    /// task id, `task.submit` trace record, delivery leg — when its arrival
+    /// instant is reached, so ids stay dense in arrival order no matter how
+    /// far ahead callers schedule.
     ///
     /// Validation resolved the endpoint to its slot and interned the command,
-    /// so a wave of scheduled arrivals shares one `Arc<Identity>` and one
-    /// command allocation instead of cloning strings per arrival.
+    /// and a wave rides the wire as one run of this event: its arrivals share
+    /// one `Arc<Identity>` and one command allocation.
     Submit {
         identity: Arc<Identity>,
         slot: usize,
@@ -362,31 +364,14 @@ impl CloudService {
         Ok(self.accept(&identity, slot, command, now))
     }
 
-    /// Schedule a shell submission for a future arrival instant. Validation
-    /// (auth, endpoint, payload, ownership) happens now, at `now`; acceptance
-    /// — task id, `task.submit` record, delivery leg — happens when the event
-    /// loop reaches `submit_at`, so ids and the trace stay in arrival order.
-    /// The workhorse behind [`Self::submit_shell_batch`]; prefer the batch
-    /// form when injecting many arrivals for one identity.
-    pub fn submit_shell_at(
-        &mut self,
-        token: &hpcci_auth::AccessToken,
-        endpoint: &EndpointId,
-        shell_cmd: &str,
-        now: SimTime,
-        submit_at: SimTime,
-    ) -> Result<(), FaasError> {
-        let (identity, slot) = self.validate_shell(token, endpoint, shell_cmd, now)?;
-        let command = self.trace.intern(shell_cmd);
-        self.push_submit(identity, slot, command, now, submit_at);
-        Ok(())
-    }
-
-    /// Batched arrival injection: validate once, then schedule one submission
-    /// of `shell_cmd` per instant in `arrivals`. This is the workload
-    /// engine's path into the cloud — a wave of tens of thousands of arrivals
-    /// costs one auth check and one queue push per arrival, not a full
-    /// validation stack each. Returns the number of submissions scheduled.
+    /// Batched arrival injection: validate once, at `now` (auth, endpoint,
+    /// payload, ownership), then schedule one submission of `shell_cmd` per
+    /// instant in `arrivals` (instants before `now` arrive at `now`).
+    /// Acceptance — task id, `task.submit` record, delivery leg — happens
+    /// when the event loop reaches each instant, so ids and the trace stay in
+    /// arrival order. This is the workload engine's path into the cloud: a
+    /// wave of tens of thousands of arrivals costs one validation stack and
+    /// one wire entry. Returns the number of submissions scheduled.
     pub fn submit_shell_batch(
         &mut self,
         token: &hpcci_auth::AccessToken,
@@ -397,14 +382,20 @@ impl CloudService {
     ) -> Result<u64, FaasError> {
         let (identity, slot) = self.validate_shell(token, endpoint, shell_cmd, now)?;
         let command = self.trace.intern(shell_cmd);
-        for &at in arrivals {
-            self.push_submit(identity.clone(), slot, command.clone(), now, at);
-        }
+        self.pending_submits += arrivals.len() as u64;
+        self.wire.push_run(
+            arrivals.iter().map(|&at| at.max(now)),
+            InFlight::Submit {
+                identity,
+                slot,
+                command,
+            },
+        );
         Ok(arrivals.len() as u64)
     }
 
     /// The validation stack of [`Self::submit_shell`], factored out so the
-    /// scheduled-submission paths run exactly the same checks.
+    /// scheduled-submission path runs exactly the same checks.
     fn validate_shell(
         &mut self,
         token: &hpcci_auth::AccessToken,
@@ -424,25 +415,6 @@ impl CloudService {
         self.check_payload(shell_cmd.len())?;
         self.check_owner(ep, &identity, now)?;
         Ok((identity, slot))
-    }
-
-    fn push_submit(
-        &mut self,
-        identity: Arc<Identity>,
-        slot: usize,
-        command: Sym,
-        now: SimTime,
-        submit_at: SimTime,
-    ) {
-        self.pending_submits += 1;
-        self.wire.push(
-            submit_at.max(now),
-            InFlight::Submit {
-                identity,
-                slot,
-                command,
-            },
-        );
     }
 
     /// Scheduled submissions not yet accepted by the event loop.
@@ -537,10 +509,9 @@ impl CloudService {
         let latency = self.endpoints[slot].wan_latency();
         let endpoint_name = &self.slot_name_syms[slot];
         // `{id} -> {endpoint}: {command}`, hand-built: byte-identical to the
-        // `format!` it replaces, without per-field formatter dispatch. The
-        // buffer is recycled from a folded-out event when one is available.
+        // `format!` it replaces, without per-field formatter dispatch, in the
+        // trace's spare buffer.
         let mut detail = self.trace.detail_buf();
-        detail.reserve(27 + endpoint_name.len() + command.len());
         id.write_label(&mut detail);
         detail.push_str(" -> ");
         detail.push_str(endpoint_name);
@@ -595,8 +566,8 @@ impl CloudService {
 
     /// Move `slot`'s finished outputs onto the return wire: one
     /// `task.returning` record and one wire push per task, FIFO within the
-    /// endpoint, through the reused scratch vector and the detail pool — no
-    /// per-step allocation.
+    /// endpoint, through the reused scratch vector and the trace's spare
+    /// detail buffer — no per-step allocation.
     fn return_finished(&mut self, slot: usize, now: SimTime) {
         let mut finished = std::mem::take(&mut self.finished_scratch);
         self.endpoints[slot].drain_finished_into(&mut finished);
@@ -674,7 +645,6 @@ impl CloudService {
                 // `{task} ran_as={} node={} ok={}`, hand-built (see
                 // `TaskId::write_label`); byte-identical to the `format!`.
                 let mut detail = self.trace.detail_buf();
-                detail.reserve(42 + output.ran_as.len() + output.node.len());
                 task.write_label(&mut detail);
                 detail.push_str(" ran_as=");
                 detail.push_str(&output.ran_as);
@@ -894,6 +864,57 @@ mod tests {
             b.cloud.trace.rolling_digest(),
             "scheduled arrivals replay the interactive trace byte-for-byte"
         );
+
+        // Two endpoints' waves, unsorted, colliding on one µs within and
+        // across the batches, one of them on a site whose WAN legs take no
+        // time: a wave as one batch (one wire run) commits what one
+        // single-arrival batch per arrival (one wire push each) commits.
+        let us = |v: [u64; 4]| v.map(SimTime::from_micros);
+        let lab = us([9_000_001, 2_000_000, 9_000_001, 4_500_000]);
+        let zero = us([9_000_001, 1, 9_000_001, 3_000_000]);
+        let run = |as_runs: bool| {
+            let mut s = setup(None);
+            let zero_ep = add_zero_latency_endpoint(&mut s);
+            for (ep, wave) in [(&s.endpoint, &lab), (&zero_ep, &zero)] {
+                if as_runs {
+                    s.cloud.submit_shell_batch(&s.token, ep, "tox", SimTime::ZERO, wave).unwrap();
+                } else {
+                    for at in wave {
+                        s.cloud.submit_shell_batch(&s.token, ep, "tox", SimTime::ZERO, &[*at]).unwrap();
+                    }
+                }
+            }
+            assert_eq!(s.cloud.pending_submits(), 8);
+            s.cloud.drain_to_quiescence();
+            assert_eq!(s.cloud.pending_submits(), 0);
+            (s.cloud.trace.render(), s.cloud.task_count(), s.cloud.now())
+        };
+        let (trace, tasks, end) = run(true);
+        assert_eq!(tasks, 8);
+        assert!(
+            trace.contains("[t+0.000001s] faas.ep.ep-zero"),
+            "the zero-latency leg delivers on the arrival instant:\n{trace}"
+        );
+        assert_eq!((trace, tasks, end), run(false));
+    }
+
+    /// Register `ep-zero` beside `ep-lab`: same owner, on a workstation whose
+    /// WAN legs take no time.
+    fn add_zero_latency_endpoint(s: &mut Setup) -> EndpointId {
+        let mut site = Site::workstation("zero");
+        site.perf = site.perf.with_wan_latency(hpcci_sim::SimDuration::ZERO);
+        let mut rt = SiteRuntime::new(site);
+        rt.site.add_account("vhayot", "proj");
+        rt.commands.register("tox", |_| ExecOutcome::ok("py312: commands succeeded", 8.0));
+        let site = shared(rt);
+        let login = site.lock().site.login_node().unwrap().id;
+        let ep = Endpoint::new(
+            EndpointConfig::new("ep-zero", s.owner, "vhayot"),
+            site,
+            WorkerProvider::Local(LocalProvider::new(login, 8)),
+            10,
+        );
+        s.cloud.register_endpoint("ep-zero", EndpointRegistration::Single(Box::new(ep)))
     }
 
     #[test]
@@ -912,12 +933,12 @@ mod tests {
         // Shell is disallowed on this endpoint: the error surfaces at
         // scheduling time, not when the arrival instant is reached.
         assert!(matches!(
-            s.cloud.submit_shell_at(
+            s.cloud.submit_shell_batch(
                 &s.token,
                 &s.endpoint,
                 "tox",
                 SimTime::ZERO,
-                SimTime::from_secs(5)
+                &[SimTime::from_secs(5)]
             ),
             Err(FaasError::ShellNotAllowed)
         ));

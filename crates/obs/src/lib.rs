@@ -34,7 +34,7 @@ pub use registry::{Registry, SpanId, SpanRec, CORE_COUNTERS, CORE_HISTOGRAMS};
 pub use report::RunReport;
 pub use snapshot::{GaugeSnapshot, HistogramSnapshot, MetricsSnapshot};
 
-use hpcci_sim::{IntoSym, SimDuration, SimTime, Sym, Trace};
+use hpcci_sim::{IntoDetail, IntoSym, SimDuration, SimTime, Sym, Trace};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -139,7 +139,7 @@ impl Obs {
     pub fn span_start(
         &self,
         name: impl IntoSym,
-        detail: impl Into<String>,
+        detail: impl IntoDetail,
         at: SimTime,
     ) -> SpanId {
         let Some(inner) = &self.inner else {

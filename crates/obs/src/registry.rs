@@ -7,7 +7,7 @@
 
 use crate::histogram::Histogram;
 use crate::snapshot::{GaugeSnapshot, HistogramSnapshot, MetricsSnapshot};
-use hpcci_sim::{Interner, IntoSym, SimTime, Sym, Trace};
+use hpcci_sim::{Interner, IntoDetail, IntoSym, SimTime, Sym, Trace};
 use std::collections::BTreeMap;
 
 /// Core metric names pre-registered on every enabled registry so snapshots
@@ -118,7 +118,7 @@ impl Registry {
         self.histograms.entry(sym).or_default().observe(value);
     }
 
-    pub fn span_start(&mut self, name: impl IntoSym, detail: impl Into<String>, at: SimTime) -> SpanId {
+    pub fn span_start(&mut self, name: impl IntoSym, detail: impl IntoDetail, at: SimTime) -> SpanId {
         let name = name.into_sym(&mut self.interner);
         let id = SpanId(self.spans.len());
         self.trace.record(at, name.clone(), "span.start", detail);

@@ -23,8 +23,10 @@
 //!   fault-free scenarios with no declared failing tests stay green;
 //! * **conservation** — at quiescence every task the cloud accepted is
 //!   `Done` or `Rejected`, through exactly one terminal record, with nothing
-//!   left scheduled and no blocked transition ([`check_conservation`]), and
-//!   every site's inode arena has its books straight (`check_site_fs`).
+//!   left scheduled and no blocked transition ([`check_conservation`]),
+//!   simulated time is monotone per component in the trace and the chaos log
+//!   ([`check_trace_order`]), and every site's inode arena has its books
+//!   straight (`check_site_fs`).
 
 use crate::run::{collect, drive_spec, run_spec, run_spec_with, CacheSetup, ScenarioOutcome};
 use crate::spec::{EndpointKindDecl, ScenarioSpec, SpecError};
@@ -34,8 +36,8 @@ use hpcci_auth::{AccessToken, AuthError, ClientId, ClientSecret, Scope};
 use hpcci_cas::Digest;
 use hpcci_ci::{CacheMode, FailureKind, StepCache};
 use hpcci_faas::{CloudService, EndpointId, FaasError, TaskFailure, TaskId, TaskState};
-use hpcci_sim::{Advance, SimDuration};
-use std::collections::BTreeSet;
+use hpcci_sim::{Advance, SimDuration, SimTime, Trace};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One oracle violation: which family tripped, and a human-readable detail.
 #[derive(Clone, Debug)]
@@ -86,6 +88,8 @@ pub fn verify_spec(spec: &ScenarioSpec) -> Result<OracleReport, SpecError> {
     // `base` is collected: draining the tail to quiescence moves no digest.
     while scenario.fed.world().step() {}
     check_conservation(&scenario.fed.cloud.lock(), &mut violations);
+    check_trace_order("trace", &scenario.fed.cloud.lock().trace, &mut violations);
+    check_trace_order("chaos log", &scenario.fed.fault_trace(), &mut violations);
     check_site_fs(&scenario.fed, &mut violations);
     Ok(OracleReport {
         name: spec.name.clone(),
@@ -403,9 +407,10 @@ fn check_attribution(spec: &ScenarioSpec, fed: &Federation, out: &mut Vec<Violat
 }
 
 /// Oracle 5: task conservation. `cloud` must be quiescent and its trace must
-/// hold every record (no rolling window): every task it accepted is `Done`
-/// or `Rejected`, got there through exactly one `task.done` / `task.reject`
-/// record, and nothing is left scheduled or was blocked on the way.
+/// hold every record (a rolling trace that folded some is reported as such):
+/// every task it accepted is `Done` or `Rejected`, got there through exactly
+/// one `task.done` / `task.reject` record, and nothing is left scheduled or
+/// was blocked on the way.
 pub fn check_conservation(cloud: &CloudService, out: &mut Vec<Violation>) {
     let mut fail = |detail: String| out.push(Violation { oracle: "conservation", detail });
     if cloud.pending_submits() != 0 || cloud.next_event().is_some() {
@@ -414,6 +419,11 @@ pub fn check_conservation(cloud: &CloudService, out: &mut Vec<Violation>) {
             cloud.pending_submits(),
             cloud.next_event()
         ));
+    }
+    let folded = cloud.trace.folded();
+    if folded != 0 {
+        fail(format!("{folded} records folded: the trace cannot be counted"));
+        return;
     }
     let accepted = cloud.task_count();
     let (mut done, mut rejected) = (0usize, 0usize);
@@ -440,10 +450,34 @@ pub fn check_conservation(cloud: &CloudService, out: &mut Vec<Violation>) {
         .trace
         .of_kind("task.done")
         .chain(cloud.trace.of_kind("task.reject"))
-        .filter_map(|e| e.detail.get(..13)) // `task-xxxxxxxx`
+        // `task-{:08x}` grows past eight digits from 2³² on.
+        .filter_map(|e| e.detail.split([' ', ':']).next())
         .collect();
     if terminal_ids.len() != done + rejected {
         fail(format!("only {} distinct task(s) in the terminal records", terminal_ids.len()));
+    }
+}
+
+/// Oracle 5, the clock clause: within each component of `log` (`name` in
+/// the report), simulated time never runs backwards from one record to the
+/// next.
+pub fn check_trace_order(name: &str, log: &Trace, out: &mut Vec<Violation>) {
+    let mut last: BTreeMap<&str, u64> = BTreeMap::new();
+    for e in log.events() {
+        let at = last.entry(e.component.as_str()).or_insert(e.at_us);
+        if e.at_us < *at {
+            out.push(Violation {
+                oracle: "conservation",
+                detail: format!(
+                    "{name}: `{}` went back from {} to {}: {e}",
+                    e.component,
+                    SimTime::from_micros(*at),
+                    e.at()
+                ),
+            });
+            return;
+        }
+        *at = e.at_us;
     }
 }
 
@@ -557,6 +591,43 @@ mod tests {
         check_conservation(&cloud, &mut violations);
         let stuck = format!("{task} stuck in Submitted");
         assert!(violations.iter().any(|v| v.detail == stuck), "{violations:?}");
+    }
+
+    #[test]
+    fn conservation_reports_a_folded_trace_instead_of_miscounting_it() {
+        let spec = ScenarioSpec::minimal("oracle-rolling", 44);
+        let (s, _) = drive_spec(&spec, CacheSetup::ForceOff).expect("builds");
+        let token = compute_token(&s.fed, &s.user).expect("onboarded user");
+        let mut cloud = s.fed.cloud.lock();
+        cloud.trace.set_rolling(2);
+        let (now, ep) = (cloud.now(), EndpointId(s.endpoints[0].clone()));
+        cloud.submit_shell(&token, &ep, "true", now).expect("accepted");
+        cloud.drain_to_quiescence();
+        let folded = cloud.trace.folded();
+        assert!(folded > 0);
+        let mut violations = Vec::new();
+        check_conservation(&cloud, &mut violations);
+        let details: Vec<&str> = violations.iter().map(|v| v.detail.as_str()).collect();
+        assert_eq!(details, [format!("{folded} records folded: the trace cannot be counted")]);
+    }
+
+    #[test]
+    fn trace_order_flags_a_component_whose_clock_goes_back() {
+        let mut log = Trace::new();
+        log.record(SimTime::from_secs(5), "faas.cloud", "task.submit", "a");
+        log.record(SimTime::from_secs(1), "auth", "token.issue", "b");
+        let mut violations = Vec::new();
+        check_trace_order("trace", &log, &mut violations);
+        assert!(violations.is_empty(), "components keep clocks of their own");
+        log.record(SimTime::from_secs(4), "faas.cloud", "task.done", "c");
+        check_trace_order("trace", &log, &mut violations);
+        assert_eq!(violations.len(), 1);
+        assert!(
+            violations[0]
+                .detail
+                .starts_with("trace: `faas.cloud` went back from t+5.000000s to t+4.000000s"),
+            "{violations:?}"
+        );
     }
 
     #[test]

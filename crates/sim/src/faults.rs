@@ -216,7 +216,7 @@ impl FaultInjector {
         at: SimTime,
         component: impl crate::trace::IntoSym,
         kind: impl crate::trace::IntoSym,
-        detail: impl Into<String>,
+        detail: impl crate::trace::IntoDetail,
     ) {
         self.lock().trace.record(at, component, kind, detail);
     }

@@ -39,7 +39,7 @@ pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultSpec};
 pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Fnv, Interner, IntoSym, Sym, Trace, TraceEvent};
+pub use trace::{Fnv, Interner, IntoDetail, IntoSym, Sym, Trace, TraceEvent};
 pub use workload::{
     ArrivalGen, ArrivalProcess, ShardedCounts, TenantMix, TenantModel, Workload,
 };

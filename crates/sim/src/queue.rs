@@ -7,17 +7,34 @@
 //! FIFO-within-timestamp is the key, not an argument about the container.
 //! A push may land at any instant, before or after what was already popped;
 //! the next pop is always the smallest `(at, seq)` pending.
+//!
+//! A *run* ([`EventQueue::push_run`]) is n pushes of one event: it takes n
+//! consecutive `seq`s and sits in the heap as one entry keyed by its next
+//! `(at, seq)`, so a wave of arrivals costs the heap one entry, not n.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-/// One pending event; ordered by `(at, seq)` reversed so the max-heap
+/// One pending event or run; ordered by `(at, seq)` reversed so the max-heap
 /// `BinaryHeap` pops earliest-first.
 struct Entry<E> {
     at: u64,
     seq: u64,
+    slot: Slot<E>,
+}
+
+enum Slot<E> {
+    One(E),
+    Run(Box<Run<E>>),
+}
+
+/// The elements of a run after the one its entry is keyed by, in `(at, seq)`
+/// order; each but the last pops a clone of `event`, the last moves it.
+struct Run<E> {
     event: E,
+    clone: fn(&E) -> E,
+    rest: std::vec::IntoIter<(u64, u64)>,
 }
 
 impl<E> PartialEq for Entry<E> {
@@ -42,6 +59,8 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     /// Insertion counter: the tie-break within a timestamp.
     next_seq: u64,
+    /// Pending events, every element of a run counted.
+    len: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -55,6 +74,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
+            len: 0,
         }
     }
 
@@ -62,11 +82,42 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.len += 1;
         self.heap.push(Entry {
             at: at.as_micros(),
             seq,
-            event,
+            slot: Slot::One(event),
         });
+    }
+
+    /// Exactly `push(t, event.clone())` for each `t` of `times` in turn, the
+    /// last taking `event` itself: the run takes their `seq`s in input order
+    /// and is one heap entry until its last element pops.
+    pub fn push_run(&mut self, times: impl IntoIterator<Item = SimTime>, event: E)
+    where
+        E: Clone,
+    {
+        let base = self.next_seq;
+        let mut keys: Vec<(u64, u64)> = (base..)
+            .zip(times)
+            .map(|(seq, at)| (at.as_micros(), seq))
+            .collect();
+        self.next_seq += keys.len() as u64;
+        self.len += keys.len();
+        if !keys.is_sorted() {
+            keys.sort_unstable();
+        }
+        let mut rest = keys.into_iter();
+        let Some((at, seq)) = rest.next() else { return };
+        let slot = match rest.len() {
+            0 => Slot::One(event),
+            _ => Slot::Run(Box::new(Run {
+                event,
+                clone: E::clone,
+                rest,
+            })),
+        };
+        self.heap.push(Entry { at, seq, slot });
     }
 
     /// Timestamp of the earliest pending event.
@@ -74,13 +125,27 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| SimTime::from_micros(e.at))
     }
 
-    /// Pop the earliest event if it is due at or before `now`.
+    /// Pop the earliest event if it is due at or before `now`. A run's
+    /// element re-keys its entry in place to the next one.
     pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, E)> {
-        if self.heap.peek()?.at > now.as_micros() {
+        let mut top = self.heap.peek_mut()?;
+        if top.at > now.as_micros() {
             return None;
         }
-        let e = self.heap.pop()?;
-        Some((SimTime::from_micros(e.at), e.event))
+        let at = SimTime::from_micros(top.at);
+        self.len -= 1;
+        if let Slot::Run(run) = &mut top.slot {
+            if let Some((next_at, next_seq)) = run.rest.next() {
+                let event = (run.clone)(&run.event);
+                (top.at, top.seq) = (next_at, next_seq);
+                return Some((at, event));
+            }
+        }
+        let event = match PeekMut::pop(top).slot {
+            Slot::One(event) => event,
+            Slot::Run(run) => run.event,
+        };
+        Some((at, event))
     }
 
     /// Drain every event due at or before `now`, in timestamp-then-insertion
@@ -102,8 +167,9 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Pending events, counting each element of a run.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
@@ -112,6 +178,7 @@ impl<E> EventQueue<E> {
 
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.len = 0;
     }
 }
 
@@ -247,6 +314,60 @@ mod tests {
         q.push(t, 3);
         let rest: Vec<_> = q.drain_due(t).into_iter().map(|(_, e)| e).collect();
         assert_eq!(rest, vec![1, 2, 3]);
+    }
+
+    /// An event that counts its clones.
+    struct Counted(std::rc::Rc<std::cell::Cell<usize>>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.0.set(self.0.get() + 1);
+            Counted(self.0.clone())
+        }
+    }
+
+    #[test]
+    fn a_run_clones_for_all_but_its_last_element() {
+        let clones = std::rc::Rc::new(std::cell::Cell::new(0));
+        let mut q = EventQueue::new();
+        let times = [5u64, 1, 3].map(SimTime::from_secs);
+        q.push_run(times, Counted(clones.clone()));
+        assert_eq!(clones.get(), 0, "pushing a run clones nothing");
+        let popped: Vec<SimTime> = std::iter::from_fn(|| q.pop_due(SimTime::from_secs(4)))
+            .map(|(at, _)| at)
+            .collect();
+        assert_eq!(popped, [1, 3].map(SimTime::from_secs));
+        assert_eq!(clones.get(), 2);
+        let (at, last) = q.pop_due(SimTime::FAR_FUTURE).expect("the last element");
+        assert_eq!(
+            (at, clones.get()),
+            (SimTime::from_secs(5), 2),
+            "the last one moves"
+        );
+        assert_eq!(
+            std::rc::Rc::strong_count(&last.0),
+            2,
+            "the original handle plus the test's"
+        );
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn len_counts_pending_run_elements() {
+        let mut q = EventQueue::new();
+        q.push_run([3, 1, 2].map(SimTime::from_secs), 'r');
+        q.push(SimTime::from_secs(2), 's');
+        q.push_run([], 'e');
+        assert_eq!(q.len(), 4);
+        let t = SimTime::from_secs(2);
+        assert_eq!(q.pop_due(t), Some((SimTime::from_secs(1), 'r')));
+        assert_eq!(q.len(), 3);
+        // Same instant: the run's element was pushed first.
+        assert_eq!(q.pop_due(t), Some((t, 'r')));
+        assert_eq!(q.pop_due(t), Some((t, 's')));
+        assert_eq!(q.len(), 1);
+        q.clear();
+        assert_eq!(q.len(), 0);
     }
 
     #[test]

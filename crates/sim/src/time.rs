@@ -189,8 +189,14 @@ impl SimTime {
     /// years): the quotient is off by at most `v·2⁻⁵³` there, under the
     /// half-microsecond that would round to a different sixth decimal.
     pub(crate) fn write_to<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
-        // Filled from the right: "t+", the ≤ 20 digits of a u64, "." and "s".
         let mut buf = [0u8; 24];
+        out.write_str(std::str::from_utf8(self.digits(&mut buf)).map_err(|_| fmt::Error)?)
+    }
+
+    /// The bytes [`Self::write_to`] writes, filled from the right of `buf`:
+    /// "t+", the ≤ 20 digits of a u64, "." and "s". The trace's fold hashes
+    /// them from here.
+    pub(crate) fn digits(self, buf: &mut [u8; 24]) -> &[u8] {
         let mut i = buf.len();
         let mut put = |b: u8| {
             i -= 1;
@@ -210,7 +216,7 @@ impl SimTime {
         }
         put(b'+');
         put(b't');
-        out.write_str(std::str::from_utf8(&buf[i..]).expect("ascii digits"))
+        &buf[i..]
     }
 }
 

@@ -1,24 +1,28 @@
 //! Structured simulation trace.
 //!
-//! Every substrate appends [`TraceEvent`]s to a shared [`Trace`]. The trace
-//! serves two purposes: it is the raw material for provenance records
-//! (§5 of the paper argues provenance + re-execution substitutes for resource
-//! access), and it regenerates the paper's Fig. 2 system-overview as a
-//! component/message timeline.
+//! Every substrate appends events to a shared [`Trace`]. The trace serves two
+//! purposes: it is the raw material for provenance records (§5 of the paper
+//! argues provenance + re-execution substitutes for resource access), and it
+//! regenerates the paper's Fig. 2 system-overview as a component/message
+//! timeline.
 //!
 //! ## Allocation discipline
 //!
 //! Component and kind names repeat millions of times across a long run
-//! (`"faas.cloud"`, `"task.submit"`, …), so [`TraceEvent`] stores them as
-//! interned [`Sym`]s rather than `String`s: a `&'static str` is wrapped for
-//! free, and owned strings are deduplicated through the trace's [`Interner`]
-//! so each distinct name is allocated exactly once per trace. Only `detail`
-//! — genuinely free-form — stays a `String`.
+//! (`"faas.cloud"`, `"task.submit"`, …), so a record stores them as interned
+//! [`Sym`]s rather than `String`s: a `&'static str` is wrapped for free, and
+//! owned strings are deduplicated through the trace's [`Interner`] so each
+//! distinct name is allocated exactly once per trace; the records naming
+//! the same (component, kind) pair share one handle to it. Details —
+//! genuinely free-form — are appended back to back to a text arena, and a
+//! record keeps only where its detail ends: a 24-byte record and the
+//! detail's bytes are all an event costs. [`TraceEvent`] is a borrowed view
+//! of one record.
 
 use crate::time::SimTime;
-use std::collections::BTreeSet;
-use std::fmt;
-use std::sync::Arc;
+use std::collections::{BTreeSet, VecDeque};
+use std::fmt::{self, Write as _};
+use std::sync::{Arc, OnceLock};
 
 /// An interned string: either a `'static` literal (zero-cost) or a shared,
 /// deduplicated allocation handed out by an [`Interner`]. Dereferences to
@@ -36,6 +40,16 @@ impl Sym {
         match self {
             Sym::Static(s) => s,
             Sym::Shared(s) => s,
+        }
+    }
+
+    /// The same handle, not merely the same text: a `Static` by address and
+    /// length, a `Shared` by allocation.
+    fn is(&self, other: &Sym) -> bool {
+        match (self, other) {
+            (Sym::Static(a), Sym::Static(b)) => std::ptr::eq(*a, *b),
+            (Sym::Shared(a), Sym::Shared(b)) => Arc::ptr_eq(a, b),
+            _ => false,
         }
     }
 }
@@ -189,20 +203,45 @@ impl IntoSym for &Sym {
     }
 }
 
-/// One traced occurrence in the federation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
+/// A detail [`Trace::record`] appends to its text arena. A `&str` is copied
+/// in without allocating; a `String` is copied in and its buffer kept as the
+/// spare [`Trace::detail_buf`] lends, so a recorder that builds its details
+/// there stops allocating once the spare has grown to its longest line.
+pub trait IntoDetail {
+    fn append_to(self, text: &mut String, spare: &mut String);
+}
+
+impl IntoDetail for &str {
+    fn append_to(self, text: &mut String, _spare: &mut String) {
+        text.push_str(self);
+    }
+}
+
+impl IntoDetail for String {
+    fn append_to(mut self, text: &mut String, spare: &mut String) {
+        text.push_str(&self);
+        if self.capacity() > spare.capacity() {
+            self.clear();
+            *spare = self;
+        }
+    }
+}
+
+/// One traced occurrence in the federation: a view of a [`Trace`] record,
+/// borrowed from the trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceEvent<'a> {
     /// Virtual timestamp.
     pub at_us: u64,
     /// Emitting component, e.g. `"faas.mep.anvil"` or `"ci.runner.hosted-3"`.
-    pub component: Sym,
+    pub component: &'a Sym,
     /// Short machine-readable kind, e.g. `"task.submit"`.
-    pub kind: Sym,
+    pub kind: &'a Sym,
     /// Free-form human-readable detail.
-    pub detail: String,
+    pub detail: &'a str,
 }
 
-impl TraceEvent {
+impl TraceEvent<'_> {
     pub fn at(&self) -> SimTime {
         SimTime::from_micros(self.at_us)
     }
@@ -216,11 +255,18 @@ impl TraceEvent {
     fn write_line<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         out.write_str("[")?;
         self.at().write_to(out)?;
-        out.write_str("] ")?;
-        write_padded(out, &self.component, 24)?;
-        write_padded(out, &self.kind, 20)?;
-        out.write_str(&self.detail)
+        write_columns(out, self.component, self.kind)?;
+        out.write_str(self.detail)
     }
+}
+
+/// The fixed columns of a line: `] `, then component and kind padded to
+/// their widths. A pair of names always writes the same bytes here, which is
+/// what lets the fold hash them in one [`Jump`].
+fn write_columns<W: fmt::Write>(out: &mut W, component: &str, kind: &str) -> fmt::Result {
+    out.write_str("] ")?;
+    write_padded(out, component, 24)?;
+    write_padded(out, kind, 20)
 }
 
 /// `s`, space-padded on the right to `width` *chars* (never truncated), then
@@ -232,32 +278,80 @@ fn write_padded<W: fmt::Write>(out: &mut W, s: &str, width: usize) -> fmt::Resul
     out.write_str(&SPACES[..pad + 1])
 }
 
-impl fmt::Display for TraceEvent {
+impl fmt::Display for TraceEvent<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.write_line(f)
     }
 }
 
+/// One stored event: its detail is the arena text between the previous
+/// record's `end` (or the start of its arena) and its own.
+#[derive(Clone)]
+struct Record {
+    at_us: u64,
+    names: Arc<Names>,
+    end: usize,
+}
+
+/// A (component, kind) pair, shared by every record that names it.
+struct Names {
+    component: Sym,
+    kind: Sym,
+    /// The fold's table for this pair's fixed columns, built on the pair's
+    /// first fold — `None` outside the trace's pair table, where the fold
+    /// takes the byte loop.
+    jump: Option<OnceLock<Jump>>,
+}
+
+/// The views of `records`, whose details lie back to back in `text`.
+fn views<'a>(
+    records: std::collections::vec_deque::Iter<'a, Record>,
+    text: &'a str,
+) -> impl Iterator<Item = TraceEvent<'a>> + 'a {
+    let mut start = 0;
+    records.map(move |r| {
+        let detail = &text[start..r.end];
+        start = r.end;
+        TraceEvent {
+            at_us: r.at_us,
+            component: &r.names.component,
+            kind: &r.names.kind,
+            detail,
+        }
+    })
+}
+
+/// Distinct (component, kind) pairs a trace shares between its records, each
+/// with a 2 KiB [`Jump`] once folded. A pair beyond them gets [`Names`] of its
+/// own per record and folds through the byte loop.
+const PAIRS: usize = 32;
+
 /// An append-only event log. Cheap to clone handles are not provided here on
 /// purpose: owners thread `&mut Trace` (or wrap it in a lock at the
 /// federation layer) so ownership of the log is always explicit.
-#[derive(Debug, Default, Clone)]
+#[derive(Default, Clone)]
 pub struct Trace {
-    events: Vec<TraceEvent>,
+    /// Live records, oldest first. The first `old_len` keep their details
+    /// in `old_text`, the rest in `text`.
+    records: VecDeque<Record>,
+    old_len: usize,
+    old_text: String,
+    text: String,
+    /// The buffer [`Trace::detail_buf`] lends and [`Trace::record`] takes
+    /// back.
+    spare: String,
     interner: Interner,
-    /// Opt-in rolling cap: when set, the oldest half of the log is folded
-    /// into `fold_hash` and dropped whenever the live window reaches the
-    /// cap, so a million-task run holds O(cap) events instead of O(run).
+    /// Opt-in rolling cap: when set, the live window stays under `cap`
+    /// events — the oldest half is folded into `fold_hash` and dropped — so
+    /// a million-task run holds O(cap) events instead of O(run).
     cap: Option<usize>,
     /// Events folded out of the live window so far.
     folded: u64,
     /// Running FNV-1a digest over the rendered lines of folded events.
     fold_hash: u64,
-    /// Detail buffers recycled from folded events (rolling mode only): hot
-    /// recorders take one via [`Trace::detail_buf`], build the detail in
-    /// place, and hand it back through [`Trace::record`], so steady-state
-    /// detail strings stop allocating once the window has filled once.
-    detail_pool: Vec<String>,
+    /// The shared pairs, found by the handles of their `Sym`s — which the
+    /// table holds, so no address in it can be reused by another name.
+    pairs: Vec<Arc<Names>>,
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -275,13 +369,11 @@ impl Trace {
         self.interner.intern(s)
     }
 
-    /// An empty `String` for building the next event's detail in: recycled
-    /// from a folded-out event when one is available (rolling mode), fresh
-    /// otherwise. Passing the built string to [`Trace::record`] moves it
-    /// into the event, so the buffer's capacity keeps cycling through the
-    /// window instead of being reallocated per event.
+    /// An empty `String` for building the next event's detail in: the
+    /// trace's spare buffer, which [`Trace::record`] takes back after copying
+    /// the detail out, so its capacity is reused from event to event.
     pub fn detail_buf(&mut self) -> String {
-        self.detail_pool.pop().unwrap_or_default()
+        std::mem::take(&mut self.spare)
     }
 
     /// Append an event.
@@ -290,28 +382,52 @@ impl Trace {
         at: SimTime,
         component: impl IntoSym,
         kind: impl IntoSym,
-        detail: impl Into<String>,
+        detail: impl IntoDetail,
     ) {
         let component = component.into_sym(&mut self.interner);
         let kind = kind.into_sym(&mut self.interner);
-        self.events.push(TraceEvent {
+        let names = self.names(component, kind);
+        detail.append_to(&mut self.text, &mut self.spare);
+        self.records.push_back(Record {
             at_us: at.as_micros(),
-            component,
-            kind,
-            detail: detail.into(),
+            names,
+            end: self.text.len(),
         });
         if let Some(cap) = self.cap {
-            if self.events.len() >= cap.max(2) {
-                self.fold_oldest(cap.max(2) / 2);
+            if self.records.len() - self.old_len >= cap / 2 {
+                self.rotate();
             }
         }
     }
 
-    /// Switch this trace into rolling mode with a live window of at most
-    /// `cap` events: once the window fills, the oldest half is folded into a
-    /// running digest (see [`Trace::rolling_digest`]) and dropped, bounding
-    /// memory for million-task runs. Folding is a pure function of the
-    /// recorded lines, so two identical runs fold to identical digests.
+    /// The shared [`Names`] of this pair of handles, or — the table full —
+    /// names of its own.
+    fn names(&mut self, component: Sym, kind: Sym) -> Arc<Names> {
+        if let Some(names) = self
+            .pairs
+            .iter()
+            .find(|n| n.component.is(&component) && n.kind.is(&kind))
+        {
+            return names.clone();
+        }
+        let shared = self.pairs.len() < PAIRS;
+        let names = Arc::new(Names {
+            component,
+            kind,
+            jump: shared.then(OnceLock::new),
+        });
+        if shared {
+            self.pairs.push(names.clone());
+        }
+        names
+    }
+
+    /// Switch this trace into rolling mode with a live window of under `cap`
+    /// events: each time half a window has been recorded, the half before
+    /// it is folded into a running digest (see [`Trace::rolling_digest`])
+    /// and dropped, bounding memory for million-task runs. Folding is a pure
+    /// function of the recorded lines, so two identical runs fold to
+    /// identical digests.
     ///
     /// Rolling traces are for leaf drivers (benchmarks, soak runs); the
     /// golden-trace paths keep the default unbounded mode.
@@ -322,6 +438,22 @@ impl Trace {
         }
     }
 
+    /// Fold the records whose details are in `old_text`, then make `text`
+    /// the old arena and start a new one in the old one's buffer: the live
+    /// window's text is never moved.
+    fn rotate(&mut self) {
+        let mut start = 0;
+        for r in self.records.drain(..self.old_len) {
+            let detail = &self.old_text[start..r.end];
+            start = r.end;
+            self.fold_hash = fold_record(self.fold_hash, &r, detail);
+        }
+        self.folded += self.old_len as u64;
+        self.old_text.clear();
+        std::mem::swap(&mut self.old_text, &mut self.text);
+        self.old_len = self.records.len();
+    }
+
     /// Events folded out of the live window so far (0 outside rolling mode).
     pub fn folded(&self) -> u64 {
         self.folded
@@ -329,7 +461,7 @@ impl Trace {
 
     /// Total events ever recorded: folded plus still live.
     pub fn recorded(&self) -> u64 {
-        self.folded + self.events.len() as u64
+        self.folded + self.records.len() as u64
     }
 
     /// FNV-1a digest over the rendered lines of every folded event, then
@@ -337,53 +469,56 @@ impl Trace {
     /// is insensitive to where the fold boundaries happened to land.
     pub fn rolling_digest(&self) -> u64 {
         let h = if self.fold_hash == 0 { FNV_OFFSET } else { self.fold_hash };
-        self.events.iter().fold(h, fold_line)
+        self.events().fold(h, |h, e| {
+            infallible(Fnv(h), |sink| {
+                e.write_line(sink)?;
+                sink.write_str("\n")
+            })
+            .0
+        })
     }
 
-    fn fold_oldest(&mut self, n: usize) {
-        let n = n.min(self.events.len());
-        for mut e in self.events.drain(..n) {
-            self.fold_hash = fold_line(self.fold_hash, &e);
-            // Recycle the detail allocation for a future `detail_buf` call.
-            e.detail.clear();
-            self.detail_pool.push(e.detail);
-        }
-        self.folded += n as u64;
-    }
-
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+    /// The live events, oldest first.
+    pub fn events(&self) -> impl Iterator<Item = TraceEvent<'_>> + '_ {
+        views(self.records.range(..self.old_len), &self.old_text)
+            .chain(views(self.records.range(self.old_len..), &self.text))
     }
 
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.records.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.records.is_empty()
     }
 
     /// Events whose kind matches `kind` exactly.
-    pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a TraceEvent> {
-        self.events.iter().filter(move |e| e.kind.as_str() == kind)
+    pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = TraceEvent<'a>> {
+        self.events().filter(move |e| e.kind.as_str() == kind)
     }
 
     /// Events emitted by components whose name starts with `prefix`.
-    pub fn of_component<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a TraceEvent> {
-        self.events
-            .iter()
-            .filter(move |e| e.component.starts_with(prefix))
+    pub fn of_component<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = TraceEvent<'a>> {
+        self.events().filter(move |e| e.component.starts_with(prefix))
     }
 
     /// Render the whole trace as text, one event per line.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            e.write_line(&mut out).expect("String sink cannot fail");
-            out.push('\n');
-        }
-        out
+        infallible(String::new(), |out| {
+            self.events().try_for_each(|e| {
+                e.write_line(out)?;
+                out.push('\n');
+                Ok(())
+            })
+        })
     }
+}
+
+/// Run `write` into a sink whose `write_str` never fails (`Fnv`, `String`):
+/// the line writer only returns the sink's errors, so there are none.
+fn infallible<W: fmt::Write>(mut sink: W, write: impl FnOnce(&mut W) -> fmt::Result) -> W {
+    let _never = write(&mut sink);
+    sink
 }
 
 /// FNV-1a accumulator as a `fmt::Write` sink: what is written into it is
@@ -399,22 +534,72 @@ impl Default for Fnv {
 impl fmt::Write for Fnv {
     #[inline]
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        for &b in s.as_bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
+        self.0 = fnv(self.0, s.as_bytes());
         Ok(())
     }
 }
 
-/// Fold one event's line (with trailing newline) into an FNV-1a accumulator
-/// — the same bytes [`Trace::render`] would have contributed.
-fn fold_line(h: u64, e: &TraceEvent) -> u64 {
-    use fmt::Write;
-    let mut sink = Fnv(h);
-    e.write_line(&mut sink)
-        .and_then(|()| sink.write_str("\n"))
-        .expect("the hash sink never fails");
-    sink.0
+/// The FNV-1a byte loop.
+#[inline]
+fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+}
+
+/// FNV-1a over one fixed byte string `s` of length `k`, in one step. XOR
+/// with a byte touches only the low 8 bits of the state and the low 8 bits
+/// evolve on their own, so the loop is affine in the state:
+/// `fnv(h, s) = h·Pᵏ + A[h mod 256] (mod 2⁶⁴)` with
+/// `A[l] = fnv(l, s) − l·Pᵏ`, which the byte loop itself tabulates.
+struct Jump {
+    mul: u64,
+    add: Box<[u64; 256]>,
+}
+
+impl Jump {
+    fn new(s: &[u8]) -> Jump {
+        let mul = s.iter().fold(1u64, |m, _| m.wrapping_mul(FNV_PRIME));
+        let mut add = Box::new([0u64; 256]);
+        for (l, a) in (0u64..).zip(add.iter_mut()) {
+            *a = fnv(l, s).wrapping_sub(l.wrapping_mul(mul));
+        }
+        Jump { mul, add }
+    }
+
+    #[inline]
+    fn apply(&self, h: u64) -> u64 {
+        h.wrapping_mul(self.mul)
+            .wrapping_add(self.add[(h & 0xff) as usize])
+    }
+}
+
+/// Fold one record's line (with trailing newline) into `h` — the bytes
+/// [`TraceEvent::write_line`] writes, with the fixed columns of a shared
+/// pair hashed through its [`Jump`], which is built from exactly those
+/// columns.
+fn fold_record(h: u64, r: &Record, detail: &str) -> u64 {
+    let mut digits = [0u8; 24];
+    let h = fnv(
+        fnv(h, b"["),
+        SimTime::from_micros(r.at_us).digits(&mut digits),
+    );
+    let Names {
+        component,
+        kind,
+        jump,
+    } = &*r.names;
+    let h = match jump {
+        Some(jump) => jump
+            .get_or_init(|| {
+                Jump::new(
+                    infallible(String::new(), |s| write_columns(s, component, kind)).as_bytes(),
+                )
+            })
+            .apply(h),
+        None => infallible(Fnv(h), |s| write_columns(s, component, kind)).0,
+    };
+    fnv(fnv(h, detail.as_bytes()), b"\n")
 }
 
 #[cfg(test)]
@@ -436,6 +621,8 @@ mod tests {
         assert_eq!(t.of_kind("task.submit").count(), 1);
         assert_eq!(t.of_component("faas").count(), 2);
         assert_eq!(t.of_component("ci.runner").count(), 1);
+        let details: Vec<&str> = t.events().map(|e| e.detail).collect();
+        assert_eq!(details, ["run tox", "tid=1", "tid=1"]);
     }
 
     #[test]
@@ -448,13 +635,47 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
-        // Trace participates in provenance records, which serialize.
+    fn events_are_copyable_views() {
         let t = sample();
-        let e = &t.events()[0];
-        let cloned = e.clone();
-        assert_eq!(*e, cloned);
+        let e = t.events().next().expect("three events");
+        let copied = e;
+        assert_eq!(e, copied);
         assert_eq!(e.at(), SimTime::from_secs(1));
+        assert_eq!(e.to_string(), t.render().lines().next().unwrap_or_default());
+    }
+
+    /// A record is the instant, one handle on its pair of names and the
+    /// detail's end.
+    #[test]
+    fn records_stay_24_bytes() {
+        assert!(std::mem::size_of::<Record>() <= 24);
+    }
+
+    #[test]
+    fn records_share_their_pair_of_names_while_the_table_has_room() {
+        let mut t = Trace::new();
+        let endpoint = t.intern("faas.ep.a");
+        for i in 0..3u64 {
+            t.record(SimTime::from_secs(i), "faas.cloud", "task.submit", "x");
+            t.record(SimTime::from_secs(i), &endpoint, "task.deliver", "x");
+        }
+        assert_eq!(t.pairs.len(), 2);
+        assert!(Arc::ptr_eq(&t.records[0].names, &t.records[2].names));
+        for i in 0..PAIRS as u64 {
+            t.record(SimTime::ZERO, format!("c{i}"), "k", "x");
+        }
+        assert_eq!(t.pairs.len(), PAIRS, "the table is bounded");
+        t.record(SimTime::ZERO, "faas.late", "k", "x");
+        t.record(SimTime::ZERO, "faas.late", "k", "x");
+        let n = t.records.len();
+        assert!(!Arc::ptr_eq(
+            &t.records[n - 1].names,
+            &t.records[n - 2].names
+        ));
+        assert!(
+            t.records[n - 1].names.jump.is_none(),
+            "beyond the table: the byte loop"
+        );
     }
 
     #[test]
@@ -475,16 +696,36 @@ mod tests {
             "four endpoint names interned once each"
         );
         assert!(
-            t.events().iter().all(|e| matches!(e.kind, Sym::Static(_))),
+            t.events().all(|e| matches!(e.kind, Sym::Static(_))),
             "kind literal takes the static path"
         );
         // Events sharing a name share the allocation.
-        let a = &t.events()[0].component;
-        let b = &t.events()[4].component;
+        let mut events = t.events();
+        let a = events.next().map(|e| e.component);
+        let b = events.nth(3).map(|e| e.component);
         match (a, b) {
-            (Sym::Shared(x), Sym::Shared(y)) => assert!(Arc::ptr_eq(x, y)),
+            (Some(Sym::Shared(x)), Some(Sym::Shared(y))) => assert!(Arc::ptr_eq(x, y)),
             other => panic!("expected shared syms, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn string_details_recycle_through_the_spare_buffer() {
+        let mut t = Trace::new();
+        let mut d = t.detail_buf();
+        d.push_str("a detail long enough to need a buffer");
+        let cap = d.capacity();
+        t.record(SimTime::ZERO, "faas.cloud", "task.submit", d);
+        let again = t.detail_buf();
+        assert!(again.is_empty());
+        assert_eq!(again.capacity(), cap, "the recorded buffer came back");
+        t.record(SimTime::ZERO, "faas.cloud", "task.submit", again);
+        t.record(SimTime::ZERO, "faas.cloud", "task.submit", "borrowed");
+        assert_eq!(
+            t.detail_buf().capacity(),
+            cap,
+            "a &str detail leaves the spare alone"
+        );
     }
 
     #[test]
@@ -503,6 +744,8 @@ mod tests {
         assert!(bounded.len() < 64, "live window stays under the cap");
         assert_eq!(bounded.recorded(), 1_000);
         assert_eq!(bounded.folded() + bounded.len() as u64, 1_000);
+        let last = bounded.events().last().map(|e| e.detail);
+        assert_eq!(last, Some("tid=999"));
         // The rolling digest covers the whole log and is independent of
         // where the fold boundaries landed.
         let unbounded = fill(None);
@@ -518,7 +761,7 @@ mod tests {
 
     /// The format string the byte-level writer replaced, kept here as the
     /// reference the golden bytes were recorded with.
-    fn reference_line(e: &TraceEvent) -> String {
+    fn reference_line(e: &TraceEvent<'_>) -> String {
         format!(
             "[t+{:.6}s] {:<24} {:<20} {}",
             e.at_us as f64 / 1e6,
@@ -549,25 +792,28 @@ mod tests {
             ),
         ];
         for (i, (component, kind)) in names.into_iter().enumerate() {
+            let (component, kind) = (Sym::from(component), Sym::from(kind));
+            let detail = format!("tid={i} détail");
             let e = TraceEvent {
                 at_us: 1_234_567 * i as u64,
-                component: component.into(),
-                kind: kind.into(),
-                detail: format!("tid={i} détail"),
+                component: &component,
+                kind: &kind,
+                detail: &detail,
             };
             assert_eq!(e.to_string(), reference_line(&e), "{component:?} {kind:?}");
         }
+    }
+
+    fn fnv_bytes(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
     }
 
     /// One renderer, three sinks: the digest is FNV-1a over exactly the bytes
     /// `render()` returns, wherever the fold boundaries land.
     #[test]
     fn rolling_digest_is_fnv_over_rendered_bytes() {
-        let fnv = |bytes: &[u8]| {
-            bytes
-                .iter()
-                .fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
-        };
         for case in 0..24u64 {
             let mut rng = crate::DetRng::seed_from_u64(0xf01d ^ case);
             let n = rng.range_u64(0, 300);
@@ -594,18 +840,77 @@ mod tests {
             let rendered = unbounded.render();
             let reference: String = unbounded
                 .events()
-                .iter()
-                .map(|e| reference_line(e) + "\n")
+                .map(|e| reference_line(&e) + "\n")
                 .collect();
             assert_eq!(rendered, reference, "case {case}");
             for cap in [None, Some(2), Some(16), Some(64)] {
                 assert_eq!(
                     fill(cap).rolling_digest(),
-                    fnv(rendered.as_bytes()),
+                    fnv_bytes(rendered.as_bytes()),
                     "case {case} cap {cap:?}"
                 );
             }
         }
+    }
+
+    /// The jump is the byte loop: every low byte, random high bits, random
+    /// strings — the empty one and non-ASCII ones included.
+    #[test]
+    fn jump_equals_the_byte_loop() {
+        let mut rng = crate::DetRng::seed_from_u64(0x7e57);
+        let mut strings: Vec<String> = vec![String::new(), "] ".into(), "é日\u{0}\u{7f}".into()];
+        strings.extend((0..13).map(|_| {
+            (0..rng.range_u64(1, 80))
+                .map(|_| char::from_u32(rng.range_u64(1, 0x3000) as u32).unwrap_or('?'))
+                .collect()
+        }));
+        for s in &strings {
+            let jump = Jump::new(s.as_bytes());
+            for low in 0..256u64 {
+                for _ in 0..4 {
+                    let h = (rng.range_u64(0, u64::MAX) & !0xff) | low;
+                    assert_eq!(jump.apply(h), fnv(h, s.as_bytes()), "{s:?} from {h:#x}");
+                }
+            }
+        }
+    }
+
+    /// The fold through column tables lands where the byte loop does: more
+    /// pairs than the cache holds, names wider than their columns or not
+    /// ASCII, and the same text as a `Static`, an interned and a standalone
+    /// `Sym` (three handles, one set of bytes).
+    #[test]
+    fn the_jumping_fold_matches_the_rendered_bytes() {
+        let wide = "faas.mep.a-site-name-wider-than-the-column";
+        let mut t = Trace::new();
+        t.set_rolling(4);
+        let mut reference = Trace::new();
+        for i in 0..400u64 {
+            let at = SimTime::from_micros(i * 999_983);
+            let detail = format!("task-{i:08x} détail");
+            let (component, kind): (Sym, Sym) = match i % 5 {
+                0 => (Sym::Static("faas.cloud"), Sym::Static("task.submit")),
+                1 => (t.intern("faas.cloud"), t.intern("task.submit")),
+                2 => (Sym::from("faas.cloud"), Sym::Static("task.submit")),
+                3 => (
+                    t.intern(&format!("faas.ep.{}", i % 47)),
+                    Sym::Static("task.deliver"),
+                ),
+                _ => (
+                    t.intern(if i % 2 == 0 { wide } else { "faas.µ-épé" }),
+                    t.intern("種類"),
+                ),
+            };
+            reference.record(at, &component, &kind, detail.as_str());
+            t.record(at, component, kind, detail);
+        }
+        assert_eq!(t.pairs.len(), PAIRS, "the table filled");
+        assert!(t
+            .pairs
+            .iter()
+            .all(|n| n.jump.as_ref().is_some_and(|j| j.get().is_some())));
+        assert!(t.folded() > 390);
+        assert_eq!(t.rolling_digest(), fnv_bytes(reference.render().as_bytes()));
     }
 
     #[test]
@@ -614,6 +919,7 @@ mod tests {
         let a = interner.intern("faas.cloud");
         let b = Sym::Static("faas.cloud");
         assert_eq!(a, b);
+        assert!(!a.is(&b) && a.is(&a.clone()));
         assert_eq!(a, *"faas.cloud");
         assert_eq!(format!("{a:>12}"), format!("{:>12}", "faas.cloud"));
         assert!(a.starts_with("faas"));
@@ -623,6 +929,9 @@ mod tests {
             (Sym::Shared(x), Sym::Shared(y)) => assert!(Arc::ptr_eq(x, y)),
             other => panic!("expected shared syms, got {other:?}"),
         }
+        // A prefix of the same literal is a different handle.
+        let whole: &'static str = "faas.cloud";
+        assert!(!Sym::Static(whole).is(&Sym::Static(&whole[..4])));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!   byte-identical traces;
 //! * arrivals scheduled up front through `submit_shell_batch` replay the
 //!   trace of advancing to each instant and submitting there;
-//! * at quiescence every accepted task is in exactly one terminal state and
-//!   no scheduled submission is left pending — with and without a fault plan;
+//! * at quiescence every accepted task is in exactly one terminal state, no
+//!   scheduled submission is left pending and no component's clock ran
+//!   backwards in the trace or the chaos log — with and without a fault plan;
 //! * a fault plan costs events only while a fault is armed: never, if every
 //!   fault lies beyond the run; not for long, if they all land early.
 //!
@@ -23,7 +24,7 @@ use hpcci::faas::{
     CloudService, Endpoint, EndpointConfig, EndpointId, EndpointRegistration, MepTemplate,
     MultiUserEndpoint, TaskFailure, TaskId, TaskState, WorkerProvider,
 };
-use hpcci::scen::oracle::check_conservation;
+use hpcci::scen::oracle::{check_conservation, check_trace_order};
 use hpcci::scheduler::LocalProvider;
 use hpcci::sim::{
     drive, Advance, DetRng, FaultInjector, FaultKind, FaultPlan, SimDuration, SimTime,
@@ -247,8 +248,8 @@ fn batched_submit_matches_interactive_on_random_shapes() {
 /// Conservation at quiescence — the scen fleet's fifth oracle family
 /// (`hpcci::scen::oracle::check_conservation`: every accepted task terminal
 /// through exactly one `task.done` or `task.reject` record, nothing left
-/// scheduled), driven here on bare clouds, plain and under a crash plus a
-/// WAN partition.
+/// scheduled; `check_trace_order`: time monotone per component), driven here
+/// on bare clouds, plain and under a crash plus a WAN partition.
 #[test]
 fn every_accepted_task_is_terminal_exactly_once_at_quiescence() {
     let mut infrastructure_failures = 0usize;
@@ -257,6 +258,7 @@ fn every_accepted_task_is_terminal_exactly_once_at_quiescence() {
             let mut rng = case_rng("conservation", case);
             let shape = gen_shape(&mut rng);
             let (mut cloud, token, ids) = build_cloud(&shape);
+            let mut injector = None;
             if with_faults {
                 let n = shape.singles.len() as u64;
                 let crash_ep = rng.range_u64(0, n);
@@ -275,7 +277,7 @@ fn every_accepted_task_is_terminal_exactly_once_at_quiescence() {
                             heal_after: SimDuration::from_secs(rng.range_u64(5, 60)),
                         },
                     );
-                attach_injector(&mut cloud, &ids, plan);
+                injector = Some(attach_injector(&mut cloud, &ids, plan));
             }
             // Interactive waves first, then one wave scheduled ahead.
             run_waves(&shape, &mut cloud, &token, &ids, |c| {
@@ -299,6 +301,12 @@ fn every_accepted_task_is_terminal_exactly_once_at_quiescence() {
             );
             let mut violations = Vec::new();
             check_conservation(&cloud, &mut violations);
+            check_trace_order("trace", &cloud.trace, &mut violations);
+            if let Some(injector) = &injector {
+                let chaos = injector.trace();
+                assert!(!chaos.is_empty(), "{tag}: the plan never fired");
+                check_trace_order("chaos log", &chaos, &mut violations);
+            }
             assert!(violations.is_empty(), "{tag}: {violations:?}");
             infrastructure_failures += (1..=accepted as u64)
                 .filter(|&id| {

@@ -1987,6 +1987,146 @@ fn wheel_matches_reference_model_under_interleaving() {
     }
 }
 
+/// `push_run(times, v)` is exactly `times.len()` consecutive `push`es of `v`,
+/// against the same reference model: runs interleaved with single pushes and
+/// with pop phases that stop mid-instant, unsorted instants, duplicates
+/// within a run and across runs and singles, empty runs, and runs whose
+/// first instant lies behind the last popped one.
+#[test]
+fn runs_match_reference_model_under_interleaving() {
+    for case in 0..CASES {
+        let mut rng = case_rng("run_model", case);
+        let mut q = EventQueue::new();
+        // Reference model: (at_us, insertion seq, value).
+        let mut model: Vec<(u64, u64, u64)> = Vec::new();
+        let mut seq = 0u64;
+        let mut deadline = 0u64;
+        let mut last_popped = 0u64;
+        // Coarse instants, so equal ones are common.
+        let instant = |rng: &mut DetRng, from: u64| from + 250 * rng.range_u64(0, 12);
+        for value in 0..rng.range_u64(10, 120) {
+            match rng.range_u64(0, 10) {
+                0..=3 => {
+                    let n = rng.range_u64(0, 10);
+                    let behind = rng.chance(0.25);
+                    let mut times: Vec<u64> = (0..n).map(|_| instant(&mut rng, deadline)).collect();
+                    if behind && n > 0 {
+                        times[0] = last_popped.saturating_sub(rng.range_u64(0, 50));
+                    }
+                    q.push_run(times.iter().map(|&at| SimTime::from_micros(at)), value);
+                    for at in times {
+                        model.push((at, seq, value));
+                        seq += 1;
+                    }
+                }
+                4 | 5 => {
+                    let at = instant(&mut rng, deadline);
+                    q.push(SimTime::from_micros(at), value);
+                    model.push((at, seq, value));
+                    seq += 1;
+                }
+                _ => {
+                    deadline += rng.range_u64(0, 2_000);
+                    let pops = if rng.chance(0.5) { u64::MAX } else { rng.range_u64(0, 6) };
+                    for _ in 0..pops {
+                        let got = q.pop_due(SimTime::from_micros(deadline));
+                        let want_ix = model
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, (at, _, _))| *at <= deadline)
+                            .min_by_key(|(_, (at, s, _))| (*at, *s))
+                            .map(|(i, _)| i);
+                        match (got, want_ix) {
+                            (None, None) => break,
+                            (Some((at, v)), Some(i)) => {
+                                let (wat, _, wv) = model.remove(i);
+                                assert_eq!(
+                                    (at.as_micros(), v),
+                                    (wat, wv),
+                                    "case {case}: wrong event at deadline {deadline}"
+                                );
+                                last_popped = wat;
+                            }
+                            (got, want) => panic!(
+                                "case {case}: queue popped {got:?} but model expected index {want:?}"
+                            ),
+                        }
+                    }
+                    assert_eq!(
+                        q.next_time().map(SimTime::as_micros),
+                        model.iter().map(|&(at, ..)| at).min(),
+                        "case {case}: next_time diverged from model minimum"
+                    );
+                }
+            }
+            assert_eq!(q.len(), model.len(), "case {case}: len counts run elements");
+        }
+        let rest = q.drain_due(SimTime::FAR_FUTURE);
+        model.sort_unstable_by_key(|&(at, s, _)| (at, s));
+        assert_eq!(rest.len(), model.len(), "case {case}: drain lost events");
+        for ((at, v), (wat, _, wv)) in rest.into_iter().zip(model) {
+            assert_eq!((at.as_micros(), v), (wat, wv), "case {case}: drain order");
+        }
+        assert!(q.is_empty(), "case {case}");
+    }
+}
+
+/// The rolling fold, which hashes each line's fixed columns through a table
+/// per shared (component, kind) pair, lands on FNV-1a over the rendered
+/// bytes: more pairs than the trace shares, names wider than their columns
+/// and non-ASCII ones, the same text under a `Static`, an interned and a
+/// standalone handle, at every cap.
+#[test]
+fn rolling_fold_is_fnv_over_rendered_bytes_across_pair_tables() {
+    use hpcci::sim::{Sym, Trace};
+    const NAMES: [&str; 6] = [
+        "faas.cloud",
+        "",
+        "faas.ep.anvil-login-0001",
+        "faas.mep.a-site-name-wider-than-the-column",
+        "faas.µ-épé",
+        "日本語のコンポーネント名は二十四文字より長い",
+    ];
+    const KINDS: [&str; 4] = ["task.submit", "task.transition-blocked", "種類", "k"];
+    let fnv = |bytes: &[u8]| {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+    };
+    for case in 0..CASES {
+        let mut rng = case_rng("rolling_fold", case);
+        let cap = rng.range_u64(2, 40) as usize;
+        let mut rolling = Trace::new();
+        rolling.set_rolling(cap);
+        let mut whole = Trace::new();
+        let mut at = 0;
+        for i in 0..rng.range_u64(0, 600) {
+            at += rng.range_u64(0, 2_000_000);
+            let name = |rng: &mut DetRng, names: &[&'static str], t: &mut Trace| -> Sym {
+                let text = names[rng.range_u64(0, names.len() as u64) as usize];
+                match rng.range_u64(0, 4) {
+                    0 => Sym::Static(text),
+                    1 => Sym::from(text),
+                    2 => t.intern(&format!("{text}.{}", rng.range_u64(0, 24))),
+                    _ => t.intern(text),
+                }
+            };
+            let component = name(&mut rng, &NAMES, &mut rolling);
+            let kind = name(&mut rng, &KINDS, &mut rolling);
+            let detail = format!("task-{i:08x} détail");
+            whole.record(SimTime::from_micros(at), &component, &kind, detail.as_str());
+            rolling.record(SimTime::from_micros(at), component, kind, detail);
+        }
+        assert_eq!(rolling.recorded(), whole.recorded(), "case {case}");
+        assert!(rolling.len() < cap.max(2), "case {case}: window over the cap");
+        assert_eq!(
+            rolling.rolling_digest(),
+            fnv(whole.render().as_bytes()),
+            "case {case} cap {cap}"
+        );
+    }
+}
+
 /// Same-timestamp bursts survive interleaved non-due probes and mid-drain
 /// tail pushes: equal-time events always pop in exact insertion order.
 #[test]
