@@ -4,15 +4,16 @@
 //! Each artifact here is a real experiment over the minimpi runtime that
 //! checks the corresponding KaMPIng claim at laptop scale:
 //!
-//! * `allreduce` — ergonomic bindings add no measurable overhead vs raw
-//!   calls (the headline zero-overhead claim);
+//! * `allreduce` — ergonomic bindings compute what raw calls compute (the
+//!   headline zero-overhead claim; its wall-clock side is
+//!   [`allreduce_overhead_ratio`], a host reading kept out of the artifact);
 //! * `alltoall` — correctness of the owning alltoallv binding;
 //! * `sample-sort` — the paper's sorting application: a distributed sample
 //!   sort built on the bindings reproduces the sequential sort;
 //! * `vector-bool` — the `vector<bool>` special case broadcasts correctly.
 
 use crate::bindings::Kamping;
-use crate::comm::{run_mpi, ReduceOp};
+use crate::comm::{run_mpi, Rank, ReduceOp};
 use hpcci_faas::{CommandRegistry, ExecOutcome};
 use std::time::Instant;
 
@@ -30,7 +31,7 @@ pub struct ArtifactResult {
 /// Run one artifact by name.
 pub fn run_artifact(name: &str) -> ArtifactResult {
     match name {
-        "allreduce" => allreduce_overhead(),
+        "allreduce" => allreduce_equivalence(),
         "alltoall" => alltoall_correctness(),
         "sample-sort" => sample_sort(),
         "vector-bool" => vector_bool(),
@@ -42,54 +43,64 @@ pub fn run_artifact(name: &str) -> ArtifactResult {
     }
 }
 
+const ALLREDUCE_RANKS: usize = 4;
+const ALLREDUCE_LEN: usize = 4096;
+/// Allreduces per rank in one run of either side.
+const ALLREDUCE_REPS: usize = 30;
+
+fn raw_allreduce(rank: &mut Rank) -> Vec<f64> {
+    let data = vec![rank.rank as f64; ALLREDUCE_LEN];
+    let mut last = Vec::new();
+    for _ in 0..ALLREDUCE_REPS {
+        last = rank.allreduce_f64(&data, ReduceOp::Sum);
+    }
+    last
+}
+
+fn kamping_allreduce(rank: &mut Rank) -> Vec<f64> {
+    let data = vec![rank.rank as f64; ALLREDUCE_LEN];
+    let mut k = Kamping::new(rank);
+    let mut last = Vec::new();
+    for _ in 0..ALLREDUCE_REPS {
+        last = k.allreduce_sum(&data);
+    }
+    last
+}
+
 /// Headline claim: the ergonomic binding computes exactly what the raw call
 /// computes, with near-zero overhead. The artifact gates on *correctness*
-/// (identical results) and reports the measured wall-clock ratio for the
-/// record; the statistical timing comparison lives in the
-/// `kamping_overhead` criterion bench, where warm-up and outlier handling
-/// make the number meaningful even on a loaded CI machine.
-fn allreduce_overhead() -> ArtifactResult {
-    const RANKS: usize = 4;
-    const LEN: usize = 4096;
-    const REPS: usize = 30;
-
-    let (time_raw, raw_results) = {
-        let t0 = Instant::now();
-        let results = run_mpi(RANKS, |rank| {
-            let data = vec![rank.rank as f64; LEN];
-            let mut last = Vec::new();
-            for _ in 0..REPS {
-                last = rank.allreduce_f64(&data, ReduceOp::Sum);
-            }
-            last
-        });
-        (t0.elapsed().as_secs_f64(), results)
-    };
-    let (time_wrapped, wrapped_results) = {
-        let t0 = Instant::now();
-        let results = run_mpi(RANKS, |rank| {
-            let data = vec![rank.rank as f64; LEN];
-            let mut k = Kamping::new(rank);
-            let mut last = Vec::new();
-            for _ in 0..REPS {
-                last = k.allreduce_sum(&data);
-            }
-            last
-        });
-        (t0.elapsed().as_secs_f64(), results)
-    };
-    let ratio = time_wrapped / time_raw.max(1e-9);
-    let correct = raw_results == wrapped_results
-        && raw_results.iter().all(|r| r.len() == LEN && r[0] == 6.0);
+/// (identical results) only, so its stored bytes are a function of the code;
+/// the wall-clock side of the claim is a host reading,
+/// [`allreduce_overhead_ratio`].
+fn allreduce_equivalence() -> ArtifactResult {
+    let raw = run_mpi(ALLREDUCE_RANKS, raw_allreduce);
+    let wrapped = run_mpi(ALLREDUCE_RANKS, kamping_allreduce);
+    let correct = raw == wrapped && raw.iter().all(|r| r.len() == ALLREDUCE_LEN && r[0] == 6.0);
     ArtifactResult {
         name: "allreduce".to_string(),
         passed: correct,
         details: format!(
-            "raw={:.4}s wrapped={:.4}s ratio={:.3}; results identical across {} ranks \
-             (claim: near-zero overhead — see `cargo bench --bench kamping_overhead`)",
-            time_raw, time_wrapped, ratio, RANKS
+            "results identical across {ALLREDUCE_RANKS} ranks (claim: near-zero overhead — \
+             `reproduce exp63_kamping` prints the wall-clock ratio on stderr)"
         ),
     }
+}
+
+/// The zero-overhead claim measured on this host: wall time of the KaMPIng
+/// allreduce over the raw one, each the fastest of `samples` runs after one
+/// warm-up run. A host reading, so it never enters an artifact.
+pub fn allreduce_overhead_ratio(samples: usize) -> f64 {
+    let fastest = |side: fn(&mut Rank) -> Vec<f64>| {
+        std::hint::black_box(run_mpi(ALLREDUCE_RANKS, side));
+        (0..samples.max(1))
+            .map(|_| {
+                let t0 = Instant::now();
+                std::hint::black_box(run_mpi(ALLREDUCE_RANKS, side));
+                t0.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    fastest(kamping_allreduce) / fastest(raw_allreduce).max(1e-9)
 }
 
 fn alltoall_correctness() -> ArtifactResult {

@@ -3,7 +3,8 @@
 //! KaMPIng's pitch: raw MPI forces manual buffer management and size
 //! exchanges; ergonomic bindings can own allocation and metadata *without
 //! measurable overhead*. [`Kamping`] wraps a [`Rank`] with owning,
-//! variable-length-aware operations; the `kamping_overhead` bench reproduces
+//! variable-length-aware operations;
+//! [`allreduce_overhead_ratio`](crate::allreduce_overhead_ratio) reproduces
 //! the zero-overhead claim by timing raw vs wrapped collectives.
 
 use crate::comm::{Datum, Rank, ReduceOp};

@@ -12,7 +12,7 @@
 //!   This is *real* parallelism: ranks are threads, messages really move.
 //! * [`bindings`] — the KaMPIng analogue: an ergonomic, allocation-handling
 //!   wrapper over the raw API whose headline claim — near-zero overhead —
-//!   the `kamping_overhead` bench verifies;
+//!   [`allreduce_overhead_ratio`] measures;
 //! * [`artifacts`] — the downscaled artifact experiments (§6.3): allreduce
 //!   overhead, alltoall correctness, a distributed sample sort, and a
 //!   bit-packed `vector<bool>` broadcast, each runnable standalone and as a
@@ -22,6 +22,8 @@ pub mod artifacts;
 pub mod bindings;
 pub mod comm;
 
-pub use artifacts::{install_artifacts, run_artifact, ArtifactResult, KAMPING_ARTIFACTS};
+pub use artifacts::{
+    allreduce_overhead_ratio, install_artifacts, run_artifact, ArtifactResult, KAMPING_ARTIFACTS,
+};
 pub use bindings::Kamping;
 pub use comm::{run_mpi, Datum, Rank, ReduceOp};

@@ -2,8 +2,8 @@
 # Non-test lines of Rust per crate and in total: every `.rs` file under
 # `crates/*/src`, `src` and `shims/*/src`, each cut at its first
 # `#[cfg(test)]`. This is the one definition of the LOC figure ROADMAP.md,
-# CHANGES.md and the PR descriptions quote; `benches/`, `tests/`, `examples/`
-# and `benchmark/` are not walked. `loc.sh <dir>` counts another checkout
+# CHANGES.md and the PR descriptions quote; `tests/`, `examples/` and
+# `benchmark/` are not walked. `loc.sh <dir>` counts another checkout
 # (the parent copy, for the before/after).
 set -eu
 cd "${1:-$(dirname "$0")/..}"

@@ -2,12 +2,11 @@
 # Panic sites in library code, per crate and in total: occurrences of
 # `unwrap(`, `expect(`, `panic!` and `unreachable!` in every `.rs` file that
 # `loc.sh` walks, under the same rule (each file cut at its first
-# `#[cfg(test)]`), comment lines skipped, `crates/bench` (figure binaries)
-# excluded. This is the one definition of the figure ROADMAP item 2(a)
-# tracks. `panics.sh <dir>` counts another checkout.
+# `#[cfg(test)]`), comment lines skipped. This is the one definition of the
+# figure ROADMAP item 3(a) tracks. `panics.sh <dir>` counts another checkout.
 set -eu
 cd "${1:-$(dirname "$0")/..}"
-find crates/*/src src shims/*/src -name '*.rs' | grep -v '^crates/bench/' | sort | xargs awk '
+find crates/*/src src shims/*/src -name '*.rs' | sort | xargs awk '
     FNR == 1 {
         cut = 0
         split(FILENAME, part, "/")

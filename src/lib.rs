@@ -4,7 +4,9 @@
 //! This facade re-exports the whole stack and provides the
 //! [`scenarios`] module: ready-made worlds reproducing the paper's
 //! evaluation setups (§6.1 ParslDock across three sites, §6.2 PSI/J on
-//! Anvil, §6.3 the KaMPIng artifacts on Chameleon).
+//! Anvil, §6.3 the KaMPIng artifacts on Chameleon), and the [`reproduce`]
+//! module: every table and figure of the paper, rendered by the `reproduce`
+//! binary and pinned by digest in `tests/reproduce.rs`.
 //!
 //! ## Layering
 //!
@@ -26,6 +28,7 @@
 //! See `DESIGN.md` for the full inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record of every table and figure.
 
+pub mod reproduce;
 pub mod scenarios;
 
 pub use correct_core as correct;

@@ -2,6 +2,7 @@
 //! with the MEP running inside the published container on Chameleon.
 
 use hpcci::ci::RunStatus;
+use hpcci::minimpi::KAMPING_ARTIFACTS;
 use hpcci::scenarios::kamping_scenario;
 
 #[test]
@@ -14,7 +15,7 @@ fn all_artifact_evaluation_experiments_pass() {
     // "execution stdout and stderr published alongside the workflow
     // execution" — one artifact per experiment.
     let now = s.fed.now();
-    for name in hpcci::minimpi::KAMPING_ARTIFACTS {
+    for name in KAMPING_ARTIFACTS {
         let artifact = s
             .fed
             .engine
@@ -26,6 +27,25 @@ fn all_artifact_evaluation_experiments_pass() {
             "{name}: {}",
             artifact.text()
         );
+    }
+}
+
+#[test]
+fn same_seed_runs_store_byte_identical_artifacts() {
+    // A stored artifact is evidence a third party re-runs and compares, so
+    // nothing read off the host (such as wall-clock timings) may enter it.
+    let stored = || {
+        let mut s = kamping_scenario(63);
+        let run_id = s.dispatch_approve_run("vhayot");
+        let now = s.fed.now();
+        KAMPING_ARTIFACTS.map(|name| {
+            let artifact = s.fed.engine.artifacts.fetch(run_id, name, now).unwrap();
+            (artifact.content.clone(), artifact.digest)
+        })
+    };
+    let (first, second) = (stored(), stored());
+    for ((name, a), b) in KAMPING_ARTIFACTS.iter().zip(&first).zip(&second) {
+        assert_eq!(a, b, "artifact `{name}` differs between two same-seed runs");
     }
 }
 
