@@ -35,7 +35,7 @@ pub struct AuthService {
     purged: u64,
     next_identity: u64,
     next_serial: u64,
-    injector: Option<FaultInjector>,
+    injector: FaultInjector,
     obs: Obs,
 }
 
@@ -47,7 +47,7 @@ impl AuthService {
     /// Attach a fault injector. Token-expiry faults are applied during
     /// introspection; re-authenticating (a fresh token) clears the fault.
     pub fn set_fault_injector(&mut self, injector: FaultInjector) {
-        self.injector = Some(injector);
+        self.injector = injector;
     }
 
     /// Attach an observability handle.
@@ -185,12 +185,10 @@ impl AuthService {
         if issued.revoked || now >= issued.info.expires_at {
             return Err(AuthError::InvalidToken);
         }
-        if let Some(inj) = &self.injector {
-            // Injected early expiry: this token is dead until the caller
-            // re-authenticates for a fresh one.
-            if inj.token_expired(token.mac, now) {
-                return Err(AuthError::InvalidToken);
-            }
+        // Injected early expiry: this token is dead until the caller
+        // re-authenticates for a fresh one.
+        if self.injector.token_expired(token.mac, now) {
+            return Err(AuthError::InvalidToken);
         }
         Ok(issued.info.clone())
     }

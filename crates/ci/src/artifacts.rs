@@ -40,7 +40,7 @@ pub struct ArtifactStore {
     /// Keyed by run, each list in upload order: a report reads one run's
     /// artifacts without walking every upload the service ever took.
     by_run: BTreeMap<RunId, Vec<Artifact>>,
-    injector: Option<FaultInjector>,
+    injector: FaultInjector,
     cas: Option<CasStore>,
 }
 
@@ -51,7 +51,7 @@ impl ArtifactStore {
 
     /// Attach a fault injector for write-corruption faults.
     pub fn set_fault_injector(&mut self, injector: FaultInjector) {
-        self.injector = Some(injector);
+        self.injector = injector;
     }
 
     /// Back the store with a content-addressed store: uploads dedup into it
@@ -129,18 +129,16 @@ impl ArtifactStore {
     /// List `content` — already stored under `digest`, its reference already
     /// taken — as an artifact of `run`.
     pub(crate) fn attach(&mut self, run: RunId, name: &str, digest: Digest, content: Bytes, now: SimTime) {
-        if let Some(inj) = &self.injector {
-            if inj.corruption_due(name, now) {
-                // The first write lands corrupted; the store's checksum
-                // verification catches the mismatch and the upload is retried
-                // with the same bytes — the stored artifact stays identical.
-                inj.record(
-                    now,
-                    "ci.artifacts",
-                    "fault.recover",
-                    format!("checksum mismatch on '{name}' detected; clean copy re-uploaded"),
-                );
-            }
+        if self.injector.corruption_due(name, now) {
+            // The first write lands corrupted; the store's checksum
+            // verification catches the mismatch and the upload is retried
+            // with the same bytes — the stored artifact stays identical.
+            self.injector.record(
+                now,
+                "ci.artifacts",
+                "fault.recover",
+                format!("checksum mismatch on '{name}' detected; clean copy re-uploaded"),
+            );
         }
         self.by_run.entry(run).or_default().push(Artifact {
             run,

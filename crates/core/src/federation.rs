@@ -242,7 +242,7 @@ impl FederationBuilder {
     pub fn build(self) -> Federation {
         let mut fed = Federation::build_parts(
             self.seed,
-            self.plan.map(FaultInjector::new),
+            self.plan.map_or_else(FaultInjector::none, FaultInjector::new),
             Obs::new(self.obs),
             self.step_cache,
         );
@@ -267,7 +267,9 @@ pub struct Federation {
     seed: u64,
     /// The pristine builder seed, kept for [`world_seed`](Self::world_seed).
     world_seed: u64,
-    injector: Option<FaultInjector>,
+    /// Handed to the auth service, the cloud (which hands it on to every
+    /// endpoint), the artifact store and every site's scheduler.
+    injector: FaultInjector,
     obs: Obs,
     /// Traffic model attached at build time (see [`FederationBuilder::workload`]).
     workload: Option<Workload>,
@@ -287,7 +289,7 @@ impl Federation {
 
     fn build_parts(
         seed: u64,
-        injector: Option<FaultInjector>,
+        injector: FaultInjector,
         obs: Obs,
         step_cache: Option<(StepCache, CacheMode)>,
     ) -> Self {
@@ -298,11 +300,9 @@ impl Federation {
         let mut action = CorrectAction::new(cloud.clone());
         action.set_obs(obs.clone());
         engine.register_action(CORRECT_ACTION_NAME, Arc::new(action));
-        if let Some(inj) = &injector {
-            auth.lock().set_fault_injector(inj.clone());
-            cloud.lock().set_fault_injector(inj.clone());
-            engine.artifacts.set_fault_injector(inj.clone());
-        }
+        auth.lock().set_fault_injector(injector.clone());
+        cloud.lock().set_fault_injector(injector.clone());
+        engine.artifacts.set_fault_injector(injector.clone());
         auth.lock().set_obs(obs.clone());
         cloud.lock().set_obs(obs.clone());
         engine.set_obs(obs.clone());
@@ -374,10 +374,7 @@ impl Federation {
     /// The chaos trace: every injected fault and recovery, in time order.
     /// Empty when no fault plan is installed (or none fired).
     pub fn fault_trace(&self) -> Trace {
-        self.injector
-            .as_ref()
-            .map(|inj| inj.trace())
-            .unwrap_or_default()
+        self.injector.trace()
     }
 
     pub fn now(&self) -> SimTime {
@@ -396,12 +393,11 @@ impl Federation {
         let name = site.id.to_string();
         let mut runtime = SiteRuntime::new(site).with_scheduler(scheduler_cores);
         self.install_standard_commands(&mut runtime);
-        if let (Some(inj), Some(scheduler)) = (&self.injector, &runtime.scheduler) {
-            scheduler.lock().set_fault_injector(inj.clone(), &name);
-        }
-        if self.obs.is_enabled() {
-            if let Some(scheduler) = &runtime.scheduler {
-                scheduler.lock().set_obs(self.obs.clone(), &name);
+        if let Some(scheduler) = &runtime.scheduler {
+            let mut scheduler = scheduler.lock();
+            scheduler.set_fault_injector(self.injector.clone(), &name);
+            if self.obs.is_enabled() {
+                scheduler.set_obs(self.obs.clone(), &name);
             }
         }
         let shared = hpcci_faas::exec::shared(runtime);
@@ -542,7 +538,7 @@ impl Federation {
             local_user,
         } = spec;
         let shared = self.site(site).shared.clone();
-        let id = match kind {
+        let registration = match kind {
             EndpointKind::Single => {
                 let owner = owner.expect("single-user endpoint needs an owner");
                 let local_user = local_user.expect("single-user endpoint needs a local user");
@@ -553,18 +549,12 @@ impl Federation {
                     .expect("sites have a login node")
                     .id;
                 self.seed += 1;
-                let mut ep = Endpoint::new(
+                EndpointRegistration::Single(Box::new(Endpoint::new(
                     EndpointConfig::new(&name, owner, &local_user),
                     shared,
                     WorkerProvider::Local(LocalProvider::new(login, 8)),
                     self.seed,
-                );
-                if let Some(inj) = &self.injector {
-                    ep.set_fault_injector(inj.clone());
-                }
-                self.cloud
-                    .lock()
-                    .register_endpoint(&name, EndpointRegistration::Single(Box::new(ep)))
+                )))
             }
             EndpointKind::Pilot { cores, walltime } => {
                 let owner = owner.expect("single-user endpoint needs an owner");
@@ -577,7 +567,7 @@ impl Federation {
                     )
                 };
                 self.seed += 1;
-                let mut ep = Endpoint::new(
+                EndpointRegistration::Single(Box::new(Endpoint::new(
                     EndpointConfig::new(&name, owner, &local_user),
                     shared,
                     WorkerProvider::Slurm(SlurmProvider::new(
@@ -588,24 +578,13 @@ impl Federation {
                         walltime,
                     )),
                     self.seed,
-                );
-                if let Some(inj) = &self.injector {
-                    ep.set_fault_injector(inj.clone());
-                }
-                self.cloud
-                    .lock()
-                    .register_endpoint(&name, EndpointRegistration::Single(Box::new(ep)))
+                )))
             }
-            EndpointKind::MultiUser { mapping, template } => {
-                let mut mep = MultiUserEndpoint::new(&name, shared, mapping, template);
-                if let Some(inj) = &self.injector {
-                    mep.set_fault_injector(inj.clone());
-                }
-                self.cloud
-                    .lock()
-                    .register_endpoint(&name, EndpointRegistration::Multi(Box::new(mep)))
-            }
+            EndpointKind::MultiUser { mapping, template } => EndpointRegistration::Multi(
+                Box::new(MultiUserEndpoint::new(&name, shared, mapping, template)),
+            ),
         };
+        let id = self.cloud.lock().register_endpoint(&name, registration);
         self.endpoint_sites.insert(name.clone(), site);
         EndpointHandle { id, name, site }
     }

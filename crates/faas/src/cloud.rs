@@ -64,10 +64,10 @@ impl EndpointRegistration {
         }
     }
 
-    fn fault_injector(&self) -> Option<&FaultInjector> {
+    fn attach(&mut self, obs: &Obs, injector: &FaultInjector) {
         match self {
-            EndpointRegistration::Single(e) => e.fault_injector(),
-            EndpointRegistration::Multi(m) => m.fault_injector(),
+            EndpointRegistration::Single(e) => e.attach(obs, injector),
+            EndpointRegistration::Multi(m) => m.attach(obs, injector),
         }
     }
 
@@ -143,7 +143,9 @@ pub struct CloudService {
     now: SimTime,
     next_task: u64,
     next_function: u64,
-    injector: Option<FaultInjector>,
+    /// Handed, with `obs`, to every registered endpoint: the one injector
+    /// the whole cloud consults.
+    injector: FaultInjector,
     /// Endpoint id → slot.
     slots: BTreeMap<EndpointId, usize>,
     /// Slot → interned `faas.ep.{id}` trace component.
@@ -165,11 +167,6 @@ pub struct CloudService {
     /// Scratch: finished outputs drained from one endpoint, reused across
     /// steps so collection allocates nothing in steady state.
     finished_scratch: Vec<(TaskId, Box<TaskOutput>)>,
-    /// May some injector be attached (the cloud's own or an endpoint's)? The
-    /// one branch a fault-free federation pays in front of [`Self::armed`],
-    /// which re-evaluates it.
-    injected: bool,
-    /// Observability handle, propagated to endpoints at registration.
     obs: Obs,
     /// Hot-loop counters kept as plain fields (no lock, no branch beyond the
     /// add) and harvested into `obs` by [`Self::harvest_metrics`].
@@ -192,7 +189,7 @@ impl CloudService {
             now: SimTime::ZERO,
             next_task: 0,
             next_function: 0,
-            injector: None,
+            injector: FaultInjector::none(),
             slots: BTreeMap::new(),
             slot_syms: Vec::new(),
             slot_name_syms: Vec::new(),
@@ -201,7 +198,6 @@ impl CloudService {
             touched: Vec::new(),
             wire_scratch: Vec::new(),
             finished_scratch: Vec::new(),
-            injected: false,
             obs: Obs::disabled(),
             pending_submits: 0,
             tasks_submitted: 0,
@@ -226,23 +222,25 @@ impl CloudService {
     }
 
     /// Attach a fault injector. The cloud consults it for WAN partitions on
-    /// both wire legs; an empty plan leaves every delivery time untouched.
+    /// both wire legs and hands it to every endpoint, registered already or
+    /// later; an empty plan leaves every delivery time untouched.
     pub fn set_fault_injector(&mut self, injector: FaultInjector) {
-        self.injector = Some(injector);
-        self.injected = true;
+        self.injector = injector;
+        self.attach_endpoints();
     }
 
-    /// Attach an observability handle. Propagates to every endpoint already
-    /// registered and to every endpoint registered afterwards. Recording is
-    /// sim-time only and never feeds back into timing, so traces are
-    /// unchanged whether the handle is enabled or disabled.
+    /// Attach an observability handle, handed to every endpoint like the
+    /// injector. Recording is sim-time only and never feeds back into
+    /// timing, so traces are unchanged whether the handle is enabled or
+    /// disabled.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
-        for registration in self.endpoints.iter_mut() {
-            match registration {
-                EndpointRegistration::Single(e) => e.set_obs(self.obs.clone()),
-                EndpointRegistration::Multi(m) => m.set_obs(self.obs.clone()),
-            }
+        self.attach_endpoints();
+    }
+
+    fn attach_endpoints(&mut self) {
+        for registration in &mut self.endpoints {
+            registration.attach(&self.obs, &self.injector);
         }
     }
 
@@ -265,10 +263,7 @@ impl CloudService {
     /// Earliest instant a message can cross the WAN towards/from `endpoint`:
     /// `now` normally, or the partition's heal time while one is active.
     fn wire_clear_at(&self, endpoint: &str, now: SimTime) -> SimTime {
-        match &self.injector {
-            Some(inj) => inj.partition_until(endpoint, now).unwrap_or(now).max(now),
-            None => now,
-        }
+        self.injector.partition_until(endpoint, now).unwrap_or(now).max(now)
     }
 
     pub fn auth(&self) -> &Arc<Mutex<AuthService>> {
@@ -278,13 +273,7 @@ impl CloudService {
     /// Register an endpoint under a name.
     pub fn register_endpoint(&mut self, id: &str, mut registration: EndpointRegistration) -> EndpointId {
         let eid = EndpointId(id.to_string());
-        if self.obs.is_enabled() {
-            match &mut registration {
-                EndpointRegistration::Single(e) => e.set_obs(self.obs.clone()),
-                EndpointRegistration::Multi(m) => m.set_obs(self.obs.clone()),
-            }
-        }
-        self.injected |= registration.fault_injector().is_some();
+        registration.attach(&self.obs, &self.injector);
         let slot = match self.slots.get(&eid) {
             Some(&slot) => slot,
             None => {
@@ -311,11 +300,9 @@ impl CloudService {
         let Some(&slot) = self.slots.get(id) else {
             return Err(FaasError::UnknownEndpoint(id.0.clone()));
         };
-        // The borrow may change anything about the endpoint — including
-        // attaching a fault injector — so queue it for output collection
-        // and let the next step look for injectors again.
+        // The borrow may change anything about the endpoint, so queue it
+        // for output collection.
         self.touched[slot] = true;
-        self.injected = true;
         Ok(&mut self.endpoints[slot])
     }
 
@@ -671,22 +658,6 @@ impl CloudService {
         }
     }
 
-    /// Is a fault armed at `step` in any attached injector (see
-    /// [`FaultInjector::armed`])? Fault-free federations answer from the
-    /// `injected` bit alone; otherwise the walk also re-evaluates that bit.
-    fn armed(&mut self, step: SimTime) -> bool {
-        if !self.injected {
-            return false;
-        }
-        let mut injectors = self
-            .injector
-            .iter()
-            .chain(self.endpoints.iter().filter_map(|ep| ep.fault_injector()))
-            .peekable();
-        self.injected = injectors.peek().is_some();
-        injectors.any(|inj| inj.armed(step))
-    }
-
     /// The one step of the event loop: ask every endpoint for its next event,
     /// take the earliest instant at or before `limit` (wire included), advance
     /// the endpoints due there in name order, put their finished outputs on
@@ -712,7 +683,7 @@ impl CloudService {
             .min()
             .filter(|&step| step <= limit)?;
         self.now = step;
-        let armed = self.armed(step);
+        let armed = self.injector.armed(step);
         for i in 0..self.ordered_slots.len() {
             let slot = self.ordered_slots[i];
             if armed || self.next_scratch[slot].is_some_and(|at| at <= step) {
@@ -1143,7 +1114,7 @@ mod tests {
         /// Client, secret and current token of alice (who owns the
         /// single-user endpoints) and bob.
         users: Vec<(hpcci_auth::ClientId, ClientSecret, hpcci_auth::AccessToken)>,
-        injector: Option<FaultInjector>,
+        injector: FaultInjector,
     }
 
     /// What a finished run committed.
@@ -1166,7 +1137,7 @@ mod tests {
             use hpcci_scheduler::SlurmProvider;
             use hpcci_sim::SimDuration;
 
-            let injector = plan.map(FaultInjector::new);
+            let injector = plan.map_or_else(FaultInjector::none, FaultInjector::new);
             let auth = Arc::new(Mutex::new(AuthService::new()));
             let mut users = Vec::new();
             let mut owner = IdentityId(0);
@@ -1184,9 +1155,7 @@ mod tests {
                     }
                     users.push((cid, secret, token));
                 }
-                if let Some(inj) = &injector {
-                    a.set_fault_injector(inj.clone());
-                }
+                a.set_fault_injector(injector.clone());
             }
 
             let mut lab = Site::workstation("lab");
@@ -1212,19 +1181,17 @@ mod tests {
                 rt.commands
                     .register("work", move |_| ExecOutcome::ok("done", work_secs));
                 rt.commands.register("git", |_| ExecOutcome::ok("cloned", 2.0));
-                if let (Some(inj), Some(scheduler)) = (&injector, &rt.scheduler) {
+                if let Some(scheduler) = &rt.scheduler {
                     scheduler
                         .lock()
-                        .set_fault_injector(inj.clone(), &rt.site.id.0);
+                        .set_fault_injector(injector.clone(), &rt.site.id.0);
                 }
                 sites.push(shared(rt));
             }
             let (lab, tiny) = (sites[0].clone(), sites[1].clone());
 
             let mut cloud = CloudService::new(auth);
-            if let Some(inj) = &injector {
-                cloud.set_fault_injector(inj.clone());
-            }
+            cloud.set_fault_injector(injector.clone());
             let walltime = SimDuration::from_secs(walltime_secs);
             for (name, site, seed) in [("ep-local", &lab, 11), ("ep-pilot", &tiny, 12)] {
                 let provider = {
@@ -1246,15 +1213,12 @@ mod tests {
                         )),
                     }
                 };
-                let mut ep = Endpoint::new(
+                let ep = Endpoint::new(
                     EndpointConfig::new(name, owner, "alice").with_workers(2),
                     site.clone(),
                     provider,
                     seed,
                 );
-                if let Some(inj) = &injector {
-                    ep.set_fault_injector(inj.clone());
-                }
                 cloud.register_endpoint(name, EndpointRegistration::Single(Box::new(ep)));
             }
             for (name, site, template) in [
@@ -1264,10 +1228,7 @@ mod tests {
                 let mut mapping = IdentityMapping::new(name);
                 mapping.add_explicit("alice@uni.edu", "x-alice");
                 mapping.add_explicit("bob@uni.edu", "x-bob");
-                let mut mep = MultiUserEndpoint::new(name, site.clone(), mapping, template);
-                if let Some(inj) = &injector {
-                    mep.set_fault_injector(inj.clone());
-                }
+                let mep = MultiUserEndpoint::new(name, site.clone(), mapping, template);
                 cloud.register_endpoint(name, EndpointRegistration::Multi(Box::new(mep)));
             }
             Chaos {
@@ -1309,10 +1270,7 @@ mod tests {
         fn committed(self) -> Committed {
             Committed {
                 trace: self.cloud.trace.render(),
-                chaos: self
-                    .injector
-                    .map(|inj| inj.trace().render())
-                    .unwrap_or_default(),
+                chaos: self.injector.trace().render(),
                 states: self.cloud.tasks.iter().map(|t| t.state.clone()).collect(),
                 end: self.cloud.now(),
             }
@@ -1320,7 +1278,7 @@ mod tests {
     }
 
     /// The fault plan of one generated case: the first four are the fixed
-    /// shapes (no injector, the empty plan, faults that never arm, a
+    /// shapes (the disabled handle, the empty plan, faults that never arm, a
     /// site-named plan whose endpoint faults arm and can never be consumed),
     /// the rest draw one to five faults from all six kinds.
     fn chaos_plan(case: u64, rng: &mut DetRng) -> Option<FaultPlan> {

@@ -146,8 +146,9 @@ pub struct Endpoint {
     stopped: bool,
     now: SimTime,
     rng: DetRng,
-    injector: Option<FaultInjector>,
-    /// Observability handle (disabled by default; see [`Self::set_obs`]).
+    /// Both handles come from the container (see [`Self::attach`]); each
+    /// is disabled until then.
+    injector: FaultInjector,
     obs: Obs,
     /// When the currently outstanding pilot block was requested; taken when
     /// the block first turns active to observe provisioning latency.
@@ -178,7 +179,7 @@ impl Endpoint {
             stopped: false,
             now: SimTime::ZERO,
             rng: DetRng::seed_from_u64(seed),
-            injector: None,
+            injector: FaultInjector::none(),
             obs: Obs::disabled(),
             provision_pending: None,
             exec_identity: None,
@@ -186,23 +187,13 @@ impl Endpoint {
         }
     }
 
-    /// Attach an observability handle. The endpoint records pilot
-    /// provisioning latency, task execution time, and pilot re-provisions;
-    /// recording is sim-time only and never perturbs behaviour.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
-    /// Attach a fault injector. The endpoint consults it at its event
-    /// boundaries; with an empty plan the consults are guaranteed no-ops.
-    pub fn set_fault_injector(&mut self, injector: FaultInjector) {
-        self.injector = Some(injector);
-    }
-
-    /// The injector this endpoint consults, if any: its container asks it
-    /// whether a fault is armed before choosing whom to advance.
-    pub(crate) fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_ref()
+    /// Take the container's handles. The endpoint records pilot provisioning
+    /// latency, task execution time and pilot re-provisions through `obs`,
+    /// and consults `injector` at its event boundaries; neither perturbs
+    /// behaviour while disabled or, for the injector, under an empty plan.
+    pub(crate) fn attach(&mut self, obs: &Obs, injector: &FaultInjector) {
+        self.obs = obs.clone();
+        self.injector = injector.clone();
     }
 
     /// Can this endpoint's next event move without the endpoint itself being
@@ -216,9 +207,7 @@ impl Endpoint {
     /// Is a scheduled crash due for this endpoint at `now`? Consumes the
     /// fault if so (it is one-shot).
     fn crash_due(&self, now: SimTime) -> bool {
-        self.injector
-            .as_ref()
-            .is_some_and(|inj| inj.crash_due(&self.config.name, now))
+        self.injector.crash_due(&self.config.name, now)
     }
 
     /// Simulate the endpoint worker process crashing: every queued task and
@@ -253,14 +242,12 @@ impl Endpoint {
             self.provider.release_block(b, now);
         }
         self.stopped = true;
-        if let Some(inj) = &self.injector {
-            inj.record(
-                now,
-                &component,
-                "fault.effect",
-                format!("endpoint crashed; {lost} task(s) failed as infrastructure"),
-            );
-        }
+        self.injector.record(
+            now,
+            &component,
+            "fault.effect",
+            format!("endpoint crashed; {lost} task(s) failed as infrastructure"),
+        );
     }
 
     /// One-way latency between this endpoint's site and the cloud service.

@@ -111,8 +111,9 @@ pub struct MultiUserEndpoint {
     /// by handle — the identity is the one the task was submitted with.
     audit_log: Vec<(TaskId, Arc<Identity>, Arc<str>)>,
     seed: u64,
-    injector: Option<FaultInjector>,
-    /// Observability handle, propagated into every forked UEP.
+    /// Both handles come from the cloud (see [`Self::attach`]) and go on
+    /// into every forked UEP.
+    injector: FaultInjector,
     obs: Obs,
     /// Outputs of tasks that were in flight when the MEP crashed; drained by
     /// [`Self::drain_finished_into`] alongside live UEP outputs.
@@ -131,30 +132,22 @@ impl MultiUserEndpoint {
             ueps: BTreeMap::new(),
             audit_log: Vec::new(),
             seed: 0x6d65_7000,
-            injector: None,
+            injector: FaultInjector::none(),
             obs: Obs::disabled(),
             pending_crashed: Vec::new(),
         }
     }
 
-    /// Attach a fault injector consulted at enqueue/advance boundaries.
-    pub fn set_fault_injector(&mut self, injector: FaultInjector) {
-        self.injector = Some(injector);
-    }
-
-    /// Attach an observability handle, propagated into every UEP this MEP
-    /// forks (already-forked UEPs are updated too).
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
+    /// Take the container's handles: the MEP consults the injector at its
+    /// enqueue/advance boundaries and hands both to every UEP pair, the
+    /// already-forked ones included.
+    pub(crate) fn attach(&mut self, obs: &Obs, injector: &FaultInjector) {
+        self.obs = obs.clone();
+        self.injector = injector.clone();
         for pair in self.ueps.values_mut() {
-            pair.login.set_obs(self.obs.clone());
-            pair.task.set_obs(self.obs.clone());
+            pair.login.attach(obs, injector);
+            pair.task.attach(obs, injector);
         }
-    }
-
-    /// The injector this MEP (and hence every UEP it forks) consults, if any.
-    pub(crate) fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_ref()
     }
 
     /// A MEP-level crash tears down every forked UEP. In-flight tasks fail
@@ -169,14 +162,12 @@ impl MultiUserEndpoint {
             pair.login.drain_finished_into(&mut self.pending_crashed);
             pair.task.drain_finished_into(&mut self.pending_crashed);
         }
-        if let Some(inj) = &self.injector {
-            inj.record(
-                now,
-                format!("faas.mep.{}", self.name),
-                "fault.effect",
-                format!("mep crashed; {n} uep pair(s) torn down, will re-fork on demand"),
-            );
-        }
+        self.injector.record(
+            now,
+            format!("faas.mep.{}", self.name),
+            "fault.effect",
+            format!("mep crashed; {n} uep pair(s) torn down, will re-fork on demand"),
+        );
     }
 
     pub fn with_ha_policy(mut self, policy: HighAssurancePolicy) -> Self {
@@ -283,14 +274,8 @@ impl MultiUserEndpoint {
                 )
             }
         };
-        if let Some(inj) = &self.injector {
-            login_ep.set_fault_injector(inj.clone());
-            task_ep.set_fault_injector(inj.clone());
-        }
-        if self.obs.is_enabled() {
-            login_ep.set_obs(self.obs.clone());
-            task_ep.set_obs(self.obs.clone());
-        }
+        login_ep.attach(&self.obs, &self.injector);
+        task_ep.attach(&self.obs, &self.injector);
         self.ueps.insert(
             local_user.clone(),
             UepPair {
@@ -311,23 +296,19 @@ impl MultiUserEndpoint {
         now: SimTime,
     ) -> Result<(), FaasError> {
         let command: Sym = command.into();
-        if let Some(inj) = &self.injector {
-            if inj.crash_due(&self.name, now) {
-                self.crash_all(now);
-            }
+        if self.injector.crash_due(&self.name, now) {
+            self.crash_all(now);
         }
         self.ha_policy.check(identity, now)?;
         let local_user = self
             .mapping
             .resolve(identity)
             .map_err(|_| FaasError::IdentityMappingFailed(identity.username.clone()))?;
-        if let Some(inj) = &self.injector {
-            if inj.fork_failure_due(&self.name, &identity.username, now) {
-                return Err(FaasError::Infrastructure(format!(
-                    "mep {} failed to fork a user endpoint for {}",
-                    self.name, identity.username
-                )));
-            }
+        if self.injector.fork_failure_due(&self.name, &identity.username, now) {
+            return Err(FaasError::Infrastructure(format!(
+                "mep {} failed to fork a user endpoint for {}",
+                self.name, identity.username
+            )));
         }
         let local_user = match self.ueps.get_key_value(&*local_user) {
             Some((interned, _)) => interned.clone(),
@@ -369,11 +350,7 @@ impl Advance for MultiUserEndpoint {
     }
 
     fn advance_to(&mut self, t: SimTime) {
-        if self
-            .injector
-            .as_ref()
-            .is_some_and(|inj| inj.crash_due(&self.name, t))
-        {
+        if self.injector.crash_due(&self.name, t) {
             self.crash_all(t);
         }
         // Every pair moves, due or not. Pairs wait on the site's shared batch

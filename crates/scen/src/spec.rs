@@ -541,6 +541,38 @@ impl ScenarioSpec {
             }
             _ => {}
         }
+        // A fault that names nothing never fires, and a pending fault keeps
+        // the injector armed: the run would advance every endpoint at every
+        // step to its end. Artifact names are not declared, so
+        // `artifact-corruption` cannot be checked.
+        for (ix, fault) in self.faults.iter().enumerate() {
+            let (target, named, what) = match &fault.kind {
+                FaultKindDecl::EndpointCrash { endpoint }
+                | FaultKindDecl::WanPartition { endpoint, .. } => {
+                    (endpoint, self.endpoints.iter().any(|e| e.name == *endpoint), "endpoint")
+                }
+                FaultKindDecl::MepForkFailure { endpoint, .. } => (
+                    endpoint,
+                    self.endpoints.iter().any(|e| {
+                        e.name == *endpoint && matches!(e.kind, EndpointKindDecl::MultiUser { .. })
+                    }),
+                    "multi-user endpoint",
+                ),
+                FaultKindDecl::NodeDrain { scheduler } => (
+                    scheduler,
+                    self.sites
+                        .iter()
+                        .any(|s| s.has_scheduler() && s.site_name() == *scheduler),
+                    "site with a scheduler",
+                ),
+                FaultKindDecl::TokenExpiry | FaultKindDecl::ArtifactCorruption { .. } => continue,
+            };
+            if !named {
+                return Err(SpecError(format!(
+                    "[[faults]] #{ix}: target `{target}` names no declared {what}"
+                )));
+            }
+        }
         Ok(())
     }
 
@@ -1050,6 +1082,41 @@ mod tests {
         let mut spec = ScenarioSpec::minimal("bad3", 1);
         spec.workload.failing = spec.workload.tests + 1;
         assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_faults_that_name_nothing() {
+        let with_fault = |kind: FaultKindDecl| {
+            let mut spec = rich_spec();
+            spec.faults.push(FaultDecl { at_us: 0, kind });
+            spec.validate()
+        };
+        let ep = |name: &str| name.to_string();
+        for named in [
+            FaultKindDecl::EndpointCrash { endpoint: ep("ep-wks-0") },
+            FaultKindDecl::WanPartition { endpoint: ep("ep-faster-pilot"), heal_secs: 5 },
+            FaultKindDecl::MepForkFailure { endpoint: ep("ep-faster"), user: ep("any") },
+            FaultKindDecl::NodeDrain { scheduler: ep("tamu-faster") },
+            FaultKindDecl::TokenExpiry,
+            FaultKindDecl::ArtifactCorruption { artifact: ep("undeclared") },
+        ] {
+            assert_eq!(with_fault(named.clone()), Ok(()), "{named:?}");
+        }
+        for (unnamed, target) in [
+            (FaultKindDecl::EndpointCrash { endpoint: ep("ghost") }, "ghost"),
+            (FaultKindDecl::WanPartition { endpoint: ep("ghost"), heal_secs: 5 }, "ghost"),
+            // A single-user endpoint forks nothing.
+            (FaultKindDecl::MepForkFailure { endpoint: ep("ep-wks-0"), user: ep("any") }, "ep-wks-0"),
+            // A workstation has no scheduler to drain.
+            (FaultKindDecl::NodeDrain { scheduler: ep("wks-0") }, "wks-0"),
+        ] {
+            let err = with_fault(unnamed.clone()).expect_err("an unnamed target is refused");
+            // rich_spec declares one fault already: this one is #1.
+            assert!(
+                err.0.starts_with("[[faults]] #1: ") && err.0.contains(&format!("`{target}`")),
+                "{unnamed:?}: {err}"
+            );
+        }
     }
 
     #[test]

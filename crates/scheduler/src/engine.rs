@@ -78,8 +78,9 @@ pub struct BatchScheduler {
     accounting: AccountingLog,
     now: SimTime,
     next_id: u64,
-    /// Fault injector plus the scheduler's label in fault plans (site name).
-    injector: Option<(FaultInjector, String)>,
+    injector: FaultInjector,
+    /// The scheduler's name in fault plans (the site name).
+    fault_label: String,
     obs: Obs,
     /// Pre-interned per-site queue-wait series (`sched.{site}.queue_wait_us`)
     /// so `start_job` never allocates a metric name.
@@ -101,7 +102,8 @@ impl BatchScheduler {
             accounting: AccountingLog::new(),
             now: SimTime::ZERO,
             next_id: 1,
-            injector: None,
+            injector: FaultInjector::none(),
+            fault_label: String::new(),
             obs: Obs::disabled(),
             obs_site_queue_wait: Sym::Static(""),
         }
@@ -110,7 +112,8 @@ impl BatchScheduler {
     /// Attach a fault injector; `label` is how drain faults name this
     /// scheduler (the site name at the federation layer).
     pub fn set_fault_injector(&mut self, injector: FaultInjector, label: &str) {
-        self.injector = Some((injector, label.to_string()));
+        self.injector = injector;
+        self.fault_label = label.to_string();
     }
 
     /// Attach an observability handle; `label` names this scheduler's
@@ -351,15 +354,10 @@ impl BatchScheduler {
     /// fresh submissions; pilots end as `Preempted` and their endpoint
     /// re-provisions a new block on demand.
     fn drain_node(&mut self, now: SimTime) {
-        let component = self
-            .injector
-            .as_ref()
-            .map(|(_, label)| format!("sched.{label}"))
-            .unwrap_or_else(|| "sched".to_string());
+        let component = format!("sched.{}", self.fault_label);
         let Some(victim_node) = self.running.values().next().map(|a| a.nodes[0]) else {
-            if let Some((inj, _)) = &self.injector {
-                inj.record(now, component, "fault.effect", "node drain: machine idle, no-op");
-            }
+            self.injector
+                .record(now, component, "fault.effect", "node drain: machine idle, no-op");
             return;
         };
         let victims: Vec<JobId> = self
@@ -382,24 +380,19 @@ impl BatchScheduler {
                 requeued += 1;
             }
         }
-        if let Some((inj, _)) = &self.injector {
-            inj.record(
+        self.injector.record(
+            now,
+            component.clone(),
+            "fault.effect",
+            format!("drained node {victim_node}: preempted {} job(s)", victims.len()),
+        );
+        if requeued > 0 {
+            self.injector.record(
                 now,
-                component.clone(),
-                "fault.effect",
-                format!(
-                    "drained node {victim_node}: preempted {} job(s)",
-                    victims.len()
-                ),
+                component,
+                "fault.recover",
+                format!("{requeued} preempted fixed job(s) requeued"),
             );
-            if requeued > 0 {
-                inj.record(
-                    now,
-                    component,
-                    "fault.recover",
-                    format!("{requeued} preempted fixed job(s) requeued"),
-                );
-            }
         }
         self.schedule_pass();
     }
@@ -502,11 +495,7 @@ impl Advance for BatchScheduler {
             self.schedule_pass();
         }
         self.now = t;
-        let drain_due = self
-            .injector
-            .as_ref()
-            .is_some_and(|(inj, label)| inj.drain_due(label, t));
-        if drain_due {
+        if self.injector.drain_due(&self.fault_label, t) {
             self.drain_node(t);
         }
     }

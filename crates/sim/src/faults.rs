@@ -3,10 +3,12 @@
 //! A [`FaultPlan`] schedules typed faults at virtual times; components
 //! consult a shared [`FaultInjector`] handle at their existing event
 //! boundaries (task delivery, scheduler passes, token introspection,
-//! artifact upload) and apply the fault's effect themselves. The injector
-//! never touches any component RNG stream and never mutates component state
-//! on a negative consult, so an **empty plan is a guaranteed no-op**: traces
-//! and figure outputs are bit-identical to a run without an injector.
+//! artifact upload) and apply the fault's effect themselves. Every component
+//! holds a handle; without a plan it is the disabled [`FaultInjector::none`],
+//! whose consults are one branch each. The injector never touches any
+//! component RNG stream and never mutates component state on a negative
+//! consult, so an **empty plan is a guaranteed no-op**: traces and figure
+//! outputs are bit-identical to a run with the disabled handle.
 //!
 //! Faults are one-shot: a consult that matches a due fault consumes it.
 //! Every injection and recovery is recorded as a [`TraceEvent`](crate::trace::TraceEvent) in the
@@ -159,18 +161,50 @@ struct InjectorState {
     trace: Trace,
 }
 
-/// Cloneable handle threaded through the federation. All consults take
-/// `&self`; the state sits behind a mutex so read-mostly components (the
-/// auth service's introspection path) can consult without `&mut`.
-#[derive(Clone)]
+impl InjectorState {
+    /// Consume one due fault matched by `pick`, recording the injection.
+    /// `component` is built lazily — the common consult is a miss, and the
+    /// miss path must stay allocation-free.
+    fn take_due<F, C>(&mut self, now: SimTime, component: C, pick: F) -> Option<FaultKind>
+    where
+        F: Fn(&FaultKind) -> bool,
+        C: FnOnce() -> String,
+    {
+        let idx = self
+            .pending
+            .iter()
+            .position(|f| f.at <= now && pick(&f.kind))?;
+        let fault = self.pending.remove(idx);
+        self.fired_at = self.fired_at.max(Some(now));
+        self.trace.record(
+            now,
+            component(),
+            "fault.inject",
+            format!("{} (scheduled {})", fault.kind, fault.at),
+        );
+        Some(fault.kind)
+    }
+}
+
+/// Cloneable handle threaded through the federation, or a no-op.
+///
+/// The same shape as `hpcci_obs::Obs`: the [`Default`] handle
+/// ([`FaultInjector::none`]) is disabled, and every consult on it returns
+/// after one branch, with no lock and no allocation. An enabled handle keeps
+/// its state behind a mutex, so every consult takes `&self` and read-mostly
+/// components (the auth service's introspection path) need no `&mut`.
+/// Containers hand their handle down to what they own — the cloud to its
+/// endpoints, a multi-user endpoint to the user endpoints it forks — so
+/// every component of one federation consults the same plan.
+#[derive(Clone, Default)]
 pub struct FaultInjector {
-    inner: Arc<Mutex<InjectorState>>,
+    inner: Option<Arc<Mutex<InjectorState>>>,
 }
 
 impl FaultInjector {
     pub fn new(plan: FaultPlan) -> Self {
         FaultInjector {
-            inner: Arc::new(Mutex::new(InjectorState {
+            inner: Some(Arc::new(Mutex::new(InjectorState {
                 pending: plan.faults,
                 partitions: Vec::new(),
                 expired_tokens: BTreeSet::new(),
@@ -178,8 +212,14 @@ impl FaultInjector {
                 fired_at: None,
                 settle_at: None,
                 trace: Trace::new(),
-            })),
+            }))),
         }
+    }
+
+    /// The disabled handle: no plan, no chaos log, every consult a miss.
+    /// Unlike `FaultInjector::new(FaultPlan::none())`, it never locks.
+    pub fn none() -> Self {
+        FaultInjector::default()
     }
 
     /// Must a container advance every child at `step`, due or not?
@@ -194,7 +234,9 @@ impl FaultInjector {
     /// child holds work its own `next_event` does not show, so a container
     /// may skip the children that have nothing due.
     pub fn armed(&self, step: SimTime) -> bool {
-        let mut st = self.lock();
+        let Some(mut st) = self.lock() else {
+            return false;
+        };
         if st.fired_at.is_some_and(|fired| fired < step) {
             st.fired_at = None;
             st.settle_at = Some(step);
@@ -204,9 +246,10 @@ impl FaultInjector {
             || st.pending.iter().any(|f| f.at <= step)
     }
 
-    /// Snapshot of the chaos log (injections and recoveries).
+    /// Snapshot of the chaos log (injections and recoveries); empty on the
+    /// disabled handle.
     pub fn trace(&self) -> Trace {
-        self.lock().trace.clone()
+        self.lock().map(|st| st.trace.clone()).unwrap_or_default()
     }
 
     /// Append to the chaos log — components use this to record the concrete
@@ -218,37 +261,26 @@ impl FaultInjector {
         kind: impl crate::trace::IntoSym,
         detail: impl crate::trace::IntoDetail,
     ) {
-        self.lock().trace.record(at, component, kind, detail);
+        if let Some(mut st) = self.lock() {
+            st.trace.record(at, component, kind, detail);
+        }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, InjectorState> {
+    /// The state of an enabled handle, locked; `None` on the disabled one.
+    fn lock(&self) -> Option<std::sync::MutexGuard<'_, InjectorState>> {
         // A poisoned chaos log would mask the panic that poisoned it;
         // recover the guard and keep going.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+        let inner = self.inner.as_ref()?;
+        Some(inner.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// Consume one due fault matched by `pick`, recording the injection.
-    /// `component` is built lazily — the common consult is a miss, and the
-    /// miss path must stay allocation-free.
+    /// [`InjectorState::take_due`] on an enabled handle.
     fn take_due<F, C>(&self, now: SimTime, component: C, pick: F) -> Option<FaultKind>
     where
         F: Fn(&FaultKind) -> bool,
         C: FnOnce() -> String,
     {
-        let mut st = self.lock();
-        let idx = st
-            .pending
-            .iter()
-            .position(|f| f.at <= now && pick(&f.kind))?;
-        let fault = st.pending.remove(idx);
-        st.fired_at = st.fired_at.max(Some(now));
-        st.trace.record(
-            now,
-            component(),
-            "fault.inject",
-            format!("{} (scheduled {})", fault.kind, fault.at),
-        );
-        Some(fault.kind)
+        self.lock()?.take_due(now, component, pick)
     }
 
     /// Endpoint boundary: should this endpoint crash now?
@@ -281,16 +313,15 @@ impl FaultInjector {
     /// became) partitioned, return the heal time; wire events must not be
     /// delivered before it. Heals are detected and logged here too.
     pub fn partition_until(&self, endpoint: &str, now: SimTime) -> Option<SimTime> {
+        let mut st = self.lock()?;
         // Activate any due partition fault for this endpoint.
         if let Some(FaultKind::WanPartition { heal_after, .. }) =
-            self.take_due(now, || format!("faas.wan.{endpoint}"), |k| {
+            st.take_due(now, || format!("faas.wan.{endpoint}"), |k| {
                 matches!(k, FaultKind::WanPartition { endpoint: e, .. } if e == endpoint)
             })
         {
-            let healed = now + heal_after;
-            self.lock().partitions.push((endpoint.to_string(), healed));
+            st.partitions.push((endpoint.to_string(), now + heal_after));
         }
-        let mut st = self.lock();
         let mut healed_now = Vec::new();
         st.partitions.retain(|(e, until)| {
             if e == endpoint && now >= *until {
@@ -320,16 +351,17 @@ impl FaultInjector {
     /// token it sees; a later introspection of a *different* token counts
     /// as the refresh recovery.
     pub fn token_expired(&self, token: u64, now: SimTime) -> bool {
-        if self
+        let Some(mut st) = self.lock() else {
+            return false;
+        };
+        if st
             .take_due(now, || "auth".to_string(), |k| matches!(k, FaultKind::TokenExpiry))
             .is_some()
         {
-            let mut st = self.lock();
             st.expired_tokens.insert(token);
             st.awaiting_token_refresh = true;
             return true;
         }
-        let mut st = self.lock();
         if st.expired_tokens.contains(&token) {
             return true;
         }
@@ -352,11 +384,14 @@ impl FaultInjector {
 
 impl fmt::Debug for FaultInjector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.lock();
-        f.debug_struct("FaultInjector")
-            .field("pending", &st.pending.len())
-            .field("partitions", &st.partitions.len())
-            .finish()
+        let mut d = f.debug_struct("FaultInjector");
+        match self.lock() {
+            Some(st) => d
+                .field("pending", &st.pending.len())
+                .field("partitions", &st.partitions.len()),
+            None => d.field("enabled", &false),
+        };
+        d.finish()
     }
 }
 
@@ -366,14 +401,20 @@ mod tests {
 
     #[test]
     fn empty_plan_is_a_noop() {
-        let inj = FaultInjector::new(FaultPlan::none());
-        assert!(!inj.crash_due("ep", SimTime::from_secs(100)));
-        assert!(!inj.fork_failure_due("ep", "u", SimTime::from_secs(100)));
-        assert!(!inj.drain_due("s", SimTime::from_secs(100)));
-        assert!(inj.partition_until("ep", SimTime::from_secs(100)).is_none());
-        assert!(!inj.token_expired(7, SimTime::from_secs(100)));
-        assert!(!inj.corruption_due("a", SimTime::from_secs(100)));
-        assert!(inj.trace().is_empty(), "no consult may log on the empty plan");
+        let t = SimTime::from_secs(100);
+        for inj in [FaultInjector::new(FaultPlan::none()), FaultInjector::none()] {
+            assert!(!inj.armed(t));
+            assert!(!inj.crash_due("ep", t));
+            assert!(!inj.fork_failure_due("ep", "u", t));
+            assert!(!inj.drain_due("s", t));
+            assert!(inj.partition_until("ep", t).is_none());
+            assert!(!inj.token_expired(7, t));
+            assert!(!inj.corruption_due("a", t));
+            assert!(inj.trace().is_empty(), "no consult may log on {inj:?}");
+        }
+        let disabled = FaultInjector::none();
+        disabled.record(SimTime::ZERO, "x", "fault.effect", "dropped");
+        assert!(disabled.trace().is_empty(), "the disabled handle keeps no log");
     }
 
     #[test]

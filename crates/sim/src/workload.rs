@@ -66,17 +66,6 @@ pub enum ArrivalProcess {
         /// Mean gap between arrivals, in microseconds.
         mean_gap_us: u64,
     },
-    /// Two-state Markov-modulated Poisson process: gaps are exponential
-    /// with the slow or fast mean, and the state toggles with probability
-    /// `switch_pct` percent at every arrival.
-    Mmpp {
-        /// Mean gap in the quiet state, in microseconds.
-        slow_gap_us: u64,
-        /// Mean gap in the bursty state, in microseconds.
-        fast_gap_us: u64,
-        /// Per-arrival state-toggle probability, in percent.
-        switch_pct: u32,
-    },
     /// Time-of-day modulated Poisson arrivals: the instantaneous mean gap is
     /// the nominal mean scaled by the [`DIURNAL_WEIGHTS`] entry for the
     /// current virtual hour, with `peak_pct` controlling the amplitude of
@@ -103,7 +92,6 @@ impl ArrivalProcess {
         match self {
             ArrivalProcess::Bursty { .. } => "bursty",
             ArrivalProcess::Poisson { .. } => "poisson",
-            ArrivalProcess::Mmpp { .. } => "mmpp",
             ArrivalProcess::Diurnal { .. } => "diurnal",
             ArrivalProcess::Trace { .. } => "trace",
         }
@@ -111,8 +99,8 @@ impl ArrivalProcess {
 }
 
 /// The deterministic arrival-gap stream: an [`ArrivalProcess`] plus the
-/// seeded RNG and whatever per-process state sampling needs (MMPP mode,
-/// trace cursor, diurnal phase). Two generators built from equal inputs
+/// seeded RNG and whatever per-process state sampling needs (trace cursor,
+/// diurnal phase). Two generators built from equal inputs
 /// yield byte-identical gap sequences.
 #[derive(Clone, Debug)]
 pub struct ArrivalGen {
@@ -120,8 +108,6 @@ pub struct ArrivalGen {
     process: ArrivalProcess,
     /// Virtual microseconds accumulated so far (diurnal phase).
     elapsed_us: u64,
-    /// MMPP: currently in the fast state?
-    fast: bool,
     /// Trace replay cursor.
     cursor: usize,
 }
@@ -132,7 +118,6 @@ impl ArrivalGen {
             rng,
             process,
             elapsed_us: 0,
-            fast: false,
             cursor: 0,
         }
     }
@@ -167,17 +152,6 @@ impl ArrivalGen {
             } => Self::bursty_gap_us(&mut self.rng, *gap_secs, *burstiness_pct),
             ArrivalProcess::Poisson { mean_gap_us } => {
                 (self.rng.exponential((*mean_gap_us).max(1) as f64) as u64).max(1)
-            }
-            ArrivalProcess::Mmpp {
-                slow_gap_us,
-                fast_gap_us,
-                switch_pct,
-            } => {
-                if self.rng.chance(*switch_pct as f64 / 100.0) {
-                    self.fast = !self.fast;
-                }
-                let mean = if self.fast { *fast_gap_us } else { *slow_gap_us };
-                (self.rng.exponential(mean.max(1) as f64) as u64).max(1)
             }
             ArrivalProcess::Diurnal {
                 mean_gap_us,
@@ -503,11 +477,6 @@ mod tests {
                 burstiness_pct: 40,
             },
             ArrivalProcess::Poisson { mean_gap_us: 90 },
-            ArrivalProcess::Mmpp {
-                slow_gap_us: 500,
-                fast_gap_us: 20,
-                switch_pct: 10,
-            },
             ArrivalProcess::Diurnal {
                 mean_gap_us: 250,
                 day_secs: 3600,

@@ -146,16 +146,11 @@ fn run_waves(
     }
 }
 
-/// Hand one injector over `plan` to the cloud and to every endpoint.
-fn attach_injector(cloud: &mut CloudService, ids: &[EndpointId], plan: FaultPlan) -> FaultInjector {
+/// Hand one injector over `plan` to the cloud, which hands it to every
+/// endpoint.
+fn attach_injector(cloud: &mut CloudService, plan: FaultPlan) -> FaultInjector {
     let injector = FaultInjector::new(plan);
     cloud.set_fault_injector(injector.clone());
-    for id in ids {
-        match cloud.endpoint_mut(id).unwrap() {
-            EndpointRegistration::Single(e) => e.set_fault_injector(injector.clone()),
-            EndpointRegistration::Multi(m) => m.set_fault_injector(injector.clone()),
-        }
-    }
     injector
 }
 
@@ -277,7 +272,7 @@ fn every_accepted_task_is_terminal_exactly_once_at_quiescence() {
                             heal_after: SimDuration::from_secs(rng.range_u64(5, 60)),
                         },
                     );
-                injector = Some(attach_injector(&mut cloud, &ids, plan));
+                injector = Some(attach_injector(&mut cloud, plan));
             }
             // Interactive waves first, then one wave scheduled ahead.
             run_waves(&shape, &mut cloud, &token, &ids, |c| {
@@ -334,7 +329,7 @@ fn a_fault_plan_costs_events_only_while_a_fault_is_armed() {
         let shape = gen_shape(&mut rng);
         let run = |plan: Option<FaultPlan>| {
             let (mut cloud, token, ids) = build_cloud(&shape);
-            let injector = plan.map(|plan| attach_injector(&mut cloud, &ids, plan));
+            let injector = plan.map(|plan| attach_injector(&mut cloud, plan));
             let mut steps = 0u64;
             run_waves(&shape, &mut cloud, &token, &ids, |c| {
                 while c.step_next(SimTime::FAR_FUTURE).is_some() {

@@ -6,13 +6,14 @@
 //! suite asserts (a) the outcome — bounded retries recover transient faults,
 //! unrecoverable faults degrade to a *reported* infrastructure failure,
 //! never a hang or panic — and (b) the chaos log, where every injection and
-//! recovery is recorded. A final test pins the zero-perturbation guarantee:
-//! an empty plan leaves the run bit-identical to one without an injector.
+//! recovery is recorded. The last tests pin the zero-perturbation guarantee:
+//! an empty plan leaves the run bit-identical to one with the disabled
+//! injector, on the Fig. 4 federations and across a generated fleet.
 
 use hpcci::ci::workflow::{JobDef, StepDef, TriggerEvent, WorkflowDef};
-use hpcci::ci::RunStatus;
+use hpcci::ci::{CacheMode, RunStatus};
 use hpcci::correct::{EndpointSpec, Federation, CORRECT_ACTION_NAME};
-use hpcci::scen::{FaultDecl, FaultKindDecl, ScenarioSpec};
+use hpcci::scen::{CacheModeDecl, FaultDecl, FaultKindDecl, ScenarioGen, ScenarioSpec};
 use hpcci::scenarios::{
     parsldock_scenario, parsldock_scenario_with_faults, psij_scenario, psij_scenario_with_faults,
 };
@@ -329,6 +330,46 @@ fn empty_fault_plan_perturbs_nothing() {
     assert_eq!(art_a, art_b, "artifacts bit-identical");
     assert_eq!(end_a, end_b, "virtual clock identical");
     assert_eq!(chaos_len, 0, "empty plan never logs");
+}
+
+/// The same guarantee over the generated fleet: every fault-free scenario
+/// of `ScenarioGen::new(42).fleet(32)`, built once with the empty plan and
+/// once with the disabled handle and driven through the same rounds, commits
+/// the same trace digest and run reports, with nothing on the chaos log.
+#[test]
+fn empty_fault_plan_perturbs_nothing_fleet_wide() {
+    let fleet = ScenarioGen::new(42).fleet(32);
+    let fault_free: Vec<&ScenarioSpec> =
+        fleet.iter().filter(|spec| spec.fault_plan().is_empty()).collect();
+    assert!(fault_free.len() >= 8, "only {} fault-free specs", fault_free.len());
+    for spec in fault_free {
+        let run = |with_empty_plan: bool| {
+            let mut builder = Federation::builder(spec.seed).workload(spec.traffic.workload());
+            if with_empty_plan {
+                builder = builder.faults(FaultPlan::none());
+            }
+            match spec.cache {
+                CacheModeDecl::Off => {}
+                CacheModeDecl::Record => builder = builder.step_cache(CacheMode::Record),
+                CacheModeDecl::Replay => builder = builder.step_cache(CacheMode::Replay),
+            }
+            let mut s = spec.build_on(builder.build()).expect("generated spec compiles");
+            let mut arrivals = s.fed.arrival_gen().expect("workload attached");
+            for round in 0..spec.traffic.pushes {
+                if round > 0 {
+                    let gap = arrivals.next_gap_us();
+                    s.fed.world().sleep(SimDuration::from_micros(gap));
+                }
+                s.trigger_round(&spec.user.login);
+            }
+            (s.fed.trace_digest(), s.fed.run_reports(), s.fed.fault_trace().len())
+        };
+        let (digest, reports, _) = run(false);
+        let (empty_digest, empty_reports, chaos_len) = run(true);
+        assert_eq!(digest, empty_digest, "{}: trace digest", spec.name);
+        assert_eq!(reports, empty_reports, "{}: run reports", spec.name);
+        assert_eq!(chaos_len, 0, "{}: the empty plan never logs", spec.name);
+    }
 }
 
 /// Same guarantee on the multi-site scenario (the Fig. 4 input): the

@@ -31,11 +31,6 @@ fn gen_processes(rng: &mut DetRng) -> Vec<ArrivalProcess> {
         ArrivalProcess::Poisson {
             mean_gap_us: rng.range_u64(1_000, 600_000_000),
         },
-        ArrivalProcess::Mmpp {
-            slow_gap_us: rng.range_u64(1_000_000, 600_000_000),
-            fast_gap_us: rng.range_u64(1_000, 1_000_000),
-            switch_pct: rng.range_u64(1, 50) as u32,
-        },
         ArrivalProcess::Diurnal {
             mean_gap_us: rng.range_u64(1_000, 60_000_000),
             day_secs: 86_400,
