@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 
 use crate::digest::Digest;
@@ -15,7 +14,7 @@ use crate::digest::Digest;
 pub const DEFAULT_CHUNK_SIZE: usize = 64 * 1024;
 
 struct Chunk {
-    data: Bytes,
+    data: Arc<[u8]>,
     refs: u64,
 }
 
@@ -24,9 +23,9 @@ struct Object {
     len: u64,
     refs: u64,
     /// Assembled view, shared by every `get`. For single-chunk objects this
-    /// is the chunk's own `Bytes` (zero copy); multi-chunk objects pay one
+    /// is the chunk's own buffer (zero copy); multi-chunk objects pay one
     /// assembly on first `get` and share thereafter.
-    assembled: Option<Bytes>,
+    assembled: Option<Arc<[u8]>>,
 }
 
 struct Inner {
@@ -59,7 +58,7 @@ pub struct CasStats {
 pub struct Stored {
     pub digest: Digest,
     /// Shares storage with the store and every other holder of the object.
-    pub content: Bytes,
+    pub content: Arc<[u8]>,
     /// Unique chunk bytes this call added (zero for a duplicate).
     pub added_bytes: u64,
 }
@@ -106,7 +105,7 @@ impl Inner {
         }
         let before = self.stored_bytes;
         let mut chunk_ids = Vec::with_capacity(data.len() / self.chunk_size + 1);
-        // An empty object has no chunks; its view is the canonical empty Bytes.
+        // An empty object has no chunks; its view is an empty buffer.
         for part in data.chunks(self.chunk_size) {
             let cid = Digest::of_bytes(part);
             match self.chunks.get_mut(&cid) {
@@ -116,7 +115,7 @@ impl Inner {
                     self.chunks.insert(
                         cid,
                         Chunk {
-                            data: Bytes::from(part.to_vec()),
+                            data: Arc::from(part),
                             refs: 1,
                         },
                     );
@@ -125,7 +124,7 @@ impl Inner {
             chunk_ids.push(cid);
         }
         let assembled = match chunk_ids.as_slice() {
-            [] => Some(Bytes::new()),
+            [] => Some(Arc::from(&[][..])),
             [only] => Some(self.chunks[only].data.clone()),
             _ => None,
         };
@@ -142,7 +141,7 @@ impl Inner {
     }
 
     /// The shared view of an object, assembling it on first use.
-    fn view(&mut self, digest: Digest) -> Option<Bytes> {
+    fn view(&mut self, digest: Digest) -> Option<Arc<[u8]>> {
         let obj = self.objects.get(&digest)?;
         if let Some(b) = &obj.assembled {
             return Some(b.clone());
@@ -151,7 +150,7 @@ impl Inner {
         for cid in &obj.chunks {
             buf.extend_from_slice(&self.chunks[cid].data);
         }
-        let assembled = Bytes::from(buf);
+        let assembled: Arc<[u8]> = Arc::from(buf);
         self.objects.get_mut(&digest).unwrap().assembled = Some(assembled.clone());
         Some(assembled)
     }
@@ -225,16 +224,16 @@ impl CasStore {
         }
     }
 
-    /// Fetch an object. The returned `Bytes` shares storage with the store
+    /// Fetch an object. The returned buffer shares storage with the store
     /// (and with every other fetch of the same object).
-    pub fn get(&self, digest: Digest) -> Option<Bytes> {
+    pub fn get(&self, digest: Digest) -> Option<Arc<[u8]>> {
         self.inner.lock().view(digest)
     }
 
     /// Take one more reference to an object the store already holds, by its
     /// address: the accounting of a duplicate [`put`](Self::put) without
     /// re-hashing the content. `None` when the object is not here.
-    pub fn retain(&self, digest: Digest) -> Option<Bytes> {
+    pub fn retain(&self, digest: Digest) -> Option<Arc<[u8]>> {
         let mut inner = self.inner.lock();
         let content = inner.view(digest)?;
         inner.objects.get_mut(&digest).unwrap().refs += 1;

@@ -7,7 +7,6 @@
 //! keeps every run deterministic.
 
 use crate::run::{Infra, Outputs};
-use bytes::Bytes;
 use hpcci_sim::{SimDuration, SimTime, Sym};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -101,7 +100,7 @@ pub struct StepResult {
     /// Named outputs consumable by later steps.
     pub outputs: Outputs,
     /// Artifacts to persist (name, bytes).
-    pub artifacts: Vec<(String, Bytes)>,
+    pub artifacts: Vec<(String, Arc<[u8]>)>,
     /// Whether infrastructure bore on this result (see [`Infra`]).
     pub infra: Infra,
 }
@@ -128,8 +127,8 @@ impl StepResult {
         self
     }
 
-    pub fn with_artifact(mut self, name: &str, content: impl Into<Bytes>) -> StepResult {
-        self.artifacts.push((name.to_string(), content.into()));
+    pub fn with_artifact(mut self, name: &str, content: impl AsRef<[u8]>) -> StepResult {
+        self.artifacts.push((name.to_string(), Arc::from(content.as_ref())));
         self
     }
 }

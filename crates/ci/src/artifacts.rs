@@ -6,10 +6,10 @@
 
 use crate::error::CiError;
 use crate::run::RunId;
-use bytes::Bytes;
 use hpcci_cas::{CasStore, Digest};
 use hpcci_sim::{FaultInjector, SimDuration, SimTime};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Default retention window.
 pub const RETENTION: SimDuration = SimDuration::from_hours(90 * 24);
@@ -21,7 +21,7 @@ pub struct Artifact {
     pub name: String,
     /// With a CAS attached this view shares storage with every other upload
     /// of the same content; without one it owns its bytes.
-    pub content: Bytes,
+    pub content: Arc<[u8]>,
     /// CAS address of the content; [`Digest::NONE`] when no store is attached.
     pub digest: Digest,
     pub uploaded_at: SimTime,
@@ -70,10 +70,10 @@ impl ArtifactStore {
         &mut self,
         run: RunId,
         name: &str,
-        content: impl Into<Bytes>,
+        content: impl AsRef<[u8]>,
         now: SimTime,
     ) -> Digest {
-        self.upload_accounted(run, name, content, now).0
+        self.upload_accounted(run, name, Arc::from(content.as_ref()), now).0
     }
 
     /// [`upload`](Self::upload) that also reports the bytes storage grew by:
@@ -83,10 +83,9 @@ impl ArtifactStore {
         &mut self,
         run: RunId,
         name: &str,
-        content: impl Into<Bytes>,
+        content: Arc<[u8]>,
         now: SimTime,
     ) -> (Digest, u64) {
-        let content = content.into();
         let (digest, content, stored) = match &self.cas {
             // The store's view of the content is the CAS object itself:
             // duplicate uploads share one allocation.
@@ -108,7 +107,7 @@ impl ArtifactStore {
     /// them. All or nothing: `false` (and no reference kept) when any of
     /// them is not in this store's CAS. On `true`, `out` holds the contents
     /// in order, ready for [`attach`](Self::attach).
-    pub(crate) fn retain_cached(&self, refs: &[(String, Digest, u64)], out: &mut Vec<Bytes>) -> bool {
+    pub(crate) fn retain_cached(&self, refs: &[(String, Digest, u64)], out: &mut Vec<Arc<[u8]>>) -> bool {
         out.clear();
         let Some(cas) = &self.cas else {
             return refs.is_empty();
@@ -128,7 +127,7 @@ impl ArtifactStore {
 
     /// List `content` — already stored under `digest`, its reference already
     /// taken — as an artifact of `run`.
-    pub(crate) fn attach(&mut self, run: RunId, name: &str, digest: Digest, content: Bytes, now: SimTime) {
+    pub(crate) fn attach(&mut self, run: RunId, name: &str, digest: Digest, content: Arc<[u8]>, now: SimTime) {
         if self.injector.corruption_due(name, now) {
             // The first write lands corrupted; the store's checksum
             // verification catches the mismatch and the upload is retried
@@ -250,15 +249,15 @@ mod tests {
     fn upload_accounted_reports_what_storage_grew_by() {
         let mut bare = ArtifactStore::new();
         assert_eq!(
-            bare.upload_accounted(RunId(1), "a", "12345", SimTime::ZERO),
+            bare.upload_accounted(RunId(1), "a", Arc::from(&b"12345"[..]), SimTime::ZERO),
             (Digest::NONE, 5)
         );
         let mut store = ArtifactStore::new();
         store.attach_cas(CasStore::new());
-        let (d, first) = store.upload_accounted(RunId(1), "a", "12345", SimTime::ZERO);
+        let (d, first) = store.upload_accounted(RunId(1), "a", Arc::from(&b"12345"[..]), SimTime::ZERO);
         assert_eq!(first, 5);
         assert_eq!(
-            store.upload_accounted(RunId(2), "a", "12345", SimTime::ZERO),
+            store.upload_accounted(RunId(2), "a", Arc::from(&b"12345"[..]), SimTime::ZERO),
             (d, 0)
         );
     }

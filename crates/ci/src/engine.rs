@@ -698,7 +698,7 @@ impl CiEngine {
         let mut chain = self.cache_salt;
         // Contents of a hit's artifacts between taking their CAS references
         // and listing them; reused across the run's steps.
-        let mut replayed_artifacts: Vec<bytes::Bytes> = Vec::new();
+        let mut replayed_artifacts: Vec<Arc<[u8]>> = Vec::new();
 
         for &job_ix in order {
             let job = &jobs[job_ix];
@@ -945,13 +945,12 @@ impl CiEngine {
                 let Some(source) = prior_steps.iter().find(|s| s.step == from_step.as_str()) else {
                     return StepResult::fail(format!("upload-artifact: no prior step `{from_step}`"));
                 };
-                let mut content = source.stdout.clone();
-                if !source.stderr.is_empty() {
-                    content.push_str("\n--- stderr ---\n");
-                    content.push_str(&source.stderr);
+                let result = StepResult::ok(format!("uploaded artifact {name}"));
+                if source.stderr.is_empty() {
+                    return result.with_artifact(name, &source.stdout);
                 }
-                StepResult::ok(format!("uploaded artifact {name}"))
-                    .with_artifact(name, content)
+                let (stdout, stderr) = (&source.stdout, &source.stderr);
+                result.with_artifact(name, format!("{stdout}\n--- stderr ---\n{stderr}"))
             }
         }
     }

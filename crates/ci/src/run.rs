@@ -36,6 +36,18 @@ impl RunStatus {
     pub fn is_terminal(&self) -> bool {
         matches!(self, RunStatus::Success | RunStatus::Failure | RunStatus::Rejected)
     }
+
+    /// The status as run reports and scenario transcripts print it.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            RunStatus::AwaitingApproval => "awaiting-approval",
+            RunStatus::Queued => "queued",
+            RunStatus::Running => "running",
+            RunStatus::Success => "success",
+            RunStatus::Failure => "failure",
+            RunStatus::Rejected => "rejected",
+        }
+    }
 }
 
 /// How far infrastructure, not the code under test, bore on a step's result

@@ -178,7 +178,7 @@ impl SecretStore {
     }
 }
 
-/// Bytes of a value the mask index keys on: its last `TAIL`. Tokens tend to
+/// The bytes of a value the mask index keys on: its last `TAIL`. Tokens tend to
 /// open with a shared type prefix (`client-000123`, `ghp_…`) and differ at
 /// the end, so the tail tells them apart where the head would not.
 const TAIL: usize = 4;

@@ -19,7 +19,6 @@
 
 use crate::account::{Uid, UserAccount};
 use crate::error::ClusterError;
-use bytes::Bytes;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -71,7 +70,7 @@ impl Cred {
 
 #[derive(Debug, Clone)]
 enum NodeKind {
-    File(Bytes),
+    File(Arc<[u8]>),
     /// Child name → inode number.
     Dir(BTreeMap<Box<str>, u32>),
 }
@@ -289,11 +288,12 @@ impl VirtualFs {
         id
     }
 
-    /// Vacate `id` and everything below it.
+    /// Vacate `id` and everything below it. A vacant slot holds an empty
+    /// directory, which costs no allocation.
     fn release(&mut self, id: u32) {
         let mut doomed = vec![id];
         while let Some(id) = doomed.pop() {
-            let kind = std::mem::replace(&mut self.nodes[id as usize].kind, NodeKind::File(Bytes::new()));
+            let kind = std::mem::replace(&mut self.nodes[id as usize].kind, NodeKind::Dir(BTreeMap::new()));
             if let NodeKind::Dir(children) = kind {
                 doomed.extend(children.into_values());
             }
@@ -358,7 +358,7 @@ impl VirtualFs {
         base: &str,
         rel: &str,
         cred: &Cred,
-        content: Bytes,
+        content: Arc<[u8]>,
         mode: FileMode,
     ) -> Result<(), ClusterError> {
         let (_, leaf) = split_leaf(rel);
@@ -401,15 +401,20 @@ impl VirtualFs {
         &mut self,
         path: &str,
         cred: &Cred,
-        content: impl Into<Bytes>,
+        content: impl AsRef<[u8]>,
         mode: FileMode,
     ) -> Result<(), ClusterError> {
+        self.write_shared(path, cred, Arc::from(content.as_ref()), mode)
+    }
+
+    /// [`write`](Self::write) of a buffer the file then shares.
+    fn write_shared(&mut self, path: &str, cred: &Cred, content: Arc<[u8]>, mode: FileMode) -> Result<(), ClusterError> {
         let path = normal(path);
         if *path == *"/" {
             return Err(ClusterError::WrongKind(path.into_owned()));
         }
         let dir = self.dir_of(ROOT, "", &path[1..], cred)?;
-        self.write_in(dir, "", &path[1..], cred, content.into(), mode)
+        self.write_in(dir, "", &path[1..], cred, content, mode)
     }
 
     /// Write a tree of files below `dest`: for each `(relative path, content)`
@@ -421,6 +426,7 @@ impl VirtualFs {
     /// and the directory one file went into is kept for the next (a tree's
     /// files arrive sorted, so a directory's files are consecutive), which
     /// then costs one probe of that directory and the same write checks.
+    /// Each file shares the buffer it is handed; nothing is copied.
     /// Both rest on one argument: `write_tree` adds entries and replaces
     /// file contents, so between two of its files no mode, owner or kind
     /// changes on the way from `/` to `dest` or from `dest` to that
@@ -431,7 +437,7 @@ impl VirtualFs {
         cred: &Cred,
         dir_mode: FileMode,
         file_mode: FileMode,
-        files: impl IntoIterator<Item = (&'a str, Bytes)>,
+        files: impl IntoIterator<Item = (&'a str, Arc<[u8]>)>,
     ) -> Result<(), ClusterError> {
         let dest = normal(dest);
         let base = if *dest == *"/" { "" } else { &*dest };
@@ -461,7 +467,7 @@ impl VirtualFs {
                     let target = format!("{base}/{rel}");
                     let dir = &target[..target.rfind('/').expect("joined with a slash")];
                     self.mkdir_p(if dir.is_empty() { "/" } else { dir }, cred, dir_mode)?;
-                    self.write(&target, cred, content, file_mode)?;
+                    self.write_shared(&target, cred, content, file_mode)?;
                 }
             }
         }
@@ -469,7 +475,7 @@ impl VirtualFs {
     }
 
     /// Read a file's content.
-    pub fn read(&self, path: &str, cred: &Cred) -> Result<Bytes, ClusterError> {
+    pub fn read(&self, path: &str, cred: &Cred) -> Result<Arc<[u8]>, ClusterError> {
         let path = normal(path);
         let node = self.node(self.resolve(&path, cred, "read")?);
         if !node.allows(cred, Access::Read) {
@@ -684,7 +690,7 @@ mod tests {
             denied("mkdir", "/scratch/alice/open/d/e")
         );
         assert_eq!(
-            fs.write_tree("/scratch/alice/open", &b, FileMode::DIR, FileMode::REGULAR, [("d/g", Bytes::new())])
+            fs.write_tree("/scratch/alice/open", &b, FileMode::DIR, FileMode::REGULAR, [("d/g", Arc::from(&[][..]))])
                 .unwrap_err(),
             denied("mkdir", "/scratch/alice/open/d")
         );
@@ -815,7 +821,7 @@ mod tests {
         let a = alice();
         fs.mkdir_p("/scratch/alice/repo", &a, FileMode::PRIVATE_DIR).unwrap();
         let files = [("README.md", "r"), ("src/lib/mod.rs", "m"), ("src/main.rs", "fn")];
-        let tree = || files.iter().map(|&(p, c)| (p, Bytes::from(c)));
+        let tree = || files.iter().map(|&(p, c)| (p, Arc::from(c.as_bytes())));
         fs.write_tree("/scratch/alice/repo", &a, FileMode::PRIVATE_DIR, FileMode::REGULAR, tree())
             .unwrap();
         assert_eq!(fs.list("/scratch/alice/repo", &a).unwrap(), vec!["README.md", "src"]);
@@ -856,7 +862,7 @@ mod tests {
                 &a,
                 FileMode::PRIVATE_DIR,
                 FileMode::REGULAR,
-                files.iter().map(|&p| (p, Bytes::from(p))),
+                files.iter().map(|&p| (p, Arc::from(p.as_bytes()))),
             )
             .unwrap();
         };

@@ -369,7 +369,7 @@ impl Action for CorrectAction {
             if let Ok(t) = capture_task {
                 if let Ok(cap) = self.wait_for(ctx.driver, t) {
                     if cap.success() {
-                        result = result.with_artifact("environment.txt", cap.stdout.clone());
+                        result = result.with_artifact("environment.txt", &cap.stdout);
                     }
                 }
             }

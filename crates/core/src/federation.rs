@@ -9,7 +9,7 @@ use crate::action::{CorrectAction, CORRECT_ACTION_NAME};
 use hpcci_auth::{AuthService, IdentityId, IdentityMapping};
 use hpcci_cas::{Digest, DigestBuilder};
 use hpcci_ci::{
-    CacheMode, CiEngine, CiError, RunId, RunStatus, StepCache, WorkflowRun, WorldDriver,
+    CacheMode, CiEngine, CiError, RunId, StepCache, WorkflowRun, WorldDriver,
 };
 use hpcci_cluster::{FileMode, Site};
 use hpcci_faas::{
@@ -484,7 +484,7 @@ impl Federation {
                 "Cloning into '{dest}'...\nHEAD is now at {} ({branch_name})",
                 head.abbrev()
             );
-            ExecOutcome::ok(report, 0.5 + io_secs).with_payload(dest)
+            ExecOutcome::ok(report, 0.5 + io_secs)
         });
 
         runtime.commands.register("gc-capture-env", |env| {
@@ -497,8 +497,7 @@ impl Federation {
                 env_name.as_deref(),
                 env.container,
             );
-            let text = capture.render();
-            ExecOutcome::ok(text.clone(), 0.2).with_payload(text)
+            ExecOutcome::ok(capture.render(), 0.2)
         });
     }
 
@@ -712,14 +711,6 @@ impl Federation {
 
     fn report_of(&self, record: &WorkflowRun) -> RunReport {
         let now = self.world.now();
-        let status = match record.status {
-            RunStatus::AwaitingApproval => "awaiting-approval",
-            RunStatus::Queued => "queued",
-            RunStatus::Running => "running",
-            RunStatus::Success => "success",
-            RunStatus::Failure => "failure",
-            RunStatus::Rejected => "rejected",
-        };
         let artifact_bytes: u64 = self
             .engine
             .artifacts
@@ -733,7 +724,7 @@ impl Federation {
             workflow: record.workflow.to_string(),
             branch: record.branch.to_string(),
             commit: record.commit.to_string(),
-            status: status.to_string(),
+            status: record.status.as_str().to_string(),
             triggered_at_us: record.triggered_at.as_micros(),
             started_at_us: record.started_at.map(|t| t.as_micros()),
             ended_at_us: record.ended_at.map(|t| t.as_micros()),
@@ -846,14 +837,14 @@ mod tests {
             clone(&mut rt, &bob, " /scratch/x-alice/w1").stderr,
             "fatal: permission denied: uid 1001 cannot mkdir /scratch/x-alice/w1"
         );
-        // And the success text, with the payload naming the clone.
+        // And the success text, naming the clone.
         let ok = clone(&mut rt, &bob, "");
         let head = fed.hosting.lock().repo("lab/app").unwrap().head("main").unwrap().short();
         assert_eq!(
             ok.stdout,
             format!("Cloning into '/scratch/x-bob/gc-action-temp/app'...\nHEAD is now at {head} (main)")
         );
-        assert_eq!(&ok.result.unwrap()[..], b"/scratch/x-bob/gc-action-temp/app");
+        assert!(ok.result.is_ok());
         assert_eq!(
             rt.site.fs.list("/scratch/x-bob/gc-action-temp/app", &Cred::of(&bob)).unwrap(),
             vec!["README.md", "conf", "src"]

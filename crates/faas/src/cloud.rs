@@ -121,8 +121,9 @@ enum InFlight {
     },
 }
 
-/// Maximum bytes of a task's args or result payload. The paper notes Globus
-/// Compute payload limits (§7.4); 10 MB matches its order of magnitude.
+/// Maximum bytes of a task's args (its command line): a task returns no
+/// payload, only stdout, stderr and a verdict. The paper notes Globus Compute
+/// payload limits (§7.4); 10 MB matches its order of magnitude.
 pub const PAYLOAD_LIMIT: usize = 10 * 1024 * 1024;
 
 /// The FaaS cloud service.

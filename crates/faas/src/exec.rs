@@ -11,7 +11,6 @@
 //! permission checks and network policy apply exactly as they would on the
 //! real system.
 
-use bytes::Bytes;
 use hpcci_cluster::{Cred, NetworkZone, NodeRole, Site, UserAccount, WorkUnits};
 use hpcci_scheduler::BatchScheduler;
 use hpcci_sim::{DetRng, SimTime};
@@ -24,9 +23,9 @@ use std::sync::Arc;
 pub struct ExecOutcome {
     pub stdout: String,
     pub stderr: String,
-    /// Ok(payload) or Err(message). Shell-style commands return empty
-    /// payloads; native functions may return real data.
-    pub result: Result<Bytes, String>,
+    /// The verdict: `Err` carries the failure message. A command returns
+    /// nothing else; what it has to say is in stdout and stderr.
+    pub result: Result<(), String>,
     /// Cost in reference-seconds, converted to virtual time by the site's
     /// performance model.
     pub work: WorkUnits,
@@ -37,7 +36,7 @@ impl ExecOutcome {
         ExecOutcome {
             stdout: stdout.into(),
             stderr: String::new(),
-            result: Ok(Bytes::new()),
+            result: Ok(()),
             work: WorkUnits::secs(work),
         }
     }
@@ -50,13 +49,6 @@ impl ExecOutcome {
             stderr,
             work: WorkUnits::secs(work),
         }
-    }
-
-    pub fn with_payload(mut self, payload: impl Into<Bytes>) -> ExecOutcome {
-        if self.result.is_ok() {
-            self.result = Ok(payload.into());
-        }
-        self
     }
 
     pub fn with_stdout(mut self, stdout: impl Into<String>) -> ExecOutcome {

@@ -1,7 +1,6 @@
 //! Tasks: the unit of remote execution.
 
 use crate::error::FaasError;
-use bytes::Bytes;
 use hpcci_auth::IdentityId;
 use hpcci_sim::{SimDuration, SimTime, Sym};
 use std::fmt;
@@ -49,7 +48,7 @@ pub enum TaskFailure {
     /// with the message it left. Never retried.
     Command(String),
     /// The endpoint's worker process died under the task: infrastructure.
-    /// Payload-free, so it sits in the niche `Result<Bytes, String>` had.
+    /// Message-free: the endpoint writes what happened to stderr.
     WorkerCrashed,
 }
 
@@ -58,9 +57,9 @@ pub enum TaskFailure {
 pub struct TaskOutput {
     pub stdout: String,
     pub stderr: String,
-    /// The function's return payload (empty for shell functions, which can
-    /// only return stdout/stderr — a limitation §7.4 discusses).
-    pub result: Result<Bytes, TaskFailure>,
+    /// The verdict. A task returns stdout, stderr and this, nothing more:
+    /// shell functions have no return value (a limitation §7.4 discusses).
+    pub result: Result<(), TaskFailure>,
     /// Local account the task actually ran as — the auditable identity link.
     /// Interned: a run's tasks share a handful of account names, so each
     /// output holds a shared `Sym` instead of its own `String`.
@@ -88,8 +87,6 @@ pub enum TaskState {
     Submitted { at: SimTime },
     /// Queued at the endpoint waiting for a worker.
     QueuedAtEndpoint { at: SimTime },
-    /// Executing on a worker.
-    Running { started: SimTime },
     /// Finished; output available — the box the endpoint's pump built,
     /// carried here by handle and never opened (a `Task` is half the size).
     Done(Box<TaskOutput>),
@@ -108,7 +105,6 @@ impl TaskState {
         match self {
             TaskState::Submitted { .. } => "Submitted",
             TaskState::QueuedAtEndpoint { .. } => "QueuedAtEndpoint",
-            TaskState::Running { .. } => "Running",
             TaskState::Done(_) => "Done",
             TaskState::Rejected { .. } => "Rejected",
         }
@@ -180,7 +176,7 @@ mod tests {
         let out = TaskOutput {
             stdout: "ok".into(),
             stderr: String::new(),
-            result: Ok(Bytes::from_static(b"42")),
+            result: Ok(()),
             ran_as: "x-vhayot".into(),
             node: "anvil-login-1".into(),
             started: SimTime::from_secs(10),
@@ -212,7 +208,7 @@ mod tests {
         }
         .is_terminal());
         assert!(!TaskState::Submitted { at: SimTime::ZERO }.is_terminal());
-        assert!(!TaskState::Running { started: SimTime::ZERO }.is_terminal());
+        assert!(!TaskState::QueuedAtEndpoint { at: SimTime::ZERO }.is_terminal());
     }
 
     fn sample_task(state: TaskState) -> Task {
@@ -230,7 +226,7 @@ mod tests {
         Box::new(TaskOutput {
             stdout: String::new(),
             stderr: String::new(),
-            result: Ok(Bytes::new()),
+            result: Ok(()),
             ran_as: "u".into(),
             node: "n".into(),
             started: SimTime::ZERO,
@@ -243,8 +239,6 @@ mod tests {
         let mut t = sample_task(TaskState::Submitted { at: SimTime::ZERO });
         t.transition(TaskState::QueuedAtEndpoint { at: SimTime::from_secs(1) })
             .unwrap();
-        t.transition(TaskState::Running { started: SimTime::from_secs(2) })
-            .unwrap();
         t.transition(TaskState::Done(done_output())).unwrap();
         assert!(t.state.is_terminal());
     }
@@ -253,7 +247,7 @@ mod tests {
     fn done_task_cannot_be_revived() {
         let mut t = sample_task(TaskState::Done(done_output()));
         let err = t
-            .transition(TaskState::Running { started: SimTime::from_secs(5) })
+            .transition(TaskState::QueuedAtEndpoint { at: SimTime::from_secs(5) })
             .unwrap_err();
         assert!(err.to_string().contains("illegal transition"));
         // The terminal state is untouched.

@@ -4,9 +4,7 @@ use crate::spec::PsijJobSpec;
 use hpcci_cluster::Uid;
 use hpcci_scheduler::{BatchScheduler, JobId, JobPayload, JobSpec, JobState};
 use hpcci_sim::{Advance, SimDuration, SimTime};
-use parking_lot::Mutex;
 use std::fmt;
-use std::sync::Arc;
 
 /// PSI/J's portable job states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,13 +50,13 @@ impl std::error::Error for PsijError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PsijJobHandle(pub u64);
 
-enum Backend {
+enum Backend<'a> {
     /// Direct execution on the node running the executor: job `i` completes
     /// at its recorded end time.
     Local(Vec<(SimTime, bool, bool)>), // (ends_at, success, cancelled)
-    /// Batch execution through the shared scheduler.
+    /// Batch execution through a scheduler the caller lends.
     Slurm {
-        scheduler: Arc<Mutex<BatchScheduler>>,
+        scheduler: &'a mut BatchScheduler,
         user: Uid,
         allocation: String,
         jobs: Vec<JobId>,
@@ -67,20 +65,20 @@ enum Backend {
 
 /// One executor instance ("local" or "slurm"), mirroring
 /// `psij.JobExecutor.get_instance(name)`.
-pub struct JobExecutor {
-    backend: Backend,
+pub struct JobExecutor<'a> {
+    backend: Backend<'a>,
 }
 
-impl JobExecutor {
+impl<'a> JobExecutor<'a> {
     /// The `local` executor: forks on the current (login) node.
-    pub fn local() -> JobExecutor {
+    pub fn local() -> JobExecutor<'a> {
         JobExecutor {
             backend: Backend::Local(Vec::new()),
         }
     }
 
-    /// The `slurm` executor bound to a site scheduler and local account.
-    pub fn slurm(scheduler: Arc<Mutex<BatchScheduler>>, user: Uid, allocation: &str) -> JobExecutor {
+    /// The `slurm` executor over a borrowed scheduler, as a local account.
+    pub fn slurm(scheduler: &'a mut BatchScheduler, user: Uid, allocation: &str) -> JobExecutor<'a> {
         JobExecutor {
             backend: Backend::Slurm {
                 scheduler,
@@ -119,7 +117,6 @@ impl JobExecutor {
                     },
                 };
                 let id = scheduler
-                    .lock()
                     .submit(sched_spec, now)
                     .map_err(|e| PsijError::Scheduler(e.to_string()))?;
                 jobs.push(id);
@@ -149,11 +146,10 @@ impl JobExecutor {
                 let id = *jobs
                     .get(handle.0 as usize)
                     .ok_or(PsijError::UnknownJob(handle.0))?;
-                let mut sched = scheduler.lock();
-                if sched.now() < now {
-                    sched.advance_to(now);
+                if scheduler.now() < now {
+                    scheduler.advance_to(now);
                 }
-                let state = sched
+                let state = scheduler
                     .state(id)
                     .map_err(|e| PsijError::Scheduler(e.to_string()))?;
                 Ok(match state {
@@ -190,7 +186,6 @@ impl JobExecutor {
                     .get(handle.0 as usize)
                     .ok_or(PsijError::UnknownJob(handle.0))?;
                 scheduler
-                    .lock()
                     .cancel(id, now)
                     .map_err(|e| PsijError::Scheduler(e.to_string()))
             }
@@ -218,7 +213,6 @@ impl JobExecutor {
             now = match &self.backend {
                 Backend::Local(jobs) => jobs[handle.0 as usize].0.min(limit),
                 Backend::Slurm { scheduler, .. } => scheduler
-                    .lock()
                     .next_event()
                     .map(|t| t.min(limit))
                     .unwrap_or(limit),
@@ -232,11 +226,8 @@ mod tests {
     use super::*;
     use hpcci_cluster::NodeId;
 
-    fn shared_sched() -> Arc<Mutex<BatchScheduler>> {
-        Arc::new(Mutex::new(BatchScheduler::with_compute_partition(
-            (0..2).map(NodeId).collect(),
-            8,
-        )))
+    fn two_nodes() -> BatchScheduler {
+        BatchScheduler::with_compute_partition((0..2).map(NodeId).collect(), 8)
     }
 
     #[test]
@@ -275,8 +266,8 @@ mod tests {
 
     #[test]
     fn slurm_executor_queues_then_runs() {
-        let sched = shared_sched();
-        let mut ex = JobExecutor::slurm(sched.clone(), Uid(1001), "alloc");
+        let mut sched = two_nodes();
+        let mut ex = JobExecutor::slurm(&mut sched, Uid(1001), "alloc");
         // Fill the machine: 2 nodes x 8 cores with two 8-core jobs.
         let long = PsijJobSpec::new("long", "burn")
             .with_processes(8)
@@ -292,8 +283,8 @@ mod tests {
 
     #[test]
     fn slurm_executor_walltime_failure() {
-        let sched = shared_sched();
-        let mut ex = JobExecutor::slurm(sched, Uid(1001), "alloc");
+        let mut sched = two_nodes();
+        let mut ex = JobExecutor::slurm(&mut sched, Uid(1001), "alloc");
         let spec = PsijJobSpec::new("overrun", "burn")
             .with_duration(SimDuration::from_secs(10))
             .running_for(SimDuration::from_secs(100));

@@ -9,12 +9,10 @@
 
 use crate::executor::{JobExecutor, PsijJobState};
 use crate::spec::PsijJobSpec;
-use hpcci_cluster::Uid;
+use hpcci_cluster::{NodeId, Uid};
 use hpcci_faas::{CommandRegistry, ExecOutcome};
 use hpcci_scheduler::BatchScheduler;
 use hpcci_sim::{SimDuration, SimTime};
-use parking_lot::Mutex;
-use std::sync::Arc;
 
 /// Requirements the suite needs installed (PSI/J's `requirements.txt`).
 pub fn required_packages() -> Vec<&'static str> {
@@ -29,9 +27,9 @@ pub struct PsijTestOutcome {
     pub ref_secs: f64,
 }
 
-/// Run the executor test suite against a (possibly absent) scheduler.
-/// These are real tests of the real executor code.
-pub fn run_psij_suite(scheduler: Option<Arc<Mutex<BatchScheduler>>>) -> Vec<PsijTestOutcome> {
+/// Run the executor test suite against a (possibly absent) scheduler it
+/// borrows for the call. These are real tests of the real executor code.
+pub fn run_psij_suite(scheduler: Option<&mut BatchScheduler>) -> Vec<PsijTestOutcome> {
     let mut outcomes = Vec::new();
     let mut push = |name: &'static str, passed: bool, ref_secs: f64| {
         outcomes.push(PsijTestOutcome { name, passed, ref_secs });
@@ -81,11 +79,11 @@ pub fn run_psij_suite(scheduler: Option<Arc<Mutex<BatchScheduler>>>) -> Vec<Psij
         push("test_local_cancel", cancel_ok && state_ok, 1.0);
     }
 
-    // --- batch executor tests (need the site scheduler) ---
+    // --- batch executor tests (need a scheduler) ---
     match scheduler {
         Some(sched) => {
             {
-                let mut ex = JobExecutor::slurm(sched.clone(), Uid(9001), "ci-alloc");
+                let mut ex = JobExecutor::slurm(&mut *sched, Uid(9001), "ci-alloc");
                 let h = ex
                     .submit(
                         &PsijJobSpec::new("b", "hostname").running_for(SimDuration::from_secs(3)),
@@ -99,7 +97,7 @@ pub fn run_psij_suite(scheduler: Option<Arc<Mutex<BatchScheduler>>>) -> Vec<Psij
                 push("test_batch_submit_wait", ok, 6.0);
             }
             {
-                let mut ex = JobExecutor::slurm(sched.clone(), Uid(9001), "ci-alloc");
+                let mut ex = JobExecutor::slurm(&mut *sched, Uid(9001), "ci-alloc");
                 let h = ex
                     .submit(
                         &PsijJobSpec::new("w", "burn")
@@ -139,12 +137,12 @@ pub fn run_psij_suite(scheduler: Option<Arc<Mutex<BatchScheduler>>>) -> Vec<Psij
 /// Install the PSI/J `pytest` handler at a site. The handler first resolves
 /// the suite's requirements against the named software environment — a
 /// missing requirement reproduces Fig. 5's collection error — then runs the
-/// real executor tests against the site's scheduler.
-pub fn install_psij_pytest(
-    commands: &mut CommandRegistry,
-    env_name: &str,
-    scheduler: Option<Arc<Mutex<BatchScheduler>>>,
-) {
+/// real executor tests on a scheduler of its own over the site's compute
+/// nodes, `cores_per_node` cores each. It is fresh for every run: the suite
+/// submits and waits from time zero, so a scheduler earlier runs had moved
+/// on would make it miss its deadlines, and the site's own scheduler belongs
+/// to the site's pilots.
+pub fn install_psij_pytest(commands: &mut CommandRegistry, env_name: &str, cores_per_node: u32) {
     let env_name = env_name.to_string();
     commands.register("pytest", move |env| {
         // Dependency resolution (pip install -r requirements.txt).
@@ -186,8 +184,11 @@ pub fn install_psij_pytest(
             }
         }
 
-        // Run the real suite against the site scheduler.
-        let outcomes = run_psij_suite(scheduler.clone());
+        // Run the real suite; a site without compute nodes has no scheduler.
+        let nodes: Vec<NodeId> = env.site.compute_nodes().map(|n| n.id).collect();
+        let mut scheduler = (!nodes.is_empty())
+            .then(|| BatchScheduler::with_compute_partition(nodes, cores_per_node));
+        let outcomes = run_psij_suite(scheduler.as_mut());
         let mut total_work = 2.0; // collection + fixtures
         let (mut passed, mut failed) = (0, 0);
         stdout.push_str("\n============================= test session starts ==============================\n");
@@ -221,20 +222,14 @@ pub fn install_psij_pytest(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcci_cluster::{Cred, NodeId, NodeRole, Site};
+    use hpcci_cluster::{Cred, NodeRole, Site};
     use hpcci_faas::SiteRuntime;
     use hpcci_sim::DetRng;
 
-    fn sched() -> Arc<Mutex<BatchScheduler>> {
-        Arc::new(Mutex::new(BatchScheduler::with_compute_partition(
-            (0..4).map(NodeId).collect(),
-            8,
-        )))
-    }
-
     #[test]
     fn suite_passes_with_scheduler() {
-        let outcomes = run_psij_suite(Some(sched()));
+        let mut sched = BatchScheduler::with_compute_partition((0..4).map(NodeId).collect(), 8);
+        let outcomes = run_psij_suite(Some(&mut sched));
         assert_eq!(outcomes.len(), 6);
         for o in &outcomes {
             assert!(o.passed, "{} failed", o.name);
@@ -258,8 +253,7 @@ mod tests {
         if complete {
             env.install("typeguard", "3.0.2");
         }
-        let sched = rt.scheduler.clone();
-        install_psij_pytest(&mut rt.commands, "psij", sched);
+        install_psij_pytest(&mut rt.commands, "psij", 128);
         rt.site.add_account("x-vhayot", "CIS230030");
         rt
     }

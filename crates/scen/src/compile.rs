@@ -9,7 +9,8 @@
 //! provisioned, and the workflow is installed.
 
 use crate::spec::{
-    EndpointKindDecl, ScenarioSpec, SpecError, TemplateDecl, WorkloadKind, WorkloadSpec,
+    EndpointKindDecl, ScenarioSpec, SiteSpec, SpecError, TemplateDecl, WorkloadKind,
+    WorkloadSpec,
 };
 use correct_core::federation::OnboardedUser;
 use correct_core::{recipes, EndpointSpec, Federation};
@@ -139,7 +140,7 @@ impl ScenarioSpec {
                         env.install(name, version);
                     }
                 }
-                install_workload_commands(&mut rt, &self.workload, &s.software_env)?;
+                install_workload_commands(&mut rt, &self.workload, s)?;
                 rt.site.add_account(&s.account, &s.allocation);
             }
             for ep in self.endpoints.iter().filter(|e| e.site as usize == ix) {
@@ -368,7 +369,7 @@ fn import_commit(workload: &WorkloadSpec, login: &str) -> (String, String) {
 fn install_workload_commands(
     rt: &mut SiteRuntime,
     workload: &WorkloadSpec,
-    software_env: &str,
+    site: &SiteSpec,
 ) -> Result<(), SpecError> {
     match workload.kind {
         WorkloadKind::Parsldock => {
@@ -376,8 +377,7 @@ fn install_workload_commands(
             hpcci_parsldock::install_pytest(&mut rt.commands, repo_dir);
         }
         WorkloadKind::Psij => {
-            let sched = rt.scheduler.clone();
-            hpcci_psij::install_psij_pytest(&mut rt.commands, software_env, sched);
+            hpcci_psij::install_psij_pytest(&mut rt.commands, &site.software_env, site.cores);
         }
         WorkloadKind::Kamping => {
             let (image, tag) = KAMPING_IMAGE

@@ -145,17 +145,6 @@ fn drive_traffic(s: &mut BuiltScenario, spec: &ScenarioSpec) {
     }
 }
 
-fn status_str(status: RunStatus) -> &'static str {
-    match status {
-        RunStatus::AwaitingApproval => "awaiting-approval",
-        RunStatus::Queued => "queued",
-        RunStatus::Running => "running",
-        RunStatus::Success => "success",
-        RunStatus::Failure => "failure",
-        RunStatus::Rejected => "rejected",
-    }
-}
-
 pub(crate) fn collect(
     spec: &ScenarioSpec,
     s: &BuiltScenario,
@@ -175,7 +164,7 @@ pub(crate) fn collect(
             run.workflow,
             run.branch,
             run.commit,
-            status_str(run.status),
+            run.status.as_str(),
             run.approved_by.as_deref().unwrap_or("-"),
         );
         let _ = writeln!(

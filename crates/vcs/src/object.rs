@@ -1,7 +1,6 @@
 //! Work trees and commits.
 
 use crate::hash::ObjectId;
-use bytes::Bytes;
 use hpcci_sim::SimTime;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -25,7 +24,7 @@ pub struct WorkTree {
 struct Blob {
     /// `ObjectId::of_bytes(&bytes)`.
     id: ObjectId,
-    bytes: Bytes,
+    bytes: Arc<[u8]>,
 }
 
 impl WorkTree {
@@ -34,15 +33,15 @@ impl WorkTree {
     }
 
     /// Add or replace a file (builder form).
-    pub fn with_file(mut self, path: &str, content: impl Into<Bytes>) -> Self {
+    pub fn with_file(mut self, path: &str, content: impl AsRef<[u8]>) -> Self {
         self.put(path, content);
         self
     }
 
     /// Add or replace a file.
-    pub fn put(&mut self, path: &str, content: impl Into<Bytes>) {
+    pub fn put(&mut self, path: &str, content: impl AsRef<[u8]>) {
         assert!(!path.starts_with('/'), "work tree paths are repo-relative");
-        let bytes = content.into();
+        let bytes: Arc<[u8]> = Arc::from(content.as_ref());
         let id = ObjectId::of_bytes(&bytes);
         Arc::make_mut(&mut self.files).insert(path.to_string(), Blob { id, bytes });
     }
@@ -51,7 +50,7 @@ impl WorkTree {
         self.files.contains_key(path) && Arc::make_mut(&mut self.files).remove(path).is_some()
     }
 
-    pub fn get(&self, path: &str) -> Option<&Bytes> {
+    pub fn get(&self, path: &str) -> Option<&Arc<[u8]>> {
         self.files.get(path).map(|blob| &blob.bytes)
     }
 
@@ -67,7 +66,7 @@ impl WorkTree {
         self.files.keys().map(String::as_str)
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Bytes)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Arc<[u8]>)> {
         self.files.iter().map(|(p, b)| (p.as_str(), &b.bytes))
     }
 

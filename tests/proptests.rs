@@ -172,7 +172,7 @@ mod flat_fs {
     use hpcci::cluster::{ClusterError, Cred, FileMode, Uid};
     use std::collections::BTreeMap;
 
-    /// File contents are plain bytes here (`Bytes` in the real thing).
+    /// File contents are plain bytes here (`Arc<[u8]>` in the real thing).
     type Content = Vec<u8>;
 
     #[derive(Debug, Clone, PartialEq)]

@@ -153,6 +153,20 @@ fn batched_submit_fixture_is_canonical_and_passes_oracles() {
     assert!(report.passed(), "{}: {:?}", report.name, report.violations);
 }
 
+/// `tests/fixtures/regressions/`: a scenario that once exposed the bug its
+/// header comment names.
+const PSIJ_48_PUSHES: &str = include_str!("fixtures/regressions/psij-48-pushes.toml");
+
+#[test]
+fn psij_verdicts_do_not_depend_on_earlier_psij_runs() {
+    let spec = ScenarioSpec::from_toml(PSIJ_48_PUSHES).expect("fixture parses");
+    let report = verify_spec(&spec).expect("fixture runs");
+    // Fault-free, with no failing tests declared: the attribution oracle
+    // refuses any red run, so a pass means 48 green runs.
+    assert_eq!(report.runs, 48);
+    assert!(report.passed(), "{}: {:?}", report.name, report.violations);
+}
+
 #[test]
 fn explain_names_the_first_divergent_instant_on_corruption() {
     // Two executions of the same spec are identical; perturbing the world
