@@ -505,9 +505,9 @@ impl Federation {
     // Endpoints
     // ------------------------------------------------------------------
 
-    /// Register a compute endpoint described by `spec`. A single-user
-    /// endpoint whose site cannot serve its provider (see [`Endpoint::new`])
-    /// is refused, and nothing is registered.
+    /// Register a compute endpoint described by `spec`. An endpoint whose
+    /// site cannot serve its provider (see [`Endpoint::new`] and
+    /// [`MultiUserEndpoint::new`]) is refused, and nothing is registered.
     pub fn register(&mut self, spec: EndpointSpec) -> Result<EndpointHandle, FaasError> {
         let EndpointSpec { name, site, kind } = spec;
         let shared = self.site(site).shared.clone();
@@ -523,7 +523,7 @@ impl Federation {
                 EndpointRegistration::Single(Box::new(endpoint))
             }
             EndpointKind::MultiUser { mapping, template } => EndpointRegistration::Multi(
-                Box::new(MultiUserEndpoint::new(&name, shared, mapping, template)),
+                Box::new(MultiUserEndpoint::new(&name, shared, mapping, template)?),
             ),
         };
         let id = self.cloud.lock().register_endpoint(&name, registration);

@@ -1197,7 +1197,7 @@ mod tests {
                 let mut mapping = IdentityMapping::new(name);
                 mapping.add_explicit("alice@uni.edu", "x-alice");
                 mapping.add_explicit("bob@uni.edu", "x-bob");
-                let mep = MultiUserEndpoint::new(name, site.clone(), mapping, template);
+                let mep = MultiUserEndpoint::new(name, site.clone(), mapping, template).unwrap();
                 cloud.register_endpoint(name, EndpointRegistration::Multi(Box::new(mep)));
             }
             Chaos {

@@ -239,7 +239,8 @@ pub struct Endpoint {
 impl Endpoint {
     /// Build an endpoint whose workers come from `provider` at `site`. Fails
     /// if the site lacks what the provider needs: a login node, or for
-    /// pilots a batch scheduler and an account for `config.local_user`.
+    /// pilots a batch scheduler that can ever start the pilot and an account
+    /// for `config.local_user`.
     pub fn new(
         config: EndpointConfig,
         site: SharedSite,
@@ -281,6 +282,10 @@ impl Endpoint {
                         cores,
                         SimDuration::from_secs(walltime_secs),
                     );
+                    scheduler.lock().admit(&pilot).map_err(|reason| FaasError::PilotRefused {
+                        endpoint: config.name.clone(),
+                        reason,
+                    })?;
                     // The scheduler keeps a pilot's placement to itself.
                     let host = Sym::from(format!("{}-compute", rt.site.id));
                     let workers = Workers::Pilot {
@@ -578,6 +583,7 @@ mod tests {
     use super::*;
     use crate::exec::{shared, ExecOutcome, SiteRuntime};
     use hpcci_cluster::Site;
+    use hpcci_scheduler::SchedulerError;
     use hpcci_sim::drive;
 
     fn login_endpoint(workers: u32) -> Endpoint {
@@ -857,6 +863,17 @@ mod tests {
             err(&faster, "nobody", slurm),
             FaasError::NoLocalAccount("nobody".into())
         );
+        // A pilot the scheduler can never start: every task would wait on it.
+        for (cores, walltime_secs, reason) in [
+            (0, 60, SchedulerError::Unsatisfiable { requested_nodes: 1, requested_cores: 0 }),
+            (65, 60, SchedulerError::Unsatisfiable { requested_nodes: 1, requested_cores: 65 }),
+            (8, 172_801, SchedulerError::WalltimeExceedsLimit),
+        ] {
+            assert_eq!(
+                err(&faster, "x-u", TaskProvider::Slurm { cores, walltime_secs }),
+                FaasError::PilotRefused { endpoint: "ep".into(), reason }
+            );
+        }
         let wks = shared(SiteRuntime::new(Site::workstation("lab")));
         assert_eq!(
             err(&wks, "x-u", slurm),

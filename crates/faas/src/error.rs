@@ -3,6 +3,7 @@
 use crate::function::FunctionId;
 use crate::task::TaskId;
 use hpcci_auth::AuthError;
+use hpcci_scheduler::SchedulerError;
 use std::fmt;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,6 +27,9 @@ pub enum FaasError {
     NoLocalAccount(String),
     /// Result not ready yet.
     NotFinished(TaskId),
+    /// The site's batch scheduler can never start the endpoint's pilot: every
+    /// task would wait behind it forever.
+    PilotRefused { endpoint: String, reason: SchedulerError },
     /// The endpoint is stopped/drained.
     EndpointStopped(String),
     /// A transient infrastructure fault (injected or organic): crashed
@@ -61,6 +65,9 @@ impl fmt::Display for FaasError {
             }
             FaasError::NoLocalAccount(who) => write!(f, "no local account {who} at site"),
             FaasError::NotFinished(id) => write!(f, "task {id} has not finished"),
+            FaasError::PilotRefused { endpoint, reason } => {
+                write!(f, "{endpoint}: the site scheduler refuses its pilot: {reason}")
+            }
             FaasError::EndpointStopped(e) => write!(f, "endpoint {e} is stopped"),
             FaasError::Infrastructure(msg) => write!(f, "infrastructure: {msg}"),
             FaasError::InvalidTransition { task, from, to } => {

@@ -17,7 +17,9 @@ use crate::exec::SharedSite;
 use crate::function::FunctionId;
 use crate::task::{TaskId, TaskOutput};
 use hpcci_auth::{HighAssurancePolicy, Identity, IdentityMapping};
+use hpcci_cluster::Uid;
 use hpcci_obs::Obs;
+use hpcci_scheduler::JobSpec;
 use hpcci_sim::{Advance, FaultInjector, SimDuration, SimTime, Sym};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -110,8 +112,24 @@ pub struct MultiUserEndpoint {
 }
 
 impl MultiUserEndpoint {
-    pub fn new(name: &str, site: SharedSite, mapping: IdentityMapping, template: MepTemplate) -> Self {
-        MultiUserEndpoint {
+    /// Fails if the template's pilots need what the site lacks: a batch
+    /// scheduler that can ever start them. Every forked task endpoint
+    /// submits the same pilot, so the scheduler is asked once, here.
+    pub fn new(
+        name: &str,
+        site: SharedSite,
+        mapping: IdentityMapping,
+        template: MepTemplate,
+    ) -> Result<Self, FaasError> {
+        if let TaskProvider::Slurm { cores, walltime_secs } = template.task_provider {
+            let no_scheduler = || FaasError::UnknownEndpoint(format!("{name}: no scheduler at site"));
+            let scheduler = site.lock().scheduler.clone().ok_or_else(no_scheduler)?;
+            // Admission does not depend on the account, known only per user.
+            let pilot = JobSpec::single_node("", Uid(0), "", cores, SimDuration::from_secs(walltime_secs));
+            let refused = |reason| FaasError::PilotRefused { endpoint: name.to_string(), reason };
+            scheduler.lock().admit(&pilot).map_err(refused)?;
+        }
+        Ok(MultiUserEndpoint {
             name: name.to_string(),
             site,
             mapping,
@@ -124,7 +142,7 @@ impl MultiUserEndpoint {
             injector: FaultInjector::none(),
             obs: Obs::disabled(),
             pending_crashed: Vec::new(),
-        }
+        })
     }
 
     /// Take the container's handles: the MEP consults the injector at its
@@ -312,6 +330,7 @@ mod tests {
     use crate::exec::{shared, ExecOutcome, SiteRuntime};
     use hpcci_auth::{IdentityId, IdentityProvider};
     use hpcci_cluster::Site;
+    use hpcci_scheduler::SchedulerError;
     use hpcci_sim::drive;
 
     fn identity(username: &str, provider: &str) -> Arc<Identity> {
@@ -340,6 +359,42 @@ mod tests {
         let mut mapping = IdentityMapping::new("tamu-faster");
         mapping.add_explicit("vhayot@uchicago.edu", "x-vhayot");
         MultiUserEndpoint::new("mep-faster", site, mapping, MepTemplate::hpc_split(64, 3600))
+            .unwrap()
+    }
+
+    #[test]
+    fn a_split_template_the_site_scheduler_can_never_start_is_refused() {
+        let faster = shared(SiteRuntime::new(Site::tamu_faster()).with_scheduler(64));
+        let mep = |site: &SharedSite, template| {
+            let mapping = IdentityMapping::new("tamu-faster");
+            MultiUserEndpoint::new("mep", site.clone(), mapping, template).err()
+        };
+        let refused = |reason| {
+            Some(FaasError::PilotRefused {
+                endpoint: "mep".into(),
+                reason,
+            })
+        };
+        let unsatisfiable = |requested_cores| {
+            refused(SchedulerError::Unsatisfiable {
+                requested_nodes: 1,
+                requested_cores,
+            })
+        };
+        assert_eq!(mep(&faster, MepTemplate::hpc_split(0, 3600)), unsatisfiable(0));
+        assert_eq!(mep(&faster, MepTemplate::hpc_split(65, 3600)), unsatisfiable(65));
+        // One second over the partition's 48 h cap.
+        assert_eq!(
+            mep(&faster, MepTemplate::hpc_split(64, 172_801)),
+            refused(SchedulerError::WalltimeExceedsLimit)
+        );
+        assert_eq!(mep(&faster, MepTemplate::hpc_split(64, 172_800)), None);
+        let lab = shared(SiteRuntime::new(Site::workstation("lab")));
+        assert_eq!(
+            mep(&lab, MepTemplate::hpc_split(8, 600)),
+            Some(FaasError::UnknownEndpoint("mep: no scheduler at site".into()))
+        );
+        assert_eq!(mep(&lab, MepTemplate::login_only()), None);
     }
 
     #[test]

@@ -59,35 +59,21 @@ fn main() -> ExitCode {
     })
 }
 
-fn flag_value<'a>(rest: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        if a == name {
-            return match it.next() {
-                Some(v) => Ok(Some(v)),
-                None => Err(format!("{name} needs a value")),
-            };
-        }
-    }
-    Ok(None)
+/// The value following `flag` in a verb's arguments.
+fn value<'a>(args: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a str, String> {
+    args.next()
+        .map(String::as_str)
+        .ok_or_else(|| format!("{flag} needs a value"))
 }
 
-fn positional(rest: &[String]) -> Vec<&String> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for a in rest {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            // All our value flags take exactly one operand.
-            skip = a != "--transcript";
-            continue;
-        }
-        out.push(a);
-    }
-    out
+/// A file operand: `-` (stdin) or anything not starting with `-`.
+fn is_operand(arg: &str) -> bool {
+    arg == "-" || !arg.starts_with('-')
+}
+
+/// An argument `verb` does not take: an undeclared flag or an extra operand.
+fn unexpected(verb: &str, arg: &str) -> String {
+    format!("{verb}: unexpected argument `{arg}` (see `hpcci-scen --help`)")
 }
 
 fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
@@ -99,14 +85,15 @@ fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
 // ----------------------------------------------------------------------
 
 fn cmd_gen(rest: &[String]) -> Result<ExitCode, String> {
-    let count = match flag_value(rest, "--count")? {
-        Some(v) => parse_u64(v, "--count")?,
-        None => 64,
-    };
-    let seed = match flag_value(rest, "--seed")? {
-        Some(v) => parse_u64(v, "--seed")?,
-        None => 42,
-    };
+    let (mut count, mut seed) = (64, 42);
+    let mut args = rest.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--count" => count = parse_u64(value(&mut args, arg)?, arg)?,
+            "--seed" => seed = parse_u64(value(&mut args, arg)?, arg)?,
+            _ => return Err(unexpected("gen", arg)),
+        }
+    }
     let generator = ScenarioGen::new(seed);
     let mut out = String::new();
     for i in 0..count {
@@ -175,13 +162,20 @@ fn parse_stream(text: &str) -> Result<Vec<ScenarioSpec>, String> {
 // ----------------------------------------------------------------------
 
 fn cmd_verify(rest: &[String]) -> Result<ExitCode, String> {
-    let threads = match flag_value(rest, "--threads")? {
-        Some(v) => parse_u64(v, "--threads")? as usize,
-        None => default_threads(),
-    };
-    let summary_path = flag_value(rest, "--summary")?.map(|s| s.to_string());
-    let pos = positional(rest);
-    let specs = parse_stream(&read_input(pos.first().map(|s| s.as_str()))?)?;
+    let (mut threads, mut summary_path, mut file) = (default_threads(), None, None);
+    let mut args = rest.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--threads" => match parse_u64(value(&mut args, arg)?, arg)? {
+                0 => return Err("--threads must be at least 1".into()),
+                n => threads = n as usize,
+            },
+            "--summary" => summary_path = Some(value(&mut args, arg)?),
+            _ if file.is_none() && is_operand(arg) => file = Some(arg.as_str()),
+            _ => return Err(unexpected("verify", arg)),
+        }
+    }
+    let specs = parse_stream(&read_input(file)?)?;
 
     let started = std::time::Instant::now();
     let jobs: Vec<_> = specs
@@ -240,7 +234,7 @@ fn cmd_verify(rest: &[String]) -> Result<ExitCode, String> {
              | {} | {failed} | {runs} | {events} | {throughput:.0} | {threads} | `{fleet}` |\n",
             specs.len(),
         );
-        std::fs::write(&path, md).map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(path, md).map_err(|e| format!("writing {path}: {e}"))?;
     }
     Ok(if failed == 0 {
         ExitCode::SUCCESS
@@ -254,8 +248,15 @@ fn cmd_verify(rest: &[String]) -> Result<ExitCode, String> {
 // ----------------------------------------------------------------------
 
 fn cmd_replay(rest: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(rest);
-    let path = pos.first().ok_or("replay needs a scenario file")?;
+    let (mut file, mut transcript) = (None, false);
+    for arg in rest {
+        match arg.as_str() {
+            "--transcript" => transcript = true,
+            _ if file.is_none() && is_operand(arg) => file = Some(arg.as_str()),
+            _ => return Err(unexpected("replay", arg)),
+        }
+    }
+    let path = file.ok_or("replay needs a scenario file")?;
     let specs = parse_stream(&read_input(Some(path))?)?;
     let spec = &specs[0];
     let out = run_spec(spec).map_err(|e| format!("{}: {e}", spec.name))?;
@@ -278,7 +279,7 @@ fn cmd_replay(rest: &[String]) -> Result<ExitCode, String> {
                 .unwrap_or_default()
         );
     }
-    if rest.iter().any(|a| a == "--transcript") {
+    if transcript {
         print!("{}", out.transcript);
     }
     Ok(ExitCode::SUCCESS)
@@ -289,10 +290,16 @@ fn cmd_replay(rest: &[String]) -> Result<ExitCode, String> {
 // ----------------------------------------------------------------------
 
 fn cmd_explain(rest: &[String]) -> Result<ExitCode, String> {
-    let pos = positional(rest);
-    let a_path = pos.first().ok_or("explain needs at least one scenario file")?;
+    let mut files = Vec::new();
+    for arg in rest {
+        if files.len() == 2 || !is_operand(arg) {
+            return Err(unexpected("explain", arg));
+        }
+        files.push(arg.as_str());
+    }
+    let a_path = files.first().ok_or("explain needs at least one scenario file")?;
     let spec_a = parse_stream(&read_input(Some(a_path))?)?.remove(0);
-    let spec_b = match pos.get(1) {
+    let spec_b = match files.get(1) {
         Some(p) => parse_stream(&read_input(Some(p))?)?.remove(0),
         None => spec_a.clone(),
     };

@@ -12,7 +12,7 @@
 //! `to_toml` a canonical form — `from_toml(to_toml(s)) == s` *and*
 //! `to_toml(from_toml(text)) == text` for canonical `text`, byte for byte.
 
-use crate::toml::{self, quote};
+use crate::toml::{self, quote, FromValue, Reader, Value};
 use hpcci_cas::Digest;
 use hpcci_cluster::Site;
 use hpcci_sim::{FaultKind, FaultPlan, SimDuration, SimTime};
@@ -84,14 +84,16 @@ impl WorkloadKind {
             WorkloadKind::Kamping => "kamping",
         }
     }
+}
 
-    fn parse(s: &str) -> Result<Self, SpecError> {
-        Ok(match s {
+impl FromValue for WorkloadKind {
+    fn from_value(value: &Value) -> Result<Self, String> {
+        Ok(match String::from_value(value)?.as_str() {
             "synthetic" => WorkloadKind::Synthetic,
             "parsldock" => WorkloadKind::Parsldock,
             "psij" => WorkloadKind::Psij,
             "kamping" => WorkloadKind::Kamping,
-            other => return Err(SpecError(format!("unknown workload kind `{other}`"))),
+            other => return Err(format!("is `{other}`, not a workload kind")),
         })
     }
 }
@@ -242,13 +244,15 @@ impl CacheModeDecl {
             CacheModeDecl::Replay => "replay",
         }
     }
+}
 
-    fn parse(s: &str) -> Result<Self, SpecError> {
-        Ok(match s {
+impl FromValue for CacheModeDecl {
+    fn from_value(value: &Value) -> Result<Self, String> {
+        Ok(match String::from_value(value)?.as_str() {
             "off" => CacheModeDecl::Off,
             "record" => CacheModeDecl::Record,
             "replay" => CacheModeDecl::Replay,
-            other => return Err(SpecError(format!("unknown cache mode `{other}`"))),
+            other => return Err(format!("is `{other}`, not a cache mode")),
         })
     }
 }
@@ -496,6 +500,10 @@ impl ScenarioSpec {
                     ep.name, ep.site
                 ))
             })?;
+            // An empty name reaches the CORRECT step as no endpoint at all.
+            if ep.name.is_empty() {
+                return Err(SpecError(format!("endpoint on site {} has no name", ep.site)));
+            }
             if ep_names.contains(&ep.name) {
                 return Err(SpecError(format!("duplicate endpoint `{}`", ep.name)));
             }
@@ -523,6 +531,9 @@ impl ScenarioSpec {
             )));
         }
         if self.workload.kind == WorkloadKind::Synthetic {
+            if self.workload.command.is_empty() {
+                return Err(SpecError("synthetic workload has an empty command".into()));
+            }
             if self.workload.tests == 0 {
                 return Err(SpecError("synthetic workload declares zero tests".into()));
             }
@@ -797,209 +808,162 @@ impl ScenarioSpec {
         out
     }
 
-    /// Parse a document and validate it.
+    /// Parse a document and validate it. Keys are read per `kind` exactly as
+    /// [`Self::to_toml`] writes them; any other key, or a key whose value has
+    /// the wrong type, is refused with the table and the key named.
     pub fn from_toml(text: &str) -> Result<Self, SpecError> {
         let root = toml::parse(text)?;
-        let err = |ctx: &str, msg: String| SpecError(format!("{ctx}: {msg}"));
-
-        let schema = root.u64_of("schema").map_err(|m| err("document", m))?;
-        if schema != SCHEMA_VERSION {
-            return Err(SpecError(format!(
-                "unsupported schema version {schema} (this build reads {SCHEMA_VERSION})"
-            )));
-        }
-        let name = root.str_of("name").map_err(|m| err("document", m))?.to_string();
-        let seed = root.u64_of("seed").map_err(|m| err("document", m))?;
-
-        let user = match root.opt_table("user") {
-            Some(t) => UserSpec {
-                login: t.str_of("login").map_err(|m| err("[user]", m))?.to_string(),
-                email: t.str_of("email").map_err(|m| err("[user]", m))?.to_string(),
-                provider: t
-                    .str_of("provider")
-                    .map_err(|m| err("[user]", m))?
-                    .to_string(),
-            },
-            None => UserSpec::default(),
-        };
-
-        let wt = root.table_of("workload").map_err(|m| err("document", m))?;
-        let kind = WorkloadKind::parse(wt.str_of("kind").map_err(|m| err("[workload]", m))?)?;
-        let defaults = WorkloadSpec::default();
-        let workload = WorkloadSpec {
-            kind,
-            repo: wt.str_of("repo").map_err(|m| err("[workload]", m))?.to_string(),
-            workflow: wt
-                .str_of("workflow")
-                .map_err(|m| err("[workload]", m))?
-                .to_string(),
-            command: wt.str_or("command", &defaults.command).to_string(),
-            tests: wt.u32_or("tests", defaults.tests),
-            failing: wt.u32_or("failing", defaults.failing),
-            task_ms: wt.u64_or("task_ms", defaults.task_ms),
-            repo_files: wt.u32_or("repo_files", defaults.repo_files),
-            steps_per_job: wt.u32_or("steps_per_job", defaults.steps_per_job),
-            missing_dependency: wt.bool_or("missing_dependency", false),
-        };
-
-        let traffic = match root.opt_table("traffic") {
-            Some(t) => {
-                let process = match t.str_or("process", "bursty") {
-                    "bursty" => TrafficProcess::Bursty,
-                    "poisson" => TrafficProcess::Poisson,
-                    "diurnal" => TrafficProcess::Diurnal {
-                        peak_pct: t.u32_or("peak_pct", 60),
-                    },
-                    "trace" => TrafficProcess::Trace {
-                        gaps_us: t.u64_array_of("trace_us").map_err(|m| err("[traffic]", m))?,
-                    },
-                    other => {
-                        return Err(err(
-                            "[traffic]",
-                            format!("unknown process `{other}` (bursty|poisson|diurnal|trace)"),
-                        ))
-                    }
-                };
-                TrafficSpec {
-                    pushes: t.u32_of("pushes").map_err(|m| err("[traffic]", m))?,
-                    gap_secs: t.u64_of("gap_secs").map_err(|m| err("[traffic]", m))?,
-                    burstiness_pct: t
-                        .u32_of("burstiness_pct")
-                        .map_err(|m| err("[traffic]", m))?,
-                    process,
-                }
+        let spec = Reader::read(&root, "document".into(), |r| {
+            let schema: u64 = r.req("schema")?;
+            if schema != SCHEMA_VERSION {
+                return Err(SpecError(format!(
+                    "unsupported schema version {schema} (this build reads {SCHEMA_VERSION})"
+                )));
             }
-            None => TrafficSpec::default(),
-        };
-
-        let cache = match root.opt_table("cache") {
-            Some(t) => CacheModeDecl::parse(t.str_of("mode").map_err(|m| err("[cache]", m))?)?,
-            None => CacheModeDecl::Off,
-        };
-
-        let mut sites = Vec::new();
-        for (ix, t) in root.tables_of("sites").iter().enumerate() {
-            let ctx = format!("[[sites]] #{ix}");
-            sites.push(SiteSpec {
-                preset: t.str_of("preset").map_err(|m| err(&ctx, m))?.to_string(),
-                cores: t.u32_of("cores").map_err(|m| err(&ctx, m))?,
-                account: t.str_of("account").map_err(|m| err(&ctx, m))?.to_string(),
-                allocation: t
-                    .str_of("allocation")
-                    .map_err(|m| err(&ctx, m))?
-                    .to_string(),
-                environment: t
-                    .str_of("environment")
-                    .map_err(|m| err(&ctx, m))?
-                    .to_string(),
-                software_env: t.str_or("software_env", "").to_string(),
-                packages: t.str_array_of("packages").unwrap_or_default(),
-            });
-        }
-
-        let mut endpoints = Vec::new();
-        for (ix, t) in root.tables_of("endpoints").iter().enumerate() {
-            let ctx = format!("[[endpoints]] #{ix}");
-            let kind = match t.str_of("kind").map_err(|m| err(&ctx, m))? {
-                "single" => EndpointKindDecl::Single,
-                "pilot" => EndpointKindDecl::Pilot {
-                    cores: t.u32_of("cores").map_err(|m| err(&ctx, m))?,
-                    walltime_secs: t.u64_of("walltime_secs").map_err(|m| err(&ctx, m))?,
-                },
-                "multi-user" => {
-                    let template = match t.str_of("template").map_err(|m| err(&ctx, m))? {
-                        "login-only" => TemplateDecl::LoginOnly,
-                        "hpc-split" => TemplateDecl::HpcSplit {
-                            cores: t.u32_of("cores").map_err(|m| err(&ctx, m))?,
-                            walltime_secs: t
-                                .u64_of("walltime_secs")
-                                .map_err(|m| err(&ctx, m))?,
-                        },
-                        other => {
-                            return Err(err(&ctx, format!("unknown template `{other}`")))
-                        }
-                    };
-                    EndpointKindDecl::MultiUser {
-                        template,
-                        container: t.str_or("container", "").to_string(),
-                    }
-                }
-                other => return Err(err(&ctx, format!("unknown endpoint kind `{other}`"))),
-            };
-            endpoints.push(EndpointDecl {
-                name: t.str_of("name").map_err(|m| err(&ctx, m))?.to_string(),
-                site: t.u32_of("site").map_err(|m| err(&ctx, m))?,
-                kind,
-            });
-        }
-
-        let mut faults = Vec::new();
-        for (ix, t) in root.tables_of("faults").iter().enumerate() {
-            let ctx = format!("[[faults]] #{ix}");
-            let kind = match t.str_of("kind").map_err(|m| err(&ctx, m))? {
-                "endpoint-crash" => FaultKindDecl::EndpointCrash {
-                    endpoint: t.str_of("endpoint").map_err(|m| err(&ctx, m))?.to_string(),
-                },
-                "mep-fork-failure" => FaultKindDecl::MepForkFailure {
-                    endpoint: t.str_of("endpoint").map_err(|m| err(&ctx, m))?.to_string(),
-                    user: t.str_of("user").map_err(|m| err(&ctx, m))?.to_string(),
-                },
-                "node-drain" => FaultKindDecl::NodeDrain {
-                    scheduler: t
-                        .str_of("scheduler")
-                        .map_err(|m| err(&ctx, m))?
-                        .to_string(),
-                },
-                "wan-partition" => FaultKindDecl::WanPartition {
-                    endpoint: t.str_of("endpoint").map_err(|m| err(&ctx, m))?.to_string(),
-                    heal_secs: t.u64_of("heal_secs").map_err(|m| err(&ctx, m))?,
-                },
-                "token-expiry" => FaultKindDecl::TokenExpiry,
-                "artifact-corruption" => FaultKindDecl::ArtifactCorruption {
-                    artifact: t.str_of("artifact").map_err(|m| err(&ctx, m))?.to_string(),
-                },
-                other => return Err(err(&ctx, format!("unknown fault kind `{other}`"))),
-            };
-            faults.push(FaultDecl {
-                at_us: t.u64_of("at_us").map_err(|m| err(&ctx, m))?,
-                kind,
-            });
-        }
-
-        let chaos = match root.opt_table("chaos") {
-            Some(t) => Some(ChaosSpec {
-                seed: t.u64_of("seed").map_err(|m| err("[chaos]", m))?,
-                horizon_secs: t.u64_of("horizon_secs").map_err(|m| err("[chaos]", m))?,
-                count: t.u32_of("count").map_err(|m| err("[chaos]", m))?,
-            }),
-            None => None,
-        };
-
-        let provenance = match root.opt_table("generator") {
-            Some(t) => Some(GenProvenance {
-                seed: t.u64_of("seed").map_err(|m| err("[generator]", m))?,
-                index: t.u64_of("index").map_err(|m| err("[generator]", m))?,
-                knobs: t.str_array_of("knobs").map_err(|m| err("[generator]", m))?,
-            }),
-            None => None,
-        };
-
-        let spec = ScenarioSpec {
-            name,
-            seed,
-            user,
-            workload,
-            traffic,
-            cache,
-            sites,
-            endpoints,
-            faults,
-            chaos,
-            provenance,
-        };
+            Ok(ScenarioSpec {
+                name: r.req("name")?,
+                seed: r.req("seed")?,
+                user: r.table("user", |t| {
+                    Ok(UserSpec {
+                        login: t.req("login")?,
+                        email: t.req("email")?,
+                        provider: t.req("provider")?,
+                    })
+                })?,
+                workload: r.table("workload", read_workload)?,
+                traffic: r.table("traffic", read_traffic)?,
+                cache: r.table("cache", |t| t.req("mode"))?,
+                sites: r.tables("sites", |t| {
+                    Ok(SiteSpec {
+                        preset: t.req("preset")?,
+                        cores: t.req("cores")?,
+                        account: t.req("account")?,
+                        allocation: t.req("allocation")?,
+                        environment: t.req("environment")?,
+                        software_env: t.req("software_env")?,
+                        packages: t.req("packages")?,
+                    })
+                })?,
+                endpoints: r.tables("endpoints", read_endpoint)?,
+                faults: r.tables("faults", read_fault)?,
+                chaos: r.opt_table("chaos", |t| {
+                    Ok(ChaosSpec {
+                        seed: t.req("seed")?,
+                        horizon_secs: t.req("horizon_secs")?,
+                        count: t.req("count")?,
+                    })
+                })?,
+                provenance: r.opt_table("generator", |t| {
+                    Ok(GenProvenance {
+                        seed: t.req("seed")?,
+                        index: t.req("index")?,
+                        knobs: t.req("knobs")?,
+                    })
+                })?,
+            })
+        })?;
         spec.validate()?;
         Ok(spec)
     }
+}
+
+fn read_workload(t: &mut Reader) -> Result<WorkloadSpec, SpecError> {
+    let kind = t.req("kind")?;
+    let mut w = WorkloadSpec {
+        kind,
+        repo: t.req("repo")?,
+        workflow: t.req("workflow")?,
+        ..WorkloadSpec::default()
+    };
+    match kind {
+        WorkloadKind::Synthetic => {
+            w.command = t.req("command")?;
+            w.tests = t.req("tests")?;
+            w.failing = t.req("failing")?;
+            w.task_ms = t.req("task_ms")?;
+            w.repo_files = t.req("repo_files")?;
+            w.steps_per_job = t.req("steps_per_job")?;
+        }
+        WorkloadKind::Psij => w.missing_dependency = t.req("missing_dependency")?,
+        WorkloadKind::Parsldock | WorkloadKind::Kamping => {}
+    }
+    Ok(w)
+}
+
+fn read_traffic(t: &mut Reader) -> Result<TrafficSpec, SpecError> {
+    Ok(TrafficSpec {
+        pushes: t.req("pushes")?,
+        gap_secs: t.req("gap_secs")?,
+        burstiness_pct: t.req("burstiness_pct")?,
+        // A bursty process is written as no `process` key at all.
+        process: match t.opt::<String>("process")?.as_deref() {
+            None => TrafficProcess::Bursty,
+            Some("poisson") => TrafficProcess::Poisson,
+            Some("diurnal") => TrafficProcess::Diurnal {
+                peak_pct: t.req("peak_pct")?,
+            },
+            Some("trace") => TrafficProcess::Trace {
+                gaps_us: t.req("trace_us")?,
+            },
+            Some(other) => {
+                return Err(t.err(format!("unknown process `{other}` (poisson|diurnal|trace)")))
+            }
+        },
+    })
+}
+
+fn read_endpoint(t: &mut Reader) -> Result<EndpointDecl, SpecError> {
+    let (name, site) = (t.req("name")?, t.req("site")?);
+    let kind = match t.req::<String>("kind")?.as_str() {
+        "single" => EndpointKindDecl::Single,
+        "pilot" => EndpointKindDecl::Pilot {
+            cores: t.req("cores")?,
+            walltime_secs: t.req("walltime_secs")?,
+        },
+        "multi-user" => {
+            let template = match t.req::<String>("template")?.as_str() {
+                "login-only" => TemplateDecl::LoginOnly,
+                "hpc-split" => TemplateDecl::HpcSplit {
+                    cores: t.req("cores")?,
+                    walltime_secs: t.req("walltime_secs")?,
+                },
+                other => return Err(t.err(format!("unknown template `{other}`"))),
+            };
+            EndpointKindDecl::MultiUser {
+                template,
+                // A bare endpoint is written without a `container` key.
+                container: t.opt("container")?.unwrap_or_default(),
+            }
+        }
+        other => return Err(t.err(format!("unknown endpoint kind `{other}`"))),
+    };
+    Ok(EndpointDecl { name, site, kind })
+}
+
+fn read_fault(t: &mut Reader) -> Result<FaultDecl, SpecError> {
+    let at_us = t.req("at_us")?;
+    let kind = match t.req::<String>("kind")?.as_str() {
+        "endpoint-crash" => FaultKindDecl::EndpointCrash {
+            endpoint: t.req("endpoint")?,
+        },
+        "mep-fork-failure" => FaultKindDecl::MepForkFailure {
+            endpoint: t.req("endpoint")?,
+            user: t.req("user")?,
+        },
+        "node-drain" => FaultKindDecl::NodeDrain {
+            scheduler: t.req("scheduler")?,
+        },
+        "wan-partition" => FaultKindDecl::WanPartition {
+            endpoint: t.req("endpoint")?,
+            heal_secs: t.req("heal_secs")?,
+        },
+        "token-expiry" => FaultKindDecl::TokenExpiry,
+        "artifact-corruption" => FaultKindDecl::ArtifactCorruption {
+            artifact: t.req("artifact")?,
+        },
+        other => return Err(t.err(format!("unknown fault kind `{other}`"))),
+    };
+    Ok(FaultDecl { at_us, kind })
 }
 
 #[cfg(test)]
@@ -1091,6 +1055,65 @@ mod tests {
         let mut spec = ScenarioSpec::minimal("bad3", 1);
         spec.workload.failing = spec.workload.tests + 1;
         assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_an_empty_endpoint_name_or_command() {
+        // Either would reach the CORRECT step as a missing input: the run
+        // fails as `test` without ever submitting a task.
+        let mut spec = ScenarioSpec::minimal("no-name", 1);
+        spec.endpoints[0].name.clear();
+        assert_eq!(
+            spec.validate(),
+            Err(SpecError("endpoint on site 0 has no name".into()))
+        );
+        let mut spec = ScenarioSpec::minimal("no-command", 1);
+        spec.workload.command.clear();
+        assert_eq!(
+            spec.validate(),
+            Err(SpecError("synthetic workload has an empty command".into()))
+        );
+    }
+
+    #[test]
+    fn from_toml_refuses_unread_and_ill_typed_keys() {
+        let text = rich_spec().to_toml();
+        for (from, to, error) in [
+            (
+                "failing = 0",
+                "faling = 0",
+                "[workload]: missing key `failing`",
+            ),
+            (
+                "tests = 8",
+                "tests = \"ten\"",
+                "[workload]: key `tests` is not an integer",
+            ),
+            ("\n[chaos]", "\n[chaoss]", "document: unknown key `chaoss`"),
+            (
+                "packages = []",
+                "packages = \"numpy\"",
+                "[[sites]] #0: key `packages` is not an array",
+            ),
+            (
+                "mode = \"off\"",
+                "mode = \"off\"\nscope = 1",
+                "[cache]: unknown key `scope`",
+            ),
+            (
+                "command = \"scen-test\"\n",
+                "",
+                "[workload]: missing key `command`",
+            ),
+        ] {
+            assert!(text.contains(from), "{from}");
+            let err = ScenarioSpec::from_toml(&text.replacen(from, to, 1)).unwrap_err();
+            assert_eq!(err.0, error);
+        }
+        // `tests` is read only for a synthetic workload.
+        let psij = crate::presets::psij(5, false).to_toml();
+        let err = ScenarioSpec::from_toml(&psij.replace("[workload]\n", "[workload]\ntests = 8\n"));
+        assert_eq!(err.unwrap_err().0, "[workload]: unknown key `tests`");
     }
 
     #[test]

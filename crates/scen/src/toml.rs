@@ -4,7 +4,8 @@
 //!
 //! Supported syntax:
 //!
-//! * `[table]` and `[a.b]` headers, `[[array.of.tables]]` headers
+//! * one level of tables: `[table]` and `[[array]]` headers; a dotted
+//!   `[a.b]` name and a table defined twice are refused
 //! * `key = "string"` (with `\"`, `\\`, `\n`, `\t` escapes)
 //! * `key = 123` — **unsigned** integers only; the spec layer stores every
 //!   tunable as an integer precisely so round-trips are byte-exact (floats
@@ -13,9 +14,16 @@
 //! * `key = ["a", "b"]` / `key = [1, 2]` — single-line homogeneous arrays
 //! * `# comments` and blank lines
 //!
+//! A parsed [`Table`] is read only through [`Reader::read`], which names
+//! the table in every error, refuses a key whose value has the wrong type,
+//! and then refuses every key its caller did not read.
+//!
 //! There is no serializer here: canonical scenario text is produced by
 //! [`crate::spec::ScenarioSpec::to_toml`], which writes keys in a fixed
-//! order. `parse` + reader helpers are the only direction this module owns.
+//! order. `parse` + [`Reader`] are the only direction this module owns.
+
+use crate::spec::SpecError;
+use std::fmt::Display;
 
 /// A parsed TOML value.
 #[derive(Clone, Debug, PartialEq)]
@@ -26,18 +34,18 @@ pub enum Value {
     Array(Vec<Value>),
 }
 
-/// Table entry: either a terminal value, a nested table, or an
-/// array-of-tables (`[[name]]`).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Item {
+/// Table entry: a terminal value, a `[name]` table, or one `[[name]]`
+/// entry (the entries of one array share its name).
+#[derive(Debug)]
+enum Item {
     Value(Value),
     Table(Table),
-    Tables(Vec<Table>),
+    Entry(Table),
 }
 
-/// An insertion-ordered table. Order is preserved so error messages and
-/// debugging output match the source document.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// An insertion-ordered table. Order is preserved so error messages match
+/// the source document.
+#[derive(Debug, Default)]
 pub struct Table {
     entries: Vec<(String, Item)>,
 }
@@ -55,233 +63,210 @@ impl std::fmt::Display for TomlError {
     }
 }
 
-impl Table {
-    pub fn get(&self, key: &str) -> Option<&Item> {
-        self.entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, item)| item)
-    }
+/// A value type a [`Reader`] reads; `Err` says what the value is not.
+pub trait FromValue: Sized {
+    fn from_value(value: &Value) -> Result<Self, String>;
+}
 
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|(k, _)| k.as_str())
-    }
-
-    pub fn str_of(&self, key: &str) -> Result<&str, String> {
-        match self.get(key) {
-            Some(Item::Value(Value::Str(s))) => Ok(s),
-            Some(_) => Err(format!("key `{key}` is not a string")),
-            None => Err(format!("missing key `{key}`")),
+impl FromValue for String {
+    fn from_value(value: &Value) -> Result<Self, String> {
+        match value {
+            Value::Str(s) => Ok(s.clone()),
+            _ => Err("is not a string".into()),
         }
     }
+}
 
-    pub fn u64_of(&self, key: &str) -> Result<u64, String> {
-        match self.get(key) {
-            Some(Item::Value(Value::Int(n))) => Ok(*n),
-            Some(_) => Err(format!("key `{key}` is not an integer")),
-            None => Err(format!("missing key `{key}`")),
+impl FromValue for u64 {
+    fn from_value(value: &Value) -> Result<Self, String> {
+        match value {
+            Value::Int(n) => Ok(*n),
+            _ => Err("is not an integer".into()),
         }
     }
+}
 
-    pub fn u32_of(&self, key: &str) -> Result<u32, String> {
-        let n = self.u64_of(key)?;
-        u32::try_from(n).map_err(|_| format!("key `{key}` overflows u32 ({n})"))
+impl FromValue for u32 {
+    fn from_value(value: &Value) -> Result<Self, String> {
+        let n = u64::from_value(value)?;
+        u32::try_from(n).map_err(|_| format!("overflows u32 ({n})"))
     }
+}
 
-    pub fn bool_of(&self, key: &str) -> Result<bool, String> {
-        match self.get(key) {
-            Some(Item::Value(Value::Bool(b))) => Ok(*b),
-            Some(_) => Err(format!("key `{key}` is not a boolean")),
-            None => Err(format!("missing key `{key}`")),
+impl FromValue for bool {
+    fn from_value(value: &Value) -> Result<Self, String> {
+        match value {
+            Value::Bool(b) => Ok(*b),
+            _ => Err("is not a boolean".into()),
         }
     }
+}
 
-    /// Optional variants: absent keys fall back to the given default so
-    /// older fixture documents stay parseable as the schema grows.
-    pub fn str_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
-        self.str_of(key).unwrap_or(default)
-    }
-
-    pub fn u64_or(&self, key: &str, default: u64) -> u64 {
-        self.u64_of(key).unwrap_or(default)
-    }
-
-    pub fn u32_or(&self, key: &str, default: u32) -> u32 {
-        self.u32_of(key).unwrap_or(default)
-    }
-
-    pub fn bool_or(&self, key: &str, default: bool) -> bool {
-        self.bool_of(key).unwrap_or(default)
-    }
-
-    pub fn table_of(&self, key: &str) -> Result<&Table, String> {
-        match self.get(key) {
-            Some(Item::Table(t)) => Ok(t),
-            Some(_) => Err(format!("key `{key}` is not a table")),
-            None => Err(format!("missing table `[{key}]`")),
-        }
-    }
-
-    pub fn opt_table(&self, key: &str) -> Option<&Table> {
-        match self.get(key) {
-            Some(Item::Table(t)) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// `[[key]]` entries; a missing key yields an empty slice.
-    pub fn tables_of(&self, key: &str) -> &[Table] {
-        match self.get(key) {
-            Some(Item::Tables(ts)) => ts,
-            _ => &[],
-        }
-    }
-
-    pub fn str_array_of(&self, key: &str) -> Result<Vec<String>, String> {
-        match self.get(key) {
-            Some(Item::Value(Value::Array(items))) => items
+impl<T: FromValue> FromValue for Vec<T> {
+    fn from_value(value: &Value) -> Result<Self, String> {
+        match value {
+            Value::Array(items) => items
                 .iter()
-                .map(|v| match v {
-                    Value::Str(s) => Ok(s.clone()),
-                    _ => Err(format!("array `{key}` has a non-string element")),
-                })
-                .collect(),
-            Some(Item::Value(_)) => Err(format!("key `{key}` is not an array")),
-            Some(_) => Err(format!("key `{key}` is not an array")),
-            None => Err(format!("missing key `{key}`")),
+                .map(T::from_value)
+                .collect::<Result<_, _>>()
+                .map_err(|m| format!("has an element that {m}")),
+            _ => Err("is not an array".into()),
         }
     }
+}
 
-    pub fn u64_array_of(&self, key: &str) -> Result<Vec<u64>, String> {
-        match self.get(key) {
-            Some(Item::Value(Value::Array(items))) => items
-                .iter()
-                .map(|v| match v {
-                    Value::Int(i) => Ok(*i),
-                    _ => Err(format!("array `{key}` has a non-integer element")),
-                })
-                .collect(),
-            Some(_) => Err(format!("key `{key}` is not an array")),
-            None => Err(format!("missing key `{key}`")),
-        }
-    }
+/// Reads one table: every error names it (`[workload]`, `[[sites]] #2`).
+/// The only way in is [`Reader::read`], which refuses what was left unread.
+pub struct Reader<'a> {
+    name: String,
+    entries: &'a [(String, Item)],
+    read: Vec<bool>,
+}
 
-    fn insert_value(&mut self, key: &str, value: Value) -> Result<(), String> {
-        if self.get(key).is_some() {
-            return Err(format!("duplicate key `{key}`"));
-        }
-        self.entries.push((key.to_string(), Item::Value(value)));
-        Ok(())
-    }
-
-    /// Walk (creating as needed) to the table named by a dotted path.
-    fn descend(&mut self, path: &[String]) -> Result<&mut Table, String> {
-        let mut cur = self;
-        for seg in path {
-            let pos = cur.entries.iter().position(|(k, _)| k == seg);
-            let idx = match pos {
-                Some(i) => i,
-                None => {
-                    cur.entries
-                        .push((seg.clone(), Item::Table(Table::default())));
-                    cur.entries.len() - 1
-                }
-            };
-            cur = match &mut cur.entries[idx].1 {
-                Item::Table(t) => t,
-                Item::Tables(ts) => ts
-                    .last_mut()
-                    .ok_or_else(|| format!("empty array-of-tables `{seg}`"))?,
-                Item::Value(_) => return Err(format!("`{seg}` is a value, not a table")),
-            };
-        }
-        Ok(cur)
-    }
-
-    /// Append a fresh table to the `[[path]]` array, creating it on first use.
-    fn append_table(&mut self, path: &[String]) -> Result<&mut Table, String> {
-        let (last, prefix) = path.split_last().ok_or("empty table header")?;
-        let parent = self.descend(prefix)?;
-        let pos = parent.entries.iter().position(|(k, _)| k == last);
-        let idx = match pos {
-            Some(i) => i,
-            None => {
-                parent
-                    .entries
-                    .push((last.clone(), Item::Tables(Vec::new())));
-                parent.entries.len() - 1
-            }
+impl<'a> Reader<'a> {
+    /// Read `table`, called `name` in errors, with `f`; then refuse the
+    /// first key `f` did not read.
+    pub fn read<T>(
+        table: &'a Table,
+        name: String,
+        f: impl FnOnce(&mut Reader<'a>) -> Result<T, SpecError>,
+    ) -> Result<T, SpecError> {
+        let entries = &table.entries[..];
+        let mut r = Reader {
+            name,
+            entries,
+            read: vec![false; entries.len()],
         };
-        match &mut parent.entries[idx].1 {
-            Item::Tables(ts) => {
-                ts.push(Table::default());
-                Ok(ts.last_mut().expect("just pushed"))
-            }
-            _ => Err(format!("`{last}` is not an array-of-tables")),
+        let out = f(&mut r)?;
+        match entries.iter().zip(&r.read).find(|(_, read)| !**read) {
+            Some(((key, _), _)) => Err(r.err(format!("unknown key `{key}`"))),
+            None => Ok(out),
         }
+    }
+
+    /// An error about this table.
+    pub fn err(&self, msg: impl Display) -> SpecError {
+        SpecError(format!("{}: {msg}", self.name))
+    }
+
+    /// Mark `key` read and return its item, if present.
+    fn take(&mut self, key: &str) -> Option<&'a Item> {
+        let ix = self.entries.iter().position(|(k, _)| k == key)?;
+        self.read[ix] = true;
+        Some(&self.entries[ix].1)
+    }
+
+    /// The value of `key`, if present; present with the wrong type is an error.
+    pub fn opt<T: FromValue>(&mut self, key: &str) -> Result<Option<T>, SpecError> {
+        match self.take(key) {
+            None => Ok(None),
+            Some(Item::Value(v)) => T::from_value(v)
+                .map(Some)
+                .map_err(|m| self.err(format!("key `{key}` {m}"))),
+            Some(_) => Err(self.err(format!("key `{key}` is a table, not a value"))),
+        }
+    }
+
+    pub fn req<T: FromValue>(&mut self, key: &str) -> Result<T, SpecError> {
+        self.opt(key)?
+            .ok_or_else(|| self.err(format!("missing key `{key}`")))
+    }
+
+    /// Read the `[key]` table with `f`, if present.
+    pub fn opt_table<T>(
+        &mut self,
+        key: &str,
+        f: impl FnOnce(&mut Reader<'a>) -> Result<T, SpecError>,
+    ) -> Result<Option<T>, SpecError> {
+        match self.take(key) {
+            None => Ok(None),
+            Some(Item::Table(t)) => Reader::read(t, format!("[{key}]"), f).map(Some),
+            Some(_) => Err(self.err(format!("`{key}` is not a `[{key}]` table"))),
+        }
+    }
+
+    pub fn table<T>(
+        &mut self,
+        key: &str,
+        f: impl FnOnce(&mut Reader<'a>) -> Result<T, SpecError>,
+    ) -> Result<T, SpecError> {
+        self.opt_table(key, f)?
+            .ok_or_else(|| self.err(format!("missing table `[{key}]`")))
+    }
+
+    /// Read every `[[key]]` entry with `f`, in document order.
+    pub fn tables<T>(
+        &mut self,
+        key: &str,
+        mut f: impl FnMut(&mut Reader<'a>) -> Result<T, SpecError>,
+    ) -> Result<Vec<T>, SpecError> {
+        let mut out = Vec::new();
+        let entries = self.entries.iter().enumerate();
+        for (ix, (_, item)) in entries.filter(|(_, (k, _))| k == key) {
+            self.read[ix] = true;
+            match item {
+                Item::Entry(t) => out.push(Reader::read(
+                    t,
+                    format!("[[{key}]] #{}", out.len()),
+                    &mut f,
+                )?),
+                _ => return Err(self.err(format!("`{key}` is not a `[[{key}]]` array"))),
+            }
+        }
+        Ok(out)
     }
 }
 
 /// Parse a full document into its root table.
 pub fn parse(text: &str) -> Result<Table, TomlError> {
     let mut root = Table::default();
-    // Path of the table currently being filled, as owned segments.
-    let mut current: Vec<String> = Vec::new();
-    // Whether `current` names an array-of-tables entry (affects descend).
-    let mut in_array_entry = false;
-
     for (ix, raw) in text.lines().enumerate() {
-        let lineno = ix + 1;
-        let line = strip_comment(raw).trim().to_string();
+        let line = strip_comment(raw).trim();
         if line.is_empty() {
             continue;
         }
-        let err = |msg: String| TomlError { line: lineno, msg };
+        let err = |msg: String| TomlError { line: ix + 1, msg };
 
-        if let Some(rest) = line.strip_prefix("[[") {
-            let inner = rest
-                .strip_suffix("]]")
-                .ok_or_else(|| err("unterminated `[[` header".into()))?;
-            let path = parse_path(inner).map_err(&err)?;
-            root.append_table(&path).map_err(&err)?;
-            current = path;
-            in_array_entry = true;
-        } else if let Some(rest) = line.strip_prefix('[') {
-            let inner = rest
-                .strip_suffix(']')
-                .ok_or_else(|| err("unterminated `[` header".into()))?;
-            let path = parse_path(inner).map_err(&err)?;
-            // descend() creates the table if absent; re-entering an existing
-            // plain table is allowed (it extends it).
-            root.descend(&path).map_err(&err)?;
-            current = path;
-            in_array_entry = false;
+        if let Some(header) = line.strip_prefix('[') {
+            let (name, array) = match header.strip_prefix('[') {
+                Some(inner) => (inner.strip_suffix("]]"), true),
+                None => (header.strip_suffix(']'), false),
+            };
+            let name = name
+                .ok_or_else(|| err("unterminated table header".into()))?
+                .trim();
+            if !is_bare_key(name) {
+                return Err(err(format!("invalid table name `{name}`")));
+            }
+            // Only the entries of one `[[name]]` array share a name.
+            let taken = root
+                .entries
+                .iter()
+                .any(|(k, item)| k == name && !(array && matches!(item, Item::Entry(_))));
+            if taken {
+                return Err(err(format!("table `{name}` defined twice")));
+            }
+            let item: fn(Table) -> Item = if array { Item::Entry } else { Item::Table };
+            root.entries
+                .push((name.to_string(), item(Table::default())));
         } else {
-            let eq = line
-                .find('=')
+            let (key, value) = line
+                .split_once('=')
                 .ok_or_else(|| err(format!("expected `key = value`, got `{line}`")))?;
-            let key = line[..eq].trim();
+            let key = key.trim();
             if !is_bare_key(key) {
                 return Err(err(format!("invalid key `{key}`")));
             }
-            let value = parse_value(line[eq + 1..].trim()).map_err(&err)?;
-            let table = if in_array_entry {
-                // Re-resolve to the *last* entry of the array each line.
-                let (last, prefix) = current.split_last().expect("array path non-empty");
-                let parent = root.descend(prefix).map_err(&err)?;
-                let pos = parent
-                    .entries
-                    .iter()
-                    .position(|(k, _)| k == last)
-                    .expect("array created at header");
-                match &mut parent.entries[pos].1 {
-                    Item::Tables(ts) => ts.last_mut().expect("entry created at header"),
-                    _ => return Err(err(format!("`{last}` is not an array-of-tables"))),
-                }
-            } else {
-                root.descend(&current).map_err(&err)?
+            let value = parse_value(value.trim()).map_err(&err)?;
+            // A key fills the table the last header opened, the root before any.
+            let table = match root.entries.last_mut() {
+                Some((_, Item::Table(t) | Item::Entry(t))) => t,
+                _ => &mut root,
             };
-            table.insert_value(key, value).map_err(&err)?;
+            if table.entries.iter().any(|(k, _)| k == key) {
+                return Err(err(format!("duplicate key `{key}`")));
+            }
+            table.entries.push((key.to_string(), Item::Value(value)));
         }
     }
     Ok(root)
@@ -310,16 +295,6 @@ fn is_bare_key(key: &str) -> bool {
         && key
             .chars()
             .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-}
-
-fn parse_path(inner: &str) -> Result<Vec<String>, String> {
-    let segs: Vec<String> = inner.split('.').map(|s| s.trim().to_string()).collect();
-    for seg in &segs {
-        if !is_bare_key(seg) {
-            return Err(format!("invalid table name segment `{seg}`"));
-        }
-    }
-    Ok(segs)
 }
 
 fn parse_value(text: &str) -> Result<Value, String> {
@@ -441,6 +416,14 @@ pub fn quote(s: &str) -> String {
 mod tests {
     use super::*;
 
+    /// Read `doc`'s root with `f` (the unread-key refusal included).
+    fn read<T>(
+        doc: &str,
+        f: impl FnOnce(&mut Reader) -> Result<T, SpecError>,
+    ) -> Result<T, SpecError> {
+        Reader::read(&parse(doc).expect("parses"), "document".into(), f)
+    }
+
     #[test]
     fn parses_values_tables_and_arrays_of_tables() {
         let doc = r#"
@@ -460,32 +443,48 @@ packages = ["vmd=1.9.3", "autodock-vina=1.2.6"]
 preset = "sdsc-expanse"
 cores = 128
 "#;
-        let root = parse(doc).expect("parses");
-        assert_eq!(root.str_of("name").unwrap(), "demo");
-        assert_eq!(root.u64_of("seed").unwrap(), 42);
-        assert!(root.bool_of("flag").unwrap());
-        assert_eq!(root.table_of("user").unwrap().str_of("login").unwrap(), "vhayot");
-        let sites = root.tables_of("sites");
-        assert_eq!(sites.len(), 2);
-        assert_eq!(
-            sites[0].str_array_of("packages").unwrap(),
-            vec!["vmd=1.9.3".to_string(), "autodock-vina=1.2.6".to_string()]
-        );
-        assert_eq!(sites[1].u32_of("cores").unwrap(), 128);
+        read(doc, |r| {
+            assert_eq!(r.req::<String>("name")?, "demo");
+            assert_eq!(r.req::<u64>("seed")?, 42);
+            assert!(r.req::<bool>("flag")?);
+            assert_eq!(r.table("user", |t| t.req::<String>("login"))?, "vhayot");
+            let sites = r.tables("sites", |t| {
+                Ok((
+                    t.req::<String>("preset")?,
+                    t.opt::<Vec<String>>("packages")?,
+                    t.opt::<u32>("cores")?,
+                ))
+            })?;
+            assert_eq!(sites.len(), 2);
+            assert_eq!(
+                sites[0].1,
+                Some(vec![
+                    "vmd=1.9.3".to_string(),
+                    "autodock-vina=1.2.6".to_string()
+                ])
+            );
+            assert_eq!(sites[1].2, Some(128));
+            Ok(())
+        })
+        .expect("reads");
     }
 
     #[test]
     fn string_escapes_round_trip() {
         let original = "a \"quoted\" path\\with\nnewline\ttab";
         let doc = format!("v = {}", quote(original));
-        let root = parse(&doc).expect("parses");
-        assert_eq!(root.str_of("v").unwrap(), original);
+        assert_eq!(
+            read(&doc, |r| r.req::<String>("v")),
+            Ok(original.to_string())
+        );
     }
 
     #[test]
     fn hash_inside_string_is_not_a_comment() {
-        let root = parse("v = \"a#b\"").expect("parses");
-        assert_eq!(root.str_of("v").unwrap(), "a#b");
+        assert_eq!(
+            read("v = \"a#b\"", |r| r.req::<String>("v")),
+            Ok("a#b".to_string())
+        );
     }
 
     #[test]
@@ -500,5 +499,79 @@ cores = 128
     fn duplicate_keys_rejected() {
         let err = parse("a = 1\na = 2").unwrap_err();
         assert!(err.msg.contains("duplicate"), "{}", err.msg);
+    }
+
+    #[test]
+    fn nested_and_repeated_tables_are_refused() {
+        for (doc, line, msg) in [
+            (
+                "[cache.x]\nmode = \"off\"",
+                1,
+                "invalid table name `cache.x`",
+            ),
+            (
+                "[user]\na = 1\n[user]\nb = 2",
+                3,
+                "table `user` defined twice",
+            ),
+            ("[[sites]]\n[sites]", 2, "table `sites` defined twice"),
+            ("sites = 1\n[[sites]]", 2, "table `sites` defined twice"),
+        ] {
+            assert_eq!(
+                parse(doc).unwrap_err(),
+                TomlError {
+                    line,
+                    msg: msg.into()
+                },
+                "{doc}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_reader_refuses_unread_and_ill_typed_keys() {
+        let doc = "a = 1\n[t]\nb = \"x\"\n[[e]]\nc = 1\n[[e]]\nc = 2\nd = true";
+        fn refused<T>(read: Result<T, SpecError>) -> String {
+            read.map(|_| ()).unwrap_err().0
+        }
+        for (error, msg) in [
+            (
+                refused(read(doc, |r| {
+                    r.req::<u64>("a")?;
+                    r.table("t", |_| Ok(()))
+                })),
+                "[t]: unknown key `b`",
+            ),
+            (
+                refused(read(doc, |r| r.req::<u64>("a"))),
+                "document: unknown key `t`",
+            ),
+            (
+                refused(read(doc, |r| r.tables("e", |t| t.req::<u64>("c")))),
+                "[[e]] #1: unknown key `d`",
+            ),
+            (
+                refused(read(doc, |r| r.opt::<bool>("a"))),
+                "document: key `a` is not a boolean",
+            ),
+            (
+                refused(read(doc, |r| r.opt::<u64>("t"))),
+                "document: key `t` is a table, not a value",
+            ),
+            (
+                refused(read(doc, |r| r.tables("t", |_| Ok(())))),
+                "document: `t` is not a `[[t]]` array",
+            ),
+            (
+                refused(read(doc, |r| r.req::<u64>("z"))),
+                "document: missing key `z`",
+            ),
+            (
+                refused(read("a = [1, \"x\"]", |r| r.req::<Vec<u64>>("a"))),
+                "document: key `a` has an element that is not an integer",
+            ),
+        ] {
+            assert_eq!(error, msg);
+        }
     }
 }

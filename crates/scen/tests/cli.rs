@@ -123,3 +123,29 @@ fn explain_pinpoints_the_divergent_instant_on_corruption() {
     let _ = std::fs::remove_file(&good);
     let _ = std::fs::remove_file(&bad);
 }
+
+#[test]
+fn undeclared_flags_extra_operands_and_zero_threads_are_refused() {
+    let doc = stdout(&run(&["gen", "--count", "1", "--seed", "42"], None));
+    let dir = std::env::temp_dir().join("hpcci-scen-cli-refusals");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = dir.join("doc.toml");
+    std::fs::write(&file, &doc).expect("doc written");
+    let file = file.to_str().expect("utf-8 path");
+    for (args, named) in [
+        (vec!["gen", "--cuont", "2"], "`--cuont`"),
+        (vec!["verify", file, "--thread", "3"], "`--thread`"),
+        (vec!["verify", file, "--threads", "0"], "--threads must be at least 1"),
+        (vec!["verify", file, file], &format!("`{file}`")),
+        (vec!["replay", file, file], &format!("`{file}`")),
+        (vec!["replay", file, "--transcirpt"], "`--transcirpt`"),
+        (vec!["explain", file, file, file], &format!("`{file}`")),
+    ] {
+        let out = run(&args, None);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stdout(&out).is_empty(), "{args:?} ran anyway");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

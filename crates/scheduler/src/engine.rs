@@ -139,10 +139,9 @@ impl BatchScheduler {
         s
     }
 
-    /// Submit a job at `now`. Validates admissibility, enqueues, and runs a
-    /// scheduling pass (so an idle machine starts the job immediately).
-    pub fn submit(&mut self, spec: JobSpec, now: SimTime) -> Result<JobId, SchedulerError> {
-        self.catch_up(now);
+    /// Could `spec` ever run here? The admission check of [`Self::submit`],
+    /// asked without submitting.
+    pub fn admit(&self, spec: &JobSpec) -> Result<(), SchedulerError> {
         let partition = self
             .partitions
             .get(&spec.partition)
@@ -156,6 +155,14 @@ impl BatchScheduler {
                 requested_cores: spec.cores_per_node,
             });
         }
+        Ok(())
+    }
+
+    /// Submit a job at `now`. Validates admissibility, enqueues, and runs a
+    /// scheduling pass (so an idle machine starts the job immediately).
+    pub fn submit(&mut self, spec: JobSpec, now: SimTime) -> Result<JobId, SchedulerError> {
+        self.catch_up(now);
+        self.admit(&spec)?;
         let id = JobId(self.next_id);
         self.next_id += 1;
         self.jobs.insert(

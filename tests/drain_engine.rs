@@ -113,7 +113,7 @@ fn build_cloud(shape: &FedShape) -> (CloudService, hpcci::auth::AccessToken, Vec
         let site = shared(rt);
         let mut mapping = IdentityMapping::new("site-mep");
         mapping.add_explicit("bench@hpcci.sim", "x-bench");
-        let mep = MultiUserEndpoint::new("ep-mep", site, mapping, MepTemplate::login_only());
+        let mep = MultiUserEndpoint::new("ep-mep", site, mapping, MepTemplate::login_only()).unwrap();
         ids.push(cloud.register_endpoint(
             "ep-mep",
             EndpointRegistration::Multi(Box::new(mep)),

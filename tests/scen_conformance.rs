@@ -1,6 +1,6 @@
 //! Conformance sweep for the scenario layer (`hpcci-scen`).
 //!
-//! Three guarantees pinned here:
+//! Guarantees pinned here:
 //!  1. the seeded generator is byte-stable — golden TOML fixtures under
 //!     `tests/fixtures/` must match `ScenarioGen::new(42)` output exactly;
 //!  2. a 64-scenario fleet passes every oracle family, and a parallel
@@ -9,13 +9,19 @@
 //!     when two executions legitimately disagree;
 //!  4. the hand-written `batched-submit` fixture — a multi-site world whose
 //!     bursty push rounds land submit waves on four endpoints — is canonical
-//!     TOML and passes every oracle.
+//!     TOML and passes every oracle;
+//!  5. every file of the regression corpus names the bug it pins and passes
+//!     every oracle;
+//!  6. every document above refuses each of its keys renamed or retyped, and
+//!     an unknown table.
 
 use hpcci::cas::{Digest, DigestBuilder};
 use hpcci::scen::{
     first_divergence, run_spec, verify_spec, OracleReport, ScenarioGen, ScenarioSpec,
 };
 use hpcci::sim::sweep::sweep;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 const FLEET_SEED: u64 = 42;
 const FLEET_SIZE: u64 = 64;
@@ -156,6 +162,134 @@ fn batched_submit_fixture_is_canonical_and_passes_oracles() {
 /// `tests/fixtures/regressions/`: a scenario that once exposed the bug its
 /// header comment names.
 const PSIJ_48_PUSHES: &str = include_str!("fixtures/regressions/psij-48-pushes.toml");
+
+/// The `.toml` files directly under `dir` (relative to the repository root),
+/// in name order.
+fn toml_files(dir: &str) -> Vec<PathBuf> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "toml"))
+        .collect();
+    files.sort();
+    files
+}
+
+/// The error `from_toml` refuses `doc` with; `what` names the mutation.
+fn refused(doc: &str, what: &str) -> String {
+    match ScenarioSpec::from_toml(doc) {
+        Ok(_) => panic!("{what} was accepted"),
+        Err(e) => e.0,
+    }
+}
+
+#[test]
+fn every_regression_fixture_names_its_bug_and_passes_every_oracle() {
+    let files = toml_files("tests/fixtures/regressions");
+    assert!(!files.is_empty(), "the regression corpus is empty");
+    for path in files {
+        let name = path.display();
+        let doc = std::fs::read_to_string(&path).expect("fixture reads");
+        assert!(
+            doc.starts_with("# Regression: "),
+            "{name}: a leading `# Regression: ` comment names the bug it pins"
+        );
+        let spec = ScenarioSpec::from_toml(&doc).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let report = verify_spec(&spec).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(report.passed(), "{name}: {:?}", report.violations);
+    }
+}
+
+#[test]
+fn every_renamed_or_retyped_key_and_every_unknown_table_is_refused() {
+    let mut documents = Vec::new();
+    for dir in ["tests/fixtures", "tests/fixtures/regressions"] {
+        for path in toml_files(dir) {
+            let doc = std::fs::read_to_string(&path).expect("fixture reads");
+            documents.push((path.display().to_string(), doc));
+        }
+    }
+    for spec in ScenarioGen::new(FLEET_SEED).fleet(16) {
+        documents.push((spec.name.clone(), spec.to_toml()));
+    }
+    // A regression fixture's leading comment names its bug, not the schema.
+    fn body(doc: &str) -> Vec<&str> {
+        doc.lines().skip_while(|l| l.starts_with('#')).collect()
+    }
+
+    for (name, doc) in &documents {
+        let spec = ScenarioSpec::from_toml(doc).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(body(&spec.to_toml()), body(doc), "{name} is not canonical");
+
+        let lines: Vec<&str> = doc.lines().collect();
+        let mut table = "document".to_string();
+        let mut entries: BTreeMap<&str, usize> = BTreeMap::new();
+        for (ix, line) in lines.iter().enumerate() {
+            if let Some(array) = line.strip_prefix("[[").and_then(|l| l.strip_suffix("]]")) {
+                let n = entries.entry(array).or_default();
+                table = format!("[[{array}]] #{n}");
+                *n += 1;
+                continue;
+            }
+            if line.starts_with('[') {
+                table = line.to_string();
+                continue;
+            }
+            let Some((key, value)) = line.split_once(" = ").filter(|_| !line.starts_with('#'))
+            else {
+                continue;
+            };
+            let with_line = |replacement: String| {
+                let mut mutated = lines.clone();
+                mutated[ix] = &replacement;
+                mutated.join("\n")
+            };
+            // A renamed key is refused as missing or as unknown.
+            let renamed = format!("{key}_x");
+            let err = refused(&with_line(format!("{renamed} = {value}")), &format!("{name}: `{renamed}`"));
+            assert!(
+                err.starts_with(&format!("{table}: "))
+                    && (err.contains(&format!("`{key}`")) || err.contains(&format!("`{renamed}`"))),
+                "{name}: renaming `{key}` in {table}: {err}"
+            );
+            // int -> string, string/bool/array -> int.
+            let retyped = match value.as_bytes()[0] {
+                b'0'..=b'9' => format!("\"{value}\""),
+                _ => "1".to_string(),
+            };
+            let err = refused(&with_line(format!("{key} = {retyped}")), &format!("{name}: {key} = {retyped}"));
+            assert!(
+                err.starts_with(&format!("{table}: ")) && err.contains(&format!("`{key}`")),
+                "{name}: retyping `{key}` in {table}: {err}"
+            );
+        }
+        let unknown = format!("{doc}\n[bogus]\nkey = 1\n");
+        assert_eq!(refused(&unknown, name), "document: unknown key `bogus`");
+    }
+}
+
+#[test]
+fn a_pilot_the_site_scheduler_can_never_start_is_refused() {
+    // gen-42-0010's `ep-2-0` is an hpc-split MEP on a 32-core Expanse whose
+    // partition caps walltime at 48 h. Before, its tasks waited forever.
+    let (_, doc) = FIXTURES[1];
+    for (from, to) in [
+        ("cores = 32\nwalltime_secs", "cores = 0\nwalltime_secs"),
+        ("cores = 32\nwalltime_secs", "cores = 33\nwalltime_secs"),
+        ("walltime_secs = 3000", "walltime_secs = 172801"),
+    ] {
+        assert_eq!(doc.matches(from).count(), 1, "{from}");
+        let spec = ScenarioSpec::from_toml(&doc.replace(from, to)).expect("document parses");
+        match run_spec(&spec) {
+            Ok(_) => panic!("`{to}` was accepted"),
+            Err(e) => assert!(
+                e.0.starts_with("endpoint `ep-2-0`: ") && e.0.contains("refuses its pilot"),
+                "{to}: {e}"
+            ),
+        }
+    }
+}
 
 #[test]
 fn psij_verdicts_do_not_depend_on_earlier_psij_runs() {

@@ -143,6 +143,7 @@ fn function_allowlist_rejects_everything_unapproved() {
         mapping,
         MepTemplate::login_only(),
     )
+    .unwrap()
     .with_allowlist(&[allowed]);
     fed.cloud
         .lock()
@@ -205,6 +206,7 @@ fn ha_policy_restricts_identity_providers_at_the_endpoint() {
         mapping,
         MepTemplate::login_only(),
     )
+    .unwrap()
     .with_ha_policy(
         hpcci::auth::HighAssurancePolicy::permissive().require_provider("access-ci.org"),
     );
@@ -307,6 +309,7 @@ fn a_session_refresh_after_submission_does_not_reach_the_in_flight_task() {
         mapping,
         MepTemplate::login_only(),
     )
+    .unwrap()
     .with_ha_policy(
         hpcci::auth::HighAssurancePolicy::permissive()
             .require_session_within(SimDuration::from_hours(1)),
