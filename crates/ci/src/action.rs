@@ -103,6 +103,9 @@ pub struct StepResult {
     pub artifacts: Vec<(String, Arc<[u8]>)>,
     /// Whether infrastructure bore on this result (see [`Infra`]).
     pub infra: Infra,
+    /// Ids of the FaaS tasks the step submitted, in order; the engine moves
+    /// them to [`StepRun::tasks`](crate::StepRun::tasks).
+    pub tasks: Vec<u64>,
 }
 
 impl StepResult {

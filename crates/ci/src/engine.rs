@@ -263,7 +263,7 @@ impl CiEngine {
 
     /// Publish the engine-local counters to the attached [`Obs`] handle.
     /// Counter metrics batch through here (the federation calls it when it
-    /// snapshots); only histogram/span series record inline.
+    /// snapshots); only histogram series record inline.
     pub fn harvest_metrics(&self) {
         if !self.obs.is_enabled() {
             return;
@@ -675,11 +675,6 @@ impl CiEngine {
         let shape = installed.shape.clone();
         let mut plans = std::mem::take(&mut installed.plans);
         plans.resize_with(shape.def.jobs.len(), || None);
-        let span = self.obs.span_start_with(
-            "ci.run",
-            || format!("{repo}/{workflow} {id}"),
-            driver.now(),
-        );
         let org = repo.split('/').next().unwrap_or(&repo);
         let repo_env_vars = self
             .env_vars
@@ -726,6 +721,7 @@ impl CiEngine {
                         outcome: Arc::new(outcome),
                         started: driver.now(),
                         ended: driver.now(),
+                        tasks: Box::default(),
                     });
                     continue;
                 }
@@ -787,6 +783,7 @@ impl CiEngine {
                         outcome: entry.outcome.clone(),
                         started,
                         ended,
+                        tasks: Box::default(),
                     };
                     (rec, entry.result)
                 } else {
@@ -863,6 +860,7 @@ impl CiEngine {
                         outcome,
                         started,
                         ended,
+                        tasks: result.tasks.into_boxed_slice(),
                     };
                     (rec, digest)
                 };
@@ -892,7 +890,6 @@ impl CiEngine {
         if let Some(installed) = self.installed_mut(&repo, &workflow) {
             installed.plans = plans;
         }
-        self.obs.span_end(span, driver.now());
         let run = self.run_mut(id).expect("still exists");
         run.steps = steps_acc;
         run.ended_at = Some(driver.now());
@@ -963,7 +960,7 @@ mod tests {
     use crate::cache::StepCache;
     use crate::environment::Environment;
     use crate::secrets::{Secret, SecretScope};
-    use crate::workflow::{JobDef, StepDef, WorkflowDef};
+    use crate::workflow::{JobDef, RunsOn, StepDef, WorkflowDef};
 
     fn engine_with_workflow(workflow: WorkflowDef) -> CiEngine {
         let mut e = CiEngine::new();
@@ -1331,6 +1328,92 @@ mod tests {
         assert_eq!(artifacts[0].text(), "$ pytest -v\nok");
         // The foreign store now holds it, so the next run replays both.
         assert_eq!(push_at(&mut e, SimTime::from_secs(120)).1, (2, 0));
+    }
+
+    /// Reports two task ids per execution, counting up from `next`.
+    struct Submits {
+        next: std::sync::atomic::AtomicU64,
+    }
+    impl Action for Submits {
+        fn run(&self, _: &mut StepContext<'_>) -> crate::action::StepResult {
+            let first = self.next.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
+            crate::action::StepResult {
+                tasks: vec![first, first + 1],
+                ..crate::action::StepResult::ok("submitted")
+            }
+        }
+    }
+
+    /// An engine whose workflow submits through [`Submits`] (ids from
+    /// `first`), then runs a shell step that depends on it.
+    fn submitting_engine(first: u64) -> CiEngine {
+        let mut e = engine_with_workflow(
+            WorkflowDef::new("ci")
+                .on_event(TriggerEvent::push_any())
+                .with_job(
+                    JobDef::new("remote")
+                        .with_step(StepDef::uses("submit", "acme/submits@v1", &[]))
+                        .with_step(StepDef::run("after", "make check")),
+                ),
+        );
+        let next = std::sync::atomic::AtomicU64::new(first);
+        e.register_action("acme/submits@v1", Arc::new(Submits { next }));
+        e
+    }
+
+    #[test]
+    fn an_executed_step_records_its_tasks_and_a_replayed_one_none() {
+        let mut e = submitting_engine(7);
+        e.set_step_cache(StepCache::new(), CacheMode::Replay);
+        let (first, cold) = push_at(&mut e, SimTime::ZERO);
+        assert_eq!(cold, (0, 2));
+        let run = e.run(first).unwrap();
+        assert_eq!(&*run.step("submit").unwrap().tasks, &[7, 8]);
+        assert!(run.step("after").unwrap().tasks.is_empty());
+
+        let (second, warm) = push_at(&mut e, SimTime::from_secs(60));
+        assert_eq!(warm, (2, 0));
+        assert!(e.run(second).unwrap().steps.iter().all(|s| s.tasks.is_empty()));
+    }
+
+    #[test]
+    fn a_job_no_runner_serves_records_no_tasks() {
+        let mut wf = WorkflowDef::new("ci")
+            .on_event(TriggerEvent::push_any())
+            .with_job(JobDef::new("j").with_step(StepDef::uses("submit", "acme/submits@v1", &[])));
+        wf.jobs[0].runs_on = RunsOn::Hosted("solaris".into());
+        let mut e = engine_with_workflow(wf);
+        let next = std::sync::atomic::AtomicU64::new(1);
+        e.register_action("acme/submits@v1", Arc::new(Submits { next }));
+        let id = e
+            .on_push("globus-labs/app", "main", "c", SimTime::ZERO)
+            .unwrap()[0];
+        e.execute_ready(&mut NullDriver::new());
+        let run = e.run(id).unwrap();
+        assert_eq!(run.status, RunStatus::Failure);
+        assert_eq!(run.steps[0].step, "<runner>");
+        assert!(run.steps[0].tasks.is_empty());
+    }
+
+    /// Task ids are not part of what a later step reads: two executions that
+    /// differ only in them hash alike, so the dependent step's key is the
+    /// same and one cache holds one entry per step.
+    #[test]
+    fn task_ids_never_reach_a_step_key() {
+        let cache = StepCache::new();
+        let mut runs = Vec::new();
+        for first in [1, 100] {
+            let mut e = submitting_engine(first);
+            e.set_step_cache(cache.clone(), CacheMode::Record);
+            let (id, _) = push_at(&mut e, SimTime::ZERO);
+            runs.push(e.run(id).unwrap().step("submit").unwrap().clone());
+        }
+        assert_ne!(runs[0].tasks, runs[1].tasks);
+        assert_eq!(
+            result_digest(&runs[0].outcome),
+            result_digest(&runs[1].outcome)
+        );
+        assert_eq!(cache.stats().entries, 2);
     }
 
     #[test]

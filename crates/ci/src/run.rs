@@ -181,6 +181,11 @@ pub struct StepRun {
     pub outcome: Arc<StepOutcome>,
     pub started: SimTime,
     pub ended: SimTime,
+    /// Ids of the FaaS tasks the step submitted, in order: the record a
+    /// failure's attribution is checked against. Empty for a replayed step
+    /// and for a job no runner could serve; not part of the outcome, so it
+    /// is never cached, hashed or rendered.
+    pub tasks: Box<[u64]>,
 }
 
 impl Deref for StepRun {
@@ -297,6 +302,7 @@ mod tests {
                     }),
                     started: SimTime::from_secs(1),
                     ended: SimTime::from_secs(4),
+                    tasks: Box::default(),
                 },
                 StepRun {
                     job: "test".into(),
@@ -308,6 +314,7 @@ mod tests {
                     }),
                     started: SimTime::from_secs(4),
                     ended: SimTime::from_secs(5),
+                    tasks: Box::default(),
                 },
             ],
         }

@@ -130,6 +130,8 @@ impl CorrectAction {
     /// perturb the simulation. What is infrastructure is decided by type —
     /// [`FaasError::is_infrastructure`], [`TaskFailure::WorkerCrashed`] —
     /// and every attempt past the first marks `infra` as shaped by it.
+    /// A failover moves `ep_idx` for the rest of the step; every task id the
+    /// cloud hands back is appended to `tasks`.
     #[allow(clippy::too_many_arguments)]
     fn run_resilient<F>(
         &self,
@@ -137,11 +139,13 @@ impl CorrectAction {
         token: &mut AccessToken,
         creds: (&ClientId, &ClientSecret),
         endpoints: &[EndpointId],
+        ep_idx: &mut usize,
         max_retries: u32,
         backoff: SimDuration,
         jitter_seed: u64,
         log: &mut String,
         infra: &mut Infra,
+        tasks: &mut Vec<u64>,
         label: &str,
         submit: F,
     ) -> Attempted
@@ -149,7 +153,6 @@ impl CorrectAction {
         F: Fn(&mut CloudService, &AccessToken, &EndpointId, SimTime) -> Result<TaskId, FaasError>,
     {
         let mut rng = DetRng::seed_from_u64(jitter_seed);
-        let mut ep_idx = 0usize;
         let mut last_infra = String::new();
         let mut attempt = 0u32;
         loop {
@@ -170,14 +173,16 @@ impl CorrectAction {
                 ));
                 driver.sleep(delay);
             }
-            let endpoint = &endpoints[ep_idx];
             let submitted = {
                 let mut cloud = self.cloud.lock();
                 let now = cloud.now();
-                submit(&mut cloud, token, endpoint, now)
+                submit(&mut cloud, token, &endpoints[*ep_idx], now)
             };
             let task = match submitted {
-                Ok(t) => t,
+                Ok(t) => {
+                    tasks.push(t.0);
+                    t
+                }
                 Err(FaasError::Auth(AuthError::InvalidToken)) => {
                     // Token expired mid-run: refresh and retry (§5.3's
                     // client-credentials grant is repeatable).
@@ -205,7 +210,7 @@ impl CorrectAction {
                 }
                 Err(e) if e.is_infrastructure() => {
                     last_infra = e.to_string();
-                    note_failover(log, endpoints, &mut ep_idx, &self.obs);
+                    note_failover(log, endpoints, ep_idx, &self.obs);
                     attempt += 1;
                     continue;
                 }
@@ -223,7 +228,7 @@ impl CorrectAction {
                 }
                 Err(e) => return Attempted::Fatal(format!("Error: {e}")),
             };
-            note_failover(log, endpoints, &mut ep_idx, &self.obs);
+            note_failover(log, endpoints, ep_idx, &self.obs);
             attempt += 1;
         }
     }
@@ -231,6 +236,18 @@ impl CorrectAction {
 
 impl Action for CorrectAction {
     fn run(&self, ctx: &mut StepContext<'_>) -> StepResult {
+        // Room for the common clone-plus-command step in one allocation.
+        let mut tasks = Vec::with_capacity(2);
+        let mut result = self.run_step(ctx, &mut tasks);
+        result.tasks = tasks;
+        result
+    }
+}
+
+impl CorrectAction {
+    /// The action's body; every id the cloud hands back goes to `tasks`,
+    /// whichever way the step ends.
+    fn run_step(&self, ctx: &mut StepContext<'_>, tasks: &mut Vec<u64>) -> StepResult {
         let inputs = match CorrectInputs::parse(&ctx.inputs) {
             Ok(i) => i,
             Err(e) => return StepResult::fail(e),
@@ -264,11 +281,13 @@ impl Action for CorrectAction {
         log.push_str("Authenticated with Globus Auth (scope compute.api)\n");
 
         // The primary endpoint plus any configured fallbacks for crash
-        // failover, in priority order.
+        // failover, in priority order. A failover holds for the rest of the
+        // step, so the command and the capture run where the clone did.
         let endpoints: Vec<EndpointId> = std::iter::once(inputs.endpoint_uuid)
             .chain(inputs.fallback_endpoints.iter().copied())
             .map(|e| EndpointId(e.to_string()))
             .collect();
+        let mut ep_idx = 0;
         let backoff = SimDuration::from_secs(inputs.retry_backoff_secs.max(1));
         let jitter_seed = fnv_pair(&ctx.commit, inputs.endpoint_uuid);
 
@@ -280,11 +299,13 @@ impl Action for CorrectAction {
                 &mut token,
                 (&client_id, &client_secret),
                 &endpoints,
+                &mut ep_idx,
                 inputs.max_retries,
                 backoff,
                 jitter_seed,
                 &mut log,
                 &mut infra,
+                tasks,
                 "clone submission",
                 |cloud, token, endpoint, now| cloud.submit_shell(token, endpoint, &clone_cmd, now),
             ) {
@@ -313,11 +334,13 @@ impl Action for CorrectAction {
             &mut token,
             (&client_id, &client_secret),
             &endpoints,
+            &mut ep_idx,
             inputs.max_retries,
             backoff,
             jitter_seed.wrapping_add(1),
             &mut log,
             &mut infra,
+            tasks,
             "task submission",
             |cloud, token, endpoint, now| {
                 if let Some(cmd) = inputs.shell_cmd {
@@ -364,9 +387,10 @@ impl Action for CorrectAction {
             let capture_task = {
                 let mut cloud = self.cloud.lock();
                 let now = cloud.now();
-                cloud.submit_shell(&token, &endpoints[0], "gc-capture-env", now)
+                cloud.submit_shell(&token, &endpoints[ep_idx], "gc-capture-env", now)
             };
             if let Ok(t) = capture_task {
+                tasks.push(t.0);
                 if let Ok(cap) = self.wait_for(ctx.driver, t) {
                     if cap.success() {
                         result = result.with_artifact("environment.txt", &cap.stdout);

@@ -162,6 +162,7 @@ mod tests {
                 }),
                 started: SimTime::from_secs(1),
                 ended: SimTime::from_secs(59),
+                tasks: Box::default(),
             }],
         }
     }

@@ -3,8 +3,9 @@
 //! The paper's evaluation (§VI) reports queue wait, provisioning latency, and
 //! per-site CI overhead — quantities a reproduction must be able to *ask* the
 //! simulator for. This crate provides a metrics registry (counters, gauges,
-//! log-bucketed histograms), span-based structured tracing layered on the
-//! simulation [`Trace`], and per-run [`RunReport`] telemetry.
+//! log-bucketed histograms) and per-run [`RunReport`] telemetry. Which task
+//! served which CI step is not a metric: the step's own record lists the
+//! tasks it submitted (`StepRun::tasks` in `hpcci-ci`).
 //!
 //! ## Determinism rules
 //!
@@ -30,11 +31,11 @@ mod report;
 mod snapshot;
 
 pub use histogram::{bucket_upper, Histogram, HISTOGRAM_BUCKETS};
-pub use registry::{Registry, SpanId, SpanRec, CORE_COUNTERS, CORE_HISTOGRAMS};
+pub use registry::{Registry, CORE_COUNTERS, CORE_HISTOGRAMS};
 pub use report::RunReport;
 pub use snapshot::{GaugeSnapshot, HistogramSnapshot, MetricsSnapshot};
 
-use hpcci_sim::{IntoDetail, IntoSym, SimDuration, SimTime, Sym, Trace};
+use hpcci_sim::{IntoSym, SimDuration, Sym};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -45,7 +46,7 @@ pub struct ObsConfig {
 }
 
 impl ObsConfig {
-    /// Record metrics and spans.
+    /// Record metrics.
     pub fn enabled() -> Self {
         ObsConfig { enabled: true }
     }
@@ -135,62 +136,12 @@ impl Obs {
         self.observe(name, d.as_micros());
     }
 
-    /// Open a span at `at`. Disabled handles return [`SpanId::NONE`].
-    pub fn span_start(
-        &self,
-        name: impl IntoSym,
-        detail: impl IntoDetail,
-        at: SimTime,
-    ) -> SpanId {
-        let Some(inner) = &self.inner else {
-            return SpanId::NONE;
-        };
-        inner.lock().span_start(name, detail, at)
-    }
-
-    /// [`Obs::span_start`] with a lazily built detail string: disabled
-    /// handles never invoke `detail`, so hot paths pay nothing for the
-    /// formatting. Use this whenever the detail needs a `format!`.
-    pub fn span_start_with(
-        &self,
-        name: impl IntoSym,
-        detail: impl FnOnce() -> String,
-        at: SimTime,
-    ) -> SpanId {
-        let Some(inner) = &self.inner else {
-            return SpanId::NONE;
-        };
-        inner.lock().span_start(name, detail(), at)
-    }
-
-    /// Close a span. Ignores [`SpanId::NONE`].
-    pub fn span_end(&self, id: SpanId, at: SimTime) {
-        let Some(inner) = &self.inner else { return };
-        inner.lock().span_end(id, at);
-    }
-
     /// Snapshot every registered metric. Disabled handles return an empty
     /// snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         match &self.inner {
             Some(inner) => inner.lock().snapshot(),
             None => MetricsSnapshot::default(),
-        }
-    }
-
-    /// Clone of the span trace (`span.start` / `span.end` events).
-    pub fn span_trace(&self) -> Trace {
-        match &self.inner {
-            Some(inner) => inner.lock().trace().clone(),
-            None => Trace::default(),
-        }
-    }
-
-    /// Number of spans recorded so far.
-    pub fn span_count(&self) -> usize {
-        match &self.inner {
-            Some(inner) => inner.lock().spans().len(),
-            None => 0,
         }
     }
 }
@@ -214,14 +165,9 @@ mod tests {
         obs.inc("faas.tasks_submitted");
         obs.observe("faas.task_latency_us", 99);
         obs.gauge_set("sched.queue_depth", 5);
-        let span = obs.span_start("ci.run", "run=1", SimTime::ZERO);
-        assert_eq!(span, SpanId::NONE);
-        obs.span_end(span, SimTime::from_secs(1));
         let snap = obs.snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.histograms.is_empty());
-        assert_eq!(snap.spans, 0);
-        assert!(obs.span_trace().is_empty());
     }
 
     #[test]
@@ -234,17 +180,6 @@ mod tests {
         let snap = obs.snapshot();
         assert_eq!(snap.counter("faas.tasks_submitted"), 3);
         assert_eq!(snap.histogram("faas.task_latency_us").unwrap().sum, 3_000);
-    }
-
-    #[test]
-    fn spans_round_trip_through_handle() {
-        let obs = Obs::enabled();
-        let id = obs.span_start("ci.run", "run=7", SimTime::from_secs(2));
-        obs.span_end(id, SimTime::from_secs(5));
-        assert_eq!(obs.span_count(), 1);
-        let trace = obs.span_trace();
-        assert_eq!(trace.of_kind("span.start").count(), 1);
-        assert_eq!(trace.of_kind("span.end").count(), 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::histogram::Histogram;
 use crate::snapshot::{GaugeSnapshot, HistogramSnapshot, MetricsSnapshot};
-use hpcci_sim::{Interner, IntoDetail, IntoSym, SimTime, Sym, Trace};
+use hpcci_sim::{Interner, IntoSym, Sym};
 use std::collections::BTreeMap;
 
 /// Core metric names pre-registered on every enabled registry so snapshots
@@ -49,23 +49,6 @@ struct Gauge {
     max: u64,
 }
 
-/// One recorded span: a named interval in simulation time.
-#[derive(Clone, Debug)]
-pub struct SpanRec {
-    pub name: Sym,
-    pub start: SimTime,
-    pub end: Option<SimTime>,
-}
-
-/// Identifier returned by `span_start`; `SpanId::NONE` is handed out by
-/// disabled handles and ignored by `span_end`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpanId(pub usize);
-
-impl SpanId {
-    pub const NONE: SpanId = SpanId(usize::MAX);
-}
-
 /// The mutable metrics store. Wrapped in `Arc<Mutex<_>>` by [`crate::Obs`];
 /// use the handle, not this type, from instrumented code.
 #[derive(Default)]
@@ -74,8 +57,6 @@ pub struct Registry {
     counters: BTreeMap<Sym, u64>,
     gauges: BTreeMap<Sym, Gauge>,
     histograms: BTreeMap<Sym, Histogram>,
-    spans: Vec<SpanRec>,
-    trace: Trace,
 }
 
 impl Registry {
@@ -118,39 +99,6 @@ impl Registry {
         self.histograms.entry(sym).or_default().observe(value);
     }
 
-    pub fn span_start(&mut self, name: impl IntoSym, detail: impl IntoDetail, at: SimTime) -> SpanId {
-        let name = name.into_sym(&mut self.interner);
-        let id = SpanId(self.spans.len());
-        self.trace.record(at, name.clone(), "span.start", detail);
-        self.spans.push(SpanRec {
-            name,
-            start: at,
-            end: None,
-        });
-        id
-    }
-
-    pub fn span_end(&mut self, id: SpanId, at: SimTime) {
-        if id == SpanId::NONE {
-            return;
-        }
-        if let Some(span) = self.spans.get_mut(id.0) {
-            span.end = Some(at);
-            let d = at.since(span.start);
-            let name = span.name.clone();
-            self.trace
-                .record(at, name, "span.end", format!("{d}"));
-        }
-    }
-
-    pub fn spans(&self) -> &[SpanRec] {
-        &self.spans
-    }
-
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self
@@ -176,7 +124,6 @@ impl Registry {
                 .iter()
                 .map(|(k, h)| (k.to_string(), HistogramSnapshot::of(h)))
                 .collect(),
-            spans: self.spans.len() as u64,
         }
     }
 }
@@ -230,18 +177,5 @@ mod tests {
                 .count,
             3
         );
-    }
-
-    #[test]
-    fn spans_record_into_trace() {
-        let mut r = Registry::new();
-        let id = r.span_start("ci.run", "run=1", SimTime::from_secs(1));
-        r.span_end(id, SimTime::from_secs(4));
-        r.span_end(SpanId::NONE, SimTime::from_secs(9));
-        assert_eq!(r.spans().len(), 1);
-        assert_eq!(r.spans()[0].end, Some(SimTime::from_secs(4)));
-        assert_eq!(r.trace().of_kind("span.start").count(), 1);
-        assert_eq!(r.trace().of_kind("span.end").count(), 1);
-        assert_eq!(r.snapshot().spans, 1);
     }
 }

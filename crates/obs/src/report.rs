@@ -49,22 +49,6 @@ impl RunReport {
         }
     }
 
-    /// One human-readable line per field.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "run #{} {}:{}@{}", self.run, self.repo, self.workflow, self.branch);
-        let _ = writeln!(out, "  commit        {}", self.commit);
-        let _ = writeln!(out, "  status        {}", self.status);
-        let _ = writeln!(out, "  queue wait    {}", fmt_opt_us(self.queue_wait_us()));
-        let _ = writeln!(out, "  duration      {}", fmt_opt_us(self.duration_us()));
-        let _ = writeln!(out, "  steps         {} ({} failed)", self.steps, self.failed_steps);
-        let _ = writeln!(out, "  artifacts     {} bytes", self.artifact_bytes);
-        if let Some(kind) = &self.failure_kind {
-            let _ = writeln!(out, "  failure kind  {kind}");
-        }
-        out
-    }
-
     /// Fixed-column table over several reports (the Fig. 4 shape).
     pub fn render_table(reports: &[RunReport]) -> String {
         let mut out = String::new();
@@ -89,39 +73,6 @@ impl RunReport {
         }
         out
     }
-
-    /// Deterministic JSON object (integers and escaped strings only).
-    pub fn to_json(&self) -> String {
-        let opt = |v: Option<u64>| v.map_or("null".to_string(), |v| v.to_string());
-        format!(
-            "{{\"run\": {}, \"repo\": \"{}\", \"workflow\": \"{}\", \"branch\": \"{}\", \
-             \"commit\": \"{}\", \"status\": \"{}\", \"triggered_at_us\": {}, \
-             \"started_at_us\": {}, \"ended_at_us\": {}, \"queue_wait_us\": {}, \
-             \"duration_us\": {}, \"steps\": {}, \"failed_steps\": {}, \
-             \"artifact_bytes\": {}, \"failure_kind\": {}}}",
-            self.run,
-            esc(&self.repo),
-            esc(&self.workflow),
-            esc(&self.branch),
-            esc(&self.commit),
-            esc(&self.status),
-            self.triggered_at_us,
-            opt(self.started_at_us),
-            opt(self.ended_at_us),
-            opt(self.queue_wait_us()),
-            opt(self.duration_us()),
-            self.steps,
-            self.failed_steps,
-            self.artifact_bytes,
-            self.failure_kind
-                .as_deref()
-                .map_or("null".to_string(), |k| format!("\"{}\"", esc(k))),
-        )
-    }
-}
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn fmt_opt_us(v: Option<u64>) -> String {
@@ -170,15 +121,8 @@ mod tests {
     }
 
     #[test]
-    fn renders_and_serializes() {
-        let r = sample();
-        let text = r.render();
-        assert!(text.contains("run #1"));
-        assert!(text.contains("queue wait    2.000s"));
-        let json = r.to_json();
-        assert!(json.contains("\"queue_wait_us\": 2000000"));
-        assert!(json.contains("\"failure_kind\": null"));
-        let table = RunReport::render_table(&[r]);
+    fn renders_one_row_per_report() {
+        let table = RunReport::render_table(&[sample()]);
         assert_eq!(table.lines().count(), 2);
         assert!(table.contains("docking-ci"));
     }

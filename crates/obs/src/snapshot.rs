@@ -60,8 +60,6 @@ pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, GaugeSnapshot>,
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Spans recorded (open + closed).
-    pub spans: u64,
 }
 
 /// Mangle a dotted metric name into a Prometheus-legal identifier.
@@ -186,7 +184,7 @@ impl MetricsSnapshot {
             out.push_str("]}");
             first = false;
         }
-        let _ = write!(out, "\n  }},\n  \"spans\": {}\n}}\n", self.spans);
+        out.push_str("\n  }\n}\n");
         out
     }
 }
@@ -205,7 +203,6 @@ mod tests {
             .insert("sched.queue_depth".into(), GaugeSnapshot { last: 1, max: 9 });
         snap.histograms
             .insert("faas.task_latency_us".into(), HistogramSnapshot::of(&h));
-        snap.spans = 3;
         snap
     }
 
@@ -227,7 +224,6 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.contains("\"faas.tasks_submitted\": 42"));
         assert!(a.contains("\"p50\":"));
-        assert!(a.contains("\"spans\": 3"));
     }
 
     #[test]

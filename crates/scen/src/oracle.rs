@@ -16,11 +16,13 @@
 //!   misses, infrastructure-tainted steps are never cached, and after the
 //!   retention purge and teardown the shared CAS holds nothing;
 //! * **attribution** — a failed run is `infrastructure` or `test`, and the
-//!   types agree: an `infrastructure` run has a task lost to a crash or
-//!   rejected with an error that [`FaasError::is_infrastructure`] (or a
-//!   forced token expiry) inside its window and only ever appears under an
-//!   active fault plan, a `test` run has a task whose command failed, and
-//!   fault-free scenarios with no declared failing tests stay green;
+//!   types agree: an `infrastructure` run's first failed step recorded a
+//!   task lost to a crash or rejected with an error that
+//!   [`FaasError::is_infrastructure`] (or a token expiry was forced inside
+//!   the run's window), and such a run only ever appears under an active
+//!   fault plan; a `test` run's first failed step recorded a task whose
+//!   command failed; and fault-free scenarios with no declared failing tests
+//!   stay green;
 //! * **conservation** — at quiescence every task the cloud accepted is
 //!   `Done` or `Rejected`, through exactly one terminal record, with nothing
 //!   left scheduled and no blocked transition ([`check_conservation`]),
@@ -350,8 +352,9 @@ fn check_step_cache(spec: &ScenarioSpec, out: &mut Vec<Violation>) -> Result<(),
 }
 
 /// Oracle 4: infra-vs-test failure attribution, checked against the typed
-/// fate of the tasks submitted inside each failed run's window (runs execute
-/// one at a time, so the windows are disjoint).
+/// fate of the tasks recorded on each failed run's first failed step — the
+/// step [`WorkflowRun::failure_kind`](hpcci_ci::WorkflowRun::failure_kind)
+/// reads.
 fn check_attribution(spec: &ScenarioSpec, fed: &Federation, out: &mut Vec<Violation>) {
     let has_faults = !spec.fault_plan().is_empty();
     let mut fail = |detail: String| out.push(Violation { oracle: "attribution", detail });
@@ -362,10 +365,8 @@ fn check_attribution(spec: &ScenarioSpec, fed: &Federation, out: &mut Vec<Violat
             fail(format!("run {} never reached a terminal state ({:?})", r.id, r.status));
         }
         let Some(kind) = r.failure_kind() else { continue };
-        let window = r.started_at..=r.ended_at;
-        let mut tasks = (1..=cloud.task_count() as u64)
-            .filter_map(|id| cloud.task(TaskId(id)))
-            .filter(|t| window.contains(&Some(t.submitted_at)));
+        let recorded = r.steps.iter().find(|s| !s.success).map_or(&[][..], |s| &s.tasks);
+        let mut tasks = recorded.iter().filter_map(|&id| cloud.task(TaskId(id)));
         match kind {
             FailureKind::Infrastructure => {
                 if !has_faults {
@@ -376,13 +377,17 @@ fn check_attribution(spec: &ScenarioSpec, fed: &Federation, out: &mut Vec<Violat
                     TaskState::Done(o) => o.result == Err(TaskFailure::WorkerCrashed),
                     _ => false,
                 });
+                // A forced expiry creates no task a step could record, so it
+                // is still matched by the run's window: the one time-based
+                // join left.
+                let window = r.started_at..=r.ended_at;
                 let token_expired = chaos
                     .of_kind("fault.inject")
                     .any(|e| e.component.as_str() == "auth" && window.contains(&Some(e.at())));
                 if !lost && !token_expired {
                     fail(format!(
-                        "run {} attributed to infrastructure, but none of its tasks was lost to \
-                         a crash or rejected with an infrastructure error, and no token expired",
+                        "run {} attributed to infrastructure, but no task its failed step submitted was \
+                         lost to a crash or rejected with an infrastructure error, no token expired",
                         r.id
                     ));
                 }
@@ -399,7 +404,7 @@ fn check_attribution(spec: &ScenarioSpec, fed: &Federation, out: &mut Vec<Violat
                         if matches!(o.result, Err(TaskFailure::Command(_))))
                 });
                 if !failed {
-                    fail(format!("run {} attributed to its tests, but no task of it failed", r.id));
+                    fail(format!("run {} attributed to its tests, but no task its failed step submitted failed", r.id));
                 }
             }
         }

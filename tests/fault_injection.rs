@@ -11,12 +11,13 @@
 //! injector, on the Fig. 4 federations and across a generated fleet.
 
 use hpcci::ci::workflow::{JobDef, StepDef, TriggerEvent, WorkflowDef};
-use hpcci::ci::{CacheMode, RunStatus};
+use hpcci::ci::{CacheMode, RunStatus, WorkflowRun};
 use hpcci::correct::{EndpointSpec, Federation, CORRECT_ACTION_NAME};
-use hpcci::faas::TaskProvider;
+use hpcci::faas::{TaskId, TaskProvider, TaskState};
 use hpcci::scen::{CacheModeDecl, FaultDecl, FaultKindDecl, ScenarioGen, ScenarioSpec};
 use hpcci::scenarios::{
     parsldock_scenario, parsldock_scenario_with_faults, psij_scenario, psij_scenario_with_faults,
+    Scenario,
 };
 use hpcci::sim::{FaultKind, FaultPlan, SimDuration, SimTime};
 
@@ -207,10 +208,11 @@ fn endpoint_crash_without_fallback_degrades_to_infrastructure_failure() {
     assert!(s.fed.fault_trace().render().contains("endpoint-crash"));
 }
 
-/// With a sibling endpoint configured, a crash of the primary is absorbed:
-/// CORRECT fails over and the run passes.
-#[test]
-fn endpoint_crash_fails_over_to_sibling_endpoint() {
+/// The PSI/J scenario with a second, single-user endpoint on the Anvil login
+/// node that crashes at t=0: a `failover-ci` workflow names it as primary
+/// and the scenario's MEP as its fallback sibling. Returns the scenario and
+/// that workflow's run.
+fn crashed_primary_run(capture_environment: bool) -> (Scenario, WorkflowRun) {
     let plan = FaultPlan::none().with_fault(
         SimTime::ZERO,
         FaultKind::EndpointCrash {
@@ -218,8 +220,6 @@ fn endpoint_crash_fails_over_to_sibling_endpoint() {
         },
     );
     let mut s = psij_scenario_with_faults(86, false, plan);
-    // A second, single-user endpoint on the Anvil login node — the primary
-    // for this workflow; the scenario's MEP serves as its fallback sibling.
     let site = s.fed.site_by_name("purdue-anvil").unwrap().id;
     let owner = s.user.identity.id;
     let ep = EndpointSpec::single(
@@ -230,17 +230,17 @@ fn endpoint_crash_fails_over_to_sibling_endpoint() {
         TaskProvider::Local,
     );
     s.fed.register(ep).unwrap();
-    let step = StepDef::uses(
-        "run",
-        CORRECT_ACTION_NAME,
-        &[
-            ("client_id", "${{ secrets.GLOBUS_ID }}"),
-            ("client_secret", "${{ secrets.GLOBUS_SECRET }}"),
-            ("endpoint_uuid", "ep-anvil-login"),
-            ("fallback_endpoints", "ep-anvil"),
-            ("shell_cmd", "pytest tests/"),
-        ],
-    );
+    let mut inputs = vec![
+        ("client_id", "${{ secrets.GLOBUS_ID }}"),
+        ("client_secret", "${{ secrets.GLOBUS_SECRET }}"),
+        ("endpoint_uuid", "ep-anvil-login"),
+        ("fallback_endpoints", "ep-anvil"),
+        ("shell_cmd", "pytest tests/"),
+    ];
+    if capture_environment {
+        inputs.push(("capture_environment", "true"));
+    }
+    let step = StepDef::uses("run", CORRECT_ACTION_NAME, &inputs);
     let wf = WorkflowDef::new("failover-ci")
         .on_event(TriggerEvent::push_any())
         .with_job(
@@ -256,6 +256,14 @@ fn endpoint_crash_fails_over_to_sibling_endpoint() {
         .map(|&id| s.fed.engine.run(id).unwrap().clone())
         .find(|r| r.workflow == "failover-ci")
         .expect("failover workflow triggered");
+    (s, failover_run)
+}
+
+/// With a sibling endpoint configured, a crash of the primary is absorbed:
+/// CORRECT fails over and the run passes.
+#[test]
+fn endpoint_crash_fails_over_to_sibling_endpoint() {
+    let (s, failover_run) = crashed_primary_run(false);
     assert_eq!(
         failover_run.status,
         RunStatus::Success,
@@ -270,6 +278,47 @@ fn endpoint_crash_fails_over_to_sibling_endpoint() {
         failover_run.full_log()
     );
     assert!(s.fed.fault_trace().render().contains("endpoint-crash"));
+}
+
+/// A failover holds for the rest of the step: the command and the
+/// provenance capture go to the sibling the clone failed over to, not back
+/// to the dead primary, and the step records every task it submitted.
+#[test]
+fn failover_holds_for_the_rest_of_the_step() {
+    let (s, run) = crashed_primary_run(true);
+    assert_eq!(run.status, RunStatus::Success, "log:\n{}", run.full_log());
+    let log = run.full_log();
+    assert_eq!(
+        log.matches("Failing over to sibling endpoint").count(),
+        1,
+        "{log}"
+    );
+    let now = s.fed.now();
+    assert!(
+        s.fed
+            .engine
+            .artifacts
+            .fetch(run.id, "environment.txt", now)
+            .is_ok(),
+        "capture stored"
+    );
+    // The clone rejected by the primary, then the clone, the command and
+    // the capture on the sibling.
+    let step = run.step("run").unwrap();
+    assert_eq!(step.tasks.len(), 4, "{:?}", step.tasks);
+    let cloud = s.fed.cloud.lock();
+    for &id in &step.tasks[1..] {
+        let task = cloud.task(TaskId(id)).unwrap();
+        assert!(
+            matches!(task.state, TaskState::Done(_)),
+            "{id}: {:?}",
+            task.state
+        );
+        assert_eq!(task.endpoint.as_str(), "ep-anvil", "{id}");
+    }
+    let first = cloud.task(TaskId(step.tasks[0])).unwrap();
+    assert_eq!(first.endpoint.as_str(), "ep-anvil-login");
+    assert!(matches!(first.state, TaskState::Rejected { .. }));
 }
 
 /// A corrupted artifact write is detected by checksum and re-written: the

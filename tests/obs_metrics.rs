@@ -123,7 +123,6 @@ fn disabled_obs_snapshot_is_empty() {
     let snap = s.fed.metrics();
     assert!(snap.counters.is_empty());
     assert!(snap.histograms.is_empty());
-    assert_eq!(snap.spans, 0);
 }
 
 /// A histogram's quantiles are bucket estimates; its count, sum, min and max
