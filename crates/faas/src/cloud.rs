@@ -78,6 +78,13 @@ impl EndpointRegistration {
         }
     }
 
+    fn site(&self) -> &crate::exec::SharedSite {
+        match self {
+            EndpointRegistration::Single(e) => e.site(),
+            EndpointRegistration::Multi(m) => m.site(),
+        }
+    }
+
     fn advance_to(&mut self, t: SimTime) {
         match self {
             EndpointRegistration::Single(e) => e.advance_to(t),
@@ -157,9 +164,14 @@ pub struct CloudService {
     /// Slots in endpoint-name order — the order endpoints are advanced and
     /// collected in. Rebuilt on registration.
     ordered_slots: Vec<usize>,
-    /// Scratch: every slot's next event as probed at the top of the current
-    /// step, reused across steps.
+    /// Slot → its next event as last probed. A step re-probes only the
+    /// slots marked `stale`; the rest reuse their answer.
     next_scratch: Vec<Option<SimTime>>,
+    /// Slot → its probe may be out of date (see [`Self::touch`]).
+    stale: Vec<bool>,
+    /// Slot → every slot at its site, itself included: they share the site's
+    /// batch scheduler, so moving one can move the others' next event.
+    site_mates: Vec<Vec<usize>>,
     /// Slot → touched (advanced, enqueued-into or lent out) since its
     /// finished outputs were last collected.
     touched: Vec<bool>,
@@ -196,6 +208,8 @@ impl CloudService {
             slot_name_syms: Vec::new(),
             ordered_slots: Vec::new(),
             next_scratch: Vec::new(),
+            stale: Vec::new(),
+            site_mates: Vec::new(),
             touched: Vec::new(),
             wire_scratch: Vec::new(),
             finished_scratch: Vec::new(),
@@ -216,9 +230,11 @@ impl CloudService {
 
     /// Run the event loop to quiescence — until neither the wire nor any
     /// endpoint holds a pending event. Leaves `now` at the last committed
-    /// instant.
+    /// instant. One pass per instant: a pass's same-instant follow-ups are
+    /// the next pass's earliest events.
     pub fn drain_to_quiescence(&mut self) -> SimTime {
-        while self.step_next(SimTime::FAR_FUTURE).is_some() {}
+        self.stale.fill(true);
+        while self.step_once(SimTime::FAR_FUTURE).is_some() {}
         self.now
     }
 
@@ -282,6 +298,8 @@ impl CloudService {
                 self.slot_syms.push(self.trace.intern(&format!("faas.ep.{id}")));
                 self.slot_name_syms.push(self.trace.intern(id));
                 self.touched.push(false);
+                self.next_scratch.push(None);
+                self.stale.push(true);
                 self.slots.insert(eid.clone(), slot);
                 // Rebuild the name-order walk list (registration is rare;
                 // the hot loop only reads it).
@@ -294,6 +312,15 @@ impl CloudService {
         } else {
             self.endpoints[slot] = registration;
         }
+        let sites: Vec<_> = self.endpoints.iter().map(|ep| ep.site()).collect();
+        self.site_mates = (sites.iter())
+            .map(|&site| {
+                (0..sites.len())
+                    .filter(|&b| Arc::ptr_eq(site, sites[b]))
+                    .collect()
+            })
+            .collect();
+        self.stale.fill(true);
         eid
     }
 
@@ -301,9 +328,8 @@ impl CloudService {
         let Some(&slot) = self.slots.get(id) else {
             return Err(FaasError::UnknownEndpoint(id.0.clone()));
         };
-        // The borrow may change anything about the endpoint, so queue it
-        // for output collection.
-        self.touched[slot] = true;
+        // The borrow may change anything about the endpoint.
+        self.touch(slot);
         Ok(&mut self.endpoints[slot])
     }
 
@@ -573,6 +599,16 @@ impl CloudService {
         self.finished_scratch = finished;
     }
 
+    /// `slot` moved: collect its finished outputs, and re-probe it and every
+    /// slot at its site, whose pilots share the scheduler it may have moved.
+    /// A slot's next event depends on nothing else the cloud touches.
+    fn touch(&mut self, slot: usize) {
+        self.touched[slot] = true;
+        for &mate in &self.site_mates[slot] {
+            self.stale[mate] = true;
+        }
+    }
+
     /// Collect finished outputs from endpoints touched since the last
     /// collection. An endpoint's `finished` buffer can only be non-empty if
     /// the cloud advanced it, enqueued into it or lent it out, so skipping
@@ -611,7 +647,7 @@ impl CloudService {
                     EndpointRegistration::Single(e) => e.enqueue(task, &command, at),
                     EndpointRegistration::Multi(m) => m.enqueue(task, &identity, &command, at),
                 };
-                self.touched[slot] = true;
+                self.touch(slot);
                 let record = &mut self.tasks[task.0 as usize - 1];
                 let transition = match result {
                     Ok(()) => record.transition(TaskState::QueuedAtEndpoint { at }),
@@ -659,11 +695,14 @@ impl CloudService {
         }
     }
 
-    /// The one step of the event loop: ask every endpoint for its next event,
+    /// The one step of the event loop: know every endpoint's next event,
     /// take the earliest instant at or before `limit` (wire included), advance
     /// the endpoints due there in name order, put their finished outputs on
     /// the return wire, handle the due wire events. `None` when nothing is
     /// pending at or before `limit`.
+    ///
+    /// A slot is asked again only once [`Self::touch`] or a drive call marked
+    /// it stale; the others reuse their answer (debug builds check it).
     ///
     /// Who is due is settled before anyone moves: endpoints at one site share
     /// a batch scheduler, so advancing one can consume the very event that
@@ -672,9 +711,17 @@ impl CloudService {
     /// an unarmed consult is a no-op, so skipping idle endpoints outside that
     /// window commits the same bytes.
     fn step_once(&mut self, limit: SimTime) -> Option<SimTime> {
-        self.next_scratch.clear();
-        self.next_scratch
-            .extend(self.endpoints.iter().map(|ep| ep.next_event()));
+        for (slot, ep) in self.endpoints.iter().enumerate() {
+            if std::mem::take(&mut self.stale[slot]) {
+                self.next_scratch[slot] = ep.next_event();
+            } else {
+                debug_assert_eq!(
+                    self.next_scratch[slot],
+                    ep.next_event(),
+                    "reused probe of slot {slot} is stale"
+                );
+            }
+        }
         let step = self
             .next_scratch
             .iter()
@@ -689,7 +736,7 @@ impl CloudService {
             let slot = self.ordered_slots[i];
             if armed || self.next_scratch[slot].is_some_and(|at| at <= step) {
                 self.endpoints[slot].advance_to(step);
-                self.touched[slot] = true;
+                self.touch(slot);
                 self.events_dispatched += 1;
             }
         }
@@ -717,16 +764,18 @@ impl Advance for CloudService {
             .min()
     }
 
-    /// One probe finds the step instant and its due set; the passes after it
+    /// One pass finds the step instant and its due set; the passes after it
     /// finish same-instant follow-ups (a zero-latency delivery), so a caller
     /// that submits at `now` between steps never interleaves with them.
     fn step_next(&mut self, deadline: SimTime) -> Option<SimTime> {
+        self.stale.fill(true);
         let step = self.step_once(deadline)?;
-        self.advance_to(step);
+        while self.step_once(step).is_some() {}
         Some(step)
     }
 
     fn advance_to(&mut self, t: SimTime) {
+        self.stale.fill(true);
         while self.step_once(t).is_some() {}
         self.now = t;
     }
@@ -1114,10 +1163,16 @@ mod tests {
     }
 
     impl Chaos {
-        /// `walltime_secs` is every pilot's walltime; keeping it below the
-        /// queued work makes pilots expire under load, so the scheduler's
-        /// job-end events re-time sibling endpoints.
-        fn new(plan: Option<FaultPlan>, case: u64, work_secs: f64, walltime_secs: u64) -> Chaos {
+        /// `pilots` are the (cores, walltime secs) of `ep-pilot`'s and of
+        /// `mep-split`'s pilots; keeping a walltime below the queued work
+        /// makes pilots expire under load, so the scheduler's job-end events
+        /// re-time sibling endpoints.
+        fn new(
+            plan: Option<FaultPlan>,
+            case: u64,
+            work_secs: f64,
+            pilots: [(u32, u64); 2],
+        ) -> Chaos {
             use crate::mep::MepTemplate;
             use hpcci_auth::IdentityMapping;
             use hpcci_cluster::{NetworkPolicy, NodeRole, PerfModel, SiteKind};
@@ -1178,8 +1233,9 @@ mod tests {
 
             let mut cloud = CloudService::new(auth);
             cloud.set_fault_injector(injector.clone());
+            let [(cores, walltime_secs), (split_cores, split_walltime)] = pilots;
             let pilot = TaskProvider::Slurm {
-                cores: 8,
+                cores,
                 walltime_secs,
             };
             for (name, site, provider, seed) in [
@@ -1192,7 +1248,11 @@ mod tests {
             }
             for (name, site, template) in [
                 ("mep-login", &lab, MepTemplate::login_only()),
-                ("mep-split", &tiny, MepTemplate::hpc_split(8, walltime_secs)),
+                (
+                    "mep-split",
+                    &tiny,
+                    MepTemplate::hpc_split(split_cores, split_walltime),
+                ),
             ] {
                 let mut mapping = IdentityMapping::new(name);
                 mapping.add_explicit("alice@uni.edu", "x-alice");
@@ -1297,7 +1357,7 @@ mod tests {
         let plan = chaos_plan(case, &mut rng);
         let work_secs = rng.range_f64(4.0, 20.0);
         let walltime_secs = rng.range_u64(10, 45);
-        let mut fed = Chaos::new(plan, case, work_secs, walltime_secs);
+        let mut fed = Chaos::new(plan, case, work_secs, [(8, walltime_secs); 2]);
         for _ in 0..rng.range_u64(2, 5) {
             for _ in 0..rng.range_u64(8, 40) {
                 // Half the traffic goes to the MEP whose pairs share a node.
@@ -1380,7 +1440,7 @@ mod tests {
     #[test]
     fn a_pilot_started_by_a_sibling_endpoints_pump_is_seen_in_the_same_step() {
         let (work_secs, walltime_secs) = (20.0, 10);
-        let mut fed = Chaos::new(None, 1, work_secs, walltime_secs);
+        let mut fed = Chaos::new(None, 1, work_secs, [(8, walltime_secs); 2]);
         let pilot = EndpointId("ep-pilot".into());
         let split = EndpointId("mep-split".into());
         for _ in 0..3 {
@@ -1393,5 +1453,69 @@ mod tests {
         let first_pilot_expires =
             SimTime::from_micros(15_000) + hpcci_sim::SimDuration::from_secs(walltime_secs);
         assert_eq!(fed.cloud.task_result(bobs).unwrap().started, first_pilot_expires);
+    }
+
+    /// `ep-pilot` holds a long 4-core pilot on `tiny`'s one node with two of
+    /// four tasks queued behind its two workers, so its next event is its
+    /// first completion or the scheduler's next job end, whichever comes
+    /// first. At t = 1 s, between two drive calls, `between` acts on the
+    /// federation. The step loop must commit what the exhaustive reference
+    /// commits; in debug builds `step_once` also checks every reused probe.
+    fn probe_reuse_case(split_walltime: u64, between: fn(&mut Chaos, SimTime)) {
+        let run = |advance: fn(&mut CloudService, SimTime)| {
+            let mut fed = Chaos::new(None, 1, 18.0, [(4, 3600), (4, split_walltime)]);
+            let pilot = EndpointId("ep-pilot".into());
+            for _ in 0..4 {
+                fed.submit(0, |cloud, token, now| {
+                    cloud.submit_shell(token, &pilot, "work", now)
+                });
+            }
+            let at = SimTime::from_secs(1);
+            advance(&mut fed.cloud, at);
+            between(&mut fed, at);
+            advance(&mut fed.cloud, SimTime::FAR_FUTURE);
+            fed.committed()
+        };
+        let stepped = run(<CloudService as Advance>::advance_to);
+        assert!(stepped.states.iter().all(TaskState::is_terminal));
+        assert_eq!(run(CloudService::advance_all_to), stepped);
+    }
+
+    /// `mep-split` starts a short 4-core pilot beside `ep-pilot`'s: its end
+    /// comes before `ep-pilot`'s first completion although `ep-pilot` never
+    /// moved. Only the site-mate rule of [`CloudService::touch`] re-probes
+    /// it; without the rule the debug assertion fails here, and nowhere else.
+    #[test]
+    fn a_site_mates_pilot_makes_a_reused_probe_stale() {
+        probe_reuse_case(10, |fed, _| {
+            let split = EndpointId("mep-split".into());
+            fed.submit(1, |cloud, token, now| {
+                cloud.submit_shell(token, &split, "work", now)
+            });
+        });
+    }
+
+    /// Outside code submits a 2 s job straight to `tiny`'s scheduler through
+    /// `SiteRuntime::scheduler`, unseen by the cloud. Every drive call
+    /// re-probes every slot on entry; without that the debug assertion
+    /// fails here.
+    #[test]
+    fn a_job_submitted_between_drive_calls_is_seen_by_the_next_one() {
+        use hpcci_cluster::Uid;
+        use hpcci_scheduler::{JobPayload, JobSpec};
+        use hpcci_sim::SimDuration;
+        probe_reuse_case(3600, |fed, at| {
+            let slot = fed.cloud.slots["ep-pilot"];
+            let site = fed.cloud.endpoints[slot].site().clone();
+            let scheduler = site.lock().scheduler.clone().unwrap();
+            let wall = SimDuration::from_secs(60);
+            let job = JobSpec::single_node("outside", Uid(0), "proj", 4, wall);
+            let duration = SimDuration::from_secs(2);
+            let job = job.with_payload(JobPayload::Fixed {
+                duration,
+                success: true,
+            });
+            scheduler.lock().submit(job, at).unwrap();
+        });
     }
 }

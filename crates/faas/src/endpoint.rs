@@ -347,28 +347,14 @@ impl Endpoint {
     /// the worker block is torn down, and the endpoint stays stopped until a
     /// resubmission path routes work elsewhere.
     pub fn force_crash(&mut self, now: SimTime) {
+        const CRASHED: &str = "infrastructure: endpoint worker crashed";
         let component = format!("faas.ep.{}", self.config.name);
-        let mut lost = 0usize;
-        let ran_as = Sym::from(self.config.local_user.as_str());
-        let crashed = |started: SimTime| {
-            Box::new(TaskOutput {
-                stdout: String::new(),
-                stderr: "infrastructure: endpoint worker crashed".to_string(),
-                result: Err(TaskFailure::WorkerCrashed),
-                ran_as: ran_as.clone(),
-                node: Sym::Static("-"),
-                started,
-                ended: now,
-            })
-        };
+        let lost = self.completions.len() + self.queue.len();
         while let Some((_, c)) = self.completions.pop_due(SimTime::FAR_FUTURE) {
-            self.finished.push((c.id, crashed(c.output.started)));
-            lost += 1;
+            let output = self.infra_failure(CRASHED, c.output.started, now);
+            self.finished.push((c.id, output));
         }
-        while let Some(task) = self.queue.pop_front() {
-            self.finished.push((task.id, crashed(now)));
-            lost += 1;
-        }
+        self.give_back_queue(CRASHED, now);
         self.busy_workers = 0;
         self.workers.release(now);
         self.stopped = true;
@@ -378,6 +364,34 @@ impl Endpoint {
             "fault.effect",
             format!("endpoint crashed; {lost} task(s) failed as infrastructure"),
         );
+    }
+
+    /// The output of a task this endpoint gives up on at `now`: failed as
+    /// infrastructure, with `stderr` saying why.
+    fn infra_failure(&self, stderr: &str, started: SimTime, now: SimTime) -> Box<TaskOutput> {
+        Box::new(TaskOutput {
+            stdout: String::new(),
+            stderr: stderr.to_string(),
+            result: Err(TaskFailure::WorkerCrashed),
+            ran_as: Sym::from(self.config.local_user.as_str()),
+            node: Sym::Static("-"),
+            started,
+            ended: now,
+        })
+    }
+
+    /// Hand every queued task back at `now`, failed as infrastructure.
+    fn give_back_queue(&mut self, stderr: &str, now: SimTime) {
+        while let Some(task) = self.queue.pop_front() {
+            let output = self.infra_failure(stderr, now, now);
+            self.finished.push((task.id, output));
+        }
+    }
+
+    /// The site this endpoint runs at (and whose batch scheduler its pilots
+    /// share with every other endpoint there).
+    pub(crate) fn site(&self) -> &SharedSite {
+        &self.site
     }
 
     /// One-way latency between this endpoint's site and the cloud service.
@@ -437,12 +451,13 @@ impl Endpoint {
         out.append(&mut self.finished);
     }
 
-    /// Gracefully stop: release the worker block; queued tasks are rejected
-    /// by the cloud when it notices the endpoint stopped.
+    /// Gracefully stop: release the worker block and hand every queued task
+    /// back at `now`, failed as infrastructure; running tasks still finish.
     pub fn stop(&mut self, now: SimTime) {
         self.catch_up(now);
         self.workers.release(now);
         self.stopped = true;
+        self.give_back_queue("infrastructure: endpoint stopped", now);
     }
 
     pub fn queued_len(&self) -> usize {
@@ -709,6 +724,31 @@ mod tests {
             ep.enqueue(TaskId(1), "sleepy", SimTime::ZERO),
             Err(FaasError::EndpointStopped(_))
         ));
+    }
+
+    #[test]
+    fn stopping_hands_queued_tasks_back_and_lets_running_ones_finish() {
+        // One worker: task 1 runs from t=0.5s, task 2 waits behind it.
+        let mut ep = login_endpoint(1);
+        ep.enqueue(TaskId(1), "sleepy", SimTime::ZERO).unwrap();
+        ep.enqueue(TaskId(2), "sleepy", SimTime::ZERO).unwrap();
+        ep.advance_to(SimTime::from_secs(1));
+        let stop = SimTime::from_secs(2);
+        ep.stop(stop);
+        assert_eq!(ep.queued_len(), 0);
+        drive(&mut ep);
+        assert_eq!(ep.next_event(), None);
+        let mut finished = Vec::new();
+        ep.drain_finished_into(&mut finished);
+        assert_eq!(
+            finished.iter().map(|(id, _)| id.0).collect::<Vec<_>>(),
+            [2, 1]
+        );
+        let (given_back, ran) = (&finished[0].1, &finished[1].1);
+        assert_eq!(given_back.result, Err(TaskFailure::WorkerCrashed));
+        assert_eq!(given_back.stderr, "infrastructure: endpoint stopped");
+        assert_eq!((given_back.started, given_back.ended), (stop, stop));
+        assert!(ran.success() && ran.ended > stop, "running tasks finish");
     }
 
     #[test]

@@ -198,6 +198,11 @@ impl MultiUserEndpoint {
         self.restrict_functions.is_none()
     }
 
+    /// The site every UEP of this MEP runs at.
+    pub(crate) fn site(&self) -> &SharedSite {
+        &self.site
+    }
+
     pub fn wan_latency(&self) -> SimDuration {
         let rtt = self.site.lock().site.perf.wan_rtt();
         rtt / 2
@@ -294,7 +299,8 @@ impl MultiUserEndpoint {
         }
     }
 
-    /// Stop every UEP.
+    /// Stop every UEP: queued tasks come back failed as infrastructure,
+    /// running ones finish.
     pub fn stop(&mut self, now: SimTime) {
         for pair in self.ueps.values_mut() {
             pair.login.stop(now);

@@ -47,7 +47,8 @@ pub enum TaskFailure {
     /// The command itself failed (exit code, exception, missing account),
     /// with the message it left. Never retried.
     Command(String),
-    /// The endpoint's worker process died under the task: infrastructure.
+    /// The endpoint gave the task up: its worker process died under it, or
+    /// it stopped before a worker took it. Infrastructure either way.
     /// Message-free: the endpoint writes what happened to stderr.
     WorkerCrashed,
 }
