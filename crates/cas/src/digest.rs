@@ -6,8 +6,8 @@ const FNV_OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_OFFSET_B: u64 = 0x9ae1_6a3b_2f90_404f;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
-/// A 128-bit content hash: two independent FNV-1a passes concatenated, the
-/// same construction `hpcci_vcs::ObjectId` uses, so digests printed by either
+/// A 128-bit content hash: two independent FNV-1a passes concatenated.
+/// `hpcci_vcs::ObjectId::of_bytes` is this digest, so ids printed by either
 /// layer are comparable in provenance records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Digest(pub u128);
@@ -15,13 +15,9 @@ pub struct Digest(pub u128);
 impl Digest {
     /// Digest of raw bytes.
     pub fn of_bytes(data: &[u8]) -> Digest {
-        let mut a = FNV_OFFSET_A;
-        let mut b = FNV_OFFSET_B;
-        for &byte in data {
-            a = (a ^ byte as u64).wrapping_mul(FNV_PRIME);
-            b = (b ^ byte as u64).wrapping_mul(FNV_PRIME);
-        }
-        Digest(((a as u128) << 64) | b as u128)
+        let mut builder = DigestBuilder::new();
+        builder.absorb(data);
+        builder.finish()
     }
 
     pub fn of_str(s: &str) -> Digest {

@@ -11,11 +11,13 @@
 //! * [`DigestBuilder`] — canonical multi-field digests with unambiguous
 //!   framing (length-prefixed, labelled fields), used for cache keys where
 //!   `hash(a ++ b)` collisions between field boundaries must be impossible;
-//! * [`CasStore`] — a refcounted, chunked blob store: objects are split into
-//!   fixed-size chunks, each unique chunk stored exactly once, and duplicate
-//!   `put`s cost no new bytes. The store tracks *logical* bytes (what callers
-//!   uploaded) against *stored* bytes (unique chunk payload), the dedup ratio
-//!   the CI artifact layer reports. A holder that knows an address takes its
+//! * [`CasStore`] — a refcounted blob store: each unique object is held
+//!   once, as one shared buffer, and duplicate `put`s cost no new bytes. The
+//!   store tracks *logical* bytes (what callers uploaded) against *stored*
+//!   bytes (unique object payload), the dedup ratio the CI artifact layer
+//!   reports. Objects are not chunked: the artifacts the federation stores
+//!   are step logs of a few KiB, and no workload produces one large enough
+//!   for chunk-level sharing to pay. A holder that knows an address takes its
 //!   reference with `retain` (no re-hash), and a [`CasPin`] keeps an object
 //!   alive without counting as an upload.
 //!
@@ -26,4 +28,4 @@ mod digest;
 mod store;
 
 pub use digest::{Digest, DigestBuilder};
-pub use store::{CasPin, CasStats, CasStore, Stored, DEFAULT_CHUNK_SIZE};
+pub use store::{CasPin, CasStats, CasStore, Stored};

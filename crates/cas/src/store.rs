@@ -1,4 +1,4 @@
-//! Refcounted, chunked content-addressed blob store.
+//! Refcounted content-addressed blob store: one shared buffer per object.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -7,30 +7,14 @@ use parking_lot::Mutex;
 
 use crate::digest::Digest;
 
-/// Chunk size for splitting objects. 64 KiB keeps the chunk table small for
-/// the simulated workloads while still letting large artifacts with shared
-/// prefixes (e.g. per-rep logs differing only in a trailing VERSION line)
-/// dedup their common leading chunks.
-pub const DEFAULT_CHUNK_SIZE: usize = 64 * 1024;
-
-struct Chunk {
+struct Object {
+    /// The content, shared by every `get`/`store`/`retain` (zero copy).
     data: Arc<[u8]>,
     refs: u64,
 }
 
-struct Object {
-    chunks: Vec<Digest>,
-    len: u64,
-    refs: u64,
-    /// Assembled view, shared by every `get`. For single-chunk objects this
-    /// is the chunk's own buffer (zero copy); multi-chunk objects pay one
-    /// assembly on first `get` and share thereafter.
-    assembled: Option<Arc<[u8]>>,
-}
-
+#[derive(Default)]
 struct Inner {
-    chunk_size: usize,
-    chunks: HashMap<Digest, Chunk>,
     objects: HashMap<Digest, Object>,
     logical_bytes: u64,
     stored_bytes: u64,
@@ -42,11 +26,9 @@ struct Inner {
 pub struct CasStats {
     /// Distinct objects currently stored.
     pub objects: u64,
-    /// Distinct chunks currently stored.
-    pub chunks: u64,
     /// Total bytes callers have `put` (including duplicates), net of releases.
     pub logical_bytes: u64,
-    /// Unique chunk payload bytes actually held.
+    /// Unique object payload bytes actually held.
     pub stored_bytes: u64,
     /// `put` calls that were satisfied entirely by an existing object.
     pub dedup_hits: u64,
@@ -59,7 +41,7 @@ pub struct Stored {
     pub digest: Digest,
     /// Shares storage with the store and every other holder of the object.
     pub content: Arc<[u8]>,
-    /// Unique chunk bytes this call added (zero for a duplicate).
+    /// Bytes this call added (zero for a duplicate).
     pub added_bytes: u64,
 }
 
@@ -67,7 +49,7 @@ pub struct Stored {
 ///
 /// All clones address the same storage, so independent layers (the artifact
 /// store, the step cache) dedup against each other.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct CasStore {
     inner: Arc<Mutex<Inner>>,
 }
@@ -93,141 +75,75 @@ impl Drop for CasPin {
 }
 
 impl Inner {
-    /// Store `data` (or count one more reference to it); returns the digest
-    /// and the unique chunk bytes added.
-    fn insert(&mut self, data: &[u8]) -> (Digest, u64) {
+    /// Store `data` (or count one more reference to it); returns the digest,
+    /// the shared view and the bytes added.
+    fn insert(&mut self, data: &[u8]) -> Stored {
         let digest = Digest::of_bytes(data);
         self.logical_bytes += data.len() as u64;
         if let Some(obj) = self.objects.get_mut(&digest) {
             obj.refs += 1;
             self.dedup_hits += 1;
-            return (digest, 0);
+            return Stored {
+                digest,
+                content: obj.data.clone(),
+                added_bytes: 0,
+            };
         }
-        let before = self.stored_bytes;
-        let mut chunk_ids = Vec::with_capacity(data.len() / self.chunk_size + 1);
-        // An empty object has no chunks; its view is an empty buffer.
-        for part in data.chunks(self.chunk_size) {
-            let cid = Digest::of_bytes(part);
-            match self.chunks.get_mut(&cid) {
-                Some(chunk) => chunk.refs += 1,
-                None => {
-                    self.stored_bytes += part.len() as u64;
-                    self.chunks.insert(
-                        cid,
-                        Chunk {
-                            data: Arc::from(part),
-                            refs: 1,
-                        },
-                    );
-                }
-            }
-            chunk_ids.push(cid);
-        }
-        let assembled = match chunk_ids.as_slice() {
-            [] => Some(Arc::from(&[][..])),
-            [only] => Some(self.chunks[only].data.clone()),
-            _ => None,
-        };
+        let content: Arc<[u8]> = Arc::from(data);
+        self.stored_bytes += data.len() as u64;
         self.objects.insert(
             digest,
             Object {
-                chunks: chunk_ids,
-                len: data.len() as u64,
+                data: content.clone(),
                 refs: 1,
-                assembled,
             },
         );
-        (digest, self.stored_bytes - before)
+        Stored {
+            digest,
+            content,
+            added_bytes: data.len() as u64,
+        }
     }
 
-    /// The shared view of an object, assembling it on first use.
-    fn view(&mut self, digest: Digest) -> Option<Arc<[u8]>> {
-        let obj = self.objects.get(&digest)?;
-        if let Some(b) = &obj.assembled {
-            return Some(b.clone());
-        }
-        let mut buf = Vec::with_capacity(obj.len as usize);
-        for cid in &obj.chunks {
-            buf.extend_from_slice(&self.chunks[cid].data);
-        }
-        let assembled: Arc<[u8]> = Arc::from(buf);
-        self.objects.get_mut(&digest).unwrap().assembled = Some(assembled.clone());
-        Some(assembled)
-    }
-
-    /// Drop one reference; the last one reclaims the object and any chunks
-    /// it solely owned. Returns the object's length if it was present.
+    /// Drop one reference; the last one reclaims the object. Returns the
+    /// object's length if it was present.
     fn drop_ref(&mut self, digest: Digest) -> Option<u64> {
         let obj = self.objects.get_mut(&digest)?;
         obj.refs -= 1;
-        let len = obj.len;
-        if obj.refs > 0 {
-            return Some(len);
-        }
-        let obj = self.objects.remove(&digest).unwrap();
-        for cid in obj.chunks {
-            let chunk = self.chunks.get_mut(&cid).unwrap();
-            chunk.refs -= 1;
-            if chunk.refs == 0 {
-                let freed = chunk.data.len() as u64;
-                self.chunks.remove(&cid);
-                self.stored_bytes -= freed;
-            }
+        let len = obj.data.len() as u64;
+        if obj.refs == 0 {
+            self.objects.remove(&digest);
+            self.stored_bytes -= len;
         }
         Some(len)
     }
 }
 
-impl Default for CasStore {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl CasStore {
     pub fn new() -> CasStore {
-        CasStore::with_chunk_size(DEFAULT_CHUNK_SIZE)
-    }
-
-    /// Mostly for tests: force small chunks so dedup paths are exercised
-    /// without megabyte fixtures.
-    pub fn with_chunk_size(chunk_size: usize) -> CasStore {
-        assert!(chunk_size > 0, "chunk size must be non-zero");
-        CasStore {
-            inner: Arc::new(Mutex::new(Inner {
-                chunk_size,
-                chunks: HashMap::new(),
-                objects: HashMap::new(),
-                logical_bytes: 0,
-                stored_bytes: 0,
-                dedup_hits: 0,
-            })),
-        }
+        CasStore::default()
     }
 
     /// Store `data`, returning its digest. Re-putting existing content bumps
     /// the object refcount and costs no new stored bytes.
     pub fn put(&self, data: &[u8]) -> Digest {
-        self.inner.lock().insert(data).0
+        self.inner.lock().insert(data).digest
     }
 
     /// [`put`](Self::put) that also hands back the shared view and the bytes
     /// the store grew by, under one lock.
     pub fn store(&self, data: &[u8]) -> Stored {
-        let mut inner = self.inner.lock();
-        let (digest, added_bytes) = inner.insert(data);
-        let content = inner.view(digest).expect("just stored");
-        Stored {
-            digest,
-            content,
-            added_bytes,
-        }
+        self.inner.lock().insert(data)
     }
 
     /// Fetch an object. The returned buffer shares storage with the store
     /// (and with every other fetch of the same object).
     pub fn get(&self, digest: Digest) -> Option<Arc<[u8]>> {
-        self.inner.lock().view(digest)
+        self.inner
+            .lock()
+            .objects
+            .get(&digest)
+            .map(|o| o.data.clone())
     }
 
     /// Take one more reference to an object the store already holds, by its
@@ -235,8 +151,9 @@ impl CasStore {
     /// re-hashing the content. `None` when the object is not here.
     pub fn retain(&self, digest: Digest) -> Option<Arc<[u8]>> {
         let mut inner = self.inner.lock();
-        let content = inner.view(digest)?;
-        inner.objects.get_mut(&digest).unwrap().refs += 1;
+        let obj = inner.objects.get_mut(&digest)?;
+        obj.refs += 1;
+        let content = obj.data.clone();
         inner.logical_bytes += content.len() as u64;
         inner.dedup_hits += 1;
         Some(content)
@@ -255,14 +172,9 @@ impl CasStore {
         self.inner.lock().objects.contains_key(&digest)
     }
 
-    /// Stored length of an object, if present.
-    pub fn len_of(&self, digest: Digest) -> Option<u64> {
-        self.inner.lock().objects.get(&digest).map(|o| o.len)
-    }
-
     /// Drop one reference taken by `put`/`store`/`retain`; when the last
-    /// reference goes, the object and any chunks it solely owned are
-    /// reclaimed. Returns whether the digest was present.
+    /// reference goes, the object is reclaimed. Returns whether the digest
+    /// was present.
     pub fn release(&self, digest: Digest) -> bool {
         let mut inner = self.inner.lock();
         match inner.drop_ref(digest) {
@@ -278,7 +190,6 @@ impl CasStore {
         let inner = self.inner.lock();
         CasStats {
             objects: inner.objects.len() as u64,
-            chunks: inner.chunks.len() as u64,
             logical_bytes: inner.logical_bytes,
             stored_bytes: inner.stored_bytes,
             dedup_hits: inner.dedup_hits,
@@ -296,7 +207,6 @@ mod tests {
         let d = cas.put(b"hello world");
         assert!(cas.contains(d));
         assert_eq!(cas.get(d).unwrap().as_ref(), b"hello world");
-        assert_eq!(cas.len_of(d), Some(11));
         assert!(cas.get(Digest::of_str("missing")).is_none());
     }
 
@@ -314,29 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_chunks_across_objects() {
-        let cas = CasStore::with_chunk_size(4);
-        // Same leading 8 bytes (2 chunks), different tail chunk.
-        cas.put(b"aaaabbbbcccc");
-        cas.put(b"aaaabbbbdddd");
-        let stats = cas.stats();
-        assert_eq!(stats.objects, 2);
-        assert_eq!(stats.chunks, 4); // aaaa, bbbb, cccc, dddd
-        assert_eq!(stats.logical_bytes, 24);
-        assert_eq!(stats.stored_bytes, 16);
-    }
-
-    #[test]
-    fn multi_chunk_assembly() {
-        let cas = CasStore::with_chunk_size(3);
-        let data: Vec<u8> = (0u8..=255).cycle().take(1000).collect();
-        let d = cas.put(&data);
-        assert_eq!(cas.get(d).unwrap().as_ref(), &data[..]);
-        // Second get hits the cached assembled view.
-        assert_eq!(cas.get(d).unwrap().as_ref(), &data[..]);
-    }
-
-    #[test]
     fn empty_object() {
         let cas = CasStore::new();
         let d = cas.put(b"");
@@ -347,17 +234,15 @@ mod tests {
 
     #[test]
     fn release_reclaims_last_reference() {
-        let cas = CasStore::with_chunk_size(4);
-        let shared = cas.put(b"aaaabbbb");
+        let cas = CasStore::new();
+        let gone = cas.put(b"aaaabbbb");
         let other = cas.put(b"aaaacccc");
-        assert!(cas.release(shared));
-        assert!(!cas.contains(shared));
-        // "aaaa" chunk survives because `other` still references it.
-        assert_eq!(cas.stats().chunks, 2);
+        assert!(cas.release(gone));
+        assert!(!cas.contains(gone));
+        assert_eq!((cas.stats().objects, cas.stats().stored_bytes), (1, 8));
         assert_eq!(cas.get(other).unwrap().as_ref(), b"aaaacccc");
         assert!(cas.release(other));
-        assert_eq!(cas.stats().chunks, 0);
-        assert_eq!(cas.stats().logical_bytes, 0);
+        assert_eq!(cas.stats(), CasStats::default());
         assert!(!cas.release(other));
     }
 
@@ -374,15 +259,33 @@ mod tests {
 
     #[test]
     fn store_reports_the_view_and_the_growth() {
-        let cas = CasStore::with_chunk_size(4);
+        let cas = CasStore::new();
         let first = cas.store(b"aaaabbbbcc");
         assert_eq!(first.content.as_ref(), b"aaaabbbbcc");
         assert_eq!(first.added_bytes, 10);
-        // Shares two leading chunks with the first object.
-        assert_eq!(cas.store(b"aaaabbbbdd").added_bytes, 2);
+        // A shared prefix is not shared storage: objects are whole.
+        assert_eq!(cas.store(b"aaaabbbbdd").added_bytes, 10);
         let again = cas.store(b"aaaabbbbcc");
         assert_eq!((again.digest, again.added_bytes), (first.digest, 0));
-        assert_eq!(cas.stats().stored_bytes, 12);
+        assert!(Arc::ptr_eq(&again.content, &first.content));
+        assert_eq!(cas.stats().stored_bytes, 20);
+    }
+
+    #[test]
+    fn an_object_is_one_buffer_however_it_repeats_inside() {
+        let cas = CasStore::new();
+        let half: Vec<u8> = (0u8..=255).cycle().take(64 * 1024).collect();
+        let data = [half.as_slice(), half.as_slice()].concat();
+        let stored = cas.store(&data);
+        assert_eq!(stored.added_bytes, data.len() as u64);
+        assert_eq!(cas.stats().stored_bytes, data.len() as u64);
+        let fetched = cas.get(stored.digest).expect("present");
+        assert!(
+            Arc::ptr_eq(&stored.content, &fetched),
+            "one allocation, shared"
+        );
+        assert!(cas.release(stored.digest));
+        assert_eq!(cas.stats().stored_bytes, 0);
     }
 
     #[test]

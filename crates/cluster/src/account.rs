@@ -45,10 +45,6 @@ impl UserAccount {
         }
     }
 
-    pub fn in_group(&self, group: &str) -> bool {
-        self.groups.iter().any(|g| g == group)
-    }
-
     /// Scratch space path for this user (site-relative convention).
     pub fn scratch(&self) -> String {
         format!("/scratch/{}", self.username)
@@ -80,8 +76,7 @@ mod tests {
         assert_eq!(a.scratch(), "/scratch/x-vhayot");
         assert_eq!(a.scratch_sub(&["tmp"]), format!("{}/tmp", a.scratch()));
         assert_eq!(a.scratch_sub(&["tmp", "repo"]), format!("{}/tmp/repo", a.scratch()));
-        assert!(a.in_group("CIS230030"));
-        assert!(!a.in_group("other"));
+        assert_eq!(a.groups, ["CIS230030"]);
     }
 
     #[test]

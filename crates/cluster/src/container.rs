@@ -38,10 +38,6 @@ pub struct ImageSpec {
     pub tag: String,
     /// The frozen software environment inside the image.
     pub env: SoftwareEnv,
-    /// Environment variables baked into the image.
-    pub env_vars: BTreeMap<String, String>,
-    /// Image size in bytes (affects pull time through the perf model).
-    pub size_bytes: u64,
 }
 
 impl ImageSpec {
@@ -50,8 +46,6 @@ impl ImageSpec {
             repository: repository.to_string(),
             tag: tag.to_string(),
             env: SoftwareEnv::new(&format!("{repository}:{tag}")),
-            env_vars: BTreeMap::new(),
-            size_bytes: 500_000_000,
         }
     }
 
@@ -61,16 +55,6 @@ impl ImageSpec {
 
     pub fn with_package(mut self, name: &str, version: &str) -> Self {
         self.env.install(name, version);
-        self
-    }
-
-    pub fn with_env_var(mut self, key: &str, value: &str) -> Self {
-        self.env_vars.insert(key.to_string(), value.to_string());
-        self
-    }
-
-    pub fn with_size(mut self, bytes: u64) -> Self {
-        self.size_bytes = bytes;
         self
     }
 }
@@ -122,8 +106,6 @@ mod tests {
         ImageSpec::new("ghcr.io/kamping-site/kamping-reproducibility", "v1")
             .with_package("kamping", "1.0.0")
             .with_package("openmpi", "4.1.5")
-            .with_env_var("OMPI_ALLOW_RUN_AS_ROOT", "0")
-            .with_size(1_200_000_000)
     }
 
     #[test]
@@ -134,7 +116,6 @@ mod tests {
             .pull("ghcr.io/kamping-site/kamping-reproducibility:v1")
             .unwrap();
         assert_eq!(img.env.version_of("openmpi"), Some("4.1.5"));
-        assert_eq!(img.env_vars.get("OMPI_ALLOW_RUN_AS_ROOT").unwrap(), "0");
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub struct Node {
     pub hostname: String,
     pub cores: u32,
     pub mem_gb: u32,
-    pub gpus: u32,
     /// Relative CPU speed; 1.0 is the reference machine for
     /// [`crate::perf::WorkUnits`].
     pub cpu_speed: f64,
@@ -45,20 +44,8 @@ impl Node {
             hostname: hostname.to_string(),
             cores,
             mem_gb,
-            gpus: 0,
             cpu_speed: 1.0,
         }
-    }
-
-    pub fn with_speed(mut self, s: f64) -> Self {
-        assert!(s > 0.0, "cpu_speed must be positive");
-        self.cpu_speed = s;
-        self
-    }
-
-    pub fn with_gpus(mut self, g: u32) -> Self {
-        self.gpus = g;
-        self
     }
 
     pub fn is_login(&self) -> bool {
@@ -75,21 +62,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builders_compose() {
-        let n = Node::new(3, NodeRole::Compute, "c003", 64, 256)
-            .with_speed(1.2)
-            .with_gpus(4);
+    fn new_node_is_a_reference_machine() {
+        let n = Node::new(3, NodeRole::Compute, "c003", 64, 256);
         assert_eq!(n.id, NodeId(3));
         assert!(n.is_compute());
         assert!(!n.is_login());
-        assert_eq!(n.gpus, 4);
-        assert!((n.cpu_speed - 1.2).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "cpu_speed must be positive")]
-    fn zero_speed_rejected() {
-        let _ = Node::new(0, NodeRole::Login, "l", 8, 32).with_speed(0.0);
+        assert_eq!(n.cpu_speed, 1.0);
     }
 
     #[test]

@@ -94,12 +94,6 @@ impl PerfModel {
         self
     }
 
-    pub fn with_io_bandwidth(mut self, bytes_per_sec: f64) -> Self {
-        assert!(bytes_per_sec > 0.0);
-        self.io_bytes_per_sec = bytes_per_sec;
-        self
-    }
-
     /// Virtual duration of `work` on a core with `node_speed`, with jitter.
     ///
     /// `node_speed` multiplies the site-wide `cpu_speed`, so a site can have
@@ -109,12 +103,6 @@ impl PerfModel {
         let nominal = work.0 / (self.cpu_speed * node_speed);
         let jittered = nominal * rng.jitter(self.jitter_sigma);
         SimDuration::from(self.task_overhead) + SimDuration::from_secs_f64(jittered)
-    }
-
-    /// Virtual duration of transferring `bytes` over the shared filesystem.
-    pub fn io_time(&self, bytes: u64, rng: &mut DetRng) -> SimDuration {
-        let nominal = bytes as f64 / self.io_bytes_per_sec;
-        SimDuration::from_secs_f64(nominal * rng.jitter(self.jitter_sigma))
     }
 
     /// Round-trip time to the public cloud services.
@@ -164,14 +152,6 @@ mod tests {
             assert!(ta >= SimDuration::from_millis(500));
             assert!(ta <= SimDuration::from_secs(2));
         }
-    }
-
-    #[test]
-    fn io_time_scales_with_bytes() {
-        let m = PerfModel::new(1.0).with_jitter(0.0).with_io_bandwidth(100e6);
-        let mut rng = DetRng::seed_from_u64(4);
-        let t = m.io_time(200_000_000, &mut rng);
-        assert_eq!(t, SimDuration::from_secs(2));
     }
 
     #[test]

@@ -114,10 +114,6 @@ impl Site {
         self.nodes.iter().filter(|n| n.is_compute())
     }
 
-    pub fn compute_node_count(&self) -> usize {
-        self.compute_nodes().count()
-    }
-
     /// Provision a local account: allocates a uid, creates the home and
     /// scratch directories owned by the new user.
     pub fn add_account(&mut self, username: &str, allocation: &str) -> UserAccount {
@@ -139,10 +135,6 @@ impl Site {
         self.accounts
             .get(username)
             .ok_or_else(|| ClusterError::UnknownUser(username.to_string()))
-    }
-
-    pub fn account_by_uid(&self, uid: Uid) -> Option<&UserAccount> {
-        self.accounts.values().find(|a| a.uid == uid)
     }
 
     pub fn accounts(&self) -> impl Iterator<Item = &UserAccount> {
@@ -234,7 +226,7 @@ mod tests {
 
         let faster = Site::tamu_faster();
         assert!(faster.has_scheduler());
-        assert!(faster.compute_node_count() > 0);
+        assert!(faster.compute_nodes().count() > 0);
         // The paper's key constraint: no outbound internet on compute.
         assert!(!faster.network.allows(NodeRole::Compute, NetworkZone::Internet));
         assert!(faster.network.allows(NodeRole::Login, NetworkZone::Internet));
@@ -255,7 +247,6 @@ mod tests {
         assert!(s.fs.is_dir("/scratch/x-vhayot"));
         assert_eq!(s.account("x-vhayot").unwrap().uid, acct.uid);
         assert!(s.account("nobody").is_err());
-        assert_eq!(s.account_by_uid(acct.uid).unwrap().username, "x-vhayot");
     }
 
     #[test]

@@ -77,10 +77,6 @@ impl SoftwareEnv {
             .map(|(n, v)| Package::new(n, v))
             .collect()
     }
-
-    pub fn package_count(&self) -> usize {
-        self.packages.len()
-    }
 }
 
 fn parse_requirement(req: &str) -> (&str, Option<&str>, &str) {
@@ -161,7 +157,7 @@ mod tests {
         assert_eq!(env.version_of("vmd"), Some("1.9.3"));
         assert!(env.has("mgltools"));
         assert!(!env.has("pytorch"));
-        assert_eq!(env.package_count(), 3);
+        assert_eq!(env.freeze().len(), 3);
     }
 
     #[test]

@@ -22,24 +22,22 @@ use hpcci_faas::{
     CloudService, EndpointId, FaasError, FunctionId, TaskFailure, TaskId, TaskOutput,
 };
 use hpcci_obs::Obs;
-use hpcci_sim::{DetRng, SimDuration, SimTime};
+use hpcci_sim::{DetRng, Fnv, SimDuration, SimTime};
 use parking_lot::Mutex;
 use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// The marketplace name the action registers under.
 pub const CORRECT_ACTION_NAME: &str = "globus-labs/correct@v1";
 
-/// FNV-1a over `"{a}:{b}"` without materializing the joined string. Byte
-/// order matches the historical `fnv(&format!("{a}:{b}"))`, so jitter
-/// streams (and therefore traces) are unchanged.
+/// FNV-1a over `"{a}:{b}"`, hashed as it is written: no joined string.
 fn fnv_pair(a: &str, b: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in a.bytes().chain(std::iter::once(b':')).chain(b.bytes()) {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+    let mut h = Fnv::default();
+    for part in [a, ":", b] {
+        let _ = h.write_str(part);
     }
-    h
+    h.0
 }
 
 /// Outcome of a resilient submit-and-wait cycle.

@@ -1,6 +1,7 @@
 //! Synthetic molecules, generated deterministically from names.
 
-use hpcci_sim::DetRng;
+use hpcci_sim::{DetRng, Fnv};
+use std::fmt::Write as _;
 
 /// One atom: position (Å), van-der-Waals radius (Å), partial charge (e).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,13 +32,11 @@ pub struct Ligand {
     pub prepared: bool,
 }
 
+/// FNV-1a of the name.
 fn name_seed(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    let mut h = Fnv::default();
+    let _ = h.write_str(name);
+    h.0
 }
 
 impl Receptor {

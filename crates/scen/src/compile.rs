@@ -42,9 +42,6 @@ pub struct BuiltScenario {
     /// Whether the workflow is `workflow_dispatch`-triggered (KaMPIng) —
     /// drivers dispatch instead of pushing.
     pub dispatch_trigger: bool,
-    /// Every local account a scenario task may legitimately run as — the
-    /// security oracle's identity-mapping allowlist.
-    pub expected_accounts: Vec<String>,
 }
 
 impl BuiltScenario {
@@ -203,10 +200,6 @@ impl ScenarioSpec {
         let workflow_name = workflow.name.clone();
         fed.engine.add_workflow(&self.workload.repo, workflow);
 
-        let mut expected_accounts: Vec<String> =
-            self.sites.iter().map(|s| s.account.clone()).collect();
-        expected_accounts.dedup();
-
         Ok(BuiltScenario {
             fed,
             user,
@@ -216,7 +209,6 @@ impl ScenarioSpec {
             endpoints: endpoint_names,
             pusher: self.user.login.clone(),
             dispatch_trigger: self.workload.kind == WorkloadKind::Kamping,
-            expected_accounts,
         })
     }
 

@@ -339,12 +339,12 @@ fn check_step_cache(spec: &ScenarioSpec, out: &mut Vec<Violation>) -> Result<(),
     }
     drop((rec_world, rep_world));
     let left = cas.stats();
-    if (left.objects, left.chunks, left.logical_bytes, left.stored_bytes) != (0, 0, 0, 0) {
+    if (left.objects, left.logical_bytes, left.stored_bytes) != (0, 0, 0) {
         out.push(Violation {
             oracle: "step-cache",
             detail: format!(
-                "CAS references leaked past teardown: {} objects, {} chunks, {} logical / {} stored bytes",
-                left.objects, left.chunks, left.logical_bytes, left.stored_bytes
+                "CAS references leaked past teardown: {} objects, {} logical / {} stored bytes",
+                left.objects, left.logical_bytes, left.stored_bytes
             ),
         });
     }

@@ -56,9 +56,6 @@ pub struct ScenarioOutcome {
     pub chaos: String,
     /// Canonical run transcript **with** virtual timestamps.
     pub transcript: String,
-    /// Transcript without timestamps — the replay-soundness surface when
-    /// faults make the timeline legitimately diverge.
-    pub functional: String,
     /// Virtual end of the scenario, in microseconds.
     pub end_us: u64,
     /// Simulation events the cloud dispatched.
@@ -155,55 +152,39 @@ pub(crate) fn collect(
     runs.sort_by_key(|r| r.id);
 
     let mut transcript = String::new();
-    let mut functional = String::new();
     let mut summaries = Vec::new();
     for run in &runs {
-        let head = format!(
-            "{} {}@{} commit={} status={} approved_by={}",
+        let _ = writeln!(
+            transcript,
+            "{} {}@{} commit={} status={} approved_by={} triggered={} started={} ended={}",
             run.id,
             run.workflow,
             run.branch,
             run.commit,
             run.status.as_str(),
             run.approved_by.as_deref().unwrap_or("-"),
-        );
-        let _ = writeln!(
-            transcript,
-            "{head} triggered={} started={} ended={}",
             run.triggered_at.as_micros(),
             run.started_at.map(|t| t.as_micros()).unwrap_or(0),
             run.ended_at.map(|t| t.as_micros()).unwrap_or(0),
         );
-        let _ = writeln!(functional, "{head}");
         for step in &run.steps {
-            let line = format!(
-                "  {}/{} [{}]",
-                step.job,
-                step.step,
-                if step.success { "ok" } else { "FAILED" }
-            );
             let _ = writeln!(
                 transcript,
-                "{line} started={} ended={}",
+                "  {}/{} [{}] started={} ended={}",
+                step.job,
+                step.step,
+                if step.success { "ok" } else { "FAILED" },
                 step.started.as_micros(),
                 step.ended.as_micros()
             );
-            let _ = writeln!(functional, "{line}");
             for (k, v) in step.outputs.iter() {
                 let _ = writeln!(transcript, "    output {k}={v}");
-                // `runtime_secs` is a timing (execution jitter), so it lives
-                // with the timestamps, not in the timing-free surface.
-                if k != "runtime_secs" {
-                    let _ = writeln!(functional, "    output {k}={v}");
-                }
             }
             for l in step.stdout.lines() {
                 let _ = writeln!(transcript, "    | {l}");
-                let _ = writeln!(functional, "    | {l}");
             }
             for l in step.stderr.lines() {
                 let _ = writeln!(transcript, "    ! {l}");
-                let _ = writeln!(functional, "    ! {l}");
             }
         }
         summaries.push(RunSummary {
@@ -241,7 +222,6 @@ pub(crate) fn collect(
         trace,
         chaos,
         transcript,
-        functional,
         end_us: fed.now().as_micros(),
         events: fed.events_dispatched(),
         runs: summaries,

@@ -5,7 +5,6 @@
 
 use crate::job::{JobId, JobState};
 use hpcci_cluster::Uid;
-use hpcci_sim::SimDuration;
 
 /// One terminal job record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,14 +17,6 @@ pub struct AccountingRecord {
     pub nodes: u32,
     pub cores_per_node: u32,
     pub state: JobState,
-}
-
-impl AccountingRecord {
-    /// Core-seconds charged to the allocation (0 if the job never started).
-    pub fn core_seconds(&self) -> f64 {
-        let runtime = self.state.runtime().unwrap_or(SimDuration::ZERO);
-        runtime.as_secs_f64() * (self.nodes as u64 * self.cores_per_node as u64) as f64
-    }
 }
 
 /// Append-only accounting log.
@@ -55,21 +46,6 @@ impl AccountingLog {
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
-
-    /// All records charged to `allocation`.
-    pub fn by_allocation<'a>(&'a self, allocation: &'a str) -> impl Iterator<Item = &'a AccountingRecord> {
-        self.records.iter().filter(move |r| r.allocation == allocation)
-    }
-
-    /// All records for `user`.
-    pub fn by_user(&self, user: Uid) -> impl Iterator<Item = &AccountingRecord> {
-        self.records.iter().filter(move |r| r.user == user)
-    }
-
-    /// Total core-seconds charged to `allocation`.
-    pub fn usage(&self, allocation: &str) -> f64 {
-        self.by_allocation(allocation).map(AccountingRecord::core_seconds).sum()
-    }
 }
 
 #[cfg(test)]
@@ -96,27 +72,14 @@ mod tests {
     }
 
     #[test]
-    fn usage_sums_core_seconds() {
+    fn appends_in_order() {
         let mut log = AccountingLog::new();
+        assert!(log.is_empty());
         log.append(completed(1, 1001, "projA", 4, 100));
         log.append(completed(2, 1001, "projA", 2, 50));
         log.append(completed(3, 1002, "projB", 8, 10));
-        assert_eq!(log.usage("projA"), 4.0 * 100.0 + 2.0 * 50.0);
-        assert_eq!(log.usage("projB"), 80.0);
-        assert_eq!(log.usage("nothing"), 0.0);
-        assert_eq!(log.by_user(Uid(1001)).count(), 2);
         assert_eq!(log.len(), 3);
-    }
-
-    #[test]
-    fn cancelled_jobs_charge_nothing() {
-        let r = AccountingRecord {
-            state: JobState::Cancelled {
-                submitted: SimTime::ZERO,
-                ended: SimTime::from_secs(9),
-            },
-            ..completed(4, 1001, "projA", 16, 0)
-        };
-        assert_eq!(r.core_seconds(), 0.0);
+        let jobs: Vec<u64> = log.records().iter().map(|r| r.job.0).collect();
+        assert_eq!(jobs, [1, 2, 3]);
     }
 }

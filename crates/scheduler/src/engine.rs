@@ -709,8 +709,10 @@ mod tests {
         let b = s.submit(fixed("b", 1, 4, 50, 10), SimTime::ZERO).unwrap();
         s.cancel(b, SimTime::from_secs(5)).unwrap();
         s.advance_to(SimTime::from_secs(60));
-        assert_eq!(s.accounting().len(), 2);
-        assert_eq!(s.accounting().usage("alloc"), 4.0 * 50.0);
+        let records = s.accounting().records();
+        assert_eq!(records.len(), 2);
+        let ran: Vec<_> = records.iter().filter_map(|r| r.state.runtime()).collect();
+        assert_eq!(ran, [SimDuration::from_secs(50)], "cancelled: never ran");
     }
 
     #[test]

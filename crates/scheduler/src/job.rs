@@ -61,21 +61,6 @@ impl JobSpec {
         self.payload = payload;
         self
     }
-
-    pub fn with_partition(mut self, partition: &str) -> Self {
-        self.partition = partition.to_string();
-        self
-    }
-
-    pub fn with_nodes(mut self, nodes: u32) -> Self {
-        assert!(nodes > 0);
-        self.nodes = nodes;
-        self
-    }
-
-    pub fn total_cores(&self) -> u64 {
-        self.nodes as u64 * self.cores_per_node as u64
-    }
 }
 
 /// Job lifecycle state. Terminal states carry their timestamps so accounting
@@ -154,14 +139,13 @@ mod tests {
     #[test]
     fn spec_builder() {
         let s = JobSpec::single_node("pilot", Uid(1001), "CIS230030", 8, SimDuration::from_hours(1))
-            .with_nodes(4)
-            .with_partition("gpu")
             .with_payload(JobPayload::Fixed {
                 duration: SimDuration::from_mins(5),
                 success: true,
             });
-        assert_eq!(s.total_cores(), 32);
-        assert_eq!(s.partition, "gpu");
+        assert_eq!((s.nodes, s.cores_per_node), (1, 8));
+        assert_eq!(s.partition, "compute");
+        assert!(matches!(s.payload, JobPayload::Fixed { success: true, .. }));
     }
 
     #[test]

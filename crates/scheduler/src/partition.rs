@@ -13,8 +13,6 @@ pub struct Partition {
     pub cores_per_node: u32,
     /// Upper bound on requested walltime.
     pub max_walltime: SimDuration,
-    /// Maximum nodes a single job may request (0 = whole partition).
-    pub max_nodes_per_job: u32,
 }
 
 impl Partition {
@@ -24,37 +22,17 @@ impl Partition {
             nodes,
             cores_per_node,
             max_walltime: SimDuration::from_hours(48),
-            max_nodes_per_job: 0,
         }
-    }
-
-    pub fn with_max_walltime(mut self, d: SimDuration) -> Self {
-        self.max_walltime = d;
-        self
-    }
-
-    pub fn with_max_nodes_per_job(mut self, n: u32) -> Self {
-        self.max_nodes_per_job = n;
-        self
     }
 
     pub fn node_count(&self) -> u32 {
         self.nodes.len() as u32
     }
 
-    /// Effective per-job node cap.
-    pub fn job_node_cap(&self) -> u32 {
-        if self.max_nodes_per_job == 0 {
-            self.node_count()
-        } else {
-            self.max_nodes_per_job.min(self.node_count())
-        }
-    }
-
     /// Can a request of this shape *ever* run here?
     pub fn admits(&self, nodes: u32, cores_per_node: u32, walltime: SimDuration) -> bool {
         nodes > 0
-            && nodes <= self.job_node_cap()
+            && nodes <= self.node_count()
             && cores_per_node > 0
             && cores_per_node <= self.cores_per_node
             && walltime <= self.max_walltime
@@ -65,27 +43,20 @@ impl Partition {
 mod tests {
     use super::*;
 
-    fn partition() -> Partition {
-        Partition::new("compute", (0..4).map(NodeId).collect(), 64)
-            .with_max_walltime(SimDuration::from_hours(2))
-            .with_max_nodes_per_job(2)
-    }
-
     #[test]
     fn admission_rules() {
-        let p = partition();
+        let p = Partition {
+            max_walltime: SimDuration::from_hours(2),
+            ..Partition::new("compute", (0..4).map(NodeId).collect(), 64)
+        };
         assert!(p.admits(1, 64, SimDuration::from_hours(1)));
-        assert!(p.admits(2, 1, SimDuration::from_hours(2)));
-        assert!(!p.admits(3, 1, SimDuration::from_hours(1)), "node cap");
+        assert!(
+            p.admits(4, 1, SimDuration::from_hours(2)),
+            "whole partition"
+        );
+        assert!(!p.admits(5, 1, SimDuration::from_hours(1)), "node cap");
         assert!(!p.admits(1, 65, SimDuration::from_hours(1)), "core cap");
         assert!(!p.admits(1, 64, SimDuration::from_hours(3)), "walltime cap");
         assert!(!p.admits(0, 64, SimDuration::from_hours(1)), "zero nodes");
-    }
-
-    #[test]
-    fn zero_cap_means_whole_partition() {
-        let p = Partition::new("all", (0..8).map(NodeId).collect(), 32);
-        assert_eq!(p.job_node_cap(), 8);
-        assert!(p.admits(8, 32, SimDuration::from_hours(1)));
     }
 }

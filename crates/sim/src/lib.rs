@@ -40,6 +40,4 @@ pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Fnv, Interner, IntoDetail, IntoSym, Sym, Trace, TraceEvent};
-pub use workload::{
-    ArrivalGen, ArrivalProcess, ShardedCounts, TenantMix, TenantModel, Workload,
-};
+pub use workload::{ArrivalGen, ArrivalProcess, TenantMix, TenantModel, Workload};

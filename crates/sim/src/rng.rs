@@ -3,8 +3,11 @@
 //! A self-contained xoshiro256++ generator (seeded via SplitMix64) plus the
 //! distributions the site performance models need. Lognormal/normal sampling
 //! is implemented with Box–Muller on top of the uniform source. No external
-//! RNG crate is used, so the stream is fully pinned by this file: the same
+//! RNG crate is used, so the stream is fully pinned by this file and the
+//! trace's FNV-1a loop (which [`DetRng::fork`] mixes labels with): the same
 //! seed yields the same sequence on every platform and toolchain.
+
+use crate::trace::{fnv, FNV_OFFSET};
 
 /// A deterministic RNG stream. Two `DetRng`s built from the same seed yield
 /// identical sequences; [`DetRng::fork`] derives an independent child stream
@@ -63,12 +66,7 @@ impl DetRng {
     pub fn fork(&mut self, label: &str) -> DetRng {
         let base = self.next_u64();
         // FNV-1a over the label mixes the tag into the child seed.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in label.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        DetRng::seed_from_u64(base ^ h)
+        DetRng::seed_from_u64(base ^ fnv(FNV_OFFSET, label.as_bytes()))
     }
 
     /// Uniform in `[0, 1)` (53 bits of precision).

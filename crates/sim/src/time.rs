@@ -52,11 +52,6 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked addition of a duration (None on overflow).
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
 }
 
 impl SimDuration {
@@ -289,7 +284,6 @@ mod tests {
             SimDuration::from_secs(1).saturating_sub(SimDuration::from_secs(2)),
             SimDuration::ZERO
         );
-        assert!(SimTime::FAR_FUTURE.checked_add(SimDuration::from_micros(1)).is_none());
     }
 
     #[test]

@@ -354,7 +354,7 @@ pub struct Trace {
     pairs: Vec<Arc<Names>>,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl Trace {
@@ -541,7 +541,7 @@ impl fmt::Write for Fnv {
 
 /// The FNV-1a byte loop.
 #[inline]
-fn fnv(h: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv(h: u64, bytes: &[u8]) -> u64 {
     bytes
         .iter()
         .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))

@@ -247,68 +247,8 @@ impl TenantMix {
     }
 }
 
-/// ID-dense counters: entity `id`'s count lives at index `id` of one plain
-/// `Vec<u64>` (the dense `Vec<Task>` template from the faas hot path): O(1)
-/// reads and writes, no per-entity allocation, and a fixed memory budget of
-/// exactly one `u64` per declared entity regardless of run length.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardedCounts {
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl ShardedCounts {
-    pub fn new(len: u32) -> Self {
-        ShardedCounts {
-            counts: vec![0; len as usize],
-            total: 0,
-        }
-    }
-
-    /// Declared entity count.
-    pub fn len(&self) -> u32 {
-        self.counts.len() as u32
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    #[inline]
-    pub fn increment(&mut self, id: u32) {
-        self.counts[id as usize] += 1;
-        self.total += 1;
-    }
-
-    #[inline]
-    pub fn count(&self, id: u32) -> u64 {
-        self.counts[id as usize]
-    }
-
-    /// Sum over all entities.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Entities with at least one count.
-    pub fn active(&self) -> u64 {
-        self.counts.iter().filter(|&&c| c > 0).count() as u64
-    }
-
-    /// `(id, count)` of the busiest entity (lowest id wins ties).
-    pub fn hottest(&self) -> (u32, u64) {
-        let mut best = (0u32, 0u64);
-        for (id, &c) in self.counts.iter().enumerate() {
-            if c > best.1 {
-                best = (id as u32, c);
-            }
-        }
-        best
-    }
-}
-
 /// The materialized tenant population: integer Zipf CDF tables for repo and
-/// user activity, plus per-repo / per-user arrival counters.
+/// user activity.
 #[derive(Clone, Debug)]
 pub struct TenantModel {
     mix: TenantMix,
@@ -316,10 +256,6 @@ pub struct TenantModel {
     repo_cdf: Vec<u64>,
     /// Cumulative integer Zipf weights over users (ranked by id).
     user_cdf: Vec<u64>,
-    /// Arrivals per repo.
-    pub repo_arrivals: ShardedCounts,
-    /// Arrivals per user.
-    pub user_arrivals: ShardedCounts,
 }
 
 /// Integer cumulative Zipf weight table: entity at rank `i` (0-based) gets
@@ -342,8 +278,6 @@ impl TenantModel {
             mix: *mix,
             repo_cdf: zipf_cdf(mix.repos.max(1), mix.zipf_x100),
             user_cdf: zipf_cdf(mix.users.max(1), mix.zipf_x100),
-            repo_arrivals: ShardedCounts::new(mix.repos.max(1)),
-            user_arrivals: ShardedCounts::new(mix.users.max(1)),
         }
     }
 
@@ -357,20 +291,13 @@ impl TenantModel {
         cdf.partition_point(|&c| c <= x) as u32
     }
 
-    /// Sample the `(user, repo)` of the next arrival and record it in the
-    /// counters. Two draws from `rng` per call, always in
-    /// user-then-repo order, so tenant streams are byte-reproducible.
-    pub fn sample(&mut self, rng: &mut DetRng) -> (u32, u32) {
+    /// Sample the `(user, repo)` of the next arrival. Two draws from `rng`
+    /// per call, always in user-then-repo order, so tenant streams are
+    /// byte-reproducible.
+    pub fn sample(&self, rng: &mut DetRng) -> (u32, u32) {
         let user = Self::pick(&self.user_cdf, rng);
         let repo = Self::pick(&self.repo_cdf, rng);
-        self.user_arrivals.increment(user);
-        self.repo_arrivals.increment(repo);
         (user, repo)
-    }
-
-    /// Total arrivals recorded.
-    pub fn arrivals(&self) -> u64 {
-        self.repo_arrivals.total()
     }
 }
 
@@ -552,33 +479,21 @@ mod tests {
     }
 
     #[test]
-    fn sharded_counts_are_dense_and_exact() {
-        let mut c = ShardedCounts::new(1000);
-        for id in (0..1000).step_by(3) {
-            c.increment(id);
-            c.increment(id);
-        }
-        assert_eq!(c.count(0), 2);
-        assert_eq!(c.count(1), 0);
-        assert_eq!(c.count(999), 2);
-        assert_eq!(c.total(), 2 * 334);
-        assert_eq!(c.active(), 334);
-        assert_eq!(c.hottest(), (0, 2));
-        assert_eq!(c.len(), 1000);
-    }
-
-    #[test]
     fn zipf_tenants_skew_towards_low_ids() {
         let mix = TenantMix::new(10_000, 2_000).zipf_x100(110);
-        let mut model = TenantModel::new(&mix);
+        let model = TenantModel::new(&mix);
         let mut trng = Workload::new(ArrivalProcess::Poisson { mean_gap_us: 1 })
             .tenants(mix)
             .tenant_rng(42);
+        let mut per_repo = vec![0u64; 2_000];
         for _ in 0..50_000 {
-            model.sample(&mut trng);
+            per_repo[model.sample(&mut trng).1 as usize] += 1;
         }
-        assert_eq!(model.arrivals(), 50_000);
-        let (hot_repo, hot_count) = model.repo_arrivals.hottest();
+        let (hot_repo, &hot_count) = per_repo
+            .iter()
+            .enumerate()
+            .max_by_key(|&(id, c)| (c, std::cmp::Reverse(id)))
+            .expect("non-empty");
         assert!(hot_repo < 10, "hottest repo should be low-ranked, got {hot_repo}");
         let avg = 50_000 / 2_000;
         assert!(
@@ -586,7 +501,7 @@ mod tests {
             "zipf head not heavy enough: {hot_count} vs avg {avg}"
         );
         // The tail is still reachable.
-        assert!(model.repo_arrivals.active() > 500);
+        assert!(per_repo.iter().filter(|&&c| c > 0).count() > 500);
     }
 
     #[test]
@@ -594,7 +509,7 @@ mod tests {
         let mix = TenantMix::new(100, 50);
         let w = Workload::new(ArrivalProcess::Poisson { mean_gap_us: 10 }).tenants(mix);
         let draw = |seed: u64| {
-            let mut m = w.tenant_model();
+            let m = w.tenant_model();
             let mut r = w.tenant_rng(seed);
             (0..200).map(|_| m.sample(&mut r)).collect::<Vec<_>>()
         };

@@ -9,11 +9,8 @@ pub struct ObjectId(pub u128);
 impl ObjectId {
     /// Hash raw bytes.
     pub fn of_bytes(data: &[u8]) -> ObjectId {
-        // Two independent 64-bit FNV-1a passes (second with a tweaked offset
-        // basis) concatenated to 128 bits.
-        let h1 = fnv64(data, 0xcbf2_9ce4_8422_2325);
-        let h2 = fnv64(data, 0x9ae1_6a3b_2f90_404f);
-        ObjectId(((h1 as u128) << 64) | h2 as u128)
+        // The CAS digest: two independent 64-bit FNV-1a passes concatenated.
+        ObjectId(hpcci_cas::Digest::of_bytes(data).0)
     }
 
     /// Hash a structured record given its serialized form.
@@ -40,15 +37,6 @@ impl fmt::Display for Abbrev {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:012x}", self.0)
     }
-}
-
-fn fnv64(data: &[u8], basis: u64) -> u64 {
-    let mut h = basis;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 impl fmt::Display for ObjectId {

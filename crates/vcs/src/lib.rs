@@ -8,13 +8,13 @@
 //! * [`object::WorkTree`] — a path → bytes snapshot; [`object::Commit`] — an
 //!   immutable commit with parents, tree and metadata;
 //! * [`repo::Repository`] — branches, commit DAG, content-addressed object
-//!   store, fast-forward detection, diffs;
+//!   store, merges (fast-forward when possible), diffs;
 //! * [`hosting::HostingService`] — the multi-repository service: forks, pull
 //!   requests, pushes, and a webhook outbox the CI engine consumes.
 //!
-//! Hashing is a 128-bit FNV construction: content addressing here needs
-//! collision resistance against *accidents*, not adversaries (noted in
-//! DESIGN.md §5).
+//! Hashing is `hpcci_cas::Digest`'s 128-bit FNV construction: content
+//! addressing here needs collision resistance against *accidents*, not
+//! adversaries (noted in DESIGN.md §5).
 
 pub mod hash;
 pub mod hosting;

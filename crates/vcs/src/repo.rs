@@ -14,8 +14,6 @@ pub enum VcsError {
     UnknownCommit(ObjectId),
     UnknownRepo(String),
     BranchExists(String),
-    /// Non-fast-forward merge attempted where only fast-forward is allowed.
-    NonFastForward { base: String, topic: String },
     UnknownPullRequest(u64),
     PullRequestClosed(u64),
 }
@@ -27,9 +25,6 @@ impl fmt::Display for VcsError {
             VcsError::UnknownCommit(c) => write!(f, "unknown commit: {}", c.short()),
             VcsError::UnknownRepo(r) => write!(f, "unknown repository: {r}"),
             VcsError::BranchExists(b) => write!(f, "branch already exists: {b}"),
-            VcsError::NonFastForward { base, topic } => {
-                write!(f, "cannot fast-forward {base} to {topic}")
-            }
             VcsError::UnknownPullRequest(n) => write!(f, "unknown pull request #{n}"),
             VcsError::PullRequestClosed(n) => write!(f, "pull request #{n} is closed"),
         }
@@ -141,7 +136,7 @@ impl Repository {
     }
 
     /// Is `ancestor` reachable from `descendant`?
-    pub fn is_ancestor(&self, ancestor: ObjectId, descendant: ObjectId) -> bool {
+    fn is_ancestor(&self, ancestor: ObjectId, descendant: ObjectId) -> bool {
         let mut stack = vec![descendant];
         let mut seen = std::collections::BTreeSet::new();
         while let Some(id) = stack.pop() {
@@ -158,29 +153,10 @@ impl Repository {
         false
     }
 
-    /// Fast-forward `base` to the head of `topic`. Errors if `base`'s head is
-    /// not an ancestor of `topic`'s head (no merge-commit synthesis: the
-    /// hosting layer creates true merge commits).
-    pub fn fast_forward(&mut self, base: &str, topic: &str) -> Result<ObjectId, VcsError> {
-        let base_head = self.head(base)?;
-        let topic_head = self.head(topic)?;
-        if base_head == topic_head {
-            return Ok(base_head);
-        }
-        if !self.is_ancestor(base_head, topic_head) {
-            return Err(VcsError::NonFastForward {
-                base: base.to_string(),
-                topic: topic.to_string(),
-            });
-        }
-        self.branches.insert(base.to_string(), topic_head);
-        Ok(topic_head)
-    }
-
-    /// Create a true merge commit of `topic` into `base` (used by the
-    /// hosting layer when merging pull requests). The merged tree is
-    /// `topic`'s tree — PR semantics where the PR branch contains the
-    /// intended final state.
+    /// Merge `topic` into `base` (used by the hosting layer when merging
+    /// pull requests): a fast-forward when `base`'s head is an ancestor of
+    /// `topic`'s, otherwise a true merge commit whose tree is `topic`'s tree
+    /// — PR semantics where the PR branch contains the intended final state.
     pub fn merge(
         &mut self,
         base: &str,
@@ -188,11 +164,12 @@ impl Repository {
         author: &str,
         at: SimTime,
     ) -> Result<ObjectId, VcsError> {
-        if let Ok(id) = self.fast_forward(base, topic) {
-            return Ok(id);
-        }
         let base_head = self.head(base)?;
         let topic_head = self.head(topic)?;
+        if self.is_ancestor(base_head, topic_head) {
+            self.branches.insert(base.to_string(), topic_head);
+            return Ok(topic_head);
+        }
         let tree = self.checkout(topic_head)?.clone();
         let message = format!("merge {topic} into {base}");
         let id = self.store_commit(&[base_head, topic_head], tree, author, &message, at);
@@ -253,23 +230,19 @@ mod tests {
         r.commit("main", tree("base"), "alice", "base", SimTime::from_secs(1)).unwrap();
         r.create_branch("feature", "main").unwrap();
         let f = r.commit("feature", tree("feat"), "bob", "feat", SimTime::from_secs(2)).unwrap();
-        let merged = r.fast_forward("main", "feature").unwrap();
-        assert_eq!(merged, f);
+        let merged = r.merge("main", "feature", "alice", SimTime::from_secs(3)).unwrap();
+        assert_eq!(merged, f, "an ancestor base fast-forwards: no merge commit");
         assert_eq!(r.head("main").unwrap(), f);
     }
 
     #[test]
-    fn non_fast_forward_is_detected_then_merged() {
+    fn diverged_branches_get_a_merge_commit() {
         let mut r = repo();
         r.commit("main", tree("base"), "alice", "base", SimTime::from_secs(1)).unwrap();
         r.create_branch("feature", "main").unwrap();
         r.commit("feature", tree("feat"), "bob", "feat", SimTime::from_secs(2)).unwrap();
         // main diverges
         r.commit("main", tree("hotfix"), "alice", "hotfix", SimTime::from_secs(3)).unwrap();
-        assert!(matches!(
-            r.fast_forward("main", "feature"),
-            Err(VcsError::NonFastForward { .. })
-        ));
         let m = r.merge("main", "feature", "alice", SimTime::from_secs(4)).unwrap();
         let c = r.lookup_commit(m).unwrap();
         assert_eq!(c.parents.len(), 2);
