@@ -33,4 +33,4 @@ pub use formats::{ligand_from_pdbqt, ligand_to_pdbqt, receptor_from_pdbqt, recep
 pub use ml::{descriptors, SurrogateModel};
 pub use molecule::{Atom, Ligand, Receptor};
 pub use pipeline::{screen, ScreenConfig, ScreenReport};
-pub use suite::{install_pytest, run_suite, TestOutcome, PARSLDOCK_TESTS};
+pub use suite::{install_pytest, parse_durations, run_suite, TestOutcome, PARSLDOCK_TESTS};

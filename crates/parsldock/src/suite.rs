@@ -170,6 +170,21 @@ pub fn install_pytest(commands: &mut CommandRegistry, repo_dir: &str) {
     });
 }
 
+/// Parse the per-test durations table [`install_pytest`]'s handler prints
+/// (`"     X.XXXs call     tests/test_name"`) into `(test, seconds)` pairs,
+/// in suite order.
+pub fn parse_durations(stdout: &str) -> Vec<(String, f64)> {
+    stdout
+        .lines()
+        .filter_map(|line| {
+            let line = line.trim();
+            let (duration, rest) = line.split_once("s call")?;
+            let name = rest.trim().strip_prefix("tests/")?;
+            Some((name.to_string(), duration.trim().parse().ok()?))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,5 +265,19 @@ mod tests {
         );
         assert!(out.result.is_err());
         assert!(out.stderr.contains("not found"));
+    }
+
+    #[test]
+    fn duration_parser_reads_pytest_tables() {
+        let stdout = "\
+============================ slowest durations ================================
+     0.312s call     tests/test_imports
+    19.201s call     tests/test_dock_single
+noise line
+";
+        let parsed = parse_durations(stdout);
+        assert_eq!(parsed.len(), 2);
+        assert_eq!(parsed[0].0, "test_imports");
+        assert!((parsed[1].1 - 19.201).abs() < 1e-9);
     }
 }

@@ -1,12 +1,13 @@
 //! Compile a [`ScenarioSpec`] onto a live [`Federation`].
 //!
-//! This is the single construction path every scenario — handwritten preset
-//! or generator output — goes through. The compile order is canonical and
-//! trace-stable: for each site in declaration order, `add_site` → software
-//! environment + package installs → workload command installation → local
-//! account → that site's endpoints in declaration order. Then the workload
-//! repository is created and imported, one CI environment per site is
-//! provisioned, and the workflow is installed.
+//! This is the single construction path every scenario — a committed
+//! document such as the paper's worlds, or generator output — goes through.
+//! The compile order is canonical and trace-stable: for each site in
+//! declaration order, `add_site` → software environment + package installs
+//! → workload command installation → local account → that site's endpoints
+//! in declaration order. Then the workload repository is created and
+//! imported, one CI environment per site is provisioned, and the workflow is
+//! installed.
 
 use crate::spec::{
     EndpointKindDecl, ScenarioSpec, SiteSpec, SpecError, TemplateDecl, WorkloadKind,
@@ -23,7 +24,7 @@ use hpcci_sim::DetRng;
 use hpcci_vcs::WorkTree;
 
 /// Container image the KaMPIng workload publishes and runs inside (§6.3).
-pub const KAMPING_IMAGE: &str = "ghcr.io/kamping-site/kamping-reproducibility:v1";
+const KAMPING_IMAGE: &str = "ghcr.io/kamping-site/kamping-reproducibility:v1";
 
 /// A compiled scenario: the federation plus the handles drivers need.
 pub struct BuiltScenario {

@@ -25,12 +25,11 @@
 pub mod compile;
 pub mod gen;
 pub mod oracle;
-pub mod presets;
 pub mod run;
 pub mod spec;
 pub mod toml;
 
-pub use compile::{BuiltScenario, KAMPING_IMAGE};
+pub use compile::BuiltScenario;
 pub use gen::{GenConfig, ScenarioGen};
 pub use oracle::{
     first_divergence, instant_of, verify_spec, Divergence, OracleReport,

@@ -21,8 +21,9 @@
 //!   [`FaasError::is_infrastructure`] (or a token expiry was forced inside
 //!   the run's window), and such a run only ever appears under an active
 //!   fault plan; a `test` run's first failed step recorded a task whose
-//!   command failed; and fault-free scenarios with no declared failing tests
-//!   stay green;
+//!   command failed; and fault-free scenarios stay green unless they declare
+//!   failing tests, or a `missing_dependency` whose requirement the failed
+//!   task's stderr names and its site's packages lack;
 //! * **conservation** — at quiescence every task the cloud accepted is
 //!   `Done` or `Rejected`, through exactly one terminal record, with nothing
 //!   left scheduled and no blocked transition ([`check_conservation`]),
@@ -36,6 +37,7 @@ use correct_core::federation::OnboardedUser;
 use correct_core::Federation;
 use hpcci_auth::{AccessToken, AuthError, ClientId, ClientSecret, Scope};
 use hpcci_cas::Digest;
+use hpcci_cluster::software::SoftwareEnv;
 use hpcci_ci::{CacheMode, FailureKind, StepCache};
 use hpcci_faas::{CloudService, EndpointId, FaasError, TaskFailure, TaskId, TaskState};
 use hpcci_sim::{Advance, SimDuration, SimTime, Trace};
@@ -393,22 +395,51 @@ fn check_attribution(spec: &ScenarioSpec, fed: &Federation, out: &mut Vec<Violat
                 }
             }
             FailureKind::Test => {
-                if !has_faults && spec.workload.failing == 0 {
+                let failed: Vec<(&str, &str)> = tasks
+                    .filter_map(|t| match &t.state {
+                        TaskState::Done(o) if matches!(o.result, Err(TaskFailure::Command(_))) => {
+                            Some((t.endpoint.as_str(), o.stderr.as_str()))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                if failed.is_empty() {
                     fail(format!(
-                        "run {} failed as `test` but the workload declares no failing tests",
+                        "run {} attributed to its tests, but no task its failed step submitted failed",
                         r.id
                     ));
                 }
-                let failed = tasks.any(|t| {
-                    matches!(&t.state, TaskState::Done(o)
-                        if matches!(o.result, Err(TaskFailure::Command(_))))
-                });
-                if !failed {
-                    fail(format!("run {} attributed to its tests, but no task its failed step submitted failed", r.id));
+                let missing = spec.workload.missing_dependency
+                    && failed.iter().any(|&(endpoint, stderr)| {
+                        missing_requirement(spec, endpoint, stderr).is_some()
+                    });
+                if !has_faults && spec.workload.failing == 0 && !missing {
+                    fail(format!(
+                        "run {} failed as `test` but the workload declares no failing tests, \
+                         and no missing requirement its failed task names",
+                        r.id
+                    ));
                 }
             }
         }
     }
+}
+
+/// The PSI/J requirement (`hpcci_psij::required_packages`) that `stderr`
+/// names and the packages of the site behind `endpoint` do not satisfy: the
+/// one `test` failure a declared `missing_dependency` excuses.
+fn missing_requirement(spec: &ScenarioSpec, endpoint: &str, stderr: &str) -> Option<&'static str> {
+    let decl = spec.endpoints.iter().find(|e| e.name == endpoint)?;
+    let site = spec.sites.get(decl.site as usize)?;
+    let mut env = SoftwareEnv::new(&site.software_env);
+    for pkg in &site.packages {
+        let (name, version) = pkg.split_once('=')?;
+        env.install(name, version);
+    }
+    hpcci_psij::required_packages().into_iter().find(|req| {
+        let name = req.split(['>', '=']).next().unwrap_or(req);
+        !env.satisfies(req) && stderr.contains(name)
+    })
 }
 
 /// Oracle 5: task conservation. `cloud` must be quiescent and its trace must
@@ -582,6 +613,24 @@ mod tests {
         spec.workload.failing = 3;
         let report = verify_spec(&spec).expect("builds");
         assert!(report.passed(), "violations: {:?}", report.violations);
+    }
+
+    #[test]
+    fn a_missing_dependency_excuses_only_a_requirement_named_and_lacked() {
+        let broken = include_str!("../../../tests/fixtures/paper/fig5-psij-typeguard-missing.toml");
+        let complete = include_str!("../../../tests/fixtures/paper/fig5-psij.toml");
+        let (broken, complete) = (
+            ScenarioSpec::from_toml(broken).expect("parses"),
+            ScenarioSpec::from_toml(complete).expect("parses"),
+        );
+        let stderr = "ERROR: No matching distribution found for typeguard>=3.0.1";
+        let named = missing_requirement(&broken, "ep-anvil", stderr);
+        assert_eq!(named, Some("typeguard>=3.0.1"));
+        // Another failure on the same site, another site, a site that has it.
+        let other = missing_requirement(&broken, "ep-anvil", "2 test(s) failed");
+        assert_eq!(other, None);
+        assert_eq!(missing_requirement(&broken, "ep-elsewhere", stderr), None);
+        assert_eq!(missing_requirement(&complete, "ep-anvil", stderr), None);
     }
 
     #[test]

@@ -119,7 +119,9 @@ pub struct WorkloadSpec {
     pub repo_files: u32,
     /// Synthetic: chained CORRECT steps per job (workflow depth).
     pub steps_per_job: u32,
-    /// Psij: leave `typeguard` out of the site env (Fig. 5's failure).
+    /// Psij: the site's `packages` leave a requirement out on purpose (Fig.
+    /// 5's failure), so the attribution oracle expects a `test` failure
+    /// whose stderr names it.
     pub missing_dependency: bool,
 }
 
@@ -1111,7 +1113,7 @@ mod tests {
             assert_eq!(err.0, error);
         }
         // `tests` is read only for a synthetic workload.
-        let psij = crate::presets::psij(5, false).to_toml();
+        let psij = include_str!("../../../tests/fixtures/paper/fig5-psij.toml");
         let err = ScenarioSpec::from_toml(&psij.replace("[workload]\n", "[workload]\ntests = 8\n"));
         assert_eq!(err.unwrap_err().0, "[workload]: unknown key `tests`");
     }

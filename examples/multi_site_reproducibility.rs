@@ -6,10 +6,13 @@
 //! cargo run --example multi_site_reproducibility
 //! ```
 
-use hpcci::scenarios::{parse_durations, parsldock_scenario};
+use hpcci::correct::Federation;
+use hpcci::paper;
+use hpcci::parsldock::parse_durations;
 
 fn main() {
-    let mut scenario = parsldock_scenario(4242);
+    let mut scenario = paper::world(paper::FIG4_PARSLDOCK, Federation::builder(4242).build())
+        .expect("the Fig. 4 world compiles");
     println!("pushing a change to parsl/parsl-docking-tutorial ...");
     let runs = scenario.push_approve_run("vhayot");
     let run = scenario.fed.engine.run(runs[0]).unwrap();

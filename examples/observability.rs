@@ -8,13 +8,13 @@
 //! ```
 
 use hpcci::obs::{ObsConfig, RunReport};
-use hpcci::scenarios::parsldock_scenario_on;
+use hpcci::paper;
 
 fn main() {
     let fed = hpcci::correct::Federation::builder(42)
         .obs(ObsConfig::enabled())
         .build();
-    let mut s = parsldock_scenario_on(fed);
+    let mut s = paper::world(paper::FIG4_PARSLDOCK, fed).expect("the Fig. 4 world compiles");
     s.push_approve_run("vhayot");
 
     let snap = s.fed.metrics();

@@ -1,12 +1,13 @@
 //! # hpcci — reproducing *Addressing Reproducibility Challenges in HPC with
 //! Continuous Integration* (SC 2025) as a simulated federation in Rust
 //!
-//! This facade re-exports the whole stack and provides the
-//! [`scenarios`] module: ready-made worlds reproducing the paper's
-//! evaluation setups (§6.1 ParslDock across three sites, §6.2 PSI/J on
-//! Anvil, §6.3 the KaMPIng artifacts on Chameleon), and the [`reproduce`]
-//! module: every table and figure of the paper, rendered by the `reproduce`
-//! binary and pinned by digest in `tests/reproduce.rs`.
+//! This facade re-exports the whole stack and provides two modules:
+//! [`paper`], the worlds behind the paper's figures as committed scenario
+//! documents (§6.1 ParslDock across three sites, §6.2 PSI/J on Anvil with
+//! and without `typeguard`, §6.3 the KaMPIng artifacts on Chameleon, §7.3
+//! a `tox` suite behind Anvil's MEP) and the one function that compiles
+//! them; and [`reproduce`], every table and figure of the paper, rendered
+//! by the `reproduce` binary and pinned by digest in `tests/reproduce.rs`.
 //!
 //! ## Layering
 //!
@@ -28,8 +29,8 @@
 //! See `DESIGN.md` for the full inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record of every table and figure.
 
+pub mod paper;
 pub mod reproduce;
-pub mod scenarios;
 
 pub use correct_core as correct;
 pub use hpcci_auth as auth;

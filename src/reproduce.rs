@@ -8,18 +8,19 @@
 //! KaMPIng wall-clock ratio) is printed by the binary on stderr instead.
 
 use crate::baselines::{render_table1, render_table2, render_table3, render_table4};
-use crate::ci::{JobDef, RunId, RunStatus, TriggerEvent, WorkflowDef, WorkflowRun};
-use crate::cluster::{NodeId, NodeRole, Site, Uid};
-use crate::correct::{recipes, EndpointSpec, Federation, OnboardedUser};
-use crate::faas::{EndpointId, ExecOutcome, SiteRuntime};
+use crate::ci::{RunId, RunStatus, WorkflowRun};
+use crate::cluster::{NodeId, NodeRole, Uid};
+use crate::correct::Federation;
+use crate::faas::EndpointId;
+use crate::paper;
+use crate::parsldock::parse_durations;
 use crate::provenance::badges::{fig1_series, CohortParams, Reviewer};
 use crate::provenance::BadgeLevel;
-use crate::scenarios::{kamping_scenario, parse_durations, parsldock_scenario, psij_scenario};
+use crate::scen::ScenarioSpec;
 use crate::scheduler::{
     BatchScheduler, JobPayload, JobSpec, JobState, Partition, SchedulerConfig, SchedulingPolicy,
 };
 use crate::sim::{sweep, Advance, DetRng, SimDuration, SimTime};
-use crate::vcs::WorkTree;
 use std::fmt::Write;
 
 /// Why a figure could not be rendered.
@@ -138,7 +139,7 @@ pub fn tab4() -> Result {
 /// Fig. 2 — the CORRECT system overview, regenerated as the message trace of
 /// one action invocation: every component and hop, observed rather than drawn.
 pub fn fig2_overview() -> Result {
-    let mut s = psij_scenario(2, false);
+    let mut s = paper::world(paper::FIG5_PSIJ, Federation::builder(2).build())?;
     let run_id = only_run(s.push_approve_run("vhayot"))?;
     let run = s.fed.engine.run(run_id)?;
 
@@ -176,7 +177,7 @@ type SiteDurations = (String, Vec<(String, f64)>);
 /// One Fig. 4 repetition: run the §6.1 scenario and parse every site's
 /// per-test durations. Self-contained, so repetitions run as a sweep.
 fn fig4_rep(seed: u64) -> Result<Vec<SiteDurations>> {
-    let mut s = parsldock_scenario(seed);
+    let mut s = paper::world(paper::FIG4_PARSLDOCK, Federation::builder(seed).build())?;
     let run = only_run(s.push_approve_run("vhayot"))?;
     let now = s.fed.now();
     let artifacts = &s.fed.engine.artifacts;
@@ -247,7 +248,10 @@ pub fn fig4_parsldock() -> Result {
 /// in the CI UI (top) and the full execution stdout preserved in the workflow
 /// artifact (bottom), then the same workflow once the dependency is fixed.
 pub fn fig5_psij() -> Result {
-    let mut s = psij_scenario(5, true); // inject the dependency fault
+    let mut s = paper::world(
+        paper::FIG5_PSIJ_TYPEGUARD_MISSING,
+        Federation::builder(5).build(),
+    )?;
     let run_id = only_run(s.push_approve_run("vhayot"))?;
     let run = s.fed.engine.run(run_id)?;
 
@@ -266,7 +270,7 @@ pub fn fig5_psij() -> Result {
     }
 
     out += &section("recovery — same workflow after the dependency is fixed");
-    let mut fixed = psij_scenario(5, false);
+    let mut fixed = paper::world(paper::FIG5_PSIJ, Federation::builder(5).build())?;
     let fixed_id = only_run(fixed.push_approve_run("vhayot"))?;
     out += &run_line(fixed.fed.engine.run(fixed_id)?);
     Ok(out)
@@ -276,7 +280,7 @@ pub fn fig5_psij() -> Result {
 /// a Chameleon instance, inside the published container, with every
 /// experiment's stdout stored as a workflow artifact.
 pub fn exp63_kamping() -> Result {
-    let mut s = kamping_scenario(63);
+    let mut s = paper::world(paper::SEC63_KAMPING, Federation::builder(63).build())?;
     let run_id = s.dispatch_approve_run("vhayot");
     let run = s.fed.engine.run(run_id)?;
 
@@ -301,112 +305,68 @@ pub fn exp63_kamping() -> Result {
     Ok(out)
 }
 
-/// Simulated cost of the §7.3 suite in reference seconds.
-const SUITE_WORK: f64 = 10.0;
-
-fn register_tox(rt: &mut SiteRuntime) {
-    rt.commands
-        .register("tox", |_| ExecOutcome::ok("4 passed", SUITE_WORK));
-}
-
-/// A federation with one MEP on Anvil's login node and `vhayot` mapped to
-/// `x-vhayot`: the site the two remote §7.3 paths reach.
-fn anvil_federation() -> Result<(Federation, OnboardedUser)> {
-    let mut fed = Federation::builder(7).build();
-    let user = fed.onboard_user("vhayot@uchicago.edu", "uchicago.edu");
-    let site = fed.add_site(Site::purdue_anvil(), 128);
-    {
-        let mut rt = fed.site(site).shared.lock();
-        rt.site.add_account("x-vhayot", "CIS230030");
-        register_tox(&mut rt);
-    }
-    let mut mapping = crate::auth::IdentityMapping::new("purdue-anvil");
-    mapping.add_explicit("vhayot@uchicago.edu", "x-vhayot");
-    fed.register(EndpointSpec::multi_user(
-        "ep-anvil",
-        site,
-        mapping,
-        crate::faas::MepTemplate::login_only(),
-    ))?;
-    Ok((fed, user))
-}
-
 /// §7.3 — what a short test suite costs, in virtual time, when executed
 /// (1) directly on the site (ssh-and-run, no accounting) — the floor;
 /// (2) as a single FaaS task (cloud round-trip + endpoint queue);
 /// (3) as a full CORRECT step (runner bootstrap + auth + remote clone + task +
 /// artifact), i.e. everything the paper's workflow pays.
+///
+/// All three run in the `sec73-anvil-overhead` world: its suite command, its
+/// site's account and its one endpoint.
 pub fn overhead() -> Result {
     let mut out =
         section("§7.3 — overhead of reaching the site (virtual seconds, anvil login node)");
+    let spec = ScenarioSpec::from_toml(paper::SEC73_ANVIL_OVERHEAD)?;
+    let command = spec.workload.command.as_str();
+    let anvil = || paper::world(paper::SEC73_ANVIL_OVERHEAD, Federation::builder(7).build());
 
     let direct = {
-        let mut rt = SiteRuntime::new(Site::purdue_anvil()).with_scheduler(128);
-        register_tox(&mut rt);
-        let account = rt.site.add_account("x-vhayot", "CIS230030");
-        let cred = crate::cluster::Cred::of(&account);
+        let s = anvil()?;
+        let site = s.fed.sites().next().ok_or("the §7.3 world has no site")?;
+        let mut rt = site.shared.lock();
+        let account = rt.site.account(&spec.sites[0].account)?.clone();
+        let login = rt.site.login_node().ok_or("anvil has no login node")?;
+        let (host, speed) = (login.hostname.clone(), login.cpu_speed);
         let mut rng = DetRng::seed_from_u64(1);
+        let cred = crate::cluster::Cred::of(&account);
         let run = rt.execute(
-            "tox",
+            command,
             &account,
             &cred,
             NodeRole::Login,
-            "anvil-login-1",
+            &host,
             SimTime::ZERO,
             &mut rng,
             None,
         );
-        let node_speed = rt
-            .site
-            .login_node()
-            .ok_or("anvil has no login node")?
-            .cpu_speed;
-        rt.site
-            .perf
-            .compute_time(run.work, node_speed, &mut rng)
-            .as_secs_f64()
+        let secs = rt.site.perf.compute_time(run.work, speed, &mut rng);
+        secs.as_secs_f64()
     };
 
     let faas_task = {
-        let (mut fed, user) = anvil_federation()?;
-        let token = fed.auth.lock().authenticate(
-            &crate::auth::ClientId(user.client_id.clone()),
-            &crate::auth::ClientSecret::new(&user.client_secret),
+        let mut s = anvil()?;
+        let token = s.fed.auth.lock().authenticate(
+            &crate::auth::ClientId(s.user.client_id.clone()),
+            &crate::auth::ClientSecret::new(&s.user.client_secret),
             vec![crate::auth::Scope::compute_api()],
             SimTime::ZERO,
         )?;
-        let start = fed.now();
-        fed.cloud
+        let endpoint = EndpointId(s.endpoints[0].clone());
+        let start = s.fed.now();
+        s.fed
+            .cloud
             .lock()
-            .submit_shell(&token, &EndpointId("ep-anvil".into()), "tox", start)?;
-        while fed.world().step() {}
-        (fed.now() - start).as_secs_f64()
+            .submit_shell(&token, &endpoint, command, start)?;
+        while s.fed.world().step() {}
+        (s.fed.now() - start).as_secs_f64()
     };
 
     let correct_step = {
-        let (mut fed, user) = anvil_federation()?;
-        let repo = "lab/app";
-        let now = fed.now();
-        let import = WorkTree::new().with_file("tox.ini", "[tox]");
-        fed.hosting.lock().create_repo("lab", "app", now);
-        fed.hosting
-            .lock()
-            .push(repo, "main", import, "v", "i", now)?;
-        let _ = fed.pump_events();
-        fed.provision_environment(repo, "anvil", "vhayot", &user);
-        let job = JobDef::new("test")
-            .with_environment("anvil")
-            .with_step(recipes::correct_step("run", "ep-anvil", "tox"));
-        let workflow = WorkflowDef::new("ci").on_event(TriggerEvent::push_any());
-        fed.engine.add_workflow(repo, workflow.with_job(job));
-        let tree = WorkTree::new().with_file("tox.ini", "[tox]\nenvlist=py312");
-        fed.hosting
-            .lock()
-            .push(repo, "main", tree, "v", "change", fed.now())?;
-        let run_id = only_run(fed.pump_events())?;
-        let start = fed.now();
-        fed.approve_and_run(run_id, "vhayot")?;
-        let run = fed.engine.run(run_id)?;
+        let mut s = anvil()?;
+        let start = s.fed.now();
+        let reviewer = s.pusher.clone();
+        let run_id = only_run(s.push_approve_run(&reviewer))?;
+        let run = s.fed.engine.run(run_id)?;
         if run.status != RunStatus::Success {
             return Err(format!("the §7.3 CORRECT step ended {:?}", run.status).into());
         }

@@ -3,11 +3,12 @@
 //! message flow through every substrate.
 
 use hpcci::ci::RunStatus;
-use hpcci::scenarios::psij_scenario;
+use hpcci::correct::Federation;
+use hpcci::paper;
 
 #[test]
 fn push_triggers_correct_run_that_succeeds() {
-    let mut s = psij_scenario(42, false);
+    let mut s = paper::world(paper::FIG5_PSIJ, Federation::builder(42).build()).unwrap();
     let runs = s.push_approve_run("vhayot");
     assert_eq!(runs.len(), 1);
     let run = s.fed.engine.run(runs[0]).unwrap().clone();
@@ -38,7 +39,7 @@ fn push_triggers_correct_run_that_succeeds() {
 
 #[test]
 fn run_awaits_approval_until_sole_reviewer_acts() {
-    let mut s = psij_scenario(43, false);
+    let mut s = paper::world(paper::FIG5_PSIJ, Federation::builder(43).build()).unwrap();
     // Push without approving.
     let now = s.fed.now();
     let tree = s
@@ -75,7 +76,7 @@ fn run_awaits_approval_until_sole_reviewer_acts() {
 
 #[test]
 fn federation_trace_records_the_fig2_flow() {
-    let mut s = psij_scenario(44, false);
+    let mut s = paper::world(paper::FIG5_PSIJ, Federation::builder(44).build()).unwrap();
     s.push_approve_run("vhayot");
     let cloud = s.fed.cloud.lock();
     // Clone task + pytest task at minimum.
@@ -91,7 +92,7 @@ fn federation_trace_records_the_fig2_flow() {
 
 #[test]
 fn secrets_never_appear_in_run_logs() {
-    let mut s = psij_scenario(45, false);
+    let mut s = paper::world(paper::FIG5_PSIJ, Federation::builder(45).build()).unwrap();
     let secret_value = s.user.client_secret.clone();
     let runs = s.push_approve_run("vhayot");
     let log = s.fed.engine.run(runs[0]).unwrap().full_log();
@@ -100,7 +101,7 @@ fn secrets_never_appear_in_run_logs() {
 
 #[test]
 fn identity_mapping_audited_at_the_mep() {
-    let mut s = psij_scenario(46, false);
+    let mut s = paper::world(paper::FIG5_PSIJ, Federation::builder(46).build()).unwrap();
     s.push_approve_run("vhayot");
     // Every task the MEP executed is auditable: identity -> local account.
     let mut cloud = s.fed.cloud.lock();
@@ -127,7 +128,7 @@ fn correct_step_outcome(
     before: impl FnOnce(&mut hpcci::faas::SiteRuntime),
 ) -> (hpcci::ci::StepOutcome, String, Option<String>) {
     use hpcci::ci::workflow::{JobDef, StepDef, TriggerEvent, WorkflowDef};
-    use hpcci::correct::{EndpointSpec, Federation, CORRECT_ACTION_NAME};
+    use hpcci::correct::{EndpointSpec, CORRECT_ACTION_NAME};
     use hpcci::faas::{ExecOutcome, MepTemplate};
 
     let mut fed = Federation::builder(17).build();
@@ -316,7 +317,7 @@ const LABS_REPO: &str = "globus-labs/demo";
 impl TwoLabs {
     fn new() -> TwoLabs {
         use hpcci::ci::workflow::{JobDef, StepDef, TriggerEvent, WorkflowDef};
-        use hpcci::correct::{EndpointSpec, Federation, CORRECT_ACTION_NAME};
+        use hpcci::correct::{EndpointSpec, CORRECT_ACTION_NAME};
         use hpcci::faas::{ExecOutcome, MepTemplate};
 
         let mut fed = Federation::builder(17).build();

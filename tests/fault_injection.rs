@@ -14,10 +14,9 @@ use hpcci::ci::workflow::{JobDef, StepDef, TriggerEvent, WorkflowDef};
 use hpcci::ci::{CacheMode, RunStatus, WorkflowRun};
 use hpcci::correct::{EndpointSpec, Federation, CORRECT_ACTION_NAME};
 use hpcci::faas::{TaskId, TaskProvider, TaskState};
-use hpcci::scen::{CacheModeDecl, FaultDecl, FaultKindDecl, ScenarioGen, ScenarioSpec};
-use hpcci::scenarios::{
-    parsldock_scenario, parsldock_scenario_with_faults, psij_scenario, psij_scenario_with_faults,
-    Scenario,
+use hpcci::paper;
+use hpcci::scen::{
+    BuiltScenario, CacheModeDecl, FaultDecl, FaultKindDecl, ScenarioGen, ScenarioSpec,
 };
 use hpcci::sim::{FaultKind, FaultPlan, SimDuration, SimTime};
 
@@ -33,7 +32,8 @@ fn mep_fork_failure_is_retried_and_recovers() {
             user: "any".into(),
         },
     );
-    let mut s = psij_scenario_with_faults(81, false, plan);
+    let fed = Federation::builder(81).faults(plan).build();
+    let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
     let runs = s.push_approve_run("vhayot");
     let run = s.fed.engine.run(runs[0]).unwrap().clone();
     assert_eq!(run.status, RunStatus::Success, "log:\n{}", run.full_log());
@@ -55,7 +55,8 @@ fn mep_fork_failure_is_retried_and_recovers() {
 #[test]
 fn token_expiry_mid_run_triggers_reauthentication() {
     let plan = FaultPlan::none().with_fault(SimTime::ZERO, FaultKind::TokenExpiry);
-    let mut s = psij_scenario_with_faults(82, false, plan);
+    let fed = Federation::builder(82).faults(plan).build();
+    let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
     let runs = s.push_approve_run("vhayot");
     let run = s.fed.engine.run(runs[0]).unwrap().clone();
     assert_eq!(run.status, RunStatus::Success, "log:\n{}", run.full_log());
@@ -86,11 +87,12 @@ fn wan_partition_delays_delivery_until_heal() {
             heal_after: heal,
         },
     );
-    let mut baseline = psij_scenario(83, false);
+    let mut baseline = paper::world(paper::FIG5_PSIJ, Federation::builder(83).build()).unwrap();
     baseline.push_approve_run("vhayot");
     let baseline_end = baseline.fed.now();
 
-    let mut s = psij_scenario_with_faults(83, false, plan);
+    let fed = Federation::builder(83).faults(plan).build();
+    let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
     let runs = s.push_approve_run("vhayot");
     let run = s.fed.engine.run(runs[0]).unwrap().clone();
     assert_eq!(run.status, RunStatus::Success, "log:\n{}", run.full_log());
@@ -117,7 +119,8 @@ fn node_drain_preempts_pilot_and_the_suite_recovers() {
             scheduler: "tamu-faster".into(),
         },
     );
-    let mut s = parsldock_scenario_with_faults(84, plan);
+    let fed = Federation::builder(84).faults(plan).build();
+    let mut s = paper::world(paper::FIG4_PARSLDOCK, fed).unwrap();
     let first = s.push_approve_run("vhayot");
     assert_eq!(
         s.fed.engine.run(first[0]).unwrap().status,
@@ -155,10 +158,11 @@ fn node_drain_preempts_pilot_and_the_suite_recovers() {
 /// still uploaded, and the remaining sites pass untouched.
 #[test]
 fn endpoint_crash_without_fallback_degrades_to_infrastructure_failure() {
-    // Declared through the scenario DSL: the §6.1 preset plus one explicit
+    // Declared through the scenario DSL: the §6.1 document plus one explicit
     // fault, round-tripped through its TOML document before building — the
     // declarative path carries fault schedules end to end.
-    let mut declared = hpcci::scen::presets::parsldock(85);
+    let mut declared = ScenarioSpec::from_toml(paper::FIG4_PARSLDOCK).expect("document parses");
+    declared.seed = 85;
     declared.faults.push(FaultDecl {
         at_us: SimTime::from_secs(60).as_micros(),
         kind: FaultKindDecl::EndpointCrash {
@@ -212,14 +216,15 @@ fn endpoint_crash_without_fallback_degrades_to_infrastructure_failure() {
 /// node that crashes at t=0: a `failover-ci` workflow names it as primary
 /// and the scenario's MEP as its fallback sibling. Returns the scenario and
 /// that workflow's run.
-fn crashed_primary_run(capture_environment: bool) -> (Scenario, WorkflowRun) {
+fn crashed_primary_run(capture_environment: bool) -> (BuiltScenario, WorkflowRun) {
     let plan = FaultPlan::none().with_fault(
         SimTime::ZERO,
         FaultKind::EndpointCrash {
             endpoint: "ep-anvil-login".into(),
         },
     );
-    let mut s = psij_scenario_with_faults(86, false, plan);
+    let fed = Federation::builder(86).faults(plan).build();
+    let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
     let site = s.fed.site_by_name("purdue-anvil").unwrap().id;
     let owner = s.user.identity.id;
     let ep = EndpointSpec::single(
@@ -332,7 +337,7 @@ fn artifact_corruption_is_detected_and_rewritten() {
             name: "pytest-output".into(),
         },
     );
-    let fetch_artifact = |s: &mut hpcci::scenarios::Scenario| {
+    let fetch_artifact = |s: &mut BuiltScenario| {
         let runs = s.push_approve_run("vhayot");
         let now = s.fed.now();
         s.fed
@@ -342,9 +347,10 @@ fn artifact_corruption_is_detected_and_rewritten() {
             .expect("artifact stored")
             .text()
     };
-    let mut baseline = psij_scenario(87, false);
+    let mut baseline = paper::world(paper::FIG5_PSIJ, Federation::builder(87).build()).unwrap();
     let clean = fetch_artifact(&mut baseline);
-    let mut s = psij_scenario_with_faults(87, false, plan);
+    let fed = Federation::builder(87).faults(plan).build();
+    let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
     let stored = fetch_artifact(&mut s);
     assert_eq!(clean, stored, "re-written artifact is byte-identical");
     assert!(
@@ -363,11 +369,12 @@ fn artifact_corruption_is_detected_and_rewritten() {
 #[test]
 fn empty_fault_plan_perturbs_nothing() {
     let run_once = |with_empty_plan: bool| {
-        let mut s = if with_empty_plan {
-            psij_scenario_with_faults(88, false, FaultPlan::none())
+        let fed = if with_empty_plan {
+            Federation::builder(88).faults(FaultPlan::none()).build()
         } else {
-            psij_scenario(88, false)
+            Federation::builder(88).build()
         };
+        let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
         let runs = s.push_approve_run("vhayot");
         let run = s.fed.engine.run(runs[0]).unwrap().clone();
         let now = s.fed.now();
@@ -433,11 +440,12 @@ fn empty_fault_plan_perturbs_nothing_fleet_wide() {
 #[test]
 fn empty_fault_plan_keeps_fig4_artifacts_identical() {
     let artifacts = |faulty: bool| {
-        let mut s = if faulty {
-            parsldock_scenario_with_faults(89, FaultPlan::none())
+        let fed = if faulty {
+            Federation::builder(89).faults(FaultPlan::none()).build()
         } else {
-            parsldock_scenario(89)
+            Federation::builder(89).build()
         };
+        let mut s = paper::world(paper::FIG4_PARSLDOCK, fed).unwrap();
         let runs = s.push_approve_run("vhayot");
         let now = s.fed.now();
         s.environments
@@ -469,7 +477,8 @@ fn retries_off_turns_a_transient_fault_into_a_site_skip() {
             user: "any".into(),
         },
     );
-    let mut s = psij_scenario_with_faults(90, false, plan);
+    let fed = Federation::builder(90).faults(plan).build();
+    let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
     let wf = WorkflowDef::new("noretry-ci").with_job(
         JobDef::new("remote-test")
             .with_environment("anvil-vhayot")

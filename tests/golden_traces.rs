@@ -13,6 +13,8 @@
 //! moved (diff the rendered traces, `GOLDEN_DEBUG=1 cargo test golden --
 //! --nocapture` prints them).
 
+use hpcci::correct::Federation;
+use hpcci::paper;
 use hpcci::sim::{FaultPlan, SimDuration};
 
 /// FNV-1a over the rendered text: stable, dependency-free, and good enough
@@ -35,7 +37,7 @@ fn debug_dump(label: &str, text: &str) {
 /// trace hash is pinned.
 #[test]
 fn golden_psij_scenario_trace() {
-    let mut s = hpcci::scenarios::psij_scenario(42, false);
+    let mut s = paper::world(paper::FIG5_PSIJ, Federation::builder(42).build()).unwrap();
     let _runs = s.push_approve_run("vhayot");
     let trace = s.fed.cloud.lock().trace.render();
     let chaos = s.fed.fault_trace().render();
@@ -63,7 +65,8 @@ fn golden_randomized_fault_scenario_traces() {
         "sdsc-expanse",
     ];
     let plan = FaultPlan::randomized(2121, SimDuration::from_secs(90), 12, &endpoints);
-    let mut s = hpcci::scenarios::parsldock_scenario_with_faults(7, plan);
+    let fed = Federation::builder(7).faults(plan).build();
+    let mut s = paper::world(paper::FIG4_PARSLDOCK, fed).unwrap();
     let _runs = s.push_approve_run("vhayot");
     let trace = s.fed.cloud.lock().trace.render();
     let chaos = s.fed.fault_trace().render();
@@ -90,11 +93,10 @@ fn golden_randomized_fault_scenario_traces() {
 #[test]
 fn golden_step_cache_record_and_replay_traces() {
     use hpcci::ci::{CacheMode, StepCache};
-    use hpcci::correct::Federation;
     let cache = StepCache::new();
     let run = |mode| {
         let fed = Federation::builder(42).step_cache_shared(cache.clone(), mode).build();
-        let mut s = hpcci::scenarios::psij_scenario_on(fed, false);
+        let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
         s.push_approve_run("vhayot");
         let t = s.fed.cloud.lock().trace.render();
         t
@@ -121,7 +123,7 @@ fn golden_step_cache_record_and_replay_traces() {
 #[test]
 fn same_seed_replays_bit_identically() {
     let render = |seed| {
-        let mut s = hpcci::scenarios::parsldock_scenario(seed);
+        let mut s = paper::world(paper::FIG4_PARSLDOCK, Federation::builder(seed).build()).unwrap();
         s.push_approve_run("vhayot");
         let t = s.fed.cloud.lock().trace.render();
         t

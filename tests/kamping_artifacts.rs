@@ -3,11 +3,12 @@
 
 use hpcci::ci::RunStatus;
 use hpcci::minimpi::KAMPING_ARTIFACTS;
-use hpcci::scenarios::kamping_scenario;
+use hpcci::correct::Federation;
+use hpcci::paper;
 
 #[test]
 fn all_artifact_evaluation_experiments_pass() {
-    let mut s = kamping_scenario(81);
+    let mut s = paper::world(paper::SEC63_KAMPING, Federation::builder(81).build()).unwrap();
     let run_id = s.dispatch_approve_run("vhayot");
     let run = s.fed.engine.run(run_id).unwrap().clone();
     assert_eq!(run.status, RunStatus::Success, "log:\n{}", run.full_log());
@@ -35,7 +36,7 @@ fn same_seed_runs_store_byte_identical_artifacts() {
     // A stored artifact is evidence a third party re-runs and compares, so
     // nothing read off the host (such as wall-clock timings) may enter it.
     let stored = || {
-        let mut s = kamping_scenario(63);
+        let mut s = paper::world(paper::SEC63_KAMPING, Federation::builder(63).build()).unwrap();
         let run_id = s.dispatch_approve_run("vhayot");
         let now = s.fed.now();
         KAMPING_ARTIFACTS.map(|name| {
@@ -59,7 +60,7 @@ fn artifacts_run_inside_the_container() {
     use hpcci::correct::EndpointSpec;
     use hpcci::faas::MepTemplate;
 
-    let mut fed = hpcci::correct::Federation::builder(82).build();
+    let mut fed = Federation::builder(82).build();
     let user = fed.onboard_user("vhayot@uchicago.edu", "uchicago.edu");
     let site = fed.add_site(Site::chameleon_tacc(), 64);
     {

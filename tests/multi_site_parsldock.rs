@@ -2,12 +2,14 @@
 //! Expanse, with per-test durations recorded at each site.
 
 use hpcci::ci::RunStatus;
-use hpcci::scenarios::{parse_durations, parsldock_scenario};
+use hpcci::correct::Federation;
+use hpcci::paper;
+use hpcci::parsldock::parse_durations;
 use hpcci::sim::sweep;
 
 #[test]
 fn parsldock_runs_at_all_three_sites() {
-    let mut s = parsldock_scenario(61);
+    let mut s = paper::world(paper::FIG4_PARSLDOCK, Federation::builder(61).build()).unwrap();
     let runs = s.push_approve_run("vhayot");
     assert_eq!(runs.len(), 1, "one workflow run with three site jobs");
     let run = s.fed.engine.run(runs[0]).unwrap().clone();
@@ -30,7 +32,7 @@ fn parsldock_runs_at_all_three_sites() {
 
 #[test]
 fn fig4_shape_chameleon_wins_most_tests() {
-    let mut s = parsldock_scenario(62);
+    let mut s = paper::world(paper::FIG4_PARSLDOCK, Federation::builder(62).build()).unwrap();
     let runs = s.push_approve_run("vhayot");
     let now = s.fed.now();
     let mut per_site: Vec<(String, Vec<(String, f64)>)> = Vec::new();
@@ -76,7 +78,7 @@ fn tests_on_hpc_sites_run_on_compute_nodes() {
     // The MEP template must route pytest to SLURM pilots (compute nodes),
     // and the clone to the login node — visible through the scheduler's
     // accounting: each HPC site ran exactly one pilot job.
-    let mut s = parsldock_scenario(63);
+    let mut s = paper::world(paper::FIG4_PARSLDOCK, Federation::builder(63).build()).unwrap();
     s.push_approve_run("vhayot");
     for site_name in ["tamu-faster", "sdsc-expanse"] {
         let handle = s.fed.site_by_name(site_name).unwrap().clone();
@@ -95,7 +97,7 @@ fn tests_on_hpc_sites_run_on_compute_nodes() {
 #[test]
 fn reruns_are_deterministic_per_seed() {
     let run_once = |seed: u64| {
-        let mut s = parsldock_scenario(seed);
+        let mut s = paper::world(paper::FIG4_PARSLDOCK, Federation::builder(seed).build()).unwrap();
         let runs = s.push_approve_run("vhayot");
         let now = s.fed.now();
         s.fed
@@ -118,7 +120,7 @@ fn reruns_are_deterministic_per_seed() {
 /// One self-contained federation run: the §6.1 ParslDock scenario, rendered
 /// to the concatenated per-site pytest outputs.
 fn run_rep(seed: u64) -> String {
-    let mut s = parsldock_scenario(seed);
+    let mut s = paper::world(paper::FIG4_PARSLDOCK, Federation::builder(seed).build()).unwrap();
     let runs = s.push_approve_run("vhayot");
     let now = s.fed.now();
     let mut out = String::new();

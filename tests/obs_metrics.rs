@@ -9,7 +9,8 @@
 //! it disabled.
 
 use hpcci::obs::{Obs, ObsConfig};
-use hpcci::scenarios::{parsldock_scenario_on, psij_scenario_on, Scenario};
+use hpcci::paper;
+use hpcci::scen::BuiltScenario;
 use hpcci::sim::{sweep, DetRng, FaultPlan, SimDuration};
 
 /// FNV-1a, matching `tests/golden_traces.rs`.
@@ -28,11 +29,11 @@ const GOLDEN_PARSLDOCK_FAULT_TRACE: u64 = 5155577981634125522;
 const GOLDEN_PARSLDOCK_CHAOS_TRACE: u64 = 10201305947749851509;
 
 /// Obs-enabled ParslDock scenario, driven to completion.
-fn observed_parsldock(seed: u64) -> Scenario {
+fn observed_parsldock(seed: u64) -> BuiltScenario {
     let fed = hpcci::correct::Federation::builder(seed)
         .obs(ObsConfig::enabled())
         .build();
-    let mut s = parsldock_scenario_on(fed);
+    let mut s = paper::world(paper::FIG4_PARSLDOCK, fed).unwrap();
     s.push_approve_run("vhayot");
     s
 }
@@ -71,7 +72,7 @@ fn parallel_sweep_metrics_match_serial_sweep() {
 fn golden_psij_trace_unchanged_with_obs_enabled() {
     let run = |cfg: ObsConfig| {
         let fed = hpcci::correct::Federation::builder(42).obs(cfg).build();
-        let mut s = psij_scenario_on(fed, false);
+        let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
         s.push_approve_run("vhayot");
         let t = s.fed.cloud.lock().trace.render();
         t
@@ -100,7 +101,7 @@ fn golden_fault_traces_unchanged_with_obs_enabled() {
             .faults(plan)
             .obs(cfg)
             .build();
-        let mut s = parsldock_scenario_on(fed);
+        let mut s = paper::world(paper::FIG4_PARSLDOCK, fed).unwrap();
         s.push_approve_run("vhayot");
         let trace = s.fed.cloud.lock().trace.render();
         let chaos = s.fed.fault_trace().render();
@@ -118,7 +119,7 @@ fn golden_fault_traces_unchanged_with_obs_enabled() {
 #[test]
 fn disabled_obs_snapshot_is_empty() {
     let fed = hpcci::correct::Federation::builder(5).build();
-    let mut s = parsldock_scenario_on(fed);
+    let mut s = paper::world(paper::FIG4_PARSLDOCK, fed).unwrap();
     s.push_approve_run("vhayot");
     let snap = s.fed.metrics();
     assert!(snap.counters.is_empty());

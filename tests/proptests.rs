@@ -1090,13 +1090,14 @@ fn fault_schedules_are_seed_deterministic() {
 fn step_cache_replay_is_byte_identical_to_record() {
     use hpcci::ci::{CacheMode, StepCache};
     use hpcci::correct::Federation;
+    use hpcci::paper;
     for case in 0..4 {
         let mut rng = case_rng("cache_replay", case);
         let seed = rng.range_u64(0, 1 << 32);
         let cache = StepCache::new();
         let observe = |mode: CacheMode| {
             let fed = Federation::builder(seed).step_cache_shared(cache.clone(), mode).build();
-            let mut s = hpcci::scenarios::psij_scenario_on(fed, false);
+            let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
             let runs = s.push_approve_run("vhayot");
             let run = s.fed.engine.run(runs[0]).unwrap().clone();
             let now = s.fed.now();
@@ -2311,14 +2312,16 @@ fn scenario_knob_perturbations_change_digests() {
 /// trace, and chaos trace all byte-equal across replays.
 #[test]
 fn same_seed_and_fault_plan_replay_bit_identically() {
-    use hpcci::scenarios::psij_scenario_with_faults;
+    use hpcci::correct::Federation;
+    use hpcci::paper;
     use hpcci::sim::FaultPlan;
     for case in 0..4 {
         let mut rng = case_rng("chaos_replay", case);
         let seed = rng.range_u64(0, 1 << 32);
         let plan = FaultPlan::randomized(seed, SimDuration::from_mins(10), 3, &["ep-anvil"]);
         let observe = |plan: FaultPlan| {
-            let mut s = psij_scenario_with_faults(seed, false, plan);
+            let fed = Federation::builder(seed).faults(plan).build();
+            let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
             let runs = s.push_approve_run("vhayot");
             let run = s.fed.engine.run(runs[0]).unwrap().clone();
             let functional = s.fed.cloud.lock().trace.render();

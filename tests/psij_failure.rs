@@ -3,11 +3,13 @@
 //! stdout/stderr preserved as artifacts.
 
 use hpcci::ci::RunStatus;
-use hpcci::scenarios::psij_scenario;
+use hpcci::correct::Federation;
+use hpcci::paper;
 
 #[test]
 fn dependency_fault_fails_the_run_like_fig5() {
-    let mut s = psij_scenario(71, true); // typeguard missing
+    let fed = Federation::builder(71).build();
+    let mut s = paper::world(paper::FIG5_PSIJ_TYPEGUARD_MISSING, fed).unwrap();
     let runs = s.push_approve_run("vhayot");
     let run = s.fed.engine.run(runs[0]).unwrap().clone();
 
@@ -36,7 +38,7 @@ fn dependency_fault_fails_the_run_like_fig5() {
 fn fixing_the_environment_fixes_the_run() {
     // The same scenario with the dependency installed passes — CI detects
     // recovery, which is the point of continuous reproducibility.
-    let mut s = psij_scenario(72, false);
+    let mut s = paper::world(paper::FIG5_PSIJ, Federation::builder(72).build()).unwrap();
     let runs = s.push_approve_run("vhayot");
     assert_eq!(s.fed.engine.run(runs[0]).unwrap().status, RunStatus::Success);
 }
@@ -49,7 +51,8 @@ fn cron_baseline_reports_the_same_failure_on_its_dashboard() {
     use hpcci::psij::{CronCi, PullPolicy};
     use hpcci::sim::{Advance, SimDuration, SimTime};
 
-    let s = psij_scenario(73, true);
+    let fed = Federation::builder(73).build();
+    let s = paper::world(paper::FIG5_PSIJ_TYPEGUARD_MISSING, fed).unwrap();
     let handle = s.fed.site_by_name("purdue-anvil").unwrap().clone();
     let mut cron = CronCi::new(
         handle.shared.clone(),
@@ -73,7 +76,6 @@ fn cron_baseline_reports_the_same_failure_on_its_dashboard() {
 fn infrastructure_failure_is_distinct_from_the_dependency_test_failure() {
     // Endpoint-layer faults exhaust every retry: the MEP fails to fork a
     // user endpoint three times in a row (initial attempt + 2 retries).
-    use hpcci::scenarios::psij_scenario_with_faults;
     use hpcci::sim::{FaultKind, FaultPlan, SimTime};
     let mut plan = FaultPlan::none();
     for _ in 0..3 {
@@ -85,7 +87,8 @@ fn infrastructure_failure_is_distinct_from_the_dependency_test_failure() {
             },
         );
     }
-    let mut s = psij_scenario_with_faults(74, false, plan);
+    let fed = Federation::builder(74).faults(plan).build();
+    let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
     let runs = s.push_approve_run("vhayot");
     let run = s.fed.engine.run(runs[0]).unwrap().clone();
 
@@ -117,7 +120,8 @@ fn infrastructure_failure_is_distinct_from_the_dependency_test_failure() {
     // The Fig. 5 dependency fault, by contrast, is a genuine *test*
     // failure: no infrastructure marker, and the pytest FAILED output is
     // what the step reports.
-    let mut t = psij_scenario(75, true);
+    let fed = Federation::builder(75).build();
+    let mut t = paper::world(paper::FIG5_PSIJ_TYPEGUARD_MISSING, fed).unwrap();
     let truns = t.push_approve_run("vhayot");
     let tstep = t
         .fed

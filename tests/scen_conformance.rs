@@ -12,10 +12,13 @@
 //!     TOML and passes every oracle;
 //!  5. every file of the regression corpus names the bug it pins and passes
 //!     every oracle;
-//!  6. every document above refuses each of its keys renamed or retyped, and
+//!  6. every world behind a paper figure (`tests/fixtures/paper/`) names its
+//!     figure and passes every oracle, Fig. 5's broken dependency included;
+//!  7. every document above refuses each of its keys renamed or retyped, and
 //!     an unknown table.
 
 use hpcci::cas::{Digest, DigestBuilder};
+use hpcci::paper;
 use hpcci::scen::{
     first_divergence, run_spec, verify_spec, OracleReport, ScenarioGen, ScenarioSpec,
 };
@@ -202,9 +205,51 @@ fn every_regression_fixture_names_its_bug_and_passes_every_oracle() {
 }
 
 #[test]
+fn every_paper_world_names_its_figure_and_passes_every_oracle() {
+    let files = toml_files("tests/fixtures/paper");
+    assert_eq!(files.len(), 5, "one document per paper world");
+    for path in files {
+        let name = path.display();
+        let doc = std::fs::read_to_string(&path).expect("fixture reads");
+        assert!(
+            doc.starts_with("# Paper: "),
+            "{name}: a leading `# Paper: ` comment names the figure or section"
+        );
+        let spec = ScenarioSpec::from_toml(&doc).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let report = verify_spec(&spec).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(report.passed(), "{name}: {:?}", report.violations);
+    }
+}
+
+#[test]
+fn a_missing_dependency_is_an_expected_failure_only_where_declared() {
+    // Fig. 5's world: `typeguard` missing, and the document says so. Its one
+    // run fails as `test`, and the failed task names the requirement.
+    let spec = ScenarioSpec::from_toml(paper::FIG5_PSIJ_TYPEGUARD_MISSING).expect("parses");
+    let report = verify_spec(&spec).expect("runs");
+    assert!(report.passed(), "{:?}", report.violations);
+    let outcome = run_spec(&spec).expect("runs");
+    let kinds: Vec<_> = outcome.failed_runs().map(|r| r.failure_kind).collect();
+    assert_eq!(kinds, [Some(hpcci::ci::FailureKind::Test)]);
+    assert!(outcome.transcript.contains("No matching distribution found for typeguard"));
+
+    // The same break in a document that does not declare it.
+    let undeclared = paper::FIG5_PSIJ.replace(", \"typeguard=3.0.2\"]", "]");
+    assert_ne!(undeclared, paper::FIG5_PSIJ);
+    let spec = ScenarioSpec::from_toml(&undeclared).expect("parses");
+    let report = verify_spec(&spec).expect("runs");
+    assert!(
+        report.violations.iter().any(|v| v.oracle == "attribution"
+            && v.detail.contains("failed as `test` but the workload declares no failing tests")),
+        "{:?}",
+        report.violations
+    );
+}
+
+#[test]
 fn every_renamed_or_retyped_key_and_every_unknown_table_is_refused() {
     let mut documents = Vec::new();
-    for dir in ["tests/fixtures", "tests/fixtures/regressions"] {
+    for dir in ["tests/fixtures", "tests/fixtures/regressions", "tests/fixtures/paper"] {
         for path in toml_files(dir) {
             let doc = std::fs::read_to_string(&path).expect("fixture reads");
             documents.push((path.display().to_string(), doc));
@@ -213,7 +258,8 @@ fn every_renamed_or_retyped_key_and_every_unknown_table_is_refused() {
     for spec in ScenarioGen::new(FLEET_SEED).fleet(16) {
         documents.push((spec.name.clone(), spec.to_toml()));
     }
-    // A regression fixture's leading comment names its bug, not the schema.
+    // A regression or paper fixture's leading comment names its bug or its
+    // figure, not the schema.
     fn body(doc: &str) -> Vec<&str> {
         doc.lines().skip_while(|l| l.starts_with('#')).collect()
     }

@@ -13,71 +13,23 @@ use hpcci::ci::{
 };
 use hpcci::correct::Federation;
 use hpcci::obs::ObsConfig;
-use hpcci::scen::ScenarioSpec;
-use hpcci::scenarios::{parsldock_scenario_on, psij_scenario_on, Scenario};
+use hpcci::paper;
+use hpcci::scen::{BuiltScenario, ScenarioSpec};
 use hpcci::sim::{FaultKind, FaultPlan, SimTime};
 
 /// Run the §6.2 PSI/J scenario on a pre-built federation and return it with
 /// the finished run ids.
-fn run_psij(fed: Federation) -> (Scenario, Vec<hpcci::ci::RunId>) {
-    let mut s = psij_scenario_on(fed, false);
+fn run_psij(fed: Federation) -> (BuiltScenario, Vec<hpcci::ci::RunId>) {
+    let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
     let runs = s.push_approve_run("vhayot");
     (s, runs)
 }
 
-/// The §6.2 PSI/J world as a scenario document — the declarative form of
-/// [`run_psij`], pinned against the preset inside [`run_psij_from_toml`] so
-/// the two paths can never drift apart.
-const PSIJ_TOML: &str = r#"# hpcci scenario (schema 1)
-schema = 1
-name = "psij"
-seed = 5
-
-[user]
-login = "vhayot"
-email = "vhayot@uchicago.edu"
-provider = "uchicago.edu"
-
-[workload]
-kind = "psij"
-repo = "ExaWorks/psij-python"
-workflow = "psij-ci"
-missing_dependency = false
-
-[traffic]
-pushes = 1
-gap_secs = 300
-burstiness_pct = 0
-
-[cache]
-mode = "off"
-
-[[sites]]
-preset = "purdue-anvil"
-cores = 128
-account = "x-vhayot"
-allocation = "CIS230030"
-environment = "anvil-vhayot"
-software_env = "psij"
-packages = ["psij-python=0.9.9", "psutil=5.9.8", "pystache=0.6.8", "typeguard=3.0.2"]
-
-[[endpoints]]
-name = "ep-anvil"
-site = 0
-kind = "multi-user"
-template = "login-only"
-"#;
-
-/// Parse [`PSIJ_TOML`], compile it onto a federation carrying the given
-/// shared cache, and drive one push — the TOML-first flavour of
-/// [`run_psij`].
-fn run_psij_from_toml(cache: StepCache, mode: CacheMode) -> (Scenario, Vec<hpcci::ci::RunId>) {
-    let spec = ScenarioSpec::from_toml(PSIJ_TOML).expect("document parses");
-    assert_eq!(
-        spec,
-        hpcci::scen::presets::psij(5, false),
-        "document drifted from the §6.2 preset"
-    );
+/// Parse the committed Fig. 5 recovery document, compile it onto a
+/// federation carrying the given shared cache, and drive one push — the
+/// document-first flavour of [`run_psij`].
+fn run_psij_from_toml(cache: StepCache, mode: CacheMode) -> (BuiltScenario, Vec<hpcci::ci::RunId>) {
+    let spec = ScenarioSpec::from_toml(paper::FIG5_PSIJ).expect("document parses");
     let fed = Federation::builder(spec.seed)
         .step_cache_shared(cache, mode)
         .build();
@@ -161,7 +113,7 @@ fn infrastructure_failures_are_never_cached() {
         .faults(plan)
         .step_cache_shared(cache.clone(), CacheMode::Record)
         .build();
-    let mut s = parsldock_scenario_on(fed);
+    let mut s = paper::world(paper::FIG4_PARSLDOCK, fed).unwrap();
     let runs = s.push_approve_run("vhayot");
     let run = s.fed.engine.run(runs[0]).unwrap();
     assert_eq!(run.status, RunStatus::Failure, "the crashed site fails the run");
@@ -187,7 +139,7 @@ fn infrastructure_failures_are_never_cached() {
 #[test]
 fn only_a_step_infrastructure_really_shaped_is_uncacheable() {
     let run = |fed: Federation, stdout: &'static str| {
-        let mut s = psij_scenario_on(fed, false);
+        let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
         let site = s.fed.site_by_name("purdue-anvil").expect("the §6.2 site");
         site.shared
             .lock()
@@ -226,7 +178,7 @@ fn only_a_step_infrastructure_really_shaped_is_uncacheable() {
 /// The §6.1 ParslDock scenario's per-site pytest artifacts, concatenated in
 /// environment order.
 fn parsldock_site_outputs(fed: Federation) -> String {
-    let mut s = parsldock_scenario_on(fed);
+    let mut s = paper::world(paper::FIG4_PARSLDOCK, fed).unwrap();
     let runs = s.push_approve_run("vhayot");
     let now = s.fed.now();
     let mut out = String::new();
@@ -342,7 +294,7 @@ fn obs_counts_hits_misses_and_replay_latency() {
 
 #[test]
 fn cache_off_builds_have_no_cache_side_effects() {
-    let mut s = psij_scenario_on(Federation::builder(21).build(), false);
+    let mut s = paper::world(paper::FIG5_PSIJ, Federation::builder(21).build()).unwrap();
     let runs = s.push_approve_run("vhayot");
     assert_eq!(s.fed.engine.run(runs[0]).unwrap().status, RunStatus::Success);
     assert!(s.fed.step_cache().is_none());
@@ -361,11 +313,11 @@ fn cache_off_builds_have_no_cache_side_effects() {
 /// without breaking its FaaS login (a failed login is uncacheable, not a
 /// miss), and a second workflow, `env-probe`, whose middle step interpolates
 /// `${{ env.PYTEST_FLAGS }}`.
-fn multi_site_world(cache: &StepCache, mode: CacheMode) -> Scenario {
+fn multi_site_world(cache: &StepCache, mode: CacheMode) -> BuiltScenario {
     let fed = Federation::builder(1000)
         .step_cache_shared(cache.clone(), mode)
         .build();
-    let mut s = parsldock_scenario_on(fed);
+    let mut s = paper::world(paper::FIG4_PARSLDOCK, fed).unwrap();
     s.fed.engine.secrets.put(
         SecretScope::Environment {
             repo: s.repo.clone(),
@@ -389,7 +341,7 @@ fn multi_site_world(cache: &StepCache, mode: CacheMode) -> Scenario {
 }
 
 /// Every step of one push, in run and step order.
-fn steps_of_push(s: &mut Scenario) -> Vec<hpcci::ci::StepRun> {
+fn steps_of_push(s: &mut BuiltScenario) -> Vec<hpcci::ci::StepRun> {
     let runs = s.push_approve_run("vhayot");
     assert_eq!(runs.len(), 2, "parsldock-ci and env-probe");
     let steps = runs.iter().flat_map(|id| {
@@ -404,7 +356,7 @@ fn steps_of_push(s: &mut Scenario) -> Vec<hpcci::ci::StepRun> {
 /// apply `change`, replay the second. Returns which steps of the second
 /// push were served from the cache — a hit shares the recorded outcome — as
 /// `H`/`M`, the two runs separated by a space.
-fn second_push_after(change: impl FnOnce(&mut Scenario)) -> String {
+fn second_push_after(change: impl FnOnce(&mut BuiltScenario)) -> String {
     let cache = StepCache::new();
     let mut cold = multi_site_world(&cache, CacheMode::Record);
     let recorded = [steps_of_push(&mut cold), steps_of_push(&mut cold)];
