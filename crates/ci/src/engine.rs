@@ -393,15 +393,6 @@ impl CiEngine {
         self.runs.iter()
     }
 
-    /// Runs currently blocked on an approval.
-    pub fn awaiting_approval(&self) -> Vec<RunId> {
-        self.runs
-            .iter()
-            .filter(|r| r.status == RunStatus::AwaitingApproval)
-            .map(|r| r.id)
-            .collect()
-    }
-
     // ------------------------------------------------------------------
     // Triggering
     // ------------------------------------------------------------------
@@ -429,15 +420,20 @@ impl CiEngine {
             .unwrap_or_default();
         matching
             .into_iter()
-            .map(|w| self.instantiate_def(repo, &w, branch, commit, now))
+            .map(|w| self.instantiate_def(repo, &w, branch, commit, false, now))
             .collect()
     }
 
-    /// Handle a pull-request webhook.
+    /// Handle a pull-request webhook for pull request `number` into `repo`,
+    /// whose head lives in `head_repo`. The run's ref is
+    /// `refs/pull/<number>/merge`, for branch rules too, so an environment
+    /// restricted to a branch admits no pull request. A run from a fork
+    /// (`head_repo` is not `repo`) resolves no secret at any scope.
     pub fn on_pull_request(
         &mut self,
         repo: &str,
-        head_branch: &str,
+        head_repo: &str,
+        number: u64,
         commit: &str,
         now: SimTime,
     ) -> Result<Vec<RunId>, CiError> {
@@ -454,9 +450,11 @@ impl CiEngine {
                     .collect()
             })
             .unwrap_or_default();
+        let merge_ref = format!("refs/pull/{number}/merge");
+        let fork = head_repo != repo;
         matching
             .into_iter()
-            .map(|w| self.instantiate_def(repo, &w, head_branch, commit, now))
+            .map(|w| self.instantiate_def(repo, &w, &merge_ref, commit, fork, now))
             .collect()
     }
 
@@ -470,7 +468,7 @@ impl CiEngine {
         now: SimTime,
     ) -> Result<RunId, CiError> {
         let shape = self.installed(repo, workflow)?.shape.clone();
-        self.instantiate_def(repo, &shape, branch, commit, now)
+        self.instantiate_def(repo, &shape, branch, commit, false, now)
     }
 
     /// Fire due schedules; returns `(repo, workflow)` pairs the caller should
@@ -509,6 +507,7 @@ impl CiEngine {
         shape: &Shape,
         branch: &str,
         commit: &str,
+        fork: bool,
         now: SimTime,
     ) -> Result<RunId, CiError> {
         let def = &shape.def;
@@ -551,6 +550,7 @@ impl CiEngine {
             workflow: self.interner.intern(&def.name),
             branch: self.interner.intern(branch),
             commit: Sym::from(commit),
+            fork,
             status,
             triggered_at: now,
             started_at: None,
@@ -650,7 +650,7 @@ impl CiEngine {
     }
 
     fn execute_run(&mut self, id: RunId, driver: &mut dyn WorldDriver) {
-        let (repo, workflow, branch, commit) = {
+        let (repo, workflow, branch, commit, fork) = {
             let run = self.run_mut(id).expect("queued run exists");
             run.status = RunStatus::Running;
             run.started_at = Some(driver.now());
@@ -660,6 +660,7 @@ impl CiEngine {
                 run.workflow.clone(),
                 run.branch.clone(),
                 run.commit.clone(),
+                run.fork,
             )
         };
         let cache = match self.cache_mode {
@@ -727,7 +728,12 @@ impl CiEngine {
                 }
             };
             driver.sleep(runner.startup);
-            let secrets = self.secrets.resolve(org, &repo, job.environment.as_deref());
+            // A fork's code never sees the base repository's secrets.
+            let secrets = if fork {
+                Arc::default()
+            } else {
+                self.secrets.resolve(org, &repo, job.environment.as_deref())
+            };
             // Everything keying-related is gated on a live cache: with
             // `CacheMode::Off` no stem, key, digest, or chain work runs.
             let stacks = cache.as_ref().map(|_| &self.stacks);
@@ -998,7 +1004,9 @@ mod tests {
     #[test]
     fn push_to_unmatched_branch_is_ignored() {
         let wf = WorkflowDef::new("ci")
-            .on_event(TriggerEvent::push_to("main"))
+            .on_event(TriggerEvent::Push {
+                branches: vec!["main".into()],
+            })
             .with_job(JobDef::new("j").with_step(StepDef::run("s", "true")));
         let mut e = engine_with_workflow(wf);
         let runs = e.on_push("globus-labs/app", "dev", "abc", SimTime::ZERO).unwrap();
@@ -1526,6 +1534,10 @@ mod tests {
 
     #[test]
     fn awaiting_approval_tracks_gate_lifecycle() {
+        let awaiting = |e: &CiEngine| -> Vec<RunId> {
+            let runs = e.runs().filter(|r| r.status == RunStatus::AwaitingApproval);
+            runs.map(|r| r.id).collect()
+        };
         let mut e = engine_with_workflow(gated_workflow("anvil"));
         e.add_environment(
             "globus-labs/app",
@@ -1533,13 +1545,13 @@ mod tests {
         );
         let a = e.on_push("globus-labs/app", "main", "c1", SimTime::ZERO).unwrap()[0];
         let b = e.on_push("globus-labs/app", "main", "c2", SimTime::from_secs(1)).unwrap()[0];
-        assert_eq!(e.awaiting_approval(), vec![a, b]);
+        assert_eq!(awaiting(&e), vec![a, b]);
 
         e.approve(a, "vhayot", SimTime::from_secs(2)).unwrap();
-        assert_eq!(e.awaiting_approval(), vec![b], "approved run left the gate");
+        assert_eq!(awaiting(&e), vec![b], "approved run left the gate");
 
         e.reject(b, "vhayot").unwrap();
-        assert!(e.awaiting_approval().is_empty(), "rejected run left the gate");
+        assert!(awaiting(&e).is_empty(), "rejected run left the gate");
         assert_eq!(e.run(b).unwrap().status, RunStatus::Rejected);
     }
 

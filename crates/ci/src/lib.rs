@@ -35,7 +35,6 @@ pub mod cache;
 pub mod engine;
 pub mod environment;
 pub mod error;
-pub mod requirements;
 pub mod run;
 pub mod runner;
 pub mod secrets;

@@ -209,6 +209,9 @@ pub struct WorkflowRun {
     pub workflow: Sym,
     pub branch: Sym,
     pub commit: Sym,
+    /// Triggered by a pull request from another repository: the run
+    /// resolves no secret.
+    pub fork: bool,
     pub status: RunStatus,
     pub triggered_at: SimTime,
     pub started_at: Option<SimTime>,
@@ -286,6 +289,7 @@ mod tests {
             workflow: "ci".into(),
             branch: "main".into(),
             commit: "abc".into(),
+            fork: false,
             status: RunStatus::Success,
             triggered_at: SimTime::ZERO,
             started_at: Some(SimTime::from_secs(1)),

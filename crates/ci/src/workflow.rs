@@ -21,12 +21,6 @@ impl TriggerEvent {
         TriggerEvent::Push { branches: Vec::new() }
     }
 
-    pub fn push_to(branch: &str) -> TriggerEvent {
-        TriggerEvent::Push {
-            branches: vec![branch.to_string()],
-        }
-    }
-
     /// Does this trigger match a push to `branch`?
     pub fn matches_push(&self, branch: &str) -> bool {
         match self {
@@ -285,18 +279,9 @@ impl WorkflowDef {
 
 /// Interpolate `${{ secrets.X }}` and `${{ env.X }}` placeholders.
 /// Unknown references resolve to an empty string, matching GitHub behaviour.
-pub fn interpolate(
-    template: &str,
-    secrets: &BTreeMap<String, String>,
-    env: &BTreeMap<String, String>,
-) -> String {
-    interpolate_cow(template, secrets, env).into_owned()
-}
-
-/// [`interpolate`] without the unconditional allocation: templates with no
-/// `${{` placeholder — the overwhelming majority of step commands on the
-/// run-execution path — are returned as a borrow. Only templates that
-/// actually substitute build a fresh `String`.
+/// Templates with no `${{` placeholder — the overwhelming majority of step
+/// commands on the run-execution path — are returned as a borrow. Only
+/// templates that actually substitute build a fresh `String`.
 pub fn interpolate_cow<'a>(
     template: &'a str,
     secrets: &BTreeMap<String, String>,
@@ -337,8 +322,11 @@ mod tests {
     #[test]
     fn trigger_matching() {
         assert!(TriggerEvent::push_any().matches_push("anything"));
-        assert!(TriggerEvent::push_to("main").matches_push("main"));
-        assert!(!TriggerEvent::push_to("main").matches_push("dev"));
+        let main_only = TriggerEvent::Push {
+            branches: vec!["main".into()],
+        };
+        assert!(main_only.matches_push("main"));
+        assert!(!main_only.matches_push("dev"));
         assert!(!TriggerEvent::PullRequest.matches_push("main"));
     }
 
@@ -373,17 +361,18 @@ mod tests {
         let env: BTreeMap<String, String> =
             [("ENDPOINT_UUID".to_string(), "ep-42".to_string())].into();
         assert_eq!(
-            interpolate("${{ secrets.GLOBUS_ID }}", &secrets, &env),
+            interpolate_cow("${{ secrets.GLOBUS_ID }}", &secrets, &env),
             "client-000001"
         );
         assert_eq!(
-            interpolate("endpoint=${{ env.ENDPOINT_UUID }}!", &secrets, &env),
+            interpolate_cow("endpoint=${{ env.ENDPOINT_UUID }}!", &secrets, &env),
             "endpoint=ep-42!"
         );
-        assert_eq!(interpolate("${{ secrets.NOPE }}", &secrets, &env), "");
-        assert_eq!(interpolate("no placeholders", &secrets, &env), "no placeholders");
+        assert_eq!(interpolate_cow("${{ secrets.NOPE }}", &secrets, &env), "");
+        let plain = interpolate_cow("no placeholders", &secrets, &env);
+        assert!(matches!(plain, Cow::Borrowed("no placeholders")));
         // Unterminated placeholder passes through untouched.
-        assert_eq!(interpolate("${{ secrets.X", &secrets, &env), "${{ secrets.X");
+        assert_eq!(interpolate_cow("${{ secrets.X", &secrets, &env), "${{ secrets.X");
     }
 
     #[test]

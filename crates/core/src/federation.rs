@@ -636,7 +636,7 @@ impl Federation {
                     }
                 }
                 RepoEvent::PullRequestOpened { repo, pr, .. } => {
-                    let (head_branch, commit) = {
+                    let (head_repo, commit) = {
                         let hosting = self.hosting.lock();
                         let pr = hosting.pull_request(pr).expect("event references real PR");
                         let head = hosting
@@ -644,9 +644,10 @@ impl Federation {
                             .and_then(|r| r.head(&pr.head_branch))
                             .map(|c| c.short())
                             .unwrap_or_default();
-                        (pr.head_branch.clone(), head)
+                        (pr.head_repo.clone(), head)
                     };
-                    if let Ok(ids) = self.engine.on_pull_request(&repo, &head_branch, &commit, now) {
+                    let engine = &mut self.engine;
+                    if let Ok(ids) = engine.on_pull_request(&repo, &head_repo, pr.0, &commit, now) {
                         runs.extend(ids);
                     }
                 }

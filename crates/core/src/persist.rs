@@ -112,8 +112,8 @@ pub fn provenance_entries(
 }
 
 /// Check a provenance pointer against the content store: true when the CAS
-/// still holds an object whose digest matches the entry (v1 entries with no
-/// digest cannot be verified and return false).
+/// still holds an object whose digest matches the entry (an entry with no
+/// digest cannot be verified and returns false).
 pub fn verify_provenance_entry(entry: &CacheEntry, cas: &CasStore) -> bool {
     !entry.cas_digest.is_none() && cas.contains(entry.cas_digest)
 }
@@ -146,6 +146,7 @@ mod tests {
             workflow: "psij-ci".into(),
             branch: "main".into(),
             commit: "abc123def456".into(),
+            fork: false,
             status: RunStatus::Success,
             triggered_at: SimTime::ZERO,
             started_at: Some(SimTime::from_secs(1)),

@@ -460,14 +460,6 @@ impl Endpoint {
         self.give_back_queue("infrastructure: endpoint stopped", now);
     }
 
-    pub fn queued_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    pub fn is_stopped(&self) -> bool {
-        self.stopped
-    }
-
     fn catch_up(&mut self, now: SimTime) {
         if now > self.now {
             self.advance_to(now);
@@ -684,10 +676,10 @@ mod tests {
         // The worker block is up by t=1s: this advance starts task 1 there.
         let start = SimTime::from_secs(1);
         ep.advance_to(start);
-        assert_eq!((ep.busy_workers, ep.queued_len()), (1, 1));
+        assert_eq!((ep.busy_workers, ep.queue.len()), (1, 1));
         let crash = SimTime::from_secs(2);
         ep.force_crash(crash);
-        assert!(ep.is_stopped());
+        assert!(ep.stopped);
         assert_eq!(ep.next_event(), None, "nothing left in flight");
         let mut finished = Vec::new();
         ep.drain_finished_into(&mut finished);
@@ -735,7 +727,7 @@ mod tests {
         ep.advance_to(SimTime::from_secs(1));
         let stop = SimTime::from_secs(2);
         ep.stop(stop);
-        assert_eq!(ep.queued_len(), 0);
+        assert!(ep.queue.is_empty());
         drive(&mut ep);
         assert_eq!(ep.next_event(), None);
         let mut finished = Vec::new();

@@ -214,11 +214,6 @@ impl MultiUserEndpoint {
         &self.audit_log
     }
 
-    /// Number of forked UEPs (pairs count once).
-    pub fn uep_count(&self) -> usize {
-        self.ueps.len()
-    }
-
     fn fork_uep(&mut self, local_user: &Arc<str>) -> Result<(), FaasError> {
         if self.ueps.contains_key(local_user) {
             return Ok(());
@@ -432,7 +427,7 @@ mod tests {
             mep.enqueue(TaskId(1), &id, "pytest", SimTime::ZERO),
             Err(FaasError::IdentityMappingFailed(_))
         ));
-        assert_eq!(mep.uep_count(), 0, "no UEP forked for unmapped identity");
+        assert_eq!(mep.ueps.len(), 0, "no UEP forked for unmapped identity");
     }
 
     #[test]
@@ -480,7 +475,7 @@ mod tests {
         let id = identity("vhayot@uchicago.edu", "uchicago.edu");
         mep.enqueue(TaskId(1), &id, "pytest a", SimTime::ZERO).unwrap();
         mep.enqueue(TaskId(2), &id, "pytest b", SimTime::ZERO).unwrap();
-        assert_eq!(mep.uep_count(), 1);
+        assert_eq!(mep.ueps.len(), 1);
     }
 
     #[test]

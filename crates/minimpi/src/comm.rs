@@ -170,12 +170,6 @@ impl Rank {
         }
     }
 
-    /// Allgather: gather at 0, broadcast the concatenation.
-    pub fn allgather<T: Datum>(&mut self, data: &[T]) -> Vec<T> {
-        let gathered = self.gather(0, data);
-        self.broadcast(0, &gathered)
-    }
-
     /// Alltoall: `chunks[i]` goes to rank `i`; returns the chunks received,
     /// ordered by source rank.
     pub fn alltoall<T: Datum>(&mut self, chunks: &[Vec<T>]) -> Vec<Vec<T>> {
@@ -350,14 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn allgather_everywhere() {
-        let results = run_mpi(3, |rank| rank.allgather(&[rank.rank as u32]));
-        for r in results {
-            assert_eq!(r, vec![0, 1, 2]);
-        }
-    }
-
-    #[test]
     fn alltoall_permutes() {
         let results = run_mpi(3, |rank| {
             let chunks: Vec<Vec<i64>> = (0..3)
@@ -405,7 +391,7 @@ mod tests {
         let results = run_mpi(1, |rank| {
             rank.barrier();
             let b = rank.broadcast(0, &[5i64]);
-            let g = rank.allgather(&[7i64]);
+            let g = rank.gather(0, &[7i64]);
             let r = rank.allreduce_i64(&[3], ReduceOp::Sum);
             (b, g, r)
         });

@@ -8,7 +8,7 @@
 //! * [`comm`] — a rank-based message-passing runtime over OS threads and
 //!   `std::sync::mpsc` channels: point-to-point send/recv with tag matching
 //!   and an unexpected-message queue, plus the collectives the artifacts use
-//!   (barrier, broadcast, reduce, allreduce, gather, allgather, alltoall).
+//!   (barrier, broadcast, reduce, allreduce, gather, alltoall).
 //!   This is *real* parallelism: ranks are threads, messages really move.
 //! * [`bindings`] — the KaMPIng analogue: an ergonomic, allocation-handling
 //!   wrapper over the raw API whose headline claim — near-zero overhead —

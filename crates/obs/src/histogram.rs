@@ -6,13 +6,11 @@
 //! so recording is deterministic across platforms and cheap enough for task
 //! completion paths.
 //!
-//! Quantiles come in two flavors, both integer-only and order-independent:
-//! [`Histogram::quantile_upper`] returns the raw upper bound of the bucket
-//! holding the requested rank (coarse — for wide buckets every quantile in
-//! the bucket collapses onto `2^i - 1`), and [`Histogram::quantile`] adds
-//! within-bucket linear interpolation, spreading the bucket's observations
-//! uniformly across its span so reported p50/p99 values land *inside* the
-//! bucket instead of saturating at its boundary.
+//! Quantiles are integer-only and order-independent: [`Histogram::quantile`]
+//! finds the bucket holding the requested rank and interpolates linearly
+//! within it, spreading the bucket's observations uniformly across its span
+//! so reported p50/p99 values land *inside* the bucket instead of
+//! saturating at its upper bound `2^i - 1`.
 
 /// Number of buckets: one for zero plus one per possible bit length.
 pub const HISTOGRAM_BUCKETS: usize = 65;
@@ -99,24 +97,6 @@ impl Histogram {
         &self.buckets
     }
 
-    /// Deterministic quantile estimate: the upper bound of the bucket holding
-    /// the observation of rank `ceil(count * q / 100)`, clamped to the
-    /// observed max. `q` is an integer percentage in `0..=100`.
-    pub fn quantile_upper(&self, q: u64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((self.count * q).div_ceil(100)).max(1);
-        let mut cumulative = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            cumulative += n;
-            if cumulative >= rank {
-                return bucket_upper(i).min(self.max);
-            }
-        }
-        self.max
-    }
-
     /// Inclusive lower bound of a bucket.
     fn bucket_lower(index: usize) -> u64 {
         match index {
@@ -127,13 +107,13 @@ impl Histogram {
 
     /// Quantile estimate with within-bucket linear interpolation.
     ///
-    /// The bucket holding the observation of rank `ceil(count * q / 100)` is
-    /// located as in [`quantile_upper`](Self::quantile_upper), then its `n`
+    /// `q` is an integer percentage in `0..=100`. The bucket holding the
+    /// observation of rank `ceil(count * q / 100)` is located, then its `n`
     /// observations are assumed uniformly spread over the bucket span
     /// `[2^(i-1), 2^i - 1]` and the estimate is read off at the rank's
     /// position. This keeps tail quantiles from collapsing onto bucket
-    /// boundaries: with wide high buckets, `quantile_upper` reports the same
-    /// `2^i - 1` for every quantile that lands in the bucket, while this
+    /// boundaries: with wide high buckets the bucket's upper bound is the
+    /// same `2^i - 1` for every quantile that lands in it, while this
     /// estimate moves through the bucket with the rank. The result is
     /// clamped to the observed `[min, max]` and stays integer-only (and thus
     /// bit-identical across platforms and observation orders).
@@ -197,30 +177,15 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_are_bucket_upper_bounds() {
-        let mut h = Histogram::new();
-        for _ in 0..99 {
-            h.observe(10); // bucket 4, upper 15
-        }
-        h.observe(1000); // bucket 10, upper 1023
-        assert_eq!(h.quantile_upper(50), 15);
-        assert_eq!(h.quantile_upper(99), 15);
-        assert_eq!(h.quantile_upper(100), 1000, "clamped to observed max");
-        assert_eq!(Histogram::new().quantile_upper(50), 0);
-    }
-
-    #[test]
     fn interpolated_quantiles_land_inside_the_bucket() {
         // The saturation case from the bench: most observations share one
-        // wide bucket, so every quantile_upper collapses onto 2^i - 1 while
-        // the interpolated estimate moves with the rank.
+        // wide bucket, whose upper bound 2^i - 1 every quantile would
+        // collapse onto, while the interpolated estimate moves with the rank.
         let mut h = Histogram::new();
         for _ in 0..99 {
             h.observe(10); // bucket 4, span [8, 15]
         }
         h.observe(1000); // bucket 10
-        assert_eq!(h.quantile_upper(50), 15, "saturated at bucket upper");
-        assert_eq!(h.quantile_upper(99), 15, "saturated at bucket upper");
         // rank 50 of 99 in-bucket observations: 8 + 7 * 50 / 99 = 11.
         assert_eq!(h.quantile(50), 11);
         // rank 99 of 99: 8 + 7 * 99 / 99 = 15, inside the observed range.
@@ -258,7 +223,7 @@ mod tests {
             b.observe(*v);
         }
         for q in [0, 10, 50, 90, 99, 100] {
-            assert_eq!(a.quantile_upper(q), b.quantile_upper(q));
+            assert_eq!(a.quantile(q), b.quantile(q));
         }
         assert_eq!(a.buckets(), b.buckets());
     }

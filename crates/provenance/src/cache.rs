@@ -3,13 +3,12 @@
 //! pointing to the location of the tasks and files … exported as artifacts
 //! … and made available through an API."
 //!
-//! The cache is the pointer layer: it does not duplicate outputs, it records
+//! An entry is the pointer layer: it does not duplicate outputs, it records
 //! *where they are* — task ids, artifact locations, the pipeline/dataset
 //! combination — so downstream visualization and audits can find everything
 //! a CI campaign produced.
 
 use hpcci_cas::Digest;
-use std::collections::BTreeMap;
 
 /// One cached pointer: a (pipeline, dataset) cell of the evaluation matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,181 +25,8 @@ pub struct CacheEntry {
     pub at_us: u64,
     pub success: bool,
     /// Content digest of the result artifact in the CAS ([`Digest::NONE`]
-    /// when the producing run predates content-addressed storage). Lets an
+    /// when the producing store has no CAS attached). Lets an
     /// audit verify bit-for-bit that the bytes at `location` are the bytes
     /// the run produced.
     pub cas_digest: Digest,
-}
-
-/// The cache file: append-per-run, newest entry wins per (pipeline, dataset).
-#[derive(Debug, Clone, Default)]
-pub struct ProvenanceCache {
-    entries: Vec<CacheEntry>,
-}
-
-impl ProvenanceCache {
-    pub fn new() -> Self {
-        ProvenanceCache::default()
-    }
-
-    pub fn record(&mut self, entry: CacheEntry) {
-        self.entries.push(entry);
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Latest entry per (pipeline, dataset) cell.
-    pub fn matrix(&self) -> BTreeMap<(String, String), &CacheEntry> {
-        let mut m: BTreeMap<(String, String), &CacheEntry> = BTreeMap::new();
-        for e in &self.entries {
-            let key = (e.pipeline.clone(), e.dataset.clone());
-            match m.get(&key) {
-                Some(existing) if existing.at_us >= e.at_us => {}
-                _ => {
-                    m.insert(key, e);
-                }
-            }
-        }
-        m
-    }
-
-    /// History of one cell, oldest first — the input to NeuroCI's
-    /// distribution plots over time.
-    pub fn history(&self, pipeline: &str, dataset: &str) -> Vec<&CacheEntry> {
-        let mut h: Vec<&CacheEntry> = self
-            .entries
-            .iter()
-            .filter(|e| e.pipeline == pipeline && e.dataset == dataset)
-            .collect();
-        h.sort_by_key(|e| e.at_us);
-        h
-    }
-
-    /// Serialize to the cache-file text format (line-oriented, greppable —
-    /// the artifact CI exports). Version 2 appends the CAS digest of the
-    /// result artifact as a seventh column.
-    pub fn to_cache_file(&self) -> String {
-        let mut out = String::from("# task provenance cache v2\n");
-        for e in &self.entries {
-            out.push_str(&format!(
-                "{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-                e.pipeline,
-                e.dataset,
-                e.task_id,
-                e.location,
-                e.at_us,
-                if e.success { "ok" } else { "failed" },
-                e.cas_digest
-            ));
-        }
-        out
-    }
-
-    /// Parse the cache-file format back (round-trips [`Self::to_cache_file`]).
-    /// Six-column v1 rows (written before content addressing) still parse;
-    /// their digest is [`Digest::NONE`].
-    pub fn from_cache_file(text: &str) -> ProvenanceCache {
-        let mut cache = ProvenanceCache::new();
-        for line in text.lines() {
-            if line.starts_with('#') || line.trim().is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = line.split('\t').collect();
-            if fields.len() != 6 && fields.len() != 7 {
-                continue;
-            }
-            let cas_digest = fields
-                .get(6)
-                .and_then(|hex| u128::from_str_radix(hex, 16).ok())
-                .map(Digest)
-                .unwrap_or(Digest::NONE);
-            cache.record(CacheEntry {
-                pipeline: fields[0].to_string(),
-                dataset: fields[1].to_string(),
-                task_id: fields[2].to_string(),
-                location: fields[3].to_string(),
-                at_us: fields[4].parse().unwrap_or(0),
-                success: fields[5] == "ok",
-                cas_digest,
-            });
-        }
-        cache
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn entry(pipeline: &str, dataset: &str, at: u64, success: bool) -> CacheEntry {
-        CacheEntry {
-            pipeline: pipeline.to_string(),
-            dataset: dataset.to_string(),
-            task_id: format!("task-{at}"),
-            location: format!("ci://artifacts/{pipeline}/{dataset}/{at}"),
-            at_us: at,
-            success,
-            cas_digest: Digest::of_str(&format!("{pipeline}/{dataset}/{at}")),
-        }
-    }
-
-    #[test]
-    fn matrix_keeps_newest_per_cell() {
-        let mut c = ProvenanceCache::new();
-        c.record(entry("fmriprep", "ds-a", 100, true));
-        c.record(entry("fmriprep", "ds-a", 200, false));
-        c.record(entry("fmriprep", "ds-b", 150, true));
-        let m = c.matrix();
-        assert_eq!(m.len(), 2);
-        assert!(!m[&("fmriprep".to_string(), "ds-a".to_string())].success);
-        assert_eq!(c.history("fmriprep", "ds-a").len(), 2);
-        assert_eq!(c.history("fmriprep", "ds-a")[0].at_us, 100);
-    }
-
-    #[test]
-    fn cache_file_round_trips() {
-        let mut c = ProvenanceCache::new();
-        c.record(entry("p1", "d1", 1, true));
-        c.record(entry("p2", "d2", 2, false));
-        let text = c.to_cache_file();
-        let parsed = ProvenanceCache::from_cache_file(&text);
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed.to_cache_file(), text);
-    }
-
-    #[test]
-    fn parser_skips_garbage() {
-        let parsed = ProvenanceCache::from_cache_file("# comment\n\nnot-a-row\na\tb\n");
-        assert!(parsed.is_empty());
-    }
-
-    #[test]
-    fn v1_rows_parse_with_no_digest() {
-        let legacy = "# task provenance cache v1\np1\td1\ttask-1\tci://a/1\t1\tok\n";
-        let parsed = ProvenanceCache::from_cache_file(legacy);
-        assert_eq!(parsed.len(), 1);
-        let m = parsed.matrix();
-        let e = m[&("p1".to_string(), "d1".to_string())];
-        assert!(e.cas_digest.is_none());
-        assert!(e.success);
-    }
-
-    #[test]
-    fn v2_rows_round_trip_the_digest() {
-        let mut c = ProvenanceCache::new();
-        c.record(entry("p1", "d1", 7, true));
-        let text = c.to_cache_file();
-        assert!(text.starts_with("# task provenance cache v2\n"));
-        let parsed = ProvenanceCache::from_cache_file(&text);
-        assert_eq!(parsed.len(), 1);
-        let m = parsed.matrix();
-        let e = m[&("p1".to_string(), "d1".to_string())];
-        assert_eq!(e.cas_digest, Digest::of_str("p1/d1/7"));
-    }
 }

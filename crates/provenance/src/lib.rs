@@ -24,7 +24,7 @@ pub mod record;
 pub mod research_object;
 
 pub use badges::{Artifact, BadgeLevel, CohortParams, ReviewOutcome, Reviewer};
-pub use cache::{CacheEntry, ProvenanceCache};
+pub use cache::CacheEntry;
 pub use capture::EnvironmentCapture;
 pub use record::ExecutionRecord;
 pub use research_object::ResearchObject;

@@ -29,15 +29,6 @@ impl ExecutionRecord {
         (self.ended_us.saturating_sub(self.started_us)) as f64 / 1e6
     }
 
-    /// The key question a reviewer asks of two records: same code, same
-    /// command, same qualitative outcome?
-    pub fn consistent_with(&self, other: &ExecutionRecord) -> bool {
-        self.repo == other.repo
-            && self.commit == other.commit
-            && self.command == other.command
-            && self.success == other.success
-    }
-
     /// Render the record as a provenance artifact.
     pub fn render(&self) -> String {
         format!(
@@ -87,14 +78,6 @@ mod tests {
     #[test]
     fn runtime_computation() {
         assert!((record("a", true).runtime_secs() - 3.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn consistency_requires_same_code_and_outcome() {
-        let a = record("abc", true);
-        assert!(a.consistent_with(&record("abc", true)));
-        assert!(!a.consistent_with(&record("def", true)), "different commit");
-        assert!(!a.consistent_with(&record("abc", false)), "different outcome");
     }
 
     #[test]

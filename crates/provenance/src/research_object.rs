@@ -22,7 +22,6 @@ pub struct DataResource {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResearchObject {
     pub title: String,
-    pub authors: Vec<String>,
     pub license: String,
     /// Code reference: repository + commit.
     pub repo: String,
@@ -44,11 +43,6 @@ impl ResearchObject {
             license: "MIT".to_string(),
             ..ResearchObject::default()
         }
-    }
-
-    pub fn with_author(mut self, author: &str) -> Self {
-        self.authors.push(author.to_string());
-        self
     }
 
     pub fn with_documentation(mut self, docs: &str) -> Self {
@@ -138,7 +132,6 @@ mod tests {
     #[test]
     fn availability_checklist() {
         let mut ro = ResearchObject::new("ParslDock", "o/r", "abc")
-            .with_author("Hayot-Sasson")
             .with_documentation("README with install and usage");
         ro.add_data("pdb", "zenodo.org/rec/1", "receptor structures", 1024);
         assert!(!ro.artifacts_available(), "no DOI yet");

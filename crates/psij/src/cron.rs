@@ -7,60 +7,32 @@
 //! to a specific local account. PSI/J's cron job publishes test results back
 //! to the community via a public dashboard."
 //!
-//! Implemented faithfully so the CORRECT-vs-cron comparison (Table 4 row,
-//! security property tests, overhead benches) is executable.
+//! Implemented so the CORRECT-vs-cron comparison (`tests/psij_failure.rs`)
+//! is executable.
 
 use hpcci_cluster::{Cred, NodeRole};
 use hpcci_faas::exec::SharedSite;
 use hpcci_sim::{Advance, DetRng, EventQueue, SimDuration, SimTime};
 
-/// Which code the cron job may pull (§6.2's three options).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PullPolicy {
-    /// 1) main branch only.
-    Main,
-    /// 2) stable and core branches.
-    StableAndCore,
-    /// 3) PR branches tagged by a core developer.
-    TaggedPullRequests,
-}
-
-impl PullPolicy {
-    /// Does the policy allow running `branch`, given whether a core
-    /// developer has tagged it?
-    pub fn allows(&self, branch: &str, tagged_by_core_dev: bool) -> bool {
-        match self {
-            PullPolicy::Main => branch == "main",
-            PullPolicy::StableAndCore => branch == "main" || branch == "stable" || branch == "core",
-            PullPolicy::TaggedPullRequests => {
-                branch == "main" || branch == "stable" || branch == "core" || tagged_by_core_dev
-            }
-        }
-    }
-}
-
 /// One row of the public dashboard.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DashboardEntry {
     pub site: String,
-    pub branch: String,
     pub at: SimTime,
     pub passed: bool,
     pub summary: String,
 }
 
 /// A cron-based CI deployment at one site: a periodic job running in the
-/// deploying user's account that pulls code and runs the suite.
+/// deploying user's account that pulls `main` and runs the suite.
 pub struct CronCi {
     site: SharedSite,
     /// The local account the deploying user installed the crontab in. Every
     /// run executes as this user — *whoever* authored the code being tested
     /// (the un-mapped-identity weakness CORRECT fixes).
     pub local_user: String,
-    pub policy: PullPolicy,
     period: SimDuration,
     command: String,
-    branch: String,
     events: EventQueue<()>,
     dashboard: Vec<DashboardEntry>,
     rng: DetRng,
@@ -71,7 +43,6 @@ impl CronCi {
     pub fn new(
         site: SharedSite,
         local_user: &str,
-        policy: PullPolicy,
         period: SimDuration,
         command: &str,
     ) -> CronCi {
@@ -80,24 +51,12 @@ impl CronCi {
         CronCi {
             site,
             local_user: local_user.to_string(),
-            policy,
             period,
             command: command.to_string(),
-            branch: "main".to_string(),
             events,
             dashboard: Vec::new(),
             rng: DetRng::seed_from_u64(0xc407),
             now: SimTime::ZERO,
-        }
-    }
-
-    /// Point the cron job at a branch (subject to the pull policy).
-    pub fn set_branch(&mut self, branch: &str, tagged_by_core_dev: bool) -> bool {
-        if self.policy.allows(branch, tagged_by_core_dev) {
-            self.branch = branch.to_string();
-            true
-        } else {
-            false
         }
     }
 
@@ -113,7 +72,6 @@ impl CronCi {
             Err(e) => {
                 self.dashboard.push(DashboardEntry {
                     site: runtime.site.id.to_string(),
-                    branch: self.branch.clone(),
                     at,
                     passed: false,
                     summary: e.to_string(),
@@ -140,7 +98,6 @@ impl CronCi {
         );
         self.dashboard.push(DashboardEntry {
             site: site_name,
-            branch: self.branch.clone(),
             at,
             passed: out.result.is_ok(),
             summary: if out.result.is_ok() {
@@ -187,7 +144,6 @@ mod tests {
         CronCi::new(
             site,
             "x-vhayot",
-            PullPolicy::TaggedPullRequests,
             SimDuration::from_hours(24),
             "pytest tests/",
         )
@@ -209,24 +165,6 @@ mod tests {
         assert_eq!(cron.dashboard().len(), 1);
         assert!(!cron.dashboard()[0].passed);
         assert!(cron.dashboard()[0].summary.contains("typeguard"));
-    }
-
-    #[test]
-    fn pull_policies() {
-        assert!(PullPolicy::Main.allows("main", false));
-        assert!(!PullPolicy::Main.allows("stable", false));
-        assert!(PullPolicy::StableAndCore.allows("stable", false));
-        assert!(!PullPolicy::StableAndCore.allows("pr/41", true));
-        assert!(PullPolicy::TaggedPullRequests.allows("pr/41", true));
-        assert!(!PullPolicy::TaggedPullRequests.allows("pr/41", false));
-    }
-
-    #[test]
-    fn branch_switch_respects_policy() {
-        let mut cron = cron_at_site(true);
-        assert!(cron.set_branch("pr/7", true));
-        assert!(!cron.set_branch("pr/8", false));
-        assert_eq!(cron.branch, "pr/7", "rejected switch leaves branch unchanged");
     }
 
     #[test]

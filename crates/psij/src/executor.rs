@@ -269,9 +269,10 @@ mod tests {
         let mut sched = two_nodes();
         let mut ex = JobExecutor::slurm(&mut sched, Uid(1001), "alloc");
         // Fill the machine: 2 nodes x 8 cores with two 8-core jobs.
-        let long = PsijJobSpec::new("long", "burn")
-            .with_processes(8)
-            .running_for(SimDuration::from_secs(50));
+        let long = PsijJobSpec {
+            process_count: 8,
+            ..PsijJobSpec::new("long", "burn").running_for(SimDuration::from_secs(50))
+        };
         let _a = ex.submit(&long, SimTime::ZERO).unwrap();
         let _b = ex.submit(&long, SimTime::ZERO).unwrap();
         let c = ex.submit(&long, SimTime::ZERO).unwrap();

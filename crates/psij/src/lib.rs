@@ -14,18 +14,16 @@
 //! * [`suite`] — the PSI/J CI test suite CORRECT runs on Anvil, with the
 //!   dependency fault of Fig. 5 injectable via the site's software
 //!   environment;
-//! * [`cron`] — the **baseline**: PSI/J's existing cron-job CI with its
-//!   three code-pull policies and public dashboard (reproduced so the paper's
+//! * [`cron`] — the **baseline**: PSI/J's existing cron-job CI, pulling
+//!   `main` and publishing to its dashboard (reproduced so the paper's
 //!   CORRECT-vs-cron comparison is executable).
 
 pub mod cron;
-pub mod dashboard;
 pub mod executor;
 pub mod spec;
 pub mod suite;
 
-pub use cron::{CronCi, DashboardEntry, PullPolicy};
-pub use dashboard::MultiSiteDashboard;
+pub use cron::{CronCi, DashboardEntry};
 pub use executor::{JobExecutor, PsijError, PsijJobHandle, PsijJobState};
 pub use spec::PsijJobSpec;
 pub use suite::{install_psij_pytest, required_packages, run_psij_suite, PsijTestOutcome};

@@ -7,7 +7,6 @@ use hpcci_sim::SimDuration;
 pub struct PsijJobSpec {
     pub name: String,
     pub executable: String,
-    pub arguments: Vec<String>,
     /// Total processes (ranks).
     pub process_count: u32,
     /// Wall-clock limit.
@@ -23,23 +22,11 @@ impl PsijJobSpec {
         PsijJobSpec {
             name: name.to_string(),
             executable: executable.to_string(),
-            arguments: Vec::new(),
             process_count: 1,
             duration: SimDuration::from_mins(10),
             simulated_runtime: SimDuration::from_secs(5),
             simulated_success: true,
         }
-    }
-
-    pub fn with_args(mut self, args: &[&str]) -> Self {
-        self.arguments = args.iter().map(|s| s.to_string()).collect();
-        self
-    }
-
-    pub fn with_processes(mut self, n: u32) -> Self {
-        assert!(n > 0);
-        self.process_count = n;
-        self
     }
 
     pub fn with_duration(mut self, d: SimDuration) -> Self {
@@ -65,13 +52,10 @@ mod tests {
     #[test]
     fn builder_composes() {
         let spec = PsijJobSpec::new("hello", "/bin/echo")
-            .with_args(&["hello", "world"])
-            .with_processes(4)
             .with_duration(SimDuration::from_mins(30))
             .running_for(SimDuration::from_secs(9))
             .failing();
-        assert_eq!(spec.arguments.len(), 2);
-        assert_eq!(spec.process_count, 4);
+        assert_eq!(spec.duration, SimDuration::from_mins(30));
         assert!(!spec.simulated_success);
         assert_eq!(spec.simulated_runtime, SimDuration::from_secs(9));
     }

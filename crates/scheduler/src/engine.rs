@@ -530,6 +530,14 @@ mod tests {
         }
     }
 
+    fn running(s: &BatchScheduler, id: JobId) -> bool {
+        matches!(s.state(id), Ok(JobState::Running { .. }))
+    }
+
+    fn pending(s: &BatchScheduler, id: JobId) -> bool {
+        matches!(s.state(id), Ok(JobState::Pending { .. }))
+    }
+
     fn scheduler(nodes: u32, cores: u32) -> BatchScheduler {
         BatchScheduler::with_compute_partition((0..nodes).map(NodeId).collect(), cores)
     }
@@ -538,7 +546,7 @@ mod tests {
     fn idle_machine_starts_job_immediately() {
         let mut s = scheduler(2, 8);
         let id = s.submit(fixed("a", 1, 8, 60, 10), SimTime::ZERO).unwrap();
-        assert!(s.state(id).unwrap().is_running());
+        assert!(running(&s, id));
         s.advance_to(SimTime::from_secs(60));
         let st = s.state(id).unwrap();
         assert!(matches!(st, JobState::Completed { success: true, .. }));
@@ -551,10 +559,10 @@ mod tests {
         let mut s = scheduler(1, 8);
         let a = s.submit(fixed("a", 1, 8, 100, 10), SimTime::ZERO).unwrap();
         let b = s.submit(fixed("b", 1, 8, 50, 10), SimTime::ZERO).unwrap();
-        assert!(s.state(a).unwrap().is_running());
-        assert!(s.state(b).unwrap().is_pending());
+        assert!(running(&s, a));
+        assert!(pending(&s, b));
         s.advance_to(SimTime::from_secs(100));
-        assert!(s.state(b).unwrap().is_running());
+        assert!(running(&s, b));
         s.advance_to(SimTime::from_secs(150));
         assert!(s.state(b).unwrap().is_terminal());
         assert_eq!(s.state(b).unwrap().queue_wait(), Some(SimDuration::from_secs(100)));
@@ -571,12 +579,12 @@ mod tests {
         let b = s.submit(fixed("b", 2, 8, 10, 10), SimTime::ZERO).unwrap(); // blocked: needs 2 nodes
         let d = s.submit(fixed("d", 1, 8, 200, 10), SimTime::ZERO).unwrap(); // too long to backfill
         let c = s.submit(fixed("c", 1, 8, 20, 1), SimTime::ZERO).unwrap(); // short: backfills
-        assert!(s.state(b).unwrap().is_pending(), "head blocked");
-        assert!(s.state(d).unwrap().is_pending(), "long job must not backfill");
-        assert!(s.state(c).unwrap().is_running(), "short job backfills");
+        assert!(pending(&s, b), "head blocked");
+        assert!(pending(&s, d), "long job must not backfill");
+        assert!(running(&s, c), "short job backfills");
         // When A ends at 100, B starts (c finished at 20).
         s.advance_to(SimTime::from_secs(100));
-        assert!(s.state(b).unwrap().is_running());
+        assert!(running(&s, b));
         assert_eq!(
             s.state(b).unwrap().queue_wait(),
             Some(SimDuration::from_secs(100))
@@ -593,8 +601,8 @@ mod tests {
         let _a = s.submit(fixed("a", 1, 8, 100, 10), SimTime::ZERO).unwrap();
         let b = s.submit(fixed("b", 2, 8, 10, 10), SimTime::ZERO).unwrap();
         let c = s.submit(fixed("c", 1, 8, 20, 1), SimTime::ZERO).unwrap();
-        assert!(s.state(b).unwrap().is_pending());
-        assert!(s.state(c).unwrap().is_pending(), "FIFO: no backfill");
+        assert!(pending(&s, b));
+        assert!(pending(&s, c), "FIFO: no backfill");
     }
 
     #[test]
@@ -616,7 +624,7 @@ mod tests {
         let spec = JobSpec::single_node("pilot", Uid(1001), "alloc", 8, SimDuration::from_mins(30));
         let id = s.submit(spec, SimTime::ZERO).unwrap();
         s.advance_to(SimTime::from_secs(300));
-        assert!(s.state(id).unwrap().is_running(), "pilot persists");
+        assert!(running(&s, id), "pilot persists");
         s.shutdown_pilot(id, true, SimTime::from_secs(400)).unwrap();
         assert!(matches!(
             s.state(id).unwrap(),
@@ -725,7 +733,7 @@ mod tests {
         let b = s.submit(fixed("b", 2, 8, 10, 10), SimTime::ZERO).unwrap();
         let _c = s.submit(fixed("c", 1, 8, 20, 1), SimTime::ZERO).unwrap();
         s.advance_to(SimTime::from_secs(100));
-        assert!(s.state(b).unwrap().is_running());
+        assert!(running(&s, b));
         let snap = obs.snapshot();
         let wait = snap.histogram("sched.queue_wait_us").expect("global series");
         assert_eq!(wait.count, 3, "a, b, and c each started once");
@@ -745,8 +753,8 @@ mod tests {
         let mut s = scheduler(1, 8);
         let a = s.submit(fixed("a", 1, 4, 100, 10), SimTime::ZERO).unwrap();
         let b = s.submit(fixed("b", 1, 4, 100, 10), SimTime::ZERO).unwrap();
-        assert!(s.state(a).unwrap().is_running());
-        assert!(s.state(b).unwrap().is_running(), "two 4-core jobs share 8 cores");
+        assert!(running(&s, a));
+        assert!(running(&s, b), "two 4-core jobs share 8 cores");
         assert_eq!(s.free_cores(), 0);
     }
 }

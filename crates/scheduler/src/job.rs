@@ -94,14 +94,6 @@ impl JobState {
         )
     }
 
-    pub fn is_running(&self) -> bool {
-        matches!(self, JobState::Running { .. })
-    }
-
-    pub fn is_pending(&self) -> bool {
-        matches!(self, JobState::Pending { .. })
-    }
-
     /// Queue wait: submit → start (None if never started).
     pub fn queue_wait(&self) -> Option<SimDuration> {
         match self {
@@ -154,7 +146,7 @@ mod tests {
         let started = SimTime::from_secs(40);
         let ended = SimTime::from_secs(100);
         let pending = JobState::Pending { submitted };
-        assert!(pending.is_pending() && !pending.is_terminal());
+        assert!(!pending.is_terminal());
         assert_eq!(pending.queue_wait(), None);
 
         let done = JobState::Completed { submitted, started, ended, success: true };

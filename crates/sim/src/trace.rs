@@ -160,11 +160,6 @@ impl Interner {
         self.strings.insert(arc.clone());
         Sym::Shared(arc)
     }
-
-    /// Distinct strings held.
-    pub fn unique(&self) -> usize {
-        self.strings.len()
-    }
 }
 
 /// Conversion into an interned [`Sym`]. `&'static str` takes the zero-cost
@@ -691,7 +686,7 @@ mod tests {
         }
         assert_eq!(t.len(), 100);
         assert_eq!(
-            t.interner.unique(),
+            t.interner.strings.len(),
             4,
             "four endpoint names interned once each"
         );
@@ -924,7 +919,7 @@ mod tests {
         assert_eq!(format!("{a:>12}"), format!("{:>12}", "faas.cloud"));
         assert!(a.starts_with("faas"));
         let again = interner.intern("faas.cloud");
-        assert_eq!(interner.unique(), 1);
+        assert_eq!(interner.strings.len(), 1);
         match (&a, &again) {
             (Sym::Shared(x), Sym::Shared(y)) => assert!(Arc::ptr_eq(x, y)),
             other => panic!("expected shared syms, got {other:?}"),
@@ -940,7 +935,7 @@ mod tests {
         let component = t.intern("faas.ep.hot");
         t.record(SimTime::ZERO, &component, "task.deliver", "tid=1");
         t.record(SimTime::from_secs(1), component, "task.deliver", "tid=2");
-        assert_eq!(t.interner.unique(), 1);
+        assert_eq!(t.interner.strings.len(), 1);
         assert_eq!(t.of_component("faas.ep.hot").count(), 2);
     }
 }

@@ -309,8 +309,8 @@ mod tests {
             .unwrap();
         let up = svc.repo("upstream/app").unwrap().checkout_branch("main").unwrap().clone();
         let fk = svc.repo(&fork).unwrap().checkout_branch("main").unwrap().clone();
-        assert!(up.get_text("README.md").unwrap().contains("v1"));
-        assert!(fk.get_text("README.md").unwrap().contains("fork-change"));
+        assert_eq!(up.get("README.md"), tree("v1").get("README.md"));
+        assert_eq!(fk.get("README.md"), tree("fork-change").get("README.md"));
     }
 
     #[test]
@@ -327,7 +327,7 @@ mod tests {
         let merge = svc.merge_pull_request(pr, "alice", SimTime::from_secs(4)).unwrap();
         assert_eq!(svc.pull_request(pr).unwrap().state, PullRequestState::Merged);
         let main_tree = svc.repo("o/r").unwrap().checkout_branch("main").unwrap();
-        assert!(main_tree.get_text("README.md").unwrap().contains("fixed"));
+        assert_eq!(main_tree.get("README.md"), tree("fixed").get("README.md"));
         // Events: 2 pushes + PR opened + PR merged.
         let events = svc.take_events();
         assert_eq!(events.len(), 4);
@@ -346,14 +346,8 @@ mod tests {
             .open_pull_request("up/lib", "main", &fork, "feat", "carol", "Add feature", SimTime::from_secs(3))
             .unwrap();
         svc.merge_pull_request(pr, "alice", SimTime::from_secs(4)).unwrap();
-        assert!(svc
-            .repo("up/lib")
-            .unwrap()
-            .checkout_branch("main")
-            .unwrap()
-            .get_text("README.md")
-            .unwrap()
-            .contains("contrib-feature"));
+        let main = svc.repo("up/lib").unwrap().checkout_branch("main").unwrap();
+        assert_eq!(main.get("README.md"), tree("contrib-feature").get("README.md"));
     }
 
     #[test]

@@ -54,10 +54,6 @@ impl WorkTree {
         self.files.get(path).map(|blob| &blob.bytes)
     }
 
-    pub fn get_text(&self, path: &str) -> Option<String> {
-        self.get(path).map(|b| String::from_utf8_lossy(b).into_owned())
-    }
-
     pub fn contains(&self, path: &str) -> bool {
         self.files.contains_key(path)
     }

@@ -182,10 +182,6 @@ impl Repository {
     pub fn clone_repo(&self) -> Repository {
         self.clone()
     }
-
-    pub fn commit_count(&self) -> usize {
-        self.commits.len()
-    }
 }
 
 #[cfg(test)]
@@ -216,12 +212,7 @@ mod tests {
         let c2 = r.commit("main", tree("v2"), "alice", "v2", SimTime::from_secs(2)).unwrap();
         assert_eq!(r.head("main").unwrap(), c2);
         assert_eq!(r.lookup_commit(c2).unwrap().parents, vec![c1]);
-        assert!(r
-            .checkout(c1)
-            .unwrap()
-            .get_text("src/main.rs")
-            .unwrap()
-            .contains("v1"));
+        assert_eq!(r.checkout(c1).unwrap().get("src/main.rs"), tree("v1").get("src/main.rs"));
     }
 
     #[test]
@@ -247,12 +238,7 @@ mod tests {
         let c = r.lookup_commit(m).unwrap();
         assert_eq!(c.parents.len(), 2);
         // Merge tree carries the PR branch content.
-        assert!(r
-            .checkout(m)
-            .unwrap()
-            .get_text("src/main.rs")
-            .unwrap()
-            .contains("feat"));
+        assert_eq!(r.checkout(m).unwrap().get("src/main.rs"), tree("feat").get("src/main.rs"));
     }
 
     #[test]
@@ -286,6 +272,6 @@ mod tests {
         let before = r.trees.len();
         r.commit("main", tree("same"), "a", "c2", SimTime::from_secs(2)).unwrap();
         assert_eq!(r.trees.len(), before, "same tree stored once");
-        assert_eq!(r.commit_count(), 3);
+        assert_eq!(r.commits.len(), 3);
     }
 }

@@ -1,13 +1,14 @@
 //! # hpcci — reproducing *Addressing Reproducibility Challenges in HPC with
 //! Continuous Integration* (SC 2025) as a simulated federation in Rust
 //!
-//! This facade re-exports the whole stack and provides two modules:
+//! This facade re-exports the whole stack and provides three modules:
 //! [`paper`], the worlds behind the paper's figures as committed scenario
 //! documents (§6.1 ParslDock across three sites, §6.2 PSI/J on Anvil with
 //! and without `typeguard`, §6.3 the KaMPIng artifacts on Chameleon, §7.3
 //! a `tox` suite behind Anvil's MEP) and the one function that compiles
-//! them; and [`reproduce`], every table and figure of the paper, rendered
-//! by the `reproduce` binary and pinned by digest in `tests/reproduce.rs`.
+//! them; [`tables`], Tables 1–4 as the data the paper declares; and
+//! [`reproduce`], every table and figure of the paper, rendered by the
+//! `reproduce` binary and pinned by digest in `tests/reproduce.rs`.
 //!
 //! ## Layering
 //!
@@ -22,7 +23,6 @@
 //!    ├── hpcci-provenance  env capture, research objects, badges
 //!    └── hpcci-cluster     sites, nodes, network policy, fs, software
 //! hpcci-parsldock / hpcci-psij / hpcci-minimpi    the §6 workloads
-//! hpcci-baselines                                  Tables 2–4 comparators
 //! hpcci-scen        scenario DSL, seeded generator, oracle fleet
 //! ```
 //!
@@ -31,10 +31,10 @@
 
 pub mod paper;
 pub mod reproduce;
+pub mod tables;
 
 pub use correct_core as correct;
 pub use hpcci_auth as auth;
-pub use hpcci_baselines as baselines;
 pub use hpcci_cas as cas;
 pub use hpcci_ci as ci;
 pub use hpcci_cluster as cluster;

@@ -7,7 +7,6 @@
 //! (`tests/fixtures/figures.digest`). Anything read off the host (the
 //! KaMPIng wall-clock ratio) is printed by the binary on stderr instead.
 
-use crate::baselines::{render_table1, render_table2, render_table3, render_table4};
 use crate::ci::{RunId, RunStatus, WorkflowRun};
 use crate::cluster::{NodeId, NodeRole, Uid};
 use crate::correct::Federation;
@@ -21,6 +20,7 @@ use crate::scheduler::{
     BatchScheduler, JobPayload, JobSpec, JobState, Partition, SchedulerConfig, SchedulingPolicy,
 };
 use crate::sim::{sweep, Advance, DetRng, SimDuration, SimTime};
+use crate::tables::{render_table1, render_table2, render_table3, render_table4};
 use std::fmt::Write;
 
 /// Why a figure could not be rendered.

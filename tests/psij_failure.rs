@@ -48,7 +48,7 @@ fn cron_baseline_reports_the_same_failure_on_its_dashboard() {
     // The paper's comparison: PSI/J's existing cron CI catches the same
     // fault, but runs as the deploying user and reports to a dashboard
     // instead of the workflow UI.
-    use hpcci::psij::{CronCi, PullPolicy};
+    use hpcci::psij::CronCi;
     use hpcci::sim::{Advance, SimDuration, SimTime};
 
     let fed = Federation::builder(73).build();
@@ -57,7 +57,6 @@ fn cron_baseline_reports_the_same_failure_on_its_dashboard() {
     let mut cron = CronCi::new(
         handle.shared.clone(),
         "x-vhayot",
-        PullPolicy::Main,
         SimDuration::from_hours(24),
         "pytest tests/",
     );
