@@ -16,6 +16,8 @@ pub enum ClusterError {
     NoParent(String),
     /// Target is a directory where a file was expected, or vice versa.
     WrongKind(String),
+    /// A tree entry's relative path has an empty, `.` or `..` segment.
+    InvalidPath(String),
     /// Outbound network access blocked by site policy.
     NetworkBlocked { node: String, dest: String },
     /// Unknown user account on this site.
@@ -36,6 +38,7 @@ impl fmt::Display for ClusterError {
             ClusterError::AlreadyExists(p) => write!(f, "already exists: {p}"),
             ClusterError::NoParent(p) => write!(f, "parent directory missing: {p}"),
             ClusterError::WrongKind(p) => write!(f, "wrong node kind at: {p}"),
+            ClusterError::InvalidPath(p) => write!(f, "invalid path '{p}'"),
             ClusterError::NetworkBlocked { node, dest } => {
                 write!(f, "outbound network blocked on {node} (dest {dest})")
             }

@@ -115,6 +115,18 @@ struct SearchDenied;
 /// Inode number of `/`.
 const ROOT: u32 = 0;
 
+/// The last [`VirtualFs::write_tree`] a repeat may skip: its arguments and
+/// the stamp it left.
+#[derive(Debug, Clone)]
+struct Written {
+    dest: String,
+    cred: Cred,
+    dir_mode: FileMode,
+    file_mode: FileMode,
+    tree: u128,
+    stamp: u64,
+}
+
 /// The per-site filesystem.
 #[derive(Debug, Clone)]
 pub struct VirtualFs {
@@ -123,6 +135,10 @@ pub struct VirtualFs {
     free: Vec<u32>,
     /// Interned group names: every node of a group shares one allocation.
     groups: BTreeSet<Arc<str>>,
+    /// Moved by every change to the tree: an entry linked or released, a
+    /// file overwritten, a mode changed.
+    stamp: u64,
+    written: Option<Written>,
 }
 
 impl Default for VirtualFs {
@@ -201,6 +217,8 @@ impl VirtualFs {
             }],
             free: Vec::new(),
             groups: BTreeSet::from([group]),
+            stamp: 0,
+            written: None,
         }
     }
 
@@ -285,12 +303,14 @@ impl VirtualFs {
             unreachable!("callers link into directories only");
         };
         children.insert(name.into(), id);
+        self.stamp += 1;
         id
     }
 
     /// Vacate `id` and everything below it. A vacant slot holds an empty
     /// directory, which costs no allocation.
     fn release(&mut self, id: u32) {
+        self.stamp += 1;
         let mut doomed = vec![id];
         while let Some(id) = doomed.pop() {
             let kind = std::mem::replace(&mut self.nodes[id as usize].kind, NodeKind::Dir(BTreeMap::new()));
@@ -372,6 +392,7 @@ impl VirtualFs {
                 return Err(denied(cred, "write", join(base, rel)));
             }
             self.nodes[id as usize].kind = NodeKind::File(content);
+            self.stamp += 1;
         } else {
             if !self.node(dir).allows(cred, Access::Write) {
                 return Err(denied(cred, "create", join(base, rel)));
@@ -392,6 +413,11 @@ impl VirtualFs {
     /// caller must hold write permission on the deepest existing ancestor.
     pub fn mkdir_p(&mut self, path: &str, cred: &Cred, mode: FileMode) -> Result<(), ClusterError> {
         let path = normal(path);
+        // The remembered `write_tree` found `path` a directory `cred` can
+        // reach, and nothing has changed since: there is nothing to create.
+        if self.written_unchanged(&path, cred).is_some() {
+            return Ok(());
+        }
         self.mkdir_from(ROOT, "", &path[1..], cred, mode)
     }
 
@@ -420,58 +446,104 @@ impl VirtualFs {
     /// Write a tree of files below `dest`: for each `(relative path, content)`
     /// in order, [`mkdir_p`](Self::mkdir_p) the file's directory with
     /// `dir_mode`, then [`write`](Self::write) the file with `file_mode`,
-    /// stopping at the first error. That loop is the definition. When `dest`
-    /// is a directory `cred` can reach, it is resolved once and the same two
-    /// operations walk each relative path from its inode instead of from `/`;
-    /// and the directory one file went into is kept for the next (a tree's
-    /// files arrive sorted, so a directory's files are consecutive), which
-    /// then costs one probe of that directory and the same write checks.
-    /// Each file shares the buffer it is handed; nothing is copied.
-    /// Both rest on one argument: `write_tree` adds entries and replaces
-    /// file contents, so between two of its files no mode, owner or kind
-    /// changes on the way from `/` to `dest` or from `dest` to that
+    /// stopping at the first error. That loop is the definition, after one
+    /// refusal: a relative path with an empty, `.` or `..` segment is
+    /// [`ClusterError::InvalidPath`] before anything is written, as git
+    /// refuses such a tree entry — the loop would normalise it out of `dest`.
+    ///
+    /// When `dest` is a directory `cred` can reach, it is resolved once and
+    /// the same two operations walk each relative path from its inode
+    /// instead of from `/`; and the directory one file went into is kept for
+    /// the next (a tree's files arrive sorted, so a directory's files are
+    /// consecutive), which then costs one probe of that directory and the
+    /// same write checks. Each file shares the buffer it is handed; nothing
+    /// is copied. Both rest on one argument: `write_tree` adds entries and
+    /// replaces file contents, so between two of its files no mode, owner or
+    /// kind changes on the way from `/` to `dest` or from `dest` to that
     /// directory — every check that passed for the first would pass again.
-    pub fn write_tree<'a>(
+    ///
+    /// `tree` names the files: two calls with the same `tree` pass the same
+    /// paths and bytes (the `git` handler passes the commit's tree id). A
+    /// call with the arguments of the last remembered one, at the stamp that
+    /// one left, returns `Ok` without walking, and so does `mkdir_p(dest)`
+    /// by the same `cred`: nothing has changed since, so every directory and
+    /// file exists as that call left it and the loop would only overwrite
+    /// each file with its own bytes. A call is remembered only when it
+    /// resolved `dest` and every check of a repeat is one it passed:
+    /// `file_mode` lets the owner write the files it created, and `cred`
+    /// may search every directory a file went into (creating a name needs
+    /// only `w` on the directory, overwriting one also needs `x`).
+    pub fn write_tree<'a, I>(
         &mut self,
         dest: &str,
         cred: &Cred,
         dir_mode: FileMode,
         file_mode: FileMode,
-        files: impl IntoIterator<Item = (&'a str, Arc<[u8]>)>,
-    ) -> Result<(), ClusterError> {
+        tree: u128,
+        files: I,
+    ) -> Result<(), ClusterError>
+    where
+        I: IntoIterator<Item = (&'a str, &'a Arc<[u8]>)>,
+        I::IntoIter: Clone,
+    {
         let dest = normal(dest);
+        let same = |w: &Written| (w.tree, w.dir_mode, w.file_mode) == (tree, dir_mode, file_mode);
+        if self.written_unchanged(&dest, cred).is_some_and(same) {
+            return Ok(());
+        }
+        let files = files.into_iter();
+        if let Some((rel, _)) = files.clone().find(|(rel, _)| !is_normal_rel(rel)) {
+            return Err(ClusterError::InvalidPath(rel.to_string()));
+        }
         let base = if *dest == *"/" { "" } else { &*dest };
         let start = match self.lookup(ROOT, &dest[1..], Some(cred)) {
-            Ok(Some(id)) if !self.node(id).is_file() => Some(id),
-            _ => None,
-        };
-        // The directory part of the last fast-path file, and its inode.
-        let mut kept: Option<(&str, u32)> = None;
-        for (rel, content) in files {
-            match start {
-                Some(start) if is_normal_rel(rel) => {
-                    let (dir_rel, _) = split_leaf(rel);
-                    let dir = match kept {
-                        Some((kept_rel, dir)) if kept_rel == dir_rel => dir,
-                        _ => {
-                            if !dir_rel.is_empty() {
-                                self.mkdir_from(start, base, dir_rel, cred, dir_mode)?;
-                            }
-                            self.dir_of(start, base, rel, cred)?
-                        }
-                    };
-                    self.write_in(dir, base, rel, cred, content, file_mode)?;
-                    kept = Some((dir_rel, dir));
-                }
-                _ => {
+            Ok(Some(id)) if !self.node(id).is_file() => id,
+            _ => {
+                for (rel, content) in files {
                     let target = format!("{base}/{rel}");
                     let dir = &target[..target.rfind('/').expect("joined with a slash")];
                     self.mkdir_p(if dir.is_empty() { "/" } else { dir }, cred, dir_mode)?;
-                    self.write_shared(&target, cred, content, file_mode)?;
+                    self.write_shared(&target, cred, content.clone(), file_mode)?;
                 }
+                return Ok(());
             }
+        };
+        let mut repeatable = file_mode.class_bits(0) & Access::Write as u16 != 0;
+        // The directory part of the last file, and its inode.
+        let mut kept: Option<(&str, u32)> = None;
+        for (rel, content) in files {
+            let (dir_rel, _) = split_leaf(rel);
+            let dir = match kept {
+                Some((kept_rel, dir)) if kept_rel == dir_rel => dir,
+                _ => {
+                    if !dir_rel.is_empty() {
+                        self.mkdir_from(start, base, dir_rel, cred, dir_mode)?;
+                    }
+                    let dir = self.dir_of(start, base, rel, cred)?;
+                    repeatable &= self.node(dir).allows(cred, Access::Search);
+                    dir
+                }
+            };
+            self.write_in(dir, base, rel, cred, content.clone(), file_mode)?;
+            kept = Some((dir_rel, dir));
+        }
+        if repeatable {
+            // In place, so that remembering reuses the slot's buffers.
+            let stamp = self.stamp;
+            let empty = || Written { dest: String::new(), cred: Cred::new(cred.uid, &[]), dir_mode, file_mode, tree, stamp };
+            let w = self.written.get_or_insert_with(empty);
+            w.dest.clear();
+            w.dest.push_str(&dest);
+            w.cred.groups.clone_from(&cred.groups);
+            (w.cred.uid, w.dir_mode, w.file_mode, w.tree, w.stamp) = (cred.uid, dir_mode, file_mode, tree, stamp);
         }
         Ok(())
+    }
+
+    /// The remembered `write_tree` into `dest` by `cred`, if nothing has
+    /// changed since it.
+    fn written_unchanged(&self, dest: &str, cred: &Cred) -> Option<&Written> {
+        self.written.as_ref().filter(|w| w.stamp == self.stamp && *w.dest == *dest && w.cred == *cred)
     }
 
     /// Read a file's content.
@@ -559,6 +631,7 @@ impl VirtualFs {
             return Err(denied(cred, "chmod", path.into_owned()));
         }
         node.mode = mode;
+        self.stamp += 1;
         Ok(())
     }
 
@@ -690,7 +763,7 @@ mod tests {
             denied("mkdir", "/scratch/alice/open/d/e")
         );
         assert_eq!(
-            fs.write_tree("/scratch/alice/open", &b, FileMode::DIR, FileMode::REGULAR, [("d/g", Arc::from(&[][..]))])
+            fs.write_tree("/scratch/alice/open", &b, FileMode::DIR, FileMode::REGULAR, 1, [("d/g", &Arc::from(&[][..]))])
                 .unwrap_err(),
             denied("mkdir", "/scratch/alice/open/d")
         );
@@ -820,32 +893,78 @@ mod tests {
         let mut fs = fs_with_home();
         let a = alice();
         fs.mkdir_p("/scratch/alice/repo", &a, FileMode::PRIVATE_DIR).unwrap();
-        let files = [("README.md", "r"), ("src/lib/mod.rs", "m"), ("src/main.rs", "fn")];
-        let tree = || files.iter().map(|&(p, c)| (p, Arc::from(c.as_bytes())));
-        fs.write_tree("/scratch/alice/repo", &a, FileMode::PRIVATE_DIR, FileMode::REGULAR, tree())
+        let files: Vec<(&str, Arc<[u8]>)> =
+            [("README.md", "r"), ("src/lib/mod.rs", "m"), ("src/main.rs", "fn")].map(|(p, c)| (p, Arc::from(c.as_bytes()))).into();
+        let tree = || files.iter().map(|(p, c)| (*p, c));
+        fs.write_tree("/scratch/alice/repo", &a, FileMode::PRIVATE_DIR, FileMode::REGULAR, 1, tree())
             .unwrap();
         assert_eq!(fs.list("/scratch/alice/repo", &a).unwrap(), vec!["README.md", "src"]);
         assert_eq!(fs.read_text("/scratch/alice/repo/src/lib/mod.rs", &a).unwrap(), "m");
         assert_eq!(fs.entry_count(), 10);
         // A second clone over the first overwrites in place.
-        fs.write_tree("/scratch/alice/repo", &a, FileMode::PRIVATE_DIR, FileMode::REGULAR, tree())
+        fs.write_tree("/scratch/alice/repo", &a, FileMode::PRIVATE_DIR, FileMode::REGULAR, 1, tree())
             .unwrap();
         assert_eq!(fs.entry_count(), 10);
         // A missing destination is created, as the loop's mkdir_p would.
-        fs.write_tree("/scratch/alice/new", &a, FileMode::DIR, FileMode::REGULAR, tree())
+        fs.write_tree("/scratch/alice/new", &a, FileMode::DIR, FileMode::REGULAR, 1, tree())
             .unwrap();
         assert!(fs.is_dir("/scratch/alice/new/src/lib"));
         // A directory where the tree has a file, and the reverse.
         fs.mkdir_p("/scratch/alice/clash/README.md", &a, FileMode::DIR).unwrap();
         assert_eq!(
-            fs.write_tree("/scratch/alice/clash", &a, FileMode::DIR, FileMode::REGULAR, tree()),
+            fs.write_tree("/scratch/alice/clash", &a, FileMode::DIR, FileMode::REGULAR, 1, tree()),
             Err(ClusterError::WrongKind("/scratch/alice/clash/README.md".to_string()))
         );
         fs.write("/scratch/alice/clash/src", &a, "file", FileMode::REGULAR).unwrap();
         assert_eq!(
-            fs.write_tree("/scratch/alice/clash", &a, FileMode::DIR, FileMode::REGULAR, tree().skip(1)),
+            fs.write_tree("/scratch/alice/clash", &a, FileMode::DIR, FileMode::REGULAR, 2, tree().skip(1)),
             Err(ClusterError::WrongKind("/scratch/alice/clash/src".to_string()))
         );
+    }
+
+    #[test]
+    fn write_tree_refuses_a_path_that_is_not_normal_before_writing_anything() {
+        let mut fs = fs_with_home();
+        let a = alice();
+        let content: Arc<[u8]> = Arc::from(&b"evil"[..]);
+        for bad in ["../../home/alice/.bashrc", "ok/./f", "a//b", "/abs", "d/", ""] {
+            let files = [("a.txt", &content), (bad, &content)];
+            assert_eq!(
+                fs.write_tree("/scratch/alice/repo", &a, FileMode::DIR, FileMode::REGULAR, 1, files),
+                Err(ClusterError::InvalidPath(bad.to_string()))
+            );
+            assert!(!fs.exists("/scratch/alice/repo"), "{bad}");
+        }
+        assert!(!fs.exists("/home/alice/.bashrc"));
+    }
+
+    #[test]
+    fn a_repeat_is_skipped_only_when_the_loop_would_pass_again() {
+        let mut fs = fs_with_home();
+        let (a, b) = (alice(), bob());
+        let content: Arc<[u8]> = Arc::from(&b"x"[..]);
+        let files = [("f", &content), ("d/g", &content)];
+        // As the `git` handler does: create the destination, then the tree.
+        let clone = |fs: &mut VirtualFs, dest: &str, file_mode: FileMode| {
+            fs.mkdir_p(dest, &a, FileMode::PRIVATE_DIR)?;
+            fs.write_tree(dest, &a, FileMode::PRIVATE_DIR, file_mode, 7, files)
+        };
+        clone(&mut fs, "/scratch/alice", FileMode::REGULAR).unwrap();
+        let stamp = fs.stamp;
+        clone(&mut fs, "/scratch/alice", FileMode::REGULAR).unwrap();
+        assert_eq!(fs.stamp, stamp, "a repeat walks nothing");
+        // Anything that moves the stamp sends the repeat through the loop.
+        fs.chmod("/scratch/alice/d/g", &a, FileMode(0o444)).unwrap();
+        assert!(matches!(clone(&mut fs, "/scratch/alice", FileMode::REGULAR), Err(ClusterError::PermissionDenied { .. })));
+        // Files the call creates read-only: the loop's repeat is denied.
+        clone(&mut fs, "/scratch/alice/ro", FileMode(0o444)).unwrap();
+        assert!(matches!(clone(&mut fs, "/scratch/alice/ro", FileMode(0o444)), Err(ClusterError::PermissionDenied { .. })));
+        // A directory the caller may write but not search: creating in it
+        // passes, overwriting what was created does not.
+        fs.mkdir_p("/scratch/drop", &b, FileMode(0o722)).unwrap();
+        let drop = |fs: &mut VirtualFs| fs.write_tree("/scratch/drop", &a, FileMode::DIR, FileMode::REGULAR, 8, [("f", &content)]);
+        drop(&mut fs).unwrap();
+        assert!(matches!(drop(&mut fs), Err(ClusterError::PermissionDenied { .. })));
     }
 
     #[test]
@@ -853,7 +972,8 @@ mod tests {
         let mut fs = fs_with_home();
         let a = alice();
         fs.mkdir_p("/scratch/alice/gc-action-temp", &a, FileMode::PRIVATE_DIR).unwrap();
-        let files = ["README.md", "docs/index.md", "src/a/b.rs", "src/a/c.rs", "src/main.rs", "tests/t.py"];
+        let files = ["README.md", "docs/index.md", "src/a/b.rs", "src/a/c.rs", "src/main.rs", "tests/t.py"]
+            .map(|p| (p, Arc::<[u8]>::from(p.as_bytes())));
         let clone = |fs: &mut VirtualFs| {
             fs.mkdir_p("/scratch/alice/gc-action-temp/repo", &a, FileMode::PRIVATE_DIR)
                 .unwrap();
@@ -862,7 +982,8 @@ mod tests {
                 &a,
                 FileMode::PRIVATE_DIR,
                 FileMode::REGULAR,
-                files.iter().map(|&p| (p, Arc::from(p.as_bytes()))),
+                1,
+                files.iter().map(|(p, content)| (*p, content)),
             )
             .unwrap();
         };

@@ -448,13 +448,14 @@ impl Federation {
                 .trim_start_matches("github.sim/")
                 .trim_end_matches(".git");
             let dest = match dest_arg {
-                Some(dest) => dest.to_string(),
+                Some(dest) if dest.starts_with('/') => dest.to_string(),
+                Some(dest) => format!("{}/{dest}", env.clone_root()),
                 None => env.clone_dir(full_name.split('/').next_back().unwrap_or("repo")),
             };
             // Under the hosting lock take only what outlives it: the tree is
             // shared, not copied, and the branch name is copied only when the
             // command line did not give one.
-            let (tree, head, branch_name) = {
+            let (tree, tree_id, head, branch_name) = {
                 let hosting = hosting.lock();
                 let repo = match hosting.repo(full_name) {
                     Ok(r) => r,
@@ -462,8 +463,8 @@ impl Federation {
                 };
                 let branch_name = branch.map_or_else(|| Cow::Owned(repo.default_branch.clone()), Cow::Borrowed);
                 let head = repo.head(&branch_name);
-                match head.and_then(|head| Ok((repo.checkout(head)?.clone(), head))) {
-                    Ok((tree, head)) => (tree, head, branch_name),
+                match head.and_then(|head| Ok((repo.checkout(head)?.clone(), repo.lookup_commit(head)?.tree, head))) {
+                    Ok((tree, tree_id, head)) => (tree, tree_id, head, branch_name),
                     Err(e) => return ExecOutcome::fail(format!("fatal: {e}"), 0.1),
                 }
             };
@@ -471,8 +472,8 @@ impl Federation {
             if let Err(e) = fs.mkdir_p(&dest, env.cred, FileMode::PRIVATE_DIR) {
                 return ExecOutcome::fail(format!("fatal: could not create {dest}: {e}"), 0.1);
             }
-            let files = tree.iter().map(|(path, content)| (path, content.clone()));
-            if let Err(e) = fs.write_tree(&dest, env.cred, FileMode::PRIVATE_DIR, FileMode::REGULAR, files) {
+            let (dir_mode, file_mode) = (FileMode::PRIVATE_DIR, FileMode::REGULAR);
+            if let Err(e) = fs.write_tree(&dest, env.cred, dir_mode, file_mode, tree_id.0, tree.iter()) {
                 return ExecOutcome::fail(format!("fatal: {e}"), 0.1);
             }
             // Clone cost: network + unpack, dominated by I/O.

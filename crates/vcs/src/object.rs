@@ -62,7 +62,7 @@ impl WorkTree {
         self.files.keys().map(String::as_str)
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Arc<[u8]>)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Arc<[u8]>)> + Clone {
         self.files.iter().map(|(p, b)| (p.as_str(), &b.bytes))
     }
 

@@ -5,10 +5,11 @@
 //! test runs a fixed number of seeded cases, and a failure message always
 //! includes the case number so the input can be regenerated exactly.
 
-use hpcci::cluster::{Cred, FileMode, Uid, VirtualFs};
+use hpcci::cluster::{ClusterError, Cred, FileMode, Uid, VirtualFs};
 use hpcci::scheduler::{BatchScheduler, JobPayload, JobSpec, JobState};
 use hpcci::sim::{Advance, DetRng, EventQueue, SimDuration, SimTime};
 use hpcci::vcs::{ObjectId, WorkTree};
+use std::sync::Arc;
 
 /// Number of generated cases per property.
 const CASES: u64 = 48;
@@ -377,7 +378,8 @@ mod flat_fs {
             Ok(())
         }
 
-        /// `write_tree` by its definition: per file, `mkdir_p` then `write`.
+        /// `write_tree` by its definition: refuse a path that is not normal,
+        /// then per file, `mkdir_p` then `write`.
         pub fn write_tree(
             &mut self,
             dest: &str,
@@ -386,6 +388,9 @@ mod flat_fs {
             file_mode: FileMode,
             files: &[(String, Content)],
         ) -> Result<(), ClusterError> {
+            if let Some(rel) = super::first_invalid(files) {
+                return Err(ClusterError::InvalidPath(rel.to_string()));
+            }
             for (rel, content) in files {
                 let target = format!("{dest}/{rel}");
                 if let Some((dir, _)) = target.rsplit_once('/') {
@@ -690,9 +695,10 @@ fn inode_tree_matches_the_flat_map_model() {
                     let dest = path;
                     let files = gen_fs_tree(&mut rng);
                     let file_mode = FileMode(pick(&mut rng, &FS_MODES));
-                    let borrowed = files.iter().map(|(rel, content)| (rel.as_str(), content.clone().into()));
+                    let shared = shared_tree(&files);
+                    let borrowed = shared.iter().map(|(rel, content)| (*rel, content));
                     assert_eq!(
-                        tree.write_tree(&dest, cred, mode, file_mode, borrowed),
+                        tree.write_tree(&dest, cred, mode, file_mode, tree_id(&files), borrowed),
                         flat.write_tree(&dest, cred, mode, file_mode, &files),
                         "write_tree {at} files {files:?}"
                     );
@@ -719,6 +725,47 @@ fn inode_tree_matches_the_flat_map_model() {
         }
         assert_eq!(fs_view!(tree, creds), fs_view!(flat, creds), "case {case}: views differ");
     }
+}
+
+/// No segment of `rel` is empty, `.` or `..`.
+fn is_normal_rel(rel: &str) -> bool {
+    rel.split('/').all(|seg| !matches!(seg, "" | "." | ".."))
+}
+
+/// The first relative path of `files` that is not normal.
+fn first_invalid<C>(files: &[(String, C)]) -> Option<&str> {
+    files.iter().map(|(rel, _)| rel.as_str()).find(|rel| !is_normal_rel(rel))
+}
+
+/// `write_tree`'s definition on the public API: refuse a path that is not
+/// normal, then per file `mkdir_p` its directory and `write` it, first
+/// error wins. It never skips a repeat.
+fn write_tree_by_loop(
+    fs: &mut VirtualFs,
+    dest: &str,
+    cred: &Cred,
+    (dir_mode, file_mode): (FileMode, FileMode),
+    files: &[(String, Vec<u8>)],
+) -> Result<(), ClusterError> {
+    if let Some(rel) = first_invalid(files) {
+        return Err(ClusterError::InvalidPath(rel.to_string()));
+    }
+    files.iter().try_for_each(|(rel, content)| {
+        let target = format!("{dest}/{rel}");
+        let dir = target.rsplit_once('/').map(|(dir, _)| dir).expect("joined with a slash");
+        fs.mkdir_p(dir, cred, dir_mode)?;
+        fs.write(&target, cred, content.clone(), file_mode)
+    })
+}
+
+/// A tree's files as `write_tree` takes them: each content one shared buffer.
+fn shared_tree(files: &[(String, Vec<u8>)]) -> Vec<(&str, Arc<[u8]>)> {
+    files.iter().map(|(rel, content)| (rel.as_str(), Arc::from(&content[..]))).collect()
+}
+
+/// A name for a tree that only its paths and bytes decide.
+fn tree_id(files: &[(String, Vec<u8>)]) -> u128 {
+    ObjectId::of_str(&format!("{files:?}")).0
 }
 
 /// Filesystem: `write_tree` is the per-file `mkdir_p` + `write` loop — the
@@ -756,24 +803,107 @@ fn write_tree_is_the_mkdir_p_write_loop() {
             let dir_mode = FileMode(pick(&mut rng, &FS_MODES));
             let file_mode = FileMode(pick(&mut rng, &FS_MODES));
             let mut looped = fs.clone();
-            let by_loop = files.iter().try_for_each(|(rel, content)| {
-                let target = format!("{dest}/{rel}");
-                let dir = target.rsplit_once('/').map(|(dir, _)| dir).expect("joined with a slash");
-                looped.mkdir_p(dir, cred, dir_mode)?;
-                looped.write(&target, cred, content.clone(), file_mode)
-            });
-            let by_tree = fs.write_tree(
-                &dest,
-                cred,
-                dir_mode,
-                file_mode,
-                files.iter().map(|(rel, content)| (rel.as_str(), content.clone().into())),
-            );
+            let by_loop = write_tree_by_loop(&mut looped, &dest, cred, (dir_mode, file_mode), &files);
+            let shared = shared_tree(&files);
+            let borrowed = shared.iter().map(|(rel, content)| (*rel, content));
+            let by_tree = fs.write_tree(&dest, cred, dir_mode, file_mode, tree_id(&files), borrowed);
             let at = format!("case {case} round {round} uid {} dest {dest} files {files:?}", cred.uid.0);
             assert_eq!(by_tree, by_loop, "first error: {at}");
             assert_eq!(fs.entry_count(), looped.entry_count(), "entries: {at}");
             assert_eq!(fs.orphans(), 0, "arena: {at}");
             assert_eq!(fs_view!(fs, creds), fs_view!(looped, creds), "end state: {at}");
+        }
+    }
+}
+
+/// Filesystem: a `write_tree` that repeats the last one at the stamp it left
+/// — and so returns without walking — returns what the loop returns and
+/// leaves what the loop leaves. Clones in the `git` handler's shape
+/// (`mkdir_p` the destination, then the tree) from a pool of three trees,
+/// most of them exact repeats of the pair's last clone, some the same clone
+/// by the other user, into three destinations, one below another, with
+/// read-only file modes and directory modes without search; between them
+/// `write`, `mkdir_p`, `chmod` and `remove` of the last clone's own paths.
+/// Midway the pair is cloned with `VirtualFs::clone()` and both pairs go
+/// on. The reference runs every clone as the loop, so it never skips.
+#[test]
+fn a_repeated_write_tree_is_the_loop_it_skips() {
+    let creds = fs_creds();
+    let users = [&creds[0], &creds[2]];
+    // `/a/c/a` lies below a destination, so its clones meet the modes of
+    // another clone's directories.
+    let dests = ["/a/c", "/a/c/a", "/b"];
+    const DIR_MODES: [u16; 4] = [0o700, 0o755, 0o722, 0o600];
+    const FILE_MODES: [u16; 4] = [0o644, 0o600, 0o444, 0o664];
+    for case in 0..CASES {
+        let mut rng = case_rng("fs_write_tree_repeat", case);
+        let pool: Vec<Vec<(String, Vec<u8>)>> = (0..3)
+            .map(|_| gen_fs_tree(&mut rng).into_iter().filter(|(rel, _)| is_normal_rel(rel)).collect())
+            .collect();
+        let shared: Vec<_> = pool.iter().map(|files| shared_tree(files)).collect();
+        let (fs, _) = provisioned_pair();
+        // (skipping, reference, the pair's last clone: tree, dest, user, modes)
+        let mut pairs = vec![(fs.clone(), fs, (0, dests[0], users[0], (FileMode::DIR, FileMode::REGULAR)))];
+        let n_steps = rng.range_u64(40, 80);
+        let fork_at = rng.range_u64(0, n_steps);
+        for step in 0..n_steps {
+            if step == fork_at {
+                let forked = pairs[0].clone();
+                pairs.push(forked);
+            }
+            let p = rng.range_u64(0, pairs.len() as u64) as usize;
+            let (fs, reference, last) = &mut pairs[p];
+            let (tree, dest) = (last.0, last.1);
+            // A path of the last clone: one of its files, a directory on the
+            // way to one, or the destination.
+            let path = match pool[tree].get(rng.range_u64(0, pool[tree].len() as u64 + 1) as usize) {
+                Some((rel, _)) if rng.chance(0.3) => format!("{dest}/{}", rel.rsplit_once('/').map_or("", |(dir, _)| dir)),
+                Some((rel, _)) => format!("{dest}/{rel}"),
+                None => dest.to_string(),
+            };
+            // Mostly the owner of what the last clone wrote.
+            let cred = if rng.chance(0.7) { last.2 } else { pick(&mut rng, &users) };
+            let mode = FileMode(pick(&mut rng, &FS_MODES));
+            let at = format!("case {case} step {step} pair {p} uid {} {path}", cred.uid.0);
+            match rng.range_u64(0, 10) {
+                0..=3 => {
+                    match rng.range_u64(0, 10) {
+                        0..=2 => {
+                            let dir_mode = FileMode(pick(&mut rng, &DIR_MODES));
+                            let file_mode = FileMode(pick(&mut rng, &FILE_MODES));
+                            *last = (rng.range_u64(0, 3) as usize, pick(&mut rng, &dests), cred, (dir_mode, file_mode));
+                        }
+                        3 => last.2 = users[usize::from(last.2 == users[0])],
+                        _ => {}
+                    }
+                    let (tree, dest, user, modes) = *last;
+                    let at = format!("{at} clone tree {tree} into {dest} as {} modes {modes:?}", user.uid.0);
+                    assert_eq!(fs.mkdir_p(dest, user, modes.0), reference.mkdir_p(dest, user, modes.0), "mkdir dest: {at}");
+                    let files = shared[tree].iter().map(|(rel, content)| (*rel, content));
+                    assert_eq!(
+                        fs.write_tree(dest, user, modes.0, modes.1, tree as u128, files),
+                        write_tree_by_loop(reference, dest, user, modes, &pool[tree]),
+                        "write_tree: {at}"
+                    );
+                    for (rel, _) in &pool[tree] {
+                        let file = format!("{dest}/{rel}");
+                        assert_eq!(fs.read(&file, user), reference.read(&file, user), "{file} after {at}");
+                    }
+                }
+                4 => assert_eq!(
+                    fs.write(&path, cred, format!("w{step}"), mode),
+                    reference.write(&path, cred, format!("w{step}"), mode),
+                    "write {at}"
+                ),
+                5 => assert_eq!(fs.mkdir_p(&path, cred, mode), reference.mkdir_p(&path, cred, mode), "mkdir_p {at}"),
+                6..=8 => assert_eq!(fs.chmod(&path, cred, mode), reference.chmod(&path, cred, mode), "chmod {at}"),
+                _ => assert_eq!(fs.remove(&path, cred), reference.remove(&path, cred), "remove {at}"),
+            }
+            assert_eq!(fs.entry_count(), reference.entry_count(), "entries after {at}");
+            assert_eq!(fs.orphans(), 0, "arena after {at}");
+        }
+        for (p, (fs, reference, _)) in pairs.iter().enumerate() {
+            assert_eq!(fs_view!(fs, creds), fs_view!(reference, creds), "case {case} pair {p}: end state");
         }
     }
 }

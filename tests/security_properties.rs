@@ -8,9 +8,11 @@
 
 use hpcci::auth::{AuthError, IdentityMapping, Scope};
 use hpcci::cluster::{Cred, FileMode, Site};
+use hpcci::correct::federation::OnboardedUser;
 use hpcci::correct::{EndpointSpec, Federation};
-use hpcci::faas::{EndpointId, FaasError, FunctionBody, MepTemplate, TaskState};
+use hpcci::faas::{EndpointId, FaasError, FunctionBody, MepTemplate, TaskOutput, TaskState};
 use hpcci::sim::SimTime;
+use hpcci::vcs::WorkTree;
 
 /// Build a small federation with one HPC site, two local users, and a MEP.
 fn two_user_world() -> (Federation, hpcci::correct::federation::OnboardedUser, hpcci::correct::federation::OnboardedUser) {
@@ -229,11 +231,10 @@ fn ha_policy_restricts_identity_providers_at_the_endpoint() {
     ));
 }
 
-/// §5.2 for the clone itself: a CI clone is `0644` files under `0700`
-/// directories, and the MEP maps many identities onto one site. Another
-/// mapped user's task must not reach the files through their own mode bits.
-#[test]
-fn invariant_ii_another_mapped_user_cannot_read_or_list_a_ci_clone() {
+/// One HPC site whose MEP maps `alice@uchicago.edu` onto `x-alice` and
+/// `bob@uchicago.edu` onto `x-bob`, with `cat` and `ls` commands, and a
+/// repository `lab/app` whose `main` holds `tree`, pushed by `author`.
+fn clone_world(tree: WorkTree, author: &str) -> (Federation, OnboardedUser, OnboardedUser) {
     let mut fed = Federation::builder(7).build();
     let alice = fed.onboard_user("alice@uchicago.edu", "uchicago.edu");
     let bob = fed.onboard_user("bob@uchicago.edu", "uchicago.edu");
@@ -258,26 +259,35 @@ fn invariant_ii_another_mapped_user_cannot_read_or_list_a_ci_clone() {
     fed.register(mep).unwrap();
     let now = fed.now();
     fed.hosting.lock().create_repo("lab", "app", now);
-    let tree = hpcci::vcs::WorkTree::new()
+    fed.hosting.lock().push("lab/app", "main", tree, author, "import", now).unwrap();
+    (fed, alice, bob)
+}
+
+/// Run `command` on the MEP as `user` and wait for its output.
+fn run_as(fed: &mut Federation, user: &OnboardedUser, command: &str) -> TaskOutput {
+    let token = token_for(fed, user);
+    let task = {
+        let mut cloud = fed.cloud.lock();
+        let now = cloud.now();
+        cloud.submit_shell(&token, &EndpointId("mep-faster".to_string()), command, now).unwrap()
+    };
+    while fed.world().step() {}
+    fed.cloud.lock().task_result(task).unwrap().clone()
+}
+
+/// §5.2 for the clone itself: a CI clone is `0644` files under `0700`
+/// directories, and the MEP maps many identities onto one site. Another
+/// mapped user's task must not reach the files through their own mode bits.
+#[test]
+fn invariant_ii_another_mapped_user_cannot_read_or_list_a_ci_clone() {
+    let tree = WorkTree::new()
         .with_file("README.md", "# app\n")
         .with_file("conf/deploy.env", "ALLOCATION=projA\n");
-    fed.hosting.lock().push("lab/app", "main", tree, "alice", "import", now).unwrap();
-
-    let ep = EndpointId("mep-faster".to_string());
-    let mut run_as = |user: &hpcci::correct::federation::OnboardedUser, command: &str| {
-        let token = token_for(&fed, user);
-        let task = {
-            let mut cloud = fed.cloud.lock();
-            let now = cloud.now();
-            cloud.submit_shell(&token, &ep, command, now).unwrap()
-        };
-        while fed.world().step() {}
-        fed.cloud.lock().task_result(task).unwrap().clone()
-    };
+    let (mut fed, alice, bob) = clone_world(tree, "alice");
     let clone = "/scratch/x-alice/gc-action-temp/app";
-    let cloned = run_as(&alice, "git clone https://github.sim/lab/app.git");
+    let cloned = run_as(&mut fed, &alice, "git clone https://github.sim/lab/app.git");
     assert!(cloned.success(), "{}", cloned.stderr);
-    let own = run_as(&alice, &format!("cat {clone}/conf/deploy.env"));
+    let own = run_as(&mut fed, &alice, &format!("cat {clone}/conf/deploy.env"));
     assert_eq!(own.stdout, "ALLOCATION=projA\n");
 
     for command in [
@@ -286,11 +296,45 @@ fn invariant_ii_another_mapped_user_cannot_read_or_list_a_ci_clone() {
         format!("ls {clone}"),
         format!("ls {clone}/conf"),
     ] {
-        let out = run_as(&bob, &command);
+        let out = run_as(&mut fed, &bob, &command);
         assert_eq!(out.ran_as, "x-bob");
         assert!(!out.success(), "`{command}` as x-bob must fail, printed: {}", out.stdout);
         assert!(out.stderr.contains("permission denied"), "{command}: {}", out.stderr);
     }
+}
+
+/// §5.2 against the pushed tree: a path that climbs out of the clone with
+/// `..` is refused as git refuses it, before any file of the tree is
+/// written — it does not land in the cloning user's home.
+#[test]
+fn a_pushed_tree_cannot_write_outside_the_clone_directory() {
+    let escape = "../../../../home/x-alice/.bashrc";
+    let tree = WorkTree::new().with_file("README.md", "# app\n").with_file(escape, "evil");
+    let (mut fed, alice, _) = clone_world(tree, "mallory");
+    {
+        let site = fed.site_by_name("tamu-faster").unwrap().clone();
+        let mut rt = site.shared.lock();
+        let cred = Cred::of(rt.site.account("x-alice").unwrap());
+        rt.site.fs.write("/home/x-alice/.bashrc", &cred, "alice's", FileMode::REGULAR).unwrap();
+    }
+    let cloned = run_as(&mut fed, &alice, "git clone https://github.sim/lab/app.git");
+    assert!(!cloned.success(), "printed: {}", cloned.stdout);
+    assert_eq!(cloned.stderr, format!("fatal: invalid path '{escape}'"));
+    assert_eq!(run_as(&mut fed, &alice, "cat /home/x-alice/.bashrc").stdout, "alice's");
+    let readme = run_as(&mut fed, &alice, "cat /scratch/x-alice/gc-action-temp/app/README.md");
+    assert!(readme.stderr.starts_with("no such file"), "{}", readme.stderr);
+}
+
+/// `git clone <url> <dir>` with a relative `<dir>` clones into `<dir>`
+/// under the clone root, where the default destination lives too.
+#[test]
+fn git_clone_into_a_relative_directory_lands_under_the_clone_root() {
+    let (mut fed, alice, _) = clone_world(WorkTree::new().with_file("README.md", "# app\n"), "alice");
+    let cloned = run_as(&mut fed, &alice, "git clone https://github.sim/lab/app.git work/app");
+    assert!(cloned.success(), "{}", cloned.stderr);
+    let dest = "/scratch/x-alice/gc-action-temp/work/app";
+    assert!(cloned.stdout.starts_with(&format!("Cloning into '{dest}'...")), "{}", cloned.stdout);
+    assert_eq!(run_as(&mut fed, &alice, &format!("cat {dest}/README.md")).stdout, "# app\n");
 }
 
 /// A task is checked — and audited — as the identity it was submitted with:
