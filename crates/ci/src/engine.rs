@@ -406,18 +406,7 @@ impl CiEngine {
         commit: &str,
         now: SimTime,
     ) -> Result<Vec<RunId>, CiError> {
-        // Matching workflows are collected as Arc clones (not name
-        // re-lookups): instantiation skips a second search.
-        let matching: Vec<Arc<Shape>> = self
-            .workflows
-            .get(repo)
-            .map(|list| {
-                list.iter()
-                    .filter(|w| w.shape.def.on.iter().any(|t| t.matches_push(branch)))
-                    .map(|w| w.shape.clone())
-                    .collect()
-            })
-            .unwrap_or_default();
+        let matching = self.triggered(repo, |t| t.matches_push(branch));
         matching
             .into_iter()
             .map(|w| self.instantiate_def(repo, &w, branch, commit, false, now))
@@ -437,19 +426,7 @@ impl CiEngine {
         commit: &str,
         now: SimTime,
     ) -> Result<Vec<RunId>, CiError> {
-        let matching: Vec<Arc<Shape>> = self
-            .workflows
-            .get(repo)
-            .map(|list| {
-                list.iter()
-                    .filter(|w| {
-                        let on = &w.shape.def.on;
-                        on.iter().any(|t| matches!(t, TriggerEvent::PullRequest))
-                    })
-                    .map(|w| w.shape.clone())
-                    .collect()
-            })
-            .unwrap_or_default();
+        let matching = self.triggered(repo, |t| matches!(t, TriggerEvent::PullRequest));
         let merge_ref = format!("refs/pull/{number}/merge");
         let fork = head_repo != repo;
         matching
@@ -484,6 +461,20 @@ impl CiEngine {
             }
         }
         fired
+    }
+
+    /// The workflows of `repo` with a trigger that `fires`, collected as Arc
+    /// clones (not name re-lookups): instantiation skips a second search.
+    fn triggered(&self, repo: &str, fires: impl Fn(&TriggerEvent) -> bool) -> Vec<Arc<Shape>> {
+        self.workflows
+            .get(repo)
+            .map(|list| {
+                list.iter()
+                    .filter(|w| w.shape.def.on.iter().any(&fires))
+                    .map(|w| w.shape.clone())
+                    .collect()
+            })
+            .unwrap_or_default()
     }
 
     fn installed(&self, repo: &str, name: &str) -> Result<&Installed, CiError> {
@@ -571,16 +562,16 @@ impl CiEngine {
     // Approval
     // ------------------------------------------------------------------
 
-    /// Approve an awaiting run. `reviewer` must be a required reviewer of
-    /// *every* approval-gated environment the run's jobs target.
-    pub fn approve(&mut self, id: RunId, reviewer: &str, now: SimTime) -> Result<(), CiError> {
+    /// The reviewer rule: run `id` must await approval, and `reviewer` must
+    /// be a required reviewer of *every* approval-gated environment its jobs
+    /// target. Returns the longest wait timer among those environments.
+    fn check_reviewer(&self, id: RunId, reviewer: &str) -> Result<SimDuration, CiError> {
         let run = self.run(id)?;
         if run.status != RunStatus::AwaitingApproval {
             return Err(CiError::NotAwaitingApproval(id));
         }
-        let repo = run.repo.clone();
-        let def = &self.installed(&repo, &run.workflow)?.shape.def;
-        let repo_envs = self.environments.get(repo.as_str());
+        let def = &self.installed(&run.repo, &run.workflow)?.shape.def;
+        let repo_envs = self.environments.get(run.repo.as_str());
         let mut max_wait = SimDuration::ZERO;
         for job in &def.jobs {
             if let Some(env_name) = &job.environment {
@@ -596,37 +587,25 @@ impl CiEngine {
                 max_wait = max_wait.max(env.wait_timer);
             }
         }
+        Ok(max_wait)
+    }
+
+    /// Approve an awaiting run (see [`Self::check_reviewer`]); it becomes
+    /// ready once the longest wait timer has elapsed.
+    pub fn approve(&mut self, id: RunId, reviewer: &str, now: SimTime) -> Result<(), CiError> {
+        let max_wait = self.check_reviewer(id, reviewer)?;
         let approved_by = self.interner.intern(reviewer);
-        let run = self.run_mut(id).expect("looked up above");
+        let run = self.run_mut(id).expect("checked above");
         run.status = RunStatus::Queued;
         run.approved_by = Some(approved_by);
         self.ready.push_back((id, now + max_wait));
         Ok(())
     }
 
-    /// Reject an awaiting run.
+    /// Reject an awaiting run, under the same reviewer rule as `approve`.
     pub fn reject(&mut self, id: RunId, reviewer: &str) -> Result<(), CiError> {
-        let run = self.run(id)?;
-        if run.status != RunStatus::AwaitingApproval {
-            return Err(CiError::NotAwaitingApproval(id));
-        }
-        let repo = run.repo.clone();
-        let def = &self.installed(&repo, &run.workflow)?.shape.def;
-        let repo_envs = self.environments.get(repo.as_str());
-        for job in &def.jobs {
-            if let Some(env_name) = &job.environment {
-                if let Some(env) = repo_envs.and_then(|envs| envs.get(env_name.as_str())) {
-                    if env.requires_approval() && !env.is_required_reviewer(reviewer) {
-                        return Err(CiError::NotARequiredReviewer {
-                            run: id,
-                            user: reviewer.to_string(),
-                        });
-                    }
-                }
-            }
-        }
-        let run = self.run_mut(id).expect("looked up above");
-        run.status = RunStatus::Rejected;
+        self.check_reviewer(id, reviewer)?;
+        self.run_mut(id).expect("checked above").status = RunStatus::Rejected;
         Ok(())
     }
 
@@ -1114,6 +1093,25 @@ mod tests {
             e.approve(id, "r", SimTime::ZERO),
             Err(CiError::NotAwaitingApproval(_))
         ));
+    }
+
+    #[test]
+    fn a_non_reviewer_cannot_reject() {
+        let wf = WorkflowDef::new("hpc-ci")
+            .on_event(TriggerEvent::push_any())
+            .with_job(
+                JobDef::new("remote")
+                    .with_environment("e")
+                    .with_step(StepDef::run("s", "x")),
+            );
+        let mut e = engine_with_workflow(wf);
+        e.add_environment("globus-labs/app", Environment::new("e").with_reviewer("r"));
+        let id = e.on_push("globus-labs/app", "main", "c", SimTime::ZERO).unwrap()[0];
+        assert!(matches!(
+            e.reject(id, "mallory"),
+            Err(CiError::NotARequiredReviewer { .. })
+        ));
+        assert_eq!(e.run(id).unwrap().status, RunStatus::AwaitingApproval);
     }
 
     #[test]

@@ -40,47 +40,6 @@ fn fnv_pair(a: &str, b: &str) -> u64 {
     h.0
 }
 
-/// Outcome of a resilient submit-and-wait cycle.
-enum Attempted {
-    /// The task reached a terminal output (success *or* genuine test
-    /// failure — test failures are never retried).
-    Done(TaskOutput),
-    /// Non-retryable error (bad configuration, auth denial); fail the step
-    /// exactly as the non-resilient path would.
-    Fatal(String),
-    /// Infrastructure failure that survived every retry and fallback.
-    Infra(String),
-}
-
-fn note_failover(log: &mut String, endpoints: &[EndpointId], ep_idx: &mut usize, obs: &Obs) {
-    if *ep_idx + 1 < endpoints.len() {
-        *ep_idx += 1;
-        obs.inc("action.failovers");
-        log.push_str(&format!(
-            "Failing over to sibling endpoint {}\n",
-            endpoints[*ep_idx]
-        ));
-    }
-}
-
-/// Graceful degradation: the site is skipped and the step reports an
-/// infrastructure failure, distinguishable from a test failure by the
-/// [`Infra::Failed`] mark, shown to the user as the `failure_kind` output
-/// (§2.1: CI must not confuse platform flakiness with code regressions).
-fn infra_step_result(log: String, detail: &str) -> StepResult {
-    StepResult {
-        success: false,
-        stdout: log,
-        stderr: format!(
-            "infrastructure failure (site skipped): {detail}\n\
-             This failure reflects CI infrastructure, not the tests under evaluation."
-        ),
-        infra: Infra::Failed,
-        ..StepResult::default()
-    }
-    .with_output("failure_kind", FailureKind::Infrastructure.as_str())
-}
-
 /// The action. Holds a handle to the FaaS cloud (the runner talks to the
 /// cloud's REST API; it never reaches the site directly).
 pub struct CorrectAction {
@@ -120,6 +79,57 @@ impl CorrectAction {
         }
     }
 
+    /// The client-credentials grant (§5.3): the step's first token, and a
+    /// fresh one whenever the cloud rejects it mid-run.
+    fn authenticate(
+        &self,
+        client_id: &ClientId,
+        client_secret: &ClientSecret,
+        now: SimTime,
+    ) -> Result<AccessToken, AuthError> {
+        let cloud = self.cloud.lock();
+        let mut auth = cloud.auth().lock();
+        auth.authenticate(client_id, client_secret, vec![Scope::compute_api()], now)
+    }
+}
+
+/// One CORRECT step's session with the cloud: the credentials and the token
+/// they granted, the endpoints in failover order and the one the step stands
+/// on, the retry policy, and what the step has produced so far — its log,
+/// its [`Infra`] mark and the ids of the tasks it submitted.
+struct Session<'a> {
+    action: &'a CorrectAction,
+    client_id: ClientId,
+    client_secret: ClientSecret,
+    token: AccessToken,
+    /// The primary endpoint plus any configured fallbacks for crash
+    /// failover, in priority order. A failover holds for the rest of the
+    /// step, so the command and the capture run where the clone did.
+    endpoints: Vec<EndpointId>,
+    ep_idx: usize,
+    max_retries: u32,
+    backoff: SimDuration,
+    log: String,
+    infra: Infra,
+    tasks: Vec<u64>,
+}
+
+impl Session<'_> {
+    /// End the step with `result`, carrying the session's [`Infra`] mark and
+    /// task ids.
+    fn end(&mut self, result: StepResult) -> StepResult {
+        StepResult {
+            infra: self.infra,
+            tasks: std::mem::take(&mut self.tasks),
+            ..result
+        }
+    }
+
+    /// End the step on a non-retryable error: `stderr` is all it reports.
+    fn fatal(&mut self, stderr: String) -> Box<StepResult> {
+        Box::new(self.end(StepResult::fail(stderr)))
+    }
+
     /// Submit a task and wait for it, retrying *infrastructure* failures with
     /// deterministic exponential backoff, failing over to sibling endpoints
     /// on crashes, and refreshing the bearer token when it expires mid-run.
@@ -128,105 +138,113 @@ impl CorrectAction {
     /// perturb the simulation. What is infrastructure is decided by type —
     /// [`FaasError::is_infrastructure`], [`TaskFailure::WorkerCrashed`] —
     /// and every attempt past the first marks `infra` as shaped by it.
-    /// A failover moves `ep_idx` for the rest of the step; every task id the
-    /// cloud hands back is appended to `tasks`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_resilient<F>(
-        &self,
+    ///
+    /// The task's output, success *or* genuine test failure (never retried);
+    /// or the step's result when it must end here: a non-retryable error
+    /// (bad configuration, auth denial) with an empty stdout, or graceful
+    /// degradation once every retry and fallback is spent — the site is
+    /// skipped and the step reports an infrastructure failure, marked
+    /// [`Infra::Failed`] and shown to the user as the `failure_kind` output
+    /// (§2.1: CI must not confuse platform flakiness with code regressions).
+    fn run<F>(
+        &mut self,
         driver: &mut dyn WorldDriver,
-        token: &mut AccessToken,
-        creds: (&ClientId, &ClientSecret),
-        endpoints: &[EndpointId],
-        ep_idx: &mut usize,
-        max_retries: u32,
-        backoff: SimDuration,
         jitter_seed: u64,
-        log: &mut String,
-        infra: &mut Infra,
-        tasks: &mut Vec<u64>,
         label: &str,
         submit: F,
-    ) -> Attempted
+    ) -> Result<TaskOutput, Box<StepResult>>
     where
         F: Fn(&mut CloudService, &AccessToken, &EndpointId, SimTime) -> Result<TaskId, FaasError>,
     {
+        let obs = &self.action.obs;
         let mut rng = DetRng::seed_from_u64(jitter_seed);
         let mut last_infra = String::new();
         let mut attempt = 0u32;
         loop {
             if attempt > 0 {
-                if attempt > max_retries {
-                    self.obs.inc("action.infra_failures");
-                    return Attempted::Infra(last_infra);
+                if attempt > self.max_retries {
+                    obs.inc("action.infra_failures");
+                    self.infra = Infra::Failed;
+                    let skipped = StepResult {
+                        success: false,
+                        stdout: std::mem::take(&mut self.log),
+                        stderr: format!(
+                            "infrastructure failure (site skipped): {last_infra}\n\
+                             This failure reflects CI infrastructure, not the tests under evaluation."
+                        ),
+                        ..StepResult::default()
+                    }
+                    .with_output("failure_kind", FailureKind::Infrastructure.as_str());
+                    return Err(Box::new(self.end(skipped)));
                 }
-                self.obs.inc("action.retries");
-                *infra = Infra::Shaped;
+                obs.inc("action.retries");
+                self.infra = Infra::Shaped;
                 // Deterministic exponential backoff: base * 2^(attempt-1),
                 // jittered from a stream seeded by commit+endpoint.
                 let factor = (1u64 << (attempt - 1).min(16)) as f64 * rng.range_f64(0.8, 1.2);
-                let delay = backoff.mul_f64(factor);
-                log.push_str(&format!(
-                    "Infrastructure failure ({last_infra}); retry {attempt}/{max_retries} in {:.1}s\n",
+                let delay = self.backoff.mul_f64(factor);
+                self.log.push_str(&format!(
+                    "Infrastructure failure ({last_infra}); retry {attempt}/{} in {:.1}s\n",
+                    self.max_retries,
                     delay.as_secs_f64()
                 ));
                 driver.sleep(delay);
             }
             let submitted = {
-                let mut cloud = self.cloud.lock();
+                let mut cloud = self.action.cloud.lock();
                 let now = cloud.now();
-                submit(&mut cloud, token, &endpoints[*ep_idx], now)
+                submit(&mut cloud, &self.token, &self.endpoints[self.ep_idx], now)
             };
-            let task = match submitted {
-                Ok(t) => {
-                    tasks.push(t.0);
-                    t
+            last_infra = match submitted {
+                Ok(task) => {
+                    self.tasks.push(task.0);
+                    match self.action.wait_for(driver, task) {
+                        Ok(out) if out.result == Err(TaskFailure::WorkerCrashed) => out.stderr,
+                        Ok(out) => return Ok(out),
+                        Err(e) if e.is_infrastructure() => format!("Error: {e}"),
+                        Err(FaasError::NotFinished(task)) => {
+                            let e = format!(
+                                "Error: federation made no progress while waiting for {task}"
+                            );
+                            return Err(self.fatal(e));
+                        }
+                        Err(e) => return Err(self.fatal(format!("Error: {e}"))),
+                    }
                 }
                 Err(FaasError::Auth(AuthError::InvalidToken)) => {
                     // Token expired mid-run: refresh and retry (§5.3's
                     // client-credentials grant is repeatable).
-                    log.push_str("Access token rejected mid-run; re-authenticating\n");
+                    self.log
+                        .push_str("Access token rejected mid-run; re-authenticating\n");
                     let now = driver.now();
-                    let refreshed = {
-                        let cloud = self.cloud.lock();
-                        let mut auth = cloud.auth().lock();
-                        auth.authenticate(creds.0, creds.1, vec![Scope::compute_api()], now)
-                    };
+                    let refreshed =
+                        self.action
+                            .authenticate(&self.client_id, &self.client_secret, now);
                     match refreshed {
                         Ok(t) => {
-                            self.obs.inc("action.token_refreshes");
-                            *token = t;
+                            obs.inc("action.token_refreshes");
+                            self.token = t;
                             last_infra = "expired access token (refreshed)".to_string();
                             attempt += 1;
                             continue;
                         }
                         Err(e) => {
-                            return Attempted::Fatal(format!(
-                                "Error: re-authentication failed: {e}"
-                            ))
+                            let e = format!("Error: re-authentication failed: {e}");
+                            return Err(self.fatal(e));
                         }
                     }
                 }
-                Err(e) if e.is_infrastructure() => {
-                    last_infra = e.to_string();
-                    note_failover(log, endpoints, ep_idx, &self.obs);
-                    attempt += 1;
-                    continue;
-                }
-                Err(e) => return Attempted::Fatal(format!("Error: {label}: {e}")),
+                Err(e) if e.is_infrastructure() => e.to_string(),
+                Err(e) => return Err(self.fatal(format!("Error: {label}: {e}"))),
             };
-            last_infra = match self.wait_for(driver, task) {
-                Ok(out) if out.result == Err(TaskFailure::WorkerCrashed) => out.stderr,
-                // Success, or a genuine test failure: report it, never retry it.
-                Ok(out) => return Attempted::Done(out),
-                Err(e) if e.is_infrastructure() => format!("Error: {e}"),
-                Err(FaasError::NotFinished(task)) => {
-                    return Attempted::Fatal(format!(
-                        "Error: federation made no progress while waiting for {task}"
-                    ))
-                }
-                Err(e) => return Attempted::Fatal(format!("Error: {e}")),
-            };
-            note_failover(log, endpoints, ep_idx, &self.obs);
+            if self.ep_idx + 1 < self.endpoints.len() {
+                self.ep_idx += 1;
+                obs.inc("action.failovers");
+                self.log.push_str(&format!(
+                    "Failing over to sibling endpoint {}\n",
+                    self.endpoints[self.ep_idx]
+                ));
+            }
             attempt += 1;
         }
     }
@@ -234,18 +252,6 @@ impl CorrectAction {
 
 impl Action for CorrectAction {
     fn run(&self, ctx: &mut StepContext<'_>) -> StepResult {
-        // Room for the common clone-plus-command step in one allocation.
-        let mut tasks = Vec::with_capacity(2);
-        let mut result = self.run_step(ctx, &mut tasks);
-        result.tasks = tasks;
-        result
-    }
-}
-
-impl CorrectAction {
-    /// The action's body; every id the cloud hands back goes to `tasks`,
-    /// whichever way the step ends.
-    fn run_step(&self, ctx: &mut StepContext<'_>, tasks: &mut Vec<u64>) -> StepResult {
         let inputs = match CorrectInputs::parse(&ctx.inputs) {
             Ok(i) => i,
             Err(e) => return StepResult::fail(e),
@@ -253,7 +259,6 @@ impl CorrectAction {
         // Preamble, clone report and a test summary fit without regrowing;
         // the engine trims what is left over when it stores the log.
         let mut log = String::with_capacity(512);
-        let mut infra = Infra::Untouched;
 
         // 1. Runner bootstrap: the SDK is not on the hosted VM image.
         log.push_str("Checking for globus-compute-sdk on runner... not found\n");
@@ -265,80 +270,62 @@ impl CorrectAction {
         // same mutex.)
         let client_id = ClientId(inputs.client_id.to_string());
         let client_secret = ClientSecret::new(inputs.client_secret);
-        let now = ctx.driver.now();
-        let mut token = {
-            let cloud = self.cloud.lock();
-            let mut auth = cloud.auth().lock();
-            match auth.authenticate(&client_id, &client_secret, vec![Scope::compute_api()], now) {
-                Ok(t) => t,
-                Err(e) => {
-                    return StepResult::fail(format!("Error: Globus authentication failed: {e}"))
-                }
-            }
+        let token = match self.authenticate(&client_id, &client_secret, ctx.driver.now()) {
+            Ok(t) => t,
+            Err(e) => return StepResult::fail(format!("Error: Globus authentication failed: {e}")),
         };
         log.push_str("Authenticated with Globus Auth (scope compute.api)\n");
 
-        // The primary endpoint plus any configured fallbacks for crash
-        // failover, in priority order. A failover holds for the rest of the
-        // step, so the command and the capture run where the clone did.
-        let endpoints: Vec<EndpointId> = std::iter::once(inputs.endpoint_uuid)
-            .chain(inputs.fallback_endpoints.iter().copied())
-            .map(|e| EndpointId(e.to_string()))
-            .collect();
-        let mut ep_idx = 0;
-        let backoff = SimDuration::from_secs(inputs.retry_backoff_secs.max(1));
+        let mut step = Session {
+            action: self,
+            client_id,
+            client_secret,
+            token,
+            endpoints: std::iter::once(inputs.endpoint_uuid)
+                .chain(inputs.fallback_endpoints.iter().copied())
+                .map(|e| EndpointId(e.to_string()))
+                .collect(),
+            ep_idx: 0,
+            max_retries: inputs.max_retries,
+            backoff: SimDuration::from_secs(inputs.retry_backoff_secs.max(1)),
+            log,
+            infra: Infra::Untouched,
+            // Room for the common clone-plus-command step in one allocation.
+            tasks: Vec::with_capacity(2),
+        };
         let jitter_seed = fnv_pair(&ctx.commit, inputs.endpoint_uuid);
 
         // 3. Clone the repository at the remote site.
         if !inputs.skip_clone {
             let clone_cmd = format!("git clone https://github.sim/{}.git", ctx.repo);
-            match self.run_resilient(
+            let cloned = step.run(
                 ctx.driver,
-                &mut token,
-                (&client_id, &client_secret),
-                &endpoints,
-                &mut ep_idx,
-                inputs.max_retries,
-                backoff,
                 jitter_seed,
-                &mut log,
-                &mut infra,
-                tasks,
                 "clone submission",
                 |cloud, token, endpoint, now| cloud.submit_shell(token, endpoint, &clone_cmd, now),
-            ) {
-                Attempted::Done(out) if out.success() => {
-                    log.push_str(&out.stdout);
-                    log.push('\n');
-                }
-                Attempted::Done(out) => {
-                    // Clone failure fails the workflow step (§5.3).
-                    return StepResult {
-                        success: false,
-                        stdout: log + &out.stdout,
-                        stderr: format!("Error: repository clone failed\n{}", out.stderr),
-                        infra,
-                        ..StepResult::default()
-                    };
-                }
-                Attempted::Fatal(e) => return StepResult { infra, ..StepResult::fail(e) },
-                Attempted::Infra(detail) => return infra_step_result(log, &detail),
+            );
+            let out = match cloned {
+                Ok(out) => out,
+                Err(ended) => return *ended,
+            };
+            if !out.success() {
+                // Clone failure fails the workflow step (§5.3).
+                let result = StepResult {
+                    success: false,
+                    stdout: std::mem::take(&mut step.log) + &out.stdout,
+                    stderr: format!("Error: repository clone failed\n{}", out.stderr),
+                    ..StepResult::default()
+                };
+                return step.end(result);
             }
+            step.log.push_str(&out.stdout);
+            step.log.push('\n');
         }
 
         // 4. Invoke the user-specified function.
-        let output = match self.run_resilient(
+        let submitted = step.run(
             ctx.driver,
-            &mut token,
-            (&client_id, &client_secret),
-            &endpoints,
-            &mut ep_idx,
-            inputs.max_retries,
-            backoff,
             jitter_seed.wrapping_add(1),
-            &mut log,
-            &mut infra,
-            tasks,
             "task submission",
             |cloud, token, endpoint, now| {
                 if let Some(cmd) = inputs.shell_cmd {
@@ -353,22 +340,21 @@ impl CorrectAction {
                     cloud.submit_function(token, endpoint, fid, inputs.args, now)
                 }
             },
-        ) {
-            Attempted::Done(o) => o,
-            Attempted::Fatal(e) => return StepResult { infra, ..StepResult::fail(e) },
-            Attempted::Infra(detail) => return infra_step_result(log, &detail),
+        );
+        let output = match submitted {
+            Ok(o) => o,
+            Err(ended) => return *ended,
         };
 
         // 5. Propagate outputs; step fails when the function failed. The
         // task's output is ours: the log becomes the step's stdout and the
         // task's strings move into the outputs map (one copy, for `stderr`).
-        log.push_str(&output.stdout);
+        step.log.push_str(&output.stdout);
         let mut result = StepResult {
             success: output.success(),
-            stdout: log,
+            stdout: std::mem::take(&mut step.log),
             stderr: output.stderr.clone(),
             outputs: Outputs::with_capacity(5),
-            infra,
             ..StepResult::default()
         }
         .with_output(
@@ -385,10 +371,15 @@ impl CorrectAction {
             let capture_task = {
                 let mut cloud = self.cloud.lock();
                 let now = cloud.now();
-                cloud.submit_shell(&token, &endpoints[ep_idx], "gc-capture-env", now)
+                cloud.submit_shell(
+                    &step.token,
+                    &step.endpoints[step.ep_idx],
+                    "gc-capture-env",
+                    now,
+                )
             };
             if let Ok(t) = capture_task {
-                tasks.push(t.0);
+                step.tasks.push(t.0);
                 if let Ok(cap) = self.wait_for(ctx.driver, t) {
                     if cap.success() {
                         result = result.with_artifact("environment.txt", &cap.stdout);
@@ -396,7 +387,7 @@ impl CorrectAction {
                 }
             }
         }
-        result
+        step.end(result)
     }
 }
 

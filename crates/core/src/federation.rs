@@ -56,66 +56,8 @@ pub struct SiteHandle {
     pub shared: hpcci_faas::exec::SharedSite,
 }
 
-/// What kind of compute endpoint an [`EndpointSpec`] describes.
-pub enum EndpointKind {
-    /// Single-user endpoint: only `owner` submits, tasks run as
-    /// `local_user`, workers come from `provider`.
-    Single {
-        owner: IdentityId,
-        local_user: String,
-        provider: TaskProvider,
-    },
-    /// Multi-user endpoint that forks per-user endpoint pairs on demand.
-    MultiUser {
-        mapping: IdentityMapping,
-        template: MepTemplate,
-    },
-}
-
-/// Declarative endpoint registration, consumed by [`Federation::register`].
-pub struct EndpointSpec {
-    pub name: String,
-    pub site: SiteId,
-    pub kind: EndpointKind,
-}
-
-impl EndpointSpec {
-    /// A single-user endpoint whose workers `provider` provisions: on the
-    /// login node ([`TaskProvider::Local`]) or in SLURM pilot jobs.
-    pub fn single(
-        name: &str,
-        site: SiteId,
-        owner: IdentityId,
-        local_user: &str,
-        provider: TaskProvider,
-    ) -> Self {
-        EndpointSpec {
-            name: name.to_string(),
-            site,
-            kind: EndpointKind::Single {
-                owner,
-                local_user: local_user.to_string(),
-                provider,
-            },
-        }
-    }
-
-    /// A multi-user endpoint.
-    pub fn multi_user(
-        name: &str,
-        site: SiteId,
-        mapping: IdentityMapping,
-        template: MepTemplate,
-    ) -> Self {
-        EndpointSpec {
-            name: name.to_string(),
-            site,
-            kind: EndpointKind::MultiUser { mapping, template },
-        }
-    }
-}
-
-/// What [`Federation::register`] hands back: the cloud-side endpoint id plus
+/// What [`Federation::register_single`] and [`Federation::register_multi`]
+/// hand back: the cloud-side endpoint id plus
 /// where the endpoint lives.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EndpointHandle {
@@ -506,30 +448,53 @@ impl Federation {
     // Endpoints
     // ------------------------------------------------------------------
 
-    /// Register a compute endpoint described by `spec`. An endpoint whose
-    /// site cannot serve its provider (see [`Endpoint::new`] and
-    /// [`MultiUserEndpoint::new`]) is refused, and nothing is registered.
-    pub fn register(&mut self, spec: EndpointSpec) -> Result<EndpointHandle, FaasError> {
-        let EndpointSpec { name, site, kind } = spec;
+    /// Register a single-user endpoint: only `owner` submits, tasks run as
+    /// `local_user`, workers come from `provider` (the login node, or SLURM
+    /// pilot jobs). A site that cannot serve the provider (see
+    /// [`Endpoint::new`]) refuses it, and nothing is registered.
+    pub fn register_single(
+        &mut self,
+        name: &str,
+        site: SiteId,
+        owner: IdentityId,
+        local_user: &str,
+        provider: TaskProvider,
+    ) -> Result<EndpointHandle, FaasError> {
+        let config = EndpointConfig::new(name, owner, local_user);
         let shared = self.site(site).shared.clone();
-        let registration = match kind {
-            EndpointKind::Single {
-                owner,
-                local_user,
-                provider,
-            } => {
-                let config = EndpointConfig::new(&name, owner, &local_user);
-                let endpoint = Endpoint::new(config, shared, provider, self.seed + 1)?;
-                self.seed += 1;
-                EndpointRegistration::Single(Box::new(endpoint))
-            }
-            EndpointKind::MultiUser { mapping, template } => EndpointRegistration::Multi(
-                Box::new(MultiUserEndpoint::new(&name, shared, mapping, template)?),
-            ),
-        };
-        let id = self.cloud.lock().register_endpoint(&name, registration);
-        self.endpoint_sites.insert(name.clone(), site);
-        Ok(EndpointHandle { id, name, site })
+        let endpoint = Endpoint::new(config, shared, provider, self.seed + 1)?;
+        self.seed += 1;
+        Ok(self.add_endpoint(name, site, EndpointRegistration::Single(Box::new(endpoint))))
+    }
+
+    /// Register a multi-user endpoint that forks per-user endpoint pairs on
+    /// demand. A template the site cannot serve (see
+    /// [`MultiUserEndpoint::new`]) is refused, and nothing is registered.
+    pub fn register_multi(
+        &mut self,
+        name: &str,
+        site: SiteId,
+        mapping: IdentityMapping,
+        template: MepTemplate,
+    ) -> Result<EndpointHandle, FaasError> {
+        let shared = self.site(site).shared.clone();
+        let mep = MultiUserEndpoint::new(name, shared, mapping, template)?;
+        Ok(self.add_endpoint(name, site, EndpointRegistration::Multi(Box::new(mep))))
+    }
+
+    fn add_endpoint(
+        &mut self,
+        name: &str,
+        site: SiteId,
+        registration: EndpointRegistration,
+    ) -> EndpointHandle {
+        let id = self.cloud.lock().register_endpoint(name, registration);
+        self.endpoint_sites.insert(name.to_string(), site);
+        EndpointHandle {
+            id,
+            name: name.to_string(),
+            site,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -863,15 +828,14 @@ mod tests {
             cores: 8,
             walltime_secs: 600,
         };
-        let spec = |site, account: &str| EndpointSpec::single("ep", site, owner, account, pilot);
         assert_eq!(
-            fed.register(spec(lab, "u")).err(),
+            fed.register_single("ep", lab, owner, "u", pilot).err(),
             Some(FaasError::UnknownEndpoint(
                 "ep: no scheduler at site".into()
             ))
         );
         assert_eq!(
-            fed.register(spec(faster, "nobody")).err(),
+            fed.register_single("ep", faster, owner, "nobody", pilot).err(),
             Some(FaasError::NoLocalAccount("nobody".into()))
         );
         // A refusal registers nothing and draws no endpoint seed.
@@ -883,7 +847,7 @@ mod tests {
             .site
             .add_account("x-u", "proj");
         assert_eq!(
-            fed.register(spec(faster, "x-u")).map(|h| h.site),
+            fed.register_single("ep", faster, owner, "x-u", pilot).map(|h| h.site),
             Ok(faster)
         );
         assert_eq!(fed.seed, 14);
@@ -924,14 +888,8 @@ mod tests {
         let mut fed = Federation::builder(11).step_cache(CacheMode::Record).build();
         let site = fed.add_site(Site::tamu_faster(), 64);
         let user = fed.onboard_user("vhayot", "purdue");
-        let spec = EndpointSpec::single(
-            "ep-faster",
-            site,
-            user.identity.id,
-            "x-vhayot",
-            TaskProvider::Local,
-        );
-        fed.register(spec).unwrap();
+        let local = TaskProvider::Local;
+        fed.register_single("ep-faster", site, user.identity.id, "x-vhayot", local).unwrap();
         fed.refresh_stack_fingerprints();
         let before = fed.engine.stack_fingerprint("ep-faster").unwrap();
         assert_eq!(

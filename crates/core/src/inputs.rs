@@ -81,16 +81,19 @@ impl<'a> CorrectInputs<'a> {
                 .map(|v| v == "true" || v == "1" || v == "yes")
                 .unwrap_or(false)
         };
-        let uint = |key: &str, default: u64| -> Result<u64, String> {
+        // A value above `max` is as invalid as one that does not parse:
+        // retries are counted in a `u32`, and the backoff's microseconds must
+        // fit the simulated clock.
+        let uint = |key: &str, default: u64, max: u64| -> Result<u64, String> {
             match with.get(key).filter(|v| !v.is_empty()) {
-                Some(raw) => raw
-                    .parse::<u64>()
-                    .map_err(|_| format!("correct-action: invalid `{key}` value `{raw}`")),
+                Some(raw) => (raw.parse::<u64>().ok())
+                    .filter(|&v| v <= max)
+                    .ok_or_else(|| format!("correct-action: invalid `{key}` value `{raw}`")),
                 None => Ok(default),
             }
         };
-        let max_retries = uint("max_retries", 2)? as u32;
-        let retry_backoff_secs = uint("retry_backoff_secs", 5)?;
+        let max_retries = uint("max_retries", 2, u32::MAX.into())? as u32;
+        let retry_backoff_secs = uint("retry_backoff_secs", 5, u64::MAX / 1_000_000)?;
         let fallback_endpoints = with
             .get("fallback_endpoints")
             .map(|v| {
@@ -205,6 +208,31 @@ mod tests {
 
         m.insert("max_retries".into(), "lots".into());
         assert!(CorrectInputs::parse(&m).unwrap_err().contains("max_retries"));
+    }
+
+    #[test]
+    fn max_retries_beyond_u32_is_refused_not_truncated() {
+        let mut m = base();
+        m.insert("max_retries".into(), "4294967297".into());
+        assert_eq!(
+            CorrectInputs::parse(&m).unwrap_err(),
+            "correct-action: invalid `max_retries` value `4294967297`"
+        );
+        m.insert("max_retries".into(), "4294967295".into());
+        assert_eq!(CorrectInputs::parse(&m).unwrap().max_retries, u32::MAX);
+    }
+
+    #[test]
+    fn a_backoff_beyond_the_simulated_clock_is_refused() {
+        let mut m = base();
+        m.insert("retry_backoff_secs".into(), u64::MAX.to_string());
+        assert_eq!(
+            CorrectInputs::parse(&m).unwrap_err(),
+            "correct-action: invalid `retry_backoff_secs` value `18446744073709551615`"
+        );
+        let most = u64::MAX / 1_000_000;
+        m.insert("retry_backoff_secs".into(), most.to_string());
+        assert_eq!(CorrectInputs::parse(&m).unwrap().retry_backoff_secs, most);
     }
 
     #[test]

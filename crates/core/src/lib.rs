@@ -29,8 +29,7 @@ pub mod recipes;
 
 pub use action::{CorrectAction, CORRECT_ACTION_NAME};
 pub use federation::{
-    EndpointHandle, EndpointKind, EndpointSpec, Federation, FederationBuilder, OnboardedUser,
-    SiteHandle, SiteId,
+    EndpointHandle, Federation, FederationBuilder, OnboardedUser, SiteHandle, SiteId,
 };
 pub use inputs::CorrectInputs;
 pub use persist::{archive_from_engine, archive_run};

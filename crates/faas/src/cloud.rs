@@ -14,7 +14,7 @@ use hpcci_auth::{AuthService, Identity, Scope};
 use hpcci_obs::Obs;
 use hpcci_sim::{Advance, EventQueue, FaultInjector, SimTime, Sym, Trace};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Endpoint identifier (the "endpoint UUID" of the action inputs).
@@ -43,24 +43,18 @@ pub enum EndpointRegistration {
 }
 
 impl EndpointRegistration {
+    /// One-way latency between the endpoint's site and the cloud service.
     fn wan_latency(&self) -> hpcci_sim::SimDuration {
-        match self {
-            EndpointRegistration::Single(e) => e.wan_latency(),
-            EndpointRegistration::Multi(m) => m.wan_latency(),
-        }
+        self.site().lock().site.perf.wan_rtt() / 2
     }
 
-    fn function_allowed(&self, f: FunctionId) -> bool {
+    /// The functions this endpoint may run, if restricted (§5.2's
+    /// "restricting the functions that can be executed"); a restricted
+    /// endpoint runs no ad-hoc shell command.
+    fn allowlist(&self) -> Option<&BTreeSet<FunctionId>> {
         match self {
-            EndpointRegistration::Single(e) => e.function_allowed(f),
-            EndpointRegistration::Multi(m) => m.function_allowed(f),
-        }
-    }
-
-    fn shell_allowed(&self) -> bool {
-        match self {
-            EndpointRegistration::Single(e) => e.shell_allowed(),
-            EndpointRegistration::Multi(m) => m.shell_allowed(),
+            EndpointRegistration::Single(e) => e.config.restrict_functions.as_ref(),
+            EndpointRegistration::Multi(m) => m.restrict_functions.as_ref(),
         }
     }
 
@@ -373,7 +367,7 @@ impl CloudService {
         shell_cmd: &str,
         now: SimTime,
     ) -> Result<TaskId, FaasError> {
-        let (identity, slot) = self.validate_shell(token, endpoint, shell_cmd, now)?;
+        let (identity, slot) = self.validate(token, None, endpoint, shell_cmd.len(), now)?;
         let command = self.trace.intern(shell_cmd);
         Ok(self.accept(&identity, slot, command, now))
     }
@@ -394,7 +388,7 @@ impl CloudService {
         now: SimTime,
         arrivals: &[SimTime],
     ) -> Result<u64, FaasError> {
-        let (identity, slot) = self.validate_shell(token, endpoint, shell_cmd, now)?;
+        let (identity, slot) = self.validate(token, None, endpoint, shell_cmd.len(), now)?;
         let command = self.trace.intern(shell_cmd);
         self.pending_submits += arrivals.len() as u64;
         self.wire.push_run(
@@ -406,29 +400,6 @@ impl CloudService {
             },
         );
         Ok(arrivals.len() as u64)
-    }
-
-    /// The validation stack of [`Self::submit_shell`], factored out so the
-    /// scheduled-submission path runs exactly the same checks.
-    fn validate_shell(
-        &mut self,
-        token: &hpcci_auth::AccessToken,
-        endpoint: &EndpointId,
-        shell_cmd: &str,
-        now: SimTime,
-    ) -> Result<(Arc<Identity>, usize), FaasError> {
-        let identity = self.authenticate(token, now)?;
-        let slot = *self
-            .slots
-            .get(endpoint)
-            .ok_or_else(|| FaasError::UnknownEndpoint(endpoint.0.clone()))?;
-        let ep = &self.endpoints[slot];
-        if !ep.shell_allowed() {
-            return Err(FaasError::ShellNotAllowed);
-        }
-        self.check_payload(shell_cmd.len())?;
-        self.check_owner(ep, &identity, now)?;
-        Ok((identity, slot))
     }
 
     /// Scheduled submissions not yet accepted by the event loop.
@@ -445,20 +416,54 @@ impl CloudService {
         args: &str,
         now: SimTime,
     ) -> Result<TaskId, FaasError> {
+        let (identity, slot) = self.validate(token, Some(function), endpoint, args.len(), now)?;
+        let line = self.function(function)?.command_line(args);
+        let command = self.trace.intern(&line);
+        Ok(self.accept(&identity, slot, command, now))
+    }
+
+    /// The one validation stack of every submission path, in order: token,
+    /// function (`None` for a shell command), endpoint, allowlist, payload,
+    /// owner.
+    fn validate(
+        &mut self,
+        token: &hpcci_auth::AccessToken,
+        function: Option<FunctionId>,
+        endpoint: &EndpointId,
+        payload: usize,
+        now: SimTime,
+    ) -> Result<(Arc<Identity>, usize), FaasError> {
         let identity = self.authenticate(token, now)?;
-        let f = self.function(function)?.clone();
+        if let Some(f) = function {
+            self.function(f)?;
+        }
         let slot = *self
             .slots
             .get(endpoint)
             .ok_or_else(|| FaasError::UnknownEndpoint(endpoint.0.clone()))?;
         let ep = &self.endpoints[slot];
-        if !ep.function_allowed(function) {
-            return Err(FaasError::FunctionNotAllowed(function));
+        if let Some(allowed) = ep.allowlist() {
+            match function {
+                None => return Err(FaasError::ShellNotAllowed),
+                Some(f) if !allowed.contains(&f) => return Err(FaasError::FunctionNotAllowed(f)),
+                Some(_) => {}
+            }
         }
-        self.check_payload(args.len())?;
-        self.check_owner(ep, &identity, now)?;
-        let command = self.trace.intern(&f.command_line(args));
-        Ok(self.accept(&identity, slot, command, now))
+        if payload > PAYLOAD_LIMIT {
+            return Err(FaasError::PayloadTooLarge {
+                bytes: payload,
+                limit: PAYLOAD_LIMIT,
+            });
+        }
+        // Ownership and high-assurance policy, evaluated at the submission
+        // instant `now` — the cloud's own clock may lag the submitter.
+        if let EndpointRegistration::Single(e) = ep {
+            if e.config.owner != identity.id {
+                return Err(FaasError::NotEndpointOwner);
+            }
+            e.config.ha_policy.check(&identity, now)?;
+        }
+        Ok((identity, slot))
     }
 
     /// The identity behind a valid compute token, by handle: the submission
@@ -471,33 +476,6 @@ impl CloudService {
         let auth = self.auth.lock();
         let info = auth.require_scope(token, &Scope::compute_api(), now)?;
         Ok(auth.identity(info.identity)?.clone())
-    }
-
-    fn check_payload(&self, bytes: usize) -> Result<(), FaasError> {
-        if bytes > PAYLOAD_LIMIT {
-            return Err(FaasError::PayloadTooLarge {
-                bytes,
-                limit: PAYLOAD_LIMIT,
-            });
-        }
-        Ok(())
-    }
-
-    /// Ownership and high-assurance policy, evaluated at the submission
-    /// instant `now` — the cloud's own clock may lag the submitter.
-    fn check_owner(
-        &self,
-        ep: &EndpointRegistration,
-        identity: &Identity,
-        now: SimTime,
-    ) -> Result<(), FaasError> {
-        if let EndpointRegistration::Single(e) = ep {
-            if e.config.owner != identity.id {
-                return Err(FaasError::NotEndpointOwner);
-            }
-            e.config.ha_policy.check(identity, now)?;
-        }
-        Ok(())
     }
 
     fn accept(

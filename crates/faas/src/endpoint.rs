@@ -394,25 +394,6 @@ impl Endpoint {
         &self.site
     }
 
-    /// One-way latency between this endpoint's site and the cloud service.
-    pub fn wan_latency(&self) -> SimDuration {
-        let rtt = self.site.lock().site.perf.wan_rtt();
-        rtt / 2
-    }
-
-    /// Check the allowlist for a registered function.
-    pub fn function_allowed(&self, f: FunctionId) -> bool {
-        match &self.config.restrict_functions {
-            None => true,
-            Some(set) => set.contains(&f),
-        }
-    }
-
-    /// Are ad-hoc shell commands allowed? (Only when no restriction is set.)
-    pub fn shell_allowed(&self) -> bool {
-        self.config.restrict_functions.is_none()
-    }
-
     /// Accept a task for execution.
     pub fn enqueue(
         &mut self,
@@ -741,25 +722,6 @@ mod tests {
         assert_eq!(given_back.stderr, "infrastructure: endpoint stopped");
         assert_eq!((given_back.started, given_back.ended), (stop, stop));
         assert!(ran.success() && ran.ended > stop, "running tasks finish");
-    }
-
-    #[test]
-    fn allowlist_checks() {
-        let site = {
-            let mut rt = SiteRuntime::new(Site::workstation("lab"));
-            rt.site.add_account("u", "p");
-            shared(rt)
-        };
-        let ep = Endpoint::new(
-            EndpointConfig::new("ep", IdentityId(1), "u").with_allowlist(&[FunctionId(5)]),
-            site,
-            TaskProvider::Local,
-            1,
-        )
-        .unwrap();
-        assert!(ep.function_allowed(FunctionId(5)));
-        assert!(!ep.function_allowed(FunctionId(6)));
-        assert!(!ep.shell_allowed());
     }
 
     /// A FASTER endpoint as `x-u`, its workers in 1-hour pilots on a

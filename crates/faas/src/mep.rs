@@ -187,25 +187,9 @@ impl MultiUserEndpoint {
         self
     }
 
-    pub fn function_allowed(&self, f: FunctionId) -> bool {
-        match &self.restrict_functions {
-            None => true,
-            Some(set) => set.contains(&f),
-        }
-    }
-
-    pub fn shell_allowed(&self) -> bool {
-        self.restrict_functions.is_none()
-    }
-
     /// The site every UEP of this MEP runs at.
     pub(crate) fn site(&self) -> &SharedSite {
         &self.site
-    }
-
-    pub fn wan_latency(&self) -> SimDuration {
-        let rtt = self.site.lock().site.perf.wan_rtt();
-        rtt / 2
     }
 
     /// The administrator's audit view (§5.1: "administrators can audit logs

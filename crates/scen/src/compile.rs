@@ -14,7 +14,7 @@ use crate::spec::{
     WorkloadSpec,
 };
 use correct_core::federation::OnboardedUser;
-use correct_core::{recipes, EndpointSpec, Federation};
+use correct_core::{recipes, Federation};
 use hpcci_auth::IdentityMapping;
 use hpcci_ci::workflow::{JobDef, StepDef, TriggerEvent, WorkflowDef};
 use hpcci_ci::RunId;
@@ -142,10 +142,10 @@ impl ScenarioSpec {
                 rt.site.add_account(&s.account, &s.allocation);
             }
             for ep in self.endpoints.iter().filter(|e| e.site as usize == ix) {
-                let single = |provider| {
-                    EndpointSpec::single(&ep.name, site_id, user.identity.id, &s.account, provider)
+                let mut single = |provider| {
+                    fed.register_single(&ep.name, site_id, user.identity.id, &s.account, provider)
                 };
-                let spec = match &ep.kind {
+                let registered = match &ep.kind {
                     EndpointKindDecl::Single => single(TaskProvider::Local),
                     &EndpointKindDecl::Pilot {
                         cores,
@@ -170,11 +170,10 @@ impl ScenarioSpec {
                         if !container.is_empty() {
                             tpl = tpl.in_container(container);
                         }
-                        EndpointSpec::multi_user(&ep.name, site_id, mapping, tpl)
+                        fed.register_multi(&ep.name, site_id, mapping, tpl)
                     }
                 };
-                fed.register(spec)
-                    .map_err(|e| SpecError(format!("endpoint `{}`: {e}", ep.name)))?;
+                registered.map_err(|e| SpecError(format!("endpoint `{}`: {e}", ep.name)))?;
                 endpoint_names.push(ep.name.clone());
             }
             environments.push(s.environment.clone());

@@ -563,6 +563,33 @@ impl ScenarioSpec {
             }
             _ => {}
         }
+        // Every time key is in seconds; the simulated clock counts
+        // microseconds in a u64, so a larger value has no instant to mean.
+        let fits = |key: &str, secs: u64| match secs.checked_mul(1_000_000) {
+            Some(_) => Ok(()),
+            None => Err(SpecError(format!(
+                "{key} = {secs} overflows the simulated clock (microseconds in a u64)"
+            ))),
+        };
+        fits("[traffic] gap_secs", self.traffic.gap_secs)?;
+        for ep in &self.endpoints {
+            if let EndpointKindDecl::Pilot { walltime_secs, .. }
+            | EndpointKindDecl::MultiUser {
+                template: TemplateDecl::HpcSplit { walltime_secs, .. },
+                ..
+            } = ep.kind
+            {
+                fits("[[endpoints]] walltime_secs", walltime_secs)?;
+            }
+        }
+        for fault in &self.faults {
+            if let FaultKindDecl::WanPartition { heal_secs, .. } = fault.kind {
+                fits("[[faults]] heal_secs", heal_secs)?;
+            }
+        }
+        if let Some(chaos) = &self.chaos {
+            fits("[chaos] horizon_secs", chaos.horizon_secs)?;
+        }
         // A fault that names nothing never fires, and a pending fault keeps
         // the injector armed: the run would advance every endpoint at every
         // step to its end. Artifact names are not declared, so
@@ -1141,6 +1168,61 @@ mod tests {
             container: String::new(),
         };
         assert_eq!(spec.validate(), Ok(()));
+    }
+
+    /// `rich_spec`'s document with one time key set to `u64::MAX` seconds,
+    /// as parsed: a debug build panicked compiling such a value, a release
+    /// build wrapped simulated time.
+    fn with_max_secs(key_value: &str) -> Result<ScenarioSpec, SpecError> {
+        let text = rich_spec().to_toml();
+        assert!(text.contains(key_value), "{key_value}");
+        let (key, _) = key_value.split_once(" = ").unwrap();
+        ScenarioSpec::from_toml(&text.replacen(key_value, &format!("{key} = {}", u64::MAX), 1))
+    }
+
+    fn overflows(key: &str) -> Result<ScenarioSpec, SpecError> {
+        Err(SpecError(format!(
+            "{key} = {} overflows the simulated clock (microseconds in a u64)",
+            u64::MAX
+        )))
+    }
+
+    #[test]
+    fn validation_rejects_a_wan_partition_heal_beyond_the_clock() {
+        assert_eq!(
+            with_max_secs("heal_secs = 120"),
+            overflows("[[faults]] heal_secs")
+        );
+    }
+
+    #[test]
+    fn validation_rejects_a_pilot_walltime_beyond_the_clock() {
+        assert_eq!(
+            with_max_secs("walltime_secs = 1800"),
+            overflows("[[endpoints]] walltime_secs")
+        );
+        assert_eq!(
+            with_max_secs("walltime_secs = 3600"),
+            overflows("[[endpoints]] walltime_secs")
+        );
+    }
+
+    #[test]
+    fn validation_rejects_a_traffic_gap_or_chaos_horizon_beyond_the_clock() {
+        assert_eq!(
+            with_max_secs("gap_secs = 300"),
+            overflows("[traffic] gap_secs")
+        );
+        assert_eq!(
+            with_max_secs("horizon_secs = 300"),
+            overflows("[chaos] horizon_secs")
+        );
+        let most = rich_spec().to_toml().replacen(
+            "gap_secs = 300",
+            &format!("gap_secs = {}", u64::MAX / 1_000_000),
+            1,
+        );
+        assert!(ScenarioSpec::from_toml(&most).is_ok());
     }
 
     #[test]

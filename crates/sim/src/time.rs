@@ -27,14 +27,15 @@ impl SimTime {
         SimTime(us)
     }
 
-    /// Construct from whole milliseconds.
+    /// Construct from whole milliseconds (like every whole-unit
+    /// constructor here, saturating at [`Self::FAR_FUTURE`]).
     pub const fn from_millis(ms: u64) -> Self {
-        SimTime(ms * 1_000)
+        SimTime(ms.saturating_mul(1_000))
     }
 
     /// Construct from whole seconds.
     pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000)
+        SimTime(s.saturating_mul(1_000_000))
     }
 
     /// Raw microseconds since epoch.
@@ -62,11 +63,11 @@ impl SimDuration {
     }
 
     pub const fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * 1_000)
+        SimDuration(ms.saturating_mul(1_000))
     }
 
     pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000)
+        SimDuration(s.saturating_mul(1_000_000))
     }
 
     /// Construct from fractional seconds, rounding to the nearest microsecond.
@@ -80,12 +81,12 @@ impl SimDuration {
 
     /// Construct from whole minutes.
     pub const fn from_mins(m: u64) -> Self {
-        SimDuration(m * 60_000_000)
+        SimDuration(m.saturating_mul(60_000_000))
     }
 
     /// Construct from whole hours.
     pub const fn from_hours(h: u64) -> Self {
-        SimDuration(h * 3_600_000_000)
+        SimDuration(h.saturating_mul(3_600_000_000))
     }
 
     pub const fn as_micros(self) -> u64 {
@@ -243,6 +244,21 @@ mod tests {
         assert_eq!(SimTime::from_millis(5).as_micros(), 5_000);
         assert_eq!(SimDuration::from_mins(2).as_micros(), 120_000_000);
         assert_eq!(SimDuration::from_hours(1).as_micros(), 3_600_000_000);
+    }
+
+    #[test]
+    fn whole_unit_constructors_saturate() {
+        let max = u64::MAX;
+        assert_eq!(SimTime::from_secs(max), SimTime::FAR_FUTURE);
+        assert_eq!(SimTime::from_millis(max), SimTime::FAR_FUTURE);
+        for d in [
+            SimDuration::from_secs(max),
+            SimDuration::from_millis(max),
+            SimDuration::from_mins(max),
+            SimDuration::from_hours(max),
+        ] {
+            assert_eq!(d, SimDuration::from_micros(max));
+        }
     }
 
     #[test]

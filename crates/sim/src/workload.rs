@@ -136,7 +136,7 @@ impl ArrivalGen {
         if rng.chance(burstiness_pct as f64 / 100.0) {
             base / 8
         } else {
-            base + rng.range_u64(0, base / 4 + 1)
+            base.saturating_add(rng.range_u64(0, base / 4 + 1))
         }
     }
 
@@ -371,7 +371,7 @@ mod tests {
         if rng.chance(burstiness_pct as f64 / 100.0) {
             base / 8
         } else {
-            base + rng.range_u64(0, base / 4 + 1)
+            base.saturating_add(rng.range_u64(0, base / 4 + 1))
         }
     }
 
@@ -394,6 +394,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_bursty_gap_beyond_the_clock_saturates() {
+        let mut gen = ArrivalGen::new(
+            rng(7),
+            ArrivalProcess::Bursty {
+                gap_secs: u64::MAX,
+                burstiness_pct: 0,
+            },
+        );
+        assert_eq!(gen.next_gap_us(), u64::MAX);
+        assert_eq!(gen.elapsed_us(), u64::MAX);
     }
 
     #[test]

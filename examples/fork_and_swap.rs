@@ -11,7 +11,7 @@
 use hpcci::auth::IdentityMapping;
 use hpcci::ci::workflow::{JobDef, TriggerEvent, WorkflowDef};
 use hpcci::cluster::Site;
-use hpcci::correct::{recipes, EndpointSpec, Federation};
+use hpcci::correct::{recipes, Federation};
 use hpcci::faas::{ExecOutcome, MepTemplate};
 use hpcci::provenance::{EnvironmentCapture, ExecutionRecord};
 use hpcci::vcs::WorkTree;
@@ -31,8 +31,7 @@ fn install_site(fed: &mut Federation, site: Site, local_user: &str, federated: &
     let site_name = fed.site(site_id).name.clone();
     let mut mapping = IdentityMapping::new(&site_name);
     mapping.add_explicit(federated, local_user);
-    let mep = EndpointSpec::multi_user(ep, site_id, mapping, MepTemplate::login_only());
-    fed.register(mep).unwrap();
+    fed.register_multi(ep, site_id, mapping, MepTemplate::login_only()).unwrap();
 }
 
 fn record_of(fed: &Federation, run: hpcci::ci::RunId, repo: &str, site: &str) -> ExecutionRecord {

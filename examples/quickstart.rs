@@ -11,7 +11,7 @@
 use hpcci::auth::IdentityMapping;
 use hpcci::ci::workflow::{JobDef, TriggerEvent, WorkflowDef};
 use hpcci::cluster::Site;
-use hpcci::correct::{recipes, EndpointSpec, Federation};
+use hpcci::correct::{recipes, Federation};
 use hpcci::faas::{ExecOutcome, MepTemplate};
 use hpcci::vcs::WorkTree;
 
@@ -35,8 +35,7 @@ fn main() {
     }
     let mut mapping = IdentityMapping::new("lab-server");
     mapping.add_explicit("vhayot@uchicago.edu", "vhayot");
-    let mep = EndpointSpec::multi_user("ep-lab", site, mapping, MepTemplate::login_only());
-    fed.register(mep).unwrap();
+    fed.register_multi("ep-lab", site, mapping, MepTemplate::login_only()).unwrap();
 
     // 2. A repository with the Fig. 3 workflow.
     let repo = "globus-labs/quickstart-demo";

@@ -5,7 +5,7 @@
 use hpcci::ci::workflow::{JobDef, StepDef, TriggerEvent, WorkflowDef};
 use hpcci::ci::{Environment, FailureKind, RunId, RunStatus, Secret, SecretScope};
 use hpcci::cluster::Site;
-use hpcci::correct::{recipes, EndpointSpec, Federation};
+use hpcci::correct::{recipes, Federation};
 use hpcci::faas::MepTemplate;
 use hpcci::sim::SimTime;
 use hpcci::vcs::{PullRequestId, WorkTree};
@@ -22,8 +22,7 @@ fn base_world() -> Federation {
     }
     let mut mapping = hpcci::auth::IdentityMapping::new("purdue-anvil");
     mapping.add_explicit("vhayot@uchicago.edu", "x-vhayot");
-    let mep = EndpointSpec::multi_user("ep-anvil", site, mapping, MepTemplate::login_only());
-    fed.register(mep).unwrap();
+    fed.register_multi("ep-anvil", site, mapping, MepTemplate::login_only()).unwrap();
     let now = fed.now();
     fed.hosting.lock().create_repo("lab", "app", now);
     fed.hosting

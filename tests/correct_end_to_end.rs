@@ -128,7 +128,7 @@ fn correct_step_outcome(
     before: impl FnOnce(&mut hpcci::faas::SiteRuntime),
 ) -> (hpcci::ci::StepOutcome, String, Option<String>) {
     use hpcci::ci::workflow::{JobDef, StepDef, TriggerEvent, WorkflowDef};
-    use hpcci::correct::{EndpointSpec, CORRECT_ACTION_NAME};
+    use hpcci::correct::CORRECT_ACTION_NAME;
     use hpcci::faas::{ExecOutcome, MepTemplate};
 
     let mut fed = Federation::builder(17).build();
@@ -151,13 +151,7 @@ fn correct_step_outcome(
     }
     let mut mapping = hpcci::auth::IdentityMapping::new("lab-server");
     mapping.add_explicit("vhayot@uchicago.edu", "vhayot");
-    fed.register(EndpointSpec::multi_user(
-        "ep-lab",
-        site,
-        mapping,
-        MepTemplate::login_only(),
-    ))
-    .unwrap();
+    fed.register_multi("ep-lab", site, mapping, MepTemplate::login_only()).unwrap();
 
     let repo = "globus-labs/demo";
     let now = fed.now();
@@ -317,7 +311,7 @@ const LABS_REPO: &str = "globus-labs/demo";
 impl TwoLabs {
     fn new() -> TwoLabs {
         use hpcci::ci::workflow::{JobDef, StepDef, TriggerEvent, WorkflowDef};
-        use hpcci::correct::{EndpointSpec, CORRECT_ACTION_NAME};
+        use hpcci::correct::CORRECT_ACTION_NAME;
         use hpcci::faas::{ExecOutcome, MepTemplate};
 
         let mut fed = Federation::builder(17).build();
@@ -334,8 +328,7 @@ impl TwoLabs {
             let mut mapping = hpcci::auth::IdentityMapping::new(lab);
             mapping.add_explicit("vhayot@uchicago.edu", "vhayot");
             let endpoint = format!("ep-{lab}");
-            let mep = EndpointSpec::multi_user(&endpoint, site, mapping, MepTemplate::login_only());
-            fed.register(mep).unwrap();
+            fed.register_multi(&endpoint, site, mapping, MepTemplate::login_only()).unwrap();
         }
         let now = fed.now();
         fed.hosting.lock().create_repo("globus-labs", "demo", now);

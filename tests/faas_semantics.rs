@@ -4,7 +4,7 @@
 
 use hpcci::auth::{IdentityMapping, Scope};
 use hpcci::cluster::{ImageSpec, Site};
-use hpcci::correct::{EndpointSpec, Federation};
+use hpcci::correct::Federation;
 use hpcci::faas::{EndpointId, ExecOutcome, MepTemplate, TaskProvider, TaskState};
 use hpcci::sim::SimTime;
 
@@ -36,8 +36,7 @@ fn shared_mep_world() -> World {
     }
     let mut mapping = IdentityMapping::new("tamu-faster");
     mapping.add_provider_rule("access-ci.org", "x-");
-    let mep = EndpointSpec::multi_user("mep", site, mapping, MepTemplate::login_only());
-    fed.register(mep).unwrap();
+    fed.register_multi("mep", site, mapping, MepTemplate::login_only()).unwrap();
 
     let tokens = [&alice, &bob]
         .iter()
@@ -104,8 +103,7 @@ fn pilot_walltime_expiry_reprovisions_for_queued_tasks() {
         cores: 64,
         walltime_secs: 600,
     };
-    let spec = EndpointSpec::single("ep-pilot", site, user.identity.id, "x-u", pilot);
-    fed.register(spec).unwrap();
+    fed.register_single("ep-pilot", site, user.identity.id, "x-u", pilot).unwrap();
     let token = fed
         .auth
         .lock()

@@ -12,7 +12,7 @@
 
 use hpcci::ci::workflow::{JobDef, StepDef, TriggerEvent, WorkflowDef};
 use hpcci::ci::{CacheMode, RunStatus, WorkflowRun};
-use hpcci::correct::{EndpointSpec, Federation, CORRECT_ACTION_NAME};
+use hpcci::correct::{Federation, CORRECT_ACTION_NAME};
 use hpcci::faas::{TaskId, TaskProvider, TaskState};
 use hpcci::paper;
 use hpcci::scen::{
@@ -227,14 +227,8 @@ fn crashed_primary_run(capture_environment: bool) -> (BuiltScenario, WorkflowRun
     let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
     let site = s.fed.site_by_name("purdue-anvil").unwrap().id;
     let owner = s.user.identity.id;
-    let ep = EndpointSpec::single(
-        "ep-anvil-login",
-        site,
-        owner,
-        "x-vhayot",
-        TaskProvider::Local,
-    );
-    s.fed.register(ep).unwrap();
+    let local = TaskProvider::Local;
+    s.fed.register_single("ep-anvil-login", site, owner, "x-vhayot", local).unwrap();
     let mut inputs = vec![
         ("client_id", "${{ secrets.GLOBUS_ID }}"),
         ("client_secret", "${{ secrets.GLOBUS_SECRET }}"),

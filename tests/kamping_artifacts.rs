@@ -57,7 +57,6 @@ fn artifacts_run_inside_the_container() {
     use hpcci::auth::IdentityMapping;
     use hpcci::cluster::Site;
     use hpcci::correct::recipes;
-    use hpcci::correct::EndpointSpec;
     use hpcci::faas::MepTemplate;
 
     let mut fed = Federation::builder(82).build();
@@ -71,8 +70,7 @@ fn artifacts_run_inside_the_container() {
     let mut mapping = IdentityMapping::new("chameleon-tacc");
     mapping.add_explicit("vhayot@uchicago.edu", "cc");
     // No .in_container(...) here.
-    let mep = EndpointSpec::multi_user("ep-bare", site, mapping, MepTemplate::login_only());
-    fed.register(mep).unwrap();
+    fed.register_multi("ep-bare", site, mapping, MepTemplate::login_only()).unwrap();
 
     let now = fed.now();
     fed.hosting.lock().create_repo("kamping-site", "kamping-reproducibility", now);

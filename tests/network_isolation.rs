@@ -5,7 +5,7 @@
 
 use hpcci::auth::IdentityMapping;
 use hpcci::cluster::Site;
-use hpcci::correct::{recipes, EndpointSpec, Federation};
+use hpcci::correct::{recipes, Federation};
 use hpcci::faas::MepTemplate;
 use hpcci::ci::RunStatus;
 use hpcci::vcs::WorkTree;
@@ -29,8 +29,7 @@ fn faster_world(split_template: bool) -> (Federation, hpcci::ci::RunId) {
         t.login_commands.clear();
         t
     };
-    let mep = EndpointSpec::multi_user("ep-faster", site, mapping, template);
-    fed.register(mep).unwrap();
+    fed.register_multi("ep-faster", site, mapping, template).unwrap();
 
     let now = fed.now();
     fed.hosting.lock().create_repo("lab", "app", now);

@@ -8,7 +8,7 @@ use hpcci::auth::IdentityMapping;
 use hpcci::ci::workflow::{JobDef, StepDef, TriggerEvent, WorkflowDef};
 use hpcci::ci::RunStatus;
 use hpcci::cluster::Site;
-use hpcci::correct::{archive_from_engine, recipes, EndpointSpec, Federation};
+use hpcci::correct::{archive_from_engine, recipes, Federation};
 use hpcci::faas::MepTemplate;
 use hpcci::provenance::badges::{Artifact, BadgeLevel, Reviewer};
 use hpcci::sim::DetRng;
@@ -29,8 +29,7 @@ fn world() -> (Federation, hpcci::ci::RunId) {
     }
     let mut mapping = IdentityMapping::new("purdue-anvil");
     mapping.add_explicit("vhayot@uchicago.edu", "x-vhayot");
-    let mep = EndpointSpec::multi_user("ep-anvil", site, mapping, MepTemplate::login_only());
-    fed.register(mep).unwrap();
+    fed.register_multi("ep-anvil", site, mapping, MepTemplate::login_only()).unwrap();
 
     let repo = "ExaWorks/psij-python";
     let now = fed.now();

@@ -9,7 +9,7 @@
 use hpcci::auth::{AuthError, IdentityMapping, Scope};
 use hpcci::cluster::{Cred, FileMode, Site};
 use hpcci::correct::federation::OnboardedUser;
-use hpcci::correct::{EndpointSpec, Federation};
+use hpcci::correct::Federation;
 use hpcci::faas::{EndpointId, FaasError, FunctionBody, MepTemplate, TaskOutput, TaskState};
 use hpcci::sim::SimTime;
 use hpcci::vcs::WorkTree;
@@ -45,8 +45,7 @@ fn two_user_world() -> (Federation, hpcci::correct::federation::OnboardedUser, h
     }
     let mut mapping = IdentityMapping::new("tamu-faster");
     mapping.add_explicit("alice@uchicago.edu", "x-alice");
-    let mep = EndpointSpec::multi_user("mep-faster", site, mapping, MepTemplate::login_only());
-    fed.register(mep).unwrap();
+    fed.register_multi("mep-faster", site, mapping, MepTemplate::login_only()).unwrap();
     (fed, alice, mallory)
 }
 
@@ -255,8 +254,7 @@ fn clone_world(tree: WorkTree, author: &str) -> (Federation, OnboardedUser, Onbo
     let mut mapping = IdentityMapping::new("tamu-faster");
     mapping.add_explicit("alice@uchicago.edu", "x-alice");
     mapping.add_explicit("bob@uchicago.edu", "x-bob");
-    let mep = EndpointSpec::multi_user("mep-faster", site, mapping, MepTemplate::login_only());
-    fed.register(mep).unwrap();
+    fed.register_multi("mep-faster", site, mapping, MepTemplate::login_only()).unwrap();
     let now = fed.now();
     fed.hosting.lock().create_repo("lab", "app", now);
     fed.hosting.lock().push("lab/app", "main", tree, author, "import", now).unwrap();
