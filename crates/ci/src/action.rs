@@ -1,10 +1,10 @@
-//! The pluggable action interface and the world-driving protocol.
+//! The pluggable action interface and how a step waits.
 //!
 //! Marketplace actions (§4.1) are Rust implementations of [`Action`]
-//! registered with the engine by name. An action that must wait on remote
-//! progress — CORRECT blocking until its FaaS task returns — advances the
-//! shared virtual world through [`WorldDriver`] instead of sleeping, which
-//! keeps every run deterministic.
+//! registered with the engine by name. A step an action starts never
+//! advances the world: each poll returns an [`Effect`] — CORRECT blocking
+//! until its FaaS task returns is [`Effect::Event`] — and the engine alone
+//! moves virtual time, through [`WorldDriver`], keeping runs deterministic.
 
 use crate::run::{Infra, Outputs};
 use hpcci_sim::{SimDuration, SimTime, Sym};
@@ -12,36 +12,26 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Advances the federation's virtual time. Implemented by whatever owns the
-/// full component set (see `correct-core`'s `Federation`). Actions call
-/// [`WorldDriver::step`] in a loop until their completion condition holds.
+/// full component set (see `correct-core`'s `Federation`); during a run the
+/// engine maps each [`Effect`] a step returns to `step` or `sleep`.
 pub trait WorldDriver {
     /// Current virtual time.
     fn now(&self) -> SimTime;
 
     /// Advance the world to its next internal event. Returns `false` when no
-    /// component has pending work (quiescent) — callers must treat that as
-    /// "my condition will never become true" and fail rather than spin.
+    /// component has pending work (quiescent): nothing a step waits on will
+    /// ever happen, and the engine ends the step through [`Step::quiet`].
     fn step(&mut self) -> bool;
 
     /// Let `d` of virtual time pass (processing any events inside it).
     fn sleep(&mut self, d: SimDuration);
 }
 
-/// A no-progress driver for tests and for actions that never block.
+/// A world with no events: `step` reports quiescence at once and `sleep`
+/// only moves the clock. For tests, and steps that never wait on an event.
+#[derive(Default)]
 pub struct NullDriver {
     pub now: SimTime,
-}
-
-impl NullDriver {
-    pub fn new() -> Self {
-        NullDriver { now: SimTime::ZERO }
-    }
-}
-
-impl Default for NullDriver {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl WorldDriver for NullDriver {
@@ -56,39 +46,21 @@ impl WorldDriver for NullDriver {
     }
 }
 
-/// Everything a step sees when it executes.
+/// Everything a step sees when it executes: an owned value a step may keep.
 ///
-/// Identifier fields are interned [`Sym`]s, and the inputs and the env block
-/// are `Arc`-shared with the engine: building a context per step costs handle
-/// clones, not a copy of every string the run carries.
-pub struct StepContext<'a> {
+/// Identifier fields are interned [`Sym`]s, and the inputs are `Arc`-shared
+/// with the engine: building a context per step costs handle clones, not a
+/// copy of every string the run carries.
+pub struct StepContext {
     /// Repository the run belongs to, `"owner/name"`.
     pub repo: Sym,
-    /// Branch that triggered the run.
-    pub branch: Sym,
     /// Commit hash string of the run's snapshot.
     pub commit: Sym,
     /// Resolved `with:` inputs (secrets/env already interpolated), shared
     /// with the engine's plan for the job.
     pub inputs: Arc<BTreeMap<String, String>>,
-    /// Repository-level env vars visible to the run.
-    pub env: Arc<BTreeMap<String, String>>,
-    /// The virtual-world driver for blocking operations.
-    pub driver: &'a mut dyn WorldDriver,
-}
-
-impl StepContext<'_> {
-    /// Required input or a descriptive error string.
-    pub fn require(&self, key: &str) -> Result<&str, String> {
-        self.inputs
-            .get(key)
-            .map(String::as_str)
-            .ok_or_else(|| format!("missing required input `{key}`"))
-    }
-
-    pub fn input(&self, key: &str) -> Option<&str> {
-        self.inputs.get(key).map(String::as_str)
-    }
+    /// Virtual time the step starts at.
+    pub started: SimTime,
 }
 
 /// What a step produced.
@@ -136,11 +108,43 @@ impl StepResult {
     }
 }
 
+/// What a poll of a [`Step`] asks of the engine.
+pub enum Effect {
+    /// The next world event may finish the step: poll it again after one.
+    Event,
+    /// Wake the step at this instant: poll it again once the world is there.
+    At(SimTime),
+    /// The step is over; it is not polled again.
+    Done(StepResult),
+}
+
+/// A step in progress. The engine polls it until it is [`Effect::Done`].
+pub trait Step {
+    /// Go as far as the step can without the world moving.
+    fn poll(&mut self) -> Effect;
+
+    /// The world went quiet while the step waited on [`Effect::Event`]:
+    /// no event will come, so the step ends now with this result.
+    fn quiet(&mut self) -> StepResult;
+}
+
+/// A result is a step done at its first poll: what an action that never
+/// waits returns.
+impl Step for StepResult {
+    fn poll(&mut self) -> Effect {
+        Effect::Done(std::mem::take(self))
+    }
+
+    fn quiet(&mut self) -> StepResult {
+        std::mem::take(self)
+    }
+}
+
 /// A marketplace/custom action.
 pub trait Action {
-    /// Execute the action. Implementations may block on remote progress by
-    /// driving `ctx.driver`.
-    fn run(&self, ctx: &mut StepContext<'_>) -> StepResult;
+    /// Begin a step. The engine advances the world for it as each
+    /// [`Step::poll`] asks.
+    fn start(&self, ctx: StepContext) -> Box<dyn Step>;
 }
 
 #[cfg(test)]
@@ -149,30 +153,31 @@ mod tests {
 
     struct Echo;
     impl Action for Echo {
-        fn run(&self, ctx: &mut StepContext<'_>) -> StepResult {
-            match ctx.require("message") {
-                Ok(m) => StepResult::ok(m.to_string()).with_output("echoed", m),
-                Err(e) => StepResult::fail(e),
-            }
+        fn start(&self, ctx: StepContext) -> Box<dyn Step> {
+            Box::new(match ctx.inputs.get("message") {
+                Some(m) => StepResult::ok(m.as_str()).with_output("echoed", m),
+                None => StepResult::fail("missing required input `message`"),
+            })
         }
     }
 
-    fn ctx<'a>(driver: &'a mut NullDriver, inputs: &[(&str, &str)]) -> StepContext<'a> {
-        StepContext {
+    /// Start `Echo` on `inputs` and take the result of its one poll.
+    fn echo(inputs: &[(&str, &str)]) -> StepResult {
+        let ctx = StepContext {
             repo: "o/r".into(),
-            branch: "main".into(),
             commit: "abc".into(),
             inputs: Arc::new(inputs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()),
-            env: Default::default(),
-            driver,
+            started: SimTime::ZERO,
+        };
+        match Echo.start(ctx).poll() {
+            Effect::Done(r) => r,
+            _ => panic!("Echo never waits"),
         }
     }
 
     #[test]
     fn action_reads_inputs_and_produces_outputs() {
-        let mut driver = NullDriver::new();
-        let mut c = ctx(&mut driver, &[("message", "hello")]);
-        let r = Echo.run(&mut c);
+        let r = echo(&[("message", "hello")]);
         assert!(r.success);
         assert_eq!(r.stdout, "hello");
         assert_eq!(r.outputs["echoed"], "hello");
@@ -180,16 +185,14 @@ mod tests {
 
     #[test]
     fn missing_required_input_fails() {
-        let mut driver = NullDriver::new();
-        let mut c = ctx(&mut driver, &[]);
-        let r = Echo.run(&mut c);
+        let r = echo(&[]);
         assert!(!r.success);
         assert!(r.stderr.contains("message"));
     }
 
     #[test]
     fn null_driver_sleep_advances_time() {
-        let mut d = NullDriver::new();
+        let mut d = NullDriver::default();
         d.sleep(SimDuration::from_secs(3));
         assert_eq!(d.now(), SimTime::from_secs(3));
         assert!(!d.step());

@@ -1,6 +1,6 @@
 //! The CI engine: event intake, approval gating, and run execution.
 
-use crate::action::{Action, StepContext, WorldDriver};
+use crate::action::{Action, Effect, StepContext, WorldDriver};
 use crate::artifacts::ArtifactStore;
 use crate::cache::{chain_digest, job_block, result_digest, CacheMode, StepCache, StepKeyStem};
 use crate::environment::Environment;
@@ -590,7 +590,7 @@ impl CiEngine {
         Ok(max_wait)
     }
 
-    /// Approve an awaiting run (see [`Self::check_reviewer`]); it becomes
+    /// Approve an awaiting run (see `check_reviewer`); it becomes
     /// ready once the longest wait timer has elapsed.
     pub fn approve(&mut self, id: RunId, reviewer: &str, now: SimTime) -> Result<(), CiError> {
         let max_wait = self.check_reviewer(id, reviewer)?;
@@ -629,15 +629,14 @@ impl CiEngine {
     }
 
     fn execute_run(&mut self, id: RunId, driver: &mut dyn WorldDriver) {
-        let (repo, workflow, branch, commit, fork) = {
+        let (repo, workflow, commit, fork) = {
             let run = self.run_mut(id).expect("queued run exists");
             run.status = RunStatus::Running;
             run.started_at = Some(driver.now());
-            // Interned handles: four pointer bumps, not four string copies.
+            // Interned handles: three pointer bumps, not three string copies.
             (
                 run.repo.clone(),
                 run.workflow.clone(),
-                run.branch.clone(),
                 run.commit.clone(),
                 run.fork,
             )
@@ -778,9 +777,9 @@ impl CiEngine {
                         plan,
                         step_ix,
                         &repo,
-                        &branch,
                         &commit,
                         &steps_acc,
+                        started,
                         driver,
                     );
                     let ended = driver.now();
@@ -881,8 +880,9 @@ impl CiEngine {
         run.status = if run_failed { RunStatus::Failure } else { RunStatus::Success };
     }
 
-    /// Execute step `step_ix` of `plan`'s job: the plan's secrets and env
-    /// are the ones the step interpolates under.
+    /// Execute step `step_ix` of `plan`'s job, begun at `started`, under the
+    /// plan's secrets and env. An action's step waits only here: each
+    /// [`Effect`] it returns becomes a `driver.step()` or `driver.sleep()`.
     #[allow(clippy::too_many_arguments)]
     fn execute_step(
         &mut self,
@@ -890,9 +890,9 @@ impl CiEngine {
         plan: &mut JobPlan,
         step_ix: usize,
         repo: &Sym,
-        branch: &Sym,
         commit: &Sym,
         prior_steps: &[StepRun],
+        started: SimTime,
         driver: &mut dyn WorldDriver,
     ) -> crate::action::StepResult {
         use crate::action::StepResult;
@@ -910,18 +910,23 @@ impl CiEngine {
                 }
             }
             StepAction::Uses { action: name, .. } => {
-                let Some(implementation) = self.actions.get(name).cloned() else {
+                let Some(implementation) = self.actions.get(name) else {
                     return StepResult::fail(format!("unknown action: {name}"));
                 };
-                let mut ctx = StepContext {
+                let mut step = implementation.start(StepContext {
                     repo: repo.clone(),
-                    branch: branch.clone(),
                     commit: commit.clone(),
                     inputs: plan.inputs(step_ix, action),
-                    env: plan.env.clone(),
-                    driver,
-                };
-                implementation.run(&mut ctx)
+                    started,
+                });
+                loop {
+                    match step.poll() {
+                        Effect::Done(result) => return result,
+                        Effect::Event if !driver.step() => return step.quiet(),
+                        Effect::Event => {}
+                        Effect::At(t) => driver.sleep(t.since(driver.now())),
+                    }
+                }
             }
             StepAction::UploadArtifact { name, from_step } => {
                 let Some(source) = prior_steps.iter().find(|s| s.step == from_step.as_str()) else {
@@ -941,7 +946,7 @@ impl CiEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::NullDriver;
+    use crate::action::{NullDriver, Step};
     use crate::cache::StepCache;
     use crate::environment::Environment;
     use crate::secrets::{Secret, SecretScope};
@@ -970,7 +975,7 @@ mod tests {
             .on_push("globus-labs/app", "main", "abc123", SimTime::ZERO)
             .unwrap();
         assert_eq!(runs.len(), 1);
-        let mut driver = NullDriver::new();
+        let mut driver = NullDriver::default();
         let executed = e.execute_ready(&mut driver);
         assert_eq!(executed, runs);
         let run = e.run(runs[0]).unwrap();
@@ -1004,7 +1009,7 @@ mod tests {
             .with_job(JobDef::new("deploy").with_needs(&["test"]).with_step(StepDef::run("d", "deploy")));
         let mut e = engine_with_workflow(wf);
         let runs = e.on_push("globus-labs/app", "main", "abc", SimTime::ZERO).unwrap();
-        let mut driver = NullDriver::new();
+        let mut driver = NullDriver::default();
         e.execute_ready(&mut driver);
         let run = e.run(runs[0]).unwrap();
         assert_eq!(run.status, RunStatus::Failure);
@@ -1025,7 +1030,7 @@ mod tests {
             );
         let mut e = engine_with_workflow(wf);
         let runs = e.on_push("globus-labs/app", "main", "abc", SimTime::ZERO).unwrap();
-        let mut driver = NullDriver::new();
+        let mut driver = NullDriver::default();
         e.execute_ready(&mut driver);
         let run = e.run(runs[0]).unwrap();
         assert_eq!(run.steps.len(), 2, "upload ran despite failure");
@@ -1058,7 +1063,7 @@ mod tests {
         assert_eq!(e.run(id).unwrap().status, RunStatus::AwaitingApproval);
 
         // Nothing executes before approval.
-        let mut driver = NullDriver::new();
+        let mut driver = NullDriver::default();
         assert!(e.execute_ready(&mut driver).is_empty());
 
         // A non-reviewer cannot approve.
@@ -1152,7 +1157,7 @@ mod tests {
                 ),
         );
         let id = e.on_push("globus-labs/app", "main", "c", SimTime::ZERO).unwrap()[0];
-        let mut driver = NullDriver::new();
+        let mut driver = NullDriver::default();
         e.execute_ready(&mut driver);
         let log = e.run(id).unwrap().full_log();
         assert!(!log.contains("hunter2-value"), "secret leaked: {log}");
@@ -1163,13 +1168,13 @@ mod tests {
     /// CORRECT copies a task's raw streams into `outputs`.
     struct Leaky;
     impl Action for Leaky {
-        fn run(&self, ctx: &mut StepContext<'_>) -> crate::action::StepResult {
-            let token = ctx.input("token").unwrap_or("-").to_string();
+        fn start(&self, ctx: StepContext) -> Box<dyn Step> {
+            let token = ctx.inputs.get("token").map_or("-", String::as_str);
             let mut result = crate::action::StepResult::ok(format!("stdout saw {token}"))
                 .with_output("stdout", format!("stdout saw {token}"))
                 .with_output("exit_code", "0");
             result.stderr = format!("warning: {token} on stderr");
-            result
+            Box::new(result)
         }
     }
 
@@ -1200,7 +1205,7 @@ mod tests {
                 ),
         );
         let id = e.on_push("globus-labs/app", "main", "c", SimTime::ZERO).unwrap()[0];
-        e.execute_ready(&mut NullDriver::new());
+        e.execute_ready(&mut NullDriver::default());
         e.run(id).unwrap().clone()
     }
 
@@ -1254,8 +1259,7 @@ mod tests {
         let cache = e.step_cache().expect("cache installed").clone();
         let before = cache.stats();
         let id = e.on_push("globus-labs/app", "main", "abc123", at).unwrap()[0];
-        let mut driver = NullDriver::new();
-        driver.now = at;
+        let mut driver = NullDriver { now: at };
         e.execute_ready(&mut driver);
         let after = cache.stats();
         (id, (after.hits - before.hits, after.misses - before.misses))
@@ -1341,12 +1345,12 @@ mod tests {
         next: std::sync::atomic::AtomicU64,
     }
     impl Action for Submits {
-        fn run(&self, _: &mut StepContext<'_>) -> crate::action::StepResult {
+        fn start(&self, _: StepContext) -> Box<dyn Step> {
             let first = self.next.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
-            crate::action::StepResult {
+            Box::new(crate::action::StepResult {
                 tasks: vec![first, first + 1],
                 ..crate::action::StepResult::ok("submitted")
-            }
+            })
         }
     }
 
@@ -1394,7 +1398,7 @@ mod tests {
         let id = e
             .on_push("globus-labs/app", "main", "c", SimTime::ZERO)
             .unwrap()[0];
-        e.execute_ready(&mut NullDriver::new());
+        e.execute_ready(&mut NullDriver::default());
         let run = e.run(id).unwrap();
         assert_eq!(run.status, RunStatus::Failure);
         assert_eq!(run.steps[0].step, "<runner>");
@@ -1426,13 +1430,12 @@ mod tests {
     fn custom_action_via_registry() {
         struct Probe;
         impl Action for Probe {
-            fn run(&self, ctx: &mut StepContext<'_>) -> crate::action::StepResult {
-                crate::action::StepResult::ok(format!(
-                    "repo={} branch={} input={}",
+            fn start(&self, ctx: StepContext) -> Box<dyn Step> {
+                Box::new(crate::action::StepResult::ok(format!(
+                    "repo={} input={}",
                     ctx.repo,
-                    ctx.branch,
-                    ctx.input("param").unwrap_or("-")
-                ))
+                    ctx.inputs.get("param").map_or("-", String::as_str)
+                )))
             }
         }
         let mut e = CiEngine::new();
@@ -1451,7 +1454,7 @@ mod tests {
                 ),
         );
         let id = e.on_push("o/r", "main", "deadbeef", SimTime::ZERO).unwrap()[0];
-        let mut driver = NullDriver::new();
+        let mut driver = NullDriver::default();
         e.execute_ready(&mut driver);
         let run = e.run(id).unwrap();
         assert!(run.steps[0].stdout.contains("repo=o/r"));
@@ -1466,9 +1469,53 @@ mod tests {
                 .with_job(JobDef::new("j").with_step(StepDef::uses("x", "ghost/action@v9", &[]))),
         );
         let id = e.on_push("globus-labs/app", "main", "c", SimTime::ZERO).unwrap()[0];
-        let mut driver = NullDriver::new();
+        let mut driver = NullDriver::default();
         e.execute_ready(&mut driver);
         assert_eq!(e.run(id).unwrap().status, RunStatus::Failure);
+    }
+
+    /// Asks once to be woken at `at`, then ends.
+    struct Alarm {
+        at: SimTime,
+        woken: bool,
+    }
+    impl Step for Alarm {
+        fn poll(&mut self) -> Effect {
+            if std::mem::replace(&mut self.woken, true) {
+                Effect::Done(crate::action::StepResult::ok("woken"))
+            } else {
+                Effect::At(self.at)
+            }
+        }
+        fn quiet(&mut self) -> crate::action::StepResult {
+            crate::action::StepResult::fail("an alarm never waits on an event")
+        }
+    }
+
+    #[test]
+    fn a_step_woken_at_an_instant_ends_there() {
+        struct WakeAt(SimTime);
+        impl Action for WakeAt {
+            fn start(&self, _: StepContext) -> Box<dyn Step> {
+                Box::new(Alarm {
+                    at: self.0,
+                    woken: false,
+                })
+            }
+        }
+        let at = SimTime::from_secs(100);
+        let mut e = engine_with_workflow(
+            WorkflowDef::new("ci")
+                .on_event(TriggerEvent::push_any())
+                .with_job(JobDef::new("j").with_step(StepDef::uses("x", "acme/alarm@v1", &[]))),
+        );
+        e.register_action("acme/alarm@v1", Arc::new(WakeAt(at)));
+        let id = e.on_push("globus-labs/app", "main", "c", SimTime::ZERO).unwrap()[0];
+        e.execute_ready(&mut NullDriver::default());
+        let step = e.run(id).unwrap().step("x").unwrap();
+        assert!(step.success);
+        assert!(step.started < at);
+        assert_eq!(step.ended.since(step.started), at.since(step.started));
     }
 
     #[test]
@@ -1514,7 +1561,7 @@ mod tests {
         );
         let id = e.on_push("globus-labs/app", "main", "c", SimTime::ZERO).unwrap()[0];
         e.approve(id, "r", SimTime::from_secs(10)).unwrap();
-        let mut driver = NullDriver::new();
+        let mut driver = NullDriver::default();
         e.execute_ready(&mut driver);
         let run = e.run(id).unwrap();
         assert!(run.started_at.unwrap() >= SimTime::from_secs(310), "wait timer honored");
@@ -1565,7 +1612,7 @@ mod tests {
         );
         let id = e.on_push("globus-labs/app", "main", "abc123", SimTime::ZERO).unwrap()[0];
         e.approve(id, "vhayot", SimTime::from_secs(5)).unwrap();
-        let mut driver = NullDriver::new();
+        let mut driver = NullDriver::default();
         e.execute_ready(&mut driver);
 
         let run = e.run(id).unwrap();
@@ -1596,8 +1643,7 @@ mod tests {
         let id = e
             .dispatch(repo, workflow, "main", "headsha", SimTime::from_secs(3600))
             .unwrap();
-        let mut driver = NullDriver::new();
-        driver.now = SimTime::from_secs(3600);
+        let mut driver = NullDriver { now: SimTime::from_secs(3600) };
         e.execute_ready(&mut driver);
         let run = e.run(id).unwrap();
         assert_eq!(run.status, RunStatus::Success);

@@ -25,9 +25,9 @@
 //!   through a pluggable [`action::Action`] registry (CORRECT registers
 //!   itself as `globus-labs/correct@v1`).
 //!
-//! Blocking on remote work (a FaaS task finishing) is expressed through
-//! [`action::WorldDriver`]: an action advances the shared virtual world until
-//! its condition holds, keeping the whole federation deterministic.
+//! A step waits on remote work (a FaaS task finishing) by returning an
+//! [`action::Effect`]; the engine alone advances the shared virtual world
+//! through [`action::WorldDriver`], keeping the federation deterministic.
 
 pub mod action;
 pub mod artifacts;
@@ -40,7 +40,7 @@ pub mod runner;
 pub mod secrets;
 pub mod workflow;
 
-pub use action::{Action, StepContext, StepResult, WorldDriver};
+pub use action::{Action, Effect, Step, StepContext, StepResult, WorldDriver};
 pub use artifacts::{Artifact, ArtifactStore};
 pub use cache::{CacheMode, CacheStats, CachedStep, JobKeyPrefix, StepCache, StepEntry, StepKey};
 pub use engine::CiEngine;

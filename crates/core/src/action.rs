@@ -14,380 +14,357 @@
 //!    function fails;
 //! 6. optionally run a secondary capture task that attaches the remote
 //!    software environment as a provenance artifact (§7.4).
+//!
+//! The step never advances the world: the runner bootstrap, a task in flight
+//! and a retry's backoff are each an [`Effect`] the engine waits out.
 
-use crate::inputs::CorrectInputs;
-use hpcci_auth::{AccessToken, AuthError, ClientId, ClientSecret, Scope};
-use hpcci_ci::{Action, FailureKind, Infra, Outputs, StepContext, StepResult, WorldDriver};
-use hpcci_faas::{
-    CloudService, EndpointId, FaasError, FunctionId, TaskFailure, TaskId, TaskOutput,
-};
-use hpcci_obs::Obs;
-use hpcci_sim::{DetRng, Fnv, SimDuration, SimTime};
+use crate::inputs::{Command, CorrectInputs};
+use hpcci_auth::{AccessToken, AuthError, Scope};
+use hpcci_ci::{Action, Effect, FailureKind, Infra, Outputs, Step, StepContext, StepResult};
+use hpcci_faas::{CloudService, FaasError, TaskFailure, TaskId, TaskOutput};
+use hpcci_sim::{DetRng, Fnv, SimDuration, SimTime, Sym};
 use parking_lot::Mutex;
-use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// The marketplace name the action registers under.
 pub const CORRECT_ACTION_NAME: &str = "globus-labs/correct@v1";
 
-/// FNV-1a over `"{a}:{b}"`, hashed as it is written: no joined string.
-fn fnv_pair(a: &str, b: &str) -> u64 {
-    let mut h = Fnv::default();
-    for part in [a, ":", b] {
-        let _ = h.write_str(part);
-    }
-    h.0
-}
-
 /// The action. Holds a handle to the FaaS cloud (the runner talks to the
-/// cloud's REST API; it never reaches the site directly).
+/// cloud's REST API; it never reaches the site directly). Its retry,
+/// failover and refresh counters go to the cloud's observability handle.
 pub struct CorrectAction {
     cloud: Arc<Mutex<CloudService>>,
-    obs: Obs,
 }
 
 impl CorrectAction {
     pub fn new(cloud: Arc<Mutex<CloudService>>) -> Self {
-        CorrectAction {
-            cloud,
-            obs: Obs::disabled(),
-        }
+        CorrectAction { cloud }
     }
+}
 
-    /// Attach an observability handle (retry/failover/refresh counters).
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
+/// The tasks a step submits, in order, each through [`State::Submit`] and
+/// [`State::Waiting`]. The capture is never retried and never flips the
+/// step's outcome.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Clone,
+    Command,
+    Capture,
+}
 
-    /// Block until `task` finishes, advancing the virtual world. A rejected
-    /// task is the error it was rejected with; `NotFinished` means the world
-    /// quiesced first (nothing will ever complete the task).
-    fn wait_for(
-        &self,
-        driver: &mut dyn WorldDriver,
-        task: TaskId,
-    ) -> Result<TaskOutput, FaasError> {
-        loop {
-            match self.cloud.lock().task_result(task) {
-                Err(FaasError::NotFinished(_)) => {}
-                finished => return finished.cloned(),
-            }
-            if !driver.step() {
-                return Err(FaasError::NotFinished(task));
-            }
-        }
-    }
+/// Where a session stands between polls. A poll that returns a wait sets the
+/// state first, so the next poll resumes past it.
+#[derive(Clone, Copy)]
+enum State {
+    /// Not yet polled: the runner installs the SDK until this instant.
+    Bootstrap(SimTime),
+    /// The client-credentials grant (§5.3).
+    Auth,
+    /// Submit the phase's task: its first attempt or a retry.
+    Submit,
+    /// The phase's task is in flight.
+    Waiting(TaskId),
+}
 
+/// One CORRECT step's session with the cloud, resumable between polls.
+///
+/// Infrastructure failures — by type: [`FaasError::is_infrastructure`],
+/// [`TaskFailure::WorkerCrashed`] — are retried with deterministic
+/// exponential backoff and fail over to a sibling endpoint, and an expired
+/// token is refreshed; each attempt past the first marks the step
+/// [`Infra::Shaped`]. With no faults a phase is a plain submit-and-wait: no
+/// log lines, no RNG draws. Once the retries are spent the site is skipped,
+/// marked [`Infra::Failed`] and shown as the `failure_kind` output (§2.1: CI
+/// must not confuse platform flakiness with code regressions).
+struct Session {
+    cloud: Arc<Mutex<CloudService>>,
+    inputs: CorrectInputs,
+    repo: Sym,
+    state: State,
+    phase: Phase,
+    /// Granted in [`State::Auth`].
+    token: Option<AccessToken>,
+    /// The endpoint the step stands on, in `inputs.endpoints`. A failover
+    /// holds for the rest of the step: the command and the capture run where
+    /// the clone did.
+    ep_idx: usize,
+    /// The phase's retry state. The backoff jitter is seeded by commit +
+    /// endpoint and the phase, and drawn only on a retry.
+    jitter_seed: u64,
+    rng: DetRng,
+    attempt: u32,
+    /// The step's result as it grows: its stdout is the log, and it carries
+    /// the [`Infra`] mark and the ids of the tasks submitted.
+    result: StepResult,
+}
+
+impl Session {
     /// The client-credentials grant (§5.3): the step's first token, and a
     /// fresh one whenever the cloud rejects it mid-run.
-    fn authenticate(
-        &self,
-        client_id: &ClientId,
-        client_secret: &ClientSecret,
-        now: SimTime,
-    ) -> Result<AccessToken, AuthError> {
+    fn authenticate(&mut self) -> Result<(), AuthError> {
         let cloud = self.cloud.lock();
         let mut auth = cloud.auth().lock();
-        auth.authenticate(client_id, client_secret, vec![Scope::compute_api()], now)
+        let (id, secret) = (&self.inputs.client_id, &self.inputs.client_secret);
+        let scopes = vec![Scope::compute_api()];
+        self.token = Some(auth.authenticate(id, secret, scopes, cloud.now())?);
+        Ok(())
     }
-}
 
-/// One CORRECT step's session with the cloud: the credentials and the token
-/// they granted, the endpoints in failover order and the one the step stands
-/// on, the retry policy, and what the step has produced so far — its log,
-/// its [`Infra`] mark and the ids of the tasks it submitted.
-struct Session<'a> {
-    action: &'a CorrectAction,
-    client_id: ClientId,
-    client_secret: ClientSecret,
-    token: AccessToken,
-    /// The primary endpoint plus any configured fallbacks for crash
-    /// failover, in priority order. A failover holds for the rest of the
-    /// step, so the command and the capture run where the clone did.
-    endpoints: Vec<EndpointId>,
-    ep_idx: usize,
-    max_retries: u32,
-    backoff: SimDuration,
-    log: String,
-    infra: Infra,
-    tasks: Vec<u64>,
-}
-
-impl Session<'_> {
-    /// End the step with `result`, carrying the session's [`Infra`] mark and
-    /// task ids.
-    fn end(&mut self, result: StepResult) -> StepResult {
-        StepResult {
-            infra: self.infra,
-            tasks: std::mem::take(&mut self.tasks),
-            ..result
+    /// Submit the phase's task to the endpoint the step stands on. Without a
+    /// token the cloud is not asked: that is an invalid token.
+    fn submit(&self, cloud: &mut CloudService, now: SimTime) -> Result<TaskId, FaasError> {
+        let token = self.token.as_ref().ok_or(AuthError::InvalidToken)?;
+        let endpoint = &self.inputs.endpoints[self.ep_idx];
+        match (self.phase, &self.inputs.command) {
+            (Phase::Clone, _) => {
+                let clone_cmd = format!("git clone https://github.sim/{}.git", self.repo);
+                cloud.submit_shell(token, endpoint, &clone_cmd, now)
+            }
+            (Phase::Command, Command::Shell(cmd)) => cloud.submit_shell(token, endpoint, cmd, now),
+            (Phase::Command, Command::Function(fid, args)) => {
+                cloud.submit_function(token, endpoint, *fid, args, now)
+            }
+            (Phase::Capture, _) => cloud.submit_shell(token, endpoint, "gc-capture-env", now),
         }
     }
 
-    /// End the step on a non-retryable error: `stderr` is all it reports.
-    fn fatal(&mut self, stderr: String) -> Box<StepResult> {
-        Box::new(self.end(StepResult::fail(stderr)))
+    /// Go on to `phase`: submit its task now, from a fresh retry state.
+    fn enter(&mut self, phase: Phase) -> Effect {
+        self.phase = phase;
+        self.rng = DetRng::seed_from_u64(self.jitter_seed.wrapping_add(phase as u64));
+        self.attempt = 0;
+        self.state = State::Submit;
+        self.poll()
     }
 
-    /// Submit a task and wait for it, retrying *infrastructure* failures with
-    /// deterministic exponential backoff, failing over to sibling endpoints
-    /// on crashes, and refreshing the bearer token when it expires mid-run.
-    /// With no faults active this takes exactly the same path as a plain
-    /// submit-and-wait: no sleeps, no log lines, no RNG draws that could
-    /// perturb the simulation. What is infrastructure is decided by type —
-    /// [`FaasError::is_infrastructure`], [`TaskFailure::WorkerCrashed`] —
-    /// and every attempt past the first marks `infra` as shaped by it.
-    ///
-    /// The task's output, success *or* genuine test failure (never retried);
-    /// or the step's result when it must end here: a non-retryable error
-    /// (bad configuration, auth denial) with an empty stdout, or graceful
-    /// degradation once every retry and fallback is spent — the site is
-    /// skipped and the step reports an infrastructure failure, marked
-    /// [`Infra::Failed`] and shown to the user as the `failure_kind` output
-    /// (§2.1: CI must not confuse platform flakiness with code regressions).
-    fn run<F>(
-        &mut self,
-        driver: &mut dyn WorldDriver,
-        jitter_seed: u64,
-        label: &str,
-        submit: F,
-    ) -> Result<TaskOutput, Box<StepResult>>
-    where
-        F: Fn(&mut CloudService, &AccessToken, &EndpointId, SimTime) -> Result<TaskId, FaasError>,
-    {
-        let obs = &self.action.obs;
-        let mut rng = DetRng::seed_from_u64(jitter_seed);
-        let mut last_infra = String::new();
-        let mut attempt = 0u32;
-        loop {
-            if attempt > 0 {
-                if attempt > self.max_retries {
-                    obs.inc("action.infra_failures");
-                    self.infra = Infra::Failed;
-                    let skipped = StepResult {
-                        success: false,
-                        stdout: std::mem::take(&mut self.log),
-                        stderr: format!(
-                            "infrastructure failure (site skipped): {last_infra}\n\
-                             This failure reflects CI infrastructure, not the tests under evaluation."
-                        ),
-                        ..StepResult::default()
-                    }
-                    .with_output("failure_kind", FailureKind::Infrastructure.as_str());
-                    return Err(Box::new(self.end(skipped)));
-                }
-                obs.inc("action.retries");
-                self.infra = Infra::Shaped;
-                // Deterministic exponential backoff: base * 2^(attempt-1),
-                // jittered from a stream seeded by commit+endpoint.
-                let factor = (1u64 << (attempt - 1).min(16)) as f64 * rng.range_f64(0.8, 1.2);
-                let delay = self.backoff.mul_f64(factor);
-                self.log.push_str(&format!(
-                    "Infrastructure failure ({last_infra}); retry {attempt}/{} in {:.1}s\n",
-                    self.max_retries,
-                    delay.as_secs_f64()
-                ));
-                driver.sleep(delay);
+    /// End the step with the result as it stands.
+    fn done(&mut self) -> Effect {
+        Effect::Done(std::mem::take(&mut self.result))
+    }
+
+    /// End the step on a non-retryable error: `stderr` is all it reports,
+    /// beside the [`Infra`] mark and the task ids.
+    fn fatal(&mut self, stderr: String) -> StepResult {
+        let ended = std::mem::take(&mut self.result);
+        StepResult {
+            infra: ended.infra,
+            tasks: ended.tasks,
+            ..StepResult::fail(stderr)
+        }
+    }
+
+    /// An infrastructure failure, `cause`, at `now`: fail over to the next
+    /// sibling endpoint if there is one, then retry.
+    fn fail_over(&mut self, cause: String, now: SimTime) -> Effect {
+        if self.ep_idx + 1 < self.inputs.endpoints.len() {
+            self.ep_idx += 1;
+            self.cloud.lock().obs().inc("action.failovers");
+            let (log, endpoint) = (&mut self.result.stdout, &self.inputs.endpoints[self.ep_idx]);
+            let _ = writeln!(log, "Failing over to sibling endpoint {endpoint}");
+        }
+        self.retry(cause, now)
+    }
+
+    /// Submit the phase's task again once the backoff from `now` has
+    /// passed, or skip the site when the retries are spent.
+    fn retry(&mut self, cause: String, now: SimTime) -> Effect {
+        self.attempt += 1;
+        let max = self.inputs.max_retries;
+        if self.attempt > max {
+            self.cloud.lock().obs().inc("action.infra_failures");
+            self.result.infra = Infra::Failed;
+            self.result.stderr = format!(
+                "infrastructure failure (site skipped): {cause}\n\
+                 This failure reflects CI infrastructure, not the tests under evaluation."
+            );
+            let kind = FailureKind::Infrastructure.as_str();
+            self.result.outputs.insert("failure_kind", kind.to_string());
+            return self.done();
+        }
+        self.cloud.lock().obs().inc("action.retries");
+        self.result.infra = Infra::Shaped;
+        // Deterministic exponential backoff: base * 2^(attempt-1), jittered.
+        let factor = (1u64 << (self.attempt - 1).min(16)) as f64 * self.rng.range_f64(0.8, 1.2);
+        let delay = SimDuration::from_secs(self.inputs.retry_backoff_secs.max(1)).mul_f64(factor);
+        let (log, attempt, secs) = (&mut self.result.stdout, self.attempt, delay.as_secs_f64());
+        let _ = writeln!(
+            log,
+            "Infrastructure failure ({cause}); retry {attempt}/{max} in {secs:.1}s"
+        );
+        self.state = State::Submit;
+        Effect::At(now + delay)
+    }
+
+    /// The clone or the command returned `out`: go on, or end the step.
+    fn completed(&mut self, out: TaskOutput) -> Effect {
+        self.result.stdout.push_str(&out.stdout);
+        if self.phase == Phase::Clone {
+            if !out.success() {
+                // Clone failure fails the workflow step (§5.3).
+                self.result.stderr = format!("Error: repository clone failed\n{}", out.stderr);
+                return self.done();
             }
-            let submitted = {
-                let mut cloud = self.action.cloud.lock();
-                let now = cloud.now();
-                submit(&mut cloud, &self.token, &self.endpoints[self.ep_idx], now)
-            };
-            last_infra = match submitted {
-                Ok(task) => {
-                    self.tasks.push(task.0);
-                    match self.action.wait_for(driver, task) {
-                        Ok(out) if out.result == Err(TaskFailure::WorkerCrashed) => out.stderr,
-                        Ok(out) => return Ok(out),
-                        Err(e) if e.is_infrastructure() => format!("Error: {e}"),
-                        Err(FaasError::NotFinished(task)) => {
-                            let e = format!(
-                                "Error: federation made no progress while waiting for {task}"
-                            );
-                            return Err(self.fatal(e));
-                        }
-                        Err(e) => return Err(self.fatal(format!("Error: {e}"))),
-                    }
-                }
-                Err(FaasError::Auth(AuthError::InvalidToken)) => {
-                    // Token expired mid-run: refresh and retry (§5.3's
-                    // client-credentials grant is repeatable).
-                    self.log
-                        .push_str("Access token rejected mid-run; re-authenticating\n");
-                    let now = driver.now();
-                    let refreshed =
-                        self.action
-                            .authenticate(&self.client_id, &self.client_secret, now);
-                    match refreshed {
-                        Ok(t) => {
-                            obs.inc("action.token_refreshes");
-                            self.token = t;
-                            last_infra = "expired access token (refreshed)".to_string();
-                            attempt += 1;
-                            continue;
-                        }
-                        Err(e) => {
-                            let e = format!("Error: re-authentication failed: {e}");
-                            return Err(self.fatal(e));
-                        }
-                    }
-                }
-                Err(e) if e.is_infrastructure() => e.to_string(),
-                Err(e) => return Err(self.fatal(format!("Error: {label}: {e}"))),
-            };
-            if self.ep_idx + 1 < self.endpoints.len() {
-                self.ep_idx += 1;
-                obs.inc("action.failovers");
-                self.log.push_str(&format!(
-                    "Failing over to sibling endpoint {}\n",
-                    self.endpoints[self.ep_idx]
-                ));
+            self.result.stdout.push('\n');
+            return self.enter(Phase::Command);
+        }
+        // 5. Propagate outputs; the step fails when the function failed.
+        // The task's strings move into the outputs (one copy, for `stderr`).
+        self.result.success = out.success();
+        self.result.stderr = out.stderr.clone();
+        let outputs = &mut self.result.outputs;
+        *outputs = Outputs::with_capacity(5);
+        outputs.insert(
+            "runtime_secs",
+            format!("{:.6}", out.runtime().as_secs_f64()),
+        );
+        outputs.insert("ran_as", out.ran_as.as_str().to_string());
+        outputs.insert("node", out.node.as_str().to_string());
+        outputs.insert("stdout", out.stdout);
+        outputs.insert("stderr", out.stderr);
+        if self.inputs.capture_environment {
+            // 6. Optional provenance capture.
+            return self.enter(Phase::Capture);
+        }
+        self.done()
+    }
+}
+
+impl Step for Session {
+    fn poll(&mut self) -> Effect {
+        match self.state {
+            State::Bootstrap(until) => {
+                self.state = State::Auth;
+                Effect::At(until)
             }
-            attempt += 1;
+            State::Auth => {
+                if let Err(e) = self.authenticate() {
+                    let failed = format!("Error: Globus authentication failed: {e}");
+                    return Effect::Done(StepResult::fail(failed));
+                }
+                let log = &mut self.result.stdout;
+                log.push_str("Authenticated with Globus Auth (scope compute.api)\n");
+                self.state = State::Submit;
+                self.poll()
+            }
+            State::Submit => {
+                let (submitted, now) = {
+                    let mut cloud = self.cloud.lock();
+                    let now = cloud.now();
+                    (self.submit(&mut cloud, now), now)
+                };
+                match submitted {
+                    Ok(task) => {
+                        self.result.tasks.push(task.0);
+                        self.state = State::Waiting(task);
+                        self.poll()
+                    }
+                    Err(_) if self.phase == Phase::Capture => self.done(),
+                    Err(FaasError::Auth(AuthError::InvalidToken)) => {
+                        // Token expired mid-run: refresh and retry (§5.3's
+                        // client-credentials grant is repeatable).
+                        let log = &mut self.result.stdout;
+                        log.push_str("Access token rejected mid-run; re-authenticating\n");
+                        if let Err(e) = self.authenticate() {
+                            let failed = format!("Error: re-authentication failed: {e}");
+                            return Effect::Done(self.fatal(failed));
+                        }
+                        self.cloud.lock().obs().inc("action.token_refreshes");
+                        self.retry("expired access token (refreshed)".to_string(), now)
+                    }
+                    Err(e) if e.is_infrastructure() => self.fail_over(e.to_string(), now),
+                    Err(e) => {
+                        let label = match self.phase {
+                            Phase::Clone => "clone submission",
+                            _ => "task submission",
+                        };
+                        Effect::Done(self.fatal(format!("Error: {label}: {e}")))
+                    }
+                }
+            }
+            State::Waiting(task) => {
+                let (finished, now) = {
+                    let cloud = self.cloud.lock();
+                    match cloud.task_result(task) {
+                        Err(FaasError::NotFinished(_)) => return Effect::Event,
+                        finished => (finished.cloned(), cloud.now()),
+                    }
+                };
+                match finished {
+                    Ok(cap) if self.phase == Phase::Capture => {
+                        if cap.success() {
+                            self.result = std::mem::take(&mut self.result)
+                                .with_artifact("environment.txt", &cap.stdout);
+                        }
+                        self.done()
+                    }
+                    Err(_) if self.phase == Phase::Capture => self.done(),
+                    Ok(out) if out.result == Err(TaskFailure::WorkerCrashed) => {
+                        self.fail_over(out.stderr, now)
+                    }
+                    Ok(out) => self.completed(out),
+                    Err(e) if e.is_infrastructure() => self.fail_over(format!("Error: {e}"), now),
+                    Err(e) => Effect::Done(self.fatal(format!("Error: {e}"))),
+                }
+            }
+        }
+    }
+
+    /// The world went quiet with the phase's task in flight: nothing will
+    /// ever complete it. The capture never flips the step, so it ends with
+    /// the command's result.
+    fn quiet(&mut self) -> StepResult {
+        match self.state {
+            State::Waiting(task) if self.phase != Phase::Capture => self.fatal(format!(
+                "Error: federation made no progress while waiting for {task}"
+            )),
+            _ => std::mem::take(&mut self.result),
         }
     }
 }
 
 impl Action for CorrectAction {
-    fn run(&self, ctx: &mut StepContext<'_>) -> StepResult {
+    fn start(&self, ctx: StepContext) -> Box<dyn Step> {
         let inputs = match CorrectInputs::parse(&ctx.inputs) {
             Ok(i) => i,
-            Err(e) => return StepResult::fail(e),
+            Err(e) => return Box::new(StepResult::fail(e)),
         };
-        // Preamble, clone report and a test summary fit without regrowing;
+        // 1. Runner bootstrap: the SDK is not on the hosted VM image. The
+        // preamble, clone report and a test summary fit without regrowing;
         // the engine trims what is left over when it stores the log.
         let mut log = String::with_capacity(512);
-
-        // 1. Runner bootstrap: the SDK is not on the hosted VM image.
         log.push_str("Checking for globus-compute-sdk on runner... not found\n");
         log.push_str("pip install globus-compute-sdk ... done\n");
-        ctx.driver.sleep(SimDuration::from_secs(12));
-
-        // 2. Authenticate with the client credentials. (Read the clock
-        // before taking the cloud lock: the driver reads it through the
-        // same mutex.)
-        let client_id = ClientId(inputs.client_id.to_string());
-        let client_secret = ClientSecret::new(inputs.client_secret);
-        let token = match self.authenticate(&client_id, &client_secret, ctx.driver.now()) {
-            Ok(t) => t,
-            Err(e) => return StepResult::fail(format!("Error: Globus authentication failed: {e}")),
+        // FNV-1a over "{commit}:{endpoint}", hashed as it is written.
+        let mut jitter = Fnv::default();
+        for part in [&*ctx.commit, ":", &inputs.endpoints[0].0] {
+            let _ = jitter.write_str(part);
+        }
+        let jitter_seed = jitter.0;
+        let phase = if inputs.skip_clone {
+            Phase::Command
+        } else {
+            Phase::Clone
         };
-        log.push_str("Authenticated with Globus Auth (scope compute.api)\n");
-
-        let mut step = Session {
-            action: self,
-            client_id,
-            client_secret,
-            token,
-            endpoints: std::iter::once(inputs.endpoint_uuid)
-                .chain(inputs.fallback_endpoints.iter().copied())
-                .map(|e| EndpointId(e.to_string()))
-                .collect(),
+        Box::new(Session {
+            cloud: self.cloud.clone(),
+            inputs,
+            repo: ctx.repo,
+            state: State::Bootstrap(ctx.started + SimDuration::from_secs(12)),
+            phase,
+            token: None,
             ep_idx: 0,
-            max_retries: inputs.max_retries,
-            backoff: SimDuration::from_secs(inputs.retry_backoff_secs.max(1)),
-            log,
-            infra: Infra::Untouched,
-            // Room for the common clone-plus-command step in one allocation.
-            tasks: Vec::with_capacity(2),
-        };
-        let jitter_seed = fnv_pair(&ctx.commit, inputs.endpoint_uuid);
-
-        // 3. Clone the repository at the remote site.
-        if !inputs.skip_clone {
-            let clone_cmd = format!("git clone https://github.sim/{}.git", ctx.repo);
-            let cloned = step.run(
-                ctx.driver,
-                jitter_seed,
-                "clone submission",
-                |cloud, token, endpoint, now| cloud.submit_shell(token, endpoint, &clone_cmd, now),
-            );
-            let out = match cloned {
-                Ok(out) => out,
-                Err(ended) => return *ended,
-            };
-            if !out.success() {
-                // Clone failure fails the workflow step (§5.3).
-                let result = StepResult {
-                    success: false,
-                    stdout: std::mem::take(&mut step.log) + &out.stdout,
-                    stderr: format!("Error: repository clone failed\n{}", out.stderr),
-                    ..StepResult::default()
-                };
-                return step.end(result);
-            }
-            step.log.push_str(&out.stdout);
-            step.log.push('\n');
-        }
-
-        // 4. Invoke the user-specified function.
-        let submitted = step.run(
-            ctx.driver,
-            jitter_seed.wrapping_add(1),
-            "task submission",
-            |cloud, token, endpoint, now| {
-                if let Some(cmd) = inputs.shell_cmd {
-                    let full = if inputs.args.is_empty() {
-                        Cow::Borrowed(cmd)
-                    } else {
-                        Cow::Owned(format!("{cmd} {}", inputs.args))
-                    };
-                    cloud.submit_shell(token, endpoint, &full, now)
-                } else {
-                    let fid = FunctionId(inputs.function_uuid.expect("schema validated"));
-                    cloud.submit_function(token, endpoint, fid, inputs.args, now)
-                }
+            jitter_seed,
+            rng: DetRng::seed_from_u64(jitter_seed.wrapping_add(phase as u64)),
+            attempt: 0,
+            result: StepResult {
+                stdout: log,
+                // Room for the common clone-plus-command step in one
+                // allocation.
+                tasks: Vec::with_capacity(2),
+                ..StepResult::default()
             },
-        );
-        let output = match submitted {
-            Ok(o) => o,
-            Err(ended) => return *ended,
-        };
-
-        // 5. Propagate outputs; step fails when the function failed. The
-        // task's output is ours: the log becomes the step's stdout and the
-        // task's strings move into the outputs map (one copy, for `stderr`).
-        step.log.push_str(&output.stdout);
-        let mut result = StepResult {
-            success: output.success(),
-            stdout: std::mem::take(&mut step.log),
-            stderr: output.stderr.clone(),
-            outputs: Outputs::with_capacity(5),
-            ..StepResult::default()
-        }
-        .with_output(
-            "runtime_secs",
-            format!("{:.6}", output.runtime().as_secs_f64()),
-        )
-        .with_output("ran_as", output.ran_as.as_str())
-        .with_output("node", output.node.as_str())
-        .with_output("stdout", output.stdout)
-        .with_output("stderr", output.stderr);
-
-        // 6. Optional provenance capture (never flips the step's outcome).
-        if inputs.capture_environment {
-            let capture_task = {
-                let mut cloud = self.cloud.lock();
-                let now = cloud.now();
-                cloud.submit_shell(
-                    &step.token,
-                    &step.endpoints[step.ep_idx],
-                    "gc-capture-env",
-                    now,
-                )
-            };
-            if let Ok(t) = capture_task {
-                step.tasks.push(t.0);
-                if let Ok(cap) = self.wait_for(ctx.driver, t) {
-                    if cap.success() {
-                        result = result.with_artifact("environment.txt", &cap.stdout);
-                    }
-                }
-            }
-        }
-        step.end(result)
+        })
     }
 }
 
@@ -398,53 +375,48 @@ mod tests {
     // unit tests here cover the pieces that do not need the world.
     use super::*;
     use hpcci_auth::AuthService;
-    use hpcci_ci::action::NullDriver;
     use std::collections::BTreeMap;
 
-    fn bare_action() -> CorrectAction {
+    /// Start a CORRECT step on `inputs` against a cloud with no endpoints
+    /// and poll it to its end; the world never moves, so it must not wait
+    /// on an event.
+    fn run_bare(inputs: &[(&str, &str)]) -> StepResult {
         let auth = Arc::new(Mutex::new(AuthService::new()));
-        CorrectAction::new(Arc::new(Mutex::new(CloudService::new(auth))))
+        let action = CorrectAction::new(Arc::new(Mutex::new(CloudService::new(auth))));
+        let inputs: BTreeMap<String, String> = inputs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        let mut step = action.start(StepContext {
+            repo: "o/r".into(),
+            commit: "c".into(),
+            inputs: Arc::new(inputs),
+            started: SimTime::ZERO,
+        });
+        loop {
+            match step.poll() {
+                Effect::Done(r) => return r,
+                Effect::At(_) => {}
+                Effect::Event => panic!("a bare cloud has no task to wait on"),
+            }
+        }
     }
 
     #[test]
     fn schema_violation_fails_fast() {
-        let action = bare_action();
-        let mut driver = NullDriver::new();
-        let mut ctx = StepContext {
-            repo: "o/r".into(),
-            branch: "main".into(),
-            commit: "c".into(),
-            inputs: Default::default(),
-            env: Default::default(),
-            driver: &mut driver,
-        };
-        let r = action.run(&mut ctx);
+        let r = run_bare(&[]);
         assert!(!r.success);
         assert!(r.stderr.contains("client_id"));
     }
 
     #[test]
     fn bad_credentials_fail_with_auth_error() {
-        let action = bare_action();
-        let mut driver = NullDriver::new();
-        let inputs: BTreeMap<String, String> = [
+        let r = run_bare(&[
             ("client_id", "client-000001"),
             ("client_secret", "wrong"),
             ("endpoint_uuid", "ep"),
             ("shell_cmd", "tox"),
-        ]
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-        let mut ctx = StepContext {
-            repo: "o/r".into(),
-            branch: "main".into(),
-            commit: "c".into(),
-            inputs: Arc::new(inputs),
-            env: Default::default(),
-            driver: &mut driver,
-        };
-        let r = action.run(&mut ctx);
+        ]);
         assert!(!r.success);
         assert!(r.stderr.contains("authentication failed"), "{}", r.stderr);
     }

@@ -1,9 +1,9 @@
 //! The federation: composition root of the whole stack.
 //!
 //! Owns the auth service, the FaaS cloud, the hosting service, the CI
-//! engine, and every registered site, and implements [`WorldDriver`] so that
-//! actions blocked on remote progress can advance virtual time. This is the
-//! "system overview" of the paper's Fig. 2, as an object graph.
+//! engine, and every registered site, and implements [`WorldDriver`], which
+//! the CI engine advances while a step waits. This is the "system overview"
+//! of the paper's Fig. 2, as an object graph.
 
 use crate::action::{CorrectAction, CORRECT_ACTION_NAME};
 use hpcci_auth::{AuthService, IdentityId, IdentityMapping};
@@ -66,7 +66,7 @@ pub struct EndpointHandle {
     pub site: SiteId,
 }
 
-/// The virtual-world driver handed to executing actions.
+/// The virtual-world driver the CI engine advances during a run.
 pub struct World {
     cloud: Arc<Mutex<CloudService>>,
 }
@@ -86,13 +86,6 @@ impl WorldDriver for World {
         let mut cloud = self.cloud.lock();
         let target = cloud.now() + d;
         cloud.advance_to(target);
-    }
-}
-
-impl World {
-    /// Drain the world to quiescence.
-    fn drain(&mut self) {
-        self.cloud.lock().drain_to_quiescence();
     }
 }
 
@@ -222,8 +215,7 @@ impl Federation {
         let cloud = Arc::new(Mutex::new(CloudService::new(auth.clone())));
         let hosting = Arc::new(Mutex::new(HostingService::new()));
         let mut engine = CiEngine::new();
-        let mut action = CorrectAction::new(cloud.clone());
-        action.set_obs(obs.clone());
+        let action = CorrectAction::new(cloud.clone());
         engine.register_action(CORRECT_ACTION_NAME, Arc::new(action));
         auth.lock().set_fault_injector(injector.clone());
         cloud.lock().set_fault_injector(injector.clone());
@@ -306,7 +298,8 @@ impl Federation {
         self.world.now()
     }
 
-    /// Mutable access to the world driver (for custom blocking waits).
+    /// The world driver: what the CI engine advances during a run, and how a
+    /// caller between runs moves virtual time (a traffic gap, a drain).
     pub fn world(&mut self) -> &mut dyn WorldDriver {
         &mut self.world
     }
@@ -627,7 +620,7 @@ impl Federation {
     pub fn run_all(&mut self) -> Vec<RunId> {
         self.refresh_stack_fingerprints();
         let executed = self.engine.execute_ready(&mut self.world);
-        self.world.drain();
+        self.cloud.lock().drain_to_quiescence();
         executed
     }
 
@@ -828,12 +821,9 @@ mod tests {
             cores: 8,
             walltime_secs: 600,
         };
-        assert_eq!(
-            fed.register_single("ep", lab, owner, "u", pilot).err(),
-            Some(FaasError::UnknownEndpoint(
-                "ep: no scheduler at site".into()
-            ))
-        );
+        let schedulerless = fed.register_single("ep", lab, owner, "u", pilot).err();
+        assert_eq!(schedulerless, Some(FaasError::NoScheduler("ep".into())));
+        assert!(schedulerless.is_some_and(|e| !e.is_infrastructure()));
         assert_eq!(
             fed.register_single("ep", faster, owner, "nobody", pilot).err(),
             Some(FaasError::NoLocalAccount("nobody".into()))

@@ -11,20 +11,29 @@
 //!     shell_cmd: 'tox'
 //! ```
 
+use hpcci_auth::{ClientId, ClientSecret};
+use hpcci_faas::{EndpointId, FunctionId};
 use std::collections::BTreeMap;
 
-/// Parsed, validated action inputs, borrowed from the step's `with:` map.
+/// What the step runs at the site: `shell_cmd` with `args` appended, or a
+/// pre-registered `function_uuid` and its `args`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CorrectInputs<'a> {
-    pub client_id: &'a str,
-    pub client_secret: &'a str,
-    pub endpoint_uuid: &'a str,
+pub enum Command {
+    Shell(String),
+    Function(FunctionId, String),
+}
+
+/// Parsed, validated action inputs, in the types the step submits with: a
+/// step keeps them for its whole session.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CorrectInputs {
+    pub client_id: ClientId,
+    pub client_secret: ClientSecret,
+    /// `endpoint_uuid`, then the `fallback_endpoints` (comma-separated in
+    /// the `with:` map) a crashed endpoint fails over to, in priority order.
+    pub endpoints: Vec<EndpointId>,
     /// Exactly one of `shell_cmd` / `function_uuid` is set.
-    pub shell_cmd: Option<&'a str>,
-    pub function_uuid: Option<u64>,
-    /// Args passed to the function (`function_uuid` form) or appended to the
-    /// shell command.
-    pub args: &'a str,
+    pub command: Command,
     /// When true, CORRECT runs a secondary capture task and attaches the
     /// site's software-environment description as an artifact (§7.4).
     pub capture_environment: bool,
@@ -36,16 +45,13 @@ pub struct CorrectInputs<'a> {
     pub max_retries: u32,
     /// Base of the exponential backoff between retries, in seconds.
     pub retry_backoff_secs: u64,
-    /// Sibling endpoints to fail over to when the primary endpoint crashes
-    /// (comma-separated in the `with:` map).
-    pub fallback_endpoints: Vec<&'a str>,
 }
 
-impl<'a> CorrectInputs<'a> {
+impl CorrectInputs {
     /// Parse from a step's `with:` map. Returns a user-facing error message
     /// on schema violations.
-    pub fn parse(with: &'a BTreeMap<String, String>) -> Result<CorrectInputs<'a>, String> {
-        let req = |key: &str| -> Result<&'a str, String> {
+    pub fn parse(with: &BTreeMap<String, String>) -> Result<CorrectInputs, String> {
+        let req = |key: &str| -> Result<&str, String> {
             match with.get(key) {
                 Some(v) if !v.is_empty() => Ok(v.as_str()),
                 _ => Err(format!("correct-action: missing required input `{key}`")),
@@ -54,10 +60,7 @@ impl<'a> CorrectInputs<'a> {
         let client_id = req("client_id")?;
         let client_secret = req("client_secret")?;
         let endpoint_uuid = req("endpoint_uuid")?;
-        let shell_cmd = with
-            .get("shell_cmd")
-            .filter(|v| !v.is_empty())
-            .map(String::as_str);
+        let shell_cmd = with.get("shell_cmd").filter(|v| !v.is_empty());
         let function_uuid = match with.get("function_uuid").filter(|v| !v.is_empty()) {
             Some(raw) => Some(
                 raw.trim_start_matches("fn-")
@@ -67,15 +70,18 @@ impl<'a> CorrectInputs<'a> {
             ),
             None => None,
         };
-        match (&shell_cmd, &function_uuid) {
+        let args = with.get("args").map_or("", String::as_str);
+        let command = match (shell_cmd, function_uuid) {
             (None, None) => {
                 return Err("correct-action: one of `shell_cmd` or `function_uuid` is required".into())
             }
             (Some(_), Some(_)) => {
                 return Err("correct-action: `shell_cmd` and `function_uuid` are mutually exclusive".into())
             }
-            _ => {}
-        }
+            (Some(cmd), None) if args.is_empty() => Command::Shell(cmd.clone()),
+            (Some(cmd), None) => Command::Shell(format!("{cmd} {args}")),
+            (None, Some(fid)) => Command::Function(FunctionId(fid), args.to_string()),
+        };
         let truthy = |key: &str| {
             with.get(key)
                 .map(|v| v == "true" || v == "1" || v == "yes")
@@ -94,27 +100,21 @@ impl<'a> CorrectInputs<'a> {
         };
         let max_retries = uint("max_retries", 2, u32::MAX.into())? as u32;
         let retry_backoff_secs = uint("retry_backoff_secs", 5, u64::MAX / 1_000_000)?;
-        let fallback_endpoints = with
-            .get("fallback_endpoints")
-            .map(|v| {
-                v.split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .collect()
-            })
-            .unwrap_or_default();
+        let fallbacks = with.get("fallback_endpoints").map_or("", String::as_str);
+        let endpoints = std::iter::once(endpoint_uuid)
+            .chain(fallbacks.split(',').map(str::trim))
+            .filter(|e| !e.is_empty())
+            .map(|e| EndpointId(e.to_string()))
+            .collect();
         Ok(CorrectInputs {
-            client_id,
-            client_secret,
-            endpoint_uuid,
-            shell_cmd,
-            function_uuid,
-            args: with.get("args").map_or("", String::as_str),
+            client_id: ClientId(client_id.to_string()),
+            client_secret: ClientSecret::new(client_secret),
+            endpoints,
+            command,
             capture_environment: truthy("capture_environment"),
             skip_clone: truthy("skip_clone"),
             max_retries,
             retry_backoff_secs,
-            fallback_endpoints,
         })
     }
 }
@@ -139,10 +139,9 @@ mod tests {
     fn parses_fig3_form() {
         let with = base();
         let inputs = CorrectInputs::parse(&with).unwrap();
-        assert_eq!(inputs.shell_cmd, Some("tox"));
-        assert_eq!(inputs.endpoint_uuid, "ep-anvil");
+        assert_eq!(inputs.command, Command::Shell("tox".into()));
+        assert_eq!(inputs.endpoints, [EndpointId("ep-anvil".into())]);
         assert!(!inputs.capture_environment);
-        assert!(inputs.function_uuid.is_none());
     }
 
     #[test]
@@ -162,7 +161,10 @@ mod tests {
         assert!(CorrectInputs::parse(&m).unwrap_err().contains("mutually exclusive"));
         m.remove("shell_cmd");
         let inputs = CorrectInputs::parse(&m).unwrap();
-        assert_eq!(inputs.function_uuid, Some(42));
+        assert_eq!(
+            inputs.command,
+            Command::Function(FunctionId(42), String::new())
+        );
         m.remove("function_uuid");
         assert!(CorrectInputs::parse(&m).unwrap_err().contains("required"));
     }
@@ -173,8 +175,12 @@ mod tests {
         m.remove("shell_cmd");
         // `FunctionId` displays as fn-<hex>.
         m.insert("function_uuid".into(), "fn-0000002a".into());
+        m.insert("args".into(), "--fast".into());
         let inputs = CorrectInputs::parse(&m).unwrap();
-        assert_eq!(inputs.function_uuid, Some(42));
+        assert_eq!(
+            inputs.command,
+            Command::Function(FunctionId(42), "--fast".into())
+        );
     }
 
     #[test]
@@ -186,7 +192,7 @@ mod tests {
         let inputs = CorrectInputs::parse(&m).unwrap();
         assert!(inputs.capture_environment);
         assert!(inputs.skip_clone);
-        assert_eq!(inputs.args, "-e py312");
+        assert_eq!(inputs.command, Command::Shell("tox -e py312".into()));
     }
 
     #[test]
@@ -195,7 +201,7 @@ mod tests {
         let inputs = CorrectInputs::parse(&with).unwrap();
         assert_eq!(inputs.max_retries, 2);
         assert_eq!(inputs.retry_backoff_secs, 5);
-        assert!(inputs.fallback_endpoints.is_empty());
+        assert_eq!(inputs.endpoints.len(), 1);
 
         let mut m = base();
         m.insert("max_retries".into(), "4".into());
@@ -204,7 +210,8 @@ mod tests {
         let inputs = CorrectInputs::parse(&m).unwrap();
         assert_eq!(inputs.max_retries, 4);
         assert_eq!(inputs.retry_backoff_secs, 1);
-        assert_eq!(inputs.fallback_endpoints, vec!["ep-b", "ep-c"]);
+        let ep = |e: &str| EndpointId(e.into());
+        assert_eq!(inputs.endpoints, [ep("ep-anvil"), ep("ep-b"), ep("ep-c")]);
 
         m.insert("max_retries".into(), "lots".into());
         assert!(CorrectInputs::parse(&m).unwrap_err().contains("max_retries"));

@@ -15,8 +15,8 @@
 //!   protocol, stdout/stderr propagation, artifact emission, failure
 //!   propagation (§5.3, Fig. 2);
 //! * [`federation::Federation`] — the composition root wiring hosting, CI,
-//!   auth, FaaS and sites together, and the [`ci::WorldDriver`]
-//!   implementation that lets blocked actions advance virtual time;
+//!   auth, FaaS and sites together, and the [`ci::WorldDriver`] the CI
+//!   engine advances while a step waits;
 //! * [`recipes`] — the §5.3/§6 workflow patterns: the Fig. 3 step, per-site
 //!   environments with sole reviewers, multi-site test matrices, and the
 //!   §5.3 fork-and-swap-endpoints repeatability recipe.

@@ -268,9 +268,10 @@ impl Endpoint {
                     cores,
                     walltime_secs,
                 } => {
-                    let scheduler = rt.scheduler.clone().ok_or_else(|| {
-                        FaasError::UnknownEndpoint(format!("{}: no scheduler at site", config.name))
-                    })?;
+                    let scheduler = rt
+                        .scheduler
+                        .clone()
+                        .ok_or_else(|| FaasError::NoScheduler(config.name.clone()))?;
                     let account = rt
                         .site
                         .account(&config.local_user)
@@ -869,10 +870,7 @@ mod tests {
             );
         }
         let wks = shared(SiteRuntime::new(Site::workstation("lab")));
-        assert_eq!(
-            err(&wks, "x-u", slurm),
-            FaasError::UnknownEndpoint("ep: no scheduler at site".into())
-        );
+        assert_eq!(err(&wks, "x-u", slurm), FaasError::NoScheduler("ep".into()));
         wks.lock().site.nodes.clear();
         assert_eq!(
             err(&wks, "x-u", TaskProvider::Local),

@@ -27,6 +27,8 @@ pub enum FaasError {
     NoLocalAccount(String),
     /// Result not ready yet.
     NotFinished(TaskId),
+    /// The endpoint's pilot workers need a batch scheduler its site lacks.
+    NoScheduler(String),
     /// The site's batch scheduler can never start the endpoint's pilot: every
     /// task would wait behind it forever.
     PilotRefused { endpoint: String, reason: SchedulerError },
@@ -65,6 +67,7 @@ impl fmt::Display for FaasError {
             }
             FaasError::NoLocalAccount(who) => write!(f, "no local account {who} at site"),
             FaasError::NotFinished(id) => write!(f, "task {id} has not finished"),
+            FaasError::NoScheduler(endpoint) => write!(f, "{endpoint}: no scheduler at site"),
             FaasError::PilotRefused { endpoint, reason } => {
                 write!(f, "{endpoint}: the site scheduler refuses its pilot: {reason}")
             }

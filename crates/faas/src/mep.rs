@@ -122,7 +122,7 @@ impl MultiUserEndpoint {
         template: MepTemplate,
     ) -> Result<Self, FaasError> {
         if let TaskProvider::Slurm { cores, walltime_secs } = template.task_provider {
-            let no_scheduler = || FaasError::UnknownEndpoint(format!("{name}: no scheduler at site"));
+            let no_scheduler = || FaasError::NoScheduler(name.to_string());
             let scheduler = site.lock().scheduler.clone().ok_or_else(no_scheduler)?;
             // Admission does not depend on the account, known only per user.
             let pilot = JobSpec::single_node("", Uid(0), "", cores, SimDuration::from_secs(walltime_secs));
@@ -377,7 +377,7 @@ mod tests {
         let lab = shared(SiteRuntime::new(Site::workstation("lab")));
         assert_eq!(
             mep(&lab, MepTemplate::hpc_split(8, 600)),
-            Some(FaasError::UnknownEndpoint("mep: no scheduler at site".into()))
+            Some(FaasError::NoScheduler("mep".into()))
         );
         assert_eq!(mep(&lab, MepTemplate::login_only()), None);
     }

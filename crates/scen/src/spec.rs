@@ -563,15 +563,17 @@ impl ScenarioSpec {
             }
             _ => {}
         }
-        // Every time key is in seconds; the simulated clock counts
-        // microseconds in a u64, so a larger value has no instant to mean.
-        let fits = |key: &str, secs: u64| match secs.checked_mul(1_000_000) {
+        // The simulated clock counts microseconds in a u64: a time key
+        // (seconds, or `task_ms`) beyond it has no instant to mean.
+        const SECS: u64 = 1_000_000;
+        let fits = |key: &str, value: u64, micros: u64| match value.checked_mul(micros) {
             Some(_) => Ok(()),
             None => Err(SpecError(format!(
-                "{key} = {secs} overflows the simulated clock (microseconds in a u64)"
+                "{key} = {value} overflows the simulated clock (microseconds in a u64)"
             ))),
         };
-        fits("[traffic] gap_secs", self.traffic.gap_secs)?;
+        fits("[workload] task_ms", self.workload.task_ms, 1_000)?;
+        fits("[traffic] gap_secs", self.traffic.gap_secs, SECS)?;
         for ep in &self.endpoints {
             if let EndpointKindDecl::Pilot { walltime_secs, .. }
             | EndpointKindDecl::MultiUser {
@@ -579,16 +581,16 @@ impl ScenarioSpec {
                 ..
             } = ep.kind
             {
-                fits("[[endpoints]] walltime_secs", walltime_secs)?;
+                fits("[[endpoints]] walltime_secs", walltime_secs, SECS)?;
             }
         }
         for fault in &self.faults {
             if let FaultKindDecl::WanPartition { heal_secs, .. } = fault.kind {
-                fits("[[faults]] heal_secs", heal_secs)?;
+                fits("[[faults]] heal_secs", heal_secs, SECS)?;
             }
         }
         if let Some(chaos) = &self.chaos {
-            fits("[chaos] horizon_secs", chaos.horizon_secs)?;
+            fits("[chaos] horizon_secs", chaos.horizon_secs, SECS)?;
         }
         // A fault that names nothing never fires, and a pending fault keeps
         // the injector armed: the run would advance every endpoint at every
@@ -1209,6 +1211,10 @@ mod tests {
 
     #[test]
     fn validation_rejects_a_traffic_gap_or_chaos_horizon_beyond_the_clock() {
+        assert_eq!(
+            with_max_secs("task_ms = 2000"),
+            overflows("[workload] task_ms")
+        );
         assert_eq!(
             with_max_secs("gap_secs = 300"),
             overflows("[traffic] gap_secs")

@@ -74,6 +74,46 @@ fn run_awaits_approval_until_sole_reviewer_acts() {
     assert!(env.follows_sole_reviewer_recommendation());
 }
 
+/// With a world that never moves, the clone task is accepted but never
+/// returns: the engine tells the waiting step the world went quiet, and the
+/// step fails naming that task and still records it.
+#[test]
+fn a_task_the_quiet_world_never_returns_fails_the_step() {
+    use hpcci::ci::action::NullDriver;
+    use hpcci::faas::TaskId;
+    let mut s = paper::world(paper::FIG5_PSIJ, Federation::builder(45).build()).unwrap();
+    let now = s.fed.now();
+    let tree = s
+        .fed
+        .hosting
+        .lock()
+        .repo(&s.repo)
+        .unwrap()
+        .checkout_branch("main")
+        .unwrap()
+        .clone()
+        .with_file("CHANGE", "x");
+    s.fed
+        .hosting
+        .lock()
+        .push(&s.repo, "main", tree, "contributor", "change", now)
+        .unwrap();
+    let runs = s.fed.pump_events();
+    s.fed.engine.approve(runs[0], "vhayot", now).unwrap();
+    assert_eq!(s.fed.engine.execute_ready(&mut NullDriver::default()), runs);
+    let run = s.fed.engine.run(runs[0]).unwrap();
+    assert_eq!(run.status, RunStatus::Failure);
+    let step = run.step("run").expect("correct step recorded");
+    assert_eq!(step.tasks.len(), 1, "the clone, accepted");
+    assert_eq!(
+        step.stderr,
+        format!(
+            "Error: federation made no progress while waiting for {}",
+            TaskId(step.tasks[0])
+        )
+    );
+}
+
 #[test]
 fn federation_trace_records_the_fig2_flow() {
     let mut s = paper::world(paper::FIG5_PSIJ, Federation::builder(44).build()).unwrap();

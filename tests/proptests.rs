@@ -1258,12 +1258,10 @@ fn step_cache_replay_is_byte_identical_to_record() {
 /// fails when told to, and leaves `artifacts` artifacts behind.
 struct Emit;
 impl hpcci::ci::Action for Emit {
-    fn run(&self, ctx: &mut hpcci::ci::StepContext<'_>) -> hpcci::ci::StepResult {
-        let inputs = ctx.inputs.clone();
-        let input = |key: &str| inputs.get(key).cloned().unwrap_or_default();
+    fn start(&self, ctx: hpcci::ci::StepContext) -> Box<dyn hpcci::ci::Step> {
+        let input = |key: &str| ctx.inputs.get(key).cloned().unwrap_or_default();
         let (token, text) = (input("token"), input("text"));
-        ctx.driver
-            .sleep(SimDuration::from_millis(input("millis").parse().unwrap()));
+        let at = ctx.started + SimDuration::from_millis(input("millis").parse().unwrap());
         let stdout = format!("{text}\nauthenticated with {token}");
         let mut result = hpcci::ci::StepResult::ok(stdout.clone())
             .with_output("stdout", &stdout)
@@ -1276,7 +1274,30 @@ impl hpcci::ci::Action for Emit {
             result =
                 result.with_artifact(&format!("{text}-{k}"), format!("{text} part {}", k.max(1)));
         }
-        result
+        Box::new(Emitting {
+            at,
+            result,
+            woken: false,
+        })
+    }
+}
+
+/// An [`Emit`] step: asks to be woken at `at`, then ends with `result`.
+struct Emitting {
+    at: SimTime,
+    result: hpcci::ci::StepResult,
+    woken: bool,
+}
+impl hpcci::ci::Step for Emitting {
+    fn poll(&mut self) -> hpcci::ci::Effect {
+        if std::mem::replace(&mut self.woken, true) {
+            hpcci::ci::Effect::Done(std::mem::take(&mut self.result))
+        } else {
+            hpcci::ci::Effect::At(self.at)
+        }
+    }
+    fn quiet(&mut self) -> hpcci::ci::StepResult {
+        std::mem::take(&mut self.result)
     }
 }
 
@@ -1371,8 +1392,7 @@ fn replayed_run_equals_recorded_run_field_by_field() {
             let id = e
                 .on_push(REPO, "main", "commit-1", SimTime::from_secs(5))
                 .unwrap()[0];
-            let mut driver = NullDriver::new();
-            driver.now = SimTime::from_secs(7);
+            let mut driver = NullDriver { now: SimTime::from_secs(7) };
             e.execute_ready(&mut driver);
             id
         };
@@ -1466,8 +1486,8 @@ fn a_hit_shares_the_recorded_outcome_with_the_cache_entry() {
     use std::sync::Arc;
     struct Chatty;
     impl Action for Chatty {
-        fn run(&self, _: &mut StepContext<'_>) -> StepResult {
-            StepResult::ok("0123456789abcdef".repeat(1 << 16))
+        fn start(&self, _: StepContext) -> Box<dyn hpcci::ci::Step> {
+            Box::new(StepResult::ok("0123456789abcdef".repeat(1 << 16)))
         }
     }
     let step = StepDef::uses("build", "acme/chatty@v1", &[("level", "debug")]);
@@ -1485,7 +1505,7 @@ fn a_hit_shares_the_recorded_outcome_with_the_cache_entry() {
         let id = e
             .on_push("org/app", "main", "commit-1", SimTime::ZERO)
             .unwrap()[0];
-        e.execute_ready(&mut NullDriver::new());
+        e.execute_ready(&mut NullDriver::default());
         e.run(id).unwrap().steps[0].outcome.clone()
     };
     let recorded = run_once();
@@ -1750,8 +1770,8 @@ fn kept_job_plans_derive_the_keys_the_definition_derives() {
     }
     struct Echo;
     impl Action for Echo {
-        fn run(&self, ctx: &mut StepContext<'_>) -> StepResult {
-            StepResult::ok(spelled(&ctx.inputs))
+        fn start(&self, ctx: StepContext) -> Box<dyn hpcci::ci::Step> {
+            Box::new(StepResult::ok(spelled(&ctx.inputs)))
         }
     }
     let gen_workflow = |rng: &mut DetRng, name: &str| {
@@ -1852,7 +1872,7 @@ fn kept_job_plans_derive_the_keys_the_definition_derives() {
                     let commit = format!("commit-{}", rng.range_u64(0, 3));
                     let before = cache.stats();
                     let runs = e.on_push(REPO, "main", &commit, SimTime::ZERO).unwrap();
-                    e.execute_ready(&mut NullDriver::new());
+                    e.execute_ready(&mut NullDriver::default());
                     let after = cache.stats();
                     hits += after.hits - before.hits;
                     misses += after.misses - before.misses;
@@ -2004,7 +2024,7 @@ fn job_secrets_reach_every_step_key_and_rotation_rebuilds_the_prefix() {
             let before = cache.stats();
             e.dispatch(REPO, workflow, "main", "commit-1", SimTime::ZERO)
                 .unwrap();
-            e.execute_ready(&mut NullDriver::new());
+            e.execute_ready(&mut NullDriver::default());
             let after = cache.stats();
             (after.hits - before.hits, after.misses - before.misses)
         };
