@@ -24,19 +24,11 @@ impl TaskId {
     pub fn write_label(&self, out: &mut String) {
         const HEX: &[u8; 16] = b"0123456789abcdef";
         out.push_str("task-");
-        let mut buf = [b'0'; 16];
-        let mut i = buf.len();
-        let mut v = self.0;
-        loop {
-            i -= 1;
-            buf[i] = HEX[(v & 0xf) as usize];
-            v >>= 4;
-            if v == 0 {
-                break;
-            }
+        // Zero-padded to at least eight hex digits, most significant first.
+        let digits = (16 - self.0.leading_zeros() as usize / 4).max(8);
+        for k in (0..digits).rev() {
+            out.push(char::from(HEX[(self.0 >> (4 * k) & 0xf) as usize]));
         }
-        i = i.min(buf.len() - 8); // zero-pad to at least eight hex digits
-        out.push_str(std::str::from_utf8(&buf[i..]).expect("ascii hex"));
     }
 }
 

@@ -190,31 +190,45 @@ impl SimTime {
     }
 
     /// The bytes [`Self::write_to`] writes, filled from the right of `buf`:
-    /// "t+", the ≤ 20 digits of a u64, "." and "s". The trace's fold hashes
-    /// them from here.
+    /// "t+", the ≤ 14 digits of the seconds, ".", the six of the fraction
+    /// and "s". Seconds and fraction are converted apart, two digits a
+    /// division, so no digit waits on a chain of 20 divisions. The trace's
+    /// fold hashes them from here.
     pub(crate) fn digits(self, buf: &mut [u8; 24]) -> &[u8] {
-        let mut i = buf.len();
-        let mut put = |b: u8| {
-            i -= 1;
-            buf[i] = b;
+        let mut put = |at: usize, pair: u64| {
+            buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[(pair % 100) as usize]);
         };
-        put(b's');
-        let mut v = self.0;
-        for digit in 0.. {
-            if digit == 6 {
-                put(b'.');
-            }
-            put(b'0' + (v % 10) as u8);
-            v /= 10;
-            if v == 0 && digit >= 6 {
-                break;
-            }
+        let (mut secs, frac) = (self.0 / 1_000_000, self.0 % 1_000_000);
+        put(17, frac / 10_000);
+        put(19, frac / 100);
+        put(21, frac);
+        let mut i = 16;
+        while secs >= 10 {
+            i -= 2;
+            put(i, secs);
+            secs /= 100;
         }
-        put(b'+');
-        put(b't');
-        &buf[i..]
+        if i == 16 || secs > 0 {
+            i -= 1;
+            buf[i] = b'0' + secs as u8;
+        }
+        buf[16] = b'.';
+        buf[23] = b's';
+        buf[i - 2..i].copy_from_slice(b"t+");
+        &buf[i - 2..]
     }
 }
+
+/// `"00"` to `"99"`: the two digits of each value below 100.
+const DIGIT_PAIRS: [[u8; 2]; 100] = {
+    let mut pairs = [[0; 2]; 100];
+    let mut n = 0;
+    while n < 100 {
+        pairs[n] = [b'0' + (n / 10) as u8, b'0' + (n % 10) as u8];
+        n += 1;
+    }
+    pairs
+};
 
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -339,5 +353,46 @@ mod tests {
         }
         // Beyond the float's reach the integer form stays exact.
         assert_eq!(SimTime::FAR_FUTURE.to_string(), "t+18446744073709.551615s");
+    }
+
+    /// The one-digit-a-division loop the pair writer replaced.
+    fn per_digit(us: u64) -> Vec<u8> {
+        let mut out = vec![b's'];
+        let mut v = us;
+        for digit in 0.. {
+            if digit == 6 {
+                out.push(b'.');
+            }
+            out.push(b'0' + (v % 10) as u8);
+            v /= 10;
+            if v == 0 && digit >= 6 {
+                break;
+            }
+        }
+        out.extend(b"+t");
+        out.reverse();
+        out
+    }
+
+    /// Where the float oracle cannot reach, the loop the pair writer
+    /// replaced is the oracle: every power-of-ten edge, `u64::MAX` and
+    /// random values over the whole range.
+    #[test]
+    fn pair_writer_matches_the_per_digit_loop_over_all_of_u64() {
+        let mut values = vec![0, u64::MAX];
+        for k in 0..=19 {
+            let p = 10u64.pow(k);
+            values.extend([p - 1, p, p + 1]);
+        }
+        let mut rng = crate::DetRng::seed_from_u64(0xd161);
+        values.extend((0..4096).map(|_| rng.range_u64(0, u64::MAX)));
+        for us in values {
+            let mut buf = [0; 24];
+            assert_eq!(
+                SimTime::from_micros(us).digits(&mut buf),
+                per_digit(us),
+                "{us}"
+            );
+        }
     }
 }

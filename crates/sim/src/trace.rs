@@ -17,12 +17,13 @@
 //! genuinely free-form — are appended back to back to a text arena, and a
 //! record keeps only where its detail ends: a 24-byte record and the
 //! detail's bytes are all an event costs. [`TraceEvent`] is a borrowed view
-//! of one record.
+//! of one record. A rolling trace keeps no events: it folds each line into
+//! its digest as the line is recorded.
 
 use crate::time::SimTime;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// An interned string: either a `'static` literal (zero-cost) or a shared,
 /// deduplicated allocation handed out by an [`Interner`]. Dereferences to
@@ -198,23 +199,24 @@ impl IntoSym for &Sym {
     }
 }
 
-/// A detail [`Trace::record`] appends to its text arena. A `&str` is copied
-/// in without allocating; a `String` is copied in and its buffer kept as the
-/// spare [`Trace::detail_buf`] lends, so a recorder that builds its details
-/// there stops allocating once the spare has grown to its longest line.
+/// A detail [`Trace::record`] stores or folds. A `&str` is read in place; a
+/// `String` is read and its buffer kept as the spare [`Trace::detail_buf`]
+/// lends, so a recorder that builds its details there stops allocating once
+/// the spare has grown to its longest line.
 pub trait IntoDetail {
-    fn append_to(self, text: &mut String, spare: &mut String);
+    /// Hand the detail's text to `take`, then give a larger buffer to `spare`.
+    fn take_into(self, spare: &mut String, take: impl FnOnce(&str));
 }
 
 impl IntoDetail for &str {
-    fn append_to(self, text: &mut String, _spare: &mut String) {
-        text.push_str(self);
+    fn take_into(self, _spare: &mut String, take: impl FnOnce(&str)) {
+        take(self);
     }
 }
 
 impl IntoDetail for String {
-    fn append_to(mut self, text: &mut String, spare: &mut String) {
-        text.push_str(&self);
+    fn take_into(mut self, spare: &mut String, take: impl FnOnce(&str)) {
+        take(&self);
         if self.capacity() > spare.capacity() {
             self.clear();
             *spare = self;
@@ -245,8 +247,9 @@ impl TraceEvent<'_> {
     /// `[t+S.UUUUUUs] ` · component left-aligned to 24 chars · space · kind
     /// left-aligned to 20 · space · detail. The golden trace hashes pin these
     /// bytes, so every consumer is a sink of this writer: `Display`,
-    /// [`Trace::render`] (a `String`) and the rolling digest (FNV-1a, which
-    /// hashes the pieces in place — no line is ever materialised to be hashed).
+    /// [`Trace::render`] (a `String`) and the rolling digest (FNV-1a over
+    /// the same pieces, which [`Trace::record`] hashes in place — no line is
+    /// ever materialised to be hashed).
     fn write_line<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         out.write_str("[")?;
         self.at().write_to(out)?;
@@ -280,7 +283,7 @@ impl fmt::Display for TraceEvent<'_> {
 }
 
 /// One stored event: its detail is the arena text between the previous
-/// record's `end` (or the start of its arena) and its own.
+/// record's `end` (or the start of the arena) and its own.
 #[derive(Clone)]
 struct Record {
     at_us: u64,
@@ -292,33 +295,19 @@ struct Record {
 struct Names {
     component: Sym,
     kind: Sym,
-    /// The fold's table for this pair's fixed columns, built on the pair's
-    /// first fold — `None` outside the trace's pair table, where the fold
-    /// takes the byte loop.
-    jump: Option<OnceLock<Jump>>,
 }
 
-/// The views of `records`, whose details lie back to back in `text`.
-fn views<'a>(
-    records: std::collections::vec_deque::Iter<'a, Record>,
-    text: &'a str,
-) -> impl Iterator<Item = TraceEvent<'a>> + 'a {
-    let mut start = 0;
-    records.map(move |r| {
-        let detail = &text[start..r.end];
-        start = r.end;
-        TraceEvent {
-            at_us: r.at_us,
-            component: &r.names.component,
-            kind: &r.names.kind,
-            detail,
-        }
-    })
+/// A pair in the trace's table: its names, shared by the records naming
+/// it, and the fold's table for its fixed columns, built on its first fold.
+#[derive(Clone)]
+struct Pair {
+    names: Arc<Names>,
+    jump: Option<Jump>,
 }
 
 /// Distinct (component, kind) pairs a trace shares between its records, each
 /// with a 2 KiB [`Jump`] once folded. A pair beyond them gets [`Names`] of its
-/// own per record and folds through the byte loop.
+/// own per stored record and folds through the byte loop.
 const PAIRS: usize = 32;
 
 /// An append-only event log. Cheap to clone handles are not provided here on
@@ -326,27 +315,24 @@ const PAIRS: usize = 32;
 /// federation layer) so ownership of the log is always explicit.
 #[derive(Default, Clone)]
 pub struct Trace {
-    /// Live records, oldest first. The first `old_len` keep their details
-    /// in `old_text`, the rest in `text`.
-    records: VecDeque<Record>,
-    old_len: usize,
-    old_text: String,
+    /// Stored records, oldest first, their details back to back in `text`.
+    /// Both stay empty in rolling mode.
+    records: Vec<Record>,
     text: String,
     /// The buffer [`Trace::detail_buf`] lends and [`Trace::record`] takes
     /// back.
     spare: String,
     interner: Interner,
-    /// Opt-in rolling cap: when set, the live window stays under `cap`
-    /// events — the oldest half is folded into `fold_hash` and dropped — so
-    /// a million-task run holds O(cap) events instead of O(run).
-    cap: Option<usize>,
-    /// Events folded out of the live window so far.
+    /// In rolling mode, the running FNV-1a digest over the rendered lines
+    /// of every event so far: each line is folded in as it is recorded and
+    /// nothing is stored, so a million-task run holds O(1) events instead
+    /// of O(run).
+    fold: Option<u64>,
+    /// Events folded into `fold` so far.
     folded: u64,
-    /// Running FNV-1a digest over the rendered lines of folded events.
-    fold_hash: u64,
     /// The shared pairs, found by the handles of their `Sym`s — which the
     /// table holds, so no address in it can be reused by another name.
-    pairs: Vec<Arc<Names>>,
+    pairs: Vec<Pair>,
 }
 
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -365,13 +351,13 @@ impl Trace {
     }
 
     /// An empty `String` for building the next event's detail in: the
-    /// trace's spare buffer, which [`Trace::record`] takes back after copying
-    /// the detail out, so its capacity is reused from event to event.
+    /// trace's spare buffer, which [`Trace::record`] takes back after storing
+    /// or folding the detail, so its capacity is reused from event to event.
     pub fn detail_buf(&mut self) -> String {
         std::mem::take(&mut self.spare)
     }
 
-    /// Append an event.
+    /// Append an event — in rolling mode, fold its line into the digest.
     pub fn record(
         &mut self,
         at: SimTime,
@@ -381,102 +367,122 @@ impl Trace {
     ) {
         let component = component.into_sym(&mut self.interner);
         let kind = kind.into_sym(&mut self.interner);
-        let names = self.names(component, kind);
-        detail.append_to(&mut self.text, &mut self.spare);
-        self.records.push_back(Record {
+        let pair = self.pair(component, kind);
+        if let Some(fold) = &mut self.fold {
+            let mut digits = [0u8; 24];
+            let h = fnv(fnv(*fold, b"["), at.digits(&mut digits));
+            let h = match pair {
+                Ok(i) => {
+                    let Pair { names, jump } = &mut self.pairs[i];
+                    let Names { component, kind } = &**names;
+                    jump.get_or_insert_with(|| {
+                        let columns =
+                            infallible(String::new(), |s| write_columns(s, component, kind));
+                        Jump::new(columns.as_bytes())
+                    })
+                    .apply(h)
+                }
+                Err((component, kind)) => {
+                    infallible(Fnv(h), |s| write_columns(s, &component, &kind)).0
+                }
+            };
+            detail.take_into(&mut self.spare, |d| {
+                *fold = fnv(fnv(h, d.as_bytes()), b"\n");
+            });
+            self.folded += 1;
+            return;
+        }
+        let names = match pair {
+            Ok(i) => self.pairs[i].names.clone(),
+            Err((component, kind)) => Arc::new(Names { component, kind }),
+        };
+        let text = &mut self.text;
+        detail.take_into(&mut self.spare, |d| text.push_str(d));
+        self.records.push(Record {
             at_us: at.as_micros(),
             names,
             end: self.text.len(),
         });
-        if let Some(cap) = self.cap {
-            if self.records.len() - self.old_len >= cap / 2 {
-                self.rotate();
-            }
-        }
     }
 
-    /// The shared [`Names`] of this pair of handles, or — the table full —
-    /// names of its own.
-    fn names(&mut self, component: Sym, kind: Sym) -> Arc<Names> {
-        if let Some(names) = self
+    /// The slot of this pair of handles in the shared table, which takes
+    /// the pair while it has room; the names back once it is full.
+    fn pair(&mut self, component: Sym, kind: Sym) -> Result<usize, (Sym, Sym)> {
+        if let Some(i) = self
             .pairs
             .iter()
-            .find(|n| n.component.is(&component) && n.kind.is(&kind))
+            .position(|p| p.names.component.is(&component) && p.names.kind.is(&kind))
         {
-            return names.clone();
+            return Ok(i);
         }
-        let shared = self.pairs.len() < PAIRS;
-        let names = Arc::new(Names {
-            component,
-            kind,
-            jump: shared.then(OnceLock::new),
+        if self.pairs.len() == PAIRS {
+            return Err((component, kind));
+        }
+        self.pairs.push(Pair {
+            names: Arc::new(Names { component, kind }),
+            jump: None,
         });
-        if shared {
-            self.pairs.push(names.clone());
-        }
-        names
+        Ok(self.pairs.len() - 1)
     }
 
-    /// Switch this trace into rolling mode with a live window of under `cap`
-    /// events: each time half a window has been recorded, the half before
-    /// it is folded into a running digest (see [`Trace::rolling_digest`])
-    /// and dropped, bounding memory for million-task runs. Folding is a pure
-    /// function of the recorded lines, so two identical runs fold to
-    /// identical digests.
+    /// Switch this trace into rolling mode: what it holds is folded into a
+    /// running digest (see [`Trace::rolling_digest`]) and dropped, and each
+    /// later event is folded as it is recorded and never stored, bounding
+    /// memory for million-task runs. Folding is a pure function of the
+    /// recorded lines, so two identical runs fold to identical digests, and
+    /// a second call changes nothing. `_cap` is not read: a rolling trace
+    /// keeps no window.
     ///
     /// Rolling traces are for leaf drivers (benchmarks, soak runs); the
     /// golden-trace paths keep the default unbounded mode.
-    pub fn set_rolling(&mut self, cap: usize) {
-        self.cap = Some(cap.max(2));
-        if self.fold_hash == 0 {
-            self.fold_hash = FNV_OFFSET;
+    pub fn set_rolling(&mut self, _cap: usize) {
+        if self.fold.is_none() {
+            self.fold = Some(self.rolling_digest());
+            self.folded = self.records.len() as u64;
+            self.records = Vec::new();
+            self.text = String::new();
         }
     }
 
-    /// Fold the records whose details are in `old_text`, then make `text`
-    /// the old arena and start a new one in the old one's buffer: the live
-    /// window's text is never moved.
-    fn rotate(&mut self) {
-        let mut start = 0;
-        for r in self.records.drain(..self.old_len) {
-            let detail = &self.old_text[start..r.end];
-            start = r.end;
-            self.fold_hash = fold_record(self.fold_hash, &r, detail);
-        }
-        self.folded += self.old_len as u64;
-        self.old_text.clear();
-        std::mem::swap(&mut self.old_text, &mut self.text);
-        self.old_len = self.records.len();
-    }
-
-    /// Events folded out of the live window so far (0 outside rolling mode).
+    /// Events folded into the rolling digest so far (0 outside rolling
+    /// mode).
     pub fn folded(&self) -> u64 {
         self.folded
     }
 
-    /// Total events ever recorded: folded plus still live.
+    /// Total events ever recorded: folded plus stored.
     pub fn recorded(&self) -> u64 {
         self.folded + self.records.len() as u64
     }
 
-    /// FNV-1a digest over the rendered lines of every folded event, then
-    /// every live event — a deterministic fingerprint of the whole log that
-    /// is insensitive to where the fold boundaries happened to land.
+    /// FNV-1a digest over the rendered lines of every recorded event — a
+    /// deterministic fingerprint of the whole log, the same whether it was
+    /// folded as it was recorded or hashed from the stored lines.
     pub fn rolling_digest(&self) -> u64 {
-        let h = if self.fold_hash == 0 { FNV_OFFSET } else { self.fold_hash };
-        self.events().fold(h, |h, e| {
-            infallible(Fnv(h), |sink| {
-                e.write_line(sink)?;
-                sink.write_str("\n")
+        self.fold.unwrap_or_else(|| {
+            self.events().fold(FNV_OFFSET, |h, e| {
+                infallible(Fnv(h), |sink| {
+                    e.write_line(sink)?;
+                    sink.write_str("\n")
+                })
+                .0
             })
-            .0
         })
     }
 
-    /// The live events, oldest first.
+    /// The stored events, oldest first (none in rolling mode).
     pub fn events(&self) -> impl Iterator<Item = TraceEvent<'_>> + '_ {
-        views(self.records.range(..self.old_len), &self.old_text)
-            .chain(views(self.records.range(self.old_len..), &self.text))
+        let mut start = 0;
+        self.records.iter().map(move |r| {
+            let detail = &self.text[start..r.end];
+            start = r.end;
+            TraceEvent {
+                at_us: r.at_us,
+                component: &r.names.component,
+                kind: &r.names.kind,
+                detail,
+            }
+        })
     }
 
     pub fn len(&self) -> usize {
@@ -547,6 +553,7 @@ pub(crate) fn fnv(h: u64, bytes: &[u8]) -> u64 {
 /// evolve on their own, so the loop is affine in the state:
 /// `fnv(h, s) = h·Pᵏ + A[h mod 256] (mod 2⁶⁴)` with
 /// `A[l] = fnv(l, s) − l·Pᵏ`, which the byte loop itself tabulates.
+#[derive(Clone)]
 struct Jump {
     mul: u64,
     add: Box<[u64; 256]>,
@@ -567,34 +574,6 @@ impl Jump {
         h.wrapping_mul(self.mul)
             .wrapping_add(self.add[(h & 0xff) as usize])
     }
-}
-
-/// Fold one record's line (with trailing newline) into `h` — the bytes
-/// [`TraceEvent::write_line`] writes, with the fixed columns of a shared
-/// pair hashed through its [`Jump`], which is built from exactly those
-/// columns.
-fn fold_record(h: u64, r: &Record, detail: &str) -> u64 {
-    let mut digits = [0u8; 24];
-    let h = fnv(
-        fnv(h, b"["),
-        SimTime::from_micros(r.at_us).digits(&mut digits),
-    );
-    let Names {
-        component,
-        kind,
-        jump,
-    } = &*r.names;
-    let h = match jump {
-        Some(jump) => jump
-            .get_or_init(|| {
-                Jump::new(
-                    infallible(String::new(), |s| write_columns(s, component, kind)).as_bytes(),
-                )
-            })
-            .apply(h),
-        None => infallible(Fnv(h), |s| write_columns(s, component, kind)).0,
-    };
-    fnv(fnv(h, detail.as_bytes()), b"\n")
 }
 
 #[cfg(test)]
@@ -668,8 +647,8 @@ mod tests {
             &t.records[n - 2].names
         ));
         assert!(
-            t.records[n - 1].names.jump.is_none(),
-            "beyond the table: the byte loop"
+            t.pairs.iter().all(|p| p.names.component != "faas.late"),
+            "beyond the table: names of its own"
         );
     }
 
@@ -736,13 +715,11 @@ mod tests {
             t
         };
         let bounded = fill(Some(64));
-        assert!(bounded.len() < 64, "live window stays under the cap");
+        assert_eq!(bounded.len(), 0, "a rolling trace keeps no events");
         assert_eq!(bounded.recorded(), 1_000);
+        assert_eq!(bounded.text.capacity(), 0, "nor any detail bytes");
         assert_eq!(bounded.folded() + bounded.len() as u64, 1_000);
-        let last = bounded.events().last().map(|e| e.detail);
-        assert_eq!(last, Some("tid=999"));
-        // The rolling digest covers the whole log and is independent of
-        // where the fold boundaries landed.
+        // The rolling digest covers the whole log, whatever cap was passed.
         let unbounded = fill(None);
         assert_eq!(unbounded.len(), 1_000);
         assert_eq!(unbounded.folded(), 0);
@@ -806,7 +783,7 @@ mod tests {
     }
 
     /// One renderer, three sinks: the digest is FNV-1a over exactly the bytes
-    /// `render()` returns, wherever the fold boundaries land.
+    /// `render()` returns, rolling or not.
     #[test]
     fn rolling_digest_is_fnv_over_rendered_bytes() {
         for case in 0..24u64 {
@@ -900,11 +877,8 @@ mod tests {
             t.record(at, component, kind, detail);
         }
         assert_eq!(t.pairs.len(), PAIRS, "the table filled");
-        assert!(t
-            .pairs
-            .iter()
-            .all(|n| n.jump.as_ref().is_some_and(|j| j.get().is_some())));
-        assert!(t.folded() > 390);
+        assert!(t.pairs.iter().all(|p| p.jump.is_some()));
+        assert_eq!((t.folded(), t.len()), (400, 0));
         assert_eq!(t.rolling_digest(), fnv_bytes(reference.render().as_bytes()));
     }
 

@@ -2226,7 +2226,8 @@ fn runs_match_reference_model_under_interleaving() {
 /// per shared (component, kind) pair, lands on FNV-1a over the rendered
 /// bytes: more pairs than the trace shares, names wider than their columns
 /// and non-ASCII ones, the same text under a `Static`, an interned and a
-/// standalone handle, at every cap.
+/// standalone handle, switched to rolling after a random prefix recorded
+/// unbounded, and switched again.
 #[test]
 fn rolling_fold_is_fnv_over_rendered_bytes_across_pair_tables() {
     use hpcci::sim::{Sym, Trace};
@@ -2247,11 +2248,16 @@ fn rolling_fold_is_fnv_over_rendered_bytes_across_pair_tables() {
     for case in 0..CASES {
         let mut rng = case_rng("rolling_fold", case);
         let cap = rng.range_u64(2, 40) as usize;
+        let n = rng.range_u64(0, 600);
+        let switch_at = rng.range_u64(0, n + 1);
+        let again_at = rng.chance(0.5).then(|| rng.range_u64(switch_at, n + 1));
         let mut rolling = Trace::new();
-        rolling.set_rolling(cap);
         let mut whole = Trace::new();
         let mut at = 0;
-        for i in 0..rng.range_u64(0, 600) {
+        for i in 0..n {
+            if i == switch_at || Some(i) == again_at {
+                rolling.set_rolling(cap);
+            }
             at += rng.range_u64(0, 2_000_000);
             let name = |rng: &mut DetRng, names: &[&'static str], t: &mut Trace| -> Sym {
                 let text = names[rng.range_u64(0, names.len() as u64) as usize];
@@ -2268,8 +2274,11 @@ fn rolling_fold_is_fnv_over_rendered_bytes_across_pair_tables() {
             whole.record(SimTime::from_micros(at), &component, &kind, detail.as_str());
             rolling.record(SimTime::from_micros(at), component, kind, detail);
         }
-        assert_eq!(rolling.recorded(), whole.recorded(), "case {case}");
-        assert!(rolling.len() < cap.max(2), "case {case}: window over the cap");
+        if switch_at == n || again_at == Some(n) {
+            rolling.set_rolling(cap);
+        }
+        assert_eq!(rolling.recorded(), n, "case {case}");
+        assert_eq!(rolling.len(), 0, "case {case}: rolling keeps no events");
         assert_eq!(
             rolling.rolling_digest(),
             fnv(whole.render().as_bytes()),
