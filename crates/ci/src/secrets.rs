@@ -7,7 +7,6 @@
 //! works around (§5.2).
 
 use crate::error::CiError;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -57,7 +56,7 @@ pub struct SecretStore {
     mask: OnceLock<MaskSet>,
     /// Visible-secret maps already merged, by repo; a repo has a handful of
     /// environments, so the inner list is probed linearly with borrowed keys.
-    resolved: Mutex<BTreeMap<String, Vec<Resolved>>>,
+    resolved: BTreeMap<String, Vec<Resolved>>,
 }
 
 struct Resolved {
@@ -85,7 +84,7 @@ impl SecretStore {
         list.retain(|s| s.name != secret.name);
         list.push(secret);
         self.mask.take();
-        self.resolved.get_mut().clear();
+        self.resolved.clear();
     }
 
     /// Resolve the visible secrets for a job in `repo` (owned by `org`),
@@ -96,13 +95,12 @@ impl SecretStore {
     /// The merged map is shared: every job of the same repo and environment
     /// gets the same `Arc` until the next [`SecretStore::put`].
     pub fn resolve(
-        &self,
+        &mut self,
         org: &str,
         repo: &str,
         environment: Option<&str>,
     ) -> Arc<BTreeMap<String, String>> {
-        let mut resolved = self.resolved.lock();
-        let cached = resolved.get(repo).and_then(|jobs| {
+        let cached = self.resolved.get(repo).and_then(|jobs| {
             jobs.iter()
                 .find(|r| r.org == org && r.environment.as_deref() == environment)
         });
@@ -126,7 +124,7 @@ impl SecretStore {
             });
         }
         let visible = Arc::new(out);
-        resolved
+        self.resolved
             .entry(repo.to_string())
             .or_default()
             .push(Resolved {
@@ -331,7 +329,7 @@ mod tests {
 
     #[test]
     fn scoping_and_shadowing() {
-        let s = store();
+        let mut s = store();
         let no_env = s.resolve("globus-labs", "globus-labs/app", None);
         assert_eq!(no_env.get("ORG_TOKEN").unwrap(), "org-val");
         assert_eq!(no_env.get("GLOBUS_ID").unwrap(), "repo-client-id");
@@ -437,7 +435,7 @@ mod tests {
         let secret = Secret::new("K", "visible-value");
         assert!(!format!("{secret:?}").contains("visible-value"));
         // Nor does the store, once its derived state holds raw values.
-        let s = store();
+        let mut s = store();
         s.mask("warm the mask set".into());
         s.resolve("globus-labs", "globus-labs/app", Some("anvil-vhayot"));
         let shown = format!("{s:?}");

@@ -311,8 +311,7 @@ impl Federation {
         let name = site.id.to_string();
         let mut runtime = SiteRuntime::new(site).with_scheduler(scheduler_cores);
         self.install_standard_commands(&mut runtime);
-        if let Some(scheduler) = &runtime.scheduler {
-            let mut scheduler = scheduler.lock();
+        if let Some(scheduler) = runtime.scheduler_mut() {
             scheduler.set_fault_injector(self.injector.clone(), &name);
             if self.obs.is_enabled() {
                 scheduler.set_obs(self.obs.clone(), &name);
@@ -455,9 +454,9 @@ impl Federation {
     ) -> Result<EndpointHandle, FaasError> {
         let config = EndpointConfig::new(name, owner, local_user);
         let shared = self.site(site).shared.clone();
-        let endpoint = Endpoint::new(config, shared, provider, self.seed + 1)?;
+        let endpoint = Endpoint::new(config, &mut shared.lock(), provider, self.seed + 1)?;
         self.seed += 1;
-        Ok(self.add_endpoint(name, site, EndpointRegistration::Single(Box::new(endpoint))))
+        Ok(self.add_endpoint(name, site, shared, EndpointRegistration::Single(Box::new(endpoint))))
     }
 
     /// Register a multi-user endpoint that forks per-user endpoint pairs on
@@ -471,17 +470,18 @@ impl Federation {
         template: MepTemplate,
     ) -> Result<EndpointHandle, FaasError> {
         let shared = self.site(site).shared.clone();
-        let mep = MultiUserEndpoint::new(name, shared, mapping, template)?;
-        Ok(self.add_endpoint(name, site, EndpointRegistration::Multi(Box::new(mep))))
+        let mep = MultiUserEndpoint::new(name, &mut shared.lock(), mapping, template)?;
+        Ok(self.add_endpoint(name, site, shared, EndpointRegistration::Multi(Box::new(mep))))
     }
 
     fn add_endpoint(
         &mut self,
         name: &str,
         site: SiteId,
+        shared: hpcci_faas::exec::SharedSite,
         registration: EndpointRegistration,
     ) -> EndpointHandle {
-        let id = self.cloud.lock().register_endpoint(name, registration);
+        let id = self.cloud.lock().register_endpoint(name, shared, registration);
         self.endpoint_sites.insert(name.to_string(), site);
         EndpointHandle {
             id,

@@ -7,10 +7,11 @@
 
 use crate::endpoint::Endpoint;
 use crate::error::FaasError;
+use crate::exec::{SharedSite, SiteRuntime};
 use crate::function::{Function, FunctionBody, FunctionId};
 use crate::mep::MultiUserEndpoint;
 use crate::task::{Task, TaskId, TaskOutput, TaskState};
-use hpcci_auth::{AuthService, Identity, Scope};
+use hpcci_auth::{AuthService, HighAssurancePolicy, Identity, Scope};
 use hpcci_obs::Obs;
 use hpcci_sim::{Advance, EventQueue, FaultInjector, SimTime, Sym, Trace};
 use parking_lot::Mutex;
@@ -43,11 +44,6 @@ pub enum EndpointRegistration {
 }
 
 impl EndpointRegistration {
-    /// One-way latency between the endpoint's site and the cloud service.
-    fn wan_latency(&self) -> hpcci_sim::SimDuration {
-        self.site().lock().site.perf.wan_rtt() / 2
-    }
-
     /// The functions this endpoint may run, if restricted (§5.2's
     /// "restricting the functions that can be executed"); a restricted
     /// endpoint runs no ad-hoc shell command.
@@ -58,6 +54,15 @@ impl EndpointRegistration {
         }
     }
 
+    /// The identity requirements a submission must meet (§5.2's
+    /// high-assurance policy), checked by the cloud at the submission instant.
+    fn ha_policy(&self) -> &HighAssurancePolicy {
+        match self {
+            EndpointRegistration::Single(e) => &e.config.ha_policy,
+            EndpointRegistration::Multi(m) => &m.ha_policy,
+        }
+    }
+
     fn attach(&mut self, obs: &Obs, injector: &FaultInjector) {
         match self {
             EndpointRegistration::Single(e) => e.attach(obs, injector),
@@ -65,24 +70,20 @@ impl EndpointRegistration {
         }
     }
 
-    fn next_event(&self) -> Option<SimTime> {
+    /// When this endpoint at `site` next changes state on its own; `site` is
+    /// locked only if the endpoint waits on its scheduler.
+    fn next_event(&self, site: &SharedSite) -> Option<SimTime> {
+        let scheduler_next = || site.lock().scheduler_mut()?.next_event();
         match self {
-            EndpointRegistration::Single(e) => e.next_event(),
-            EndpointRegistration::Multi(m) => m.next_event(),
+            EndpointRegistration::Single(e) => e.next_event(scheduler_next),
+            EndpointRegistration::Multi(m) => m.next_event(scheduler_next),
         }
     }
 
-    fn site(&self) -> &crate::exec::SharedSite {
+    fn advance_to(&mut self, site: &mut SiteRuntime, t: SimTime) {
         match self {
-            EndpointRegistration::Single(e) => e.site(),
-            EndpointRegistration::Multi(m) => m.site(),
-        }
-    }
-
-    fn advance_to(&mut self, t: SimTime) {
-        match self {
-            EndpointRegistration::Single(e) => e.advance_to(t),
-            EndpointRegistration::Multi(m) => m.advance_to(t),
+            EndpointRegistration::Single(e) => e.advance_to(site, t),
+            EndpointRegistration::Multi(m) => m.advance_to(site, t),
         }
     }
 
@@ -136,6 +137,12 @@ pub struct CloudService {
     /// Slot-indexed so the hot loop reaches an endpoint with one bounds check
     /// instead of a string-keyed tree descent.
     endpoints: Vec<EndpointRegistration>,
+    /// Every registered endpoint's site, once. The cloud is the one holder
+    /// of a site's handle in this crate: it locks a slot's site for a call
+    /// and lends it to the endpoint.
+    sites: Vec<SharedSite>,
+    /// Slot → its index in `sites`.
+    slot_sites: Vec<usize>,
     /// All tasks ever accepted, indexed by `TaskId` (ids are assigned
     /// sequentially from 1 and never removed, so `tasks[id - 1]` replaces a
     /// per-wire-event string of tree descents).
@@ -163,8 +170,9 @@ pub struct CloudService {
     next_scratch: Vec<Option<SimTime>>,
     /// Slot → its probe may be out of date (see [`Self::touch`]).
     stale: Vec<bool>,
-    /// Slot → every slot at its site, itself included: they share the site's
-    /// batch scheduler, so moving one can move the others' next event.
+    /// Slot → every slot at its site (same `slot_sites` index), itself
+    /// included: they share the site's batch scheduler, so moving one can
+    /// move the others' next event.
     site_mates: Vec<Vec<usize>>,
     /// Slot → touched (advanced, enqueued-into or lent out) since its
     /// finished outputs were last collected.
@@ -190,6 +198,8 @@ impl CloudService {
             auth,
             functions: BTreeMap::new(),
             endpoints: Vec::new(),
+            sites: Vec::new(),
+            slot_sites: Vec::new(),
             tasks: Vec::new(),
             wire: EventQueue::new(),
             trace: Trace::new(),
@@ -281,9 +291,19 @@ impl CloudService {
         &self.auth
     }
 
-    /// Register an endpoint under a name.
-    pub fn register_endpoint(&mut self, id: &str, mut registration: EndpointRegistration) -> EndpointId {
+    /// Register an endpoint under a name, with the site it runs at. A name
+    /// registered again replaces its endpoint and its site.
+    pub fn register_endpoint(
+        &mut self,
+        id: &str,
+        site: SharedSite,
+        mut registration: EndpointRegistration,
+    ) -> EndpointId {
         let eid = EndpointId(id.to_string());
+        let site = (self.sites.iter().position(|s| Arc::ptr_eq(s, &site))).unwrap_or_else(|| {
+            self.sites.push(site);
+            self.sites.len() - 1
+        });
         registration.attach(&self.obs, &self.injector);
         let slot = match self.slots.get(&eid) {
             Some(&slot) => slot,
@@ -303,16 +323,14 @@ impl CloudService {
         };
         if slot == self.endpoints.len() {
             self.endpoints.push(registration);
+            self.slot_sites.push(site);
         } else {
             self.endpoints[slot] = registration;
+            self.slot_sites[slot] = site;
         }
-        let sites: Vec<_> = self.endpoints.iter().map(|ep| ep.site()).collect();
+        let sites = &self.slot_sites;
         self.site_mates = (sites.iter())
-            .map(|&site| {
-                (0..sites.len())
-                    .filter(|&b| Arc::ptr_eq(site, sites[b]))
-                    .collect()
-            })
+            .map(|&site| (0..sites.len()).filter(|&b| sites[b] == site).collect())
             .collect();
         self.stale.fill(true);
         eid
@@ -455,14 +473,15 @@ impl CloudService {
                 limit: PAYLOAD_LIMIT,
             });
         }
-        // Ownership and high-assurance policy, evaluated at the submission
-        // instant `now` — the cloud's own clock may lag the submitter.
         if let EndpointRegistration::Single(e) = ep {
             if e.config.owner != identity.id {
                 return Err(FaasError::NotEndpointOwner);
             }
-            e.config.ha_policy.check(&identity, now)?;
         }
+        // The high-assurance policy of either endpoint kind, evaluated at the
+        // submission instant `now`: not at delivery, a WAN leg later, and not
+        // at the cloud's own clock, which may lag the submitter.
+        ep.ha_policy().check(&identity, now)?;
         Ok((identity, slot))
     }
 
@@ -476,6 +495,11 @@ impl CloudService {
         let auth = self.auth.lock();
         let info = auth.require_scope(token, &Scope::compute_api(), now)?;
         Ok(auth.identity(info.identity)?.clone())
+    }
+
+    /// One-way latency between `slot`'s site and the cloud service.
+    fn wan_latency(&self, slot: usize) -> hpcci_sim::SimDuration {
+        self.sites[self.slot_sites[slot]].lock().site.perf.wan_rtt() / 2
     }
 
     fn accept(
@@ -498,7 +522,7 @@ impl CloudService {
             submitted_at: now,
             state: TaskState::Submitted { at: now },
         });
-        let latency = self.endpoints[slot].wan_latency();
+        let latency = self.wan_latency(slot);
         let endpoint_name = &self.slot_name_syms[slot];
         // `{id} -> {endpoint}: {command}`, hand-built: byte-identical to the
         // `format!` it replaces, without per-field formatter dispatch, in the
@@ -564,7 +588,7 @@ impl CloudService {
         let mut finished = std::mem::take(&mut self.finished_scratch);
         self.endpoints[slot].drain_finished_into(&mut finished);
         if !finished.is_empty() {
-            let latency = self.endpoints[slot].wan_latency();
+            let latency = self.wan_latency(slot);
             for (task, output) in finished.drain(..) {
                 let mut d = self.trace.detail_buf();
                 task.write_label(&mut d);
@@ -621,9 +645,12 @@ impl CloudService {
                 task.write_label(&mut detail);
                 self.trace
                     .record(at, component.clone(), "task.deliver", detail);
-                let result = match &mut self.endpoints[slot] {
-                    EndpointRegistration::Single(e) => e.enqueue(task, &command, at),
-                    EndpointRegistration::Multi(m) => m.enqueue(task, &identity, &command, at),
+                let result = {
+                    let site = &mut self.sites[self.slot_sites[slot]].lock();
+                    match &mut self.endpoints[slot] {
+                        EndpointRegistration::Single(e) => e.enqueue(site, task, &command, at),
+                        EndpointRegistration::Multi(m) => m.enqueue(site, task, &identity, &command, at),
+                    }
                 };
                 self.touch(slot);
                 let record = &mut self.tasks[task.0 as usize - 1];
@@ -690,12 +717,13 @@ impl CloudService {
     /// window commits the same bytes.
     fn step_once(&mut self, limit: SimTime) -> Option<SimTime> {
         for (slot, ep) in self.endpoints.iter().enumerate() {
+            let site = &self.sites[self.slot_sites[slot]];
             if std::mem::take(&mut self.stale[slot]) {
-                self.next_scratch[slot] = ep.next_event();
+                self.next_scratch[slot] = ep.next_event(site);
             } else {
                 debug_assert_eq!(
                     self.next_scratch[slot],
-                    ep.next_event(),
+                    ep.next_event(site),
                     "reused probe of slot {slot} is stale"
                 );
             }
@@ -713,7 +741,8 @@ impl CloudService {
         for i in 0..self.ordered_slots.len() {
             let slot = self.ordered_slots[i];
             if armed || self.next_scratch[slot].is_some_and(|at| at <= step) {
-                self.endpoints[slot].advance_to(step);
+                let site = &self.sites[self.slot_sites[slot]];
+                self.endpoints[slot].advance_to(&mut site.lock(), step);
                 self.touch(slot);
                 self.events_dispatched += 1;
             }
@@ -735,9 +764,8 @@ impl CloudService {
 
 impl Advance for CloudService {
     fn next_event(&self) -> Option<SimTime> {
-        self.endpoints
-            .iter()
-            .filter_map(|ep| ep.next_event())
+        (self.endpoints.iter().zip(&self.slot_sites))
+            .filter_map(|(ep, &site)| ep.next_event(&self.sites[site]))
             .chain(self.wire.next_time())
             .min()
     }
@@ -763,8 +791,9 @@ impl Advance for CloudService {
 mod tests {
     use super::*;
     use crate::endpoint::{EndpointConfig, TaskProvider};
-    use crate::exec::{shared, ExecOutcome, SiteRuntime};
-    use hpcci_auth::{ClientSecret, IdentityId};
+    use crate::exec::{shared, ExecOutcome};
+    use crate::mep::MepTemplate;
+    use hpcci_auth::{AuthError, ClientSecret, IdentityId, IdentityMapping};
     use hpcci_cluster::Site;
     use hpcci_sim::{drive, DetRng, FaultPlan};
 
@@ -794,9 +823,11 @@ mod tests {
         if let Some(fns) = restrict {
             config = config.with_allowlist(&fns);
         }
-        let ep = Endpoint::new(config, shared(rt), TaskProvider::Local, 9).unwrap();
+        let site = shared(rt);
+        let ep = Endpoint::new(config, &mut site.lock(), TaskProvider::Local, 9).unwrap();
         let mut cloud = CloudService::new(auth);
-        let endpoint = cloud.register_endpoint("ep-lab", EndpointRegistration::Single(Box::new(ep)));
+        let endpoint =
+            cloud.register_endpoint("ep-lab", site, EndpointRegistration::Single(Box::new(ep)));
         Setup {
             cloud,
             token,
@@ -898,8 +929,21 @@ mod tests {
         rt.site.add_account("vhayot", "proj");
         rt.commands.register("tox", |_| ExecOutcome::ok("py312: commands succeeded", 8.0));
         let config = EndpointConfig::new("ep-zero", s.owner, "vhayot");
-        let ep = Endpoint::new(config, shared(rt), TaskProvider::Local, 10).unwrap();
-        s.cloud.register_endpoint("ep-zero", EndpointRegistration::Single(Box::new(ep)))
+        let site = shared(rt);
+        let ep = Endpoint::new(config, &mut site.lock(), TaskProvider::Local, 10).unwrap();
+        s.cloud.register_endpoint("ep-zero", site, EndpointRegistration::Single(Box::new(ep)))
+    }
+
+    /// Register `mep-lab` beside `ep-lab`, at its site: the MEP maps the
+    /// setup's owner to `vhayot` and holds `policy`.
+    fn add_mep(s: &mut Setup, policy: HighAssurancePolicy) -> EndpointId {
+        let site = s.cloud.sites[0].clone();
+        let mut mapping = IdentityMapping::new("lab");
+        mapping.add_explicit("vhayot@uchicago.edu", "vhayot");
+        let template = MepTemplate::login_only();
+        let mep = MultiUserEndpoint::new("mep-lab", &mut site.lock(), mapping, template).unwrap();
+        let mep = EndpointRegistration::Multi(Box::new(mep.with_ha_policy(policy)));
+        s.cloud.register_endpoint("mep-lab", site, mep)
     }
 
     #[test]
@@ -979,8 +1023,41 @@ mod tests {
     }
 
     #[test]
+    fn ha_policy_enforced_at_mep() {
+        let mut s = setup(None);
+        let policy = HighAssurancePolicy::permissive().require_provider("access-ci.org");
+        let mep = add_mep(&mut s, policy);
+        assert!(matches!(
+            s.cloud.submit_shell(&s.token, &mep, "tox", SimTime::ZERO),
+            Err(FaasError::Auth(AuthError::PolicyViolation(_)))
+        ));
+        assert_eq!(s.cloud.task_count(), 0, "a refused submission is no task");
+    }
+
+    /// A MEP's session policy judges the submission, not its delivery one WAN
+    /// leg (20 ms) later: a session fresh when the task was submitted runs.
+    #[test]
+    fn a_meps_session_policy_is_checked_at_the_submission_instant() {
+        use hpcci_sim::SimDuration;
+        let mut s = setup(None);
+        let policy = HighAssurancePolicy::permissive().require_session_within(SimDuration::from_hours(1));
+        let mep = add_mep(&mut s, policy);
+        let (hour, ms) = (SimTime::ZERO + SimDuration::from_hours(1), 1_000);
+        let fresh = SimTime::from_micros(hour.as_micros() - ms);
+        let task = s.cloud.submit_shell(&s.token, &mep, "tox", fresh).unwrap();
+        s.cloud.drain_to_quiescence();
+        let delivered = s.cloud.trace.of_kind("task.deliver").next().unwrap().at();
+        assert!(delivered > hour, "delivered at {delivered}");
+        assert!(s.cloud.task_result(task).unwrap().success());
+        let stale = SimTime::from_micros(hour.as_micros() + ms);
+        assert!(matches!(
+            s.cloud.submit_shell(&s.token, &mep, "tox", stale),
+            Err(FaasError::Auth(AuthError::PolicyViolation(_)))
+        ));
+    }
+
+    #[test]
     fn session_policy_is_checked_at_the_submission_instant() {
-        use hpcci_auth::{AuthError, HighAssurancePolicy};
         use hpcci_sim::SimDuration;
         // Identity authenticated at t=0, the cloud's clock never advanced.
         let mut s = setup(None);
@@ -1105,7 +1182,8 @@ mod tests {
             while let Some(step) = self.next_event().filter(|&step| step <= t) {
                 self.now = step;
                 for &slot in &self.ordered_slots {
-                    self.endpoints[slot].advance_to(step);
+                    let site = &self.sites[self.slot_sites[slot]];
+                    self.endpoints[slot].advance_to(&mut site.lock(), step);
                 }
                 for i in 0..self.ordered_slots.len() {
                     self.return_finished(self.ordered_slots[i], step);
@@ -1193,6 +1271,7 @@ mod tests {
             tiny.add_compute_nodes(1, 8, 32);
             let mut sites = Vec::new();
             for site in [lab, tiny] {
+                let name = site.id.0.clone();
                 let mut rt = SiteRuntime::new(site).with_scheduler(8);
                 for account in ["alice", "x-alice", "x-bob"] {
                     rt.site.add_account(account, "proj");
@@ -1200,10 +1279,8 @@ mod tests {
                 rt.commands
                     .register("work", move |_| ExecOutcome::ok("done", work_secs));
                 rt.commands.register("git", |_| ExecOutcome::ok("cloned", 2.0));
-                if let Some(scheduler) = &rt.scheduler {
-                    scheduler
-                        .lock()
-                        .set_fault_injector(injector.clone(), &rt.site.id.0);
+                if let Some(scheduler) = rt.scheduler_mut() {
+                    scheduler.set_fault_injector(injector.clone(), &name);
                 }
                 sites.push(shared(rt));
             }
@@ -1221,8 +1298,9 @@ mod tests {
                 ("ep-pilot", &tiny, pilot, 12),
             ] {
                 let config = EndpointConfig::new(name, owner, "alice").with_workers(2);
-                let ep = Endpoint::new(config, site.clone(), provider, seed).unwrap();
-                cloud.register_endpoint(name, EndpointRegistration::Single(Box::new(ep)));
+                let ep = Endpoint::new(config, &mut site.lock(), provider, seed).unwrap();
+                let ep = EndpointRegistration::Single(Box::new(ep));
+                cloud.register_endpoint(name, (*site).clone(), ep);
             }
             for (name, site, template) in [
                 ("mep-login", &lab, MepTemplate::login_only()),
@@ -1235,8 +1313,9 @@ mod tests {
                 let mut mapping = IdentityMapping::new(name);
                 mapping.add_explicit("alice@uni.edu", "x-alice");
                 mapping.add_explicit("bob@uni.edu", "x-bob");
-                let mep = MultiUserEndpoint::new(name, site.clone(), mapping, template).unwrap();
-                cloud.register_endpoint(name, EndpointRegistration::Multi(Box::new(mep)));
+                let mep = MultiUserEndpoint::new(name, &mut site.lock(), mapping, template).unwrap();
+                let mep = EndpointRegistration::Multi(Box::new(mep));
+                cloud.register_endpoint(name, (*site).clone(), mep);
             }
             Chaos {
                 cloud,
@@ -1484,8 +1563,7 @@ mod tests {
         use hpcci_sim::SimDuration;
         probe_reuse_case(3600, |fed, at| {
             let slot = fed.cloud.slots["ep-pilot"];
-            let site = fed.cloud.endpoints[slot].site().clone();
-            let scheduler = site.lock().scheduler.clone().unwrap();
+            let site = &fed.cloud.sites[fed.cloud.slot_sites[slot]];
             let wall = SimDuration::from_secs(60);
             let job = JobSpec::single_node("outside", Uid(0), "proj", 4, wall);
             let duration = SimDuration::from_secs(2);
@@ -1493,7 +1571,7 @@ mod tests {
                 duration,
                 success: true,
             });
-            scheduler.lock().submit(job, at).unwrap();
+            site.lock().scheduler_mut().unwrap().submit(job, at).unwrap();
         });
     }
 }

@@ -12,7 +12,7 @@
 //! (§7.3 — a pilot amortizes one queue wait over many tasks).
 
 use crate::error::FaasError;
-use crate::exec::SharedSite;
+use crate::exec::SiteRuntime;
 use crate::function::FunctionId;
 use crate::task::{TaskFailure, TaskId, TaskOutput};
 use hpcci_auth::{HighAssurancePolicy, IdentityId};
@@ -20,9 +20,7 @@ use hpcci_cluster::{Cred, NodeRole, UserAccount};
 use hpcci_obs::Obs;
 use hpcci_scheduler::{BatchScheduler, JobId, JobSpec, JobState};
 use hpcci_sim::{Advance, DetRng, EventQueue, FaultInjector, SimDuration, SimTime, Sym};
-use parking_lot::Mutex;
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::Arc;
 
 /// How an endpoint provisions its workers: the one provider choice, made by
 /// whoever builds the endpoint (a federation registration or a MEP template)
@@ -44,10 +42,10 @@ const LOCAL_STARTUP: SimDuration = SimDuration::from_millis(500);
 enum Workers {
     /// Login-node workers; `up_at` is when the held block comes up.
     Local { up_at: Option<SimTime> },
-    /// Pilot jobs through the site's shared batch scheduler: each request
-    /// submits `pilot` as `gc-pilot-<n>`, and `job` is the held one.
+    /// Pilot jobs through the batch scheduler every endpoint at the site
+    /// shares, lent for each call: each request submits `pilot` as
+    /// `gc-pilot-<n>`, and `job` is the held one.
     Pilot {
-        scheduler: Arc<Mutex<BatchScheduler>>,
         pilot: JobSpec,
         pilots: u64,
         job: Option<JobId>,
@@ -72,20 +70,15 @@ impl Workers {
 
     /// Request a fresh block in place of the held one; false (and no block
     /// held) if the scheduler refuses the pilot.
-    fn request(&mut self, now: SimTime) -> bool {
+    fn request(&mut self, scheduler: Option<&mut BatchScheduler>, now: SimTime) -> bool {
         match self {
             Workers::Local { up_at } => *up_at = Some(now + LOCAL_STARTUP),
-            Workers::Pilot {
-                scheduler,
-                pilot,
-                pilots,
-                job,
-            } => {
+            Workers::Pilot { pilot, pilots, job } => {
                 let spec = JobSpec {
                     name: format!("gc-pilot-{}", *pilots + 1),
                     ..pilot.clone()
                 };
-                *job = scheduler.lock().submit(spec, now).ok();
+                *job = scheduler.and_then(|s| s.submit(spec, now).ok());
                 *pilots += job.is_some() as u64;
             }
         }
@@ -93,14 +86,13 @@ impl Workers {
     }
 
     /// The held block's state at `now`, `None` if none is held.
-    fn block(&mut self, now: SimTime) -> Option<Block> {
+    fn block(&mut self, scheduler: Option<&mut BatchScheduler>, now: SimTime) -> Option<Block> {
         match self {
             Workers::Local { up_at } => {
                 up_at.map(|t| if t <= now { Block::Up } else { Block::Pending })
             }
-            Workers::Pilot { scheduler, job, .. } => {
-                let job = (*job)?;
-                let mut sched = scheduler.lock();
+            Workers::Pilot { job, .. } => {
+                let (job, sched) = ((*job)?, scheduler?);
                 if sched.now() < now {
                     sched.advance_to(now);
                 }
@@ -114,12 +106,11 @@ impl Workers {
     }
 
     /// Give the held block back: drain a running pilot, cancel a queued one.
-    fn release(&mut self, now: SimTime) {
+    fn release(&mut self, scheduler: Option<&mut BatchScheduler>, now: SimTime) {
         match self {
             Workers::Local { up_at } => *up_at = None,
-            Workers::Pilot { scheduler, job, .. } => {
-                let Some(job) = job.take() else { return };
-                let mut sched = scheduler.lock();
+            Workers::Pilot { job, .. } => {
+                let (Some(job), Some(sched)) = (job.take(), scheduler) else { return };
                 let _ = match sched.state(job) {
                     Ok(JobState::Running { .. }) => sched.shutdown_pilot(job, true, now),
                     Ok(JobState::Pending { .. }) => sched.cancel(job, now),
@@ -130,11 +121,12 @@ impl Workers {
     }
 
     /// When the block changes state on its own, seen from `now`: a starting
-    /// login block comes up; the site's scheduler moves every pilot.
-    fn next_event(&self, now: SimTime) -> Option<SimTime> {
+    /// login block comes up; the site's scheduler, asked through
+    /// `scheduler_next`, moves every pilot.
+    fn next_event(&self, now: SimTime, scheduler_next: impl FnOnce() -> Option<SimTime>) -> Option<SimTime> {
         match self {
             Workers::Local { up_at } => up_at.filter(|&t| t > now),
-            Workers::Pilot { scheduler, .. } => scheduler.lock().next_event(),
+            Workers::Pilot { .. } => scheduler_next(),
         }
     }
 }
@@ -207,10 +199,10 @@ struct Completion {
     output: Box<TaskOutput>,
 }
 
-/// A single-user Globus-Compute-style endpoint.
+/// A single-user Globus-Compute-style endpoint. It holds no site: whoever
+/// moves it (the cloud) lends it its site for the call.
 pub struct Endpoint {
     pub config: EndpointConfig,
-    site: SharedSite,
     workers: Workers,
     queue: VecDeque<QueuedTask>,
     completions: EventQueue<Completion>,
@@ -243,65 +235,51 @@ impl Endpoint {
     /// for `config.local_user`.
     pub fn new(
         config: EndpointConfig,
-        site: SharedSite,
+        site: &mut SiteRuntime,
         provider: TaskProvider,
         seed: u64,
     ) -> Result<Self, FaasError> {
-        let (workers, node) = {
-            let rt = site.lock();
-            match provider {
-                TaskProvider::Local => {
-                    let login = rt.site.login_node().ok_or_else(|| {
-                        FaasError::UnknownEndpoint(format!(
-                            "{}: no login node at site",
-                            config.name
-                        ))
-                    })?;
-                    let node = (
-                        NodeRole::Login,
-                        Sym::from(login.hostname.as_str()),
-                        login.cpu_speed,
-                    );
-                    (Workers::Local { up_at: None }, node)
-                }
-                TaskProvider::Slurm {
-                    cores,
-                    walltime_secs,
-                } => {
-                    let scheduler = rt
-                        .scheduler
-                        .clone()
-                        .ok_or_else(|| FaasError::NoScheduler(config.name.clone()))?;
-                    let account = rt
-                        .site
-                        .account(&config.local_user)
-                        .map_err(|_| FaasError::NoLocalAccount(config.local_user.clone()))?;
-                    let pilot = JobSpec::single_node(
-                        "",
-                        account.uid,
-                        &account.allocation,
-                        cores,
-                        SimDuration::from_secs(walltime_secs),
-                    );
-                    scheduler.lock().admit(&pilot).map_err(|reason| FaasError::PilotRefused {
-                        endpoint: config.name.clone(),
-                        reason,
-                    })?;
-                    // The scheduler keeps a pilot's placement to itself.
-                    let host = Sym::from(format!("{}-compute", rt.site.id));
-                    let workers = Workers::Pilot {
-                        scheduler,
-                        pilot,
-                        pilots: 0,
-                        job: None,
-                    };
-                    (workers, (NodeRole::Compute, host, 1.0))
-                }
+        let (workers, node) = match provider {
+            TaskProvider::Local => {
+                let login = site.site.login_node().ok_or_else(|| {
+                    FaasError::UnknownEndpoint(format!("{}: no login node at site", config.name))
+                })?;
+                let node = (
+                    NodeRole::Login,
+                    Sym::from(login.hostname.as_str()),
+                    login.cpu_speed,
+                );
+                (Workers::Local { up_at: None }, node)
+            }
+            TaskProvider::Slurm {
+                cores,
+                walltime_secs,
+            } => {
+                let pilot = site.site.account(&config.local_user).map(|account| {
+                    let walltime = SimDuration::from_secs(walltime_secs);
+                    JobSpec::single_node("", account.uid, &account.allocation, cores, walltime)
+                });
+                // The scheduler keeps a pilot's placement to itself.
+                let host = Sym::from(format!("{}-compute", site.site.id));
+                let scheduler = site
+                    .scheduler_mut()
+                    .ok_or_else(|| FaasError::NoScheduler(config.name.clone()))?;
+                let pilot =
+                    pilot.map_err(|_| FaasError::NoLocalAccount(config.local_user.clone()))?;
+                scheduler.admit(&pilot).map_err(|reason| FaasError::PilotRefused {
+                    endpoint: config.name.clone(),
+                    reason,
+                })?;
+                let workers = Workers::Pilot {
+                    pilot,
+                    pilots: 0,
+                    job: None,
+                };
+                (workers, (NodeRole::Compute, host, 1.0))
             }
         };
         Ok(Endpoint {
             config,
-            site,
             workers,
             queue: VecDeque::new(),
             completions: EventQueue::new(),
@@ -329,8 +307,8 @@ impl Endpoint {
 
     /// Request a fresh worker block at `now`; a pilot's provisioning latency
     /// is observed when it comes up.
-    fn request_block(&mut self, now: SimTime) -> bool {
-        let held = self.workers.request(now);
+    fn request_block(&mut self, site: &mut SiteRuntime, now: SimTime) -> bool {
+        let held = self.workers.request(site.scheduler_mut(), now);
         if held && matches!(self.workers, Workers::Pilot { .. }) {
             self.provision_pending = Some(now);
         }
@@ -347,7 +325,7 @@ impl Endpoint {
     /// every in-flight completion fails with an infrastructure-marked error,
     /// the worker block is torn down, and the endpoint stays stopped until a
     /// resubmission path routes work elsewhere.
-    pub fn force_crash(&mut self, now: SimTime) {
+    pub fn force_crash(&mut self, site: &mut SiteRuntime, now: SimTime) {
         const CRASHED: &str = "infrastructure: endpoint worker crashed";
         let component = format!("faas.ep.{}", self.config.name);
         let lost = self.completions.len() + self.queue.len();
@@ -357,7 +335,7 @@ impl Endpoint {
         }
         self.give_back_queue(CRASHED, now);
         self.busy_workers = 0;
-        self.workers.release(now);
+        self.workers.release(site.scheduler_mut(), now);
         self.stopped = true;
         self.injector.record(
             now,
@@ -389,21 +367,16 @@ impl Endpoint {
         }
     }
 
-    /// The site this endpoint runs at (and whose batch scheduler its pilots
-    /// share with every other endpoint there).
-    pub(crate) fn site(&self) -> &SharedSite {
-        &self.site
-    }
-
-    /// Accept a task for execution.
+    /// Accept a task for execution at `site`.
     pub fn enqueue(
         &mut self,
+        site: &mut SiteRuntime,
         id: TaskId,
         command: impl Into<Sym>,
         now: SimTime,
     ) -> Result<(), FaasError> {
         if self.crash_due(now) {
-            self.force_crash(now);
+            self.force_crash(site, now);
             return Err(FaasError::Infrastructure(format!(
                 "endpoint {} worker crashed",
                 self.config.name
@@ -412,16 +385,16 @@ impl Endpoint {
         if self.stopped {
             return Err(FaasError::EndpointStopped(self.config.name.clone()));
         }
-        self.catch_up(now);
+        self.catch_up(site, now);
         self.queue.push_back(QueuedTask {
             id,
             command: command.into(),
         });
         if !self.workers.held() {
             // Lazy provisioning: the first task requests the worker block.
-            self.request_block(now);
+            self.request_block(site, now);
         }
-        self.pump();
+        self.pump(site);
         Ok(())
     }
 
@@ -435,35 +408,35 @@ impl Endpoint {
 
     /// Gracefully stop: release the worker block and hand every queued task
     /// back at `now`, failed as infrastructure; running tasks still finish.
-    pub fn stop(&mut self, now: SimTime) {
-        self.catch_up(now);
-        self.workers.release(now);
+    pub fn stop(&mut self, site: &mut SiteRuntime, now: SimTime) {
+        self.catch_up(site, now);
+        self.workers.release(site.scheduler_mut(), now);
         self.stopped = true;
         self.give_back_queue("infrastructure: endpoint stopped", now);
     }
 
-    fn catch_up(&mut self, now: SimTime) {
+    fn catch_up(&mut self, site: &mut SiteRuntime, now: SimTime) {
         if now > self.now {
-            self.advance_to(now);
+            self.advance_to(site, now);
         }
     }
 
     /// Start queued tasks on free workers if the block is active.
-    fn pump(&mut self) {
+    fn pump(&mut self, site: &mut SiteRuntime) {
         if self.stopped || self.queue.is_empty() {
             return;
         }
-        let mut block = self.workers.block(self.now);
+        let mut block = self.workers.block(site.scheduler_mut(), self.now);
         if matches!(block, Some(Block::Ended)) {
             // Pilot died (walltime or preemption); provision a fresh block for
             // the remaining queue and re-read it — an idle machine starts the
             // replacement immediately, and waiting for the next event would
             // deadlock into the new pilot's own expiry.
-            if !self.request_block(self.now) {
+            if !self.request_block(site, self.now) {
                 return;
             }
             self.obs.inc("faas.pilot_reprovisions");
-            block = self.workers.block(self.now);
+            block = self.workers.block(site.scheduler_mut(), self.now);
         }
         if !matches!(block, Some(Block::Up)) {
             return;
@@ -481,8 +454,7 @@ impl Endpoint {
                 break;
             };
             let started = self.now;
-            let mut runtime = self.site.lock();
-            match runtime.site.account(&self.config.local_user) {
+            match site.site.account(&self.config.local_user) {
                 Ok(a) => {
                     // Revalidate the cached identity against the live site
                     // account; only a changed account pays the clone.
@@ -493,7 +465,6 @@ impl Endpoint {
                 }
                 Err(e) => {
                     // Misconfigured endpoint: every task fails.
-                    drop(runtime);
                     let output = Box::new(TaskOutput {
                         stdout: String::new(),
                         stderr: e.to_string(),
@@ -508,7 +479,7 @@ impl Endpoint {
                 }
             }
             let (account, cred, ran_as) = self.exec_identity.as_ref().expect("validated above");
-            let outcome = runtime.execute(
+            let outcome = site.execute(
                 &task.command,
                 account,
                 cred,
@@ -518,11 +489,10 @@ impl Endpoint {
                 &mut self.rng,
                 self.config.container.as_deref(),
             );
-            let duration = runtime
+            let duration = site
                 .site
                 .perf
                 .compute_time(outcome.work, node_speed, &mut self.rng);
-            drop(runtime);
             let ended = started + duration;
             let output = Box::new(TaskOutput {
                 stdout: outcome.stdout,
@@ -537,22 +507,26 @@ impl Endpoint {
             self.completions.push(ended, Completion { id: task.id, output });
         }
     }
-}
 
-impl Advance for Endpoint {
-    fn next_event(&self) -> Option<SimTime> {
+    /// When this endpoint next changes state on its own. `scheduler_next`
+    /// answers when its site's batch scheduler next moves a job; it is asked
+    /// only while a queued task waits on a pilot, so probing any other
+    /// endpoint reaches no site.
+    pub fn next_event(&self, scheduler_next: impl FnOnce() -> Option<SimTime>) -> Option<SimTime> {
         let mut next = self.completions.next_time();
         if !self.queue.is_empty() {
-            if let Some(p) = self.workers.next_event(self.now) {
+            if let Some(p) = self.workers.next_event(self.now, scheduler_next) {
                 next = Some(next.map_or(p, |n| n.min(p)));
             }
         }
         next
     }
 
-    fn advance_to(&mut self, t: SimTime) {
+    /// Move this endpoint at `site` to `t`: finish every task due by then and
+    /// start queued ones on the workers they free.
+    pub fn advance_to(&mut self, site: &mut SiteRuntime, t: SimTime) {
         if self.crash_due(t) {
-            self.force_crash(t);
+            self.force_crash(site, t);
         }
         while let Some((at, completion)) = self.completions.pop_due(t) {
             self.now = at;
@@ -560,22 +534,72 @@ impl Advance for Endpoint {
             self.obs
                 .observe_duration("faas.task_exec_us", completion.output.runtime());
             self.finished.push((completion.id, completion.output));
-            self.pump();
+            self.pump(site);
         }
         self.now = t;
-        self.pump();
+        self.pump(site);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{shared, ExecOutcome, SiteRuntime};
+    use crate::exec::{shared, ExecOutcome, SharedSite};
     use hpcci_cluster::Site;
     use hpcci_scheduler::SchedulerError;
     use hpcci_sim::drive;
 
-    fn login_endpoint(workers: u32) -> Endpoint {
+    /// An endpoint paired with its site, which each call lends it as the
+    /// cloud does, so `drive` can move it.
+    struct OnSite {
+        ep: Endpoint,
+        site: SharedSite,
+    }
+
+    impl Advance for OnSite {
+        fn next_event(&self) -> Option<SimTime> {
+            self.ep.next_event(|| self.site.lock().scheduler_mut()?.next_event())
+        }
+
+        fn advance_to(&mut self, t: SimTime) {
+            self.ep.advance_to(&mut self.site.lock(), t)
+        }
+    }
+
+    impl OnSite {
+        fn new(config: EndpointConfig, site: &SharedSite, provider: TaskProvider, seed: u64) -> Self {
+            let ep = Endpoint::new(config, &mut site.lock(), provider, seed).unwrap();
+            OnSite { ep, site: site.clone() }
+        }
+
+        fn enqueue(&mut self, id: TaskId, command: &str, now: SimTime) -> Result<(), FaasError> {
+            self.ep.enqueue(&mut self.site.lock(), id, command, now)
+        }
+
+        fn stop(&mut self, now: SimTime) {
+            self.ep.stop(&mut self.site.lock(), now)
+        }
+
+        fn finished(&mut self) -> Vec<(TaskId, Box<TaskOutput>)> {
+            let mut finished = Vec::new();
+            self.ep.drain_finished_into(&mut finished);
+            finished
+        }
+
+        /// The held pilot's job and its scheduler state.
+        fn pilot_job(&self) -> (JobId, JobState) {
+            let Workers::Pilot { job: Some(job), .. } = &self.ep.workers else {
+                panic!("{} holds no pilot", self.ep.config.name);
+            };
+            (*job, job_state(&self.site, *job))
+        }
+    }
+
+    fn job_state(site: &SharedSite, job: JobId) -> JobState {
+        site.lock().scheduler_mut().unwrap().state(job).unwrap()
+    }
+
+    fn login_endpoint(workers: u32) -> OnSite {
         let mut rt = SiteRuntime::new(Site::chameleon_tacc());
         rt.site.add_account("cc", "chameleon");
         rt.commands.register("sleepy", |env| {
@@ -583,13 +607,12 @@ mod tests {
             ExecOutcome::ok(format!("done on {}", env.node), 10.0)
         });
         rt.commands.register("boom", |_| ExecOutcome::fail("kaboom", 0.5));
-        Endpoint::new(
+        OnSite::new(
             EndpointConfig::new("ep-cham", IdentityId(1), "cc").with_workers(workers),
-            shared(rt),
+            &shared(rt),
             TaskProvider::Local,
             42,
         )
-        .unwrap()
     }
 
     #[test]
@@ -597,8 +620,7 @@ mod tests {
         let mut ep = login_endpoint(4);
         ep.enqueue(TaskId(1), "sleepy", SimTime::ZERO).unwrap();
         drive(&mut ep);
-        let mut finished = Vec::new();
-        ep.drain_finished_into(&mut finished);
+        let finished = ep.finished();
         assert_eq!(finished.len(), 1);
         let (id, out) = &finished[0];
         assert_eq!(*id, TaskId(1));
@@ -620,8 +642,7 @@ mod tests {
         let mut ep = login_endpoint(1);
         ep.enqueue(TaskId(7), "boom now", SimTime::ZERO).unwrap();
         drive(&mut ep);
-        let mut finished = Vec::new();
-        ep.drain_finished_into(&mut finished);
+        let finished = ep.finished();
         assert_eq!(finished.len(), 1);
         assert!(!finished[0].1.success());
         assert_eq!(finished[0].1.stderr, "kaboom");
@@ -633,8 +654,7 @@ mod tests {
         ep.enqueue(TaskId(1), "sleepy", SimTime::ZERO).unwrap();
         ep.enqueue(TaskId(2), "sleepy", SimTime::ZERO).unwrap();
         drive(&mut ep);
-        let mut finished = Vec::new();
-        ep.drain_finished_into(&mut finished);
+        let finished = ep.finished();
         assert_eq!(finished.len(), 2);
         let (a, b) = (&finished[0].1, &finished[1].1);
         assert!(b.started >= a.ended, "1 worker: second task waits");
@@ -644,8 +664,7 @@ mod tests {
         ep2.enqueue(TaskId(1), "sleepy", SimTime::ZERO).unwrap();
         ep2.enqueue(TaskId(2), "sleepy", SimTime::ZERO).unwrap();
         drive(&mut ep2);
-        let mut f2 = Vec::new();
-        ep2.drain_finished_into(&mut f2);
+        let f2 = ep2.finished();
         assert!(f2[1].1.started < f2[0].1.ended, "2 workers: tasks overlap");
     }
 
@@ -658,13 +677,12 @@ mod tests {
         // The worker block is up by t=1s: this advance starts task 1 there.
         let start = SimTime::from_secs(1);
         ep.advance_to(start);
-        assert_eq!((ep.busy_workers, ep.queue.len()), (1, 1));
+        assert_eq!((ep.ep.busy_workers, ep.ep.queue.len()), (1, 1));
         let crash = SimTime::from_secs(2);
-        ep.force_crash(crash);
-        assert!(ep.stopped);
+        ep.ep.force_crash(&mut ep.site.lock(), crash);
+        assert!(ep.ep.stopped);
         assert_eq!(ep.next_event(), None, "nothing left in flight");
-        let mut finished = Vec::new();
-        ep.drain_finished_into(&mut finished);
+        let finished = ep.finished();
         assert_eq!(
             finished.iter().map(|(id, _)| id.0).collect::<Vec<_>>(),
             [1, 2]
@@ -709,11 +727,10 @@ mod tests {
         ep.advance_to(SimTime::from_secs(1));
         let stop = SimTime::from_secs(2);
         ep.stop(stop);
-        assert!(ep.queue.is_empty());
+        assert!(ep.ep.queue.is_empty());
         drive(&mut ep);
         assert_eq!(ep.next_event(), None);
-        let mut finished = Vec::new();
-        ep.drain_finished_into(&mut finished);
+        let finished = ep.finished();
         assert_eq!(
             finished.iter().map(|(id, _)| id.0).collect::<Vec<_>>(),
             [2, 1]
@@ -727,7 +744,7 @@ mod tests {
 
     /// A FASTER endpoint as `x-u`, its workers in 1-hour pilots on a
     /// scheduler of `nodes` compute nodes.
-    fn pilot_endpoint(nodes: usize, name: &str) -> (Endpoint, SharedSite) {
+    fn pilot_endpoint(nodes: usize, name: &str) -> OnSite {
         let mut site = Site::tamu_faster();
         site.nodes.truncate(1 + nodes);
         let mut rt = SiteRuntime::new(site).with_scheduler(64);
@@ -735,39 +752,24 @@ mod tests {
         rt.commands.register("job", |env| {
             ExecOutcome::ok(format!("role={:?}", env.role), 5.0)
         });
-        let site = shared(rt);
-        (pilot_at(&site, name), site)
+        pilot_at(&shared(rt), name)
     }
 
-    fn pilot_at(site: &SharedSite, name: &str) -> Endpoint {
+    fn pilot_at(site: &SharedSite, name: &str) -> OnSite {
         let provider = TaskProvider::Slurm {
             cores: 64,
             walltime_secs: 3600,
         };
         let config = EndpointConfig::new(name, IdentityId(1), "x-u").with_workers(8);
-        Endpoint::new(config, site.clone(), provider, 3).unwrap()
-    }
-
-    /// The held pilot's job and its scheduler state.
-    fn pilot_job(ep: &Endpoint) -> (JobId, JobState) {
-        let Workers::Pilot {
-            scheduler,
-            job: Some(job),
-            ..
-        } = &ep.workers
-        else {
-            panic!("{} holds no pilot", ep.config.name);
-        };
-        (*job, scheduler.lock().state(*job).unwrap())
+        OnSite::new(config, site, provider, 3)
     }
 
     #[test]
     fn slurm_provider_endpoint_runs_on_compute() {
-        let (mut ep, _) = pilot_endpoint(180, "ep-faster");
+        let mut ep = pilot_endpoint(180, "ep-faster");
         ep.enqueue(TaskId(1), "job", SimTime::ZERO).unwrap();
         drive(&mut ep);
-        let mut finished = Vec::new();
-        ep.drain_finished_into(&mut finished);
+        let finished = ep.finished();
         assert_eq!(finished.len(), 1);
         assert!(finished[0].1.stdout.contains("Compute"));
         assert_eq!(finished[0].1.node, "tamu-faster-compute");
@@ -777,58 +779,52 @@ mod tests {
     fn stopping_drains_a_running_pilot_and_cancels_a_queued_one() {
         // One compute node: the second endpoint's pilot queues behind the
         // first's until the first endpoint gives its block back.
-        let (mut first, site) = pilot_endpoint(1, "ep-a");
+        let mut first = pilot_endpoint(1, "ep-a");
+        let site = first.site.clone();
         let mut second = pilot_at(&site, "ep-b");
         first.enqueue(TaskId(1), "job", SimTime::ZERO).unwrap();
         second.enqueue(TaskId(2), "job", SimTime::ZERO).unwrap();
-        assert!(matches!(pilot_job(&first).1, JobState::Running { .. }));
-        assert!(matches!(pilot_job(&second).1, JobState::Pending { .. }));
+        assert!(matches!(first.pilot_job().1, JobState::Running { .. }));
+        assert!(matches!(second.pilot_job().1, JobState::Pending { .. }));
 
-        let (job, _) = pilot_job(&first);
+        let (job, _) = first.pilot_job();
         first.stop(SimTime::from_secs(100));
-        let sched = site.lock().scheduler.clone().unwrap();
         assert!(matches!(
-            sched.lock().state(job).unwrap(),
+            job_state(&site, job),
             JobState::Completed { success: true, .. }
         ));
         second.advance_to(SimTime::from_secs(101));
-        assert!(matches!(pilot_job(&second).1, JobState::Running { .. }));
+        assert!(matches!(second.pilot_job().1, JobState::Running { .. }));
 
         // A third endpoint's pilot now queues; stopping it cancels the job.
         let mut third = pilot_at(&site, "ep-c");
         third
             .enqueue(TaskId(3), "job", SimTime::from_secs(102))
             .unwrap();
-        let (job, state) = pilot_job(&third);
+        let (job, state) = third.pilot_job();
         assert!(matches!(state, JobState::Pending { .. }));
         third.stop(SimTime::from_secs(103));
-        assert!(matches!(
-            sched.lock().state(job).unwrap(),
-            JobState::Cancelled { .. }
-        ));
+        assert!(matches!(job_state(&site, job), JobState::Cancelled { .. }));
     }
 
     #[test]
     fn a_pilot_that_dies_at_walltime_is_replaced_under_the_next_name() {
         // One worker, three ~5 s tasks, 7 s pilots: the first pilot times out
         // under the second task while the third waits, so it is replaced.
-        let (_, site) = pilot_endpoint(1, "unused");
+        let site = pilot_endpoint(1, "unused").site;
         let provider = TaskProvider::Slurm {
             cores: 64,
             walltime_secs: 7,
         };
         let config = EndpointConfig::new("ep", IdentityId(1), "x-u").with_workers(1);
-        let mut ep = Endpoint::new(config, site.clone(), provider, 3).unwrap();
+        let mut ep = OnSite::new(config, &site, provider, 3);
         for id in 1..=3 {
             ep.enqueue(TaskId(id), "job", SimTime::ZERO).unwrap();
         }
         drive(&mut ep);
-        let mut finished = Vec::new();
-        ep.drain_finished_into(&mut finished);
+        let finished = ep.finished();
         assert!(finished.len() == 3 && finished.iter().all(|(_, out)| out.success()));
-        let sched = site.lock().scheduler.clone().unwrap();
-        let ended: Vec<_> = sched
-            .lock()
+        let ended: Vec<_> = (site.lock().scheduler_mut().unwrap())
             .accounting()
             .records()
             .iter()
@@ -836,21 +832,21 @@ mod tests {
             .collect();
         assert_eq!(ended, ["gc-pilot-1"]);
         assert!(
-            matches!(pilot_job(&ep).1, JobState::Running { .. }),
+            matches!(ep.pilot_job().1, JobState::Running { .. }),
             "gc-pilot-2 is held"
         );
     }
 
     #[test]
     fn a_provider_the_site_cannot_serve_is_refused() {
-        let (_, faster) = pilot_endpoint(1, "ep-ok");
+        let faster = pilot_endpoint(1, "ep-ok").site;
         let config = |user: &str| EndpointConfig::new("ep", IdentityId(1), user);
         let slurm = TaskProvider::Slurm {
             cores: 8,
             walltime_secs: 60,
         };
         let err = |site: &SharedSite, user: &str, provider| {
-            Endpoint::new(config(user), site.clone(), provider, 1)
+            Endpoint::new(config(user), &mut site.lock(), provider, 1)
                 .err()
                 .unwrap()
         };

@@ -140,12 +140,13 @@ impl CommandRegistry {
     }
 }
 
-/// A site plus its execution machinery; the shared handle every endpoint at
-/// the site holds.
+/// A site plus its execution machinery. The cloud holds each site's handle
+/// once and lends the runtime to the endpoint it moves.
 pub struct SiteRuntime {
     pub site: Site,
-    /// Present on HPC sites.
-    pub scheduler: Option<Arc<Mutex<BatchScheduler>>>,
+    /// Present on HPC sites, owned by the site. Workspace code reaches it
+    /// through [`Self::scheduler_mut`]; the `Mutex` is only a shell.
+    pub scheduler: Option<Mutex<BatchScheduler>>,
     pub commands: CommandRegistry,
 }
 
@@ -162,12 +163,18 @@ impl SiteRuntime {
     pub fn with_scheduler(mut self, cores_per_node: u32) -> Self {
         let nodes: Vec<_> = self.site.compute_nodes().map(|n| n.id).collect();
         if !nodes.is_empty() {
-            self.scheduler = Some(Arc::new(Mutex::new(BatchScheduler::with_compute_partition(
+            self.scheduler = Some(Mutex::new(BatchScheduler::with_compute_partition(
                 nodes,
                 cores_per_node,
-            ))));
+            )));
         }
         self
+    }
+
+    /// The site's batch scheduler, if it has one: the one way in, so no
+    /// workspace code locks it.
+    pub fn scheduler_mut(&mut self) -> Option<&mut BatchScheduler> {
+        self.scheduler.as_mut().map(Mutex::get_mut)
     }
 
     /// Execute `command` as `account` on a node with `role`. This is the

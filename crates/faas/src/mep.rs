@@ -13,14 +13,14 @@
 
 use crate::endpoint::{Endpoint, EndpointConfig, TaskProvider};
 use crate::error::FaasError;
-use crate::exec::SharedSite;
+use crate::exec::SiteRuntime;
 use crate::function::FunctionId;
 use crate::task::{TaskId, TaskOutput};
 use hpcci_auth::{HighAssurancePolicy, Identity, IdentityMapping};
 use hpcci_cluster::Uid;
 use hpcci_obs::Obs;
 use hpcci_scheduler::JobSpec;
-use hpcci_sim::{Advance, FaultInjector, SimDuration, SimTime, Sym};
+use hpcci_sim::{FaultInjector, SimDuration, SimTime, Sym};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -79,19 +79,20 @@ struct UepPair {
 }
 
 impl UepPair {
-    fn next_event(&self) -> Option<SimTime> {
-        match (self.login.next_event(), self.task.next_event()) {
+    fn next_event(&self, mut scheduler_next: impl FnMut() -> Option<SimTime>) -> Option<SimTime> {
+        match (self.login.next_event(&mut scheduler_next), self.task.next_event(&mut scheduler_next)) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
     }
 }
 
-/// A multi-user endpoint at one site.
+/// A multi-user endpoint at one site. Like its UEPs it holds no site: whoever
+/// moves it (the cloud) lends it its site for the call.
 pub struct MultiUserEndpoint {
     pub name: String,
-    site: SharedSite,
     mapping: IdentityMapping,
+    /// Identity requirements, checked by the cloud at submission.
     pub ha_policy: HighAssurancePolicy,
     pub restrict_functions: Option<BTreeSet<FunctionId>>,
     template: MepTemplate,
@@ -117,21 +118,20 @@ impl MultiUserEndpoint {
     /// submits the same pilot, so the scheduler is asked once, here.
     pub fn new(
         name: &str,
-        site: SharedSite,
+        site: &mut SiteRuntime,
         mapping: IdentityMapping,
         template: MepTemplate,
     ) -> Result<Self, FaasError> {
         if let TaskProvider::Slurm { cores, walltime_secs } = template.task_provider {
             let no_scheduler = || FaasError::NoScheduler(name.to_string());
-            let scheduler = site.lock().scheduler.clone().ok_or_else(no_scheduler)?;
+            let scheduler = site.scheduler_mut().ok_or_else(no_scheduler)?;
             // Admission does not depend on the account, known only per user.
             let pilot = JobSpec::single_node("", Uid(0), "", cores, SimDuration::from_secs(walltime_secs));
             let refused = |reason| FaasError::PilotRefused { endpoint: name.to_string(), reason };
-            scheduler.lock().admit(&pilot).map_err(refused)?;
+            scheduler.admit(&pilot).map_err(refused)?;
         }
         Ok(MultiUserEndpoint {
             name: name.to_string(),
-            site,
             mapping,
             ha_policy: HighAssurancePolicy::permissive(),
             restrict_functions: None,
@@ -160,12 +160,12 @@ impl MultiUserEndpoint {
     /// A MEP-level crash tears down every forked UEP. In-flight tasks fail
     /// with infrastructure-marked outputs; the UEP map is cleared so the next
     /// submission re-forks fresh UEPs (the privileged MEP service restarts).
-    fn crash_all(&mut self, now: SimTime) {
+    fn crash_all(&mut self, site: &mut SiteRuntime, now: SimTime) {
         let mut pairs = std::mem::take(&mut self.ueps);
         let n = pairs.len();
         for pair in pairs.values_mut() {
-            pair.login.force_crash(now);
-            pair.task.force_crash(now);
+            pair.login.force_crash(site, now);
+            pair.task.force_crash(site, now);
             pair.login.drain_finished_into(&mut self.pending_crashed);
             pair.task.drain_finished_into(&mut self.pending_crashed);
         }
@@ -187,27 +187,22 @@ impl MultiUserEndpoint {
         self
     }
 
-    /// The site every UEP of this MEP runs at.
-    pub(crate) fn site(&self) -> &SharedSite {
-        &self.site
-    }
-
     /// The administrator's audit view (§5.1: "administrators can audit logs
     /// of all tasks that have been executed").
     pub fn audit_log(&self) -> &[(TaskId, Arc<Identity>, Arc<str>)] {
         &self.audit_log
     }
 
-    fn fork_uep(&mut self, local_user: &Arc<str>) -> Result<(), FaasError> {
+    fn fork_uep(&mut self, site: &mut SiteRuntime, local_user: &Arc<str>) -> Result<(), FaasError> {
         if self.ueps.contains_key(local_user) {
             return Ok(());
         }
-        if self.site.lock().site.account(local_user).is_err() {
+        if site.site.account(local_user).is_err() {
             return Err(FaasError::NoLocalAccount(local_user.to_string()));
         }
         let seed = self.seed;
         self.seed += 2;
-        let fork = |suffix: &str, provider, seed| {
+        let fork = |site: &mut SiteRuntime, suffix: &str, provider, seed| {
             let mut c = EndpointConfig::new(
                 &format!("{}/{}/{}", self.name, local_user, suffix),
                 hpcci_auth::IdentityId(0), // MEP-forked UEPs trust the MEP's mapping
@@ -217,22 +212,23 @@ impl MultiUserEndpoint {
             if let Some(img) = &self.template.container {
                 c = c.in_container(img);
             }
-            let mut ep = Endpoint::new(c, self.site.clone(), provider, seed)?;
+            let mut ep = Endpoint::new(c, site, provider, seed)?;
             ep.attach(&self.obs, &self.injector);
             Ok::<_, FaasError>(ep)
         };
         let pair = UepPair {
-            login: fork("login", TaskProvider::Local, seed + 1)?,
-            task: fork("task", self.template.task_provider, seed + 2)?,
+            login: fork(site, "login", TaskProvider::Local, seed + 1)?,
+            task: fork(site, "task", self.template.task_provider, seed + 2)?,
         };
         self.ueps.insert(local_user.clone(), pair);
         Ok(())
     }
 
-    /// Accept a task from `identity`: map to a local account, fork the UEP if
-    /// needed, route by command, and enqueue.
+    /// Accept a task from `identity` at `site`: map to a local account, fork
+    /// the UEP if needed, route by command, and enqueue.
     pub fn enqueue(
         &mut self,
+        site: &mut SiteRuntime,
         id: TaskId,
         identity: &Arc<Identity>,
         command: impl Into<Sym>,
@@ -240,9 +236,8 @@ impl MultiUserEndpoint {
     ) -> Result<(), FaasError> {
         let command: Sym = command.into();
         if self.injector.crash_due(&self.name, now) {
-            self.crash_all(now);
+            self.crash_all(site, now);
         }
-        self.ha_policy.check(identity, now)?;
         let local_user = self
             .mapping
             .resolve(identity)
@@ -257,14 +252,14 @@ impl MultiUserEndpoint {
             Some((interned, _)) => interned.clone(),
             None => Arc::from(&*local_user),
         };
-        self.fork_uep(&local_user)?;
+        self.fork_uep(site, &local_user)?;
         self.audit_log
             .push((id, identity.clone(), local_user.clone()));
         let pair = self.ueps.get_mut(&local_user).expect("forked above");
         if self.template.routes_to_login(&command) {
-            pair.login.enqueue(id, command, now)
+            pair.login.enqueue(site, id, command, now)
         } else {
-            pair.task.enqueue(id, command, now)
+            pair.task.enqueue(site, id, command, now)
         }
     }
 
@@ -280,22 +275,23 @@ impl MultiUserEndpoint {
 
     /// Stop every UEP: queued tasks come back failed as infrastructure,
     /// running ones finish.
-    pub fn stop(&mut self, now: SimTime) {
+    pub fn stop(&mut self, site: &mut SiteRuntime, now: SimTime) {
         for pair in self.ueps.values_mut() {
-            pair.login.stop(now);
-            pair.task.stop(now);
+            pair.login.stop(site, now);
+            pair.task.stop(site, now);
         }
     }
-}
 
-impl Advance for MultiUserEndpoint {
-    fn next_event(&self) -> Option<SimTime> {
-        self.ueps.values().filter_map(UepPair::next_event).min()
+    /// When some UEP of this MEP next changes state on its own (see
+    /// [`Endpoint::next_event`] for `scheduler_next`).
+    pub fn next_event(&self, mut scheduler_next: impl FnMut() -> Option<SimTime>) -> Option<SimTime> {
+        self.ueps.values().filter_map(|pair| pair.next_event(&mut scheduler_next)).min()
     }
 
-    fn advance_to(&mut self, t: SimTime) {
+    /// Move every UEP of this MEP at `site` to `t`.
+    pub fn advance_to(&mut self, site: &mut SiteRuntime, t: SimTime) {
         if self.injector.crash_due(&self.name, t) {
-            self.crash_all(t);
+            self.crash_all(site, t);
         }
         // Every pair moves, due or not. Pairs wait on the site's shared batch
         // scheduler, and a sibling advanced earlier in this step — another
@@ -303,8 +299,8 @@ impl Advance for MultiUserEndpoint {
         // consumed the job-end event that starts this pair's pilot; a pair
         // with nothing to do is a few branches.
         for pair in self.ueps.values_mut() {
-            pair.login.advance_to(t);
-            pair.task.advance_to(t);
+            pair.login.advance_to(site, t);
+            pair.task.advance_to(site, t);
         }
     }
 }
@@ -312,11 +308,40 @@ impl Advance for MultiUserEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{shared, ExecOutcome, SiteRuntime};
+    use crate::exec::{shared, ExecOutcome, SharedSite};
     use hpcci_auth::{IdentityId, IdentityProvider};
     use hpcci_cluster::Site;
     use hpcci_scheduler::SchedulerError;
-    use hpcci_sim::drive;
+    use hpcci_sim::{drive, Advance};
+
+    /// A MEP paired with its site, which each call lends it as the cloud
+    /// does, so `drive` can move it.
+    struct OnSite {
+        mep: MultiUserEndpoint,
+        site: SharedSite,
+    }
+
+    impl Advance for OnSite {
+        fn next_event(&self) -> Option<SimTime> {
+            self.mep.next_event(|| self.site.lock().scheduler_mut()?.next_event())
+        }
+
+        fn advance_to(&mut self, t: SimTime) {
+            self.mep.advance_to(&mut self.site.lock(), t)
+        }
+    }
+
+    impl OnSite {
+        fn enqueue(&mut self, id: TaskId, identity: &Arc<Identity>, command: &str) -> Result<(), FaasError> {
+            self.mep.enqueue(&mut self.site.lock(), id, identity, command, SimTime::ZERO)
+        }
+
+        fn finished(&mut self) -> Vec<(TaskId, Box<TaskOutput>)> {
+            let mut finished = Vec::new();
+            self.mep.drain_finished_into(&mut finished);
+            finished
+        }
+    }
 
     fn identity(username: &str, provider: &str) -> Arc<Identity> {
         Arc::new(Identity {
@@ -327,7 +352,7 @@ mod tests {
         })
     }
 
-    fn faster_mep() -> MultiUserEndpoint {
+    fn faster_mep() -> OnSite {
         let mut rt = SiteRuntime::new(Site::tamu_faster()).with_scheduler(64);
         rt.site.add_account("x-vhayot", "CIS230030");
         rt.commands.register("git", |env| {
@@ -343,8 +368,8 @@ mod tests {
         let site = shared(rt);
         let mut mapping = IdentityMapping::new("tamu-faster");
         mapping.add_explicit("vhayot@uchicago.edu", "x-vhayot");
-        MultiUserEndpoint::new("mep-faster", site, mapping, MepTemplate::hpc_split(64, 3600))
-            .unwrap()
+        let mep = MultiUserEndpoint::new("mep-faster", &mut site.lock(), mapping, MepTemplate::hpc_split(64, 3600));
+        OnSite { mep: mep.unwrap(), site }
     }
 
     #[test]
@@ -352,7 +377,7 @@ mod tests {
         let faster = shared(SiteRuntime::new(Site::tamu_faster()).with_scheduler(64));
         let mep = |site: &SharedSite, template| {
             let mapping = IdentityMapping::new("tamu-faster");
-            MultiUserEndpoint::new("mep", site.clone(), mapping, template).err()
+            MultiUserEndpoint::new("mep", &mut site.lock(), mapping, template).err()
         };
         let refused = |reason| {
             Some(FaasError::PilotRefused {
@@ -386,13 +411,12 @@ mod tests {
     fn identity_mapping_and_audit() {
         let mut mep = faster_mep();
         let id = identity("vhayot@uchicago.edu", "uchicago.edu");
-        mep.enqueue(TaskId(1), &id, "pytest -v", SimTime::ZERO).unwrap();
+        mep.enqueue(TaskId(1), &id, "pytest -v").unwrap();
         drive(&mut mep);
-        let mut finished = Vec::new();
-        mep.drain_finished_into(&mut finished);
+        let finished = mep.finished();
         assert_eq!(finished.len(), 1);
         assert_eq!(finished[0].1.ran_as, "x-vhayot");
-        let [(task, audited, local)] = mep.audit_log() else {
+        let [(task, audited, local)] = mep.mep.audit_log() else {
             panic!("one task, one audit record");
         };
         assert_eq!(*task, TaskId(1));
@@ -408,10 +432,10 @@ mod tests {
         let mut mep = faster_mep();
         let id = identity("mallory@evil.net", "evil.net");
         assert!(matches!(
-            mep.enqueue(TaskId(1), &id, "pytest", SimTime::ZERO),
+            mep.enqueue(TaskId(1), &id, "pytest"),
             Err(FaasError::IdentityMappingFailed(_))
         ));
-        assert_eq!(mep.ueps.len(), 0, "no UEP forked for unmapped identity");
+        assert_eq!(mep.mep.ueps.len(), 0, "no UEP forked for unmapped identity");
     }
 
     #[test]
@@ -421,12 +445,11 @@ mod tests {
         // run on compute nodes.
         let mut mep = faster_mep();
         let id = identity("vhayot@uchicago.edu", "uchicago.edu");
-        mep.enqueue(TaskId(1), &id, "git clone https://github.com/Parsl/parsl-docking-tutorial", SimTime::ZERO)
+        mep.enqueue(TaskId(1), &id, "git clone https://github.com/Parsl/parsl-docking-tutorial")
             .unwrap();
-        mep.enqueue(TaskId(2), &id, "pytest tests/", SimTime::ZERO).unwrap();
+        mep.enqueue(TaskId(2), &id, "pytest tests/").unwrap();
         drive(&mut mep);
-        let mut finished = Vec::new();
-        mep.drain_finished_into(&mut finished);
+        let mut finished = mep.finished();
         finished.sort_by_key(|(id, _)| *id);
         let clone_out = &finished[0].1;
         let test_out = &finished[1].1;
@@ -442,13 +465,11 @@ mod tests {
         // compute nodes and fails — exactly the failure the MEP template
         // exists to avoid.
         let mut mep = faster_mep();
-        mep.template.login_commands.clear();
+        mep.mep.template.login_commands.clear();
         let id = identity("vhayot@uchicago.edu", "uchicago.edu");
-        mep.enqueue(TaskId(1), &id, "git clone https://github.com/x/y", SimTime::ZERO)
-            .unwrap();
+        mep.enqueue(TaskId(1), &id, "git clone https://github.com/x/y").unwrap();
         drive(&mut mep);
-        let mut finished = Vec::new();
-        mep.drain_finished_into(&mut finished);
+        let finished = mep.finished();
         assert!(!finished[0].1.success());
         assert!(finished[0].1.stderr.contains("no route to host"));
     }
@@ -457,20 +478,8 @@ mod tests {
     fn ueps_fork_once_per_user() {
         let mut mep = faster_mep();
         let id = identity("vhayot@uchicago.edu", "uchicago.edu");
-        mep.enqueue(TaskId(1), &id, "pytest a", SimTime::ZERO).unwrap();
-        mep.enqueue(TaskId(2), &id, "pytest b", SimTime::ZERO).unwrap();
-        assert_eq!(mep.ueps.len(), 1);
-    }
-
-    #[test]
-    fn ha_policy_enforced_at_mep() {
-        let mut mep = faster_mep().with_ha_policy(
-            HighAssurancePolicy::permissive().require_provider("access-ci.org"),
-        );
-        let id = identity("vhayot@uchicago.edu", "uchicago.edu");
-        assert!(matches!(
-            mep.enqueue(TaskId(1), &id, "pytest", SimTime::ZERO),
-            Err(FaasError::Auth(_))
-        ));
+        mep.enqueue(TaskId(1), &id, "pytest a").unwrap();
+        mep.enqueue(TaskId(2), &id, "pytest b").unwrap();
+        assert_eq!(mep.mep.ueps.len(), 1);
     }
 }

@@ -48,70 +48,62 @@ pub struct BuiltScenario {
 impl BuiltScenario {
     /// Manually dispatch the scenario workflow (for `workflow_dispatch`
     /// triggers like the KaMPIng artifact suite), approve, execute.
-    pub fn dispatch_approve_run(&mut self, reviewer: &str) -> RunId {
+    pub fn dispatch_approve_run(&mut self, reviewer: &str) -> Result<RunId, SpecError> {
         let now = self.fed.now();
-        let commit = self
-            .fed
-            .hosting
-            .lock()
-            .repo(&self.repo)
-            .expect("scenario repo exists")
-            .head("main")
-            .expect("main exists")
-            .short();
-        let run = self
-            .fed
-            .engine
+        let commit = {
+            let hosting = self.fed.hosting.lock();
+            let repo = hosting.repo(&self.repo).map_err(failed("scenario repo"))?;
+            repo.head("main").map_err(failed("branch main"))?.short()
+        };
+        let run = (self.fed.engine)
             .dispatch(&self.repo, &self.workflow, "main", &commit, now)
-            .expect("workflow installed");
-        self.fed
-            .engine
-            .approve(run, reviewer, self.fed.now())
-            .expect("reviewer approves own environment");
+            .map_err(failed("dispatch"))?;
+        self.approve(run, reviewer)?;
         self.fed.run_all();
-        run
+        Ok(run)
     }
 
     /// Push a trivial change to `main`, pump webhooks, approve every created
     /// run as `reviewer`, execute, and return the run ids.
-    pub fn push_approve_run(&mut self, reviewer: &str) -> Vec<RunId> {
+    pub fn push_approve_run(&mut self, reviewer: &str) -> Result<Vec<RunId>, SpecError> {
         let now = self.fed.now();
-        let tree = self
-            .fed
-            .hosting
-            .lock()
-            .repo(&self.repo)
-            .expect("scenario repo exists")
-            .checkout_branch("main")
-            .expect("main exists")
-            .clone()
-            .with_file("VERSION", format!("{}", now.as_micros()));
-        let author = self.pusher.clone();
-        self.fed
-            .hosting
-            .lock()
-            .push(&self.repo, "main", tree, &author, "trigger CI", now)
-            .expect("push to scenario repo");
+        {
+            let mut hosting = self.fed.hosting.lock();
+            let repo = hosting.repo(&self.repo).map_err(failed("scenario repo"))?;
+            let tree = (repo.checkout_branch("main").map_err(failed("branch main"))?)
+                .clone()
+                .with_file("VERSION", format!("{}", now.as_micros()));
+            (hosting.push(&self.repo, "main", tree, &self.pusher, "trigger CI", now))
+                .map_err(failed("push"))?;
+        }
         let runs = self.fed.pump_events();
         for &run in &runs {
-            self.fed
-                .engine
-                .approve(run, reviewer, self.fed.now())
-                .expect("reviewer approves own environment");
+            self.approve(run, reviewer)?;
         }
         self.fed.run_all();
-        runs
+        Ok(runs)
+    }
+
+    fn approve(&mut self, run: RunId, reviewer: &str) -> Result<(), SpecError> {
+        let now = self.fed.now();
+        (self.fed.engine.approve(run, reviewer, now))
+            .map_err(|e| SpecError(format!("{reviewer} approving {run}: {e}")))
     }
 
     /// One trigger round matching the workflow's trigger kind: dispatch for
     /// `workflow_dispatch` workflows, push otherwise. Returns the run ids.
-    pub fn trigger_round(&mut self, reviewer: &str) -> Vec<RunId> {
+    pub fn trigger_round(&mut self, reviewer: &str) -> Result<Vec<RunId>, SpecError> {
         if self.dispatch_trigger {
-            vec![self.dispatch_approve_run(reviewer)]
+            Ok(vec![self.dispatch_approve_run(reviewer)?])
         } else {
             self.push_approve_run(reviewer)
         }
     }
+}
+
+/// The error of a trigger helper's `step`, named.
+fn failed<E: std::fmt::Display>(step: &str) -> impl FnOnce(E) -> SpecError + '_ {
+    move |e| SpecError(format!("{step}: {e}"))
 }
 
 impl ScenarioSpec {
@@ -416,7 +408,7 @@ mod tests {
         let mut s = spec.build_on(fed).expect("compiles");
         assert_eq!(s.environments, vec!["env-wks-0".to_string()]);
         assert_eq!(s.endpoints, vec!["ep-wks-0".to_string()]);
-        let runs = s.trigger_round("vhayot");
+        let runs = s.trigger_round("vhayot").unwrap();
         assert_eq!(runs.len(), 1);
         let run = s.fed.engine.run(runs[0]).expect("run exists");
         assert_eq!(run.status, hpcci_ci::RunStatus::Success);
@@ -428,8 +420,16 @@ mod tests {
         spec.workload.failing = 2;
         let fed = Federation::builder(spec.seed).build();
         let mut s = spec.build_on(fed).expect("compiles");
-        let runs = s.trigger_round("vhayot");
+        let runs = s.trigger_round("vhayot").unwrap();
         let run = s.fed.engine.run(runs[0]).expect("run exists");
         assert_eq!(run.status, hpcci_ci::RunStatus::Failure);
+    }
+
+    #[test]
+    fn a_reviewer_the_environment_does_not_list_is_an_error_naming_them() {
+        let spec = ScenarioSpec::minimal("compile-mallory", 13);
+        let mut s = spec.build_on(Federation::builder(spec.seed).build()).expect("compiles");
+        let err = s.push_approve_run("mallory").unwrap_err();
+        assert!(err.0.contains("mallory"), "{err}");
     }
 }

@@ -117,7 +117,7 @@ pub(crate) fn drive_spec(
     }
     let fed = builder.build();
     let mut scenario = spec.build_on(fed)?;
-    drive_traffic(&mut scenario, spec);
+    drive_traffic(&mut scenario, spec)?;
     Ok((scenario, stats_handle))
 }
 
@@ -127,7 +127,7 @@ pub(crate) fn drive_spec(
 /// [`run_spec_with`] — which forks the world seed under the same label
 /// the historical inline sampler used, so pre-workload digests are
 /// unchanged.
-fn drive_traffic(s: &mut BuiltScenario, spec: &ScenarioSpec) {
+fn drive_traffic(s: &mut BuiltScenario, spec: &ScenarioSpec) -> Result<(), SpecError> {
     let mut arrivals = s
         .fed
         .arrival_gen()
@@ -138,8 +138,9 @@ fn drive_traffic(s: &mut BuiltScenario, spec: &ScenarioSpec) {
             let gap = arrivals.next_gap_us();
             s.fed.world().sleep(SimDuration::from_micros(gap));
         }
-        let _ = s.trigger_round(&reviewer);
+        s.trigger_round(&reviewer)?;
     }
+    Ok(())
 }
 
 pub(crate) fn collect(

@@ -14,7 +14,7 @@ fn main() {
     let mut scenario = paper::world(paper::FIG4_PARSLDOCK, Federation::builder(4242).build())
         .expect("the Fig. 4 world compiles");
     println!("pushing a change to parsl/parsl-docking-tutorial ...");
-    let runs = scenario.push_approve_run("vhayot");
+    let runs = scenario.push_approve_run("vhayot").unwrap();
     let run = scenario.fed.engine.run(runs[0]).unwrap();
     println!("workflow `{}` finished: {:?}\n", run.workflow, run.status);
 

@@ -15,7 +15,7 @@ fn main() {
         .obs(ObsConfig::enabled())
         .build();
     let mut s = paper::world(paper::FIG4_PARSLDOCK, fed).expect("the Fig. 4 world compiles");
-    s.push_approve_run("vhayot");
+    s.push_approve_run("vhayot").unwrap();
 
     let snap = s.fed.metrics();
     println!("=== exposition (excerpt) ===");

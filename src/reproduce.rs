@@ -140,7 +140,7 @@ pub fn tab4() -> Result {
 /// one action invocation: every component and hop, observed rather than drawn.
 pub fn fig2_overview() -> Result {
     let mut s = paper::world(paper::FIG5_PSIJ, Federation::builder(2).build())?;
-    let run_id = only_run(s.push_approve_run("vhayot"))?;
+    let run_id = only_run(s.push_approve_run("vhayot")?)?;
     let run = s.fed.engine.run(run_id)?;
 
     let mut out = section("Fig. 2 — CORRECT system overview (observed message trace)");
@@ -178,7 +178,7 @@ type SiteDurations = (String, Vec<(String, f64)>);
 /// per-test durations. Self-contained, so repetitions run as a sweep.
 fn fig4_rep(seed: u64) -> Result<Vec<SiteDurations>> {
     let mut s = paper::world(paper::FIG4_PARSLDOCK, Federation::builder(seed).build())?;
-    let run = only_run(s.push_approve_run("vhayot"))?;
+    let run = only_run(s.push_approve_run("vhayot")?)?;
     let now = s.fed.now();
     let artifacts = &s.fed.engine.artifacts;
     let mut out = Vec::new();
@@ -252,7 +252,7 @@ pub fn fig5_psij() -> Result {
         paper::FIG5_PSIJ_TYPEGUARD_MISSING,
         Federation::builder(5).build(),
     )?;
-    let run_id = only_run(s.push_approve_run("vhayot"))?;
+    let run_id = only_run(s.push_approve_run("vhayot")?)?;
     let run = s.fed.engine.run(run_id)?;
 
     let mut out = section("Fig. 5 (top) — error reported back to the GitHub runner");
@@ -271,7 +271,7 @@ pub fn fig5_psij() -> Result {
 
     out += &section("recovery — same workflow after the dependency is fixed");
     let mut fixed = paper::world(paper::FIG5_PSIJ, Federation::builder(5).build())?;
-    let fixed_id = only_run(fixed.push_approve_run("vhayot"))?;
+    let fixed_id = only_run(fixed.push_approve_run("vhayot")?)?;
     out += &run_line(fixed.fed.engine.run(fixed_id)?);
     Ok(out)
 }
@@ -281,7 +281,7 @@ pub fn fig5_psij() -> Result {
 /// experiment's stdout stored as a workflow artifact.
 pub fn exp63_kamping() -> Result {
     let mut s = paper::world(paper::SEC63_KAMPING, Federation::builder(63).build())?;
-    let run_id = s.dispatch_approve_run("vhayot");
+    let run_id = s.dispatch_approve_run("vhayot")?;
     let run = s.fed.engine.run(run_id)?;
 
     let mut out = section("§6.3 — KaMPIng artifact reproduction via CORRECT");
@@ -365,7 +365,7 @@ pub fn overhead() -> Result {
         let mut s = anvil()?;
         let start = s.fed.now();
         let reviewer = s.pusher.clone();
-        let run_id = only_run(s.push_approve_run(&reviewer))?;
+        let run_id = only_run(s.push_approve_run(&reviewer)?)?;
         let run = s.fed.engine.run(run_id)?;
         if run.status != RunStatus::Success {
             return Err(format!("the §7.3 CORRECT step ended {:?}", run.status).into());

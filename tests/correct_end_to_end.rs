@@ -9,7 +9,7 @@ use hpcci::paper;
 #[test]
 fn push_triggers_correct_run_that_succeeds() {
     let mut s = paper::world(paper::FIG5_PSIJ, Federation::builder(42).build()).unwrap();
-    let runs = s.push_approve_run("vhayot");
+    let runs = s.push_approve_run("vhayot").unwrap();
     assert_eq!(runs.len(), 1);
     let run = s.fed.engine.run(runs[0]).unwrap().clone();
     assert_eq!(run.status, RunStatus::Success, "log:\n{}", run.full_log());
@@ -117,7 +117,7 @@ fn a_task_the_quiet_world_never_returns_fails_the_step() {
 #[test]
 fn federation_trace_records_the_fig2_flow() {
     let mut s = paper::world(paper::FIG5_PSIJ, Federation::builder(44).build()).unwrap();
-    s.push_approve_run("vhayot");
+    s.push_approve_run("vhayot").unwrap();
     let cloud = s.fed.cloud.lock();
     // Clone task + pytest task at minimum.
     assert!(cloud.trace.of_kind("task.submit").count() >= 2);
@@ -134,7 +134,7 @@ fn federation_trace_records_the_fig2_flow() {
 fn secrets_never_appear_in_run_logs() {
     let mut s = paper::world(paper::FIG5_PSIJ, Federation::builder(45).build()).unwrap();
     let secret_value = s.user.client_secret.clone();
-    let runs = s.push_approve_run("vhayot");
+    let runs = s.push_approve_run("vhayot").unwrap();
     let log = s.fed.engine.run(runs[0]).unwrap().full_log();
     assert!(!log.contains(&secret_value), "client secret leaked into logs");
 }
@@ -142,7 +142,7 @@ fn secrets_never_appear_in_run_logs() {
 #[test]
 fn identity_mapping_audited_at_the_mep() {
     let mut s = paper::world(paper::FIG5_PSIJ, Federation::builder(46).build()).unwrap();
-    s.push_approve_run("vhayot");
+    s.push_approve_run("vhayot").unwrap();
     // Every task the MEP executed is auditable: identity -> local account.
     let mut cloud = s.fed.cloud.lock();
     let ep = cloud

@@ -93,15 +93,17 @@ fn build_cloud(shape: &FedShape) -> (CloudService, hpcci::auth::AccessToken, Vec
         rt.site.add_account("bench", "proj");
         rt.commands
             .register("work", move |_| ExecOutcome::ok("done", dur));
+        let site = shared(rt);
         let ep = Endpoint::new(
             EndpointConfig::new(&format!("ep-{i}"), owner, "bench").with_workers(ep_workers),
-            shared(rt),
+            &mut site.lock(),
             TaskProvider::Local,
             1000 + i as u64,
         )
         .unwrap();
         ids.push(cloud.register_endpoint(
             &format!("ep-{i}"),
+            site,
             EndpointRegistration::Single(Box::new(ep)),
         ));
     }
@@ -113,9 +115,10 @@ fn build_cloud(shape: &FedShape) -> (CloudService, hpcci::auth::AccessToken, Vec
         let site = shared(rt);
         let mut mapping = IdentityMapping::new("site-mep");
         mapping.add_explicit("bench@hpcci.sim", "x-bench");
-        let mep = MultiUserEndpoint::new("ep-mep", site, mapping, MepTemplate::login_only()).unwrap();
+        let mep = MultiUserEndpoint::new("ep-mep", &mut site.lock(), mapping, MepTemplate::login_only()).unwrap();
         ids.push(cloud.register_endpoint(
             "ep-mep",
+            site,
             EndpointRegistration::Multi(Box::new(mep)),
         ));
     }

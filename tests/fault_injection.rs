@@ -34,7 +34,7 @@ fn mep_fork_failure_is_retried_and_recovers() {
     );
     let fed = Federation::builder(81).faults(plan).build();
     let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
-    let runs = s.push_approve_run("vhayot");
+    let runs = s.push_approve_run("vhayot").unwrap();
     let run = s.fed.engine.run(runs[0]).unwrap().clone();
     assert_eq!(run.status, RunStatus::Success, "log:\n{}", run.full_log());
 
@@ -57,7 +57,7 @@ fn token_expiry_mid_run_triggers_reauthentication() {
     let plan = FaultPlan::none().with_fault(SimTime::ZERO, FaultKind::TokenExpiry);
     let fed = Federation::builder(82).faults(plan).build();
     let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
-    let runs = s.push_approve_run("vhayot");
+    let runs = s.push_approve_run("vhayot").unwrap();
     let run = s.fed.engine.run(runs[0]).unwrap().clone();
     assert_eq!(run.status, RunStatus::Success, "log:\n{}", run.full_log());
     assert!(
@@ -88,12 +88,12 @@ fn wan_partition_delays_delivery_until_heal() {
         },
     );
     let mut baseline = paper::world(paper::FIG5_PSIJ, Federation::builder(83).build()).unwrap();
-    baseline.push_approve_run("vhayot");
+    baseline.push_approve_run("vhayot").unwrap();
     let baseline_end = baseline.fed.now();
 
     let fed = Federation::builder(83).faults(plan).build();
     let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
-    let runs = s.push_approve_run("vhayot");
+    let runs = s.push_approve_run("vhayot").unwrap();
     let run = s.fed.engine.run(runs[0]).unwrap().clone();
     assert_eq!(run.status, RunStatus::Success, "log:\n{}", run.full_log());
     assert!(
@@ -121,12 +121,12 @@ fn node_drain_preempts_pilot_and_the_suite_recovers() {
     );
     let fed = Federation::builder(84).faults(plan).build();
     let mut s = paper::world(paper::FIG4_PARSLDOCK, fed).unwrap();
-    let first = s.push_approve_run("vhayot");
+    let first = s.push_approve_run("vhayot").unwrap();
     assert_eq!(
         s.fed.engine.run(first[0]).unwrap().status,
         RunStatus::Success
     );
-    let runs = s.push_approve_run("vhayot");
+    let runs = s.push_approve_run("vhayot").unwrap();
     let run = s.fed.engine.run(runs[0]).unwrap().clone();
     assert_eq!(run.status, RunStatus::Success, "log:\n{}", run.full_log());
 
@@ -173,7 +173,7 @@ fn endpoint_crash_without_fallback_degrades_to_infrastructure_failure() {
     assert_eq!(spec, declared);
     let fed = Federation::builder(spec.seed).faults(spec.fault_plan()).build();
     let mut s = spec.build_on(fed).expect("spec compiles");
-    let runs = s.push_approve_run("vhayot");
+    let runs = s.push_approve_run("vhayot").unwrap();
     let run = s.fed.engine.run(runs[0]).unwrap().clone();
     assert_eq!(run.status, RunStatus::Failure, "site skipped => run failed");
 
@@ -249,7 +249,7 @@ fn crashed_primary_run(capture_environment: bool) -> (BuiltScenario, WorkflowRun
         );
     s.fed.engine.add_workflow(&s.repo, wf);
 
-    let runs = s.push_approve_run("vhayot");
+    let runs = s.push_approve_run("vhayot").unwrap();
     let failover_run = runs
         .iter()
         .map(|&id| s.fed.engine.run(id).unwrap().clone())
@@ -332,7 +332,7 @@ fn artifact_corruption_is_detected_and_rewritten() {
         },
     );
     let fetch_artifact = |s: &mut BuiltScenario| {
-        let runs = s.push_approve_run("vhayot");
+        let runs = s.push_approve_run("vhayot").unwrap();
         let now = s.fed.now();
         s.fed
             .engine
@@ -369,7 +369,7 @@ fn empty_fault_plan_perturbs_nothing() {
             Federation::builder(88).build()
         };
         let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
-        let runs = s.push_approve_run("vhayot");
+        let runs = s.push_approve_run("vhayot").unwrap();
         let run = s.fed.engine.run(runs[0]).unwrap().clone();
         let now = s.fed.now();
         let artifact = s
@@ -417,7 +417,7 @@ fn empty_fault_plan_perturbs_nothing_fleet_wide() {
                     let gap = arrivals.next_gap_us();
                     s.fed.world().sleep(SimDuration::from_micros(gap));
                 }
-                s.trigger_round(&spec.user.login);
+                s.trigger_round(&spec.user.login).unwrap();
             }
             (s.fed.trace_digest(), s.fed.run_reports(), s.fed.fault_trace().len())
         };
@@ -440,7 +440,7 @@ fn empty_fault_plan_keeps_fig4_artifacts_identical() {
             Federation::builder(89).build()
         };
         let mut s = paper::world(paper::FIG4_PARSLDOCK, fed).unwrap();
-        let runs = s.push_approve_run("vhayot");
+        let runs = s.push_approve_run("vhayot").unwrap();
         let now = s.fed.now();
         s.environments
             .iter()

@@ -38,7 +38,7 @@ fn debug_dump(label: &str, text: &str) {
 #[test]
 fn golden_psij_scenario_trace() {
     let mut s = paper::world(paper::FIG5_PSIJ, Federation::builder(42).build()).unwrap();
-    let _runs = s.push_approve_run("vhayot");
+    let _runs = s.push_approve_run("vhayot").unwrap();
     let trace = s.fed.cloud.lock().trace.render();
     let chaos = s.fed.fault_trace().render();
     debug_dump("psij trace", &trace);
@@ -67,7 +67,7 @@ fn golden_randomized_fault_scenario_traces() {
     let plan = FaultPlan::randomized(2121, SimDuration::from_secs(90), 12, &endpoints);
     let fed = Federation::builder(7).faults(plan).build();
     let mut s = paper::world(paper::FIG4_PARSLDOCK, fed).unwrap();
-    let _runs = s.push_approve_run("vhayot");
+    let _runs = s.push_approve_run("vhayot").unwrap();
     let trace = s.fed.cloud.lock().trace.render();
     let chaos = s.fed.fault_trace().render();
     debug_dump("parsldock fault trace", &trace);
@@ -97,7 +97,7 @@ fn golden_step_cache_record_and_replay_traces() {
     let run = |mode| {
         let fed = Federation::builder(42).step_cache_shared(cache.clone(), mode).build();
         let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
-        s.push_approve_run("vhayot");
+        s.push_approve_run("vhayot").unwrap();
         let t = s.fed.cloud.lock().trace.render();
         t
     };
@@ -124,7 +124,7 @@ fn golden_step_cache_record_and_replay_traces() {
 fn same_seed_replays_bit_identically() {
     let render = |seed| {
         let mut s = paper::world(paper::FIG4_PARSLDOCK, Federation::builder(seed).build()).unwrap();
-        s.push_approve_run("vhayot");
+        s.push_approve_run("vhayot").unwrap();
         let t = s.fed.cloud.lock().trace.render();
         t
     };

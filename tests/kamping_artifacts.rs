@@ -9,7 +9,7 @@ use hpcci::paper;
 #[test]
 fn all_artifact_evaluation_experiments_pass() {
     let mut s = paper::world(paper::SEC63_KAMPING, Federation::builder(81).build()).unwrap();
-    let run_id = s.dispatch_approve_run("vhayot");
+    let run_id = s.dispatch_approve_run("vhayot").unwrap();
     let run = s.fed.engine.run(run_id).unwrap().clone();
     assert_eq!(run.status, RunStatus::Success, "log:\n{}", run.full_log());
 
@@ -37,7 +37,7 @@ fn same_seed_runs_store_byte_identical_artifacts() {
     // nothing read off the host (such as wall-clock timings) may enter it.
     let stored = || {
         let mut s = paper::world(paper::SEC63_KAMPING, Federation::builder(63).build()).unwrap();
-        let run_id = s.dispatch_approve_run("vhayot");
+        let run_id = s.dispatch_approve_run("vhayot").unwrap();
         let now = s.fed.now();
         KAMPING_ARTIFACTS.map(|name| {
             let artifact = s.fed.engine.artifacts.fetch(run_id, name, now).unwrap();

@@ -10,7 +10,7 @@ use hpcci::sim::sweep;
 #[test]
 fn parsldock_runs_at_all_three_sites() {
     let mut s = paper::world(paper::FIG4_PARSLDOCK, Federation::builder(61).build()).unwrap();
-    let runs = s.push_approve_run("vhayot");
+    let runs = s.push_approve_run("vhayot").unwrap();
     assert_eq!(runs.len(), 1, "one workflow run with three site jobs");
     let run = s.fed.engine.run(runs[0]).unwrap().clone();
     assert_eq!(run.status, RunStatus::Success, "log:\n{}", run.full_log());
@@ -33,7 +33,7 @@ fn parsldock_runs_at_all_three_sites() {
 #[test]
 fn fig4_shape_chameleon_wins_most_tests() {
     let mut s = paper::world(paper::FIG4_PARSLDOCK, Federation::builder(62).build()).unwrap();
-    let runs = s.push_approve_run("vhayot");
+    let runs = s.push_approve_run("vhayot").unwrap();
     let now = s.fed.now();
     let mut per_site: Vec<(String, Vec<(String, f64)>)> = Vec::new();
     for env in &s.environments {
@@ -79,7 +79,7 @@ fn tests_on_hpc_sites_run_on_compute_nodes() {
     // and the clone to the login node — visible through the scheduler's
     // accounting: each HPC site ran exactly one pilot job.
     let mut s = paper::world(paper::FIG4_PARSLDOCK, Federation::builder(63).build()).unwrap();
-    s.push_approve_run("vhayot");
+    s.push_approve_run("vhayot").unwrap();
     for site_name in ["tamu-faster", "sdsc-expanse"] {
         let handle = s.fed.site_by_name(site_name).unwrap().clone();
         let rt = handle.shared.lock();
@@ -98,7 +98,7 @@ fn tests_on_hpc_sites_run_on_compute_nodes() {
 fn reruns_are_deterministic_per_seed() {
     let run_once = |seed: u64| {
         let mut s = paper::world(paper::FIG4_PARSLDOCK, Federation::builder(seed).build()).unwrap();
-        let runs = s.push_approve_run("vhayot");
+        let runs = s.push_approve_run("vhayot").unwrap();
         let now = s.fed.now();
         s.fed
             .engine
@@ -121,7 +121,7 @@ fn reruns_are_deterministic_per_seed() {
 /// to the concatenated per-site pytest outputs.
 fn run_rep(seed: u64) -> String {
     let mut s = paper::world(paper::FIG4_PARSLDOCK, Federation::builder(seed).build()).unwrap();
-    let runs = s.push_approve_run("vhayot");
+    let runs = s.push_approve_run("vhayot").unwrap();
     let now = s.fed.now();
     let mut out = String::new();
     for env in &s.environments {

@@ -34,7 +34,7 @@ fn observed_parsldock(seed: u64) -> BuiltScenario {
         .obs(ObsConfig::enabled())
         .build();
     let mut s = paper::world(paper::FIG4_PARSLDOCK, fed).unwrap();
-    s.push_approve_run("vhayot");
+    s.push_approve_run("vhayot").unwrap();
     s
 }
 
@@ -73,7 +73,7 @@ fn golden_psij_trace_unchanged_with_obs_enabled() {
     let run = |cfg: ObsConfig| {
         let fed = hpcci::correct::Federation::builder(42).obs(cfg).build();
         let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
-        s.push_approve_run("vhayot");
+        s.push_approve_run("vhayot").unwrap();
         let t = s.fed.cloud.lock().trace.render();
         t
     };
@@ -102,7 +102,7 @@ fn golden_fault_traces_unchanged_with_obs_enabled() {
             .obs(cfg)
             .build();
         let mut s = paper::world(paper::FIG4_PARSLDOCK, fed).unwrap();
-        s.push_approve_run("vhayot");
+        s.push_approve_run("vhayot").unwrap();
         let trace = s.fed.cloud.lock().trace.render();
         let chaos = s.fed.fault_trace().render();
         (fnv1a(&trace), fnv1a(&chaos))
@@ -120,7 +120,7 @@ fn golden_fault_traces_unchanged_with_obs_enabled() {
 fn disabled_obs_snapshot_is_empty() {
     let fed = hpcci::correct::Federation::builder(5).build();
     let mut s = paper::world(paper::FIG4_PARSLDOCK, fed).unwrap();
-    s.push_approve_run("vhayot");
+    s.push_approve_run("vhayot").unwrap();
     let snap = s.fed.metrics();
     assert!(snap.counters.is_empty());
     assert!(snap.histograms.is_empty());

@@ -1228,7 +1228,7 @@ fn step_cache_replay_is_byte_identical_to_record() {
         let observe = |mode: CacheMode| {
             let fed = Federation::builder(seed).step_cache_shared(cache.clone(), mode).build();
             let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
-            let runs = s.push_approve_run("vhayot");
+            let runs = s.push_approve_run("vhayot").unwrap();
             let run = s.fed.engine.run(runs[0]).unwrap().clone();
             let now = s.fed.now();
             let artifact = s
@@ -1879,7 +1879,8 @@ fn kept_job_plans_derive_the_keys_the_definition_derives() {
                     pushes += 1;
                     assert_eq!(runs.len(), workflows.len());
                     for (id, wf) in runs.iter().zip(&workflows) {
-                        let mut recorded = e.run(*id).unwrap().steps.iter();
+                        let steps = e.run(*id).unwrap().steps.clone();
+                        let mut recorded = steps.iter();
                         let mut chain = e.cache_salt();
                         for job in wf.job_order().unwrap() {
                             let secrets = e.secrets.resolve("org", REPO, job.environment.as_deref());
@@ -2481,7 +2482,7 @@ fn same_seed_and_fault_plan_replay_bit_identically() {
         let observe = |plan: FaultPlan| {
             let fed = Federation::builder(seed).faults(plan).build();
             let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
-            let runs = s.push_approve_run("vhayot");
+            let runs = s.push_approve_run("vhayot").unwrap();
             let run = s.fed.engine.run(runs[0]).unwrap().clone();
             let functional = s.fed.cloud.lock().trace.render();
             (run.full_log(), functional, s.fed.fault_trace().render())

@@ -10,7 +10,7 @@ use hpcci::paper;
 fn dependency_fault_fails_the_run_like_fig5() {
     let fed = Federation::builder(71).build();
     let mut s = paper::world(paper::FIG5_PSIJ_TYPEGUARD_MISSING, fed).unwrap();
-    let runs = s.push_approve_run("vhayot");
+    let runs = s.push_approve_run("vhayot").unwrap();
     let run = s.fed.engine.run(runs[0]).unwrap().clone();
 
     // Fig. 5 top: the failure is visible in the UI.
@@ -39,7 +39,7 @@ fn fixing_the_environment_fixes_the_run() {
     // The same scenario with the dependency installed passes — CI detects
     // recovery, which is the point of continuous reproducibility.
     let mut s = paper::world(paper::FIG5_PSIJ, Federation::builder(72).build()).unwrap();
-    let runs = s.push_approve_run("vhayot");
+    let runs = s.push_approve_run("vhayot").unwrap();
     assert_eq!(s.fed.engine.run(runs[0]).unwrap().status, RunStatus::Success);
 }
 
@@ -88,7 +88,7 @@ fn infrastructure_failure_is_distinct_from_the_dependency_test_failure() {
     }
     let fed = Federation::builder(74).faults(plan).build();
     let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
-    let runs = s.push_approve_run("vhayot");
+    let runs = s.push_approve_run("vhayot").unwrap();
     let run = s.fed.engine.run(runs[0]).unwrap().clone();
 
     // The run fails — but as an *infrastructure* failure: the site is
@@ -121,7 +121,7 @@ fn infrastructure_failure_is_distinct_from_the_dependency_test_failure() {
     // what the step reports.
     let fed = Federation::builder(75).build();
     let mut t = paper::world(paper::FIG5_PSIJ_TYPEGUARD_MISSING, fed).unwrap();
-    let truns = t.push_approve_run("vhayot");
+    let truns = t.push_approve_run("vhayot").unwrap();
     let tstep = t
         .fed
         .engine

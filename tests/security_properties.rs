@@ -140,15 +140,17 @@ fn function_allowlist_rejects_everything_unapproved() {
     mapping.add_explicit("alice@uchicago.edu", "x-alice");
     let mep = hpcci::faas::MultiUserEndpoint::new(
         "mep-restricted",
-        handle.shared.clone(),
+        &mut handle.shared.lock(),
         mapping,
         MepTemplate::login_only(),
     )
     .unwrap()
     .with_allowlist(&[allowed]);
-    fed.cloud
-        .lock()
-        .register_endpoint("mep-restricted", hpcci::faas::EndpointRegistration::Multi(Box::new(mep)));
+    fed.cloud.lock().register_endpoint(
+        "mep-restricted",
+        handle.shared,
+        hpcci::faas::EndpointRegistration::Multi(Box::new(mep)),
+    );
     let ep = EndpointId("mep-restricted".to_string());
 
     let mut cloud = fed.cloud.lock();
@@ -196,14 +198,14 @@ fn revoked_token_cannot_submit() {
 
 #[test]
 fn ha_policy_restricts_identity_providers_at_the_endpoint() {
-    let (mut fed, alice, _) = two_user_world();
+    let (fed, alice, _) = two_user_world();
     // Re-register the MEP with a policy requiring access-ci.org identities.
     let handle = fed.site_by_name("tamu-faster").unwrap().clone();
     let mut mapping = IdentityMapping::new("tamu-faster");
     mapping.add_explicit("alice@uchicago.edu", "x-alice");
     let mep = hpcci::faas::MultiUserEndpoint::new(
         "mep-ha",
-        handle.shared.clone(),
+        &mut handle.shared.lock(),
         mapping,
         MepTemplate::login_only(),
     )
@@ -211,23 +213,21 @@ fn ha_policy_restricts_identity_providers_at_the_endpoint() {
     .with_ha_policy(
         hpcci::auth::HighAssurancePolicy::permissive().require_provider("access-ci.org"),
     );
-    fed.cloud
-        .lock()
-        .register_endpoint("mep-ha", hpcci::faas::EndpointRegistration::Multi(Box::new(mep)));
+    fed.cloud.lock().register_endpoint(
+        "mep-ha",
+        handle.shared,
+        hpcci::faas::EndpointRegistration::Multi(Box::new(mep)),
+    );
 
+    // The cloud checks the MEP's policy when the task is submitted, so the
+    // submission is refused and no task exists.
     let token = token_for(&fed, &alice);
-    let task = {
-        let mut cloud = fed.cloud.lock();
-        cloud
-            .submit_shell(&token, &EndpointId("mep-ha".into()), "whoami", SimTime::ZERO)
-            .unwrap()
-    };
-    while fed.world().step() {}
-    let cloud = fed.cloud.lock();
+    let mut cloud = fed.cloud.lock();
     assert!(matches!(
-        cloud.task_state(task).unwrap(),
-        TaskState::Rejected { .. }
+        cloud.submit_shell(&token, &EndpointId("mep-ha".into()), "whoami", SimTime::ZERO),
+        Err(FaasError::Auth(AuthError::PolicyViolation(_)))
     ));
+    assert_eq!(cloud.task_count(), 0);
 }
 
 /// One HPC site whose MEP maps `alice@uchicago.edu` onto `x-alice` and
@@ -347,7 +347,7 @@ fn a_session_refresh_after_submission_does_not_reach_the_in_flight_task() {
     mapping.add_explicit("alice@uchicago.edu", "x-alice");
     let mep = hpcci::faas::MultiUserEndpoint::new(
         "mep-session",
-        handle.shared.clone(),
+        &mut handle.shared.lock(),
         mapping,
         MepTemplate::login_only(),
     )
@@ -358,18 +358,27 @@ fn a_session_refresh_after_submission_does_not_reach_the_in_flight_task() {
     );
     fed.cloud.lock().register_endpoint(
         "mep-session",
+        handle.shared,
         hpcci::faas::EndpointRegistration::Multi(Box::new(mep)),
     );
     let ep = EndpointId("mep-session".into());
     let token = token_for(&fed, &alice);
 
-    // Alice last logged in at 0; two hours on her session is stale. A MEP
-    // enforces its policy at delivery, so the cloud accepts the submission.
+    // Alice last logged in at 0: two hours on, her session is stale, and the
+    // cloud refuses the submission outright.
     let later = SimTime::from_secs(2 * 3600);
-    let stale = fed
+    match fed.cloud.lock().submit_shell(&token, &ep, "whoami", later) {
+        Err(FaasError::Auth(AuthError::PolicyViolation(why))) => {
+            assert!(why.contains("session too old"), "{why}")
+        }
+        other => panic!("a stale session submits nothing, got {other:?}"),
+    }
+    // At 59 minutes it is fresh; she logs in again while that task is on
+    // the wire, and submits once more.
+    let in_flight = fed
         .cloud
         .lock()
-        .submit_shell(&token, &ep, "whoami", later)
+        .submit_shell(&token, &ep, "whoami", SimTime::from_secs(59 * 60))
         .unwrap();
     fed.auth
         .lock()
@@ -383,29 +392,24 @@ fn a_session_refresh_after_submission_does_not_reach_the_in_flight_task() {
     while fed.world().step() {}
 
     let mut cloud = fed.cloud.lock();
-    match cloud.task_state(stale).unwrap() {
-        TaskState::Rejected { reason, .. } => assert!(
-            matches!(&**reason, FaasError::Auth(AuthError::PolicyViolation(why))
-                if why.contains("session too old")),
-            "{reason}"
-        ),
-        other => panic!("the in-flight task kept its submission-time session, got {other:?}"),
+    for task in [in_flight, fresh] {
+        assert_eq!(cloud.task_result(task).unwrap().ran_as, "x-alice");
     }
-    assert_eq!(cloud.task_result(fresh).unwrap().ran_as, "x-alice");
     let hpcci::faas::EndpointRegistration::Multi(mep) = cloud.endpoint_mut(&ep).unwrap() else {
         panic!("mep-session is a MEP");
     };
-    let audited: Vec<(hpcci::faas::TaskId, String, String)> = mep
+    let audited: Vec<(hpcci::faas::TaskId, &str, &str, u64)> = mep
         .audit_log()
         .iter()
-        .map(|(task, identity, local)| (*task, identity.username.clone(), local.to_string()))
+        .map(|(task, identity, local)| {
+            (*task, identity.username.as_str(), &**local, identity.last_authentication_us)
+        })
         .collect();
     assert_eq!(
         audited,
-        [(
-            fresh,
-            "alice@uchicago.edu".to_string(),
-            "x-alice".to_string()
-        )]
+        [
+            (in_flight, "alice@uchicago.edu", "x-alice", 0),
+            (fresh, "alice@uchicago.edu", "x-alice", later.as_micros())
+        ]
     );
 }

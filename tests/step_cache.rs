@@ -21,7 +21,7 @@ use hpcci::sim::{FaultKind, FaultPlan, SimTime};
 /// the finished run ids.
 fn run_psij(fed: Federation) -> (BuiltScenario, Vec<hpcci::ci::RunId>) {
     let mut s = paper::world(paper::FIG5_PSIJ, fed).unwrap();
-    let runs = s.push_approve_run("vhayot");
+    let runs = s.push_approve_run("vhayot").unwrap();
     (s, runs)
 }
 
@@ -34,7 +34,7 @@ fn run_psij_from_toml(cache: StepCache, mode: CacheMode) -> (BuiltScenario, Vec<
         .step_cache_shared(cache, mode)
         .build();
     let mut s = spec.build_on(fed).expect("spec compiles");
-    let runs = s.push_approve_run("vhayot");
+    let runs = s.push_approve_run("vhayot").unwrap();
     (s, runs)
 }
 
@@ -114,7 +114,7 @@ fn infrastructure_failures_are_never_cached() {
         .step_cache_shared(cache.clone(), CacheMode::Record)
         .build();
     let mut s = paper::world(paper::FIG4_PARSLDOCK, fed).unwrap();
-    let runs = s.push_approve_run("vhayot");
+    let runs = s.push_approve_run("vhayot").unwrap();
     let run = s.fed.engine.run(runs[0]).unwrap();
     assert_eq!(run.status, RunStatus::Failure, "the crashed site fails the run");
     let stats = cache.stats();
@@ -145,7 +145,7 @@ fn only_a_step_infrastructure_really_shaped_is_uncacheable() {
             .lock()
             .commands
             .register("pytest", move |_| hpcci::faas::ExecOutcome::ok(stdout, 2.0));
-        let runs = s.push_approve_run("vhayot");
+        let runs = s.push_approve_run("vhayot").unwrap();
         let run = s.fed.engine.run(runs[0]).unwrap();
         assert_eq!(run.status, RunStatus::Success, "log:\n{}", run.full_log());
         run.full_log()
@@ -179,7 +179,7 @@ fn only_a_step_infrastructure_really_shaped_is_uncacheable() {
 /// environment order.
 fn parsldock_site_outputs(fed: Federation) -> String {
     let mut s = paper::world(paper::FIG4_PARSLDOCK, fed).unwrap();
-    let runs = s.push_approve_run("vhayot");
+    let runs = s.push_approve_run("vhayot").unwrap();
     let now = s.fed.now();
     let mut out = String::new();
     for env in &s.environments {
@@ -295,7 +295,7 @@ fn obs_counts_hits_misses_and_replay_latency() {
 #[test]
 fn cache_off_builds_have_no_cache_side_effects() {
     let mut s = paper::world(paper::FIG5_PSIJ, Federation::builder(21).build()).unwrap();
-    let runs = s.push_approve_run("vhayot");
+    let runs = s.push_approve_run("vhayot").unwrap();
     assert_eq!(s.fed.engine.run(runs[0]).unwrap().status, RunStatus::Success);
     assert!(s.fed.step_cache().is_none());
     assert!(s.fed.engine.artifacts.cas().is_none());
@@ -342,7 +342,7 @@ fn multi_site_world(cache: &StepCache, mode: CacheMode) -> BuiltScenario {
 
 /// Every step of one push, in run and step order.
 fn steps_of_push(s: &mut BuiltScenario) -> Vec<hpcci::ci::StepRun> {
-    let runs = s.push_approve_run("vhayot");
+    let runs = s.push_approve_run("vhayot").unwrap();
     assert_eq!(runs.len(), 2, "parsldock-ci and env-probe");
     let steps = runs.iter().flat_map(|id| {
         let run = s.fed.engine.run(*id).unwrap();
