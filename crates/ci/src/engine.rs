@@ -1652,4 +1652,174 @@ mod tests {
         // Firing again inside the same period yields nothing.
         assert!(e.due_schedules(SimTime::from_secs(3600)).is_empty());
     }
+
+    /// Logs every call the engine makes on the world; the world has a fixed
+    /// number of events, each a second apart.
+    struct Recording {
+        now: SimTime,
+        events: u32,
+        log: Vec<String>,
+    }
+    impl WorldDriver for Recording {
+        fn now(&self) -> SimTime {
+            self.now
+        }
+        fn step(&mut self) -> bool {
+            self.log.push("step".into());
+            if self.events == 0 {
+                return false;
+            }
+            self.events -= 1;
+            self.now += SimDuration::from_secs(1);
+            true
+        }
+        fn sleep(&mut self, d: SimDuration) {
+            self.log.push(format!("sleep {}", d.as_micros()));
+            self.now += d;
+        }
+    }
+
+    /// Waits on the world until it goes quiet.
+    struct Listens;
+    impl Step for Listens {
+        fn poll(&mut self) -> Effect {
+            Effect::Event
+        }
+        fn quiet(&mut self) -> crate::action::StepResult {
+            crate::action::StepResult::ok("heard the world go quiet")
+        }
+    }
+
+    /// Every way a run waits, in one workflow, run twice: the second run
+    /// replays the first from the cache. The world sees exactly these calls.
+    #[test]
+    fn a_run_makes_exactly_these_world_calls() {
+        struct Starts(fn() -> Box<dyn Step>);
+        impl Action for Starts {
+            fn start(&self, _: StepContext) -> Box<dyn Step> {
+                (self.0)()
+            }
+        }
+        let mut nowhere = JobDef::new("nowhere").with_step(StepDef::run("n", "true"));
+        nowhere.runs_on = RunsOn::Hosted("solaris".into());
+        let mut site = JobDef::new("site")
+            .with_needs(&["gated"])
+            .with_step(StepDef::run("check", "bash -c 'exit 1'"));
+        site.runs_on = RunsOn::SelfHosted { site: "anvil".into() };
+        let wf = WorkflowDef::new("hpc-ci")
+            .on_event(TriggerEvent::push_any())
+            .with_job(
+                JobDef::new("gated")
+                    .with_environment("gated")
+                    .with_step(StepDef::run("build", "make"))
+                    .with_step(StepDef::uses("alarm", "acme/alarm@v1", &[]))
+                    .with_step(StepDef::uses("listen", "acme/listen@v1", &[]))
+                    .with_step(StepDef::upload_artifact("save", "build-log", "build")),
+            )
+            .with_job(site)
+            .with_job(JobDef::new("after").with_needs(&["site"]).with_step(StepDef::run("a", "true")))
+            .with_job(nowhere);
+        let mut e = engine_with_workflow(wf);
+        e.runners.add_self_hosted("anvil");
+        e.add_environment(
+            "globus-labs/app",
+            Environment::new("gated")
+                .with_reviewer("r")
+                .with_wait_timer(SimDuration::from_secs(300)),
+        );
+        e.register_action(
+            "acme/alarm@v1",
+            Arc::new(Starts(|| {
+                Box::new(Alarm {
+                    at: SimTime::from_secs(400),
+                    woken: false,
+                })
+            })),
+        );
+        e.register_action("acme/listen@v1", Arc::new(Starts(|| Box::new(Listens))));
+        e.set_step_cache(StepCache::new(), CacheMode::Replay);
+
+        let mut world = Recording {
+            now: SimTime::ZERO,
+            events: 3,
+            log: Vec::new(),
+        };
+        let first = e.on_push("globus-labs/app", "main", "c", SimTime::ZERO).unwrap()[0];
+        e.approve(first, "r", SimTime::from_secs(10)).unwrap();
+        assert_eq!(e.execute_ready(&mut world), vec![first]);
+        // Approved back at 0, so the timer has run out when the run starts.
+        let second = e.on_push("globus-labs/app", "main", "c", SimTime::ZERO).unwrap()[0];
+        e.approve(second, "r", SimTime::ZERO).unwrap();
+        assert_eq!(e.execute_ready(&mut world), vec![second]);
+
+        let log = [
+            // First run: the wait timer, the hosted runner, `build`, the
+            // alarm, three events and the quiet world, then the self-hosted
+            // runner and the failing `check`.
+            "sleep 310000000",
+            "sleep 8000000",
+            "sleep 800000",
+            "sleep 81200000",
+            "step",
+            "step",
+            "step",
+            "step",
+            "sleep 200000",
+            "sleep 800000",
+            // Second run: every step replays its recorded duration, the
+            // zero-length upload too.
+            "sleep 8000000",
+            "sleep 800000",
+            "sleep 81200000",
+            "sleep 3000000",
+            "sleep 0",
+            "sleep 200000",
+            "sleep 800000",
+        ];
+        assert_eq!(world.log, log);
+        let timeline = |id: RunId| {
+            let run = e.run(id).unwrap();
+            assert_eq!(run.status, RunStatus::Failure);
+            let steps = run.steps.iter().map(|s| {
+                let name = format!("{}/{}", s.job, s.step);
+                (name, s.started.as_micros(), s.ended.as_micros())
+            });
+            let at = |t: Option<SimTime>| t.unwrap().as_micros();
+            (at(run.started_at), steps.collect::<Vec<_>>(), at(run.ended_at))
+        };
+        let steps = |rows: &[(&str, u64, u64)]| {
+            let rows = rows.iter().map(|&(name, started, ended)| (name.to_string(), started, ended));
+            rows.collect::<Vec<_>>()
+        };
+        assert_eq!(
+            timeline(first),
+            (
+                310_000_000,
+                steps(&[
+                    ("gated/build", 318_000_000, 318_800_000),
+                    ("gated/alarm", 318_800_000, 400_000_000),
+                    ("gated/listen", 400_000_000, 403_000_000),
+                    ("gated/save", 403_000_000, 403_000_000),
+                    ("site/check", 403_200_000, 404_000_000),
+                    ("nowhere/<runner>", 404_000_000, 404_000_000),
+                ]),
+                404_000_000,
+            )
+        );
+        assert_eq!(
+            timeline(second),
+            (
+                404_000_000,
+                steps(&[
+                    ("gated/build", 412_000_000, 412_800_000),
+                    ("gated/alarm", 412_800_000, 494_000_000),
+                    ("gated/listen", 494_000_000, 497_000_000),
+                    ("gated/save", 497_000_000, 497_000_000),
+                    ("site/check", 497_200_000, 498_000_000),
+                    ("nowhere/<runner>", 498_000_000, 498_000_000),
+                ]),
+                498_000_000,
+            )
+        );
+    }
 }
