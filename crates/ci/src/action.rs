@@ -108,14 +108,15 @@ impl StepResult {
     }
 }
 
-/// What a poll of a [`Step`] asks of the engine.
-pub enum Effect {
+/// What a poll of a [`Step`] asks of the engine — and, with `T = ()`, what
+/// a poll of a run asks of the world.
+pub enum Effect<T = StepResult> {
     /// The next world event may finish the step: poll it again after one.
     Event,
     /// Wake the step at this instant: poll it again once the world is there.
     At(SimTime),
     /// The step is over; it is not polled again.
-    Done(StepResult),
+    Done(T),
 }
 
 /// A step in progress. The engine polls it until it is [`Effect::Done`].

@@ -1,8 +1,10 @@
 //! The CI engine: event intake, approval gating, and run execution.
 
-use crate::action::{Action, Effect, StepContext, WorldDriver};
+use crate::action::{Action, Effect, Step, StepContext, StepResult, WorldDriver};
 use crate::artifacts::ArtifactStore;
-use crate::cache::{chain_digest, job_block, result_digest, CacheMode, StepCache, StepKeyStem};
+use crate::cache::{
+    chain_digest, job_block, result_digest, CacheMode, StepCache, StepEntry, StepKey, StepKeyStem,
+};
 use crate::environment::Environment;
 use crate::error::CiError;
 use crate::run::{Infra, RunId, RunStatus, StepOutcome, StepRun, WorkflowRun};
@@ -614,332 +616,456 @@ impl CiEngine {
     // ------------------------------------------------------------------
 
     /// Execute every run whose earliest-start has arrived. Returns the ids
-    /// executed, in order.
+    /// executed, in order. The one place the engine moves the world: each
+    /// [`Effect`] a run's [`RunCursor`] returns becomes a `driver.step()` or
+    /// a `driver.sleep()`.
     pub fn execute_ready(&mut self, driver: &mut dyn WorldDriver) -> Vec<RunId> {
         let mut executed = Vec::new();
         while let Some((id, earliest)) = self.ready.pop_front() {
-            if driver.now() < earliest {
-                // Wait timer not yet elapsed: let virtual time pass.
-                driver.sleep(earliest.since(driver.now()));
+            let mut run = RunCursor::new(self, id, earliest);
+            loop {
+                let now = driver.now();
+                match run.poll(self, now) {
+                    Effect::Done(()) => break,
+                    Effect::Event if !driver.step() => run.quiet(),
+                    Effect::Event => {}
+                    Effect::At(t) => driver.sleep(t.since(now)),
+                }
             }
-            self.execute_run(id, driver);
             executed.push(id);
         }
         executed
     }
+}
 
-    fn execute_run(&mut self, id: RunId, driver: &mut dyn WorldDriver) {
-        let (repo, workflow, commit, fork) = {
-            let run = self.run_mut(id).expect("queued run exists");
-            run.status = RunStatus::Running;
-            run.started_at = Some(driver.now());
-            // Interned handles: three pointer bumps, not three string copies.
-            (
-                run.repo.clone(),
-                run.workflow.clone(),
-                run.commit.clone(),
-                run.fork,
-            )
-        };
-        let cache = match self.cache_mode {
-            CacheMode::Off => None,
-            _ => self.step_cache.clone(),
-        };
-        // `Arc` clone — instantiating the run never deep-copies the def. The
-        // run borrows the workflow's job plans for its duration and hands
-        // them back at the end: steps execute under `&mut self`.
-        let installed = self
+/// What a run waits on between two polls.
+enum InFlight {
+    /// Nothing: the next poll goes on with the run.
+    Nothing,
+    /// The run has not started: it starts once its wait timer runs out.
+    Queued(SimTime),
+    /// A `uses:` step, polled until it is done.
+    Step(Box<dyn Step>),
+    /// A result the next poll records: a `run:` step's once its 800 ms have
+    /// passed, or one that never waited.
+    Due(StepResult),
+    /// A replay hit, recorded once its recorded duration has passed.
+    Replayed(Arc<StepEntry>),
+}
+
+/// A run in execution. [`RunCursor::poll`] goes as far as the run can
+/// without the world moving and returns the [`Effect`] it then waits on,
+/// as a step does; `Done(())` ends the run.
+struct RunCursor {
+    id: RunId,
+    repo: Sym,
+    workflow: Sym,
+    commit: Sym,
+    fork: bool,
+    /// `Arc` clone — instantiating the run never deep-copies the def.
+    shape: Arc<Shape>,
+    /// The workflow's job plans, taken for the run and handed back at its
+    /// end: steps execute under `&mut CiEngine`.
+    plans: Vec<Option<JobPlan>>,
+    repo_env_vars: Arc<BTreeMap<String, String>>,
+    cache: Option<StepCache>,
+    /// Running digest over every prior step result in the run: later step
+    /// keys depend on it, so an upstream change invalidates downstream.
+    chain: Digest,
+    steps_acc: Vec<StepRun>,
+    /// Indices into the workflow's jobs.
+    failed_jobs: Vec<usize>,
+    run_failed: bool,
+    /// Contents of a hit's artifacts between taking their CAS references
+    /// and listing them; reused across the run's steps.
+    replayed_artifacts: Vec<Arc<[u8]>>,
+    /// The current job's place in the workflow's job order.
+    position: usize,
+    /// The current job's next step; `None` until its runner is chosen.
+    step_ix: Option<usize>,
+    job_failed: bool,
+    job_sym: Sym,
+    /// The in-flight step: its id, start and key, and whether it may fail
+    /// without failing its job (`continue-on-error`).
+    step_sym: Sym,
+    started: SimTime,
+    key: Option<StepKey>,
+    soft: bool,
+    in_flight: InFlight,
+}
+
+impl RunCursor {
+    /// Run `id`, which starts no earlier than `earliest`.
+    fn new(engine: &mut CiEngine, id: RunId, earliest: SimTime) -> RunCursor {
+        let run = engine.run(id).expect("queued run exists");
+        // Interned handles: pointer bumps, not string copies.
+        let (repo, workflow, commit, fork) = (
+            run.repo.clone(),
+            run.workflow.clone(),
+            run.commit.clone(),
+            run.fork,
+        );
+        let installed = engine
             .installed_mut(&repo, &workflow)
             .expect("validated at instantiation");
         let shape = installed.shape.clone();
         let mut plans = std::mem::take(&mut installed.plans);
         plans.resize_with(shape.def.jobs.len(), || None);
-        let org = repo.split('/').next().unwrap_or(&repo);
-        let repo_env_vars = self
-            .env_vars
-            .get(repo.as_str())
-            .unwrap_or(&self.no_env_vars)
-            .clone();
+        let env_vars = engine.env_vars.get(repo.as_str());
+        RunCursor {
+            id,
+            repo_env_vars: env_vars.unwrap_or(&engine.no_env_vars).clone(),
+            cache: match engine.cache_mode {
+                CacheMode::Off => None,
+                _ => engine.step_cache.clone(),
+            },
+            chain: engine.cache_salt,
+            steps_acc: Vec::with_capacity(shape.def.jobs.iter().map(|job| job.steps.len()).sum()),
+            failed_jobs: Vec::new(),
+            run_failed: false,
+            replayed_artifacts: Vec::new(),
+            position: 0,
+            step_ix: None,
+            job_failed: false,
+            job_sym: Sym::Static(""),
+            step_sym: Sym::Static(""),
+            started: SimTime::ZERO,
+            key: None,
+            soft: false,
+            in_flight: InFlight::Queued(earliest),
+            repo,
+            workflow,
+            commit,
+            fork,
+            shape,
+            plans,
+        }
+    }
 
-        let jobs = &shape.def.jobs;
-        let order = shape.order.as_deref().unwrap_or_default();
-        let mut failed_jobs: Vec<&str> = Vec::new();
-        let mut run_failed = false;
-        let mut steps_acc: Vec<StepRun> =
-            Vec::with_capacity(jobs.iter().map(|job| job.steps.len()).sum());
-        // Running digest over every prior step result in the run: later step
-        // keys depend on it, so an upstream change invalidates downstream.
-        let mut chain = self.cache_salt;
-        // Contents of a hit's artifacts between taking their CAS references
-        // and listing them; reused across the run's steps.
-        let mut replayed_artifacts: Vec<Arc<[u8]>> = Vec::new();
-
-        for &job_ix in order {
-            let job = &jobs[job_ix];
-            if job.needs.iter().any(|n| failed_jobs.contains(&n.as_str())) {
-                failed_jobs.push(&job.id);
-                continue;
+    /// Go on with the run at `now` until it waits or ends.
+    fn poll(&mut self, engine: &mut CiEngine, now: SimTime) -> Effect<()> {
+        loop {
+            match std::mem::replace(&mut self.in_flight, InFlight::Nothing) {
+                InFlight::Nothing => {
+                    if let Some(wait) = self.next(engine, now) {
+                        return wait;
+                    }
+                }
+                InFlight::Queued(earliest) if now < earliest => {
+                    self.in_flight = InFlight::Queued(earliest);
+                    return Effect::At(earliest);
+                }
+                InFlight::Queued(_) => {
+                    if let Some(run) = engine.run_mut(self.id) {
+                        run.status = RunStatus::Running;
+                        run.started_at = Some(now);
+                    }
+                }
+                InFlight::Step(mut step) => {
+                    let wait = match step.poll() {
+                        Effect::Done(result) => {
+                            self.executed(engine, result, now);
+                            continue;
+                        }
+                        Effect::Event => Effect::Event,
+                        Effect::At(t) => Effect::At(t),
+                    };
+                    self.in_flight = InFlight::Step(step);
+                    return wait;
+                }
+                InFlight::Due(result) => self.executed(engine, result, now),
+                InFlight::Replayed(entry) => self.replayed(engine, &entry, now),
             }
-            let job_sym = self.interner.intern(&job.id);
-            let runner = match self.runners.select(&job.runs_on) {
+        }
+    }
+
+    /// The world went quiet while the in-flight step waited on an event:
+    /// it ends with [`Step::quiet`]'s result.
+    fn quiet(&mut self) {
+        if let InFlight::Step(step) = &mut self.in_flight {
+            self.in_flight = InFlight::Due(step.quiet());
+        }
+    }
+
+    /// With nothing in flight, begin what comes next: the current job's
+    /// next step, the next job or the run's end. Returns what the run then
+    /// waits on, or `None` to go on.
+    fn next(&mut self, engine: &mut CiEngine, now: SimTime) -> Option<Effect<()>> {
+        let jobs = &self.shape.def.jobs;
+        let order = self.shape.order.as_deref().unwrap_or_default();
+        let Some(&job_ix) = order.get(self.position) else {
+            return Some(self.end(engine, now));
+        };
+        let job = &jobs[job_ix];
+        let Some(step_ix) = self.step_ix else {
+            let failed = |need: &String| self.failed_jobs.iter().any(|&f| jobs[f].id == *need);
+            if job.needs.iter().any(failed) {
+                self.failed_jobs.push(job_ix);
+                self.position += 1;
+                return None;
+            }
+            self.job_sym = engine.interner.intern(&job.id);
+            let runner = match engine.runners.select(&job.runs_on) {
                 Ok(r) => r,
                 Err(e) => {
-                    run_failed = true;
-                    failed_jobs.push(&job.id);
+                    self.run_failed = true;
+                    self.failed_jobs.push(job_ix);
+                    self.position += 1;
                     let outcome = StepOutcome {
                         success: false,
                         stderr: e.to_string(),
                         ..StepOutcome::default()
                     };
-                    if cache.is_some() {
-                        chain = chain_digest(chain, result_digest(&outcome));
+                    if self.cache.is_some() {
+                        self.chain = chain_digest(self.chain, result_digest(&outcome));
                     }
-                    steps_acc.push(StepRun {
-                        job: job_sym,
+                    self.steps_acc.push(StepRun {
+                        job: self.job_sym.clone(),
                         step: Sym::Static("<runner>"),
                         outcome: Arc::new(outcome),
-                        started: driver.now(),
-                        ended: driver.now(),
+                        started: now,
+                        ended: now,
                         tasks: Box::default(),
                     });
-                    continue;
+                    return None;
                 }
             };
-            driver.sleep(runner.startup);
-            // A fork's code never sees the base repository's secrets.
-            let secrets = if fork {
+            // Secrets and plan are taken before the runner boots: nothing
+            // the world does meanwhile reaches the engine. A fork's code
+            // never sees the base repository's secrets.
+            let secrets = if self.fork {
                 Arc::default()
             } else {
-                self.secrets.resolve(org, &repo, job.environment.as_deref())
+                let org = self.repo.split('/').next().unwrap_or(&self.repo);
+                engine
+                    .secrets
+                    .resolve(org, &self.repo, job.environment.as_deref())
             };
             // Everything keying-related is gated on a live cache: with
             // `CacheMode::Off` no stem, key, digest, or chain work runs.
-            let stacks = cache.as_ref().map(|_| &self.stacks);
-            let slot = &mut plans[job_ix];
+            let stacks = self.cache.as_ref().map(|_| &engine.stacks);
+            let env = &self.repo_env_vars;
+            let slot = &mut self.plans[job_ix];
             let kept = slot
                 .take()
-                .filter(|plan| plan.absorbed(&secrets, &repo_env_vars, runner, stacks));
-            let plan = slot.insert(kept.unwrap_or_else(|| {
-                let env = &repo_env_vars;
-                JobPlan::build(job, &secrets, env, runner, stacks, &mut self.interner)
+                .filter(|plan| plan.absorbed(&secrets, env, runner, stacks));
+            *slot = Some(kept.unwrap_or_else(|| {
+                JobPlan::build(job, &secrets, env, runner, stacks, &mut engine.interner)
             }));
-            let mut job_failed = false;
-            for (step_ix, step) in job.steps.iter().enumerate() {
-                let planned = &plan.steps[step_ix];
-                let step_sym = planned.id.clone();
-                let keyed = cache
-                    .as_ref()
-                    .zip(planned.stem.as_ref())
-                    .map(|(cache, stem)| (cache, stem.finish(&commit, chain)));
-
-                // Replay: a hit skips execution entirely — the recorded
-                // outcome is shared (not copied), its artifacts re-attached
-                // by address, and virtual time advances by the recorded
-                // duration, so the replayed timeline matches the recorded one
-                // exactly. An entry whose artifacts this store no longer
-                // holds cannot be replayed: it is a miss.
-                let hit = match &keyed {
-                    Some((cache, key)) if self.cache_mode == CacheMode::Replay => cache
-                        .lookup(key)
-                        .filter(|e| {
-                            self.artifacts
-                                .retain_cached(&e.artifacts, &mut replayed_artifacts)
-                        })
-                        .map(|entry| (*cache, entry)),
-                    _ => None,
-                };
-                let (rec, result) = if let Some((cache, entry)) = hit {
-                    cache.note_hit();
-                    self.counters.step_cache_hits += 1;
-                    self.obs.observe("ci.step_replay_us", entry.duration_us);
-                    let started = driver.now();
-                    driver.sleep(SimDuration::from_micros(entry.duration_us));
-                    let ended = driver.now();
-                    for ((name, digest, _), content) in
-                        entry.artifacts.iter().zip(replayed_artifacts.drain(..))
-                    {
-                        self.counters.artifact_logical_bytes += content.len() as u64;
-                        self.artifacts.attach(id, name, *digest, content, ended);
-                    }
-                    let rec = StepRun {
-                        job: job_sym.clone(),
-                        step: step_sym,
-                        outcome: entry.outcome.clone(),
-                        started,
-                        ended,
-                        tasks: Box::default(),
-                    };
-                    (rec, entry.result)
-                } else {
-                    let started = driver.now();
-                    let result = self.execute_step(
-                        &step.action,
-                        plan,
-                        step_ix,
-                        &repo,
-                        &commit,
-                        &steps_acc,
-                        started,
-                        driver,
-                    );
-                    let ended = driver.now();
-                    // Only a live cache consumes the refs; `Vec::new` itself
-                    // never allocates, so cache-off pays nothing here.
-                    let mut artifact_refs: Vec<(String, Digest, u64)> = Vec::new();
-                    for (name, content) in result.artifacts {
-                        // Logical is what the step produced, stored is what
-                        // the CAS grew by (zero for a duplicate; without a
-                        // CAS the two are equal).
-                        let len = content.len() as u64;
-                        let (digest, stored) =
-                            self.artifacts.upload_accounted(id, &name, content, ended);
-                        self.counters.artifact_logical_bytes += len;
-                        self.counters.artifact_stored_bytes += stored;
-                        if keyed.is_some() {
-                            artifact_refs.push((name, digest, len));
-                        }
-                    }
-                    // Outputs are masked like the log: CORRECT copies the
-                    // task's raw stdout/stderr into them, and they flow on
-                    // into the step cache, provenance and transcripts.
-                    let mut outputs = result.outputs;
-                    for value in outputs.values_mut() {
-                        *value = self.secrets.mask(std::mem::take(value));
-                    }
-                    // The log stays in the run arena for good: give back the
-                    // spare capacity the action's string building left behind.
-                    let mut stdout = self.secrets.mask(result.stdout);
-                    let mut stderr = self.secrets.mask(result.stderr);
-                    stdout.shrink_to_fit();
-                    stderr.shrink_to_fit();
-                    let outcome = Arc::new(StepOutcome {
-                        success: result.success,
-                        stdout,
-                        stderr,
-                        outputs,
-                        infra: result.infra,
-                    });
-                    let mut digest = Digest::NONE;
-                    if let Some((cache, key)) = &keyed {
-                        // Hashed here and nowhere else: the entry carries it.
-                        digest = result_digest(&outcome);
-                        if outcome.infra != Infra::Untouched {
-                            cache.note_uncacheable();
-                            self.counters.step_cache_uncacheable += 1;
-                        } else {
-                            cache.note_miss();
-                            self.counters.step_cache_misses += 1;
-                            cache.record_outcome(
-                                key,
-                                outcome.clone(),
-                                digest,
-                                artifact_refs,
-                                ended.since(started).as_micros(),
-                            );
-                        }
-                    }
-                    let rec = StepRun {
-                        job: job_sym.clone(),
-                        step: step_sym,
-                        outcome,
-                        started,
-                        ended,
-                        tasks: result.tasks.into_boxed_slice(),
-                    };
-                    (rec, digest)
-                };
-                if let Some((_, key)) = &keyed {
-                    chain = chain_digest(key.0, result);
-                }
-                let success = rec.success;
-                steps_acc.push(rec);
-                if !success {
-                    // Soft failure (`continue-on-error`): later steps still
-                    // run (so stdout/stderr artifacts upload regardless of
-                    // outcome, §6.2), but the run is reported failed either
-                    // way — the UI must show the red X of Fig. 5.
-                    run_failed = true;
-                    if !step.continue_on_error {
-                        job_failed = true;
-                        break;
-                    }
-                }
+            self.step_ix = Some(0);
+            return Some(Effect::At(now + runner.startup));
+        };
+        let Some(step) = job.steps.get(step_ix).filter(|_| !self.job_failed) else {
+            if std::mem::take(&mut self.job_failed) {
+                self.failed_jobs.push(job_ix);
+                self.run_failed = true;
             }
-            if job_failed {
-                failed_jobs.push(&job.id);
-                run_failed = true;
-            }
-        }
+            self.position += 1;
+            self.step_ix = None;
+            return None;
+        };
+        self.step_ix = Some(step_ix + 1);
+        let plan = self.plans[job_ix]
+            .as_mut()
+            .expect("planned when the job began");
+        let planned = &plan.steps[step_ix];
+        self.step_sym = planned.id.clone();
+        self.started = now;
+        self.soft = step.continue_on_error;
+        self.key = self
+            .cache
+            .as_ref()
+            .zip(planned.stem.as_ref())
+            .map(|(_, stem)| stem.finish(&self.commit, self.chain));
 
-        if let Some(installed) = self.installed_mut(&repo, &workflow) {
-            installed.plans = plans;
+        // Replay: a hit skips execution entirely — the recorded outcome is
+        // shared (not copied), its artifacts re-attached by address, and
+        // virtual time advances by the recorded duration, so the replayed
+        // timeline matches the recorded one exactly. An entry whose
+        // artifacts this store no longer holds cannot be replayed: it is a
+        // miss.
+        let hit = match (&self.cache, &self.key) {
+            (Some(cache), Some(key)) if engine.cache_mode == CacheMode::Replay => cache
+                .lookup(key)
+                .filter(|e| {
+                    engine
+                        .artifacts
+                        .retain_cached(&e.artifacts, &mut self.replayed_artifacts)
+                })
+                .map(|entry| (cache, entry)),
+            _ => None,
+        };
+        if let Some((cache, entry)) = hit {
+            cache.note_hit();
+            engine.counters.step_cache_hits += 1;
+            engine.obs.observe("ci.step_replay_us", entry.duration_us);
+            let ends = now + SimDuration::from_micros(entry.duration_us);
+            self.in_flight = InFlight::Replayed(entry);
+            return Some(Effect::At(ends));
         }
-        let run = self.run_mut(id).expect("still exists");
-        run.steps = steps_acc;
-        run.ended_at = Some(driver.now());
-        run.status = if run_failed { RunStatus::Failure } else { RunStatus::Success };
-    }
-
-    /// Execute step `step_ix` of `plan`'s job, begun at `started`, under the
-    /// plan's secrets and env. An action's step waits only here: each
-    /// [`Effect`] it returns becomes a `driver.step()` or `driver.sleep()`.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_step(
-        &mut self,
-        action: &StepAction,
-        plan: &mut JobPlan,
-        step_ix: usize,
-        repo: &Sym,
-        commit: &Sym,
-        prior_steps: &[StepRun],
-        started: SimTime,
-        driver: &mut dyn WorldDriver,
-    ) -> crate::action::StepResult {
-        use crate::action::StepResult;
-        match action {
+        let result = match &step.action {
             StepAction::Run { command } => {
                 // The runner-side shell: commands cost a base latency and
                 // fail only when explicitly told to (tests exercise the
                 // control flow, not a shell implementation).
                 let cmd = interpolate_cow(command, &plan.secrets, &plan.env);
-                driver.sleep(SimDuration::from_millis(800));
-                if cmd.contains("exit 1") {
+                self.in_flight = InFlight::Due(if cmd.contains("exit 1") {
                     StepResult::fail(format!("$ {cmd}\ncommand failed with exit code 1"))
                 } else {
                     StepResult::ok(format!("$ {cmd}\nok"))
-                }
-            }
-            StepAction::Uses { action: name, .. } => {
-                let Some(implementation) = self.actions.get(name) else {
-                    return StepResult::fail(format!("unknown action: {name}"));
-                };
-                let mut step = implementation.start(StepContext {
-                    repo: repo.clone(),
-                    commit: commit.clone(),
-                    inputs: plan.inputs(step_ix, action),
-                    started,
                 });
-                loop {
-                    match step.poll() {
-                        Effect::Done(result) => return result,
-                        Effect::Event if !driver.step() => return step.quiet(),
-                        Effect::Event => {}
-                        Effect::At(t) => driver.sleep(t.since(driver.now())),
+                return Some(Effect::At(now + SimDuration::from_millis(800)));
+            }
+            StepAction::Uses { action: name, .. } => match engine.actions.get(name) {
+                Some(implementation) => {
+                    self.in_flight = InFlight::Step(implementation.start(StepContext {
+                        repo: self.repo.clone(),
+                        commit: self.commit.clone(),
+                        inputs: plan.inputs(step_ix, &step.action),
+                        started: now,
+                    }));
+                    return None;
+                }
+                None => StepResult::fail(format!("unknown action: {name}")),
+            },
+            StepAction::UploadArtifact { name, from_step } => {
+                match self.steps_acc.iter().find(|s| s.step == from_step.as_str()) {
+                    None => {
+                        StepResult::fail(format!("upload-artifact: no prior step `{from_step}`"))
+                    }
+                    Some(source) if source.stderr.is_empty() => {
+                        StepResult::ok(format!("uploaded artifact {name}"))
+                            .with_artifact(name, &source.stdout)
+                    }
+                    Some(source) => {
+                        let (stdout, stderr) = (&source.stdout, &source.stderr);
+                        StepResult::ok(format!("uploaded artifact {name}"))
+                            .with_artifact(name, format!("{stdout}\n--- stderr ---\n{stderr}"))
                     }
                 }
             }
-            StepAction::UploadArtifact { name, from_step } => {
-                let Some(source) = prior_steps.iter().find(|s| s.step == from_step.as_str()) else {
-                    return StepResult::fail(format!("upload-artifact: no prior step `{from_step}`"));
-                };
-                let result = StepResult::ok(format!("uploaded artifact {name}"));
-                if source.stderr.is_empty() {
-                    return result.with_artifact(name, &source.stdout);
-                }
-                let (stdout, stderr) = (&source.stdout, &source.stderr);
-                result.with_artifact(name, format!("{stdout}\n--- stderr ---\n{stderr}"))
+        };
+        self.in_flight = InFlight::Due(result);
+        None
+    }
+
+    /// Record the in-flight step's result, ended at `ended`: upload its
+    /// artifacts, mask its log and outputs, and offer it to the cache.
+    fn executed(&mut self, engine: &mut CiEngine, result: StepResult, ended: SimTime) {
+        let keyed = self.cache.as_ref().zip(self.key.as_ref());
+        // Only a live cache consumes the refs; `Vec::new` itself never
+        // allocates, so cache-off pays nothing here.
+        let mut artifact_refs: Vec<(String, Digest, u64)> = Vec::new();
+        for (name, content) in result.artifacts {
+            // Logical is what the step produced, stored is what the CAS grew
+            // by (zero for a duplicate; without a CAS the two are equal).
+            let len = content.len() as u64;
+            let (digest, stored) = engine
+                .artifacts
+                .upload_accounted(self.id, &name, content, ended);
+            engine.counters.artifact_logical_bytes += len;
+            engine.counters.artifact_stored_bytes += stored;
+            if keyed.is_some() {
+                artifact_refs.push((name, digest, len));
             }
         }
+        // Outputs are masked like the log: CORRECT copies the task's raw
+        // stdout/stderr into them, and they flow on into the step cache,
+        // provenance and transcripts.
+        let mut outputs = result.outputs;
+        for value in outputs.values_mut() {
+            *value = engine.secrets.mask(std::mem::take(value));
+        }
+        // The log stays in the run arena for good: give back the spare
+        // capacity the action's string building left behind.
+        let mut stdout = engine.secrets.mask(result.stdout);
+        let mut stderr = engine.secrets.mask(result.stderr);
+        stdout.shrink_to_fit();
+        stderr.shrink_to_fit();
+        let outcome = Arc::new(StepOutcome {
+            success: result.success,
+            stdout,
+            stderr,
+            outputs,
+            infra: result.infra,
+        });
+        let mut digest = Digest::NONE;
+        if let Some((cache, key)) = keyed {
+            // Hashed here and nowhere else: the entry carries it.
+            digest = result_digest(&outcome);
+            if outcome.infra != Infra::Untouched {
+                cache.note_uncacheable();
+                engine.counters.step_cache_uncacheable += 1;
+            } else {
+                cache.note_miss();
+                engine.counters.step_cache_misses += 1;
+                let duration = ended.since(self.started).as_micros();
+                cache.record_outcome(key, outcome.clone(), digest, artifact_refs, duration);
+            }
+        }
+        self.record(outcome, digest, result.tasks.into_boxed_slice(), ended);
+    }
+
+    /// Record the in-flight replay hit, ended at `ended`.
+    fn replayed(&mut self, engine: &mut CiEngine, entry: &StepEntry, ended: SimTime) {
+        for ((name, digest, _), content) in entry
+            .artifacts
+            .iter()
+            .zip(self.replayed_artifacts.drain(..))
+        {
+            engine.counters.artifact_logical_bytes += content.len() as u64;
+            engine
+                .artifacts
+                .attach(self.id, name, *digest, content, ended);
+        }
+        self.record(entry.outcome.clone(), entry.result, Box::default(), ended);
+    }
+
+    /// Append the in-flight step's record and fold its result into the
+    /// chain.
+    fn record(
+        &mut self,
+        outcome: Arc<StepOutcome>,
+        result: Digest,
+        tasks: Box<[u64]>,
+        ended: SimTime,
+    ) {
+        if let Some(key) = &self.key {
+            self.chain = chain_digest(key.0, result);
+        }
+        if !outcome.success {
+            // Soft failure (`continue-on-error`): later steps still run (so
+            // stdout/stderr artifacts upload regardless of outcome, §6.2),
+            // but the run is reported failed either way — the UI must show
+            // the red X of Fig. 5.
+            self.run_failed = true;
+            self.job_failed = !self.soft;
+        }
+        self.steps_acc.push(StepRun {
+            job: self.job_sym.clone(),
+            step: self.step_sym.clone(),
+            outcome,
+            started: self.started,
+            ended,
+            tasks,
+        });
+    }
+
+    /// Hand the plans back and end the run at `now`.
+    fn end(&mut self, engine: &mut CiEngine, now: SimTime) -> Effect<()> {
+        if let Some(installed) = engine.installed_mut(&self.repo, &self.workflow) {
+            installed.plans = std::mem::take(&mut self.plans);
+        }
+        if let Some(run) = engine.run_mut(self.id) {
+            run.steps = std::mem::take(&mut self.steps_acc);
+            run.ended_at = Some(now);
+            run.status = if self.run_failed {
+                RunStatus::Failure
+            } else {
+                RunStatus::Success
+            };
+        }
+        Effect::Done(())
     }
 }
 
