@@ -3,8 +3,11 @@
 //! Marketplace actions (§4.1) are Rust implementations of [`Action`]
 //! registered with the engine by name. A step an action starts never
 //! advances the world: each poll returns an [`Effect`] — CORRECT blocking
-//! until its FaaS task returns is [`Effect::Event`] — and the engine alone
-//! moves virtual time, through [`WorldDriver`], keeping runs deterministic.
+//! until its FaaS task returns is [`Effect::Event`]. A run is polled the same
+//! way: it returns its in-flight step's effects and its own waits (runner
+//! startup, a `run:` step, a replayed step) as [`Effect::At`], and
+//! `CiEngine::execute_ready` alone moves virtual time, through
+//! [`WorldDriver`], keeping runs deterministic.
 
 use crate::run::{Infra, Outputs};
 use hpcci_sim::{SimDuration, SimTime, Sym};
@@ -13,7 +16,7 @@ use std::sync::Arc;
 
 /// Advances the federation's virtual time. Implemented by whatever owns the
 /// full component set (see `correct-core`'s `Federation`); during a run the
-/// engine maps each [`Effect`] a step returns to `step` or `sleep`.
+/// engine maps each [`Effect`] the run returns to `step` or `sleep`.
 pub trait WorldDriver {
     /// Current virtual time.
     fn now(&self) -> SimTime;

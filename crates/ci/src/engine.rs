@@ -40,9 +40,9 @@ struct Installed {
 /// The part of an installed workflow a run shares by `Arc`.
 struct Shape {
     def: WorkflowDef,
-    /// [`WorkflowDef::job_order`] as indices into `def.jobs`; a bad `needs`
-    /// is reported by every trigger that would instantiate the workflow.
-    order: Result<Vec<usize>, (String, String)>,
+    /// [`WorkflowDef::job_order`] as indices into `def.jobs`; a refused
+    /// workflow is reported by every trigger that would instantiate it.
+    order: Result<Vec<usize>, CiError>,
 }
 
 /// What no push changes about one job's steps, kept between runs in every
@@ -505,11 +505,8 @@ impl CiEngine {
     ) -> Result<RunId, CiError> {
         let def = &shape.def;
         // Validate job graph and environment references up front.
-        if let Err((job, needs)) = &shape.order {
-            return Err(CiError::BadJobDependency {
-                job: job.clone(),
-                needs: needs.clone(),
-            });
+        if let Err(e) = &shape.order {
+            return Err(e.clone());
         }
         let mut needs_approval = false;
         let repo_envs = self.environments.get(repo);
@@ -617,19 +614,24 @@ impl CiEngine {
 
     /// Execute every run whose earliest-start has arrived. Returns the ids
     /// executed, in order. The one place the engine moves the world: each
-    /// [`Effect`] a run's [`RunCursor`] returns becomes a `driver.step()` or
+    /// [`Effect`] a run's `RunCursor` returns becomes a `driver.step()` or
     /// a `driver.sleep()`.
     pub fn execute_ready(&mut self, driver: &mut dyn WorldDriver) -> Vec<RunId> {
         let mut executed = Vec::new();
         while let Some((id, earliest)) = self.ready.pop_front() {
             let mut run = RunCursor::new(self, id, earliest);
             loop {
-                let now = driver.now();
-                match run.poll(self, now) {
+                // The clock is read at most once a poll, and not at all by a
+                // poll that only finds a step still waiting.
+                let mut now = None;
+                match run.poll(self, &mut || *now.get_or_insert_with(|| driver.now())) {
                     Effect::Done(()) => break,
                     Effect::Event if !driver.step() => run.quiet(),
                     Effect::Event => {}
-                    Effect::At(t) => driver.sleep(t.since(now)),
+                    Effect::At(t) => {
+                        let now = now.unwrap_or_else(|| driver.now());
+                        driver.sleep(t.since(now));
+                    }
                 }
             }
             executed.push(id);
@@ -742,8 +744,17 @@ impl RunCursor {
         }
     }
 
-    /// Go on with the run at `now` until it waits or ends.
-    fn poll(&mut self, engine: &mut CiEngine, now: SimTime) -> Effect<()> {
+    /// Go on with the run until it waits or ends, at the instant `clock`
+    /// reads. A step still waiting is polled before the clock is read.
+    fn poll(&mut self, engine: &mut CiEngine, clock: &mut dyn FnMut() -> SimTime) -> Effect<()> {
+        if let InFlight::Step(step) = &mut self.in_flight {
+            match step.poll() {
+                Effect::Done(result) => self.in_flight = InFlight::Due(result),
+                Effect::Event => return Effect::Event,
+                Effect::At(t) => return Effect::At(t),
+            }
+        }
+        let now = clock();
         loop {
             match std::mem::replace(&mut self.in_flight, InFlight::Nothing) {
                 InFlight::Nothing => {
@@ -933,14 +944,15 @@ impl RunCursor {
                     None => {
                         StepResult::fail(format!("upload-artifact: no prior step `{from_step}`"))
                     }
-                    Some(source) if source.stderr.is_empty() => {
-                        StepResult::ok(format!("uploaded artifact {name}"))
-                            .with_artifact(name, &source.stdout)
-                    }
                     Some(source) => {
+                        let result = StepResult::ok(format!("uploaded artifact {name}"));
                         let (stdout, stderr) = (&source.stdout, &source.stderr);
-                        StepResult::ok(format!("uploaded artifact {name}"))
-                            .with_artifact(name, format!("{stdout}\n--- stderr ---\n{stderr}"))
+                        if stderr.is_empty() {
+                            result.with_artifact(name, stdout)
+                        } else {
+                            result
+                                .with_artifact(name, format!("{stdout}\n--- stderr ---\n{stderr}"))
+                        }
                     }
                 }
             }

@@ -20,6 +20,8 @@ pub enum CiError {
     BranchNotAllowed { environment: String, branch: String },
     /// A job's `needs` reference a job id that does not exist.
     BadJobDependency { job: String, needs: String },
+    /// Two jobs of one workflow share this id.
+    DuplicateJob(String),
     /// No runner satisfies the job's `runs_on` selector.
     NoRunnerAvailable(String),
 }
@@ -47,6 +49,7 @@ impl fmt::Display for CiError {
             CiError::BadJobDependency { job, needs } => {
                 write!(f, "job {job} needs unknown job {needs}")
             }
+            CiError::DuplicateJob(job) => write!(f, "job id {job} is used twice"),
             CiError::NoRunnerAvailable(sel) => write!(f, "no runner matches selector {sel}"),
         }
     }

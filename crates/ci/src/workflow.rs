@@ -1,5 +1,6 @@
 //! Workflow definitions: the in-memory equivalent of the YAML files of §4.1.
 
+use crate::error::CiError;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
@@ -239,20 +240,26 @@ impl WorkflowDef {
         self
     }
 
-    /// Validate `needs` references and produce a topological job order.
-    /// Deterministic: ready jobs run in definition order.
-    pub fn job_order(&self) -> Result<Vec<&JobDef>, (String, String)> {
+    /// Validate job ids and `needs` references and produce a topological
+    /// job order. Deterministic: ready jobs run in definition order.
+    pub fn job_order(&self) -> Result<Vec<&JobDef>, CiError> {
         let ids: Vec<&str> = self.jobs.iter().map(|j| j.id.as_str()).collect();
+        if let Some((_, id)) = ids.iter().enumerate().find(|(i, id)| ids[..*i].contains(id)) {
+            return Err(CiError::DuplicateJob(id.to_string()));
+        }
         for j in &self.jobs {
             for n in &j.needs {
                 if !ids.contains(&n.as_str()) {
-                    return Err((j.id.clone(), n.clone()));
+                    return Err(CiError::BadJobDependency {
+                        job: j.id.clone(),
+                        needs: n.clone(),
+                    });
                 }
             }
         }
         let mut done: Vec<&str> = Vec::new();
         let mut order: Vec<&JobDef> = Vec::new();
-        while order.len() < self.jobs.len() {
+        while let Some(stuck) = self.jobs.iter().find(|j| !done.contains(&j.id.as_str())) {
             let before = order.len();
             for j in &self.jobs {
                 if done.contains(&j.id.as_str()) {
@@ -265,12 +272,10 @@ impl WorkflowDef {
             }
             if order.len() == before {
                 // Dependency cycle: report the first unresolved job.
-                let stuck = self
-                    .jobs
-                    .iter()
-                    .find(|j| !done.contains(&j.id.as_str()))
-                    .expect("at least one unresolved");
-                return Err((stuck.id.clone(), stuck.needs.join(",")));
+                return Err(CiError::BadJobDependency {
+                    job: stuck.id.clone(),
+                    needs: stuck.needs.join(","),
+                });
             }
         }
         Ok(order)
@@ -343,12 +348,27 @@ mod tests {
     #[test]
     fn job_order_rejects_unknown_and_cycles() {
         let wf = WorkflowDef::new("w").with_job(JobDef::new("a").with_needs(&["ghost"]));
-        assert_eq!(wf.job_order().unwrap_err(), ("a".to_string(), "ghost".to_string()));
+        assert_eq!(
+            wf.job_order().unwrap_err(),
+            CiError::BadJobDependency {
+                job: "a".to_string(),
+                needs: "ghost".to_string()
+            }
+        );
 
         let cyc = WorkflowDef::new("w")
             .with_job(JobDef::new("a").with_needs(&["b"]))
             .with_job(JobDef::new("b").with_needs(&["a"]));
         assert!(cyc.job_order().is_err());
+    }
+
+    #[test]
+    fn job_order_refuses_two_jobs_of_one_id() {
+        let wf = WorkflowDef::new("w")
+            .with_job(JobDef::new("a"))
+            .with_job(JobDef::new("b"))
+            .with_job(JobDef::new("a").with_needs(&["b"]));
+        assert_eq!(wf.job_order().unwrap_err(), CiError::DuplicateJob("a".to_string()));
     }
 
     #[test]

@@ -406,15 +406,6 @@ impl Endpoint {
         out.append(&mut self.finished);
     }
 
-    /// Gracefully stop: release the worker block and hand every queued task
-    /// back at `now`, failed as infrastructure; running tasks still finish.
-    pub fn stop(&mut self, site: &mut SiteRuntime, now: SimTime) {
-        self.catch_up(site, now);
-        self.workers.release(site.scheduler_mut(), now);
-        self.stopped = true;
-        self.give_back_queue("infrastructure: endpoint stopped", now);
-    }
-
     fn catch_up(&mut self, site: &mut SiteRuntime, now: SimTime) {
         if now > self.now {
             self.advance_to(site, now);
@@ -576,8 +567,8 @@ mod tests {
             self.ep.enqueue(&mut self.site.lock(), id, command, now)
         }
 
-        fn stop(&mut self, now: SimTime) {
-            self.ep.stop(&mut self.site.lock(), now)
+        fn crash(&mut self, now: SimTime) {
+            self.ep.force_crash(&mut self.site.lock(), now)
         }
 
         fn finished(&mut self) -> Vec<(TaskId, Box<TaskOutput>)> {
@@ -711,35 +702,11 @@ mod tests {
     #[test]
     fn stopped_endpoint_rejects() {
         let mut ep = login_endpoint(1);
-        ep.stop(SimTime::ZERO);
+        ep.crash(SimTime::ZERO);
         assert!(matches!(
             ep.enqueue(TaskId(1), "sleepy", SimTime::ZERO),
             Err(FaasError::EndpointStopped(_))
         ));
-    }
-
-    #[test]
-    fn stopping_hands_queued_tasks_back_and_lets_running_ones_finish() {
-        // One worker: task 1 runs from t=0.5s, task 2 waits behind it.
-        let mut ep = login_endpoint(1);
-        ep.enqueue(TaskId(1), "sleepy", SimTime::ZERO).unwrap();
-        ep.enqueue(TaskId(2), "sleepy", SimTime::ZERO).unwrap();
-        ep.advance_to(SimTime::from_secs(1));
-        let stop = SimTime::from_secs(2);
-        ep.stop(stop);
-        assert!(ep.ep.queue.is_empty());
-        drive(&mut ep);
-        assert_eq!(ep.next_event(), None);
-        let finished = ep.finished();
-        assert_eq!(
-            finished.iter().map(|(id, _)| id.0).collect::<Vec<_>>(),
-            [2, 1]
-        );
-        let (given_back, ran) = (&finished[0].1, &finished[1].1);
-        assert_eq!(given_back.result, Err(TaskFailure::WorkerCrashed));
-        assert_eq!(given_back.stderr, "infrastructure: endpoint stopped");
-        assert_eq!((given_back.started, given_back.ended), (stop, stop));
-        assert!(ran.success() && ran.ended > stop, "running tasks finish");
     }
 
     /// A FASTER endpoint as `x-u`, its workers in 1-hour pilots on a
@@ -788,7 +755,7 @@ mod tests {
         assert!(matches!(second.pilot_job().1, JobState::Pending { .. }));
 
         let (job, _) = first.pilot_job();
-        first.stop(SimTime::from_secs(100));
+        first.crash(SimTime::from_secs(100));
         assert!(matches!(
             job_state(&site, job),
             JobState::Completed { success: true, .. }
@@ -796,14 +763,14 @@ mod tests {
         second.advance_to(SimTime::from_secs(101));
         assert!(matches!(second.pilot_job().1, JobState::Running { .. }));
 
-        // A third endpoint's pilot now queues; stopping it cancels the job.
+        // A third endpoint's pilot now queues; crashing it cancels the job.
         let mut third = pilot_at(&site, "ep-c");
         third
             .enqueue(TaskId(3), "job", SimTime::from_secs(102))
             .unwrap();
         let (job, state) = third.pilot_job();
         assert!(matches!(state, JobState::Pending { .. }));
-        third.stop(SimTime::from_secs(103));
+        third.crash(SimTime::from_secs(103));
         assert!(matches!(job_state(&site, job), JobState::Cancelled { .. }));
     }
 

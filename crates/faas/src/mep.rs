@@ -273,15 +273,6 @@ impl MultiUserEndpoint {
         }
     }
 
-    /// Stop every UEP: queued tasks come back failed as infrastructure,
-    /// running ones finish.
-    pub fn stop(&mut self, site: &mut SiteRuntime, now: SimTime) {
-        for pair in self.ueps.values_mut() {
-            pair.login.stop(site, now);
-            pair.task.stop(site, now);
-        }
-    }
-
     /// When some UEP of this MEP next changes state on its own (see
     /// [`Endpoint::next_event`] for `scheduler_next`).
     pub fn next_event(&self, mut scheduler_next: impl FnMut() -> Option<SimTime>) -> Option<SimTime> {

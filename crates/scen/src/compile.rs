@@ -190,6 +190,11 @@ impl ScenarioSpec {
         }
         let workflow = self.workflow_def(&environments, &endpoint_names);
         let workflow_name = workflow.name.clone();
+        // A workflow the engine would refuse at every trigger is a bad
+        // document, refused before any trigger runs.
+        if let Err(e) = workflow.job_order() {
+            return Err(SpecError(format!("workflow `{workflow_name}`: {e}")));
+        }
         fed.engine.add_workflow(&self.workload.repo, workflow);
 
         Ok(BuiltScenario {

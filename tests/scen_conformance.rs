@@ -338,6 +338,20 @@ fn a_pilot_the_site_scheduler_can_never_start_is_refused() {
 }
 
 #[test]
+fn two_endpoints_on_one_fig4_site_are_refused_naming_the_job_they_share() {
+    // `multi_site_workflow` names a job `test-<environment>`: two endpoints
+    // on one site would make two jobs of one id.
+    let doc = include_str!("fixtures/paper/fig4-parsldock.toml");
+    let (from, to) = ("name = \"ep-chameleon-tacc\"\nsite = 0", "name = \"ep-chameleon-tacc\"\nsite = 1");
+    assert_eq!(doc.matches(from).count(), 1);
+    let spec = ScenarioSpec::from_toml(&doc.replace(from, to)).expect("document parses");
+    match verify_spec(&spec) {
+        Ok(_) => panic!("two jobs of one id were accepted"),
+        Err(e) => assert!(e.0.contains("job id test-"), "{e}"),
+    }
+}
+
+#[test]
 fn psij_verdicts_do_not_depend_on_earlier_psij_runs() {
     let spec = ScenarioSpec::from_toml(PSIJ_48_PUSHES).expect("fixture parses");
     let report = verify_spec(&spec).expect("fixture runs");
