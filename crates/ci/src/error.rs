@@ -22,6 +22,9 @@ pub enum CiError {
     BadJobDependency { job: String, needs: String },
     /// Two jobs of one workflow share this id.
     DuplicateJob(String),
+    /// The job can never start: its `needs` lead into a cycle. Names the
+    /// first such job in definition order.
+    JobCycle { job: String },
     /// No runner satisfies the job's `runs_on` selector.
     NoRunnerAvailable(String),
 }
@@ -50,6 +53,7 @@ impl fmt::Display for CiError {
                 write!(f, "job {job} needs unknown job {needs}")
             }
             CiError::DuplicateJob(job) => write!(f, "job id {job} is used twice"),
+            CiError::JobCycle { job } => write!(f, "job {job} waits on a needs cycle"),
             CiError::NoRunnerAvailable(sel) => write!(f, "no runner matches selector {sel}"),
         }
     }

@@ -272,10 +272,7 @@ impl WorkflowDef {
             }
             if order.len() == before {
                 // Dependency cycle: report the first unresolved job.
-                return Err(CiError::BadJobDependency {
-                    job: stuck.id.clone(),
-                    needs: stuck.needs.join(","),
-                });
+                return Err(CiError::JobCycle { job: stuck.id.clone() });
             }
         }
         Ok(order)
@@ -359,7 +356,9 @@ mod tests {
         let cyc = WorkflowDef::new("w")
             .with_job(JobDef::new("a").with_needs(&["b"]))
             .with_job(JobDef::new("b").with_needs(&["a"]));
-        assert!(cyc.job_order().is_err());
+        let err = cyc.job_order().unwrap_err();
+        assert_eq!(err, CiError::JobCycle { job: "a".to_string() });
+        assert_eq!(err.to_string(), "job a waits on a needs cycle");
     }
 
     #[test]

@@ -209,9 +209,9 @@ impl Session {
             return self.enter(Phase::Command);
         }
         // 5. Propagate outputs; the step fails when the function failed.
-        // The task's strings move into the outputs (one copy, for `stderr`).
+        // The task's texts are shared: each owned copy is made here.
         self.result.success = out.success();
-        self.result.stderr = out.stderr.clone();
+        self.result.stderr = out.stderr.to_string();
         let outputs = &mut self.result.outputs;
         *outputs = Outputs::with_capacity(5);
         outputs.insert(
@@ -220,8 +220,8 @@ impl Session {
         );
         outputs.insert("ran_as", out.ran_as.as_str().to_string());
         outputs.insert("node", out.node.as_str().to_string());
-        outputs.insert("stdout", out.stdout);
-        outputs.insert("stderr", out.stderr);
+        outputs.insert("stdout", out.stdout.to_string());
+        outputs.insert("stderr", out.stderr.to_string());
         if self.inputs.capture_environment {
             // 6. Optional provenance capture.
             return self.enter(Phase::Capture);
@@ -294,13 +294,13 @@ impl Step for Session {
                     Ok(cap) if self.phase == Phase::Capture => {
                         if cap.success() {
                             self.result = std::mem::take(&mut self.result)
-                                .with_artifact("environment.txt", &cap.stdout);
+                                .with_artifact("environment.txt", cap.stdout.as_str());
                         }
                         self.done()
                     }
                     Err(_) if self.phase == Phase::Capture => self.done(),
                     Ok(out) if out.result == Err(TaskFailure::WorkerCrashed) => {
-                        self.fail_over(out.stderr, now)
+                        self.fail_over(out.stderr.to_string(), now)
                     }
                     Ok(out) => self.completed(out),
                     Err(e) if e.is_infrastructure() => self.fail_over(format!("Error: {e}"), now),

@@ -13,7 +13,7 @@ use crate::mep::MultiUserEndpoint;
 use crate::task::{Task, TaskId, TaskOutput, TaskState};
 use hpcci_auth::{AuthService, HighAssurancePolicy, Identity, Scope};
 use hpcci_obs::Obs;
-use hpcci_sim::{Advance, EventQueue, FaultInjector, SimTime, Sym, Trace};
+use hpcci_sim::{Advance, EventQueue, FaultInjector, SimDuration, SimTime, Sym, Trace};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -143,6 +143,10 @@ pub struct CloudService {
     sites: Vec<SharedSite>,
     /// Slot → its index in `sites`.
     slot_sites: Vec<usize>,
+    /// Slot → one-way WAN latency between its site and the cloud, read
+    /// when the endpoint registers: both wire legs of a task need it, and
+    /// neither should lock the site for it.
+    slot_latency: Vec<SimDuration>,
     /// All tasks ever accepted, indexed by `TaskId` (ids are assigned
     /// sequentially from 1 and never removed, so `tasks[id - 1]` replaces a
     /// per-wire-event string of tree descents).
@@ -200,6 +204,7 @@ impl CloudService {
             endpoints: Vec::new(),
             sites: Vec::new(),
             slot_sites: Vec::new(),
+            slot_latency: Vec::new(),
             tasks: Vec::new(),
             wire: EventQueue::new(),
             trace: Trace::new(),
@@ -300,6 +305,7 @@ impl CloudService {
         mut registration: EndpointRegistration,
     ) -> EndpointId {
         let eid = EndpointId(id.to_string());
+        let latency = site.lock().site.perf.wan_rtt() / 2;
         let site = (self.sites.iter().position(|s| Arc::ptr_eq(s, &site))).unwrap_or_else(|| {
             self.sites.push(site);
             self.sites.len() - 1
@@ -324,9 +330,11 @@ impl CloudService {
         if slot == self.endpoints.len() {
             self.endpoints.push(registration);
             self.slot_sites.push(site);
+            self.slot_latency.push(latency);
         } else {
             self.endpoints[slot] = registration;
             self.slot_sites[slot] = site;
+            self.slot_latency[slot] = latency;
         }
         let sites = &self.slot_sites;
         self.site_mates = (sites.iter())
@@ -497,11 +505,6 @@ impl CloudService {
         Ok(auth.identity(info.identity)?.clone())
     }
 
-    /// One-way latency between `slot`'s site and the cloud service.
-    fn wan_latency(&self, slot: usize) -> hpcci_sim::SimDuration {
-        self.sites[self.slot_sites[slot]].lock().site.perf.wan_rtt() / 2
-    }
-
     fn accept(
         &mut self,
         identity: &Arc<Identity>,
@@ -522,7 +525,7 @@ impl CloudService {
             submitted_at: now,
             state: TaskState::Submitted { at: now },
         });
-        let latency = self.wan_latency(slot);
+        let latency = self.slot_latency[slot];
         let endpoint_name = &self.slot_name_syms[slot];
         // `{id} -> {endpoint}: {command}`, hand-built: byte-identical to the
         // `format!` it replaces, without per-field formatter dispatch, in the
@@ -588,7 +591,7 @@ impl CloudService {
         let mut finished = std::mem::take(&mut self.finished_scratch);
         self.endpoints[slot].drain_finished_into(&mut finished);
         if !finished.is_empty() {
-            let latency = self.wan_latency(slot);
+            let latency = self.slot_latency[slot];
             for (task, output) in finished.drain(..) {
                 let mut d = self.trace.detail_buf();
                 task.write_label(&mut d);
@@ -638,18 +641,17 @@ impl CloudService {
             InFlight::Deliver { task, identity, slot } => {
                 // The slot rode along from acceptance (registrations are
                 // never removed), so delivery needs no name lookup; the
-                // command is shared with the task record.
-                let component = self.slot_syms[slot].clone();
-                let command = self.tasks[task.0 as usize - 1].command.clone();
+                // command is borrowed from the task record.
                 let mut detail = self.trace.detail_buf();
                 task.write_label(&mut detail);
                 self.trace
-                    .record(at, component.clone(), "task.deliver", detail);
+                    .record(at, &self.slot_syms[slot], "task.deliver", detail);
                 let result = {
                     let site = &mut self.sites[self.slot_sites[slot]].lock();
+                    let command = &self.tasks[task.0 as usize - 1].command;
                     match &mut self.endpoints[slot] {
-                        EndpointRegistration::Single(e) => e.enqueue(site, task, &command, at),
-                        EndpointRegistration::Multi(m) => m.enqueue(site, task, &identity, &command, at),
+                        EndpointRegistration::Single(e) => e.enqueue(site, task, command, at),
+                        EndpointRegistration::Multi(m) => m.enqueue(site, task, &identity, command, at),
                     }
                 };
                 self.touch(slot);
@@ -657,6 +659,7 @@ impl CloudService {
                 let transition = match result {
                     Ok(()) => record.transition(TaskState::QueuedAtEndpoint { at }),
                     Err(e) => {
+                        let component = self.slot_syms[slot].clone();
                         self.trace
                             .record(at, component, "task.reject", format!("{task}: {e}"));
                         record.transition(TaskState::Rejected {
@@ -682,7 +685,7 @@ impl CloudService {
                 detail.push_str(if output.success() { " ok=true" } else { " ok=false" });
                 let record = &mut self.tasks[task.0 as usize - 1];
                 let submitted_at = record.submitted_at;
-                match record.transition(TaskState::Done(output)) {
+                match record.transition(TaskState::Done(*output)) {
                     Ok(()) => {
                         self.tasks_completed += 1;
                         self.obs
@@ -896,7 +899,7 @@ mod tests {
         let zero = us([9_000_001, 1, 9_000_001, 3_000_000]);
         let run = |as_runs: bool| {
             let mut s = setup(None);
-            let zero_ep = add_zero_latency_endpoint(&mut s);
+            let zero_ep = add_zero_latency_endpoint(&mut s, "ep-zero");
             for (ep, wave) in [(&s.endpoint, &lab), (&zero_ep, &zero)] {
                 if as_runs {
                     s.cloud.submit_shell_batch(&s.token, ep, "tox", SimTime::ZERO, wave).unwrap();
@@ -920,18 +923,18 @@ mod tests {
         assert_eq!((trace, tasks, end), run(false));
     }
 
-    /// Register `ep-zero` beside `ep-lab`: same owner, on a workstation whose
-    /// WAN legs take no time.
-    fn add_zero_latency_endpoint(s: &mut Setup) -> EndpointId {
+    /// Register `name` (`ep-lab` replaces the setup's endpoint): same owner,
+    /// on a workstation whose WAN legs take no time.
+    fn add_zero_latency_endpoint(s: &mut Setup, name: &str) -> EndpointId {
         let mut site = Site::workstation("zero");
         site.perf = site.perf.with_wan_latency(hpcci_sim::SimDuration::ZERO);
         let mut rt = SiteRuntime::new(site);
         rt.site.add_account("vhayot", "proj");
         rt.commands.register("tox", |_| ExecOutcome::ok("py312: commands succeeded", 8.0));
-        let config = EndpointConfig::new("ep-zero", s.owner, "vhayot");
+        let config = EndpointConfig::new(name, s.owner, "vhayot");
         let site = shared(rt);
         let ep = Endpoint::new(config, &mut site.lock(), TaskProvider::Local, 10).unwrap();
-        s.cloud.register_endpoint("ep-zero", site, EndpointRegistration::Single(Box::new(ep)))
+        s.cloud.register_endpoint(name, site, EndpointRegistration::Single(Box::new(ep)))
     }
 
     /// Register `mep-lab` beside `ep-lab`, at its site: the MEP maps the
@@ -951,7 +954,8 @@ mod tests {
         // `InFlight::Return` carries its output by handle; a by-value payload
         // would triple every queue entry the wire moves.
         assert!(std::mem::size_of::<InFlight>() <= 56);
-        assert!(std::mem::size_of::<Task>() <= 112);
+        // A finished task's output lives in its record, not behind a box.
+        assert!(std::mem::size_of::<Task>() <= 208);
         // The failure origin lives in `result`'s niche, not in a new field.
         assert!(std::mem::size_of::<TaskOutput>() <= 136);
     }
@@ -1166,6 +1170,23 @@ mod tests {
         // after the endpoint-side end.
         assert!(out.started.as_micros() > 0);
         assert!(end > out.ended, "return leg adds latency");
+    }
+
+    #[test]
+    fn a_re_registered_slot_takes_its_new_sites_latency() {
+        // One task on `name`, registered on the zero-latency site: when it
+        // started and ended at the endpoint, and when the cloud saw it end.
+        let run = |name| {
+            let mut s = setup(None);
+            let ep = add_zero_latency_endpoint(&mut s, name);
+            let task = s.cloud.submit_shell(&s.token, &ep, "tox", SimTime::ZERO).unwrap();
+            let end = drive(&mut s.cloud);
+            let out = s.cloud.task_result(task).unwrap();
+            (out.started, out.ended, end)
+        };
+        let (started, ended, end) = run("ep-lab");
+        assert_eq!(end, ended, "the return leg takes no time");
+        assert_eq!((started, ended, end), run("ep-zero"), "as on a fresh slot");
     }
 
     // ------------------------------------------------------------------

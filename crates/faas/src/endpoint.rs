@@ -347,10 +347,10 @@ impl Endpoint {
 
     /// The output of a task this endpoint gives up on at `now`: failed as
     /// infrastructure, with `stderr` saying why.
-    fn infra_failure(&self, stderr: &str, started: SimTime, now: SimTime) -> Box<TaskOutput> {
+    fn infra_failure(&self, stderr: &'static str, started: SimTime, now: SimTime) -> Box<TaskOutput> {
         Box::new(TaskOutput {
-            stdout: String::new(),
-            stderr: stderr.to_string(),
+            stdout: Sym::Static(""),
+            stderr: Sym::Static(stderr),
             result: Err(TaskFailure::WorkerCrashed),
             ran_as: Sym::from(self.config.local_user.as_str()),
             node: Sym::Static("-"),
@@ -360,7 +360,7 @@ impl Endpoint {
     }
 
     /// Hand every queued task back at `now`, failed as infrastructure.
-    fn give_back_queue(&mut self, stderr: &str, now: SimTime) {
+    fn give_back_queue(&mut self, stderr: &'static str, now: SimTime) {
         while let Some(task) = self.queue.pop_front() {
             let output = self.infra_failure(stderr, now, now);
             self.finished.push((task.id, output));
@@ -457,8 +457,8 @@ impl Endpoint {
                 Err(e) => {
                     // Misconfigured endpoint: every task fails.
                     let output = Box::new(TaskOutput {
-                        stdout: String::new(),
-                        stderr: e.to_string(),
+                        stdout: Sym::Static(""),
+                        stderr: Sym::from(e.to_string()),
                         result: Err(TaskFailure::Command(e.to_string())),
                         ran_as: Sym::from(self.config.local_user.as_str()),
                         node: Sym::Static("unknown"),

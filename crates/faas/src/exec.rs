@@ -13,7 +13,7 @@
 
 use hpcci_cluster::{Cred, NetworkZone, NodeRole, Site, UserAccount, WorkUnits};
 use hpcci_scheduler::BatchScheduler;
-use hpcci_sim::{DetRng, SimTime};
+use hpcci_sim::{DetRng, SimTime, Sym};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -21,8 +21,10 @@ use std::sync::Arc;
 /// What executing a command produced, plus its simulated cost.
 #[derive(Debug, Clone)]
 pub struct ExecOutcome {
-    pub stdout: String,
-    pub stderr: String,
+    /// Shared text: a handler that prints the same text for every task
+    /// hands each task a handle to it, not a copy.
+    pub stdout: Sym,
+    pub stderr: Sym,
     /// The verdict: `Err` carries the failure message. A command returns
     /// nothing else; what it has to say is in stdout and stderr.
     pub result: Result<(), String>,
@@ -32,26 +34,26 @@ pub struct ExecOutcome {
 }
 
 impl ExecOutcome {
-    pub fn ok(stdout: impl Into<String>, work: f64) -> ExecOutcome {
+    pub fn ok(stdout: impl Into<Sym>, work: f64) -> ExecOutcome {
         ExecOutcome {
             stdout: stdout.into(),
-            stderr: String::new(),
+            stderr: Sym::Static(""),
             result: Ok(()),
             work: WorkUnits::secs(work),
         }
     }
 
-    pub fn fail(stderr: impl Into<String>, work: f64) -> ExecOutcome {
+    pub fn fail(stderr: impl Into<Sym>, work: f64) -> ExecOutcome {
         let stderr = stderr.into();
         ExecOutcome {
-            stdout: String::new(),
-            result: Err(stderr.clone()),
+            stdout: Sym::Static(""),
+            result: Err(stderr.to_string()),
             stderr,
             work: WorkUnits::secs(work),
         }
     }
 
-    pub fn with_stdout(mut self, stdout: impl Into<String>) -> ExecOutcome {
+    pub fn with_stdout(mut self, stdout: impl Into<Sym>) -> ExecOutcome {
         self.stdout = stdout.into();
         self
     }

@@ -99,9 +99,12 @@ pub struct MultiUserEndpoint {
     /// Forked UEP pairs by local user; the key is the one interned copy of
     /// that name (the audit log holds handles to it).
     ueps: BTreeMap<Arc<str>, UepPair>,
-    /// Administrator-auditable log: (task, submitting identity, local user),
-    /// by handle — the identity is the one the task was submitted with.
-    audit_log: Vec<(TaskId, Arc<Identity>, Arc<str>)>,
+    /// Administrator-auditable log: every task in submission order, and one
+    /// `(first index, submitting identity, local user)` per run of
+    /// consecutive tasks submitted under the same two handles — the identity
+    /// is the one the task was submitted with. See [`Self::audit_log`].
+    audit_tasks: Vec<TaskId>,
+    audit_runs: Vec<(usize, Arc<Identity>, Arc<str>)>,
     seed: u64,
     /// Both handles come from the cloud (see [`Self::attach`]) and go on
     /// into every forked UEP.
@@ -137,7 +140,8 @@ impl MultiUserEndpoint {
             restrict_functions: None,
             template,
             ueps: BTreeMap::new(),
-            audit_log: Vec::new(),
+            audit_tasks: Vec::new(),
+            audit_runs: Vec::new(),
             seed: 0x6d65_7000,
             injector: FaultInjector::none(),
             obs: Obs::disabled(),
@@ -188,9 +192,27 @@ impl MultiUserEndpoint {
     }
 
     /// The administrator's audit view (§5.1: "administrators can audit logs
-    /// of all tasks that have been executed").
-    pub fn audit_log(&self) -> &[(TaskId, Arc<Identity>, Arc<str>)] {
-        &self.audit_log
+    /// of all tasks that have been executed"): each task with the identity
+    /// it was submitted with and the local user it ran as, by handle, in
+    /// submission order.
+    pub fn audit_log(&self) -> impl Iterator<Item = (TaskId, &Arc<Identity>, &Arc<str>)> {
+        let ends = (self.audit_runs.iter().skip(1).map(|run| run.0)).chain([self.audit_tasks.len()]);
+        (self.audit_runs.iter().zip(ends)).flat_map(move |((first, identity, local_user), end)| {
+            self.audit_tasks[*first..end].iter().map(move |&task| (task, identity, local_user))
+        })
+    }
+
+    /// Audit `task`: it joins the last run when it was submitted under that
+    /// run's handles. A refreshed session is a new `Arc<Identity>`, so it
+    /// starts a new run even for the same user.
+    fn audit(&mut self, task: TaskId, identity: &Arc<Identity>, local_user: &Arc<str>) {
+        let same = |(_, who, user): &(usize, Arc<Identity>, Arc<str>)| {
+            Arc::ptr_eq(who, identity) && Arc::ptr_eq(user, local_user)
+        };
+        if !self.audit_runs.last().is_some_and(same) {
+            self.audit_runs.push((self.audit_tasks.len(), identity.clone(), local_user.clone()));
+        }
+        self.audit_tasks.push(task);
     }
 
     fn fork_uep(&mut self, site: &mut SiteRuntime, local_user: &Arc<str>) -> Result<(), FaasError> {
@@ -253,8 +275,7 @@ impl MultiUserEndpoint {
             None => Arc::from(&*local_user),
         };
         self.fork_uep(site, &local_user)?;
-        self.audit_log
-            .push((id, identity.clone(), local_user.clone()));
+        self.audit(id, identity, &local_user);
         let pair = self.ueps.get_mut(&local_user).expect("forked above");
         if self.template.routes_to_login(&command) {
             pair.login.enqueue(site, id, command, now)
@@ -407,15 +428,36 @@ mod tests {
         let finished = mep.finished();
         assert_eq!(finished.len(), 1);
         assert_eq!(finished[0].1.ran_as, "x-vhayot");
-        let [(task, audited, local)] = mep.mep.audit_log() else {
+        let audit: Vec<_> = mep.mep.audit_log().collect();
+        let [(task, audited, local)] = audit[..] else {
             panic!("one task, one audit record");
         };
-        assert_eq!(*task, TaskId(1));
+        assert_eq!(task, TaskId(1));
         assert!(
             Arc::ptr_eq(audited, &id),
             "the submitting identity, by handle"
         );
         assert_eq!(&**local, "x-vhayot");
+    }
+
+    #[test]
+    fn an_audit_run_breaks_where_the_identity_handle_changes() {
+        let mut mep = faster_mep();
+        let first = identity("vhayot@uchicago.edu", "uchicago.edu");
+        // A refreshed session: the same user, a new handle.
+        let refreshed = identity("vhayot@uchicago.edu", "uchicago.edu");
+        mep.enqueue(TaskId(1), &first, "pytest a").unwrap();
+        mep.enqueue(TaskId(2), &first, "pytest b").unwrap();
+        mep.enqueue(TaskId(3), &refreshed, "pytest c").unwrap();
+        assert_eq!(mep.mep.audit_runs.len(), 2, "same local user, two identity handles");
+        let audit: Vec<_> = mep.mep.audit_log().collect();
+        let tasks: Vec<_> = audit.iter().map(|(task, ..)| task.0).collect();
+        assert_eq!(tasks, [1, 2, 3]);
+        for (task, who, local) in audit {
+            let submitted = if task == TaskId(3) { &refreshed } else { &first };
+            assert!(Arc::ptr_eq(who, submitted), "{task} audits the handle it was submitted with");
+            assert_eq!(&**local, "x-vhayot");
+        }
     }
 
     #[test]

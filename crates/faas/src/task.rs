@@ -48,8 +48,11 @@ pub enum TaskFailure {
 /// The completed result of a task.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskOutput {
-    pub stdout: String,
-    pub stderr: String,
+    /// Shared with the [`ExecOutcome`](crate::ExecOutcome) the handler
+    /// returned: a command that prints the same text for every task costs
+    /// each output a handle.
+    pub stdout: Sym,
+    pub stderr: Sym,
     /// The verdict. A task returns stdout, stderr and this, nothing more:
     /// shell functions have no return value (a limitation §7.4 discusses).
     pub result: Result<(), TaskFailure>,
@@ -80,9 +83,10 @@ pub enum TaskState {
     Submitted { at: SimTime },
     /// Queued at the endpoint waiting for a worker.
     QueuedAtEndpoint { at: SimTime },
-    /// Finished; output available — the box the endpoint's pump built,
-    /// carried here by handle and never opened (a `Task` is half the size).
-    Done(Box<TaskOutput>),
+    /// Finished; output available. Held inline: a finished task is one
+    /// record, not a record and a heap object (the wire carries the output
+    /// boxed, and the `Return` arm unboxes it once, here).
+    Done(TaskOutput),
     /// Failed before execution (delivery, mapping, policy), with the error
     /// as raised — boxed, it is wider than every other state.
     Rejected { at: SimTime, reason: Box<FaasError> },
@@ -168,7 +172,7 @@ mod tests {
     fn output_helpers() {
         let out = TaskOutput {
             stdout: "ok".into(),
-            stderr: String::new(),
+            stderr: Sym::Static(""),
             result: Ok(()),
             ran_as: "x-vhayot".into(),
             node: "anvil-login-1".into(),
@@ -182,7 +186,7 @@ mod tests {
     #[test]
     fn failure_output() {
         let out = TaskOutput {
-            stdout: String::new(),
+            stdout: Sym::Static(""),
             stderr: "Traceback".into(),
             result: Err(TaskFailure::Command("pytest failed".into())),
             ran_as: "u".into(),
@@ -215,16 +219,16 @@ mod tests {
         }
     }
 
-    fn done_output() -> Box<TaskOutput> {
-        Box::new(TaskOutput {
-            stdout: String::new(),
-            stderr: String::new(),
+    fn done_output() -> TaskOutput {
+        TaskOutput {
+            stdout: Sym::Static(""),
+            stderr: Sym::Static(""),
             result: Ok(()),
             ran_as: "u".into(),
             node: "n".into(),
             started: SimTime::ZERO,
             ended: SimTime::from_secs(1),
-        })
+        }
     }
 
     #[test]

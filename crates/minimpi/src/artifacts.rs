@@ -253,12 +253,7 @@ pub fn install_artifacts(commands: &mut CommandRegistry) {
         if result.passed {
             ExecOutcome::ok(stdout, work)
         } else {
-            ExecOutcome {
-                stdout: stdout.clone(),
-                stderr: format!("artifact {} failed", result.name),
-                result: Err(format!("artifact {} failed", result.name)),
-                work: hpcci_cluster::WorkUnits::secs(work),
-            }
+            ExecOutcome::fail(format!("artifact {} failed", result.name), work).with_stdout(stdout)
         }
     });
 }

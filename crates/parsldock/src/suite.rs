@@ -160,12 +160,7 @@ pub fn install_pytest(commands: &mut CommandRegistry, repo_dir: &str) {
         if failed == 0 {
             ExecOutcome::ok(stdout, total_work)
         } else {
-            ExecOutcome {
-                stdout,
-                stderr: format!("{failed} test(s) failed"),
-                result: Err(format!("{failed} test(s) failed")),
-                work: hpcci_cluster::WorkUnits::secs(total_work),
-            }
+            ExecOutcome::fail(format!("{failed} test(s) failed"), total_work).with_stdout(stdout)
         }
     });
 }

@@ -80,48 +80,41 @@ pub fn run_psij_suite(scheduler: Option<&mut BatchScheduler>) -> Vec<PsijTestOut
     }
 
     // --- batch executor tests (need a scheduler) ---
+    // A submission the scheduler refuses (a site with no cores to give) is
+    // a failed test, like a missing scheduler.
     match scheduler {
         Some(sched) => {
             {
                 let mut ex = JobExecutor::slurm(&mut *sched, Uid(9001), "ci-alloc");
-                let h = ex
-                    .submit(
-                        &PsijJobSpec::new("b", "hostname").running_for(SimDuration::from_secs(3)),
-                        SimTime::ZERO,
+                let spec = PsijJobSpec::new("b", "hostname").running_for(SimDuration::from_secs(3));
+                let ok = ex.submit(&spec, SimTime::ZERO).is_ok_and(|h| {
+                    matches!(
+                        ex.wait(h, SimTime::ZERO, SimDuration::from_mins(5)),
+                        Ok((PsijJobState::Completed, _))
                     )
-                    .unwrap();
-                let ok = matches!(
-                    ex.wait(h, SimTime::ZERO, SimDuration::from_mins(5)),
-                    Ok((PsijJobState::Completed, _))
-                );
+                });
                 push("test_batch_submit_wait", ok, 6.0);
             }
             {
                 let mut ex = JobExecutor::slurm(&mut *sched, Uid(9001), "ci-alloc");
-                let h = ex
-                    .submit(
-                        &PsijJobSpec::new("w", "burn")
-                            .with_duration(SimDuration::from_secs(5))
-                            .running_for(SimDuration::from_secs(60)),
-                        SimTime::ZERO,
+                let spec = PsijJobSpec::new("w", "burn")
+                    .with_duration(SimDuration::from_secs(5))
+                    .running_for(SimDuration::from_secs(60));
+                let ok = ex.submit(&spec, SimTime::ZERO).is_ok_and(|h| {
+                    matches!(
+                        ex.wait(h, SimTime::ZERO, SimDuration::from_mins(5)),
+                        Ok((PsijJobState::Failed, _))
                     )
-                    .unwrap();
-                let ok = matches!(
-                    ex.wait(h, SimTime::ZERO, SimDuration::from_mins(5)),
-                    Ok((PsijJobState::Failed, _))
-                );
+                });
                 push("test_batch_walltime", ok, 8.0);
             }
             {
                 let mut ex = JobExecutor::slurm(sched, Uid(9001), "ci-alloc");
-                let h = ex
-                    .submit(
-                        &PsijJobSpec::new("c", "burn").running_for(SimDuration::from_secs(60)),
-                        SimTime::ZERO,
-                    )
-                    .unwrap();
-                let ok = ex.cancel(h, SimTime::from_secs(1)).is_ok()
-                    && ex.state(h, SimTime::from_secs(2)) == Ok(PsijJobState::Canceled);
+                let spec = PsijJobSpec::new("c", "burn").running_for(SimDuration::from_secs(60));
+                let ok = ex.submit(&spec, SimTime::ZERO).is_ok_and(|h| {
+                    ex.cancel(h, SimTime::from_secs(1)).is_ok()
+                        && ex.state(h, SimTime::from_secs(2)) == Ok(PsijJobState::Canceled)
+                });
                 push("test_batch_cancel", ok, 4.0);
             }
         }
@@ -167,12 +160,7 @@ pub fn install_psij_pytest(commands: &mut CommandRegistry, env_name: &str, cores
                         let stderr = format!(
                             "ERROR: No matching distribution found for {req}\nFAILED tests/ - collection error: dependency resolution failed"
                         );
-                        return ExecOutcome {
-                            stdout,
-                            stderr: stderr.clone(),
-                            result: Err(stderr),
-                            work: hpcci_cluster::WorkUnits::secs(3.0),
-                        };
+                        return ExecOutcome::fail(stderr, 3.0).with_stdout(stdout);
                     }
                 }
             }
@@ -208,13 +196,7 @@ pub fn install_psij_pytest(commands: &mut CommandRegistry, env_name: &str, cores
         if failed == 0 {
             ExecOutcome::ok(stdout, total_work)
         } else {
-            let stderr = format!("{failed} test(s) failed");
-            ExecOutcome {
-                stdout,
-                stderr: stderr.clone(),
-                result: Err(stderr),
-                work: hpcci_cluster::WorkUnits::secs(total_work),
-            }
+            ExecOutcome::fail(format!("{failed} test(s) failed"), total_work).with_stdout(stdout)
         }
     });
 }
@@ -242,6 +224,15 @@ mod tests {
         let failed: Vec<_> = outcomes.iter().filter(|o| !o.passed).collect();
         assert_eq!(failed.len(), 3);
         assert!(failed.iter().all(|o| o.name.starts_with("test_batch")));
+    }
+
+    #[test]
+    fn a_refused_batch_submission_fails_its_test() {
+        // A site whose nodes have no cores: the scheduler refuses every job.
+        let mut sched = BatchScheduler::with_compute_partition((0..4).map(NodeId).collect(), 0);
+        let outcomes = run_psij_suite(Some(&mut sched));
+        let failed: Vec<_> = outcomes.iter().filter(|o| !o.passed).map(|o| o.name).collect();
+        assert_eq!(failed, ["test_batch_submit_wait", "test_batch_walltime", "test_batch_cancel"]);
     }
 
     fn runtime_with_env(complete: bool) -> SiteRuntime {

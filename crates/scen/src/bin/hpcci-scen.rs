@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! hpcci-scen gen --count 256 --seed 42            # scenario stream → stdout
-//! hpcci-scen gen ... | hpcci-scen verify          # oracle fleet (exit 1 on violation)
+//! hpcci-scen gen ... | hpcci-scen verify          # oracle fleet (exit 1 on violation, 2 on refusal)
 //! hpcci-scen replay scenario.toml                 # run one spec, print digest + verdicts
 //! hpcci-scen explain a.toml b.toml                # first divergent trace line/instant
 //! ```
@@ -24,7 +24,8 @@ usage:
       emit N generated scenario documents (default 64, seed 42) to stdout
   hpcci-scen verify [FILE] [--threads N] [--summary FILE]
       read a scenario stream (FILE or stdin), run every oracle family on
-      every scenario, N scenarios at a time; exit 1 if any scenario fails.
+      every scenario, N scenarios at a time; exit 1 if any scenario fails
+      an oracle, 2 if any document is refused (it does not build).
       The tail line ends in the fleet digest: every scenario's name and
       outcome digest folded in stream order
   hpcci-scen replay FILE [--transcript]
@@ -185,7 +186,7 @@ fn cmd_verify(rest: &[String]) -> Result<ExitCode, String> {
     let reports = sweep(jobs, threads);
     let wall = started.elapsed();
 
-    let mut failed = 0usize;
+    let (mut failed, mut refused) = (0usize, 0usize);
     let mut events = 0u64;
     let mut virtual_us = 0u64;
     let mut runs = 0usize;
@@ -211,6 +212,7 @@ fn cmd_verify(rest: &[String]) -> Result<ExitCode, String> {
             }
             Err(e) => {
                 failed += 1;
+                refused += 1;
                 println!("FAIL {} (did not build: {e})", spec.name);
             }
         }
@@ -236,10 +238,12 @@ fn cmd_verify(rest: &[String]) -> Result<ExitCode, String> {
         );
         std::fs::write(path, md).map_err(|e| format!("writing {path}: {e}"))?;
     }
-    Ok(if failed == 0 {
-        ExitCode::SUCCESS
-    } else {
+    Ok(if refused > 0 {
+        ExitCode::from(2)
+    } else if failed > 0 {
         ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     })
 }
 

@@ -405,6 +405,28 @@ fn install_workload_commands(
 mod tests {
     use super::*;
     use crate::spec::ScenarioSpec;
+    use hpcci_faas::TaskId;
+    use hpcci_sim::Sym;
+    use std::sync::Arc;
+
+    #[test]
+    fn a_constant_handlers_tasks_share_one_output_text() {
+        let spec = ScenarioSpec::minimal("shared-output", 11);
+        let mut s = spec.build_on(Federation::builder(spec.seed).build()).expect("compiles");
+        for _ in 0..2 {
+            s.trigger_round("vhayot").unwrap();
+        }
+        let cloud = s.fed.cloud.lock();
+        let ids = (1..=cloud.task_count() as u64).map(TaskId);
+        let texts: Vec<&Sym> = ids
+            .map(|id| &cloud.task_result(id).expect("finished").stdout)
+            .filter(|stdout| stdout.starts_with("====="))
+            .collect();
+        let [Sym::Shared(a), Sym::Shared(b)] = texts[..] else {
+            panic!("two runs, two synthetic tasks, each with a shared text: {texts:?}");
+        };
+        assert!(Arc::ptr_eq(a, b), "one text, one allocation");
+    }
 
     #[test]
     fn minimal_spec_compiles_and_runs_green() {

@@ -149,3 +149,16 @@ fn undeclared_flags_extra_operands_and_zero_threads_are_refused() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_document_that_does_not_build_is_refused_with_exit_2() {
+    // Two Fig. 4 endpoints on one site give two jobs one id: the document
+    // parses and validates, but the world refuses to build.
+    let fig4 = include_str!("../../../tests/fixtures/paper/fig4-parsldock.toml");
+    let one_site = "name = \"ep-chameleon-tacc\"\nsite = 0\n";
+    assert_eq!(fig4.matches(one_site).count(), 1);
+    let doc = fig4.replace(one_site, "name = \"ep-chameleon-tacc\"\nsite = 1\n");
+    let out = run(&["verify", "--threads", "1"], Some(&doc));
+    assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
+    assert!(stdout(&out).contains("did not build"), "{}", stdout(&out));
+}

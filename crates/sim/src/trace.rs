@@ -91,6 +91,11 @@ impl PartialEq<&str> for Sym {
         self.as_str() == *other
     }
 }
+impl PartialEq<String> for Sym {
+    fn eq(&self, other: &String) -> bool {
+        self.as_str() == other
+    }
+}
 
 impl PartialOrd for Sym {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {

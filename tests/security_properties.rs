@@ -400,9 +400,8 @@ fn a_session_refresh_after_submission_does_not_reach_the_in_flight_task() {
     };
     let audited: Vec<(hpcci::faas::TaskId, &str, &str, u64)> = mep
         .audit_log()
-        .iter()
         .map(|(task, identity, local)| {
-            (*task, identity.username.as_str(), &**local, identity.last_authentication_us)
+            (task, identity.username.as_str(), &**local, identity.last_authentication_us)
         })
         .collect();
     assert_eq!(
