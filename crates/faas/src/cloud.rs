@@ -87,7 +87,7 @@ impl EndpointRegistration {
         }
     }
 
-    fn drain_finished_into(&mut self, out: &mut Vec<(TaskId, Box<TaskOutput>)>) {
+    fn drain_finished_into(&mut self, out: &mut Vec<(TaskId, TaskOutput)>) {
         match self {
             EndpointRegistration::Single(e) => e.drain_finished_into(out),
             EndpointRegistration::Multi(m) => m.drain_finished_into(out),
@@ -103,24 +103,18 @@ enum InFlight {
     /// instant is reached, so ids stay dense in arrival order no matter how
     /// far ahead callers schedule.
     ///
-    /// Validation resolved the endpoint to its slot and interned the command,
-    /// and a wave rides the wire as one run of this event: its arrivals share
-    /// one `Arc<Identity>` and one command allocation.
+    /// Validation resolved the endpoint to its slot and the command to its
+    /// line in the command table, and a wave rides the wire as one run of
+    /// this event: its arrivals share one `Arc<Identity>`.
     Submit {
         identity: Arc<Identity>,
         slot: usize,
-        command: Sym,
+        command: u32,
     },
-    Deliver {
-        task: TaskId,
-        identity: Arc<Identity>,
-        slot: usize,
-    },
-    /// The output rides the wire by handle, on its way to `TaskState::Done`.
-    Return {
-        task: TaskId,
-        output: Box<TaskOutput>,
-    },
+    Deliver { task: TaskId, identity: Arc<Identity> },
+    /// The output rides the wire by value (its body by handle), on its way
+    /// to `TaskState::Done`.
+    Return { task: TaskId, output: TaskOutput },
 }
 
 /// Maximum bytes of a task's args (its command line): a task returns no
@@ -151,10 +145,14 @@ pub struct CloudService {
     /// sequentially from 1 and never removed, so `tasks[id - 1]` replaces a
     /// per-wire-event string of tree descents).
     tasks: Vec<Task>,
+    /// Every distinct command line a task was accepted with, interned, in
+    /// order of first use: a task record holds its line's index.
+    commands: Vec<Sym>,
+    /// Command line → its index in `commands`.
+    command_ids: BTreeMap<Sym, u32>,
     wire: EventQueue<InFlight>,
     pub trace: Trace,
     now: SimTime,
-    next_task: u64,
     next_function: u64,
     /// Handed, with `obs`, to every registered endpoint: the one injector
     /// the whole cloud consults.
@@ -163,8 +161,8 @@ pub struct CloudService {
     slots: BTreeMap<EndpointId, usize>,
     /// Slot → interned `faas.ep.{id}` trace component.
     slot_syms: Vec<Sym>,
-    /// Slot → interned plain endpoint name (shared by every task record
-    /// targeting the endpoint).
+    /// Slot → interned plain endpoint name (a task record's endpoint, read
+    /// through [`Self::task_endpoint`]).
     slot_name_syms: Vec<Sym>,
     /// Slots in endpoint-name order — the order endpoints are advanced and
     /// collected in. Rebuilt on registration.
@@ -185,7 +183,7 @@ pub struct CloudService {
     wire_scratch: Vec<(SimTime, InFlight)>,
     /// Scratch: finished outputs drained from one endpoint, reused across
     /// steps so collection allocates nothing in steady state.
-    finished_scratch: Vec<(TaskId, Box<TaskOutput>)>,
+    finished_scratch: Vec<(TaskId, TaskOutput)>,
     obs: Obs,
     /// Hot-loop counters kept as plain fields (no lock, no branch beyond the
     /// add) and harvested into `obs` by [`Self::harvest_metrics`].
@@ -206,10 +204,11 @@ impl CloudService {
             slot_sites: Vec::new(),
             slot_latency: Vec::new(),
             tasks: Vec::new(),
+            commands: Vec::new(),
+            command_ids: BTreeMap::new(),
             wire: EventQueue::new(),
             trace: Trace::new(),
             now: SimTime::ZERO,
-            next_task: 0,
             next_function: 0,
             injector: FaultInjector::none(),
             slots: BTreeMap::new(),
@@ -394,7 +393,7 @@ impl CloudService {
         now: SimTime,
     ) -> Result<TaskId, FaasError> {
         let (identity, slot) = self.validate(token, None, endpoint, shell_cmd.len(), now)?;
-        let command = self.trace.intern(shell_cmd);
+        let command = self.command_id(shell_cmd);
         Ok(self.accept(&identity, slot, command, now))
     }
 
@@ -415,7 +414,7 @@ impl CloudService {
         arrivals: &[SimTime],
     ) -> Result<u64, FaasError> {
         let (identity, slot) = self.validate(token, None, endpoint, shell_cmd.len(), now)?;
-        let command = self.trace.intern(shell_cmd);
+        let command = self.command_id(shell_cmd);
         self.pending_submits += arrivals.len() as u64;
         self.wire.push_run(
             arrivals.iter().map(|&at| at.max(now)),
@@ -444,8 +443,20 @@ impl CloudService {
     ) -> Result<TaskId, FaasError> {
         let (identity, slot) = self.validate(token, Some(function), endpoint, args.len(), now)?;
         let line = self.function(function)?.command_line(args);
-        let command = self.trace.intern(&line);
+        let command = self.command_id(&line);
         Ok(self.accept(&identity, slot, command, now))
+    }
+
+    /// `line`'s index in the command table, interned on first use.
+    fn command_id(&mut self, line: &str) -> u32 {
+        if let Some(&id) = self.command_ids.get(line) {
+            return id;
+        }
+        let id = self.commands.len() as u32;
+        let line = self.trace.intern(line);
+        self.commands.push(line.clone());
+        self.command_ids.insert(line, id);
+        id
     }
 
     /// The one validation stack of every submission path, in order: token,
@@ -509,20 +520,16 @@ impl CloudService {
         &mut self,
         identity: &Arc<Identity>,
         slot: usize,
-        command: Sym,
+        command: u32,
         now: SimTime,
     ) -> TaskId {
-        self.next_task += 1;
         self.tasks_submitted += 1;
-        let id = TaskId(self.next_task);
-        debug_assert_eq!(id.0 as usize, self.tasks.len() + 1, "ids are dense");
-        let endpoint_name = self.slot_name_syms[slot].clone();
+        let id = TaskId(self.tasks.len() as u64 + 1);
         self.tasks.push(Task {
-            id,
             submitter: identity.id,
-            endpoint: endpoint_name,
-            command: command.clone(),
             submitted_at: now,
+            slot: slot as u32,
+            command,
             state: TaskState::Submitted { at: now },
         });
         let latency = self.slot_latency[slot];
@@ -535,7 +542,7 @@ impl CloudService {
         detail.push_str(" -> ");
         detail.push_str(endpoint_name);
         detail.push_str(": ");
-        detail.push_str(&command);
+        detail.push_str(&self.commands[command as usize]);
         self.trace.record(now, "faas.cloud", "task.submit", detail);
         let clear = self.wire_clear_at(self.slot_name_syms[slot].as_str(), now);
         self.wire.push(
@@ -543,7 +550,6 @@ impl CloudService {
             InFlight::Deliver {
                 task: id,
                 identity: identity.clone(),
-                slot,
             },
         );
         id
@@ -553,6 +559,16 @@ impl CloudService {
     pub fn task(&self, id: TaskId) -> Option<&Task> {
         // Ids are dense from 1; `TaskId(0)` wraps to an out-of-range index.
         self.tasks.get((id.0 as usize).wrapping_sub(1))
+    }
+
+    /// The name of the endpoint `task` was submitted to.
+    pub fn task_endpoint(&self, task: &Task) -> &Sym {
+        &self.slot_name_syms[task.slot as usize]
+    }
+
+    /// The command line `task` runs.
+    pub fn task_command(&self, task: &Task) -> &Sym {
+        &self.commands[task.command as usize]
     }
 
     /// Current state of a task.
@@ -638,17 +654,19 @@ impl CloudService {
                 self.pending_submits -= 1;
                 self.accept(&identity, slot, command, at);
             }
-            InFlight::Deliver { task, identity, slot } => {
-                // The slot rode along from acceptance (registrations are
-                // never removed), so delivery needs no name lookup; the
-                // command is borrowed from the task record.
+            InFlight::Deliver { task, identity } => {
+                // The record holds the slot (registrations are never
+                // removed), so delivery needs no name lookup, and the
+                // command's line, borrowed from the command table.
+                let Task { slot, command, .. } = self.tasks[task.0 as usize - 1];
+                let slot = slot as usize;
                 let mut detail = self.trace.detail_buf();
                 task.write_label(&mut detail);
                 self.trace
                     .record(at, &self.slot_syms[slot], "task.deliver", detail);
                 let result = {
                     let site = &mut self.sites[self.slot_sites[slot]].lock();
-                    let command = &self.tasks[task.0 as usize - 1].command;
+                    let command = &self.commands[command as usize];
                     match &mut self.endpoints[slot] {
                         EndpointRegistration::Single(e) => e.enqueue(site, task, command, at),
                         EndpointRegistration::Multi(m) => m.enqueue(site, task, &identity, command, at),
@@ -657,12 +675,12 @@ impl CloudService {
                 self.touch(slot);
                 let record = &mut self.tasks[task.0 as usize - 1];
                 let transition = match result {
-                    Ok(()) => record.transition(TaskState::QueuedAtEndpoint { at }),
+                    Ok(()) => record.transition(task, TaskState::QueuedAtEndpoint { at }),
                     Err(e) => {
                         let component = self.slot_syms[slot].clone();
                         self.trace
                             .record(at, component, "task.reject", format!("{task}: {e}"));
-                        record.transition(TaskState::Rejected {
+                        record.transition(task, TaskState::Rejected {
                             at,
                             reason: Box::new(e),
                         })
@@ -685,7 +703,7 @@ impl CloudService {
                 detail.push_str(if output.success() { " ok=true" } else { " ok=false" });
                 let record = &mut self.tasks[task.0 as usize - 1];
                 let submitted_at = record.submitted_at;
-                match record.transition(TaskState::Done(*output)) {
+                match record.transition(task, TaskState::Done(output)) {
                     Ok(()) => {
                         self.tasks_completed += 1;
                         self.obs
@@ -951,13 +969,13 @@ mod tests {
 
     #[test]
     fn wire_entries_stay_handle_sized() {
-        // `InFlight::Return` carries its output by handle; a by-value payload
-        // would triple every queue entry the wire moves.
+        // `InFlight::Return` carries its output's body by handle; a body by
+        // value would triple every queue entry the wire moves.
         assert!(std::mem::size_of::<InFlight>() <= 56);
-        // A finished task's output lives in its record, not behind a box.
-        assert!(std::mem::size_of::<Task>() <= 208);
-        // The failure origin lives in `result`'s niche, not in a new field.
-        assert!(std::mem::size_of::<TaskOutput>() <= 136);
+        // A finished task's output lives in its record, its body behind a
+        // handle the endpoint's neighbouring outputs may share.
+        assert!(std::mem::size_of::<Task>() <= 56);
+        assert!(std::mem::size_of::<TaskOutput>() <= 24);
     }
 
     #[test]
@@ -1103,7 +1121,8 @@ mod tests {
             .unwrap();
         drive(&mut s.cloud);
         assert!(s.cloud.task_result(task).unwrap().success());
-        assert!(s.cloud.task(task).unwrap().command.contains("-e py312"));
+        let record = s.cloud.task(task).unwrap();
+        assert!(s.cloud.task_command(record).contains("-e py312"));
     }
 
     #[test]

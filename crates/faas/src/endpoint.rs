@@ -14,13 +14,14 @@
 use crate::error::FaasError;
 use crate::exec::SiteRuntime;
 use crate::function::FunctionId;
-use crate::task::{TaskFailure, TaskId, TaskOutput};
+use crate::task::{OutputBody, TaskFailure, TaskId, TaskOutput};
 use hpcci_auth::{HighAssurancePolicy, IdentityId};
 use hpcci_cluster::{Cred, NodeRole, UserAccount};
 use hpcci_obs::Obs;
 use hpcci_scheduler::{BatchScheduler, JobId, JobSpec, JobState};
 use hpcci_sim::{Advance, DetRng, EventQueue, FaultInjector, SimDuration, SimTime, Sym};
 use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// How an endpoint provisions its workers: the one provider choice, made by
 /// whoever builds the endpoint (a federation registration or a MEP template)
@@ -192,11 +193,11 @@ struct QueuedTask {
     command: Sym,
 }
 
-/// A completion-queue entry: the output rides by handle (boxed once in
-/// `pump`), so the heap's sift moves 16 bytes, not 144.
+/// A completion-queue entry: the output's body rides by handle, so the
+/// heap's sift moves 32 bytes.
 struct Completion {
     id: TaskId,
-    output: Box<TaskOutput>,
+    output: TaskOutput,
 }
 
 /// A single-user Globus-Compute-style endpoint. It holds no site: whoever
@@ -206,7 +207,11 @@ pub struct Endpoint {
     workers: Workers,
     queue: VecDeque<QueuedTask>,
     completions: EventQueue<Completion>,
-    finished: Vec<(TaskId, Box<TaskOutput>)>,
+    finished: Vec<(TaskId, TaskOutput)>,
+    /// The body of the last output `pump` built. The next outcome reuses it
+    /// when it says the same — the same text and name handles and an equal
+    /// verdict — so a run of equal outcomes shares one allocation.
+    last_body: Option<Arc<OutputBody>>,
     busy_workers: u32,
     stopped: bool,
     now: SimTime,
@@ -284,6 +289,7 @@ impl Endpoint {
             queue: VecDeque::new(),
             completions: EventQueue::new(),
             finished: Vec::new(),
+            last_body: None,
             busy_workers: 0,
             stopped: false,
             now: SimTime::ZERO,
@@ -347,16 +353,19 @@ impl Endpoint {
 
     /// The output of a task this endpoint gives up on at `now`: failed as
     /// infrastructure, with `stderr` saying why.
-    fn infra_failure(&self, stderr: &'static str, started: SimTime, now: SimTime) -> Box<TaskOutput> {
-        Box::new(TaskOutput {
+    fn infra_failure(&self, stderr: &'static str, started: SimTime, now: SimTime) -> TaskOutput {
+        let body = OutputBody {
             stdout: Sym::Static(""),
             stderr: Sym::Static(stderr),
             result: Err(TaskFailure::WorkerCrashed),
             ran_as: Sym::from(self.config.local_user.as_str()),
             node: Sym::Static("-"),
+        };
+        TaskOutput {
+            body: Arc::new(body),
             started,
             ended: now,
-        })
+        }
     }
 
     /// Hand every queued task back at `now`, failed as infrastructure.
@@ -402,7 +411,7 @@ impl Endpoint {
     /// buffer allocated: the cloud's per-step collection drains every touched
     /// endpoint through a reused scratch vector, so neither side reallocates
     /// on the next round.
-    pub fn drain_finished_into(&mut self, out: &mut Vec<(TaskId, Box<TaskOutput>)>) {
+    pub fn drain_finished_into(&mut self, out: &mut Vec<(TaskId, TaskOutput)>) {
         out.append(&mut self.finished);
     }
 
@@ -439,7 +448,7 @@ impl Endpoint {
         if self.busy_workers >= self.config.workers {
             return;
         }
-        let (role, node_hostname, node_speed) = self.node.clone();
+        let (role, node_hostname, node_speed) = &self.node;
         while self.busy_workers < self.config.workers {
             let Some(task) = self.queue.pop_front() else {
                 break;
@@ -456,15 +465,18 @@ impl Endpoint {
                 }
                 Err(e) => {
                     // Misconfigured endpoint: every task fails.
-                    let output = Box::new(TaskOutput {
+                    let body = OutputBody {
                         stdout: Sym::Static(""),
                         stderr: Sym::from(e.to_string()),
                         result: Err(TaskFailure::Command(e.to_string())),
                         ran_as: Sym::from(self.config.local_user.as_str()),
                         node: Sym::Static("unknown"),
+                    };
+                    let output = TaskOutput {
+                        body: Arc::new(body),
                         started,
                         ended: started,
-                    });
+                    };
                     self.finished.push((task.id, output));
                     continue;
                 }
@@ -474,8 +486,8 @@ impl Endpoint {
                 &task.command,
                 account,
                 cred,
-                role,
-                &node_hostname,
+                *role,
+                node_hostname,
                 started,
                 &mut self.rng,
                 self.config.container.as_deref(),
@@ -483,17 +495,30 @@ impl Endpoint {
             let duration = site
                 .site
                 .perf
-                .compute_time(outcome.work, node_speed, &mut self.rng);
-            let ended = started + duration;
-            let output = Box::new(TaskOutput {
-                stdout: outcome.stdout,
-                stderr: outcome.stderr,
-                result: outcome.result.map_err(TaskFailure::Command),
-                ran_as: ran_as.clone(),
-                node: node_hostname.clone(),
-                started,
-                ended,
+                .compute_time(outcome.work, *node_speed, &mut self.rng);
+            let result = outcome.result.map_err(TaskFailure::Command);
+            let same = self.last_body.as_ref().filter(|last| {
+                last.stdout.is(&outcome.stdout)
+                    && last.stderr.is(&outcome.stderr)
+                    && last.ran_as.is(ran_as)
+                    && last.node.is(node_hostname)
+                    && last.result == result
             });
+            let body = match same {
+                Some(last) => last.clone(),
+                None => {
+                    let body = Arc::new(OutputBody {
+                        stdout: outcome.stdout,
+                        stderr: outcome.stderr,
+                        result,
+                        ran_as: ran_as.clone(),
+                        node: node_hostname.clone(),
+                    });
+                    self.last_body.insert(body).clone()
+                }
+            };
+            let ended = started + duration;
+            let output = TaskOutput { body, started, ended };
             self.busy_workers += 1;
             self.completions.push(ended, Completion { id: task.id, output });
         }
@@ -571,7 +596,7 @@ mod tests {
             self.ep.force_crash(&mut self.site.lock(), now)
         }
 
-        fn finished(&mut self) -> Vec<(TaskId, Box<TaskOutput>)> {
+        fn finished(&mut self) -> Vec<(TaskId, TaskOutput)> {
             let mut finished = Vec::new();
             self.ep.drain_finished_into(&mut finished);
             finished
@@ -661,7 +686,7 @@ mod tests {
 
     #[test]
     fn crash_fails_running_and_queued_tasks_as_infrastructure() {
-        // One worker: task 1 is an in-flight (boxed) completion, task 2 waits.
+        // One worker: task 1 is an in-flight completion, task 2 waits.
         let mut ep = login_endpoint(1);
         ep.enqueue(TaskId(1), "sleepy", SimTime::ZERO).unwrap();
         ep.enqueue(TaskId(2), "sleepy", SimTime::ZERO).unwrap();
@@ -694,9 +719,48 @@ mod tests {
 
     #[test]
     fn completion_entries_stay_handle_sized() {
-        // A by-value `TaskOutput` (136 B) here is copied on every sift of
-        // the completion queue's heap.
-        assert!(std::mem::size_of::<Completion>() <= 56);
+        // A body by value (≈ 100 B) here is copied on every sift of the
+        // completion queue's heap.
+        assert!(std::mem::size_of::<Completion>() <= 32);
+    }
+
+    #[test]
+    fn equal_outcomes_share_one_body_and_every_result_reads_back() {
+        // `say` prints the same two texts, by handle, whatever it is asked;
+        // `say fail` changes only the verdict. `other` prints other text.
+        let (out, empty) = (Sym::from("out"), Sym::from(""));
+        let mut rt = SiteRuntime::new(Site::chameleon_tacc());
+        rt.site.add_account("cc", "chameleon");
+        rt.commands.register("say", move |env| ExecOutcome {
+            stdout: out.clone(),
+            stderr: empty.clone(),
+            result: if env.args() == "fail" { Err("said fail".into()) } else { Ok(()) },
+            work: hpcci_cluster::WorkUnits::secs(1.0),
+        });
+        rt.commands.register("other", |_| ExecOutcome::ok("other", 1.0));
+        let config = EndpointConfig::new("ep", IdentityId(1), "cc").with_workers(1);
+        let mut ep = OnSite::new(config, &shared(rt), TaskProvider::Local, 5);
+        let commands = ["say", "say", "say fail", "say fail", "other", "say"];
+        for (id, command) in (1..).zip(commands) {
+            ep.enqueue(TaskId(id), command, SimTime::ZERO).unwrap();
+        }
+        drive(&mut ep);
+        let finished = ep.finished();
+        let ids: Vec<_> = finished.iter().map(|(id, _)| id.0).collect();
+        assert_eq!(ids, [1, 2, 3, 4, 5, 6]);
+        let shared_with_previous: Vec<_> = (finished.windows(2))
+            .map(|pair| Arc::ptr_eq(&pair[0].1.body, &pair[1].1.body))
+            .collect();
+        assert_eq!(shared_with_previous, [true, false, true, false, false]);
+        let fail = Err(TaskFailure::Command("said fail".into()));
+        let expected = [("out", Ok(())), ("out", Ok(())), ("out", fail.clone()), ("out", fail)];
+        let expected = expected.into_iter().chain([("other", Ok(())), ("out", Ok(()))]);
+        for ((id, out), (stdout, result)) in finished.iter().zip(expected) {
+            assert_eq!((out.stdout.as_str(), &out.result), (stdout, &result), "{id}");
+            assert_eq!((out.stderr.as_str(), out.ran_as.as_str()), ("", "cc"), "{id}");
+        }
+        // Each output keeps its own instants: one worker runs them in turn.
+        assert!(finished.windows(2).all(|pair| pair[1].1.started >= pair[0].1.ended));
     }
 
     #[test]

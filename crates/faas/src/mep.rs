@@ -112,7 +112,7 @@ pub struct MultiUserEndpoint {
     obs: Obs,
     /// Outputs of tasks that were in flight when the MEP crashed; drained by
     /// [`Self::drain_finished_into`] alongside live UEP outputs.
-    pending_crashed: Vec<(TaskId, Box<TaskOutput>)>,
+    pending_crashed: Vec<(TaskId, TaskOutput)>,
 }
 
 impl MultiUserEndpoint {
@@ -286,7 +286,7 @@ impl MultiUserEndpoint {
 
     /// Drain finished outputs across all UEPs: appends into `out` and leaves
     /// every internal buffer's capacity in place.
-    pub fn drain_finished_into(&mut self, out: &mut Vec<(TaskId, Box<TaskOutput>)>) {
+    pub fn drain_finished_into(&mut self, out: &mut Vec<(TaskId, TaskOutput)>) {
         out.append(&mut self.pending_crashed);
         for pair in self.ueps.values_mut() {
             pair.login.drain_finished_into(out);
@@ -348,7 +348,7 @@ mod tests {
             self.mep.enqueue(&mut self.site.lock(), id, identity, command, SimTime::ZERO)
         }
 
-        fn finished(&mut self) -> Vec<(TaskId, Box<TaskOutput>)> {
+        fn finished(&mut self) -> Vec<(TaskId, TaskOutput)> {
             let mut finished = Vec::new();
             self.mep.drain_finished_into(&mut finished);
             finished

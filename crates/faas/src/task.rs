@@ -4,6 +4,8 @@ use crate::error::FaasError;
 use hpcci_auth::IdentityId;
 use hpcci_sim::{SimDuration, SimTime, Sym};
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Task identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -45,9 +47,11 @@ pub enum TaskFailure {
     WorkerCrashed,
 }
 
-/// The completed result of a task.
+/// What a finished task said: its texts, its verdict and where it ran. An
+/// endpoint shares one body across consecutive outputs that say the same
+/// (see [`TaskOutput`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskOutput {
+pub struct OutputBody {
     /// Shared with the [`ExecOutcome`](crate::ExecOutcome) the handler
     /// returned: a command that prints the same text for every task costs
     /// each output a handle.
@@ -62,8 +66,23 @@ pub struct TaskOutput {
     pub ran_as: Sym,
     /// Hostname of the executing node (interned, like `ran_as`).
     pub node: Sym,
+}
+
+/// The completed result of a task: its two instants and a handle to its
+/// body, 24 bytes that travel by value. It dereferences to the body, so
+/// `out.stdout` or `out.result` reads through the handle.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TaskOutput {
+    pub body: Arc<OutputBody>,
     pub started: SimTime,
     pub ended: SimTime,
+}
+
+impl Deref for TaskOutput {
+    type Target = OutputBody;
+    fn deref(&self) -> &OutputBody {
+        &self.body
+    }
 }
 
 impl TaskOutput {
@@ -84,8 +103,7 @@ pub enum TaskState {
     /// Queued at the endpoint waiting for a worker.
     QueuedAtEndpoint { at: SimTime },
     /// Finished; output available. Held inline: a finished task is one
-    /// record, not a record and a heap object (the wire carries the output
-    /// boxed, and the `Return` arm unboxes it once, here).
+    /// record and a handle to a body its endpoint's neighbours may share.
     Done(TaskOutput),
     /// Failed before execution (delivery, mapping, policy), with the error
     /// as raised — boxed, it is wider than every other state.
@@ -108,33 +126,35 @@ impl TaskState {
     }
 }
 
-/// A task record held by the cloud service.
+/// A task record held by the cloud service. Its id is its index in the
+/// cloud's table, and its endpoint and command are indices into the cloud's
+/// tables too (read them through
+/// [`CloudService::task_endpoint`](crate::CloudService::task_endpoint) and
+/// [`CloudService::task_command`](crate::CloudService::task_command)): the
+/// table grows by one record a task and keeps every one.
 #[derive(Debug, Clone)]
 pub struct Task {
-    pub id: TaskId,
     /// The identity that submitted the task.
     pub submitter: IdentityId,
-    /// Target endpoint name. Interned — a million-task arena shares one
-    /// allocation per endpoint instead of holding a million `String`s.
-    pub endpoint: Sym,
-    /// The resolved command line the endpoint will execute (interned; CI
-    /// workloads repeat a small set of command lines).
-    pub command: Sym,
     /// When the cloud accepted the task (start of the latency clock; the
     /// `Submitted` state is transient but this timestamp survives the
     /// lifecycle for end-to-end latency accounting).
     pub submitted_at: SimTime,
+    /// The target endpoint's slot.
+    pub(crate) slot: u32,
+    /// The resolved command line's index in the cloud's command table.
+    pub(crate) command: u32,
     pub state: TaskState,
 }
 
 impl Task {
-    /// Move the task to `next`, rejecting any transition out of a terminal
-    /// state. Done/Rejected tasks never come back to life: re-running a task
-    /// requires explicit resubmission, which mints a fresh [`TaskId`].
-    pub fn transition(&mut self, next: TaskState) -> Result<(), FaasError> {
+    /// Move task `id` (this one) to `next`, rejecting any transition out of a
+    /// terminal state. Done/Rejected tasks never come back to life: re-running
+    /// a task requires explicit resubmission, which mints a fresh [`TaskId`].
+    pub fn transition(&mut self, id: TaskId, next: TaskState) -> Result<(), FaasError> {
         if self.state.is_terminal() {
             return Err(FaasError::InvalidTransition {
-                task: self.id,
+                task: id,
                 from: self.state.name().to_string(),
                 to: next.name().to_string(),
             });
@@ -171,11 +191,13 @@ mod tests {
     #[test]
     fn output_helpers() {
         let out = TaskOutput {
-            stdout: "ok".into(),
-            stderr: Sym::Static(""),
-            result: Ok(()),
-            ran_as: "x-vhayot".into(),
-            node: "anvil-login-1".into(),
+            body: Arc::new(OutputBody {
+                stdout: "ok".into(),
+                stderr: Sym::Static(""),
+                result: Ok(()),
+                ran_as: "x-vhayot".into(),
+                node: "anvil-login-1".into(),
+            }),
             started: SimTime::from_secs(10),
             ended: SimTime::from_secs(25),
         };
@@ -186,11 +208,13 @@ mod tests {
     #[test]
     fn failure_output() {
         let out = TaskOutput {
-            stdout: Sym::Static(""),
-            stderr: "Traceback".into(),
-            result: Err(TaskFailure::Command("pytest failed".into())),
-            ran_as: "u".into(),
-            node: "n".into(),
+            body: Arc::new(OutputBody {
+                stdout: Sym::Static(""),
+                stderr: "Traceback".into(),
+                result: Err(TaskFailure::Command("pytest failed".into())),
+                ran_as: "u".into(),
+                node: "n".into(),
+            }),
             started: SimTime::ZERO,
             ended: SimTime::from_secs(1),
         };
@@ -208,24 +232,27 @@ mod tests {
         assert!(!TaskState::QueuedAtEndpoint { at: SimTime::ZERO }.is_terminal());
     }
 
+    const ID: TaskId = TaskId(9);
+
     fn sample_task(state: TaskState) -> Task {
         Task {
-            id: TaskId(9),
             submitter: IdentityId(1),
-            endpoint: "ep".into(),
-            command: "true".into(),
             submitted_at: SimTime::ZERO,
+            slot: 0,
+            command: 0,
             state,
         }
     }
 
     fn done_output() -> TaskOutput {
         TaskOutput {
-            stdout: Sym::Static(""),
-            stderr: Sym::Static(""),
-            result: Ok(()),
-            ran_as: "u".into(),
-            node: "n".into(),
+            body: Arc::new(OutputBody {
+                stdout: Sym::Static(""),
+                stderr: Sym::Static(""),
+                result: Ok(()),
+                ran_as: "u".into(),
+                node: "n".into(),
+            }),
             started: SimTime::ZERO,
             ended: SimTime::from_secs(1),
         }
@@ -234,9 +261,9 @@ mod tests {
     #[test]
     fn live_transitions_are_allowed() {
         let mut t = sample_task(TaskState::Submitted { at: SimTime::ZERO });
-        t.transition(TaskState::QueuedAtEndpoint { at: SimTime::from_secs(1) })
+        t.transition(ID, TaskState::QueuedAtEndpoint { at: SimTime::from_secs(1) })
             .unwrap();
-        t.transition(TaskState::Done(done_output())).unwrap();
+        t.transition(ID, TaskState::Done(done_output())).unwrap();
         assert!(t.state.is_terminal());
     }
 
@@ -244,7 +271,7 @@ mod tests {
     fn done_task_cannot_be_revived() {
         let mut t = sample_task(TaskState::Done(done_output()));
         let err = t
-            .transition(TaskState::QueuedAtEndpoint { at: SimTime::from_secs(5) })
+            .transition(ID, TaskState::QueuedAtEndpoint { at: SimTime::from_secs(5) })
             .unwrap_err();
         assert!(err.to_string().contains("illegal transition"));
         // The terminal state is untouched.
@@ -258,9 +285,9 @@ mod tests {
             reason: Box::new(FaasError::IdentityMappingFailed("mallory".into())),
         });
         assert!(t
-            .transition(TaskState::Submitted { at: SimTime::from_secs(1) })
+            .transition(ID, TaskState::Submitted { at: SimTime::from_secs(1) })
             .is_err());
-        assert!(t.transition(TaskState::Done(done_output())).is_err());
+        assert!(t.transition(ID, TaskState::Done(done_output())).is_err());
         let TaskState::Rejected { reason, .. } = t.state else {
             panic!("left the terminal state");
         };

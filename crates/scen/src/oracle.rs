@@ -398,7 +398,7 @@ fn check_attribution(spec: &ScenarioSpec, fed: &Federation, out: &mut Vec<Violat
                 let failed: Vec<(&str, &str)> = tasks
                     .filter_map(|t| match &t.state {
                         TaskState::Done(o) if matches!(o.result, Err(TaskFailure::Command(_))) => {
-                            Some((t.endpoint.as_str(), o.stderr.as_str()))
+                            Some((cloud.task_endpoint(t).as_str(), o.stderr.as_str()))
                         }
                         _ => None,
                     })

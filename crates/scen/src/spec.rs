@@ -563,6 +563,19 @@ impl ScenarioSpec {
             }
             _ => {}
         }
+        // What a run holds grows with these keys and is kept to the end
+        // (≈ 19 KB a push under `verify`), so a value past its bound would
+        // exhaust memory before any oracle could judge it.
+        let at_most = |key: &str, value: u32, bound: u32| {
+            if value > bound {
+                return Err(SpecError(format!("{key} = {value} exceeds its bound of {bound}")));
+            }
+            Ok(())
+        };
+        at_most("[traffic] pushes", self.traffic.pushes, 10_000)?;
+        at_most("[workload] tests", self.workload.tests, 10_000)?;
+        at_most("[workload] repo_files", self.workload.repo_files, 1_024)?;
+        at_most("[workload] steps_per_job", self.workload.steps_per_job, 64)?;
         // The simulated clock counts microseconds in a u64: a time key
         // (seconds, or `task_ms`) beyond it has no instant to mean.
         const SECS: u64 = 1_000_000;
@@ -1229,6 +1242,29 @@ mod tests {
             1,
         );
         assert!(ScenarioSpec::from_toml(&most).is_ok());
+    }
+
+    #[test]
+    fn validation_bounds_the_size_keys() {
+        type Key = fn(&mut ScenarioSpec) -> &mut u32;
+        let keys: [(&str, Key, u32); 4] = [
+            ("[traffic] pushes", |s| &mut s.traffic.pushes, 10_000),
+            ("[workload] tests", |s| &mut s.workload.tests, 10_000),
+            ("[workload] repo_files", |s| &mut s.workload.repo_files, 1_024),
+            ("[workload] steps_per_job", |s| &mut s.workload.steps_per_job, 64),
+        ];
+        for (key, field, bound) in keys {
+            let with = |value| {
+                let mut spec = ScenarioSpec::minimal("bounds", 1);
+                *field(&mut spec) = value;
+                spec.validate()
+            };
+            assert_eq!(with(bound), Ok(()), "{key}");
+            assert_eq!(
+                with(bound + 1),
+                Err(SpecError(format!("{key} = {} exceeds its bound of {bound}", bound + 1)))
+            );
+        }
     }
 
     #[test]

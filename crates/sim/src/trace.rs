@@ -46,7 +46,7 @@ impl Sym {
 
     /// The same handle, not merely the same text: a `Static` by address and
     /// length, a `Shared` by allocation.
-    fn is(&self, other: &Sym) -> bool {
+    pub fn is(&self, other: &Sym) -> bool {
         match (self, other) {
             (Sym::Static(a), Sym::Static(b)) => std::ptr::eq(*a, *b),
             (Sym::Shared(a), Sym::Shared(b)) => Arc::ptr_eq(a, b),

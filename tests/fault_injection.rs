@@ -313,10 +313,12 @@ fn failover_holds_for_the_rest_of_the_step() {
             "{id}: {:?}",
             task.state
         );
-        assert_eq!(task.endpoint.as_str(), "ep-anvil", "{id}");
+        assert_eq!(cloud.task_endpoint(task).as_str(), "ep-anvil", "{id}");
     }
     let first = cloud.task(TaskId(step.tasks[0])).unwrap();
-    assert_eq!(first.endpoint.as_str(), "ep-anvil-login");
+    assert_eq!(cloud.task_endpoint(first).as_str(), "ep-anvil-login");
+    let resubmitted = cloud.task(TaskId(step.tasks[1])).unwrap();
+    assert_eq!(cloud.task_command(resubmitted), cloud.task_command(first), "the clone, as it was");
     assert!(matches!(first.state, TaskState::Rejected { .. }));
 }
 
