@@ -177,9 +177,13 @@ impl StackFingerprints {
 /// the engine's [`Interner`]; maps are keyed by `Sym` and probed with plain
 /// `&str` (no per-lookup allocation); runs live in a dense arena `Vec`
 /// indexed by [`RunId`] rather than a `BTreeMap`; and workflow definitions
-/// are `Arc`-shared so instantiating a run never deep-clones a definition.
+/// are `Arc`-shared, by every repo that installs an equal one and by every
+/// run, so neither a tenant nor a run deep-clones a definition.
 pub struct CiEngine {
     workflows: BTreeMap<Sym, Vec<Installed>>,
+    /// The distinct definitions installed under each workflow name: a repo
+    /// that installs a definition equal to one of them shares its shape.
+    shapes: BTreeMap<Sym, Vec<Arc<Shape>>>,
     /// Environments nested by repo then name, so the per-job approval check
     /// probes two small maps with borrowed keys instead of allocating a
     /// `(String, String)` tuple per lookup.
@@ -237,6 +241,7 @@ impl CiEngine {
     pub fn new() -> Self {
         CiEngine {
             workflows: BTreeMap::new(),
+            shapes: BTreeMap::new(),
             environments: BTreeMap::new(),
             env_vars: BTreeMap::new(),
             no_env_vars: Arc::default(),
@@ -332,29 +337,41 @@ impl CiEngine {
         self.actions.insert(name.to_string(), action);
     }
 
-    /// Install a workflow file for a repository.
+    /// Install a workflow file for a repository. A definition equal to one
+    /// already installed under its name shares that one's shape, and this
+    /// copy is dropped; the repo's plans and schedules stay its own.
     pub fn add_workflow(&mut self, repo: &str, workflow: WorkflowDef) {
         let repo = self.interner.intern(repo);
+        let name = self.interner.intern(&workflow.name);
         for t in &workflow.on {
             if let TriggerEvent::Schedule { period_secs } = t {
                 self.schedules.push(Schedule {
                     repo: repo.clone(),
-                    workflow: self.interner.intern(&workflow.name),
+                    workflow: name.clone(),
                     period: SimDuration::from_secs(*period_secs),
                     next_fire: SimTime::ZERO + SimDuration::from_secs(*period_secs),
                 });
             }
         }
-        let order = workflow.job_order().map(|order| {
-            // Ids are unique in a workflow `job_order` accepts.
-            let position = |job: &JobDef| workflow.jobs.iter().position(|j| j.id == job.id);
-            order.into_iter().filter_map(position).collect()
-        });
+        let shapes = self.shapes.entry(name).or_default();
+        let shape = match shapes.iter().find(|shape| shape.def == workflow) {
+            Some(shape) => shape.clone(),
+            None => {
+                let order = workflow.job_order().map(|order| {
+                    // Ids are unique in a workflow `job_order` accepts.
+                    let position = |job: &JobDef| workflow.jobs.iter().position(|j| j.id == job.id);
+                    order.into_iter().filter_map(position).collect()
+                });
+                let shape = Arc::new(Shape {
+                    def: workflow,
+                    order,
+                });
+                shapes.push(shape.clone());
+                shape
+            }
+        };
         self.workflows.entry(repo).or_default().push(Installed {
-            shape: Arc::new(Shape {
-                def: workflow,
-                order,
-            }),
+            shape,
             plans: Vec::new(),
         });
     }
@@ -1597,6 +1614,59 @@ mod tests {
         let run = e.run(id).unwrap();
         assert!(run.steps[0].stdout.contains("repo=o/r"));
         assert!(run.steps[0].stdout.contains("input=from-env"));
+    }
+
+    /// Repos that install equal definitions share one shape; a definition
+    /// that differs in one `with:` value gets its own. Each repo's run
+    /// executes its own definition under its own `env:`, and each repo's
+    /// plans hold its own inputs.
+    #[test]
+    fn equal_definitions_share_one_shape_and_plans_stay_per_repo() {
+        struct Probe;
+        impl Action for Probe {
+            fn start(&self, ctx: StepContext) -> Box<dyn Step> {
+                let input = |key: &str| ctx.inputs.get(key).map_or("-", String::as_str).to_string();
+                Box::new(crate::action::StepResult::ok(format!(
+                    "param={} mode={}",
+                    input("param"),
+                    input("mode")
+                )))
+            }
+        }
+        let def = |mode: &str| {
+            WorkflowDef::new("ci").on_event(TriggerEvent::push_any()).with_job(
+                JobDef::new("j").with_step(StepDef::uses(
+                    "probe",
+                    "acme/probe@v1",
+                    &[("param", "${{ env.PARAM }}"), ("mode", mode)],
+                )),
+            )
+        };
+        let mut e = CiEngine::new();
+        e.register_action("acme/probe@v1", Arc::new(Probe));
+        for (repo, mode) in [("o/a", "x"), ("o/b", "x"), ("o/c", "y")] {
+            e.set_env_var(repo, "PARAM", &format!("{repo}-env"));
+            e.add_workflow(repo, def(mode));
+        }
+        let shape = |e: &CiEngine, repo: &str| e.workflows[repo][0].shape.clone();
+        assert!(Arc::ptr_eq(&shape(&e, "o/a"), &shape(&e, "o/b")));
+        assert!(!Arc::ptr_eq(&shape(&e, "o/a"), &shape(&e, "o/c")));
+        assert_eq!(e.shapes["ci"].len(), 2);
+
+        for (repo, stdout) in [
+            ("o/a", "param=o/a-env mode=x"),
+            ("o/b", "param=o/b-env mode=x"),
+            ("o/c", "param=o/c-env mode=y"),
+        ] {
+            let id = e.on_push(repo, "main", "deadbeef", SimTime::ZERO).unwrap()[0];
+            e.execute_ready(&mut NullDriver::default());
+            assert_eq!(e.run(id).unwrap().steps[0].stdout, stdout);
+            let plan = e.workflows[repo][0].plans[0].as_ref().expect("the run planned its job");
+            let inputs = plan.steps[0].inputs.as_ref().expect("the step ran");
+            assert_eq!(inputs["param"], format!("{repo}-env"));
+        }
+        let plan = |repo: &str| e.workflows[repo][0].plans[0].as_ref().unwrap();
+        assert!(!Arc::ptr_eq(&plan("o/a").env, &plan("o/b").env));
     }
 
     #[test]

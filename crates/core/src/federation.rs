@@ -454,8 +454,9 @@ impl Federation {
     ) -> Result<EndpointHandle, FaasError> {
         let config = EndpointConfig::new(name, owner, local_user);
         let shared = self.site(site).shared.clone();
-        let endpoint = Endpoint::new(config, &mut shared.lock(), provider, self.seed + 1)?;
-        self.seed += 1;
+        let seed = self.seed.wrapping_add(1);
+        let endpoint = Endpoint::new(config, &mut shared.lock(), provider, seed)?;
+        self.seed = seed;
         Ok(self.add_endpoint(name, site, shared, EndpointRegistration::Single(Box::new(endpoint))))
     }
 

@@ -152,13 +152,24 @@ fn undeclared_flags_extra_operands_and_zero_threads_are_refused() {
 
 #[test]
 fn a_document_that_does_not_build_is_refused_with_exit_2() {
-    // Two Fig. 4 endpoints on one site give two jobs one id: the document
-    // parses and validates, but the world refuses to build.
+    // A pilot of zero cores: the document parses and validates, but the
+    // site scheduler refuses the pilot, so the world does not build.
+    let doc = include_str!("../../../tests/fixtures/gen-42-0010.toml");
+    let pilot = "cores = 32\nwalltime_secs";
+    assert_eq!(doc.matches(pilot).count(), 1);
+    let doc = doc.replace(pilot, "cores = 0\nwalltime_secs");
+    let out = run(&["verify", "--threads", "1"], Some(&doc));
+    assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
+    assert!(stdout(&out).contains("did not build"), "{}", stdout(&out));
+
+    // Two Fig. 4 endpoints on one site give two jobs one id: `validate`
+    // refuses the document before anything is built.
     let fig4 = include_str!("../../../tests/fixtures/paper/fig4-parsldock.toml");
     let one_site = "name = \"ep-chameleon-tacc\"\nsite = 0\n";
     assert_eq!(fig4.matches(one_site).count(), 1);
     let doc = fig4.replace(one_site, "name = \"ep-chameleon-tacc\"\nsite = 1\n");
     let out = run(&["verify", "--threads", "1"], Some(&doc));
     assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
-    assert!(stdout(&out).contains("did not build"), "{}", stdout(&out));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("job id test-faster-vhayot is used twice"), "{stderr}");
 }

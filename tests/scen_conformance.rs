@@ -344,11 +344,14 @@ fn two_endpoints_on_one_fig4_site_are_refused_naming_the_job_they_share() {
     let doc = include_str!("fixtures/paper/fig4-parsldock.toml");
     let (from, to) = ("name = \"ep-chameleon-tacc\"\nsite = 0", "name = \"ep-chameleon-tacc\"\nsite = 1");
     assert_eq!(doc.matches(from).count(), 1);
-    let spec = ScenarioSpec::from_toml(&doc.replace(from, to)).expect("document parses");
-    match verify_spec(&spec) {
-        Ok(_) => panic!("two jobs of one id were accepted"),
-        Err(e) => assert!(e.0.contains("job id test-"), "{e}"),
-    }
+    let err = refused(&doc.replace(from, to), "two jobs of one id");
+    assert_eq!(err, "workflow `parsldock-ci`: job id test-faster-vhayot is used twice");
+    // `validate` and `build_on` agree: the spec is refused before anything
+    // is built, with the same message.
+    let mut spec = ScenarioSpec::from_toml(doc).expect("fixture parses");
+    spec.endpoints[0].site = 1;
+    assert_eq!(spec.validate().map_err(|e| e.0), Err(err.clone()));
+    assert_eq!(verify_spec(&spec).map(|_| ()).map_err(|e| e.0), Err(err));
 }
 
 #[test]
