@@ -10,7 +10,7 @@
 //! installed.
 
 use crate::spec::{
-    EndpointKindDecl, ScenarioSpec, SiteSpec, SpecError, TemplateDecl, WorkloadKind,
+    EndpointDecl, EndpointKindDecl, ScenarioSpec, SiteSpec, SpecError, TemplateDecl, WorkloadKind,
     WorkloadSpec,
 };
 use correct_core::federation::OnboardedUser;
@@ -188,7 +188,7 @@ impl ScenarioSpec {
         for env_name in &environments {
             fed.provision_environment(&self.workload.repo, env_name, &self.user.login, &user);
         }
-        let workflow = self.workflow_def(&environments, &endpoint_names);
+        let workflow = self.workflow_def();
         let workflow_name = workflow.name.clone();
         fed.engine.add_workflow(&self.workload.repo, workflow);
 
@@ -270,26 +270,29 @@ impl ScenarioSpec {
         }
     }
 
-    /// The workflow installed for the workload.
-    pub(crate) fn workflow_def(&self, environments: &[String], endpoints: &[String]) -> WorkflowDef {
+    /// The workflow installed for the workload. A one-endpoint recipe names
+    /// the first endpoint `build_on` registers: it registers them site by
+    /// site. Needs a spec that `validate` has checked up to its endpoints.
+    pub(crate) fn workflow_def(&self) -> WorkflowDef {
+        let environment = |ep: &EndpointDecl| self.sites[ep.site as usize].environment.as_str();
+        let first = self
+            .endpoints
+            .iter()
+            .min_by_key(|ep| ep.site)
+            .map_or("", |ep| ep.name.as_str());
         match self.workload.kind {
             WorkloadKind::Parsldock => {
                 let pairs: Vec<(&str, &str)> = self
                     .endpoints
                     .iter()
-                    .map(|ep| {
-                        (
-                            environments[ep.site as usize].as_str(),
-                            ep.name.as_str(),
-                        )
-                    })
+                    .map(|ep| (environment(ep), ep.name.as_str()))
                     .collect();
                 recipes::multi_site_workflow(&self.workload.workflow, &pairs, "pytest tests/")
             }
             WorkloadKind::Psij => recipes::single_site_workflow(
                 &self.workload.workflow,
-                &environments[self.endpoints[0].site as usize],
-                &endpoints[0],
+                environment(&self.endpoints[0]),
+                first,
                 "pytest tests/",
             ),
             WorkloadKind::Kamping => {
@@ -303,8 +306,8 @@ impl ScenarioSpec {
                     .collect();
                 recipes::artifact_suite_workflow(
                     &self.workload.workflow,
-                    &environments[self.endpoints[0].site as usize],
-                    &endpoints[0],
+                    environment(&self.endpoints[0]),
+                    first,
                     &pairs,
                 )
             }
@@ -312,9 +315,8 @@ impl ScenarioSpec {
                 let mut wf =
                     WorkflowDef::new(&self.workload.workflow).on_event(TriggerEvent::push_any());
                 for ep in &self.endpoints {
-                    let environment = &environments[ep.site as usize];
                     let mut job =
-                        JobDef::new(&format!("test-{}", ep.name)).with_environment(environment);
+                        JobDef::new(&format!("test-{}", ep.name)).with_environment(environment(ep));
                     let mut last_step = String::new();
                     for k in 1..=self.workload.steps_per_job {
                         let step_id = format!("run-{}-{k}", ep.name);

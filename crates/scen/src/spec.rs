@@ -639,12 +639,7 @@ impl ScenarioSpec {
         }
         // A workflow the engine would refuse at every trigger is a bad
         // document; it is built last, once every size key is in bounds.
-        // `build_on` registers the endpoints site by site.
-        let environments: Vec<String> = self.sites.iter().map(|s| s.environment.clone()).collect();
-        let mut endpoints: Vec<&EndpointDecl> = self.endpoints.iter().collect();
-        endpoints.sort_by_key(|ep| ep.site);
-        let endpoints: Vec<String> = endpoints.iter().map(|ep| ep.name.clone()).collect();
-        let workflow = self.workflow_def(&environments, &endpoints);
+        let workflow = self.workflow_def();
         if let Err(e) = workflow.job_order() {
             return Err(SpecError(format!("workflow `{}`: {e}", workflow.name)));
         }
